@@ -35,6 +35,8 @@ class Config:
     def __post_init__(self):
         if self.max_length < 1:
             raise ValueError("--max-length must be >= 1")
+        if self.samples < 1:
+            raise ValueError("--samples must be >= 1")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -14,11 +14,22 @@ transport through the anti-involution, act_right(x, h) =
 J(act_left(J(h), J(x))); the degree of h is 0, so no sign enters.  The
 printed right-action formulas become regression tests rather than a
 second table.
+
+Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
+BasisSymbol the tuple (degree, sign, support), so the keys of every
+coefficient dict and memo hash and compare in C.  Each ExtAlgebra keeps
+three memos of pure functions of their keys: the pair memo (products of
+two basis symbols, in product.py), the letter memo (one simple
+reflection acting on the left of one symbol) and the J table (J on one
+symbol, as a (coeff, symbol) pair).  Memo values are read-only
+(MappingProxyType or tuples) and handed out without a copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
+from types import MappingProxyType
 
 from .coeff import PrimeField
 from .hecke import HeckeAlgebra, HeckeElement
@@ -38,31 +49,37 @@ KIND_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class BasisSymbol:
-    """One basis symbol: degree, sign (degrees 1 and 2 only), support."""
+class BasisSymbol(tuple):
+    """One basis symbol: the flat tuple (degree, sign, support).
 
-    degree: int
-    sign: int | None
-    support: WeylElement
+    The sign is set in degrees 1 and 2 only; the support is a WeylElement.
+    """
 
-    def __post_init__(self):
-        if self.degree not in (0, 1, 2, 3):
-            raise ValueError(f"degree must be 0..3, got {self.degree}")
-        if self.degree in (0, 3):
-            if self.sign is not None:
+    __slots__ = ()
+
+    def __new__(cls, degree: int, sign: int | None, support: WeylElement):
+        if degree not in (0, 1, 2, 3):
+            raise ValueError(f"degree must be 0..3, got {degree}")
+        if degree in (0, 3):
+            if sign is not None:
                 raise ValueError("degree 0/3 symbols carry no sign")
         else:
-            if self.sign not in (-1, 0, 1):
-                raise ValueError(f"sign must be -, 0 or +, got {self.sign}")
-            if self.sign == 0 and self.support.length == 0:
-                raise ValueError(
-                    "sign-0 symbols require support of length >= 1"
-                )
+            if sign not in (-1, 0, 1):
+                raise ValueError(f"sign must be -, 0 or +, got {sign}")
+            if sign == 0 and not support.word:
+                raise ValueError("sign-0 symbols require support of length >= 1")
+        return tuple.__new__(cls, (degree, sign, support))
+
+    degree = property(itemgetter(0))
+    sign = property(itemgetter(1))
+    support = property(itemgetter(2))
 
     @property
     def kind(self) -> str:
-        return KIND_NAMES[(self.degree, self.sign)]
+        return KIND_NAMES[self[:2]]
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
         return f"{self.kind}({self.support!r})"
@@ -171,9 +188,10 @@ class ExtAlgebra:
         self.field = PrimeField(p, primitive_root)
         self.weyl = WeylGroup(self.field)
         self.hecke = HeckeAlgebra(self.weyl)
-        self._letter_cache: dict[tuple[int, BasisSymbol], dict] = {}
-        self._pair_cache: dict = {}
+        self._letter_cache: dict[tuple[int, BasisSymbol], MappingProxyType] = {}
+        self._pair_cache: dict[tuple[BasisSymbol, BasisSymbol], MappingProxyType] = {}
         self._base_sq: dict[int, GradedElement] = {}
+        self._j_cache: dict[BasisSymbol, tuple[int, BasisSymbol]] = {}
 
     def same_parameters(self, other: "ExtAlgebra") -> bool:
         return self is other or self.field == other.field
@@ -208,55 +226,45 @@ class ExtAlgebra:
     def embed(self, h: HeckeElement) -> GradedElement:
         return GradedElement(self, {BasisSymbol(0, None, w): c for w, c in h.coeffs.items()})
 
-    def degree0_hecke(self, x: GradedElement) -> HeckeElement:
-        return HeckeElement(
-            self.hecke,
-            {s.support: c for s, c in x.coeffs.items() if s.degree == 0},
-        )
-
     def basis_symbols(self, max_length: int, degrees=(0, 1, 2, 3)):
         """All basis symbols with support length <= max_length."""
-        W = self.weyl
-        words = [()]
-        for ln in range(1, max_length + 1):
-            for first in (S0, S1):
-                words.append(tuple((first + j) % 2 for j in range(ln)))
-        for word in words:
-            for e in range(W.n):
-                w = WeylElement(W, e, word)
-                for d in degrees:
-                    if d in (0, 3):
-                        yield BasisSymbol(d, None, w)
-                    else:
-                        for sign in (-1, 0, 1):
-                            if sign == 0 and not word:
-                                continue
-                            yield BasisSymbol(d, sign, w)
+        for w in self.weyl.elements(max_length):
+            for d in degrees:
+                if d in (0, 3):
+                    yield BasisSymbol(d, None, w)
+                else:
+                    for sign in (-1, 0, 1):
+                        if sign == 0 and not w.word:
+                            continue
+                        yield BasisSymbol(d, sign, w)
 
     # --- torus and idempotent building blocks ---
 
     def _torus_weight(self, sym: BasisSymbol) -> int:
         """k such that the torus generator acts on sym with scalar u0^k."""
-        if sym.degree == 1:
-            return {-1: -2, 0: 0, 1: 2}[sym.sign]
-        if sym.degree == 2:
-            return {-1: 2, 0: 0, 1: -2}[sym.sign]
+        d, sign = sym.degree, sym.sign
+        if d == 1:
+            return 2 * sign
+        if d == 2:
+            return -2 * sign
         return 0
 
     def _torus_on_symbol(self, e: int, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
-        W = self.weyl
+        d, sign, (exp, word) = sym
         coeff = self.field.root_pow(self._torus_weight(sym) * e)
-        return coeff, BasisSymbol(sym.degree, sym.sign, W.mul(W.omega(e), sym.support))
+        # omega^e w is a plain shift of the torus exponent
+        return coeff, BasisSymbol(d, sign, WeylElement(self.weyl, (e + exp) % self.weyl.n, word))
 
     def _acc_e(self, out: dict, m: int, sym: BasisSymbol, scale: int) -> None:
         """Accumulate scale * (e_{id^m} acting on the left of sym)."""
         F, W, p = self.field, self.weyl, self.field.p
         k = self._torus_weight(sym)
+        d, sign, (exp, word) = sym
         for a in range(W.n):
             c = (-scale * F.root_pow((k - m) * a)) % p
             if not c:
                 continue
-            key = BasisSymbol(sym.degree, sym.sign, W.mul(W.omega(a), sym.support))
+            key = BasisSymbol(d, sign, WeylElement(W, (a + exp) % W.n, word))
             v = (out.get(key, 0) + c) % p
             if v:
                 out[key] = v
@@ -271,12 +279,12 @@ class ExtAlgebra:
 
     # --- single-letter left action tables ---
 
-    def _letter_on_symbol(self, i: int, sym: BasisSymbol) -> dict:
+    def _letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:
         key = (i, sym)
         cached = self._letter_cache.get(key)
         if cached is not None:
             return cached
-        out = self._letter_on_symbol_uncached(i, sym)
+        out = MappingProxyType(self._letter_on_symbol_uncached(i, sym))
         self._letter_cache[key] = out
         return out
 
@@ -392,16 +400,14 @@ class ExtAlgebra:
             _add_into(out, self._letter_on_symbol(i, sym), c, p)
         return out
 
-    def _apply_torus_left(self, e: int, coeffs: dict) -> dict:
+    def _map_symbols(self, coeffs, fn) -> dict:
+        """Apply fn: symbol -> (unit, symbol), injective on symbols (a torus
+        shift, J, the uniformizer conjugation): no two terms collide or cancel."""
         p = self.field.p
         out: dict = {}
         for sym, c in coeffs.items():
-            coeff, tsym = self._torus_on_symbol(e, sym)
-            v = (out.get(tsym, 0) + c * coeff) % p
-            if v:
-                out[tsym] = v
-            elif tsym in out:
-                del out[tsym]
+            coeff, image = fn(sym)
+            out[image] = c * coeff % p
         return out
 
     # --- the two-sided action ---
@@ -416,7 +422,7 @@ class ExtAlgebra:
                 if not cur:
                     break
             if cur and w.exp:
-                cur = self._apply_torus_left(w.exp, cur)
+                cur = self._map_symbols(cur, partial(self._torus_on_symbol, w.exp))
             _add_into(total, cur, c, p)
         return GradedElement(self, total)
 
@@ -429,6 +435,13 @@ class ExtAlgebra:
     # --- involutions ---
 
     def _symbol_involution(self, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
+        """J on one symbol, as the pair (coeff, symbol); memoized (the J table)."""
+        cached = self._j_cache.get(sym)
+        if cached is None:
+            cached = self._j_cache[sym] = self._symbol_involution_uncached(sym)
+        return cached
+
+    def _symbol_involution_uncached(self, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
         W, F = self.weyl, self.field
         w = sym.support
         wi = W.inv(w)
@@ -448,16 +461,7 @@ class ExtAlgebra:
 
     def involution(self, x: GradedElement) -> GradedElement:
         """The involutive anti-automorphism J (graded sign on products)."""
-        p = self.field.p
-        out: dict = {}
-        for sym, c in x.coeffs.items():
-            coeff, jsym = self._symbol_involution(sym)
-            v = (out.get(jsym, 0) + c * coeff) % p
-            if v:
-                out[jsym] = v
-            elif jsym in out:
-                del out[jsym]
-        return GradedElement(self, out)
+        return GradedElement(self, self._map_symbols(x.coeffs, self._symbol_involution))
 
     def _symbol_uniformizer_conj(self, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
         cw = self.weyl.uniformizer_conj(sym.support)
@@ -470,16 +474,7 @@ class ExtAlgebra:
 
     def uniformizer_conj(self, x: GradedElement) -> GradedElement:
         """The involutive algebra automorphism induced by the uniformizer."""
-        p = self.field.p
-        out: dict = {}
-        for sym, c in x.coeffs.items():
-            coeff, gsym = self._symbol_uniformizer_conj(sym)
-            v = (out.get(gsym, 0) + c * coeff) % p
-            if v:
-                out[gsym] = v
-            elif gsym in out:
-                del out[gsym]
-        return GradedElement(self, out)
+        return GradedElement(self, self._map_symbols(x.coeffs, self._symbol_uniformizer_conj))
 
     # --- factorization of degree-1 symbols through the four generators ---
 

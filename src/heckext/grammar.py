@@ -14,8 +14,6 @@ input.  Parse errors carry the offending position.
 
 from __future__ import annotations
 
-import json
-
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .weyl import S0, S1, WeylElement
 
@@ -227,9 +225,3 @@ def element_to_json(x: GradedElement) -> dict:
             }
         )
     return {"terms": terms}
-
-
-def render(x: GradedElement, fmt: str = "text") -> str:
-    if fmt == "json":
-        return json.dumps(element_to_json(x), indent=2)
-    return render_element(x)

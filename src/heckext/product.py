@@ -23,10 +23,13 @@ performed.  Correctness is certified by the associativity, involution and
 section acceptance suites: an error in any route breaks at least one.
 
 Products of basis-symbol pairs are memoized per algebra; the cache is a
-transparent memo of a pure function.
+transparent memo of a pure function, and its values are read-only
+mappings handed out without a copy.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .graded import BasisSymbol, ExtAlgebra, GradedElement, _add_into
 from .weyl import S0, S1, WeylElement
@@ -90,12 +93,12 @@ def multiply(x: GradedElement, y: GradedElement) -> GradedElement:
     return GradedElement(alg, total)
 
 
-def _pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
+def _pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> MappingProxyType:
     key = (a, b)
     cached = alg._pair_cache.get(key)
     if cached is not None:
         return cached
-    out = _pair_uncached(alg, a, b)
+    out = MappingProxyType(_pair_uncached(alg, a, b))
     alg._pair_cache[key] = out
     return out
 
@@ -147,9 +150,9 @@ def _base_beta0_square(alg: ExtAlgebra, i: int) -> GradedElement:
         alg._acc_e(out, 0, BasisSymbol(2, 0, W.s0), -1)
         alg._acc_e(out, -1, BasisSymbol(2, 1, W.s0), -1)
         alg._acc_e(out, 1, BasisSymbol(2, -1, W.s0), 1)
-        base = GradedElement(alg, out)
     else:
-        base = alg.uniformizer_conj(_base_beta0_square(alg, S0))
+        out = alg.uniformizer_conj(_base_beta0_square(alg, S0)).coeffs
+    base = GradedElement(alg, MappingProxyType(out))
     alg._base_sq[i] = base
     return base
 

@@ -274,19 +274,10 @@ def suite_involutions(alg, *, max_length=5, samples=500, seed=0, **_):
     return out
 
 
-def _all_supports(alg, max_length):
-    W = alg.weyl
-    words = [()]
-    for ln in range(1, max_length + 1):
-        for first in (S0, S1):
-            words.append(tuple((first + j) % 2 for j in range(ln)))
-    return [WeylElement(W, e, word) for word in words for e in range(W.n)]
-
-
 def suite_rightaction(alg, *, max_length=8, **_):
     W, H, F = alg.weyl, alg.hecke, alg.field
     out = []
-    supports = _all_supports(alg, max_length)
+    supports = W.elements(max_length)
 
     def act(x, w):
         return alg.act_right(x, H.tau(w))
@@ -412,7 +403,7 @@ def suite_duality(alg, *, max_length=8, samples=1000, seed=0, **_):
     rng = random.Random(f"duality:{alg.field.p}:{seed}")
     W, H = alg.weyl, alg.hecke
     out = []
-    supports = _all_supports(alg, max_length)
+    supports = W.elements(max_length)
 
     bad = None
     for w in supports:
@@ -434,6 +425,10 @@ def suite_duality(alg, *, max_length=8, samples=1000, seed=0, **_):
                 if duality_pairing(alg.beta(sa, w), alg.alpha(sb, w)) != expected:
                     bad = (w, sa, sb)
                     break
+            if bad:
+                break
+        if bad:
+            break
     out.append(_result("duality_beta_alpha", bad is None, f"{bad!r}"))
 
     bad = None

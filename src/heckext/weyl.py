@@ -12,7 +12,7 @@ normal form is unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .coeff import PrimeField
 
@@ -23,23 +23,28 @@ S1 = 1
 LETTER_NAMES = ("s0", "s1")
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """Normal form: torus exponent mod p-1 plus an alternating word."""
+class WeylElement(tuple):
+    """Normal form: the flat tuple (exp, word) of a torus exponent mod p-1
+    and an alternating word; it hashes and compares in C.
 
-    group: "WeylGroup" = field(compare=False, repr=False)
-    exp: int = 0
-    word: tuple[int, ...] = ()
+    The element does not carry its group: `WeylElement(W, exp, word)` takes
+    the group for its signature only, and group operations live on WeylGroup.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, group: "WeylGroup | None", exp: int = 0, word: tuple[int, ...] = ()):
+        return tuple.__new__(cls, (exp, word))
+
+    exp = property(itemgetter(0))
+    word = property(itemgetter(1))
 
     @property
     def length(self) -> int:
-        return len(self.word)
+        return len(self[1])
 
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return self.group.mul(self, other)
-
-    def inverse(self) -> "WeylElement":
-        return self.group.inv(self)
+    def __getnewargs__(self):
+        return (None, *self)
 
     def __repr__(self):
         letters = " ".join(LETTER_NAMES[l] for l in self.word)
@@ -70,6 +75,12 @@ class WeylGroup:
         """The exp-th power of the torus generator."""
         return WeylElement(self, exp % self.n, ())
 
+    def elements(self, max_length: int) -> list[WeylElement]:
+        """All elements of length <= max_length, by length, first letter, exponent."""
+        words = [()] + [tuple((first + j) % 2 for j in range(ln))
+                        for ln in range(1, max_length + 1) for first in (S0, S1)]
+        return [WeylElement(self, e, word) for word in words for e in range(self.n)]
+
     def simple(self, i: int) -> WeylElement:
         return self.s0 if i == S0 else self.s1
 
@@ -83,16 +94,14 @@ class WeylGroup:
     # --- group operations ---
 
     def mul(self, v: WeylElement, w: WeylElement) -> WeylElement:
+        (vexp, left), (wexp, right) = v, w
         # pushing the torus part of w to the left flips its sign once per letter of v
-        exp = v.exp + (w.exp if len(v.word) % 2 == 0 else -w.exp)
-        left = list(v.word)
-        right = list(w.word)
+        exp = vexp + (-wexp if len(left) % 2 else wexp)
+        # k adjacent equal-letter cancellations, each emitting the central c
         k = 0
-        while left and k < len(right) and left[-1] == right[k]:
-            left.pop()
+        while k < len(left) and k < len(right) and left[-1 - k] == right[k]:
             k += 1
-            exp += self.half
-        return WeylElement(self, exp % self.n, tuple(left) + tuple(right[k:]))
+        return WeylElement(self, (exp + k * self.half) % self.n, left[: len(left) - k] + right[k:])
 
     def inv(self, w: WeylElement) -> WeylElement:
         m = len(w.word)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from heckext.cli import main
+from heckext.cli import Config, main
 from heckext.grammar import ParseError, parse_element, render_element
 from heckext.weyl import S0, S1
 
@@ -162,6 +162,16 @@ class TestCli:
         assert len(payload["relators"]) == 36
         names = {r["name"] for r in payload["relators"]}
         assert "deg0_01" in names and "kernel_15" in names
+
+    @pytest.mark.parametrize("suite, samples", [("e0", "-3"), ("involutions", "0")])
+    def test_verify_rejects_samples_below_one(self, capsys, suite, samples):
+        # a sampled check over no samples would pass having checked nothing
+        assert main(["verify", suite, "--p", "5", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert "--samples must be >= 1" in captured.err
+        assert "PASS" not in captured.out
+        with pytest.raises(ValueError, match="--samples must be >= 1"):
+            Config(samples=int(samples))
 
     def test_bad_prime_rejected(self, capsys):
         assert main(["mul", "tau(w(0;))", "tau(w(0;))", "--p", "9"]) == 2

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
+from heckext import ExtAlgebra
 from heckext.graded import BasisSymbol
-from heckext.product import cup_summand, duality_pairing, multiply
+from heckext.product import _pair, cup_summand, duality_pairing, multiply
 from heckext.weyl import S0, S1
 
 from test_graded import rand_hecke, rand_symbol, rand_weyl
@@ -251,3 +252,29 @@ class TestTorusCupIndependentRoute:
                         alg5.act_right(x, H.tau(s)), other
                     )
                     assert multiply(x, y) == route2, (e, sx, sy)
+
+
+class TestMemoValuesAreReadOnly:
+    def test_in_place_edits_of_memo_values_raise(self):
+        alg = ExtAlgebra(5)
+        W = alg.weyl
+        # a bad sign-0 pair reaches the base square, the J table and the pair memo;
+        # a Hecke letter acting on the left fills the letter memo
+        multiply(alg.beta(0, W.s0), alg.beta(0, W.s0))
+        multiply(alg.tau(W.s1), alg.beta(-1, W.s1))
+        memos = {
+            "pair": alg._pair_cache,
+            "letter": alg._letter_cache,
+            "J": alg._j_cache,
+            "base square": {i: el.coeffs for i, el in alg._base_sq.items()},
+        }
+        for name, memo in memos.items():
+            assert memo, f"the {name} memo is empty"
+            for value in memo.values():
+                with pytest.raises(TypeError):
+                    value[next(iter(value), 0)] = 1
+
+    def test_a_hit_returns_the_stored_value_without_a_copy(self):
+        alg = ExtAlgebra(5)
+        a, b = BasisSymbol(1, 0, alg.weyl.s0), BasisSymbol(1, 0, alg.weyl.s0)
+        assert _pair(alg, a, b) is _pair(alg, a, b)
