@@ -21,8 +21,12 @@ coefficient dict and memo hash and compare in C.  Each ExtAlgebra keeps
 three memos of pure functions of their keys: the pair memo (products of
 two basis symbols, in product.py), the letter memo (one simple
 reflection acting on the left of one symbol) and the J table (J on one
-symbol, as a (coeff, symbol) pair).  Memo values are read-only
-(MappingProxyType or tuples) and handed out without a copy.
+symbol, as a (coeff, symbol) pair).  Beside the pair memo, the orbit
+memo keeps one computed pair per torus orbit, from which product.py
+derives the other pairs of the orbit.  Memo values are read-only
+(MappingProxyType or tuples) and handed out without a copy.  The left
+torus shift interns its images in one table per algebra, so the symbols
+of derived products are shared, not duplicated.
 """
 
 from __future__ import annotations
@@ -192,6 +196,8 @@ class ExtAlgebra:
         self._pair_cache: dict[tuple[BasisSymbol, BasisSymbol], MappingProxyType] = {}
         self._base_sq: dict[int, GradedElement] = {}
         self._j_cache: dict[BasisSymbol, tuple[int, BasisSymbol]] = {}
+        self._orbit_cache: dict[tuple, tuple[int, int, MappingProxyType]] = {}
+        self._symbols: dict[BasisSymbol, BasisSymbol] = {}
 
     def same_parameters(self, other: "ExtAlgebra") -> bool:
         return self is other or self.field == other.field
@@ -252,8 +258,9 @@ class ExtAlgebra:
     def _torus_on_symbol(self, e: int, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
         d, sign, (exp, word) = sym
         coeff = self.field.root_pow(self._torus_weight(sym) * e)
-        # omega^e w is a plain shift of the torus exponent
-        return coeff, BasisSymbol(d, sign, WeylElement(self.weyl, (e + exp) % self.weyl.n, word))
+        # omega^e w is a plain shift of the torus exponent; the image is interned
+        image = BasisSymbol(d, sign, WeylElement(self.weyl, (e + exp) % self.weyl.n, word))
+        return coeff, self._symbols.setdefault(image, image)
 
     def _acc_e(self, out: dict, m: int, sym: BasisSymbol, scale: int) -> None:
         """Accumulate scale * (e_{id^m} acting on the left of sym)."""
@@ -400,14 +407,15 @@ class ExtAlgebra:
             _add_into(out, self._letter_on_symbol(i, sym), c, p)
         return out
 
-    def _map_symbols(self, coeffs, fn) -> dict:
+    def _map_symbols(self, coeffs, fn, scale: int = 1) -> dict:
         """Apply fn: symbol -> (unit, symbol), injective on symbols (a torus
-        shift, J, the uniformizer conjugation): no two terms collide or cancel."""
+        shift, J, the uniformizer conjugation), and multiply by scale: no two
+        terms collide or cancel."""
         p = self.field.p
         out: dict = {}
         for sym, c in coeffs.items():
             coeff, image = fn(sym)
-            out[image] = c * coeff % p
+            out[image] = c * coeff * scale % p
         return out
 
     # --- the two-sided action ---

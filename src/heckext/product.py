@@ -24,11 +24,21 @@ section acceptance suites: an error in any route breaks at least one.
 
 Products of basis-symbol pairs are memoized per algebra; the cache is a
 transparent memo of a pure function, and its values are read-only
-mappings handed out without a copy.
+mappings handed out without a copy.  A miss is derived from the first
+computed pair of its torus orbit when there is one.  With k the torus
+weight and a0, b0 the symbols at torus exponent 0,
+
+  a.b = u0^-t T_e(a0.b0),  e = ea + (-1)^|wa| eb,  t = k(a) e + k(b) eb,
+
+where T_e is the left torus action on each term.  The left half is the
+definition of the torus action with associativity across a degree-0
+factor (the assoc suite); the right half is the plain right torus shift
+(rightaction_torus_all_degrees).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from types import MappingProxyType
 
 from .graded import BasisSymbol, ExtAlgebra, GradedElement, _add_into
@@ -98,7 +108,19 @@ def _pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> MappingProxyType:
     cached = alg._pair_cache.get(key)
     if cached is not None:
         return cached
-    out = MappingProxyType(_pair_uncached(alg, a, b))
+    # a.b = u0^-t T_e(a0.b0), a0 and b0 the symbols at torus exponent 0
+    (da, sa, (ea, wa)), (db, sb, (eb, wb)) = a, b
+    e = (ea - eb if len(wa) % 2 else ea + eb) % alg.weyl.n
+    t = alg._torus_weight(a) * e + alg._torus_weight(b) * eb
+    orbit = (da, sa, wa, db, sb, wb)
+    rep = alg._orbit_cache.get(orbit)
+    if rep is None:
+        out = MappingProxyType(_pair_uncached(alg, a, b))
+        alg._orbit_cache[orbit] = (e, t, out)
+    else:
+        e0, t0, rep_out = rep
+        shift = partial(alg._torus_on_symbol, e - e0)
+        out = MappingProxyType(alg._map_symbols(rep_out, shift, alg.field.root_pow(t0 - t)))
     alg._pair_cache[key] = out
     return out
 

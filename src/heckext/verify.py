@@ -296,6 +296,8 @@ def suite_rightaction(alg, *, max_length=8, **_):
                     if got != alg.symbol_element(BasisSymbol(d, sign, wt)):
                         bad = (d, sign, w, e)
                         break
+                if bad:
+                    break
             if bad is None and act(alg.phi(w), t) != alg.phi(wt):
                 bad = (3, None, w, e)
             if bad:
@@ -561,6 +563,7 @@ def suite_e0(alg, *, max_length=8, samples=1000, seed=0, **_):
         t = H.tau(W.simple(i))
         if not H.mul(t, t + e1).is_zero:
             bad = i
+            break
     out.append(_result("e0_quadratic_relation", bad is None, f"s{bad}"))
 
     bad = None
@@ -608,6 +611,9 @@ SUITE_NAMES = tuple(SUITES)
 def run_suite(alg: ExtAlgebra, name: str, **options) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    for option in ("samples", "max_length"):
+        if options.get(option, 1) < 1:
+            raise ValueError(f"{option} must be >= 1, got {options[option]}")
     results = SUITES[name](alg, **options)
     return sorted(results, key=lambda r: r.name)
 

@@ -259,20 +259,38 @@ class TestMemoValuesAreReadOnly:
         alg = ExtAlgebra(5)
         W = alg.weyl
         # a bad sign-0 pair reaches the base square, the J table and the pair memo;
-        # a Hecke letter acting on the left fills the letter memo
+        # a Hecke letter acting on the left fills the letter memo; a twisted
+        # pair in a known torus orbit is derived from the orbit memo
         multiply(alg.beta(0, W.s0), alg.beta(0, W.s0))
         multiply(alg.tau(W.s1), alg.beta(-1, W.s1))
+        multiply(alg.tau(W.element(1, (S1,))), alg.beta(-1, W.element(2, (S1,))))
         memos = {
             "pair": alg._pair_cache,
             "letter": alg._letter_cache,
             "J": alg._j_cache,
             "base square": {i: el.coeffs for i, el in alg._base_sq.items()},
+            "orbit": {orbit: rep[2] for orbit, rep in alg._orbit_cache.items()},
         }
         for name, memo in memos.items():
             assert memo, f"the {name} memo is empty"
             for value in memo.values():
                 with pytest.raises(TypeError):
                     value[next(iter(value), 0)] = 1
+        # an orbit representative is the pair memo's own value, not a copy
+        stored = {id(value) for value in alg._pair_cache.values()}
+        assert all(id(rep[2]) in stored for rep in alg._orbit_cache.values())
+        assert len(alg._pair_cache) > len(alg._orbit_cache)
+
+    def test_derived_products_share_one_object_per_symbol(self):
+        alg = ExtAlgebra(5)
+        W = alg.weyl
+        one, bp = BasisSymbol(0, None, W.identity), BasisSymbol(1, 1, W.s0)
+        # the orbit's representative, then two pairs of it with the same product support
+        _pair(alg, one, bp)
+        left = _pair(alg, BasisSymbol(0, None, W.omega(1)), bp)
+        right = _pair(alg, one, BasisSymbol(1, 1, W.element(1, (S0,))))
+        assert left.keys() == right.keys()
+        assert next(iter(left)) is next(iter(right))
 
     def test_a_hit_returns_the_stored_value_without_a_copy(self):
         alg = ExtAlgebra(5)
