@@ -28,6 +28,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
 class PrimeField:
     """The field F_p together with a fixed generator of F_p^x.
 
@@ -45,34 +59,18 @@ class PrimeField:
             raise ValueError(f"p must be a prime >= 5, got {p!r}")
         self.p = p
         self.order = p - 1
+        factors = _prime_factors(self.order)
         if primitive_root is None:
-            primitive_root = self._smallest_primitive_root()
+            primitive_root = next(g for g in range(2, p) if self._is_primitive_root(g, factors))
         else:
             primitive_root %= p
-            if not self._is_primitive_root(primitive_root):
+            if not self._is_primitive_root(primitive_root, factors):
                 raise ValueError(f"{primitive_root} is not a primitive root mod {p}")
         self.u0 = primitive_root
 
-    def _is_primitive_root(self, g: int) -> bool:
-        if g % self.p == 0:
-            return False
-        n, order = self.order, self.order
-        factors = set()
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                factors.add(d)
-                n //= d
-            d += 1
-        if n > 1:
-            factors.add(n)
-        return all(pow(g, order // q, self.p) != 1 for q in factors)
-
-    def _smallest_primitive_root(self) -> int:
-        for g in range(2, self.p):
-            if self._is_primitive_root(g):
-                return g
-        raise AssertionError("no primitive root found")  # unreachable for prime p
+    def _is_primitive_root(self, g: int, factors: list[int]) -> bool:
+        """Whether g generates F_p^x; factors are the primes dividing p - 1."""
+        return g % self.p != 0 and all(pow(g, self.order // q, self.p) != 1 for q in factors)
 
     # --- field operations on int residues ---
 

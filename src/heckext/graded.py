@@ -9,24 +9,25 @@ zero.
 The left action of the Hecke algebra is given by explicit single-letter
 tables, keyed on the acting letter, the degree and sign of the target
 symbol, whether lengths add, and (where the tables split further) on
-whether the support has length 1 or >= 2.  The right action is defined by
-transport through the anti-involution, act_right(x, h) =
-J(act_left(J(h), J(x))); the degree of h is 0, so no sign enters.  The
-printed right-action formulas become regression tests rather than a
-second table.
+whether the support has length 1 or >= 2.  The right action is their
+transport through the anti-involution, x h = J(J(h) J(x)) (deg h = 0, no
+sign), made term by term: for tau_w, w = omega^e u, the right torus shift
+by e (no scalar), then the letters of u from left to right, each
+transported once per torus orbit.  The printed right-action formulas are
+regression tests, not a second table.
 
 Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
 BasisSymbol the tuple (degree, sign, support), so the keys of every
 coefficient dict and memo hash and compare in C.  Each ExtAlgebra keeps
-three memos of pure functions of their keys: the pair memo (products of
-two basis symbols, in product.py), the letter memo (one simple
-reflection acting on the left of one symbol) and the J table (J on one
-symbol, as a (coeff, symbol) pair).  Beside the pair memo, the orbit
-memo keeps one computed pair per torus orbit, from which product.py
-derives the other pairs of the orbit.  Memo values are read-only
-(MappingProxyType or tuples) and handed out without a copy.  The left
-torus shift interns its images in one table per algebra, so the symbols
-of derived products are shared, not duplicated.
+memos of pure functions of their keys: the pair memo (products of two
+basis symbols, in product.py), the letter memo and the right-letter memo
+(one simple reflection acting on one symbol, on the left or the right)
+and the J table (J on one symbol, as a (coeff, symbol) pair).  Beside
+the pair memo and the right-letter memo, an orbit memo each keeps one
+entry per torus orbit, from which the other entries of the orbit are
+derived.  Memo values are read-only (MappingProxyType or tuples) and
+handed out without a copy.  Torus shifts intern their images in one
+table per algebra, so the symbols of derived products are shared.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ class BasisSymbol(tuple):
 
     def __repr__(self):
         return f"{self.kind}({self.support!r})"
+
+
+# builds BasisSymbol((d, sign, support)) unchecked: a torus shift of a valid
+# symbol is valid
+_shifted = partial(tuple.__new__, BasisSymbol)
 
 
 def _add_into(total: dict, part: dict, scale: int, p: int) -> None:
@@ -196,6 +202,8 @@ class ExtAlgebra:
         self._pair_cache: dict[tuple[BasisSymbol, BasisSymbol], MappingProxyType] = {}
         self._base_sq: dict[int, GradedElement] = {}
         self._j_cache: dict[BasisSymbol, tuple[int, BasisSymbol]] = {}
+        self._right_letter_cache: dict[tuple[int, BasisSymbol], MappingProxyType] = {}
+        self._right_orbit_cache: dict[tuple, tuple[int, MappingProxyType]] = {}
         self._orbit_cache: dict[tuple, tuple[int, int, MappingProxyType]] = {}
         self._symbols: dict[BasisSymbol, BasisSymbol] = {}
 
@@ -259,8 +267,15 @@ class ExtAlgebra:
         d, sign, (exp, word) = sym
         coeff = self.field.root_pow(self._torus_weight(sym) * e)
         # omega^e w is a plain shift of the torus exponent; the image is interned
-        image = BasisSymbol(d, sign, WeylElement(self.weyl, (e + exp) % self.weyl.n, word))
+        image = _shifted((d, sign, WeylElement(self.weyl, (e + exp) % self.weyl.n, word)))
         return coeff, self._symbols.setdefault(image, image)
+
+    def _torus_on_symbol_right(self, e: int, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
+        """sym tau_{omega^e}: the support w becomes w omega^e, with no scalar."""
+        d, sign, (exp, word) = sym
+        exp += -e if len(word) % 2 else e
+        image = _shifted((d, sign, WeylElement(self.weyl, exp % self.weyl.n, word)))
+        return 1, self._symbols.setdefault(image, image)
 
     def _acc_e(self, out: dict, m: int, sym: BasisSymbol, scale: int) -> None:
         """Accumulate scale * (e_{id^m} acting on the left of sym)."""
@@ -271,7 +286,7 @@ class ExtAlgebra:
             c = (-scale * F.root_pow((k - m) * a)) % p
             if not c:
                 continue
-            key = BasisSymbol(d, sign, WeylElement(W, (a + exp) % W.n, word))
+            key = _shifted((d, sign, WeylElement(W, (a + exp) % W.n, word)))
             v = (out.get(key, 0) + c) % p
             if v:
                 out[key] = v
@@ -400,11 +415,12 @@ class ExtAlgebra:
             self._acc_e(out, 0, BasisSymbol(3, None, w), -1)
         return {k: v for k, v in out.items() if v}
 
-    def _apply_letter_left(self, i: int, coeffs: dict) -> dict:
+    def _apply_letter(self, table, i: int, coeffs: dict) -> dict:
+        """Apply one letter through table, a letter memo on the left or right."""
         p = self.field.p
         out: dict = {}
         for sym, c in coeffs.items():
-            _add_into(out, self._letter_on_symbol(i, sym), c, p)
+            _add_into(out, table(i, sym), c, p)
         return out
 
     def _map_symbols(self, coeffs, fn, scale: int = 1) -> dict:
@@ -426,7 +442,7 @@ class ExtAlgebra:
         for w, c in h.coeffs.items():
             cur = x.coeffs
             for letter in reversed(w.word):
-                cur = self._apply_letter_left(letter, cur)
+                cur = self._apply_letter(self._letter_on_symbol, letter, cur)
                 if not cur:
                     break
             if cur and w.exp:
@@ -435,10 +451,43 @@ class ExtAlgebra:
         return GradedElement(self, total)
 
     def act_right(self, x: GradedElement, h: HeckeElement) -> GradedElement:
-        # transport through the anti-involution; deg(h) = 0, so no sign
-        return self.involution(
-            self.act_left(self.hecke.involution(h), self.involution(x))
-        )
+        p = self.field.p
+        total: dict = {}
+        for w, c in h.coeffs.items():
+            cur = x.coeffs
+            if w.exp:
+                cur = self._map_symbols(cur, partial(self._torus_on_symbol_right, w.exp))
+            for letter in w.word:
+                cur = self._apply_letter(self._right_letter_on_symbol, letter, cur)
+                if not cur:
+                    break
+            _add_into(total, cur, c, p)
+        return GradedElement(self, total)
+
+    def _right_letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:
+        """sym tau_{s_i}, memoized.  The first miss in a torus orbit is the left
+        table transported through J, J(tau_{omega^half} tau_{s_i} J(sym)), as
+        J(tau_{s_i}) = tau_{s_i^-1} and s_i^-1 = omega^half s_i; it is stored as
+        the orbit's representative, with g where sym = sym0 tau_{omega^g}.  A
+        later miss at g' is its right torus shift by g - g'."""
+        cached = self._right_letter_cache.get((i, sym))
+        if cached is not None:
+            return cached
+        d, sign, (f, word) = sym
+        g = -f if len(word) % 2 else f
+        rep = self._right_orbit_cache.get((i, d, sign, word))
+        if rep is None:
+            c, jsym = self._symbol_involution(sym)
+            left = self._map_symbols(
+                self._letter_on_symbol(i, jsym), partial(self._torus_on_symbol, self.weyl.half), c)
+            out = MappingProxyType(self._map_symbols(left, self._symbol_involution))
+            self._right_orbit_cache[i, d, sign, word] = (g, out)
+        else:
+            g0, first = rep
+            out = MappingProxyType(
+                self._map_symbols(first, partial(self._torus_on_symbol_right, g0 - g)))
+        self._right_letter_cache[i, sym] = out
+        return out
 
     # --- involutions ---
 
@@ -450,22 +499,15 @@ class ExtAlgebra:
         return cached
 
     def _symbol_involution_uncached(self, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
-        W, F = self.weyl, self.field
-        w = sym.support
-        wi = W.inv(w)
-        d, sign = sym.degree, sym.sign
+        d, sign, w = sym
+        wi = self.weyl.inv(w)
         if d in (0, 3):
             return 1, BasisSymbol(d, None, wi)
-        even = w.length % 2 == 0
-        usq = W.unit_square(w)
-        if d == 1:
-            weights = {-1: usq, 0: 1, 1: F.inv(usq)}
-        else:
-            weights = {-1: F.inv(usq), 0: 1, 1: usq}
-        c = weights[sign]
-        if even:
+        # u_w^2 on beta^- and alpha^+, its inverse on beta^+ and alpha^-, 1 on sign 0
+        c = self.field.root_pow(-self._torus_weight(sym) * w.exp)
+        if w.length % 2 == 0:
             return c, BasisSymbol(d, sign, wi)
-        return F.neg(c), BasisSymbol(d, -sign, wi)
+        return self.field.neg(c), BasisSymbol(d, -sign, wi)
 
     def involution(self, x: GradedElement) -> GradedElement:
         """The involutive anti-automorphism J (graded sign on products)."""

@@ -6,7 +6,10 @@ the right factor by a single-letter rule.  A single letter either extends
 the word (braid relation, lengths add) or, when the word would shorten,
 expands through the quadratic relation tau_{s_i}^2 = -e_1 tau_{s_i} into
 the sum of all torus twists.  Recursion depth is the length of the left
-factor, so products terminate.
+factor, so products terminate.  It runs once per pair of bare words u, v
+(torus exponent 0), whose products are memoized per algebra as read-only
+tuples; as s omega^b = omega^-b s, with T the left torus shift,
+tau_{omega^a u} tau_{omega^b v} = T_{a + (-1)^|u| b}(tau_u tau_v).
 
 Right multiplication by letter recursion on the right factor is also
 provided; the tau-basis is stable under the main anti-involution, so the
@@ -104,6 +107,7 @@ class HeckeAlgebra:
     def __init__(self, weyl: WeylGroup):
         self.weyl = weyl
         self.field: PrimeField = weyl.field
+        self._word_cache: dict[tuple[tuple, tuple], tuple] = {}
 
     def zero(self) -> HeckeElement:
         return HeckeElement(self, {})
@@ -148,23 +152,21 @@ class HeckeAlgebra:
                     out[k] = (out.get(k, 0) + c) % p
         return {k: v for k, v in out.items() if v}
 
-    def _torus_left(self, e: int, coeffs: dict) -> dict:
-        W = self.weyl
-        return {W.mul(W.omega(e), w): c for w, c in coeffs.items()}
-
     def mul(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
-        p = self.field.p
+        W, p = self.weyl, self.field.p
         total: dict = {}
-        for v, c in a.coeffs.items():
-            cur = b.coeffs
-            for letter in reversed(v.word):
-                cur = self._letter_left(letter, cur)
-                if not cur:
-                    break
-            if cur and v.exp:
-                cur = self._torus_left(v.exp, cur)
-            for w, x in cur.items():
-                total[w] = (total.get(w, 0) + c * x) % p
+        for (ea, u), c in a.coeffs.items():
+            for (eb, v), d in b.coeffs.items():
+                bare = self._word_cache.get((u, v))
+                if bare is None:
+                    cur = {WeylElement(W, 0, v): 1}
+                    for letter in reversed(u):
+                        cur = self._letter_left(letter, cur)
+                    bare = self._word_cache[u, v] = tuple(cur.items())
+                e = ea - eb if len(u) % 2 else ea + eb
+                for (f, word), x in bare:
+                    w = WeylElement(W, (e + f) % W.n, word)
+                    total[w] = (total.get(w, 0) + c * d * x) % p
         return HeckeElement(self, {w: c for w, c in total.items() if c})
 
     def _letter_right(self, coeffs: dict, i: int) -> dict:

@@ -30,6 +30,18 @@ class TestPrimeField:
         assert PrimeField(11).u0 == 2
         assert PrimeField(13).u0 == 2
 
+    def test_chosen_root_is_the_smallest_of_order_p_minus_1(self):
+        for p in range(5, 2000):
+            if any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+                continue
+            for g in range(2, p):
+                x, order = g, 1
+                while x != 1:
+                    x, order = x * g % p, order + 1
+                if order == p - 1:
+                    break
+            assert PrimeField(p).u0 == g, p
+
     def test_root_override(self):
         assert PrimeField(5, primitive_root=3).u0 == 3
         with pytest.raises(ValueError):
