@@ -1,4 +1,5 @@
-"""Exact arithmetic in the prime field F_p (p >= 5) and characters of F_p^x.
+"""Exact arithmetic in the prime field F_p (p >= 5), characters of F_p^x,
+and the sparse F_p-linear combinations every element type is built on.
 
 Everything downstream is linear algebra over F_p.  Scalars are plain int
 residues in [0, p); a :class:`PrimeField` instance owns the modulus and a
@@ -8,11 +9,21 @@ overridden, so results are reproducible across runs.
 Characters of the finite torus T0/T1 ~ F_p^x are powers of the fundamental
 character ``id`` sending the fixed torus generator to u0; they are
 represented by their exponent mod p - 1.
+
+The core.  Hecke, graded and free elements are finite maps key ->
+residue in [1, p) over a parent algebra that owns the field.
+:class:`Combination` gives them the vector-space structure once (make, +,
+-, scale, int * x, is_zero, ==); the subclasses add their products and
+renderings.  :func:`add_into` is the one accumulate-mod-p loop; hot loops
+instead sum raw ints and reduce once with ``make``.  Elements over
+different fields are never combined (:func:`check_parameters`).
 """
 
 from __future__ import annotations
 
-__all__ = ["PrimeField", "Character"]
+from functools import cache
+
+__all__ = ["PrimeField", "Character", "Combination", "add_into", "check_parameters"]
 
 
 def _is_prime(n: int) -> bool:
@@ -42,6 +53,17 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
+def _is_primitive_root(g: int, p: int, factors: list[int]) -> bool:
+    """Whether g generates F_p^x; factors are the primes dividing p - 1."""
+    return g % p != 0 and all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+
+
+@cache
+def _smallest_primitive_root(p: int) -> int:
+    factors = _prime_factors(p - 1)
+    return next(g for g in range(2, p) if _is_primitive_root(g, p, factors))
+
+
 class PrimeField:
     """The field F_p together with a fixed generator of F_p^x.
 
@@ -59,18 +81,14 @@ class PrimeField:
             raise ValueError(f"p must be a prime >= 5, got {p!r}")
         self.p = p
         self.order = p - 1
-        factors = _prime_factors(self.order)
         if primitive_root is None:
-            primitive_root = next(g for g in range(2, p) if self._is_primitive_root(g, factors))
+            # memoized per prime: each request of a fresh algebra would repeat the search
+            primitive_root = _smallest_primitive_root(p)
         else:
             primitive_root %= p
-            if not self._is_primitive_root(primitive_root, factors):
+            if not _is_primitive_root(primitive_root, p, _prime_factors(self.order)):
                 raise ValueError(f"{primitive_root} is not a primitive root mod {p}")
         self.u0 = primitive_root
-
-    def _is_primitive_root(self, g: int, factors: list[int]) -> bool:
-        """Whether g generates F_p^x; factors are the primes dividing p - 1."""
-        return g % self.p != 0 and all(pow(g, self.order // q, self.p) != 1 for q in factors)
 
     # --- field operations on int residues ---
 
@@ -157,3 +175,83 @@ class Character:
 
     def __repr__(self):
         return f"Character(id^{self.m} mod {self.field.p})"
+
+
+def check_parameters(a, b) -> None:
+    """Refuse to combine elements over parents with different fields (p and
+    u0).  The parents of one ExtAlgebra share one field object."""
+    if a.field is not b.field and a.field != b.field:
+        raise ValueError("elements live over different parameters")
+
+
+def add_into(total: dict, pairs, scale: int, p: int) -> None:
+    """total += scale * pairs in place, mod p; pairs is an iterable of
+    (key, coeff).  A key whose sum is zero is deleted, so total keeps no
+    zero coefficient."""
+    if scale % p == 0:
+        return
+    for k, v in pairs:
+        c = (total.get(k, 0) + scale * v) % p
+        if c:
+            total[k] = c
+        elif k in total:
+            del total[k]
+
+
+class Combination:
+    """A finite F_p-linear combination of basis keys over a parent algebra.
+
+    ``coeffs`` maps each key to a residue in [1, p); the parent's ``field``
+    fixes p.  The constructor stores the map as given; ``make`` reduces it.
+    """
+
+    __slots__ = ("algebra", "coeffs")
+
+    def __init__(self, algebra, coeffs: dict):
+        self.algebra = algebra
+        self.coeffs = coeffs
+
+    @classmethod
+    def make(cls, algebra, coeffs: dict):
+        """The combination of arbitrary int coefficients, reduced mod p."""
+        p = algebra.field.p
+        return cls(algebra, {k: r for k, c in coeffs.items() if (r := c % p)})
+
+    def __add__(self, other, scale: int = 1):
+        """self + scale * other; the operator passes scale 1, __sub__ -1."""
+        if type(other) is not type(self):
+            return NotImplemented
+        check_parameters(self.algebra, other.algebra)
+        out = dict(self.coeffs)
+        add_into(out, other.coeffs.items(), scale, self.algebra.field.p)
+        return type(self)(self.algebra, out)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c: int):
+        p = self.algebra.field.p
+        c %= p
+        if c == 0:
+            return type(self)(self.algebra, {})
+        # c and every stored coefficient are units, so no product vanishes
+        return type(self)(self.algebra, {k: c * x % p for k, x in self.coeffs.items()})
+
+    def __rmul__(self, c):
+        if isinstance(c, int):
+            return self.scale(c)
+        return NotImplemented
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.coeffs == other.coeffs
+            and (self.algebra is other.algebra or self.algebra.field == other.algebra.field)
+        )

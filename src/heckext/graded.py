@@ -6,15 +6,18 @@ in degree 3.  The sign-0 symbols exist only when w has length >= 1;
 requesting one at a torus element is a constructor error, never a silent
 zero.
 
-The left action of the Hecke algebra is given by explicit single-letter
-tables, keyed on the acting letter, the degree and sign of the target
-symbol, whether lengths add, and (where the tables split further) on
-whether the support has length 1 or >= 2.  The right action is their
-transport through the anti-involution, x h = J(J(h) J(x)) (deg h = 0, no
-sign), made term by term: for tau_w, w = omega^e u, the right torus shift
-by e (no scalar), then the letters of u from left to right, each
-transported once per torus orbit.  The printed right-action formulas are
-regression tests, not a second table.
+Elements are combinations of the core in coeff.py keyed on BasisSymbol;
+this module adds the degree-0 actions and the involutions, product.py the
+product.  The left action of the Hecke algebra is given by explicit
+single-letter tables, keyed on the acting letter, the degree and sign of
+the target symbol, whether lengths add, and (where the tables split
+further) on whether the support has length 1 or >= 2; the degree-0 rows
+are the Hecke algebra's own rule (hecke.py), not restated.  The right
+action is their transport through the anti-involution, x h = J(J(h) J(x))
+(deg h = 0, no sign), made term by term: for tau_w, w = omega^e u, the
+right torus shift by e (no scalar), then the letters of u from left to
+right, each transported once per torus orbit.  The printed right-action
+formulas are regression tests, not a second table.
 
 Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
 BasisSymbol the tuple (degree, sign, support), so the keys of every
@@ -36,7 +39,7 @@ from functools import partial
 from operator import itemgetter
 from types import MappingProxyType
 
-from .coeff import PrimeField
+from .coeff import Combination, PrimeField, add_into, check_parameters
 from .hecke import HeckeAlgebra, HeckeElement
 from .weyl import S0, S1, WeylElement, WeylGroup
 
@@ -95,53 +98,10 @@ class BasisSymbol(tuple):
 _shifted = partial(tuple.__new__, BasisSymbol)
 
 
-def _add_into(total: dict, part: dict, scale: int, p: int) -> None:
-    if scale % p == 0:
-        return
-    for k, v in part.items():
-        c = (total.get(k, 0) + scale * v) % p
-        if c:
-            total[k] = c
-        elif k in total:
-            del total[k]
-
-
-class GradedElement:
+class GradedElement(Combination):
     """Element of the graded algebra: finite map basis symbol -> scalar."""
 
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: "ExtAlgebra", coeffs: dict):
-        self.algebra = algebra
-        self.coeffs = coeffs
-
-    # --- linear structure ---
-
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        out = dict(self.coeffs)
-        _add_into(out, other.coeffs, 1, self.algebra.field.p)
-        return GradedElement(self.algebra, out)
-
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        out = dict(self.coeffs)
-        _add_into(out, other.coeffs, -1, self.algebra.field.p)
-        return GradedElement(self.algebra, out)
-
-    def __neg__(self) -> "GradedElement":
-        p = self.algebra.field.p
-        return GradedElement(self.algebra, {k: (-c) % p for k, c in self.coeffs.items()})
-
-    def scale(self, c: int) -> "GradedElement":
-        p = self.algebra.field.p
-        c %= p
-        if c == 0:
-            return self.algebra.zero()
-        return GradedElement(self.algebra, {k: (c * x) % p for k, x in self.coeffs.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, int):
-            return self.scale(c)
-        return NotImplemented
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -153,10 +113,6 @@ class GradedElement:
         return NotImplemented
 
     # --- structure queries ---
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def degrees(self) -> set[int]:
         return {s.degree for s in self.coeffs}
@@ -172,13 +128,6 @@ class GradedElement:
 
     def support_lengths(self) -> set[int]:
         return {s.support.length for s in self.coeffs}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedElement)
-            and self.algebra.same_parameters(other.algebra)
-            and self.coeffs == other.coeffs
-        )
 
     def __repr__(self):
         from .grammar import render_element
@@ -207,9 +156,6 @@ class ExtAlgebra:
         self._orbit_cache: dict[tuple, tuple[int, int, MappingProxyType]] = {}
         self._symbols: dict[BasisSymbol, BasisSymbol] = {}
 
-    def same_parameters(self, other: "ExtAlgebra") -> bool:
-        return self is other or self.field == other.field
-
     # --- element constructors ---
 
     def zero(self) -> GradedElement:
@@ -234,8 +180,7 @@ class ExtAlgebra:
         return self.symbol_element(BasisSymbol(3, None, w))
 
     def element(self, coeffs: dict) -> GradedElement:
-        p = self.field.p
-        return GradedElement(self, {s: c % p for s, c in coeffs.items() if c % p})
+        return GradedElement.make(self, coeffs)
 
     def embed(self, h: HeckeElement) -> GradedElement:
         return GradedElement(self, {BasisSymbol(0, None, w): c for w, c in h.coeffs.items()})
@@ -282,16 +227,10 @@ class ExtAlgebra:
         F, W, p = self.field, self.weyl, self.field.p
         k = self._torus_weight(sym)
         d, sign, (exp, word) = sym
-        for a in range(W.n):
-            c = (-scale * F.root_pow((k - m) * a)) % p
-            if not c:
-                continue
-            key = _shifted((d, sign, WeylElement(W, (a + exp) % W.n, word)))
-            v = (out.get(key, 0) + c) % p
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+        # e_{id^m} = -sum_a u0^(-m a) tau_{omega^a}, and omega^a scales sym by u0^(k a)
+        terms = [(_shifted((d, sign, WeylElement(W, (a + exp) % W.n, word))),
+                  F.root_pow((k - m) * a)) for a in range(W.n)]
+        add_into(out, terms, -scale, p)
 
     def idempotent_times(self, m: int, x: GradedElement) -> GradedElement:
         out: dict = {}
@@ -312,16 +251,18 @@ class ExtAlgebra:
 
     def _letter_on_symbol_uncached(self, i: int, sym: BasisSymbol) -> dict:
         W, p = self.weyl, self.field.p
-        si = W.simple(i)
         w = sym.support
         d, sign = sym.degree, sym.sign
+        if d == 0:
+            # the Hecke algebra's own single-letter rule, on one basis element
+            row = self.hecke._letter_left(i, {w: 1})
+            return {BasisSymbol(0, None, v): c for v, c in row.items()}
+        si = W.simple(i)
+        sw = W.mul(si, w)
         out: dict = {}
 
         if W.lengths_add(si, w):
-            sw = W.mul(si, w)
-            if d == 0:
-                out[BasisSymbol(0, None, sw)] = 1
-            elif d == 1:
+            if d == 1:
                 if i == S0:
                     if sign == -1:
                         out[BasisSymbol(1, 1, sw)] = p - 1
@@ -342,18 +283,12 @@ class ExtAlgebra:
 
         # lengths do not add: l(s_i w) = l(w) - 1, so l(w) >= 1
         L = w.length
-        sw = W.mul(si, w)
-        if d == 0:
-            # quadratic relation: -e_1 tau_w, the sum of all torus twists
-            for h in range(W.n):
-                out[BasisSymbol(0, None, WeylElement(W, h, w.word))] = 1
-        elif d == 1:
+        if d == 1:
             if i == S0:
                 if sign == -1:
                     self._acc_e(out, 0, BasisSymbol(1, -1, w), -1)
                     self._acc_e(out, 1, BasisSymbol(1, 0, w), -2)
-                    k = BasisSymbol(1, 1, sw)
-                    out[k] = (out.get(k, 0) - 1) % p
+                    add_into(out, ((BasisSymbol(1, 1, sw), 1),), -1, p)
                     if L == 1:
                         self._acc_e(out, 2, BasisSymbol(1, 1, w), 1)
                 elif sign == 0:
@@ -372,8 +307,7 @@ class ExtAlgebra:
                 else:
                     self._acc_e(out, 0, BasisSymbol(1, 1, w), -1)
                     self._acc_e(out, -1, BasisSymbol(1, 0, w), 2)
-                    k = BasisSymbol(1, -1, sw)
-                    out[k] = (out.get(k, 0) - 1) % p
+                    add_into(out, ((BasisSymbol(1, -1, sw), 1),), -1, p)
                     if L == 1:
                         self._acc_e(out, -2, BasisSymbol(1, -1, w), 1)
         elif d == 2:
@@ -384,20 +318,17 @@ class ExtAlgebra:
                     self._acc_e(out, 0, BasisSymbol(2, 0, w), -1)
                     self._acc_e(out, 1, BasisSymbol(2, -1, w), 2)
                     if L >= 2:
-                        k = BasisSymbol(2, 0, sw)
-                        out[k] = (out.get(k, 0) - 1) % p
+                        add_into(out, ((BasisSymbol(2, 0, sw), 1),), -1, p)
                 else:
                     self._acc_e(out, 0, BasisSymbol(2, 1, w), -1)
-                    k = BasisSymbol(2, -1, sw)
-                    out[k] = (out.get(k, 0) - 1) % p
+                    add_into(out, ((BasisSymbol(2, -1, sw), 1),), -1, p)
                     if L == 1:
                         self._acc_e(out, 1, BasisSymbol(2, 0, w), -1)
                         self._acc_e(out, 2, BasisSymbol(2, -1, w), 1)
             else:
                 if sign == -1:
                     self._acc_e(out, 0, BasisSymbol(2, -1, w), -1)
-                    k = BasisSymbol(2, 1, sw)
-                    out[k] = (out.get(k, 0) - 1) % p
+                    add_into(out, ((BasisSymbol(2, 1, sw), 1),), -1, p)
                     if L == 1:
                         self._acc_e(out, -1, BasisSymbol(2, 0, w), 1)
                         self._acc_e(out, -2, BasisSymbol(2, 1, w), 1)
@@ -405,22 +336,20 @@ class ExtAlgebra:
                     self._acc_e(out, 0, BasisSymbol(2, 0, w), -1)
                     self._acc_e(out, -1, BasisSymbol(2, 1, w), -2)
                     if L >= 2:
-                        k = BasisSymbol(2, 0, sw)
-                        out[k] = (out.get(k, 0) - 1) % p
+                        add_into(out, ((BasisSymbol(2, 0, sw), 1),), -1, p)
                 else:
                     self._acc_e(out, 0, BasisSymbol(2, 1, w), -1)
         else:
-            k = BasisSymbol(3, None, sw)
-            out[k] = (out.get(k, 0) + 1) % p
+            add_into(out, ((BasisSymbol(3, None, sw), 1),), 1, p)
             self._acc_e(out, 0, BasisSymbol(3, None, w), -1)
-        return {k: v for k, v in out.items() if v}
+        return out
 
     def _apply_letter(self, table, i: int, coeffs: dict) -> dict:
         """Apply one letter through table, a letter memo on the left or right."""
         p = self.field.p
         out: dict = {}
         for sym, c in coeffs.items():
-            _add_into(out, table(i, sym), c, p)
+            add_into(out, table(i, sym).items(), c, p)
         return out
 
     def _map_symbols(self, coeffs, fn, scale: int = 1) -> dict:
@@ -437,6 +366,8 @@ class ExtAlgebra:
     # --- the two-sided action ---
 
     def act_left(self, h: HeckeElement, x: GradedElement) -> GradedElement:
+        check_parameters(self, h.algebra)
+        check_parameters(self, x.algebra)
         p = self.field.p
         total: dict = {}
         for w, c in h.coeffs.items():
@@ -447,10 +378,12 @@ class ExtAlgebra:
                     break
             if cur and w.exp:
                 cur = self._map_symbols(cur, partial(self._torus_on_symbol, w.exp))
-            _add_into(total, cur, c, p)
+            add_into(total, cur.items(), c, p)
         return GradedElement(self, total)
 
     def act_right(self, x: GradedElement, h: HeckeElement) -> GradedElement:
+        check_parameters(self, x.algebra)
+        check_parameters(self, h.algebra)
         p = self.field.p
         total: dict = {}
         for w, c in h.coeffs.items():
@@ -461,7 +394,7 @@ class ExtAlgebra:
                 cur = self._apply_letter(self._right_letter_on_symbol, letter, cur)
                 if not cur:
                     break
-            _add_into(total, cur, c, p)
+            add_into(total, cur.items(), c, p)
         return GradedElement(self, total)
 
     def _right_letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:

@@ -62,11 +62,15 @@ class _Scanner:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: str.isdigit also accepts superscripts and other scripts' digits
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError as exc:  # beyond the interpreter's digit limit
+            raise ParseError("integer has too many digits", start) from exc
 
     def ident(self) -> str:
         self.skip_ws()
@@ -117,7 +121,7 @@ def parse_weyl(alg: ExtAlgebra, text: str) -> WeylElement:
 
 def _parse_term(sc: _Scanner, alg: ExtAlgebra) -> GradedElement:
     coeff = 1
-    if sc.peek().isdigit():
+    if "0" <= sc.peek() <= "9":
         coeff = sc.integer()
         if sc.peek() != "*":
             raise ParseError("expected '*' after a coefficient", sc.pos)

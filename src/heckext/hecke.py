@@ -1,15 +1,18 @@
 """The pro-p Iwahori-Hecke algebra: sparse linear combinations of tau_w.
 
-Products are computed by letter recursion: the left factor is split into
-its torus letter and simple-reflection letters, and each letter acts on
-the right factor by a single-letter rule.  A single letter either extends
-the word (braid relation, lengths add) or, when the word would shorten,
-expands through the quadratic relation tau_{s_i}^2 = -e_1 tau_{s_i} into
-the sum of all torus twists.  Recursion depth is the length of the left
-factor, so products terminate.  It runs once per pair of bare words u, v
-(torus exponent 0), whose products are memoized per algebra as read-only
-tuples; as s omega^b = omega^-b s, with T the left torus shift,
-tau_{omega^a u} tau_{omega^b v} = T_{a + (-1)^|u| b}(tau_u tau_v).
+Elements are combinations of the core in coeff.py keyed on WeylElement;
+this module adds the product.  Products are computed by letter recursion:
+the left factor is split into its torus letter and simple-reflection
+letters, and each letter acts on the right factor by a single-letter
+rule.  A single letter either extends the word (braid relation, lengths
+add) or, when the word would shorten, expands through the quadratic
+relation tau_{s_i}^2 = -e_1 tau_{s_i} into the sum of all torus twists.
+That rule is stated once, in HeckeAlgebra._letter_left, which also gives
+the degree-0 rows of the graded left table.  Recursion depth is the
+length of the left factor, so products terminate.  It runs once per pair
+of bare words u, v (torus exponent 0), whose products are memoized per
+algebra as read-only tuples; as s omega^b = omega^-b s, with T the left
+torus shift, tau_{omega^a u} tau_{omega^b v} = T_{a + (-1)^|u| b}(tau_u tau_v).
 
 Right multiplication by letter recursion on the right factor is also
 provided; the tau-basis is stable under the main anti-involution, so the
@@ -18,80 +21,19 @@ two recursions must agree and are cross-checked in the tests.
 
 from __future__ import annotations
 
-from .coeff import Character, PrimeField
-from .weyl import S0, WeylElement, WeylGroup
+from .coeff import Character, Combination, PrimeField, check_parameters
+from .weyl import WeylElement, WeylGroup
 
 __all__ = ["HeckeElement", "HeckeAlgebra"]
 
 
-def _clean(coeffs: dict, p: int) -> dict:
-    return {k: v % p for k, v in coeffs.items() if v % p}
-
-
-class HeckeElement:
+class HeckeElement(Combination):
     """Finite k-linear combination of basis symbols tau_w (no stored zeros)."""
 
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: "HeckeAlgebra", coeffs: dict):
-        self.algebra = algebra
-        self.coeffs = coeffs
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        out = dict(self.coeffs)
-        p = self.algebra.field.p
-        for w, c in other.coeffs.items():
-            out[w] = (out.get(w, 0) + c) % p
-        return HeckeElement(self.algebra, {w: c for w, c in out.items() if c})
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def __neg__(self) -> "HeckeElement":
-        p = self.algebra.field.p
-        return HeckeElement(self.algebra, {w: (-c) % p for w, c in self.coeffs.items()})
-
-    def scale(self, c: int) -> "HeckeElement":
-        p = self.algebra.field.p
-        c %= p
-        if c == 0:
-            return self.algebra.zero()
-        return HeckeElement(self.algebra, {w: (c * x) % p for w, x in self.coeffs.items()})
+    __slots__ = ()
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
         return self.algebra.mul(self, other)
-
-    def __rmul__(self, c: int) -> "HeckeElement":
-        if isinstance(c, int):
-            return self.scale(c)
-        return NotImplemented
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def to_json(self) -> dict:
-        """The coefficient map in the stable element-JSON shape."""
-        terms = [
-            {
-                "support": {
-                    "exp": w.exp,
-                    "word": ["s0" if l == S0 else "s1" for l in w.word],
-                },
-                "coeff": c,
-            }
-            for w, c in sorted(
-                self.coeffs.items(), key=lambda kv: (kv[0].length, kv[0].word, kv[0].exp)
-            )
-        ]
-        return {"terms": terms}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeckeElement)
-            and self.algebra is other.algebra
-            and self.coeffs == other.coeffs
-        )
 
     def __repr__(self):
         if not self.coeffs:
@@ -119,16 +61,13 @@ class HeckeAlgebra:
         return HeckeElement(self, {w: 1})
 
     def element(self, coeffs: dict) -> HeckeElement:
-        return HeckeElement(self, _clean(coeffs, self.field.p))
+        return HeckeElement.make(self, coeffs)
 
     def idempotent(self, character: Character | int) -> HeckeElement:
         """e_lambda = -sum over the torus of lambda(t)^{-1} tau_t."""
         m = character.m if isinstance(character, Character) else character
         F, W = self.field, self.weyl
-        coeffs = {}
-        for e in range(W.n):
-            coeffs[W.omega(e)] = (-F.root_pow(-m * e)) % F.p
-        return HeckeElement(self, coeffs)
+        return HeckeElement(self, {W.omega(e): -F.root_pow(-m * e) % F.p for e in range(W.n)})
 
     def idempotents(self) -> list[HeckeElement]:
         return [self.idempotent(m) for m in range(self.weyl.n)]
@@ -136,24 +75,27 @@ class HeckeAlgebra:
     # --- multiplication ---
 
     def _letter_left(self, i: int, coeffs: dict) -> dict:
-        """Left multiply a coefficient dict by tau_{s_i}."""
+        """Left multiply a coefficient dict by tau_{s_i}.  This is the one
+        statement of the degree-0 single-letter rule; the graded left table
+        reads its degree-0 entries from here."""
         W = self.weyl
         si = W.simple(i)
-        p = self.field.p
         out: dict = {}
         for w, c in coeffs.items():
             if W.lengths_add(si, w):
                 k = W.mul(si, w)
-                out[k] = (out.get(k, 0) + c) % p
+                out[k] = out.get(k, 0) + c
             else:
                 # tau_{s_i} tau_w = -e_1 tau_w: the sum of all torus twists of w
                 for h in range(W.n):
                     k = WeylElement(W, h, w.word)
-                    out[k] = (out.get(k, 0) + c) % p
-        return {k: v for k, v in out.items() if v}
+                    out[k] = out.get(k, 0) + c
+        return HeckeElement.make(self, out).coeffs
 
     def mul(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
-        W, p = self.weyl, self.field.p
+        check_parameters(self, a.algebra)
+        check_parameters(self, b.algebra)
+        W = self.weyl
         total: dict = {}
         for (ea, u), c in a.coeffs.items():
             for (eb, v), d in b.coeffs.items():
@@ -164,30 +106,30 @@ class HeckeAlgebra:
                         cur = self._letter_left(letter, cur)
                     bare = self._word_cache[u, v] = tuple(cur.items())
                 e = ea - eb if len(u) % 2 else ea + eb
+                # raw int sums in the hot loop, reduced once by make
+                cd = c * d
                 for (f, word), x in bare:
                     w = WeylElement(W, (e + f) % W.n, word)
-                    total[w] = (total.get(w, 0) + c * d * x) % p
-        return HeckeElement(self, {w: c for w, c in total.items() if c})
+                    total[w] = total.get(w, 0) + cd * x
+        return HeckeElement.make(self, total)
 
     def _letter_right(self, coeffs: dict, i: int) -> dict:
         """Right multiply a coefficient dict by tau_{s_i}."""
         W = self.weyl
         si = W.simple(i)
-        p = self.field.p
         out: dict = {}
         for w, c in coeffs.items():
             if W.lengths_add(w, si):
                 k = W.mul(w, si)
-                out[k] = (out.get(k, 0) + c) % p
+                out[k] = out.get(k, 0) + c
             else:
                 for h in range(W.n):
                     k = W.mul(w, W.omega(h))
-                    out[k] = (out.get(k, 0) + c) % p
-        return {k: v for k, v in out.items() if v}
+                    out[k] = out.get(k, 0) + c
+        return HeckeElement.make(self, out).coeffs
 
     def mul_right_recursion(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
         """Same product, decomposing the right factor; used as a cross-check."""
-        p = self.field.p
         total: dict = {}
         for w, c in b.coeffs.items():
             cur = a.coeffs
@@ -198,8 +140,8 @@ class HeckeAlgebra:
                 if not cur:
                     break
             for v, x in cur.items():
-                total[v] = (total.get(v, 0) + c * x) % p
-        return HeckeElement(self, {w: c for w, c in total.items() if c})
+                total[v] = total.get(v, 0) + c * x
+        return HeckeElement.make(self, total)
 
     # --- involutions ---
 

@@ -1,10 +1,12 @@
 """The seven-generator finite presentation and its evaluation homomorphism.
 
 Free words live over the alphabet {T_w0, T_s0, T_s1, B_m, B_p, B_z0,
-B_z1}; no relations are applied at this level.  Normalization in the
-quotient is performed by evaluating into the concrete model: the machine
-checks are that every relator evaluates to zero and that every basis
-symbol is hit by an explicit word (constructive surjectivity).
+B_z1}; no relations are applied at this level.  A free element is a
+combination of the core in coeff.py keyed on words (tuples of letters),
+with concatenation as its product.  Normalization in the quotient is
+performed by evaluating into the concrete model: the machine checks are
+that every relator evaluates to zero and that every basis symbol is hit
+by an explicit word (constructive surjectivity).
 
 The free idempotents mirror the concrete ones.  Their summation bound is
 configurable: the default 'p-2' sums over the p-1 torus classes; the
@@ -15,6 +17,7 @@ fail to vanish.  The verification suites distinguish the two.
 
 from __future__ import annotations
 
+from .coeff import Combination, add_into, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .product import multiply
 from .sections import TensorExpression, _section2_symbol, _section3_symbol
@@ -41,56 +44,20 @@ LETTERS = (T_W0, T_S0, T_S1, B_M, B_P, B_Z0, B_Z1)
 LETTER_NAMES = ("T_w0", "T_s0", "T_s1", "B_m", "B_p", "B_z0", "B_z1")
 
 
-class FreeElement:
+class FreeElement(Combination):
     """k-linear combination of words in the seven presentation letters."""
 
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: ExtAlgebra, coeffs: dict):
-        self.algebra = algebra
-        self.coeffs = coeffs
-
-    @classmethod
-    def make(cls, algebra: ExtAlgebra, coeffs: dict) -> "FreeElement":
-        p = algebra.field.p
-        return cls(algebra, {w: c % p for w, c in coeffs.items() if c % p})
-
-    def __add__(self, other: "FreeElement") -> "FreeElement":
-        p = self.algebra.field.p
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            v = (out.get(w, 0) + c) % p
-            if v:
-                out[w] = v
-            elif w in out:
-                del out[w]
-        return FreeElement(self.algebra, out)
-
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "FreeElement":
-        return self.scale(-1)
-
-    def scale(self, c: int) -> "FreeElement":
-        p = self.algebra.field.p
-        c %= p
-        if not c:
-            return FreeElement(self.algebra, {})
-        return FreeElement(self.algebra, {w: (c * x) % p for w, x in self.coeffs.items()})
+    __slots__ = ()
 
     def __mul__(self, other: "FreeElement") -> "FreeElement":
-        p = self.algebra.field.p
+        check_parameters(self.algebra, other.algebra)
+        # raw int sums in the hot loop, reduced once by make
         out: dict = {}
         for wa, ca in self.coeffs.items():
             for wb, cb in other.coeffs.items():
                 w = wa + wb
-                v = (out.get(w, 0) + ca * cb) % p
-                if v:
-                    out[w] = v
-                elif w in out:
-                    del out[w]
-        return FreeElement(self.algebra, out)
+                out[w] = out.get(w, 0) + ca * cb
+        return FreeElement.make(self.algebra, out)
 
     def __pow__(self, n: int) -> "FreeElement":
         if n < 0:
@@ -100,19 +67,8 @@ class FreeElement:
             acc = acc * self
         return acc
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def word_count(self) -> int:
         return len(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FreeElement)
-            and self.algebra.same_parameters(other.algebra)
-            and self.coeffs == other.coeffs
-        )
 
     def __repr__(self):
         if not self.coeffs:
@@ -142,11 +98,7 @@ def free_idempotent(alg: ExtAlgebra, m: int, bound: str = "p-2") -> FreeElement:
         raise ValueError(f"bound must be 'p-2' or 'p-1', got {bound!r}")
     F = alg.field
     top = F.p - 2 if bound == "p-2" else F.p - 1
-    coeffs: dict = {}
-    for i in range(top + 1):
-        word = (T_W0,) * i
-        coeffs[word] = (coeffs.get(word, 0) - F.root_pow(-m * i)) % F.p
-    return FreeElement(alg, {w: c for w, c in coeffs.items() if c})
+    return FreeElement.make(alg, {(T_W0,) * i: -F.root_pow(-m * i) for i in range(top + 1)})
 
 
 def generator_images(alg: ExtAlgebra) -> dict[int, GradedElement]:
@@ -166,15 +118,15 @@ def evaluate(f: FreeElement) -> GradedElement:
     """Substitute the concrete generators and multiply left to right."""
     alg = f.algebra
     images = generator_images(alg)
-    total = alg.zero()
+    total: dict = {}
     for word, c in f.coeffs.items():
         acc = alg.one()
         for letter in word:
             acc = multiply(acc, images[letter])
             if acc.is_zero:
                 break
-        total = total + acc.scale(c)
-    return total
+        add_into(total, acc.coeffs.items(), c, alg.field.p)
+    return GradedElement(alg, total)
 
 
 # --- the relator lists ---
@@ -293,13 +245,13 @@ def _word_for_weyl(alg: ExtAlgebra, w: WeylElement) -> FreeElement:
 
 
 def _word_for_tensor(alg: ExtAlgebra, t: TensorExpression) -> FreeElement:
-    out = FreeElement(alg, {})
+    out: dict = {}
     for c, syms in t.terms:
         acc = free_one(alg)
         for s in syms:
             acc = acc * word_for_basis(alg, s)
-        out = out + acc.scale(c)
-    return out
+        add_into(out, acc.coeffs.items(), c, alg.field.p)
+    return FreeElement(alg, out)
 
 
 def word_for_basis(alg: ExtAlgebra, sym: BasisSymbol) -> FreeElement:

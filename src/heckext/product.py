@@ -41,7 +41,8 @@ from __future__ import annotations
 from functools import partial
 from types import MappingProxyType
 
-from .graded import BasisSymbol, ExtAlgebra, GradedElement, _add_into
+from .coeff import add_into, check_parameters
+from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .weyl import S0, S1, WeylElement
 
 __all__ = ["multiply", "cup_summand", "duality_pairing"]
@@ -93,13 +94,12 @@ def _cup_symbols(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
 
 def multiply(x: GradedElement, y: GradedElement) -> GradedElement:
     alg = x.algebra
-    if not alg.same_parameters(y.algebra):
-        raise ValueError("elements live over different parameters")
+    check_parameters(alg, y.algebra)
     p = alg.field.p
     total: dict = {}
     for sa, ca in x.coeffs.items():
         for sb, cb in y.coeffs.items():
-            _add_into(total, _pair(alg, sa, sb), ca * cb, p)
+            add_into(total, _pair(alg, sa, sb).items(), ca * cb, p)
     return GradedElement(alg, total)
 
 
@@ -137,9 +137,9 @@ def _pair_uncached(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
     if alg.weyl.lengths_add(a.support, b.support):
         return _good_pair(alg, a, b)
     if da == 1 and db == 1:
-        return _bad_pair_11(alg, a, b)
+        return _bad_pair(alg, a, b, _deg1_times_generator)
     if da == 2 and db == 1:
-        return _bad_pair_21(alg, a, b)
+        return _bad_pair(alg, a, b, _deg2_times_generator)
     # degree 1 x degree 2: transport through the anti-involution (sign +1)
     ja = alg.involution(alg.symbol_element(a))
     jb = alg.involution(alg.symbol_element(b))
@@ -157,7 +157,7 @@ def _good_pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
     out: dict = {}
     for sa, ca in r.coeffs.items():
         for sb, cb in l.coeffs.items():
-            _add_into(out, _cup_symbols(alg, sa, sb), ca * cb, p)
+            add_into(out, _cup_symbols(alg, sa, sb).items(), ca * cb, p)
     return out
 
 
@@ -179,13 +179,16 @@ def _base_beta0_square(alg: ExtAlgebra, i: int) -> GradedElement:
     return base
 
 
-def _bad_pair_11(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
+def _bad_pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol, times_generator) -> dict:
+    """A bad pair with a degree-1 right factor b = c tau_l g tau_r, g a bimodule
+    generator (cases (3) and (4)): a.b = c ((a tau_l) g) tau_r, with each term
+    of a tau_l times g given by times_generator."""
     H, p = alg.hecke, alg.field.p
     c, t_left, g, t_right = alg.factor_through_generators(b)
     left = alg.act_right(alg.symbol_element(a), H.tau(t_left))
     mid: dict = {}
     for z, cz in left.coeffs.items():
-        _add_into(mid, _deg1_times_generator(alg, z, g), cz, p)
+        add_into(mid, times_generator(alg, z, g).items(), cz, p)
     out = alg.act_right(GradedElement(alg, mid), H.tau(t_right))
     return out.scale(c).coeffs
 
@@ -212,17 +215,6 @@ def _deg1_times_generator(alg: ExtAlgebra, z: BasisSymbol, g: BasisSymbol) -> di
     inner = alg.act_left(H.tau(t_right), alg.symbol_element(g))
     mid = multiply(alg.symbol_element(g2), inner)
     return alg.act_left(H.tau(t_left), mid).scale(cz).coeffs
-
-
-def _bad_pair_21(alg: ExtAlgebra, q: BasisSymbol, b: BasisSymbol) -> dict:
-    H, p = alg.hecke, alg.field.p
-    c, t_left, g, t_right = alg.factor_through_generators(b)
-    qleft = alg.act_right(alg.symbol_element(q), H.tau(t_left))
-    mid: dict = {}
-    for q2, c2 in qleft.coeffs.items():
-        _add_into(mid, _deg2_times_generator(alg, q2, g), c2, p)
-    out = alg.act_right(GradedElement(alg, mid), H.tau(t_right))
-    return out.scale(c).coeffs
 
 
 def _deg2_times_generator(alg: ExtAlgebra, q: BasisSymbol, g: BasisSymbol) -> dict:

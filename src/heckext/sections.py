@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .coeff import add_into
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .hecke import HeckeElement
 from .product import multiply
@@ -57,23 +58,6 @@ class TensorExpression:
         clean = tuple((c % p, tuple(syms)) for c, syms in terms if c % p)
         return cls(alg, arity, clean)
 
-    @classmethod
-    def from_factors(cls, alg: ExtAlgebra, arity: int, factors) -> "TensorExpression":
-        """Expand scalar-weighted tuples of degree-1 elements multilinearly."""
-        terms = []
-        for c, elements in factors:
-            expanded = [(c, ())]
-            for el in elements:
-                if not el.is_homogeneous(1):
-                    raise ValueError("tensor factors must be degree-1 elements")
-                expanded = [
-                    (cc * cs, syms + (s,))
-                    for cc, syms in expanded
-                    for s, cs in el.coeffs.items()
-                ]
-            terms.extend(expanded)
-        return cls.from_terms(alg, arity, terms)
-
     def __add__(self, other: "TensorExpression") -> "TensorExpression":
         if self.arity != other.arity:
             raise ValueError("cannot add tensor expressions of different arity")
@@ -90,15 +74,15 @@ class TensorExpression:
     def evaluate(self) -> GradedElement:
         """Image under the multiplication map: left-to-right products."""
         alg = self.algebra
-        total = alg.zero()
+        total: dict = {}
         for c, syms in self.terms:
             acc = alg.symbol_element(syms[0])
             for s in syms[1:]:
                 if acc.is_zero:
                     break
                 acc = multiply(acc, alg.symbol_element(s))
-            total = total + acc.scale(c)
-        return total
+            add_into(total, acc.coeffs.items(), c, alg.field.p)
+        return GradedElement(alg, total)
 
     def __repr__(self):
         if not self.terms:
@@ -126,34 +110,29 @@ def tensor_act(h: HeckeElement, t: TensorExpression, side: str) -> TensorExpress
     return TensorExpression.from_terms(alg, t.arity, terms)
 
 
-def tensor_involution(t: TensorExpression) -> TensorExpression:
-    """The anti-involution on tensors: reverse slots with the permutation sign."""
-    alg = t.algebra
-    sign = -1 if (t.arity * (t.arity - 1) // 2) % 2 else 1
+def _map_slots(t: TensorExpression, fn, sign: int = 1, reverse: bool = False) -> TensorExpression:
+    """Apply fn: symbol -> (unit, symbol) to every slot, in reversed slot order
+    if asked, and multiply each term by sign and the units."""
     terms = []
     for c, syms in t.terms:
         coeff = c * sign
         out = []
-        for s in reversed(syms):
-            cs, js = alg._symbol_involution(s)
+        for s in reversed(syms) if reverse else syms:
+            cs, image = fn(s)
             coeff *= cs
-            out.append(js)
+            out.append(image)
         terms.append((coeff, tuple(out)))
-    return TensorExpression.from_terms(alg, t.arity, terms)
+    return TensorExpression.from_terms(t.algebra, t.arity, terms)
+
+
+def tensor_involution(t: TensorExpression) -> TensorExpression:
+    """The anti-involution on tensors: reverse slots with the permutation sign."""
+    sign = -1 if (t.arity * (t.arity - 1) // 2) % 2 else 1
+    return _map_slots(t, t.algebra._symbol_involution, sign, reverse=True)
 
 
 def tensor_uniformizer_conj(t: TensorExpression) -> TensorExpression:
-    alg = t.algebra
-    terms = []
-    for c, syms in t.terms:
-        coeff = c
-        out = []
-        for s in syms:
-            cs, gs = alg._symbol_uniformizer_conj(s)
-            coeff *= cs
-            out.append(gs)
-        terms.append((coeff, tuple(out)))
-    return TensorExpression.from_terms(alg, t.arity, terms)
+    return _map_slots(t, t.algebra._symbol_uniformizer_conj)
 
 
 # --- the degree-2 section ---

@@ -84,13 +84,6 @@ class WeylGroup:
     def simple(self, i: int) -> WeylElement:
         return self.s0 if i == S0 else self.s1
 
-    def from_letters(self, exp: int, letters) -> WeylElement:
-        """Reduce an arbitrary letter string to normal form."""
-        out = self.omega(exp)
-        for l in letters:
-            out = self.mul(out, self.simple(l))
-        return out
-
     # --- group operations ---
 
     def mul(self, v: WeylElement, w: WeylElement) -> WeylElement:

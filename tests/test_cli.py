@@ -2,8 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heckext.cli import Config, main
+from heckext.graded import GradedElement
 from heckext.grammar import ParseError, parse_element, render_element
 from heckext.weyl import S0, S1
 
@@ -40,12 +43,29 @@ class TestGrammar:
             "tau(w(0 s0))",          # missing semicolon
             "tau(w(0;)) tau(w(0;))", # missing operator
             "2 tau(w(0;))",          # missing '*'
+            "²*tau(w(0;))",          # a non-ASCII digit as coefficient
+            "tau(w(²;))",            # a non-ASCII digit as exponent
+            pytest.param("1" * 5000 + "*tau(w(0;))", id="5000-digit-coefficient"),
+            "١*tau(w(0;))",          # an Arabic-Indic digit one
         ],
     )
     def test_parse_errors_carry_positions(self, alg5, text):
         with pytest.raises(ParseError) as err:
             parse_element(alg5, text)
         assert "position" in str(err.value)
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.sampled_from(
+            ["tau", "bm", "a0", "phi", "e", "w", "(", ")", ";", "s0", "s1", "*", "+", "-",
+             " ", "0", "3", "12", "²", "١", "9" * 4400]
+        )).map("".join),
+    ))
+    def test_parse_returns_an_element_or_raises_parse_error(self, alg5, text):
+        try:
+            assert isinstance(parse_element(alg5, text), GradedElement)
+        except ParseError:
+            pass
 
     def test_render_parse_round_trip_on_random_elements(self, alg5):
         rng = random.Random(113)

@@ -3,6 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heckext.coeff import Character, PrimeField
+from heckext.graded import ExtAlgebra, GradedElement
+from heckext.hecke import HeckeElement
+from heckext.presentation import B_P, LETTERS, FreeElement, free_letter
 
 
 def egcd(a, b):
@@ -109,3 +112,86 @@ class TestCharacter:
         F = PrimeField(7)
         lam = Character(F, 2)
         assert lam.compose(lam.inverse()).is_trivial
+
+
+# --- the linear-combination core shared by the three element types ---
+
+ALGEBRAS = {p: ExtAlgebra(p) for p in (5, 7)}
+
+
+def _parent_and_keys(kind, E):
+    """The parent algebra and a pool of basis keys of one element type."""
+    if kind is HeckeElement:
+        return E.hecke, E.weyl.elements(1)
+    if kind is GradedElement:
+        return E, list(E.basis_symbols(1))
+    return E, [()] + [(a,) for a in LETTERS] + [(a, b) for a in LETTERS for b in LETTERS]
+
+
+def _reduced(d, p):
+    return {k: c % p for k, c in d.items() if c % p}
+
+
+class TestCombination:
+    @given(
+        st.sampled_from([HeckeElement, GradedElement, FreeElement]),
+        st.sampled_from([5, 7]),
+        st.dictionaries(st.integers(0, 30), st.integers(-30, 30), max_size=8),
+        st.dictionaries(st.integers(0, 30), st.integers(-30, 30), max_size=8),
+        st.integers(-21, 21),
+    )
+    def test_linear_structure_matches_a_plain_dict_reference(self, kind, p, dx, dy, c):
+        parent, pool = _parent_and_keys(kind, ALGEBRAS[p])
+        dx = {pool[i % len(pool)]: v for i, v in dx.items()}
+        dy = {pool[i % len(pool)]: v for i, v in dy.items()}
+        x, y = kind.make(parent, dx), kind.make(parent, dy)
+        keys = set(dx) | set(dy)
+        expected = {
+            "make": _reduced(dx, p),
+            "add": _reduced({k: dx.get(k, 0) + dy.get(k, 0) for k in keys}, p),
+            "sub": _reduced({k: dx.get(k, 0) - dy.get(k, 0) for k in keys}, p),
+            "neg": _reduced({k: -v for k, v in dx.items()}, p),
+            "scale": _reduced({k: c * v for k, v in dx.items()}, p),
+            "zero": {},
+        }
+        got = {
+            "make": x,
+            "add": x + y,
+            "sub": x - y,
+            "neg": -x,
+            "scale": x.scale(c),
+            "zero": x - x,
+        }
+        for name, el in got.items():
+            assert type(el) is kind
+            assert el.coeffs == expected[name], name
+            assert all(0 < v < p for v in el.coeffs.values()), name
+        assert c * x == x.scale(c)
+        assert (x + -x).is_zero and x.scale(p).is_zero and x.scale(0).is_zero
+        assert x == kind.make(parent, dict(dx)) and (x == y) == (x.coeffs == y.coeffs)
+
+    def test_refuses_to_mix_parameters(self):
+        E5, E7 = ALGEBRAS[5], ALGEBRAS[7]
+        x5, x7 = E5.beta(1, E5.weyl.identity), E7.beta(1, E7.weyl.omega(5))
+        h5, h7 = E5.hecke.tau(E5.weyl.s0), E7.hecke.tau(E7.weyl.omega(5))
+        f5, f7 = free_letter(E5, B_P), free_letter(E7, B_P)
+        for mix in (
+            lambda: x5 + x7,
+            lambda: x5 - x7,
+            lambda: h5 + h7,
+            lambda: f5 - f7,
+            lambda: f5 * f7,
+            lambda: E5.act_left(h7, x5),
+            lambda: E5.act_left(h5, x7),
+            lambda: E5.act_right(x5, h7),
+            lambda: E5.hecke.mul(h5, h7),
+            lambda: E5.hecke.mul(h7, h5),
+            lambda: x5 * x7,
+        ):
+            with pytest.raises(ValueError, match="different parameters"):
+                mix()
+        assert x5 != E7.beta(1, E7.weyl.identity)
+        assert h5 != E7.hecke.tau(E7.weyl.s0)
+        # equal parameters on another algebra object compare by field
+        assert ExtAlgebra(5).hecke.tau(E5.weyl.s0) == h5
+        assert ExtAlgebra(5).beta(1, E5.weyl.identity) + x5 == x5.scale(2)

@@ -28,16 +28,6 @@ class TestBasics:
             expected = expected + H.tau(WeylElement(W, e, (S0,)))
         assert square == expected
 
-    def test_json_coefficient_map(self, alg5):
-        H, W = alg5.hecke, alg5.weyl
-        x = H.tau(W.element(2, (S1, S0))).scale(3) + H.tau(W.omega(1))
-        assert x.to_json() == {
-            "terms": [
-                {"support": {"exp": 1, "word": []}, "coeff": 1},
-                {"support": {"exp": 2, "word": ["s1", "s0"]}, "coeff": 3},
-            ]
-        }
-
     def test_quadratic_relation_both_forms(self, alg5):
         H, W = alg5.hecke, alg5.weyl
         e1 = H.idempotent(0)

@@ -40,15 +40,6 @@ class TestTensorExpression:
         triple = TensorExpression.from_terms(alg5, 3, [(1, (bp, bz1, bp))])
         assert triple.evaluate() == alg5.phi(W.s1)
 
-    def test_from_factors_expands_multilinearly(self, alg5):
-        W = alg5.weyl
-        el = alg5.beta(-1, W.identity) + alg5.beta(1, W.identity).scale(2)
-        t = TensorExpression.from_factors(alg5, 2, [(3, (el, alg5.beta(0, W.s0)))])
-        assert len(t.terms) == 2
-        assert t.evaluate() == (
-            alg5.beta(-1, W.identity) * alg5.beta(0, W.s0)
-        ).scale(3) + (alg5.beta(1, W.identity) * alg5.beta(0, W.s0)).scale(6)
-
     def test_outer_action_bilinearity_oracle(self, alg5):
         W, H = alg5.weyl, alg5.hecke
         t = TensorExpression.from_terms(
