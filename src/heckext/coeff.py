@@ -13,9 +13,10 @@ represented by their exponent mod p - 1.
 The core.  Hecke, graded and free elements are finite maps key ->
 residue in [1, p) over a parent algebra that owns the field.
 :class:`Combination` gives them the vector-space structure once (make, +,
--, scale, int * x, is_zero, ==); the subclasses add their products and
-renderings.  :func:`add_into` is the one accumulate-mod-p loop; hot loops
-instead sum raw ints and reduce once with ``make``.  Elements over
+-, scale, int * x and x * int, is_zero, ==); the subclasses add their
+products (``_product``, reached through ``*``) and renderings.
+:func:`add_into` is the one accumulate-mod-p loop; hot loops instead sum
+raw ints and reduce once with ``make``.  Elements over
 different fields are never combined (:func:`check_parameters`).
 """
 
@@ -62,6 +63,14 @@ def _is_primitive_root(g: int, p: int, factors: list[int]) -> bool:
 def _smallest_primitive_root(p: int) -> int:
     factors = _prime_factors(p - 1)
     return next(g for g in range(2, p) if _is_primitive_root(g, p, factors))
+
+
+@cache
+def _root_powers(p: int, u0: int) -> tuple[int, ...]:
+    powers = [1]
+    for _ in range(p - 2):
+        powers.append(powers[-1] * u0 % p)
+    return tuple(powers)
 
 
 class PrimeField:
@@ -118,6 +127,12 @@ class PrimeField:
     def root_pow(self, e: int) -> int:
         """u0^e with the exponent read mod p - 1."""
         return pow(self.u0, e % self.order, self.p)
+
+    def root_powers(self) -> tuple[int, ...]:
+        """The table (u0^0, ..., u0^(p-2)) of u0^e at e mod p - 1, for the hot
+        loops of the torus action; memoized per (p, u0) and built on first use,
+        so a fresh field costs nothing until an action reads it."""
+        return _root_powers(self.p, self.u0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -239,6 +254,15 @@ class Combination:
             return type(self)(self.algebra, {})
         # c and every stored coefficient are units, so no product vanishes
         return type(self)(self.algebra, {k: c * x % p for k, x in self.coeffs.items()})
+
+    def __mul__(self, other):
+        """x * c is c * x; x * y, both of the same type, is the subclass's
+        _product.  Any other operand is NotImplemented."""
+        if isinstance(other, int):
+            return self.scale(other)
+        if type(other) is type(self):
+            return self._product(other)
+        return NotImplemented
 
     def __rmul__(self, c):
         if isinstance(c, int):

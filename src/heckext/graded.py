@@ -19,6 +19,13 @@ right torus shift by e (no scalar), then the letters of u from left to
 right, each transported once per torus orbit.  The printed right-action
 formulas are regression tests, not a second table.
 
+Symbolic rows.  A table row is built as a list of entries, each a plain
+term (sym, c) or a term (m, sym, c) standing for c e_{id^m} sym, whose
+expansion has p - 1 terms; _expand_row expands a row once.  The right
+action transports the symbolic row of J(sym) through J entry by entry (an
+idempotent becomes another idempotent by the slide law), so a
+representative costs one J lookup per entry, not one per expanded term.
+
 Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
 BasisSymbol the tuple (degree, sign, support), so the keys of every
 coefficient dict and memo hash and compare in C.  Each ExtAlgebra keeps
@@ -26,11 +33,18 @@ memos of pure functions of their keys: the pair memo (products of two
 basis symbols, in product.py), the letter memo and the right-letter memo
 (one simple reflection acting on one symbol, on the left or the right)
 and the J table (J on one symbol, as a (coeff, symbol) pair).  Beside
-the pair memo and the right-letter memo, an orbit memo each keeps one
-entry per torus orbit, from which the other entries of the orbit are
-derived.  Memo values are read-only (MappingProxyType or tuples) and
-handed out without a copy.  Torus shifts intern their images in one
-table per algebra, so the symbols of derived products are shared.
+the pair memo and each letter memo, an orbit memo keeps one entry per
+torus orbit, from which the other entries of the orbit are derived by a
+torus shift.  Memo values are read-only (MappingProxyType or tuples) and
+handed out without a copy.
+
+Shift kernels.  _shift_left (the left torus action, with a scalar) and
+_shift_right (the plain right shift) move a combination along its torus
+orbit; the torus letters of act_left and act_right and the three orbit
+derivations all go through them.  They intern their images in one table
+per algebra, so the symbols of derived entries are shared, and they read
+u0^e from the power table of the field (PrimeField.root_powers: memoized
+per (p, u0), built on first use), as _acc_e does.
 """
 
 from __future__ import annotations
@@ -93,9 +107,10 @@ class BasisSymbol(tuple):
         return f"{self.kind}({self.support!r})"
 
 
-# builds BasisSymbol((d, sign, support)) unchecked: a torus shift of a valid
-# symbol is valid
+# build BasisSymbol((d, sign, support)) and WeylElement((exp, word))
+# unchecked: a torus shift of a valid symbol is valid
 _shifted = partial(tuple.__new__, BasisSymbol)
+_weyl = partial(tuple.__new__, WeylElement)
 
 
 class GradedElement(Combination):
@@ -103,14 +118,10 @@ class GradedElement(Combination):
 
     __slots__ = ()
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        if isinstance(other, GradedElement):
-            from . import product
+    def _product(self, other: "GradedElement") -> "GradedElement":
+        from . import product
 
-            return product.multiply(self, other)
-        return NotImplemented
+        return product.multiply(self, other)
 
     # --- structure queries ---
 
@@ -148,6 +159,7 @@ class ExtAlgebra:
         self.weyl = WeylGroup(self.field)
         self.hecke = HeckeAlgebra(self.weyl)
         self._letter_cache: dict[tuple[int, BasisSymbol], MappingProxyType] = {}
+        self._left_orbit_cache: dict[tuple, tuple[int, MappingProxyType]] = {}
         self._pair_cache: dict[tuple[BasisSymbol, BasisSymbol], MappingProxyType] = {}
         self._base_sq: dict[int, GradedElement] = {}
         self._j_cache: dict[BasisSymbol, tuple[int, BasisSymbol]] = {}
@@ -208,29 +220,61 @@ class ExtAlgebra:
             return -2 * sign
         return 0
 
-    def _torus_on_symbol(self, e: int, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
-        d, sign, (exp, word) = sym
-        coeff = self.field.root_pow(self._torus_weight(sym) * e)
-        # omega^e w is a plain shift of the torus exponent; the image is interned
-        image = _shifted((d, sign, WeylElement(self.weyl, (e + exp) % self.weyl.n, word)))
-        return coeff, self._symbols.setdefault(image, image)
+    def _shift_left(self, coeffs, a: int, scale: int = 1) -> dict:
+        """scale * T_a(coeffs), T_a the left torus action of omega^a: a support
+        w becomes omega^a w, and a symbol of torus weight k gains u0^(k a).
+        Images are interned; no two terms collide or cancel."""
+        p, n = self.field.p, self.weyl.n
+        powers = self.field.root_powers()
+        # the weight is 2 on bp and am, -2 on bm and ap, 0 elsewhere
+        up, down = scale * powers[2 * a % n] % p, scale * powers[-2 * a % n] % p
+        intern = self._symbols.setdefault
+        out: dict = {}
+        for sym, c in coeffs.items():
+            d, sign, (exp, word) = sym
+            image = _shifted((d, sign, _weyl(((exp + a) % n, word))))
+            unit = (up if (sign > 0) == (d == 1) else down) if sign else scale
+            out[intern(image, image)] = c * unit % p
+        return out
 
-    def _torus_on_symbol_right(self, e: int, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
-        """sym tau_{omega^e}: the support w becomes w omega^e, with no scalar."""
-        d, sign, (exp, word) = sym
-        exp += -e if len(word) % 2 else e
-        image = _shifted((d, sign, WeylElement(self.weyl, exp % self.weyl.n, word)))
-        return 1, self._symbols.setdefault(image, image)
+    def _shift_right(self, coeffs, a: int) -> dict:
+        """coeffs tau_{omega^a}: a support v becomes v omega^a, its exponent
+        gains (-1)^|v| a, with no scalar.  Images are interned."""
+        n = self.weyl.n
+        intern = self._symbols.setdefault
+        out: dict = {}
+        for sym, c in coeffs.items():
+            d, sign, (exp, word) = sym
+            image = _shifted((d, sign, _weyl(((exp - a if len(word) % 2 else exp + a) % n, word))))
+            out[intern(image, image)] = c
+        return out
 
     def _acc_e(self, out: dict, m: int, sym: BasisSymbol, scale: int) -> None:
         """Accumulate scale * (e_{id^m} acting on the left of sym)."""
-        F, W, p = self.field, self.weyl, self.field.p
-        k = self._torus_weight(sym)
+        p, n = self.field.p, self.weyl.n
+        powers = self.field.root_powers()
         d, sign, (exp, word) = sym
         # e_{id^m} = -sum_a u0^(-m a) tau_{omega^a}, and omega^a scales sym by u0^(k a)
-        terms = [(_shifted((d, sign, WeylElement(W, (a + exp) % W.n, word))),
-                  F.root_pow((k - m) * a)) for a in range(W.n)]
-        add_into(out, terms, -scale, p)
+        step = (self._torus_weight(sym) - m) % n
+        scale = -scale
+        for a in range(n):
+            key = _shifted((d, sign, _weyl(((a + exp) % n, word))))
+            c = (out.get(key, 0) + scale * powers[a * step % n]) % p
+            if c:
+                out[key] = c
+            elif key in out:
+                del out[key]
+
+    def _expand_row(self, row) -> dict:
+        """The coefficient dict of a symbolic row (see _letter_row)."""
+        p = self.field.p
+        out: dict = {}
+        for entry in row:
+            if len(entry) == 3:
+                self._acc_e(out, *entry)
+            else:
+                add_into(out, (entry,), 1, p)
+        return out
 
     def idempotent_times(self, m: int, x: GradedElement) -> GradedElement:
         out: dict = {}
@@ -241,108 +285,102 @@ class ExtAlgebra:
     # --- single-letter left action tables ---
 
     def _letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:
+        """tau_{s_i} sym, memoized.  The first miss in a torus orbit is computed
+        from the table and stored as the orbit's representative, with its
+        exponent f0.  As s_i omega^f = omega^-f s_i, a later miss at f is
+        u0^(-k (f - f0)) T_(f0 - f) of it, k the torus weight of sym."""
         key = (i, sym)
         cached = self._letter_cache.get(key)
         if cached is not None:
             return cached
-        out = MappingProxyType(self._letter_on_symbol_uncached(i, sym))
+        d, sign, (f, word) = sym
+        rep = self._left_orbit_cache.get((i, d, sign, word))
+        if rep is None:
+            out = MappingProxyType(self._letter_on_symbol_uncached(i, sym))
+            self._left_orbit_cache[i, d, sign, word] = (f, out)
+        else:
+            f0, first = rep
+            scale = self.field.root_powers()[-self._torus_weight(sym) * (f - f0) % self.weyl.n]
+            out = MappingProxyType(self._shift_left(first, f0 - f, scale))
         self._letter_cache[key] = out
         return out
 
     def _letter_on_symbol_uncached(self, i: int, sym: BasisSymbol) -> dict:
-        W, p = self.weyl, self.field.p
-        w = sym.support
-        d, sign = sym.degree, sym.sign
+        return self._expand_row(self._letter_row(i, sym))
+
+    def _letter_row(self, i: int, sym: BasisSymbol) -> list:
+        """tau_{s_i} sym as a symbolic row: each entry is a plain term (sym, c)
+        or a term (m, sym, c) standing for c e_{id^m} sym, left unexpanded."""
+        W = self.weyl
+        d, sign, w = sym
         if d == 0:
             # the Hecke algebra's own single-letter rule, on one basis element
             row = self.hecke._letter_left(i, {w: 1})
-            return {BasisSymbol(0, None, v): c for v, c in row.items()}
+            return [(BasisSymbol(0, None, v), c) for v, c in row.items()]
         si = W.simple(i)
         sw = W.mul(si, w)
-        out: dict = {}
 
         if W.lengths_add(si, w):
             if d == 1:
                 if i == S0:
                     if sign == -1:
-                        out[BasisSymbol(1, 1, sw)] = p - 1
-                    elif sign == 0:
-                        out[BasisSymbol(1, 0, sw)] = p - 1
+                        return [(BasisSymbol(1, 1, sw), -1)]
+                    if sign == 0:
+                        return [(BasisSymbol(1, 0, sw), -1)]
                 else:
                     if sign == 0:
-                        out[BasisSymbol(1, 0, sw)] = p - 1
-                    elif sign == 1:
-                        out[BasisSymbol(1, -1, sw)] = p - 1
+                        return [(BasisSymbol(1, 0, sw), -1)]
+                    if sign == 1:
+                        return [(BasisSymbol(1, -1, sw), -1)]
             elif d == 2:
                 if i == S0 and sign == 1:
-                    out[BasisSymbol(2, -1, sw)] = p - 1
-                elif i == S1 and sign == -1:
-                    out[BasisSymbol(2, 1, sw)] = p - 1
+                    return [(BasisSymbol(2, -1, sw), -1)]
+                if i == S1 and sign == -1:
+                    return [(BasisSymbol(2, 1, sw), -1)]
             # degree 3: zero when lengths add
-            return out
+            return []
 
-        # lengths do not add: l(s_i w) = l(w) - 1, so l(w) >= 1
+        # lengths do not add: l(s_i w) = l(w) - 1, so l(w) >= 1; every row
+        # starts with -e_0 sym
         L = w.length
+        row: list = [(0, sym, -1)]
         if d == 1:
             if i == S0:
                 if sign == -1:
-                    self._acc_e(out, 0, BasisSymbol(1, -1, w), -1)
-                    self._acc_e(out, 1, BasisSymbol(1, 0, w), -2)
-                    add_into(out, ((BasisSymbol(1, 1, sw), 1),), -1, p)
+                    row += [(1, BasisSymbol(1, 0, w), -2), (BasisSymbol(1, 1, sw), -1)]
                     if L == 1:
-                        self._acc_e(out, 2, BasisSymbol(1, 1, w), 1)
-                elif sign == 0:
-                    self._acc_e(out, 0, BasisSymbol(1, 0, w), -1)
-                    if L == 1:
-                        self._acc_e(out, 1, BasisSymbol(1, 1, w), 1)
-                else:
-                    self._acc_e(out, 0, BasisSymbol(1, 1, w), -1)
+                        row.append((2, BasisSymbol(1, 1, w), 1))
+                elif sign == 0 and L == 1:
+                    row.append((1, BasisSymbol(1, 1, w), 1))
             else:
-                if sign == -1:
-                    self._acc_e(out, 0, BasisSymbol(1, -1, w), -1)
-                elif sign == 0:
-                    self._acc_e(out, 0, BasisSymbol(1, 0, w), -1)
+                if sign == 0 and L == 1:
+                    row.append((-1, BasisSymbol(1, -1, w), -1))
+                elif sign == 1:
+                    row += [(-1, BasisSymbol(1, 0, w), 2), (BasisSymbol(1, -1, sw), -1)]
                     if L == 1:
-                        self._acc_e(out, -1, BasisSymbol(1, -1, w), -1)
-                else:
-                    self._acc_e(out, 0, BasisSymbol(1, 1, w), -1)
-                    self._acc_e(out, -1, BasisSymbol(1, 0, w), 2)
-                    add_into(out, ((BasisSymbol(1, -1, sw), 1),), -1, p)
-                    if L == 1:
-                        self._acc_e(out, -2, BasisSymbol(1, -1, w), 1)
+                        row.append((-2, BasisSymbol(1, -1, w), 1))
         elif d == 2:
             if i == S0:
-                if sign == -1:
-                    self._acc_e(out, 0, BasisSymbol(2, -1, w), -1)
-                elif sign == 0:
-                    self._acc_e(out, 0, BasisSymbol(2, 0, w), -1)
-                    self._acc_e(out, 1, BasisSymbol(2, -1, w), 2)
+                if sign == 0:
+                    row.append((1, BasisSymbol(2, -1, w), 2))
                     if L >= 2:
-                        add_into(out, ((BasisSymbol(2, 0, sw), 1),), -1, p)
-                else:
-                    self._acc_e(out, 0, BasisSymbol(2, 1, w), -1)
-                    add_into(out, ((BasisSymbol(2, -1, sw), 1),), -1, p)
+                        row.append((BasisSymbol(2, 0, sw), -1))
+                elif sign == 1:
+                    row.append((BasisSymbol(2, -1, sw), -1))
                     if L == 1:
-                        self._acc_e(out, 1, BasisSymbol(2, 0, w), -1)
-                        self._acc_e(out, 2, BasisSymbol(2, -1, w), 1)
+                        row += [(1, BasisSymbol(2, 0, w), -1), (2, BasisSymbol(2, -1, w), 1)]
             else:
                 if sign == -1:
-                    self._acc_e(out, 0, BasisSymbol(2, -1, w), -1)
-                    add_into(out, ((BasisSymbol(2, 1, sw), 1),), -1, p)
+                    row.append((BasisSymbol(2, 1, sw), -1))
                     if L == 1:
-                        self._acc_e(out, -1, BasisSymbol(2, 0, w), 1)
-                        self._acc_e(out, -2, BasisSymbol(2, 1, w), 1)
+                        row += [(-1, BasisSymbol(2, 0, w), 1), (-2, BasisSymbol(2, 1, w), 1)]
                 elif sign == 0:
-                    self._acc_e(out, 0, BasisSymbol(2, 0, w), -1)
-                    self._acc_e(out, -1, BasisSymbol(2, 1, w), -2)
+                    row.append((-1, BasisSymbol(2, 1, w), -2))
                     if L >= 2:
-                        add_into(out, ((BasisSymbol(2, 0, sw), 1),), -1, p)
-                else:
-                    self._acc_e(out, 0, BasisSymbol(2, 1, w), -1)
+                        row.append((BasisSymbol(2, 0, sw), -1))
         else:
-            add_into(out, ((BasisSymbol(3, None, sw), 1),), 1, p)
-            self._acc_e(out, 0, BasisSymbol(3, None, w), -1)
-        return out
+            row.append((BasisSymbol(3, None, sw), 1))
+        return row
 
     def _apply_letter(self, table, i: int, coeffs: dict) -> dict:
         """Apply one letter through table, a letter memo on the left or right."""
@@ -352,15 +390,14 @@ class ExtAlgebra:
             add_into(out, table(i, sym).items(), c, p)
         return out
 
-    def _map_symbols(self, coeffs, fn, scale: int = 1) -> dict:
-        """Apply fn: symbol -> (unit, symbol), injective on symbols (a torus
-        shift, J, the uniformizer conjugation), and multiply by scale: no two
-        terms collide or cancel."""
+    def _map_symbols(self, coeffs, fn) -> dict:
+        """Apply fn: symbol -> (unit, symbol), injective on symbols (J, the
+        uniformizer conjugation): no two terms collide or cancel."""
         p = self.field.p
         out: dict = {}
         for sym, c in coeffs.items():
             coeff, image = fn(sym)
-            out[image] = c * coeff * scale % p
+            out[image] = c * coeff % p
         return out
 
     # --- the two-sided action ---
@@ -377,7 +414,7 @@ class ExtAlgebra:
                 if not cur:
                     break
             if cur and w.exp:
-                cur = self._map_symbols(cur, partial(self._torus_on_symbol, w.exp))
+                cur = self._shift_left(cur, w.exp)
             add_into(total, cur.items(), c, p)
         return GradedElement(self, total)
 
@@ -389,7 +426,7 @@ class ExtAlgebra:
         for w, c in h.coeffs.items():
             cur = x.coeffs
             if w.exp:
-                cur = self._map_symbols(cur, partial(self._torus_on_symbol_right, w.exp))
+                cur = self._shift_right(cur, w.exp)
             for letter in w.word:
                 cur = self._apply_letter(self._right_letter_on_symbol, letter, cur)
                 if not cur:
@@ -398,11 +435,9 @@ class ExtAlgebra:
         return GradedElement(self, total)
 
     def _right_letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:
-        """sym tau_{s_i}, memoized.  The first miss in a torus orbit is the left
-        table transported through J, J(tau_{omega^half} tau_{s_i} J(sym)), as
-        J(tau_{s_i}) = tau_{s_i^-1} and s_i^-1 = omega^half s_i; it is stored as
-        the orbit's representative, with g where sym = sym0 tau_{omega^g}.  A
-        later miss at g' is its right torus shift by g - g'."""
+        """sym tau_{s_i}, memoized.  The first miss in a torus orbit is stored
+        as the orbit's representative (_right_row), with g where sym = sym0
+        tau_{omega^g}.  A later miss at g' is its right torus shift by g - g'."""
         cached = self._right_letter_cache.get((i, sym))
         if cached is not None:
             return cached
@@ -410,17 +445,40 @@ class ExtAlgebra:
         g = -f if len(word) % 2 else f
         rep = self._right_orbit_cache.get((i, d, sign, word))
         if rep is None:
-            c, jsym = self._symbol_involution(sym)
-            left = self._map_symbols(
-                self._letter_on_symbol(i, jsym), partial(self._torus_on_symbol, self.weyl.half), c)
-            out = MappingProxyType(self._map_symbols(left, self._symbol_involution))
+            out = MappingProxyType(self._expand_row(self._right_row(i, sym)))
             self._right_orbit_cache[i, d, sign, word] = (g, out)
         else:
             g0, first = rep
-            out = MappingProxyType(
-                self._map_symbols(first, partial(self._torus_on_symbol_right, g0 - g)))
+            out = MappingProxyType(self._shift_right(first, g0 - g))
         self._right_letter_cache[i, sym] = out
         return out
+
+    def _right_row(self, i: int, sym: BasisSymbol) -> list:
+        """sym tau_{s_i} as a symbolic row: the left row of J(sym) transported
+        through J, J(tau_{omega^half} tau_{s_i} J(sym)), as J(tau_{s_i}) =
+        tau_{s_i^-1} and s_i^-1 = omega^half s_i.  Entry by entry, with
+        u0^half = -1 and even torus weights, so T_half scales no symbol:
+          a term x s    becomes  x c_J s3,  (c_J, s3) = J(T_half s);
+          x e_m s2      becomes  x u0^(m half) c_J e_{m*} s3,  (c_J, s3) = J(s2),
+        as tau_{omega^h} e_m = u0^(m h) e_m, J(e_m) = e_{-m} and the right
+        idempotent slide s3 e_{-m} = e_{m*} s3, m* = (-1)^(|s3|+1) m + k(s3).
+        It costs one J lookup per entry, however many terms an e_m has."""
+        n, half = self.weyl.n, self.weyl.half
+        powers = self.field.root_powers()
+        c, jsym = self._symbol_involution(sym)
+        row: list = []
+        for entry in self._letter_row(i, jsym):
+            if len(entry) == 2:
+                (d, sign, (exp, word)), x = entry
+                cj, s3 = self._symbol_involution(
+                    _shifted((d, sign, _weyl(((exp + half) % n, word)))))
+                row.append((s3, x * c * cj))
+            else:
+                m, s2, x = entry
+                cj, s3 = self._symbol_involution(s2)
+                mstar = (m if len(s3[2][1]) % 2 else -m) + self._torus_weight(s3)
+                row.append((mstar, s3, x * c * cj * powers[m * half % n]))
+        return row
 
     # --- involutions ---
 

@@ -14,7 +14,7 @@ input.  Parse errors carry the offending position.
 
 from __future__ import annotations
 
-from .graded import BasisSymbol, ExtAlgebra, GradedElement
+from .graded import KIND_NAMES, BasisSymbol, ExtAlgebra, GradedElement
 from .weyl import S0, S1, WeylElement
 
 __all__ = ["ParseError", "parse_element", "parse_weyl", "render_element", "element_to_json"]
@@ -178,46 +178,46 @@ def parse_element(alg: ExtAlgebra, text: str) -> GradedElement:
 # --- rendering ---
 
 
+def _letters(word: tuple[int, ...]) -> str:
+    return "".join([" s0" if l == S0 else " s1" for l in word])
+
+
 def render_weyl(w: WeylElement) -> str:
-    letters = " ".join("s0" if l == S0 else "s1" for l in w.word)
-    return f"w({w.exp};{(' ' + letters) if letters else ''})"
+    return f"w({w.exp};{_letters(w.word)})"
 
 
-def _symbol_key(sym: BasisSymbol):
-    return (
-        sym.degree,
-        sym.support.length,
-        sym.support.word,
-        sym.support.exp,
-        -1 if sym.sign is None else sym.sign,
-    )
+def _term_key(term):
+    """Sort key of a (symbol, coeff) term: degree, length, word, exponent, sign."""
+    (d, sign, (exp, word)), _ = term
+    return d, len(word), word, exp, -1 if sign is None else sign
 
 
 def render_element(x: GradedElement) -> str:
     if x.is_zero:
         return "0"
     p = x.algebra.field.p
+    words: dict = {}
     parts = []
-    for sym, c in sorted(x.coeffs.items(), key=lambda kv: _symbol_key(kv[0])):
+    for (d, sign, (exp, word)), c in sorted(x.coeffs.items(), key=_term_key):
+        letters = words.get(word)
+        if letters is None:
+            letters = words[word] = _letters(word)
         # balanced sign: render p - c as a subtraction when that is smaller
         if c <= (p - 1) // 2:
-            sign, mag = "+", c
+            parts.append(" + ")
         else:
-            sign, mag = "-", p - c
-        body = f"{sym.kind}({render_weyl(sym.support)})"
-        if mag != 1:
-            body = f"{mag}*{body}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = first_body if first_sign == "+" else f"-{first_body}"
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            parts.append(" - ")
+            c = p - c
+        if c != 1:
+            parts.append(f"{c}*")
+        parts.append(f"{KIND_NAMES[d, sign]}(w({exp};{letters}))")
+    parts[0] = "" if parts[0] == " + " else "-"
+    return "".join(parts)
 
 
 def element_to_json(x: GradedElement) -> dict:
     terms = []
-    for sym, c in sorted(x.coeffs.items(), key=lambda kv: _symbol_key(kv[0])):
+    for sym, c in sorted(x.coeffs.items(), key=_term_key):
         terms.append(
             {
                 "kind": sym.kind,

@@ -32,7 +32,7 @@ class HeckeElement(Combination):
 
     __slots__ = ()
 
-    def __mul__(self, other: "HeckeElement") -> "HeckeElement":
+    def _product(self, other: "HeckeElement") -> "HeckeElement":
         return self.algebra.mul(self, other)
 
     def __repr__(self):

@@ -49,7 +49,7 @@ class FreeElement(Combination):
 
     __slots__ = ()
 
-    def __mul__(self, other: "FreeElement") -> "FreeElement":
+    def _product(self, other: "FreeElement") -> "FreeElement":
         check_parameters(self.algebra, other.algebra)
         # raw int sums in the hot loop, reduced once by make
         out: dict = {}

@@ -30,7 +30,7 @@ weight and a0, b0 the symbols at torus exponent 0,
 
   a.b = u0^-t T_e(a0.b0),  e = ea + (-1)^|wa| eb,  t = k(a) e + k(b) eb,
 
-where T_e is the left torus action on each term.  The left half is the
+where T_e is the left torus action on each term (ExtAlgebra._shift_left).  The left half is the
 definition of the torus action with associativity across a degree-0
 factor (the assoc suite); the right half is the plain right torus shift
 (rightaction_torus_all_degrees).
@@ -38,7 +38,6 @@ factor (the assoc suite); the right half is the plain right torus shift
 
 from __future__ import annotations
 
-from functools import partial
 from types import MappingProxyType
 
 from .coeff import add_into, check_parameters
@@ -119,8 +118,8 @@ def _pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> MappingProxyType:
         alg._orbit_cache[orbit] = (e, t, out)
     else:
         e0, t0, rep_out = rep
-        shift = partial(alg._torus_on_symbol, e - e0)
-        out = MappingProxyType(alg._map_symbols(rep_out, shift, alg.field.root_pow(t0 - t)))
+        scale = alg.field.root_powers()[(t0 - t) % alg.weyl.n]
+        out = MappingProxyType(alg._shift_left(rep_out, e - e0, scale))
     alg._pair_cache[key] = out
     return out
 

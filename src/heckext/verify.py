@@ -375,6 +375,7 @@ def suite_rightaction(alg, *, max_length=8, **_):
 
     # idempotent slide laws on degrees 1 and 2, lengths <= 6
     bad = None
+    idempotents = H.idempotents()
     for w in supports:
         if w.length > min(6, max_length):
             continue
@@ -384,8 +385,8 @@ def suite_rightaction(alg, *, max_length=8, **_):
                     continue
                 sym = BasisSymbol(d, sign, w)
                 weight = alg._torus_weight(sym)
-                for m in range(W.n):
-                    lhs = alg.act_right(alg.symbol_element(sym), H.idempotent(m))
+                for m, idem in enumerate(idempotents):
+                    lhs = alg.act_right(alg.symbol_element(sym), idem)
                     mprime = (m if w.length % 2 == 0 else -m) + weight
                     rhs = alg.idempotent_times(mprime, alg.symbol_element(sym))
                     if lhs != rhs:

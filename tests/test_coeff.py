@@ -166,9 +166,17 @@ class TestCombination:
             assert type(el) is kind
             assert el.coeffs == expected[name], name
             assert all(0 < v < p for v in el.coeffs.values()), name
-        assert c * x == x.scale(c)
+        assert x * c == c * x == x.scale(c)
         assert (x + -x).is_zero and x.scale(p).is_zero and x.scale(0).is_zero
         assert x == kind.make(parent, dict(dx)) and (x == y) == (x.coeffs == y.coeffs)
+
+    def test_other_operands_are_not_implemented(self):
+        E = ALGEBRAS[5]
+        h, x, f = E.hecke.tau(E.weyl.s0), E.beta(1, E.weyl.identity), free_letter(E, B_P)
+        for a, b in ((h, x), (x, h), (f, h), (h, f), (x, f), (h, 1.5), (x, "3"), (f, None)):
+            assert a.__mul__(b) is NotImplemented, (a, b)
+            with pytest.raises(TypeError):
+                a * b
 
     def test_refuses_to_mix_parameters(self):
         E5, E7 = ALGEBRAS[5], ALGEBRAS[7]

@@ -264,12 +264,13 @@ class TestMemoValuesAreReadOnly:
         multiply(alg.beta(0, W.s0), alg.beta(0, W.s0))
         multiply(alg.tau(W.s1), alg.beta(-1, W.s1))
         multiply(alg.tau(W.element(1, (S1,))), alg.beta(-1, W.element(2, (S1,))))
-        # a bad 1x2 pair is transported through J; a right letter on two symbols
-        # of one torus orbit fills the right-letter memo and its orbit memo;
-        # a Hecke product fills the bare-word memo
+        # a bad 1x2 pair is transported through J; a letter on two symbols of
+        # one torus orbit, on either side, fills that side's letter memo and
+        # its orbit memo; a Hecke product fills the bare-word memo
         multiply(alg.beta(1, W.s0), alg.alpha(-1, W.s0))
         for exp in (0, 3):
             alg.act_right(alg.beta(-1, W.element(exp, (S1,))), alg.hecke.tau(W.s1))
+            alg.act_left(alg.hecke.tau(W.s0), alg.alpha(1, W.element(exp, (S0,))))
         alg.hecke.mul(alg.hecke.tau(W.element(1, (S0,))), alg.hecke.tau(W.element(2, (S0,))))
         memos = {
             "pair": alg._pair_cache,
@@ -277,6 +278,7 @@ class TestMemoValuesAreReadOnly:
             "J": alg._j_cache,
             "base square": {i: el.coeffs for i, el in alg._base_sq.items()},
             "orbit": {orbit: rep[2] for orbit, rep in alg._orbit_cache.items()},
+            "left orbit": {orbit: rep[1] for orbit, rep in alg._left_orbit_cache.items()},
             "right letter": alg._right_letter_cache,
             "right orbit": {orbit: rep[1] for orbit, rep in alg._right_orbit_cache.items()},
             "Hecke bare word": alg.hecke._word_cache,
@@ -286,14 +288,25 @@ class TestMemoValuesAreReadOnly:
             for value in memo.values():
                 with pytest.raises(TypeError):
                     value[next(iter(value), 0)] = 1
-        # an orbit representative is the pair memo's own value, not a copy
-        stored = {id(value) for value in alg._pair_cache.values()}
-        assert all(id(rep[2]) in stored for rep in alg._orbit_cache.values())
-        assert len(alg._pair_cache) > len(alg._orbit_cache)
-        # so is a right-letter representative: the orbit's first entry, at g = 0
-        g, rep = alg._right_orbit_cache[(S1, 1, -1, (S1,))]
-        assert g == 0 and alg._right_letter_cache[(S1, BasisSymbol(1, -1, W.s1))] is rep
-        assert alg._right_letter_cache[(S1, BasisSymbol(1, -1, W.element(3, (S1,))))] is not rep
+        # each orbit memo is smaller than its per-symbol memo, and each
+        # representative is that memo's own value, not a copy
+        for memo, orbits, at in (
+            (alg._pair_cache, alg._orbit_cache, 2),
+            (alg._letter_cache, alg._left_orbit_cache, 1),
+            (alg._right_letter_cache, alg._right_orbit_cache, 1),
+        ):
+            stored = {id(value) for value in memo.values()}
+            assert all(id(rep[at]) in stored for rep in orbits.values())
+            assert len(memo) > len(orbits)
+        # the representative of a letter orbit is its first entry, at exponent 0
+        for memo, orbits, sym in (
+            (alg._letter_cache, alg._left_orbit_cache, BasisSymbol(2, 1, W.s0)),
+            (alg._right_letter_cache, alg._right_orbit_cache, BasisSymbol(1, -1, W.s1)),
+        ):
+            i, (d, sign, (_, word)) = sym.support.word[0], sym
+            f, rep = orbits[(i, d, sign, word)]
+            assert f == 0 and memo[(i, sym)] is rep
+            assert memo[(i, BasisSymbol(d, sign, W.element(3, word)))] is not rep
 
     def test_derived_products_share_one_object_per_symbol(self):
         alg = ExtAlgebra(5)
