@@ -101,15 +101,6 @@ class PrimeField:
 
     # --- field operations on int residues ---
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
     def neg(self, a: int) -> int:
         return (-a) % self.p
 
@@ -118,11 +109,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError(f"inversion of 0 in F_{self.p}")
         return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
 
     def root_pow(self, e: int) -> int:
         """u0^e with the exponent read mod p - 1."""
@@ -161,22 +147,9 @@ class Character:
         self.field = field
         self.m = m % field.order
 
-    def compose(self, other: "Character") -> "Character":
-        return Character(self.field, self.m + other.m)
-
-    def inverse(self) -> "Character":
-        return Character(self.field, -self.m)
-
-    def power(self, k: int) -> "Character":
-        return Character(self.field, self.m * k)
-
     def eval_exponent(self, e: int) -> int:
         """Value at the e-th power of the fixed torus generator."""
         return self.field.root_pow(self.m * e)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.m == 0
 
     def __eq__(self, other) -> bool:
         return (

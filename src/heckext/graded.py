@@ -11,51 +11,65 @@ this module adds the degree-0 actions and the involutions, product.py the
 product.  The left action of the Hecke algebra is given by explicit
 single-letter tables, keyed on the acting letter, the degree and sign of
 the target symbol, whether lengths add, and (where the tables split
-further) on whether the support has length 1 or >= 2; the degree-0 rows
-are the Hecke algebra's own rule (hecke.py), not restated.  The right
-action is their transport through the anti-involution, x h = J(J(h) J(x))
-(deg h = 0, no sign), made term by term: for tau_w, w = omega^e u, the
-right torus shift by e (no scalar), then the letters of u from left to
-right, each transported once per torus orbit.  The printed right-action
-formulas are regression tests, not a second table.
+further) on whether the support has length 1 or >= 2.  Every row where
+the word shortens starts with -e_0 sym; in degree 0 that is the whole row,
+the quadratic relation of the Hecke algebra (hecke.py states it expanded,
+and the tests check the two against each other).  The right action is
+their transport through the anti-involution, x h = J(J(h) J(x)) (deg h =
+0, no sign), made term by term: for tau_w, w = omega^e u, the right torus
+shift by e (no scalar), then the letters of u from left to right, each
+transported once per torus orbit.  The printed right-action formulas are
+regression tests, not a second table.
 
-Symbolic rows.  A table row is built as a list of entries, each a plain
-term (sym, c) or a term (m, sym, c) standing for c e_{id^m} sym, whose
-expansion has p - 1 terms; _expand_row expands a row once.  The right
-action transports the symbolic row of J(sym) through J entry by entry (an
-idempotent becomes another idempotent by the slide law), so a
-representative costs one J lookup per entry, not one per expanded term.
+Character keys.  A term c e_{id^m} s of a row, e_m the torus idempotent,
+has p - 1 terms when expanded; the engine keeps it as the character key
+(m, d, sign, word) with coefficient c u0^((m - k) f), where s = (d, sign,
+(f, word)) has torus weight k, since e_m s_f = u0^((m - k) f) e_m s0 and s0
+is the symbol at exponent 0.  A plain key is a BasisSymbol (3 entries), a
+character key has 4.  Every internal operation works on such symbolic
+rows (dicts of both kinds of key) with one projection rule: a plain term
+keeps its code, and a character key goes through e_m row (_project), where
+a plain entry becomes a character key and a character entry survives only
+when its index is m.  So tau_{s_i} e_m x = e_-m (tau_{s_i} x), (e_m x)
+tau_{s_i} = e_m (x tau_{s_i}), both torus shifts scale a character key
+(u0^(m a) on the left, u0^((m - k) (+-a)) on the right), and J and the
+uniformizer conjugation take a character key to a character key.  The
+public act_left, act_right, involution, uniformizer_conj and
+idempotent_times (and product.multiply) expand once, before they return a
+plain GradedElement, through the expansion memo.
 
 Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
 BasisSymbol the tuple (degree, sign, support), so the keys of every
 coefficient dict and memo hash and compare in C.  Each ExtAlgebra keeps
 memos of pure functions of their keys: the pair memo (products of two
 basis symbols, in product.py), the letter memo and the right-letter memo
-(one simple reflection acting on one symbol, on the left or the right)
-and the J table (J on one symbol, as a (coeff, symbol) pair).  Beside
-the pair memo and each letter memo, an orbit memo keeps one entry per
-torus orbit, from which the other entries of the orbit are derived by a
-torus shift.  Memo values are read-only (MappingProxyType or tuples) and
-handed out without a copy.
+(one simple reflection acting on one symbol, on the left or the right),
+the J table (J on one symbol, as a (coeff, symbol) pair) and the
+expansion memo (a character key to its p - 1 plain terms).  The values of
+the pair and letter memos are symbolic rows.  Beside the pair memo and
+each letter memo, an orbit memo keeps one entry per torus orbit, from
+which the other entries of the orbit are derived by a torus shift.  Memo
+values are read-only (MappingProxyType or tuples) and handed out without
+a copy.
 
 Shift kernels.  _shift_left (the left torus action, with a scalar) and
-_shift_right (the plain right shift) move a combination along its torus
-orbit; the torus letters of act_left and act_right and the three orbit
+_shift_right (the plain right shift) move a row along its torus orbit;
+the torus letters of act_left and act_right and the three orbit
 derivations all go through them.  They intern their images in one table
 per algebra, so the symbols of derived entries are shared, and they read
 u0^e from the power table of the field (PrimeField.root_powers: memoized
-per (p, u0), built on first use), as _acc_e does.
+per (p, u0), built on first use).
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from operator import itemgetter
 from types import MappingProxyType
 
 from .coeff import Combination, PrimeField, add_into, check_parameters
 from .hecke import HeckeAlgebra, HeckeElement
-from .weyl import S0, S1, WeylElement, WeylGroup
+from .weyl import S0, S1, WeylElement, WeylGroup, _torus, _weyl
 
 __all__ = ["BasisSymbol", "GradedElement", "ExtAlgebra"]
 
@@ -107,10 +121,23 @@ class BasisSymbol(tuple):
         return f"{self.kind}({self.support!r})"
 
 
-# build BasisSymbol((d, sign, support)) and WeylElement((exp, word))
-# unchecked: a torus shift of a valid symbol is valid
+# build BasisSymbol((d, sign, support)) unchecked: a torus shift of a valid
+# symbol is valid
 _shifted = partial(tuple.__new__, BasisSymbol)
-_weyl = partial(tuple.__new__, WeylElement)
+
+
+@cache
+def _torus_symbols(n: int) -> tuple[BasisSymbol, ...]:
+    """The degree-0 symbols tau_{omega^e}, e = 0 .. n - 1, in torus order."""
+    return tuple(_shifted((0, None, w)) for w in _torus(n))
+
+
+def _weight(d: int, sign: int | None) -> int:
+    """The torus weight k of the symbols of degree d and this sign: the
+    torus generator acts on them with scalar u0^k."""
+    if not sign:
+        return 0
+    return 2 * sign if d == 1 else -2 * sign
 
 
 class GradedElement(Combination):
@@ -161,12 +188,13 @@ class ExtAlgebra:
         self._letter_cache: dict[tuple[int, BasisSymbol], MappingProxyType] = {}
         self._left_orbit_cache: dict[tuple, tuple[int, MappingProxyType]] = {}
         self._pair_cache: dict[tuple[BasisSymbol, BasisSymbol], MappingProxyType] = {}
-        self._base_sq: dict[int, GradedElement] = {}
+        self._base_sq: dict[int, MappingProxyType] = {}
         self._j_cache: dict[BasisSymbol, tuple[int, BasisSymbol]] = {}
         self._right_letter_cache: dict[tuple[int, BasisSymbol], MappingProxyType] = {}
         self._right_orbit_cache: dict[tuple, tuple[int, MappingProxyType]] = {}
         self._orbit_cache: dict[tuple, tuple[int, int, MappingProxyType]] = {}
         self._symbols: dict[BasisSymbol, BasisSymbol] = {}
+        self._char_cache: dict[tuple, MappingProxyType] = {}
 
     # --- element constructors ---
 
@@ -197,6 +225,17 @@ class ExtAlgebra:
     def embed(self, h: HeckeElement) -> GradedElement:
         return GradedElement(self, {BasisSymbol(0, None, w): c for w, c in h.coeffs.items()})
 
+    def idempotent(self, m: int, scale: int = 1) -> GradedElement:
+        """scale * e_m in degree 0: HeckeAlgebra.idempotent(m) scaled while it
+        is embedded, on torus symbols memoized per p - 1."""
+        p = self.field.p
+        scale %= p
+        if not scale:
+            return self.zero()
+        # the idempotent lists its coefficients in the order of WeylGroup.torus()
+        values = [c * scale % p for c in self.hecke.idempotent(m).coeffs.values()]
+        return GradedElement(self, dict(zip(_torus_symbols(self.weyl.n), values)))
+
     def basis_symbols(self, max_length: int, degrees=(0, 1, 2, 3)):
         """All basis symbols with support length <= max_length."""
         for w in self.weyl.elements(max_length):
@@ -213,25 +252,55 @@ class ExtAlgebra:
 
     def _torus_weight(self, sym: BasisSymbol) -> int:
         """k such that the torus generator acts on sym with scalar u0^k."""
-        d, sign = sym.degree, sym.sign
-        if d == 1:
-            return 2 * sign
-        if d == 2:
-            return -2 * sign
-        return 0
+        return _weight(sym[0], sym[1])
+
+    def _base(self, key: tuple) -> BasisSymbol:
+        """The symbol s0 of a character key (m, d, sign, word)."""
+        _, d, sign, word = key
+        return _shifted((d, sign, _weyl((0, word))))
+
+    def _slide(self, sym: BasisSymbol, m: int) -> int:
+        """The index m' of the idempotent slide sym e_m = e_m' sym:
+        m' = (-1)^|sym| m + k(sym)."""
+        d, sign, (_, word) = sym
+        return ((-m if len(word) % 2 else m) + _weight(d, sign)) % self.weyl.n
+
+    def _project(self, out: dict, m: int, row, scale: int) -> None:
+        """out += scale * e_m row.  A plain term s_f becomes the character key
+        of e_m s_f = u0^((m - k) f) e_m s0; a character key survives only
+        when its index is m (the e_m are orthogonal idempotents)."""
+        p, n = self.field.p, self.weyl.n
+        powers = self.field.root_powers()
+        m %= n
+        for key, c in row.items():
+            if len(key) == 3:
+                d, sign, (f, word) = key
+                c *= powers[(m - _weight(d, sign)) * f % n]
+                key = (m, d, sign, word)
+            elif key[0] != m:
+                continue
+            c = (out.get(key, 0) + scale * c) % p
+            if c:
+                out[key] = c
+            elif key in out:
+                del out[key]
 
     def _shift_left(self, coeffs, a: int, scale: int = 1) -> dict:
         """scale * T_a(coeffs), T_a the left torus action of omega^a: a support
-        w becomes omega^a w, and a symbol of torus weight k gains u0^(k a).
-        Images are interned; no two terms collide or cancel."""
+        w becomes omega^a w, and a symbol of torus weight k gains u0^(k a); a
+        character key e_m s0 stays, with the scalar u0^(m a).  Images are
+        interned; no two terms collide or cancel."""
         p, n = self.field.p, self.weyl.n
         powers = self.field.root_powers()
         # the weight is 2 on bp and am, -2 on bm and ap, 0 elsewhere
         up, down = scale * powers[2 * a % n] % p, scale * powers[-2 * a % n] % p
         intern = self._symbols.setdefault
         out: dict = {}
-        for sym, c in coeffs.items():
-            d, sign, (exp, word) = sym
+        for key, c in coeffs.items():
+            if len(key) == 4:
+                out[key] = c * scale * powers[key[0] * a % n] % p
+                continue
+            d, sign, (exp, word) = key
             image = _shifted((d, sign, _weyl(((exp + a) % n, word))))
             unit = (up if (sign > 0) == (d == 1) else down) if sign else scale
             out[intern(image, image)] = c * unit % p
@@ -239,56 +308,69 @@ class ExtAlgebra:
 
     def _shift_right(self, coeffs, a: int) -> dict:
         """coeffs tau_{omega^a}: a support v becomes v omega^a, its exponent
-        gains (-1)^|v| a, with no scalar.  Images are interned."""
+        gains (-1)^|v| a, with no scalar; a character key e_m s0 stays, with
+        the scalar u0^((m - k) (-1)^|v| a).  Images are interned."""
         n = self.weyl.n
         intern = self._symbols.setdefault
         out: dict = {}
-        for sym, c in coeffs.items():
-            d, sign, (exp, word) = sym
-            image = _shifted((d, sign, _weyl(((exp - a if len(word) % 2 else exp + a) % n, word))))
-            out[intern(image, image)] = c
+        for key, c in coeffs.items():
+            if len(key) == 3:
+                d, sign, (exp, word) = key
+                image = _shifted((d, sign, _weyl(((exp - a if len(word) % 2 else exp + a) % n, word))))
+                out[intern(image, image)] = c
+            else:
+                m, d, sign, word = key
+                g = -a if len(word) % 2 else a
+                out[key] = c * self.field.root_powers()[(m - _weight(d, sign)) * g % n] % self.field.p
         return out
 
-    def _acc_e(self, out: dict, m: int, sym: BasisSymbol, scale: int) -> None:
-        """Accumulate scale * (e_{id^m} acting on the left of sym)."""
-        p, n = self.field.p, self.weyl.n
-        powers = self.field.root_powers()
-        d, sign, (exp, word) = sym
-        # e_{id^m} = -sum_a u0^(-m a) tau_{omega^a}, and omega^a scales sym by u0^(k a)
-        step = (self._torus_weight(sym) - m) % n
-        scale = -scale
-        for a in range(n):
-            key = _shifted((d, sign, _weyl(((a + exp) % n, word))))
-            c = (out.get(key, 0) + scale * powers[a * step % n]) % p
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
+    def _char_expansion(self, key: tuple) -> MappingProxyType:
+        """e_m s0 = -sum_b u0^((k - m) b) s_b for the character key (m, d,
+        sign, word), memoized (the expansion memo)."""
+        cached = self._char_cache.get(key)
+        if cached is None:
+            m, d, sign, word = key
+            p, n = self.field.p, self.weyl.n
+            powers = self.field.root_powers()
+            step = (_weight(d, sign) - m) % n
+            cached = self._char_cache[key] = MappingProxyType({
+                _shifted((d, sign, _weyl((b, word)))): p - powers[b * step % n] for b in range(n)})
+        return cached
 
-    def _expand_row(self, row) -> dict:
-        """The coefficient dict of a symbolic row (see _letter_row)."""
+    def _expand(self, row) -> dict:
+        """The coefficient dict of a symbolic row: plain terms as they are,
+        each character key replaced by its p - 1 terms.  A row without a
+        character key is returned as it is."""
+        if 4 not in map(len, row):
+            return row
         p = self.field.p
-        out: dict = {}
-        for entry in row:
-            if len(entry) == 3:
-                self._acc_e(out, *entry)
-            else:
-                add_into(out, (entry,), 1, p)
+        out = {key: c for key, c in row.items() if len(key) == 3}
+        # the first key of a torus orbit has no term to merge with: copy it in
+        seen = {(d, sign, word) for d, sign, (_, word) in out}
+        for key, c in row.items():
+            if len(key) == 4:
+                terms = self._char_expansion(key)
+                orbit = key[1:]
+                if orbit in seen:
+                    add_into(out, terms.items(), c, p)
+                else:
+                    seen.add(orbit)
+                    out.update(zip(terms, [c * x % p for x in terms.values()]))
         return out
 
     def idempotent_times(self, m: int, x: GradedElement) -> GradedElement:
         out: dict = {}
-        for sym, c in x.coeffs.items():
-            self._acc_e(out, m, sym, c)
-        return GradedElement(self, out)
+        self._project(out, m, x.coeffs, 1)
+        return GradedElement(self, self._expand(out))
 
     # --- single-letter left action tables ---
 
     def _letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:
-        """tau_{s_i} sym, memoized.  The first miss in a torus orbit is computed
-        from the table and stored as the orbit's representative, with its
-        exponent f0.  As s_i omega^f = omega^-f s_i, a later miss at f is
-        u0^(-k (f - f0)) T_(f0 - f) of it, k the torus weight of sym."""
+        """tau_{s_i} sym as a symbolic row, memoized.  The first miss in a torus
+        orbit is computed from the table and stored as the orbit's
+        representative, with its exponent f0.  As s_i omega^f = omega^-f s_i,
+        a later miss at f is u0^(-k (f - f0)) T_(f0 - f) of it, k the torus
+        weight of sym."""
         key = (i, sym)
         cached = self._letter_cache.get(key)
         if cached is not None:
@@ -296,108 +378,123 @@ class ExtAlgebra:
         d, sign, (f, word) = sym
         rep = self._left_orbit_cache.get((i, d, sign, word))
         if rep is None:
-            out = MappingProxyType(self._letter_on_symbol_uncached(i, sym))
+            out = MappingProxyType(self._letter_row(i, sym))
             self._left_orbit_cache[i, d, sign, word] = (f, out)
         else:
             f0, first = rep
-            scale = self.field.root_powers()[-self._torus_weight(sym) * (f - f0) % self.weyl.n]
+            scale = self.field.root_powers()[-_weight(d, sign) * (f - f0) % self.weyl.n]
             out = MappingProxyType(self._shift_left(first, f0 - f, scale))
         self._letter_cache[key] = out
         return out
 
-    def _letter_on_symbol_uncached(self, i: int, sym: BasisSymbol) -> dict:
-        return self._expand_row(self._letter_row(i, sym))
-
-    def _letter_row(self, i: int, sym: BasisSymbol) -> list:
-        """tau_{s_i} sym as a symbolic row: each entry is a plain term (sym, c)
-        or a term (m, sym, c) standing for c e_{id^m} sym, left unexpanded."""
+    def _letter_row(self, i: int, sym: BasisSymbol) -> dict:
+        """tau_{s_i} sym from the table, as a symbolic row: its terms c e_m s
+        on the support of sym stay character keys."""
         W = self.weyl
         d, sign, w = sym
-        if d == 0:
-            # the Hecke algebra's own single-letter rule, on one basis element
-            row = self.hecke._letter_left(i, {w: 1})
-            return [(BasisSymbol(0, None, v), c) for v, c in row.items()]
         si = W.simple(i)
         sw = W.mul(si, w)
 
+        plain: list = []
         if W.lengths_add(si, w):
-            if d == 1:
-                if i == S0:
-                    if sign == -1:
-                        return [(BasisSymbol(1, 1, sw), -1)]
-                    if sign == 0:
-                        return [(BasisSymbol(1, 0, sw), -1)]
-                else:
-                    if sign == 0:
-                        return [(BasisSymbol(1, 0, sw), -1)]
-                    if sign == 1:
-                        return [(BasisSymbol(1, -1, sw), -1)]
+            # degree 3, and the signs not listed, give zero when lengths add
+            if d == 0:
+                plain.append((BasisSymbol(0, None, sw), 1))
+            elif d == 1:
+                if i == S0 and sign == -1:
+                    plain.append((BasisSymbol(1, 1, sw), -1))
+                elif sign == 0:
+                    plain.append((BasisSymbol(1, 0, sw), -1))
+                elif i == S1 and sign == 1:
+                    plain.append((BasisSymbol(1, -1, sw), -1))
             elif d == 2:
                 if i == S0 and sign == 1:
-                    return [(BasisSymbol(2, -1, sw), -1)]
-                if i == S1 and sign == -1:
-                    return [(BasisSymbol(2, 1, sw), -1)]
-            # degree 3: zero when lengths add
-            return []
+                    plain.append((BasisSymbol(2, -1, sw), -1))
+                elif i == S1 and sign == -1:
+                    plain.append((BasisSymbol(2, 1, sw), -1))
+            return self._row(d, w, [], plain)
 
-        # lengths do not add: l(s_i w) = l(w) - 1, so l(w) >= 1; every row
-        # starts with -e_0 sym
+        # lengths do not add: l(s_i w) = l(w) - 1, so l(w) >= 1.  Every row
+        # starts with -e_0 sym; in degree 0 that is the whole row, the
+        # quadratic relation tau_{s_i} tau_w = -e_0 tau_w.  Each (m, sign, c)
+        # stands for c e_m times the degree-d symbol of that sign at w.
         L = w.length
-        row: list = [(0, sym, -1)]
+        chars = [(0, sign, -1)]
         if d == 1:
             if i == S0:
                 if sign == -1:
-                    row += [(1, BasisSymbol(1, 0, w), -2), (BasisSymbol(1, 1, sw), -1)]
+                    chars.append((1, 0, -2))
+                    plain.append((BasisSymbol(1, 1, sw), -1))
                     if L == 1:
-                        row.append((2, BasisSymbol(1, 1, w), 1))
+                        chars.append((2, 1, 1))
                 elif sign == 0 and L == 1:
-                    row.append((1, BasisSymbol(1, 1, w), 1))
+                    chars.append((1, 1, 1))
             else:
                 if sign == 0 and L == 1:
-                    row.append((-1, BasisSymbol(1, -1, w), -1))
+                    chars.append((-1, -1, -1))
                 elif sign == 1:
-                    row += [(-1, BasisSymbol(1, 0, w), 2), (BasisSymbol(1, -1, sw), -1)]
+                    chars.append((-1, 0, 2))
+                    plain.append((BasisSymbol(1, -1, sw), -1))
                     if L == 1:
-                        row.append((-2, BasisSymbol(1, -1, w), 1))
+                        chars.append((-2, -1, 1))
         elif d == 2:
             if i == S0:
                 if sign == 0:
-                    row.append((1, BasisSymbol(2, -1, w), 2))
+                    chars.append((1, -1, 2))
                     if L >= 2:
-                        row.append((BasisSymbol(2, 0, sw), -1))
+                        plain.append((BasisSymbol(2, 0, sw), -1))
                 elif sign == 1:
-                    row.append((BasisSymbol(2, -1, sw), -1))
+                    plain.append((BasisSymbol(2, -1, sw), -1))
                     if L == 1:
-                        row += [(1, BasisSymbol(2, 0, w), -1), (2, BasisSymbol(2, -1, w), 1)]
+                        chars += [(1, 0, -1), (2, -1, 1)]
             else:
                 if sign == -1:
-                    row.append((BasisSymbol(2, 1, sw), -1))
+                    plain.append((BasisSymbol(2, 1, sw), -1))
                     if L == 1:
-                        row += [(-1, BasisSymbol(2, 0, w), 1), (-2, BasisSymbol(2, 1, w), 1)]
+                        chars += [(-1, 0, 1), (-2, 1, 1)]
                 elif sign == 0:
-                    row.append((-1, BasisSymbol(2, 1, w), -2))
+                    chars.append((-1, 1, -2))
                     if L >= 2:
-                        row.append((BasisSymbol(2, 0, sw), -1))
-        else:
-            row.append((BasisSymbol(3, None, sw), 1))
+                        plain.append((BasisSymbol(2, 0, sw), -1))
+        elif d == 3:
+            plain.append((BasisSymbol(3, None, sw), 1))
+        return self._row(d, w, chars, plain)
+
+    def _row(self, d: int, w: WeylElement, chars: list, plain: list) -> dict:
+        """The symbolic row of the plain terms (sym, c) and the terms (m, sign,
+        c), each c e_m times the degree-d symbol of that sign at w."""
+        p = self.field.p
+        row = {sym: c % p for sym, c in plain}
+        for m, sign, c in chars:
+            self._project(row, m, {BasisSymbol(d, sign, w): c}, 1)
         return row
 
-    def _apply_letter(self, table, i: int, coeffs: dict) -> dict:
-        """Apply one letter through table, a letter memo on the left or right."""
+    def _apply_letter(self, table, i: int, coeffs, flip: bool) -> dict:
+        """Apply one letter through table, a letter memo on the left or right.
+        A character key goes through the row of its s0 projected to e_m, or
+        to e_-m on the left (flip), as tau_{s_i} e_m = e_-m tau_{s_i}."""
         p = self.field.p
         out: dict = {}
-        for sym, c in coeffs.items():
-            add_into(out, table(i, sym).items(), c, p)
+        for key, c in coeffs.items():
+            if len(key) == 3:
+                add_into(out, table(i, key).items(), c, p)
+            else:
+                self._project(out, -key[0] if flip else key[0], table(i, self._base(key)), c)
         return out
 
-    def _map_symbols(self, coeffs, fn) -> dict:
+    def _map_symbols(self, coeffs, fn, index) -> dict:
         """Apply fn: symbol -> (unit, symbol), injective on symbols (J, the
-        uniformizer conjugation): no two terms collide or cancel."""
+        uniformizer conjugation): no two terms collide or cancel.  A character
+        key e_m s0 maps to e_index(m, image) image, image the symbol of fn(s0)."""
         p = self.field.p
         out: dict = {}
-        for sym, c in coeffs.items():
-            coeff, image = fn(sym)
-            out[image] = c * coeff % p
+        for key, c in coeffs.items():
+            if len(key) == 3:
+                unit, image = fn(key)
+                out[image] = c * unit % p
+            else:
+                unit, image = fn(self._base(key))
+                self._project(out, index(key[0], image), {image: unit}, c)
         return out
 
     # --- the two-sided action ---
@@ -405,39 +502,48 @@ class ExtAlgebra:
     def act_left(self, h: HeckeElement, x: GradedElement) -> GradedElement:
         check_parameters(self, h.algebra)
         check_parameters(self, x.algebra)
+        return GradedElement(self, self._expand(self._act_left(h.coeffs, x.coeffs)))
+
+    def _act_left(self, h: dict, row) -> dict:
+        """h row on a symbolic row, h a coefficient dict of the Hecke algebra."""
         p = self.field.p
         total: dict = {}
-        for w, c in h.coeffs.items():
-            cur = x.coeffs
+        for w, c in h.items():
+            cur = row
             for letter in reversed(w.word):
-                cur = self._apply_letter(self._letter_on_symbol, letter, cur)
+                cur = self._apply_letter(self._letter_on_symbol, letter, cur, True)
                 if not cur:
                     break
             if cur and w.exp:
                 cur = self._shift_left(cur, w.exp)
             add_into(total, cur.items(), c, p)
-        return GradedElement(self, total)
+        return total
 
     def act_right(self, x: GradedElement, h: HeckeElement) -> GradedElement:
         check_parameters(self, x.algebra)
         check_parameters(self, h.algebra)
+        return GradedElement(self, self._expand(self._act_right(x.coeffs, h.coeffs)))
+
+    def _act_right(self, row, h: dict) -> dict:
+        """row h on a symbolic row, h a coefficient dict of the Hecke algebra."""
         p = self.field.p
         total: dict = {}
-        for w, c in h.coeffs.items():
-            cur = x.coeffs
+        for w, c in h.items():
+            cur = row
             if w.exp:
                 cur = self._shift_right(cur, w.exp)
             for letter in w.word:
-                cur = self._apply_letter(self._right_letter_on_symbol, letter, cur)
+                cur = self._apply_letter(self._right_letter_on_symbol, letter, cur, False)
                 if not cur:
                     break
             add_into(total, cur.items(), c, p)
-        return GradedElement(self, total)
+        return total
 
     def _right_letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:
-        """sym tau_{s_i}, memoized.  The first miss in a torus orbit is stored
-        as the orbit's representative (_right_row), with g where sym = sym0
-        tau_{omega^g}.  A later miss at g' is its right torus shift by g - g'."""
+        """sym tau_{s_i} as a symbolic row, memoized.  The first miss in a torus
+        orbit is stored as the orbit's representative (_right_row), with g
+        where sym = sym0 tau_{omega^g}.  A later miss at g' is its right torus
+        shift by g - g'."""
         cached = self._right_letter_cache.get((i, sym))
         if cached is not None:
             return cached
@@ -445,7 +551,7 @@ class ExtAlgebra:
         g = -f if len(word) % 2 else f
         rep = self._right_orbit_cache.get((i, d, sign, word))
         if rep is None:
-            out = MappingProxyType(self._expand_row(self._right_row(i, sym)))
+            out = MappingProxyType(self._right_row(i, sym))
             self._right_orbit_cache[i, d, sign, word] = (g, out)
         else:
             g0, first = rep
@@ -453,32 +559,16 @@ class ExtAlgebra:
         self._right_letter_cache[i, sym] = out
         return out
 
-    def _right_row(self, i: int, sym: BasisSymbol) -> list:
+    def _right_row(self, i: int, sym: BasisSymbol) -> dict:
         """sym tau_{s_i} as a symbolic row: the left row of J(sym) transported
         through J, J(tau_{omega^half} tau_{s_i} J(sym)), as J(tau_{s_i}) =
-        tau_{s_i^-1} and s_i^-1 = omega^half s_i.  Entry by entry, with
-        u0^half = -1 and even torus weights, so T_half scales no symbol:
-          a term x s    becomes  x c_J s3,  (c_J, s3) = J(T_half s);
-          x e_m s2      becomes  x u0^(m half) c_J e_{m*} s3,  (c_J, s3) = J(s2),
-        as tau_{omega^h} e_m = u0^(m h) e_m, J(e_m) = e_{-m} and the right
-        idempotent slide s3 e_{-m} = e_{m*} s3, m* = (-1)^(|s3|+1) m + k(s3).
-        It costs one J lookup per entry, however many terms an e_m has."""
-        n, half = self.weyl.n, self.weyl.half
-        powers = self.field.root_powers()
+        tau_{s_i^-1} and s_i^-1 = omega^half s_i.  T_half scales no plain
+        symbol (u0^half = -1 and torus weights are even) and a character key
+        e_m s0 by u0^(m half); J takes a character key to a character key.
+        So it costs one J lookup per row entry, however many terms an e_m
+        has."""
         c, jsym = self._symbol_involution(sym)
-        row: list = []
-        for entry in self._letter_row(i, jsym):
-            if len(entry) == 2:
-                (d, sign, (exp, word)), x = entry
-                cj, s3 = self._symbol_involution(
-                    _shifted((d, sign, _weyl(((exp + half) % n, word)))))
-                row.append((s3, x * c * cj))
-            else:
-                m, s2, x = entry
-                cj, s3 = self._symbol_involution(s2)
-                mstar = (m if len(s3[2][1]) % 2 else -m) + self._torus_weight(s3)
-                row.append((mstar, s3, x * c * cj * powers[m * half % n]))
-        return row
+        return self._involution(self._shift_left(self._letter_row(i, jsym), self.weyl.half, c))
 
     # --- involutions ---
 
@@ -500,9 +590,13 @@ class ExtAlgebra:
             return c, BasisSymbol(d, sign, wi)
         return self.field.neg(c), BasisSymbol(d, -sign, wi)
 
+    def _involution(self, row) -> dict:
+        """J on a symbolic row: J(e_m s0) = J(s0) e_-m = e_m' J(s0) by the slide."""
+        return self._map_symbols(row, self._symbol_involution, lambda m, image: self._slide(image, -m))
+
     def involution(self, x: GradedElement) -> GradedElement:
         """The involutive anti-automorphism J (graded sign on products)."""
-        return GradedElement(self, self._map_symbols(x.coeffs, self._symbol_involution))
+        return GradedElement(self, self._expand(self._involution(x.coeffs)))
 
     def _symbol_uniformizer_conj(self, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
         cw = self.weyl.uniformizer_conj(sym.support)
@@ -513,9 +607,14 @@ class ExtAlgebra:
             return self.field.p - 1, BasisSymbol(d, 0, cw)
         return 1, BasisSymbol(d, -sign, cw)
 
+    def _uniformizer_conj(self, row) -> dict:
+        """The uniformizer conjugation on a symbolic row: it inverts the torus,
+        so it takes e_m to e_-m."""
+        return self._map_symbols(row, self._symbol_uniformizer_conj, lambda m, image: -m)
+
     def uniformizer_conj(self, x: GradedElement) -> GradedElement:
         """The involutive algebra automorphism induced by the uniformizer."""
-        return GradedElement(self, self._map_symbols(x.coeffs, self._symbol_uniformizer_conj))
+        return GradedElement(self, self._expand(self._uniformizer_conj(x.coeffs)))
 
     # --- factorization of degree-1 symbols through the four generators ---
 

@@ -64,10 +64,14 @@ class HeckeAlgebra:
         return HeckeElement.make(self, coeffs)
 
     def idempotent(self, character: Character | int) -> HeckeElement:
-        """e_lambda = -sum over the torus of lambda(t)^{-1} tau_t."""
+        """e_lambda = -sum over the torus of lambda(t)^{-1} tau_t, with its
+        terms in the order of WeylGroup.torus()."""
         m = character.m if isinstance(character, Character) else character
-        F, W = self.field, self.weyl
-        return HeckeElement(self, {W.omega(e): -F.root_pow(-m * e) % F.p for e in range(W.n)})
+        p, n = self.field.p, self.weyl.n
+        powers = self.field.root_powers()
+        # a power of u0 lies in [1, p), so p minus it is its negative
+        coeffs = [p - powers[-m * e % n] for e in range(n)]
+        return HeckeElement(self, dict(zip(self.weyl.torus(), coeffs)))
 
     def idempotents(self) -> list[HeckeElement]:
         return [self.idempotent(m) for m in range(self.weyl.n)]

@@ -24,16 +24,21 @@ section acceptance suites: an error in any route breaks at least one.
 
 Products of basis-symbol pairs are memoized per algebra; the cache is a
 transparent memo of a pure function, and its values are read-only
-mappings handed out without a copy.  A miss is derived from the first
-computed pair of its torus orbit when there is one.  With k the torus
-weight and a0, b0 the symbols at torus exponent 0,
+symbolic rows (graded.py): a term c e_m s of a product stays one
+character key, so a bad pair through the base quadratic costs a few
+pair lookups, not one per torus twist.  A character key meets a pair by
+the projection rule: (e_m a0).b = e_m (a0.b), and a.(e_m b0) = e_m' (a.b0)
+by the idempotent slide a e_m = e_m' a.  The internal product _multiply
+works on rows; the public multiply expands its result once.  A miss is
+derived from the first computed pair of its torus orbit when there is
+one.  With k the torus weight and a0, b0 the symbols at torus exponent 0,
 
   a.b = u0^-t T_e(a0.b0),  e = ea + (-1)^|wa| eb,  t = k(a) e + k(b) eb,
 
-where T_e is the left torus action on each term (ExtAlgebra._shift_left).  The left half is the
-definition of the torus action with associativity across a degree-0
-factor (the assoc suite); the right half is the plain right torus shift
-(rightaction_torus_all_degrees).
+where T_e is the left torus action on each term (ExtAlgebra._shift_left).
+The left half is the definition of the torus action with associativity
+across a degree-0 factor (the assoc suite); the right half is the plain
+right torus shift (rightaction_torus_all_degrees).
 """
 
 from __future__ import annotations
@@ -94,12 +99,36 @@ def _cup_symbols(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
 def multiply(x: GradedElement, y: GradedElement) -> GradedElement:
     alg = x.algebra
     check_parameters(alg, y.algebra)
+    return GradedElement(alg, alg._expand(_multiply(alg, x.coeffs, y.coeffs)))
+
+
+def _multiply(alg: ExtAlgebra, x, y) -> dict:
+    """x.y on symbolic rows."""
     p = alg.field.p
     total: dict = {}
-    for sa, ca in x.coeffs.items():
-        for sb, cb in y.coeffs.items():
-            add_into(total, _pair(alg, sa, sb).items(), ca * cb, p)
-    return GradedElement(alg, total)
+    for a, ca in x.items():
+        plain = len(a) == 3
+        for b, cb in y.items():
+            if plain and len(b) == 3:
+                add_into(total, _pair(alg, a, b).items(), ca * cb, p)
+            else:
+                _character_pair(alg, total, a, b, ca * cb)
+    return total
+
+
+def _character_pair(alg: ExtAlgebra, total: dict, a, b, scale: int) -> None:
+    """total += scale a.b when a or b is a character key: (e_m a0).b =
+    e_m (a0.b), and a.(e_m b0) = (a e_m).b0 = e_m' (a.b0) by the idempotent
+    slide; e_m e_m' is zero unless m = m'."""
+    m = None
+    if len(a) == 4:
+        m, a = a[0], alg._base(a)
+    if len(b) == 4:
+        slid = alg._slide(a, b[0])
+        if m is not None and m != slid:
+            return
+        m, b = slid, alg._base(b)
+    alg._project(total, m, _pair(alg, a, b), scale)
 
 
 def _pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> MappingProxyType:
@@ -125,14 +154,13 @@ def _pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> MappingProxyType:
 
 
 def _pair_uncached(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
-    H = alg.hecke
     da, db = a.degree, b.degree
     if da + db >= 4:
         return {}
     if da == 0:
-        return alg.act_left(H.tau(a.support), alg.symbol_element(b)).coeffs
+        return alg._act_left({a.support: 1}, {b: 1})
     if db == 0:
-        return alg.act_right(alg.symbol_element(a), H.tau(b.support)).coeffs
+        return alg._act_right({a: 1}, {b.support: 1})
     if alg.weyl.lengths_add(a.support, b.support):
         return _good_pair(alg, a, b)
     if da == 1 and db == 1:
@@ -140,60 +168,58 @@ def _pair_uncached(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
     if da == 2 and db == 1:
         return _bad_pair(alg, a, b, _deg2_times_generator)
     # degree 1 x degree 2: transport through the anti-involution (sign +1)
-    ja = alg.involution(alg.symbol_element(a))
-    jb = alg.involution(alg.symbol_element(b))
-    return alg.involution(multiply(jb, ja)).coeffs
+    (ca, ja), (cb, jb) = alg._symbol_involution(a), alg._symbol_involution(b)
+    return alg._involution(_multiply(alg, {jb: cb}, {ja: ca}))
 
 
 def _good_pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
-    H, p = alg.hecke, alg.field.p
-    r = alg.act_right(alg.symbol_element(a), H.tau(b.support))
-    if r.is_zero:
+    # lengths add, so both actions are plain: no shortening row occurs
+    p = alg.field.p
+    r = alg._act_right({a: 1}, {b.support: 1})
+    if not r:
         return {}
-    l = alg.act_left(H.tau(a.support), alg.symbol_element(b))
-    if l.is_zero:
+    l = alg._act_left({a.support: 1}, {b: 1})
+    if not l:
         return {}
     out: dict = {}
-    for sa, ca in r.coeffs.items():
-        for sb, cb in l.coeffs.items():
+    for sa, ca in r.items():
+        for sb, cb in l.items():
             add_into(out, _cup_symbols(alg, sa, sb).items(), ca * cb, p)
     return out
 
 
-def _base_beta0_square(alg: ExtAlgebra, i: int) -> GradedElement:
-    """The quadratic base product beta^0_{s_i} * beta^0_{s_i}."""
+def _base_beta0_square(alg: ExtAlgebra, i: int) -> MappingProxyType:
+    """The quadratic base product beta^0_{s_i} * beta^0_{s_i}, as a row of
+    three character keys."""
     cached = alg._base_sq.get(i)
     if cached is not None:
         return cached
-    W = alg.weyl
     if i == S0:
-        out: dict = {}
-        alg._acc_e(out, 0, BasisSymbol(2, 0, W.s0), -1)
-        alg._acc_e(out, -1, BasisSymbol(2, 1, W.s0), -1)
-        alg._acc_e(out, 1, BasisSymbol(2, -1, W.s0), 1)
+        # -e_0 alpha^0_{s0} - e_-1 alpha^+_{s0} + e_1 alpha^-_{s0}
+        out = alg._row(2, alg.weyl.s0, [(0, 0, -1), (-1, 1, -1), (1, -1, 1)], [])
     else:
-        out = alg.uniformizer_conj(_base_beta0_square(alg, S0)).coeffs
-    base = GradedElement(alg, MappingProxyType(out))
-    alg._base_sq[i] = base
+        out = alg._uniformizer_conj(_base_beta0_square(alg, S0))
+    base = alg._base_sq[i] = MappingProxyType(out)
     return base
 
 
 def _bad_pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol, times_generator) -> dict:
     """A bad pair with a degree-1 right factor b = c tau_l g tau_r, g a bimodule
     generator (cases (3) and (4)): a.b = c ((a tau_l) g) tau_r, with each term
-    of a tau_l times g given by times_generator."""
-    H, p = alg.hecke, alg.field.p
+    of a tau_l times g given by times_generator, and (e_m z) g = e_m (z g)."""
+    p = alg.field.p
     c, t_left, g, t_right = alg.factor_through_generators(b)
-    left = alg.act_right(alg.symbol_element(a), H.tau(t_left))
     mid: dict = {}
-    for z, cz in left.coeffs.items():
-        add_into(mid, times_generator(alg, z, g).items(), cz, p)
-    out = alg.act_right(GradedElement(alg, mid), H.tau(t_right))
-    return out.scale(c).coeffs
+    for z, cz in alg._act_right({a: 1}, {t_left: 1}).items():
+        if len(z) == 3:
+            add_into(mid, times_generator(alg, z, g).items(), cz, p)
+        else:
+            alg._project(mid, z[0], times_generator(alg, alg._base(z), g), cz)
+    return alg._act_right(mid, {t_right: c})
 
 
-def _deg1_times_generator(alg: ExtAlgebra, z: BasisSymbol, g: BasisSymbol) -> dict:
-    W, H = alg.weyl, alg.hecke
+def _deg1_times_generator(alg: ExtAlgebra, z: BasisSymbol, g: BasisSymbol):
+    W = alg.weyl
     if W.lengths_add(z.support, g.support):
         return _pair(alg, z, g)
     # bad core: g is a sign-0 generator and the word of z ends with its letter
@@ -203,57 +229,54 @@ def _deg1_times_generator(alg: ExtAlgebra, z: BasisSymbol, g: BasisSymbol) -> di
             # pull the torus prefix, then the base quadratic
             base = _base_beta0_square(alg, i)
             if z.support.exp == 0:
-                return base.coeffs
-            return alg.act_left(H.tau(W.omega(z.support.exp)), base).coeffs
+                return base
+            return alg._shift_left(base, z.support.exp)
         # peel: beta^0_v = beta^0_{v s_i^{-1}} * tau_{s_i}, then the length-1 row
         v2 = W.mul(z.support, W.inv(W.simple(i)))
-        inner = alg.act_left(H.tau(W.simple(i)), alg.symbol_element(g))
-        return multiply(alg.beta(0, v2), inner).coeffs
+        inner = alg._act_left({W.simple(i): 1}, {g: 1})
+        return _multiply(alg, {BasisSymbol(1, 0, v2): 1}, inner)
     # signed symbol: factor it and reassociate through the Hecke action
     cz, t_left, g2, t_right = alg.factor_through_generators(z)
-    inner = alg.act_left(H.tau(t_right), alg.symbol_element(g))
-    mid = multiply(alg.symbol_element(g2), inner)
-    return alg.act_left(H.tau(t_left), mid).scale(cz).coeffs
+    inner = alg._act_left({t_right: 1}, {g: 1})
+    mid = _multiply(alg, {g2: 1}, inner)
+    return alg._act_left({t_left: cz}, mid)
 
 
-def _deg2_times_generator(alg: ExtAlgebra, q: BasisSymbol, g: BasisSymbol) -> dict:
-    W, H, F = alg.weyl, alg.hecke, alg.field
+def _deg2_times_generator(alg: ExtAlgebra, q: BasisSymbol, g: BasisSymbol):
+    W, F = alg.weyl, alg.field
     if W.lengths_add(q.support, g.support):
         return _pair(alg, q, g)
     u = q.support
     if u.exp != 0:
         # pull the torus prefix out first
         bare = WeylElement(W, 0, u.word)
-        weight = alg._torus_weight(q)
-        scale = F.root_pow(-weight * u.exp)
-        inner = GradedElement(alg, _deg2_times_generator(alg, BasisSymbol(2, q.sign, bare), g))
-        return alg.act_left(H.tau(W.omega(u.exp)), inner).scale(scale).coeffs
+        scale = F.root_pow(-alg._torus_weight(q) * u.exp)
+        inner = _deg2_times_generator(alg, BasisSymbol(2, q.sign, bare), g)
+        return alg._shift_left(inner, u.exp, scale)
     j = u.word[0]
     if q.sign == 0:
         # single-tensor section row: alpha^0 = (+-) beta^{-+}_1 * beta^{+-}_u
         if j == S1:
-            first = alg.beta(1, W.identity)
-            inner = GradedElement(alg, _pair(alg, BasisSymbol(1, -1, u), g))
-            return multiply(first, inner).coeffs
-        first = alg.beta(-1, W.identity)
-        inner = GradedElement(alg, _pair(alg, BasisSymbol(1, 1, u), g))
-        return multiply(first, inner).scale(-1).coeffs
+            inner = _pair(alg, BasisSymbol(1, -1, u), g)
+            return _multiply(alg, {BasisSymbol(1, 1, W.identity): 1}, inner)
+        inner = _pair(alg, BasisSymbol(1, 1, u), g)
+        return _multiply(alg, {BasisSymbol(1, -1, W.identity): -1}, inner)
     if q.sign == -1 and j == S0:
         # alpha^-_u = -tau_{s0} alpha^+_{s0^{-1} u}: strictly shorter support
         shorter = W.mul(W.inv(W.s0), u)
-        inner = GradedElement(alg, _deg2_times_generator(alg, BasisSymbol(2, 1, shorter), g))
-        return alg.act_left(H.tau(W.s0), inner).scale(-1).coeffs
+        inner = _deg2_times_generator(alg, BasisSymbol(2, 1, shorter), g)
+        return alg._act_left({W.s0: -1}, inner)
     if q.sign == 1 and j == S1:
         shorter = W.mul(W.inv(W.s1), u)
-        inner = GradedElement(alg, _deg2_times_generator(alg, BasisSymbol(2, -1, shorter), g))
-        return alg.act_left(H.tau(W.s1), inner).scale(-1).coeffs
+        inner = _deg2_times_generator(alg, BasisSymbol(2, -1, shorter), g)
+        return alg._act_left({W.s1: -1}, inner)
     if q.sign == -1:
         # j == S1: alpha^-_u = -beta^+_1 * beta^0_u
-        inner = GradedElement(alg, _pair(alg, BasisSymbol(1, 0, u), g))
-        return multiply(alg.beta(1, W.identity), inner).scale(-1).coeffs
+        inner = _pair(alg, BasisSymbol(1, 0, u), g)
+        return _multiply(alg, {BasisSymbol(1, 1, W.identity): -1}, inner)
     # q.sign == +1, j == S0: alpha^+_u = beta^-_1 * beta^0_u
-    inner = GradedElement(alg, _pair(alg, BasisSymbol(1, 0, u), g))
-    return multiply(alg.beta(-1, W.identity), inner).coeffs
+    inner = _pair(alg, BasisSymbol(1, 0, u), g)
+    return _multiply(alg, {BasisSymbol(1, -1, W.identity): 1}, inner)
 
 
 def duality_pairing(x: GradedElement, y: GradedElement) -> int:

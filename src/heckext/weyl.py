@@ -12,6 +12,7 @@ normal form is unique.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from operator import itemgetter
 
 from .coeff import PrimeField
@@ -51,6 +52,15 @@ class WeylElement(tuple):
         return f"w({self.exp};{(' ' + letters) if letters else ''})"
 
 
+# build WeylElement((exp, word)) unchecked, for exponents already reduced mod p - 1
+_weyl = partial(tuple.__new__, WeylElement)
+
+
+@cache
+def _torus(n: int) -> tuple[WeylElement, ...]:
+    return tuple(_weyl((e, ())) for e in range(n))
+
+
 class WeylGroup:
     """Parent object carrying the modulus p - 1 and the element constructors."""
 
@@ -80,6 +90,11 @@ class WeylGroup:
         words = [()] + [tuple((first + j) % 2 for j in range(ln))
                         for ln in range(1, max_length + 1) for first in (S0, S1)]
         return [WeylElement(self, e, word) for word in words for e in range(self.n)]
+
+    def torus(self) -> tuple[WeylElement, ...]:
+        """The torus elements omega^0, ..., omega^(n-1); memoized per n and
+        built on first use."""
+        return _torus(self.n)
 
     def simple(self, i: int) -> WeylElement:
         return self.s0 if i == S0 else self.s1

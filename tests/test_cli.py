@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heckext import ExtAlgebra
 from heckext.cli import Config, main
-from heckext.graded import GradedElement
+from heckext.graded import BasisSymbol, GradedElement
 from heckext.grammar import ParseError, parse_element, render_element
 from heckext.weyl import S0, S1
 
@@ -21,6 +22,19 @@ class TestGrammar:
         assert parse_element(alg5, "3*phi(w(1; s1))") == alg5.phi(W.element(1, (S1,))).scale(3)
         assert parse_element(alg5, "e(1)") == alg5.embed(alg5.hecke.idempotent(1))
         assert parse_element(alg5, "0") == alg5.zero()
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_parsed_idempotents_are_their_definition(self, p):
+        # c * e(m) is c times -sum_e u0^(-m e) tau_{omega^e}, with no zero stored
+        alg = ExtAlgebra(p)
+        W, F = alg.weyl, alg.field
+        for c in (1, 3, p, p + 2):
+            for m in range(-1, W.n + 1):
+                expected = {BasisSymbol(0, None, W.omega(e)): -c * F.root_pow(-m * e) % p
+                            for e in range(W.n)}
+                expected = {sym: x for sym, x in expected.items() if x}
+                got = parse_element(alg, f"{c}*e({m})")
+                assert got == GradedElement(alg, expected), (c, m)
 
     def test_parse_sums_and_signs(self, alg5):
         W = alg5.weyl

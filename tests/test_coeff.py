@@ -54,7 +54,7 @@ class TestPrimeField:
         F = PrimeField(5)
         assert F.inv(4) == 4  # 4*4 = 16 = 1
         assert F.inv(2) == 3  # extended Euclid: 2*3 = 6 = 1
-        assert F.add(3, 4) == 2
+        assert F.neg(3) == 2
 
     def test_zero_inversion_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -70,12 +70,14 @@ class TestPrimeField:
     @given(st.integers(-50, 50), st.integers(-50, 50))
     def test_field_laws_p7(self, a, b):
         F = PrimeField(7)
-        assert F.add(a, b) == (a + b) % 7
-        assert F.sub(a, b) == (a - b) % 7
-        assert F.mul(a, b) == (a * b) % 7
-        assert F.add(a, F.neg(a)) == 0
+        assert F.neg(a) == (-a) % 7
+        assert (a + F.neg(a)) % 7 == 0
+        assert F.neg(F.neg(a)) == a % 7
         if a % 7:
-            assert F.mul(a, F.inv(a)) == 1
+            assert a * F.inv(a) % 7 == 1
+            if b % 7:
+                assert F.inv(a * b) == F.inv(a) * F.inv(b) % 7
+        assert F.root_pow(a + b) == F.root_pow(a) * F.root_pow(b) % 7
 
 
 class TestCharacter:
@@ -94,8 +96,8 @@ class TestCharacter:
     def test_multiplicative_in_the_character(self, p, m1, m2, e):
         F = PrimeField(p)
         a, b = Character(F, m1), Character(F, m2)
-        lhs = a.compose(b).eval_exponent(e)
-        assert lhs == F.mul(a.eval_exponent(e), b.eval_exponent(e))
+        lhs = Character(F, m1 + m2).eval_exponent(e)
+        assert lhs == a.eval_exponent(e) * b.eval_exponent(e) % p
 
     @given(st.sampled_from([5, 7, 11]), st.integers(-10, 10), st.integers(-30, 30))
     def test_periodic_in_the_exponent(self, p, m, e):
@@ -107,11 +109,6 @@ class TestCharacter:
     def test_evaluation_by_modular_exponentiation_oracle(self, p, m, e):
         F = PrimeField(p)
         assert Character(F, m).eval_exponent(e) == pow(F.u0, (m * e) % (p - 1), p)
-
-    def test_inverse_and_trivial(self):
-        F = PrimeField(7)
-        lam = Character(F, 2)
-        assert lam.compose(lam.inverse()).is_trivial
 
 
 # --- the linear-combination core shared by the three element types ---

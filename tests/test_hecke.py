@@ -1,5 +1,9 @@
 import random
 
+import pytest
+
+from heckext import ExtAlgebra
+from heckext.hecke import HeckeElement
 from heckext.weyl import S0, S1, WeylElement
 
 
@@ -39,6 +43,15 @@ class TestBasics:
 
 
 class TestIdempotents:
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_every_idempotent_is_its_definition(self, p):
+        # e_lambda = -sum over the torus of lambda(t)^-1 tau_t, lambda = id^m
+        H = ExtAlgebra(p).hecke
+        W, F = H.weyl, H.field
+        for m in range(-1, W.n + 1):
+            expected = {W.omega(e): -F.root_pow(-m * e) % p for e in range(W.n)}
+            assert H.idempotent(m) == HeckeElement(H, expected), m
+
     def test_trivial_idempotent_frozen_p5(self, alg5):
         H, W = alg5.hecke, alg5.weyl
         expected = H.zero()

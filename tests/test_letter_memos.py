@@ -2,14 +2,15 @@
 
 The left action is computed letter by letter from a memo whose misses are
 left torus shifts of one row per orbit; each row must equal the table
-itself.  The right action is computed from a memo whose misses are right
-torus shifts of one representative per orbit; the representative is the
-symbolic transport of a left row through the anti-involution J and must
-equal the concrete transport written out here, and the whole action must
-equal the transport of the left action through J.  Hecke products are
-computed from a memo of bare-word products shifted by the torus; they must
-equal the right-factor recursion of the engine and a left letter
-recursion written out here over the Weyl group.
+itself.  Rows are symbolic (their e_m terms stay character keys), so they
+are compared after expansion.  The right action is computed from a memo
+whose misses are right torus shifts of one representative per orbit; the
+representative is the symbolic transport of a left row through the
+anti-involution J and must equal the concrete transport written out here,
+and the whole action must equal the transport of the left action through
+J.  Hecke products are computed from a memo of bare-word products shifted
+by the torus; they must equal the right-factor recursion of the engine and
+a left letter recursion written out here over the Weyl group.
 """
 
 from __future__ import annotations
@@ -30,10 +31,24 @@ def test_orbit_derived_left_rows_equal_the_table(p):
     alg = ExtAlgebra(p)
     for sym in alg.basis_symbols(4):
         for i in (S0, S1):
-            # a fresh algebra each time: its table computes the row afresh
-            expected = ExtAlgebra(p)._letter_on_symbol_uncached(i, sym)
-            assert dict(alg._letter_on_symbol(i, sym)) == expected, (i, sym)
+            # a fresh algebra each time: its table computes the row afresh;
+            # rows are symbolic, so both are compared after expansion
+            fresh = ExtAlgebra(p)
+            expected = fresh._expand(fresh._letter_row(i, sym))
+            assert alg._expand(alg._letter_on_symbol(i, sym)) == expected, (i, sym)
     assert len(alg._letter_cache) > len(alg._left_orbit_cache)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_degree0_rows_are_the_hecke_rule(p):
+    # the table states the quadratic relation as -e_0 tau_w; the Hecke algebra
+    # states it expanded, as the sum of the torus twists of w
+    alg = ExtAlgebra(p)
+    for w in alg.weyl.elements(MAX_LENGTH):
+        for i in (S0, S1):
+            row = alg.hecke._letter_left(i, {w: 1})
+            expected = {BasisSymbol(0, None, v): c for v, c in row.items()}
+            assert alg._expand(alg._letter_row(i, BasisSymbol(0, None, w))) == expected, (i, w)
 
 
 def concrete_right_row(oracle: ExtAlgebra, i: int, sym) -> GradedElement:
@@ -41,7 +56,7 @@ def concrete_right_row(oracle: ExtAlgebra, i: int, sym) -> GradedElement:
     F, W = oracle.field, oracle.weyl
     row: dict = {}
     for s, c in oracle.involution(oracle.symbol_element(sym)).coeffs.items():
-        add_into(row, oracle._letter_on_symbol_uncached(i, s).items(), c, F.p)
+        add_into(row, oracle._expand(oracle._letter_row(i, s)).items(), c, F.p)
     # T_half: the support w becomes omega^half w, and weight k scales by u0^(k half)
     shifted = {
         BasisSymbol(s.degree, s.sign, W.element(s.support.exp + W.half, s.support.word)):
@@ -56,7 +71,7 @@ def test_symbolic_right_rows_equal_the_concrete_transport(p):
     alg, oracle = ExtAlgebra(p), ExtAlgebra(p)
     for sym in alg.basis_symbols(MAX_LENGTH):
         for i in (S0, S1):
-            got = GradedElement(alg, alg._expand_row(alg._right_row(i, sym)))
+            got = GradedElement(alg, alg._expand(alg._right_row(i, sym)))
             assert got == concrete_right_row(oracle, i, sym), (i, sym)
 
 
@@ -64,14 +79,15 @@ def test_a_right_representative_makes_one_j_miss_per_row_entry():
     alg = ExtAlgebra(1009)
     sym = BasisSymbol(1, 1, alg.weyl.s0)
     # J(sym) is beta^- at s0^-1, on which tau_{s0} shortens the word: the row
-    # has three e_m entries and one plain term
+    # has three character keys (m, d, sign, word) and one plain symbol
     _, jsym = alg._symbol_involution(sym)
     row = alg._letter_row(S0, jsym)
-    assert [len(entry) for entry in row] == [3, 3, 2, 3]
+    assert sorted(len(key) for key in row) == [3, 4, 4, 4]
     before = len(alg._j_cache)
     out = alg._right_letter_on_symbol(S0, sym)
     assert 0 < len(alg._j_cache) - before <= len(row)
-    assert len(out) > alg.weyl.n
+    assert len(out) == len(row)
+    assert len(alg._expand(out)) > alg.weyl.n
 
 
 def transported_right(oracle: ExtAlgebra, sym, h):

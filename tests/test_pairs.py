@@ -11,6 +11,8 @@ an intended change of output:
 The oracle test checks the torus law pair by pair: each pair with a
 nonzero torus exponent is recomputed through the dispatch on a second
 algebra whose orbit memo never remembers, so no pair there is derived.
+Pair-memo values are symbolic rows (their torus idempotents e_m stay
+character keys), so both sides are compared after expansion.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def _pairs(alg: ExtAlgebra):
 def _digest(alg: ExtAlgebra, pairs) -> str:
     h = hashlib.sha256()
     for a, b in pairs:
-        out = render_element(GradedElement(alg, _pair(alg, a, b)))
+        out = render_element(GradedElement(alg, alg._expand(_pair(alg, a, b))))
         h.update(f"{a!r} * {b!r} = {out}\n".encode())
     return h.hexdigest()
 
@@ -66,7 +68,8 @@ def test_twisted_pairs_equal_the_direct_dispatch():
     twisted = [(a, b) for a, b in _pairs(alg) if a.support.exp or b.support.exp]
     assert len(twisted) == 14145
     for a, b in twisted:
-        assert dict(_pair(alg, a, b)) == _pair_uncached(oracle, a, b), (a, b)
+        got, expected = _pair(alg, a, b), _pair_uncached(oracle, a, b)
+        assert alg._expand(got) == oracle._expand(expected), (a, b)
 
 
 if __name__ == "__main__":

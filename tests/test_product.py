@@ -266,7 +266,9 @@ class TestMemoValuesAreReadOnly:
         multiply(alg.tau(W.element(1, (S1,))), alg.beta(-1, W.element(2, (S1,))))
         # a bad 1x2 pair is transported through J; a letter on two symbols of
         # one torus orbit, on either side, fills that side's letter memo and
-        # its orbit memo; a Hecke product fills the bare-word memo
+        # its orbit memo; a Hecke product fills the bare-word memo; the public
+        # multiply expands the base square's character keys through the
+        # expansion memo
         multiply(alg.beta(1, W.s0), alg.alpha(-1, W.s0))
         for exp in (0, 3):
             alg.act_right(alg.beta(-1, W.element(exp, (S1,))), alg.hecke.tau(W.s1))
@@ -276,12 +278,13 @@ class TestMemoValuesAreReadOnly:
             "pair": alg._pair_cache,
             "letter": alg._letter_cache,
             "J": alg._j_cache,
-            "base square": {i: el.coeffs for i, el in alg._base_sq.items()},
+            "base square": alg._base_sq,
             "orbit": {orbit: rep[2] for orbit, rep in alg._orbit_cache.items()},
             "left orbit": {orbit: rep[1] for orbit, rep in alg._left_orbit_cache.items()},
             "right letter": alg._right_letter_cache,
             "right orbit": {orbit: rep[1] for orbit, rep in alg._right_orbit_cache.items()},
             "Hecke bare word": alg.hecke._word_cache,
+            "expansion": alg._char_cache,
         }
         for name, memo in memos.items():
             assert memo, f"the {name} memo is empty"
