@@ -35,8 +35,15 @@ tau_{s_i} = e_m (x tau_{s_i}), both torus shifts scale a character key
 (u0^(m a) on the left, u0^((m - k) (+-a)) on the right), and J and the
 uniformizer conjugation take a character key to a character key.  The
 public act_left, act_right, involution, uniformizer_conj and
-idempotent_times (and product.multiply) expand once, before they return a
-plain GradedElement, through the expansion memo.
+idempotent_times (and product.multiply) compress their operands on the way
+in and expand once, before they return a plain GradedElement, through the
+expansion memo.  Compression (_compress, the inverse of the expansion)
+turns each whole torus orbit whose p - 1 coefficients are one character
+into its character key; in the Hecke operand of act_left and act_right
+such an orbit is c e_m tau_u, applied as e_m (tau_u row) on the left and
+as (row e_m) tau_u on the right, where row e_m slides each term.  Other
+terms stay plain, and a dict of fewer than p - 1 terms is passed on after
+one length check.
 
 Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
 BasisSymbol the tuple (degree, sign, support), so the keys of every
@@ -45,7 +52,8 @@ memos of pure functions of their keys: the pair memo (products of two
 basis symbols, in product.py), the letter memo and the right-letter memo
 (one simple reflection acting on one symbol, on the left or the right),
 the J table (J on one symbol, as a (coeff, symbol) pair) and the
-expansion memo (a character key to its p - 1 plain terms).  The values of
+expansion memo (a character key to its p - 1 plain terms, also read by
+the compression to check a candidate key).  The values of
 the pair and letter memos are symbolic rows.  Beside the pair memo and
 each letter memo, an orbit memo keeps one entry per torus orbit, from
 which the other entries of the orbit are derived by a torus shift.  Memo
@@ -63,6 +71,7 @@ per (p, u0), built on first use).
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache, partial
 from operator import itemgetter
 from types import MappingProxyType
@@ -124,6 +133,7 @@ class BasisSymbol(tuple):
 # build BasisSymbol((d, sign, support)) unchecked: a torus shift of a valid
 # symbol is valid
 _shifted = partial(tuple.__new__, BasisSymbol)
+_support, _word = itemgetter(2), itemgetter(1)
 
 
 @cache
@@ -333,8 +343,11 @@ class ExtAlgebra:
             p, n = self.field.p, self.weyl.n
             powers = self.field.root_powers()
             step = (_weight(d, sign) - m) % n
-            cached = self._char_cache[key] = MappingProxyType({
-                _shifted((d, sign, _weyl((b, word)))): p - powers[b * step % n] for b in range(n)})
+            # the orbit of e_m itself reuses the symbols the idempotents are built on
+            symbols = _torus_symbols(n) if d == 0 and not word else (
+                _shifted((d, sign, _weyl((b, word)))) for b in range(n))
+            cached = self._char_cache[key] = MappingProxyType(dict(zip(
+                symbols, [p - powers[b * step % n] for b in range(n)])))
         return cached
 
     def _expand(self, row) -> dict:
@@ -358,9 +371,51 @@ class ExtAlgebra:
                     out.update(zip(terms, [c * x % p for x in terms.values()]))
         return out
 
+    def _compress(self, coeffs) -> dict:
+        """The inverse of _expand on whole torus orbits.  An orbit whose p - 1
+        terms are one character, c_f = c_0 u0^(j f) at exponent f, becomes the
+        character key (k - j, d, sign, word) with coefficient -c_0, as e_m s0
+        = -sum_f u0^((k - m) f) s_f; every other term stays as it is.  The keys
+        are plain: graded symbols, or the supports of a Hecke element, where
+        sum_f c_f tau_{omega^f u} becomes the degree-0 key of c e_m tau_u.
+
+        coeffs has at least p - 1 terms (a smaller dict holds no whole orbit,
+        and callers pass it on unchanged).  Only a word that carries p - 1
+        terms can carry a whole orbit, and it has at most 8 of them (one per
+        degree and sign): j comes from c_1 / c_0, and the candidate key is
+        checked against its expansion, so the cost is O(p) per such orbit."""
+        n, p = self.weyl.n, self.field.p
+        hecke = len(next(iter(coeffs))) == 2
+        supports = coeffs if hecke else map(_support, coeffs)
+        chars: dict = {}
+        for word, count in Counter(map(_word, supports)).items():
+            if count < n:
+                continue
+            for d, sign in ((0, None),) if hecke else KIND_NAMES:
+                c0 = coeffs.get((0, word) if hecke else (d, sign, (0, word)))
+                c1 = coeffs.get((1, word) if hecke else (d, sign, (1, word)))
+                if c0 is None or c1 is None:
+                    continue
+                j = self.field.root_powers().index(c1 * pow(c0, p - 2, p) % p)
+                key, c = ((_weight(d, sign) - j) % n, d, sign, word), p - c0
+                if all(coeffs.get(s[2] if hecke else s) == c * v % p
+                       for s, v in self._char_expansion(key).items()):
+                    chars[key] = c
+        if not chars:
+            return coeffs
+        if len(chars) * n == len(coeffs):
+            return chars
+        out = dict(coeffs)
+        for key in chars:
+            for s in self._char_expansion(key):
+                del out[s[2] if hecke else s]
+        out.update(chars)
+        return out
+
     def idempotent_times(self, m: int, x: GradedElement) -> GradedElement:
         out: dict = {}
-        self._project(out, m, x.coeffs, 1)
+        x = x.coeffs
+        self._project(out, m, x if len(x) < self.weyl.n else self._compress(x), 1)
         return GradedElement(self, self._expand(out))
 
     # --- single-letter left action tables ---
@@ -502,42 +557,69 @@ class ExtAlgebra:
     def act_left(self, h: HeckeElement, x: GradedElement) -> GradedElement:
         check_parameters(self, h.algebra)
         check_parameters(self, x.algebra)
-        return GradedElement(self, self._expand(self._act_left(h.coeffs, x.coeffs)))
+        n, h, x = self.weyl.n, h.coeffs, x.coeffs
+        h = h if len(h) < n else self._compress(h)
+        x = x if len(x) < n else self._compress(x)
+        return GradedElement(self, self._expand(self._act_left(h, x)))
 
     def _act_left(self, h: dict, row) -> dict:
-        """h row on a symbolic row, h a coefficient dict of the Hecke algebra."""
+        """h row on a symbolic row, h a coefficient dict of the Hecke algebra
+        whose keys are supports or degree-0 character keys: (c e_m tau_u) row
+        = e_m (c tau_u row)."""
         p = self.field.p
         total: dict = {}
         for w, c in h.items():
+            if len(w) == 2:
+                exp, word = w
+            else:
+                exp, word = 0, w[3]
             cur = row
-            for letter in reversed(w.word):
+            for letter in reversed(word):
                 cur = self._apply_letter(self._letter_on_symbol, letter, cur, True)
                 if not cur:
                     break
-            if cur and w.exp:
-                cur = self._shift_left(cur, w.exp)
-            add_into(total, cur.items(), c, p)
+            if cur and exp:
+                cur = self._shift_left(cur, exp)
+            if len(w) == 2:
+                add_into(total, cur.items(), c, p)
+            else:
+                self._project(total, w[0], cur, c)
         return total
 
     def act_right(self, x: GradedElement, h: HeckeElement) -> GradedElement:
         check_parameters(self, x.algebra)
         check_parameters(self, h.algebra)
-        return GradedElement(self, self._expand(self._act_right(x.coeffs, h.coeffs)))
+        n, x, h = self.weyl.n, x.coeffs, h.coeffs
+        x = x if len(x) < n else self._compress(x)
+        h = h if len(h) < n else self._compress(h)
+        return GradedElement(self, self._expand(self._act_right(x, h)))
 
     def _act_right(self, row, h: dict) -> dict:
-        """row h on a symbolic row, h a coefficient dict of the Hecke algebra."""
+        """row h on a symbolic row, h a coefficient dict of the Hecke algebra
+        whose keys are supports or degree-0 character keys: row (c e_m tau_u)
+        = c (row e_m) tau_u."""
         p = self.field.p
         total: dict = {}
         for w, c in h.items():
-            cur = row
-            if w.exp:
-                cur = self._shift_right(cur, w.exp)
-            for letter in w.word:
+            if len(w) == 2:
+                exp, word = w
+                cur = self._shift_right(row, exp) if exp else row
+            else:
+                word = w[3]
+                cur = self._times_idempotent(row, w[0])
+            for letter in word:
                 cur = self._apply_letter(self._right_letter_on_symbol, letter, cur, False)
                 if not cur:
                     break
             add_into(total, cur.items(), c, p)
         return total
+
+    def _times_idempotent(self, row, m: int) -> dict:
+        """row e_m: each term slides, s e_m = e_m' s, and is projected to e_m'."""
+        out: dict = {}
+        for key, c in row.items():
+            self._project(out, self._slide(key if len(key) == 3 else self._base(key), m), {key: c}, 1)
+        return out
 
     def _right_letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:
         """sym tau_{s_i} as a symbolic row, memoized.  The first miss in a torus
@@ -596,7 +678,9 @@ class ExtAlgebra:
 
     def involution(self, x: GradedElement) -> GradedElement:
         """The involutive anti-automorphism J (graded sign on products)."""
-        return GradedElement(self, self._expand(self._involution(x.coeffs)))
+        x = x.coeffs
+        return GradedElement(self, self._expand(self._involution(
+            x if len(x) < self.weyl.n else self._compress(x))))
 
     def _symbol_uniformizer_conj(self, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
         cw = self.weyl.uniformizer_conj(sym.support)
@@ -614,7 +698,9 @@ class ExtAlgebra:
 
     def uniformizer_conj(self, x: GradedElement) -> GradedElement:
         """The involutive algebra automorphism induced by the uniformizer."""
-        return GradedElement(self, self._expand(self._uniformizer_conj(x.coeffs)))
+        x = x.coeffs
+        return GradedElement(self, self._expand(self._uniformizer_conj(
+            x if len(x) < self.weyl.n else self._compress(x))))
 
     # --- factorization of degree-1 symbols through the four generators ---
 
