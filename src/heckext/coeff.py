@@ -191,9 +191,11 @@ class Combination:
 
     ``coeffs`` maps each key to a residue in [1, p); the parent's ``field``
     fixes p.  The constructor stores the map as given; ``make`` reduces it.
+    Each subclass declares how ``coeffs`` is stored: a slot, or a property
+    that fills it on the first read.
     """
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra, coeffs: dict):
         self.algebra = algebra

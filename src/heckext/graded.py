@@ -35,15 +35,18 @@ tau_{s_i} = e_m (x tau_{s_i}), both torus shifts scale a character key
 (u0^(m a) on the left, u0^((m - k) (+-a)) on the right), and J and the
 uniformizer conjugation take a character key to a character key.  The
 public act_left, act_right, involution, uniformizer_conj and
-idempotent_times (and product.multiply) compress their operands on the way
-in and expand once, before they return a plain GradedElement, through the
-expansion memo.  Compression (_compress, the inverse of the expansion)
-turns each whole torus orbit whose p - 1 coefficients are one character
-into its character key; in the Hecke operand of act_left and act_right
-such an orbit is c e_m tau_u, applied as e_m (tau_u row) on the left and
-as (row e_m) tau_u on the right, where row e_m slides each term.  Other
-terms stay plain, and a dict of fewer than p - 1 terms is passed on after
-one length check.
+idempotent_times (and product.multiply) return a result whose row holds a
+character key unexpanded, as a lazy GradedElement: its coeffs are
+expanded through the expansion memo on the first read, and the renderer
+and the JSON export read the row itself (grammar.py).  idempotent(m) is
+the lazy element of one key.  On the way in, a lazy operand's row is read
+as it is, and the coeffs of an eager operand are compressed
+(_compress, the inverse of the expansion): each whole torus orbit whose
+p - 1 coefficients are one character becomes its character key.  In the
+Hecke operand of act_left and act_right such an orbit is c e_m tau_u,
+applied as e_m (tau_u row) on the left and as (row e_m) tau_u on the
+right, where row e_m slides each term.  Other terms stay plain, and a dict
+of fewer than p - 1 terms is passed on after one length check.
 
 Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
 BasisSymbol the tuple (degree, sign, support), so the keys of every
@@ -72,13 +75,13 @@ per (p, u0), built on first use).
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, partial
+from functools import partial
 from operator import itemgetter
 from types import MappingProxyType
 
 from .coeff import Combination, PrimeField, add_into, check_parameters
 from .hecke import HeckeAlgebra, HeckeElement
-from .weyl import S0, S1, WeylElement, WeylGroup, _torus, _weyl
+from .weyl import S0, S1, WeylElement, WeylGroup, _weyl
 
 __all__ = ["BasisSymbol", "GradedElement", "ExtAlgebra"]
 
@@ -136,12 +139,6 @@ _shifted = partial(tuple.__new__, BasisSymbol)
 _support, _word = itemgetter(2), itemgetter(1)
 
 
-@cache
-def _torus_symbols(n: int) -> tuple[BasisSymbol, ...]:
-    """The degree-0 symbols tau_{omega^e}, e = 0 .. n - 1, in torus order."""
-    return tuple(_shifted((0, None, w)) for w in _torus(n))
-
-
 def _weight(d: int, sign: int | None) -> int:
     """The torus weight k of the symbols of degree d and this sign: the
     torus generator acts on them with scalar u0^k."""
@@ -151,9 +148,37 @@ def _weight(d: int, sign: int | None) -> int:
 
 
 class GradedElement(Combination):
-    """Element of the graded algebra: finite map basis symbol -> scalar."""
+    """Element of the graded algebra: finite map basis symbol -> scalar.
 
-    __slots__ = ()
+    ``row`` is None on an eager element.  A lazy element (``lazy``) holds a
+    symbolic row with character keys instead, and its ``coeffs`` are the
+    expansion of the row, made on the first read.  The public operations
+    read the row of a lazy operand as it is, and the renderer reads it
+    directly.
+    """
+
+    __slots__ = ("_coeffs", "row")
+
+    def __init__(self, algebra, coeffs: dict):
+        self.algebra = algebra
+        self._coeffs = coeffs
+        self.row = None
+
+    @classmethod
+    def lazy(cls, algebra, row: dict) -> "GradedElement":
+        """The element of a symbolic row, expanded on the first read of coeffs."""
+        x = cls.__new__(cls)
+        x.algebra = algebra
+        x._coeffs = None
+        x.row = row
+        return x
+
+    @property
+    def coeffs(self) -> dict:
+        coeffs = self._coeffs
+        if coeffs is None:
+            coeffs = self._coeffs = self.algebra._expand(self.row)
+        return coeffs
 
     def _product(self, other: "GradedElement") -> "GradedElement":
         from . import product
@@ -236,15 +261,11 @@ class ExtAlgebra:
         return GradedElement(self, {BasisSymbol(0, None, w): c for w, c in h.coeffs.items()})
 
     def idempotent(self, m: int, scale: int = 1) -> GradedElement:
-        """scale * e_m in degree 0: HeckeAlgebra.idempotent(m) scaled while it
-        is embedded, on torus symbols memoized per p - 1."""
-        p = self.field.p
-        scale %= p
+        """scale * e_m in degree 0: the lazy element of its character key."""
+        scale %= self.field.p
         if not scale:
             return self.zero()
-        # the idempotent lists its coefficients in the order of WeylGroup.torus()
-        values = [c * scale % p for c in self.hecke.idempotent(m).coeffs.values()]
-        return GradedElement(self, dict(zip(_torus_symbols(self.weyl.n), values)))
+        return GradedElement.lazy(self, {(m % self.weyl.n, 0, None, ()): scale})
 
     def basis_symbols(self, max_length: int, degrees=(0, 1, 2, 3)):
         """All basis symbols with support length <= max_length."""
@@ -343,11 +364,8 @@ class ExtAlgebra:
             p, n = self.field.p, self.weyl.n
             powers = self.field.root_powers()
             step = (_weight(d, sign) - m) % n
-            # the orbit of e_m itself reuses the symbols the idempotents are built on
-            symbols = _torus_symbols(n) if d == 0 and not word else (
-                _shifted((d, sign, _weyl((b, word)))) for b in range(n))
-            cached = self._char_cache[key] = MappingProxyType(dict(zip(
-                symbols, [p - powers[b * step % n] for b in range(n)])))
+            cached = self._char_cache[key] = MappingProxyType({
+                _shifted((d, sign, _weyl((b, word)))): p - powers[b * step % n] for b in range(n)})
         return cached
 
     def _expand(self, row) -> dict:
@@ -412,11 +430,27 @@ class ExtAlgebra:
         out.update(chars)
         return out
 
+    def _operand(self, x: GradedElement):
+        """The row a public call reads for x: a lazy element's own row, or its
+        coeffs with each whole single-character orbit compressed."""
+        row = x.row
+        if row is None:
+            row = x._coeffs
+            if len(row) >= self.weyl.n:
+                row = self._compress(row)
+        return row
+
+    def _result(self, row: dict) -> GradedElement:
+        """The public result of a fresh symbolic row: lazy when it holds a
+        character key."""
+        if 4 in map(len, row):
+            return GradedElement.lazy(self, row)
+        return GradedElement(self, row)
+
     def idempotent_times(self, m: int, x: GradedElement) -> GradedElement:
         out: dict = {}
-        x = x.coeffs
-        self._project(out, m, x if len(x) < self.weyl.n else self._compress(x), 1)
-        return GradedElement(self, self._expand(out))
+        self._project(out, m, self._operand(x), 1)
+        return self._result(out)
 
     # --- single-letter left action tables ---
 
@@ -557,10 +591,9 @@ class ExtAlgebra:
     def act_left(self, h: HeckeElement, x: GradedElement) -> GradedElement:
         check_parameters(self, h.algebra)
         check_parameters(self, x.algebra)
-        n, h, x = self.weyl.n, h.coeffs, x.coeffs
-        h = h if len(h) < n else self._compress(h)
-        x = x if len(x) < n else self._compress(x)
-        return GradedElement(self, self._expand(self._act_left(h, x)))
+        h = h.coeffs
+        h = h if len(h) < self.weyl.n else self._compress(h)
+        return self._result(self._act_left(h, self._operand(x)))
 
     def _act_left(self, h: dict, row) -> dict:
         """h row on a symbolic row, h a coefficient dict of the Hecke algebra
@@ -589,10 +622,9 @@ class ExtAlgebra:
     def act_right(self, x: GradedElement, h: HeckeElement) -> GradedElement:
         check_parameters(self, x.algebra)
         check_parameters(self, h.algebra)
-        n, x, h = self.weyl.n, x.coeffs, h.coeffs
-        x = x if len(x) < n else self._compress(x)
-        h = h if len(h) < n else self._compress(h)
-        return GradedElement(self, self._expand(self._act_right(x, h)))
+        h = h.coeffs
+        h = h if len(h) < self.weyl.n else self._compress(h)
+        return self._result(self._act_right(self._operand(x), h))
 
     def _act_right(self, row, h: dict) -> dict:
         """row h on a symbolic row, h a coefficient dict of the Hecke algebra
@@ -678,9 +710,7 @@ class ExtAlgebra:
 
     def involution(self, x: GradedElement) -> GradedElement:
         """The involutive anti-automorphism J (graded sign on products)."""
-        x = x.coeffs
-        return GradedElement(self, self._expand(self._involution(
-            x if len(x) < self.weyl.n else self._compress(x))))
+        return self._result(self._involution(self._operand(x)))
 
     def _symbol_uniformizer_conj(self, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
         cw = self.weyl.uniformizer_conj(sym.support)
@@ -698,9 +728,7 @@ class ExtAlgebra:
 
     def uniformizer_conj(self, x: GradedElement) -> GradedElement:
         """The involutive algebra automorphism induced by the uniformizer."""
-        x = x.coeffs
-        return GradedElement(self, self._expand(self._uniformizer_conj(
-            x if len(x) < self.weyl.n else self._compress(x))))
+        return self._result(self._uniformizer_conj(self._operand(x)))
 
     # --- factorization of degree-1 symbols through the four generators ---
 

@@ -9,12 +9,16 @@
 
 Rendering is canonical (sorted terms, balanced coefficient signs), and
 parse(render(x)) == x; render(parse(s)) == s on canonically rendered
-input.  Parse errors carry the offending position.
+input.  Parse errors carry the offending position.  A parsed e(m) is the
+lazy element of one character key (graded.py).  The renderer and the JSON
+export walk the terms in one canonical order, read from the element's
+row: a character key becomes a coefficient vector over its torus orbit,
+so a lazy element is rendered without building its p - 1 symbols.
 """
 
 from __future__ import annotations
 
-from .graded import KIND_NAMES, BasisSymbol, ExtAlgebra, GradedElement
+from .graded import KIND_NAMES, BasisSymbol, ExtAlgebra, GradedElement, _weight
 from .weyl import S0, S1, WeylElement
 
 __all__ = ["ParseError", "parse_element", "parse_weyl", "render_element", "element_to_json"]
@@ -186,46 +190,82 @@ def render_weyl(w: WeylElement) -> str:
     return f"w({w.exp};{_letters(w.word)})"
 
 
-def _term_key(term):
-    """Sort key of a (symbol, coeff) term: degree, length, word, exponent, sign."""
-    (d, sign, (exp, word)), _ = term
-    return d, len(word), word, exp, -1 if sign is None else sign
+def _canonical_groups(x: GradedElement):
+    """The terms of x in canonical order (degree, word length, word,
+    exponent, sign), as groups (word, terms) of one degree and word, each
+    term (exp, kind name, c).
+
+    It reads x's row, so a lazy element is never expanded.  A group without
+    a character key is sorted as it is.  A group with one gets a
+    length-(p - 1) coefficient vector per sign: a key (m, d, sign, word)
+    adds c (p - u0^((k - m) b)) at exponent b, as e_m s0 = -sum_b
+    u0^((k - m) b) s_b, and a plain term adds c at its exponent; zero sums
+    are skipped."""
+    row = x.row
+    if row is None:
+        row = x.coeffs
+    groups: dict = {}
+    for key, c in row.items():
+        if len(key) == 3:
+            d, sign, (exp, word) = key
+            groups.setdefault((d, len(word), word), ([], []))[0].append((exp, sign, c))
+        else:
+            m, d, sign, word = key
+            groups.setdefault((d, len(word), word), ([], []))[1].append((m, sign, c))
+    field = x.algebra.field
+    p, n = field.p, field.order
+    for group in sorted(groups):
+        d, word = group[0], group[2]
+        terms, chars = groups[group]
+        if not chars:
+            # no two terms share (exp, sign), so coefficients are never compared
+            terms = [(exp, KIND_NAMES[d, sign], c) for exp, sign, c in sorted(terms)]
+        else:
+            powers = field.root_powers()
+            vectors: dict = {}
+            for m, sign, c in chars:
+                step = (_weight(d, sign) - m) % n
+                vector = vectors.get(sign, [0] * n)
+                vectors[sign] = [v + c * (p - powers[b * step % n]) for b, v in enumerate(vector)]
+            for exp, sign, c in terms:
+                vectors.setdefault(sign, [0] * n)[exp] += c
+            columns = [(KIND_NAMES[d, sign], vector) for sign, vector in sorted(vectors.items())]
+            terms = [(exp, kind, c) for exp in range(n) for kind, vector in columns
+                     if (c := vector[exp] % p)]
+        yield word, terms
 
 
 def render_element(x: GradedElement) -> str:
-    if x.is_zero:
-        return "0"
     p = x.algebra.field.p
-    words: dict = {}
+    half = (p - 1) // 2
     parts = []
-    for (d, sign, (exp, word)), c in sorted(x.coeffs.items(), key=_term_key):
-        letters = words.get(word)
-        if letters is None:
-            letters = words[word] = _letters(word)
-        # balanced sign: render p - c as a subtraction when that is smaller
-        if c <= (p - 1) // 2:
-            parts.append(" + ")
-        else:
-            parts.append(" - ")
-            c = p - c
-        if c != 1:
-            parts.append(f"{c}*")
-        parts.append(f"{KIND_NAMES[d, sign]}(w({exp};{letters}))")
-    parts[0] = "" if parts[0] == " + " else "-"
+    for word, terms in _canonical_groups(x):
+        tail = f";{_letters(word)}))"
+        for exp, kind, c in terms:
+            # balanced sign: render p - c as a subtraction when that is smaller
+            if c <= half:
+                head = " + " if c == 1 else f" + {c}*"
+            else:
+                head = " - " if c == p - 1 else f" - {p - c}*"
+            parts.append(f"{head}{kind}(w({exp}{tail}")
+    if not parts:
+        return "0"
+    # the first term drops its " + ", or keeps its " - " as a bare "-"
+    first = parts[0]
+    parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
     return "".join(parts)
 
 
 def element_to_json(x: GradedElement) -> dict:
     terms = []
-    for sym, c in sorted(x.coeffs.items(), key=_term_key):
-        terms.append(
-            {
-                "kind": sym.kind,
-                "support": {
-                    "exp": sym.support.exp,
-                    "word": ["s0" if l == S0 else "s1" for l in sym.support.word],
-                },
-                "coeff": c,
-            }
-        )
+    for word, group in _canonical_groups(x):
+        letters = ["s0" if l == S0 else "s1" for l in word]
+        for exp, kind, c in group:
+            terms.append(
+                {
+                    "kind": kind,
+                    "support": {"exp": exp, "word": list(letters)},
+                    "coeff": c,
+                }
+            )
     return {"terms": terms}

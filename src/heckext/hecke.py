@@ -30,7 +30,7 @@ __all__ = ["HeckeElement", "HeckeAlgebra"]
 class HeckeElement(Combination):
     """Finite k-linear combination of basis symbols tau_w (no stored zeros)."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
 
     def _product(self, other: "HeckeElement") -> "HeckeElement":
         return self.algebra.mul(self, other)

@@ -47,7 +47,7 @@ LETTER_NAMES = ("T_w0", "T_s0", "T_s1", "B_m", "B_p", "B_z0", "B_z1")
 class FreeElement(Combination):
     """k-linear combination of words in the seven presentation letters."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
 
     def _product(self, other: "FreeElement") -> "FreeElement":
         check_parameters(self.algebra, other.algebra)

@@ -29,9 +29,11 @@ character key, so a bad pair through the base quadratic costs a few
 pair lookups, not one per torus twist.  A character key meets a pair by
 the projection rule: (e_m a0).b = e_m (a0.b), and a.(e_m b0) = e_m' (a.b0)
 by the idempotent slide a e_m = e_m' a.  The internal product _multiply
-works on rows.  The public multiply compresses each operand on the way in
-(a whole torus orbit that is one character becomes its character key, so
-e_m * x is one pair, not p - 1) and expands its result once.  A miss is
+works on rows.  The public multiply reads the row of a lazy operand as
+it is and compresses the coeffs of an eager one (a whole torus orbit that
+is one character becomes its character key, so e_m * x is one pair, not
+p - 1); a result with a character key stays lazy, expanded on the first
+read of its coeffs (graded.py).  A miss is
 derived from the first computed pair of its torus orbit when there is
 one.  With k the torus weight and a0, b0 the symbols at torus exponent 0,
 
@@ -101,10 +103,7 @@ def _cup_symbols(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
 def multiply(x: GradedElement, y: GradedElement) -> GradedElement:
     alg = x.algebra
     check_parameters(alg, y.algebra)
-    n, x, y = alg.weyl.n, x.coeffs, y.coeffs
-    x = x if len(x) < n else alg._compress(x)
-    y = y if len(y) < n else alg._compress(y)
-    return GradedElement(alg, alg._expand(_multiply(alg, x, y)))
+    return alg._result(_multiply(alg, alg._operand(x), alg._operand(y)))
 
 
 def _multiply(alg: ExtAlgebra, x, y) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -101,7 +102,52 @@ class TestGrammar:
             assert render_element(parse_element(alg5, text)) == text
 
 
+# SHA-256 of the stdout of `heckext mul LEFT RIGHT --p P` in text and in
+# --format json, recorded before results kept their character keys
+# unexpanded: junction products, e(m) on either side, and sums of e(m).
+MUL_DIGESTS = [
+    (101, "b0(w(7; s1 s0 s1))", "bp(w(57; s1))",
+     "f51672c36febe205f55f119e03320c10a142e71c86691af15478cd0bef22d29c",
+     "7bb7a0f2b4148855d2146b8c0432b857b321942d0056084dbfb1f7d009900c7e"),
+    (101, "3*e(5)", "bm(w(1; s0))",
+     "ddf1f551caeb36bcb7794fbf5ba10176cc1545cdcb17f6804a4fbef853153d46",
+     "4240f9da512663d09903ee1103f9fd69fb34acab21610717d5ad58d00ffb40c3"),
+    (101, "am(w(3; s1 s0))", "e(7)",
+     "f87bae1a02f95b68e3fccb7a4c88a8adc78af40e7bdc1f4775e6df3da1633278",
+     "7e81514efc0781e3e57c739ad3fa2b47aa90fc8f9bee0b0dfc3569e6190f0ab1"),
+    (101, "e(2) + e(9)", "b0(w(4; s0 s1))",
+     "d4eacd6c2d65dc86a82ae787198100b4ebfb8ed1788083404078b2b654c2353e",
+     "beac75a14e66b08a4304f8a564f3faea4980d5b91bacd48ae690c27d5a1d01c3"),
+    (1009, "a0(w(790; s0 s1))", "b0(w(575; s1))",
+     "f032185265bcf300b89b8e983079c19ce8b17293c7370ecb049b0812e2777d4a",
+     "6fb8fdf812cc10d2f1f778ea41d13b374b0dd2e3def8ba1f9849d69214bea1e1"),
+    (1009, "bm(w(179; s0 s1 s0))", "b0(w(285; s0))",
+     "c2e16624ff8b6f0c3813d146c61f650b11631106222e12032209e998242bf749",
+     "c686062d99d320cce484cb31d082d0e836a907ef27523419020ae462f0639f23"),
+    (1009, "3*e(5)", "bm(w(1; s0))",
+     "706bc9e2925a3366bc8a9e27e5f6d4e8ce1ccf790bc9be84c4bd0fe42c3cddd5",
+     "eafacf83b70c89c7084a138e4cf73d75989230b0dfe066612d16750a9380c3bd"),
+    (1009, "bp(w(11; s0 s1))", "5*e(-3)",
+     "610b95efdce3e7afaf77d8af56ffd2313bac66bf3e6c3b2190af2825c879e33c",
+     "28c8053074db2dd0de30b77a09f3c56a6246044adc70218a120b785542edb7fc"),
+    (1009, "e(5) + e(11)", "a0(w(2; s1))",
+     "1b997efc5e160a39caba1ede4e4d071911b1f2a7bc924fef11b8bbcc89df241b",
+     "c6170c1bcc6bbfa21ee374f2cf57c392b13adc5a63916dd9284e875f035d6622"),
+    (1009, "e(4) + 2*bp(w(3; s1))", "b0(w(1; s1 s0))",
+     "7062c90a14560d9f1729396b6b585425fb2385fb902bad3a5394b358466caef9",
+     "7b7bc28e0fc0f6645ef43a9a68f39ade365c8f7ac58c225fc42c6a035c58f36a"),
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("p, left, right, text_digest, json_digest", MUL_DIGESTS)
+    def test_mul_outputs_of_expanding_products_are_unchanged(
+        self, capsys, p, left, right, text_digest, json_digest
+    ):
+        for fmt, digest in (("text", text_digest), ("json", json_digest)):
+            assert main(["mul", left, right, "--p", str(p), "--format", fmt]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
+
     def test_mul_matches_spec_examples(self, capsys):
         assert main(["mul", "b0(w(0; s1))", "b0(w(0; s0))", "--p", "5"]) == 0
         assert capsys.readouterr().out.strip() == "0"

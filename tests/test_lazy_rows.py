@@ -1,0 +1,237 @@
+"""Lazy results and the row-reading renderer.
+
+A public result whose symbolic row holds a character key keeps that row
+(GradedElement.row) and fills its coeffs from the expansion on the first
+read.  The renderer and the JSON export read the row itself, one torus
+orbit at a time.  Their output is checked here, exhaustively at p=5 and
+p=7, against the sort every render used before rows were read: the
+expansion sorted by (degree, word length, word, exponent, sign), written
+out below as the oracle.  The lazy elements are checked against eager
+ones for every operation of the core.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import pytest
+
+from heckext import ExtAlgebra
+from heckext.graded import KIND_NAMES, BasisSymbol, GradedElement
+from heckext.grammar import element_to_json, parse_element, render_element
+from heckext.product import multiply
+from heckext.weyl import S0, S1
+
+PRIMES = [5, 7]
+
+
+def old_term_key(term):
+    """The sort key of the renderer before it read rows: degree, length,
+    word, exponent, sign."""
+    (d, sign, (exp, word)), _ = term
+    return d, len(word), word, exp, -1 if sign is None else sign
+
+
+def old_render(alg: ExtAlgebra, coeffs: dict) -> str:
+    if not coeffs:
+        return "0"
+    p = alg.field.p
+    parts = []
+    for (d, sign, (exp, word)), c in sorted(coeffs.items(), key=old_term_key):
+        if c <= (p - 1) // 2:
+            parts.append(" + ")
+        else:
+            parts.append(" - ")
+            c = p - c
+        if c != 1:
+            parts.append(f"{c}*")
+        letters = "".join(" s0" if l == S0 else " s1" for l in word)
+        parts.append(f"{KIND_NAMES[d, sign]}(w({exp};{letters}))")
+    parts[0] = "" if parts[0] == " + " else "-"
+    return "".join(parts)
+
+
+def old_json(alg: ExtAlgebra, coeffs: dict) -> dict:
+    terms = []
+    for (d, sign, (exp, word)), c in sorted(coeffs.items(), key=old_term_key):
+        support = {"exp": exp, "word": ["s0" if l == S0 else "s1" for l in word]}
+        terms.append({"kind": KIND_NAMES[d, sign], "support": support, "coeff": c})
+    return {"terms": terms}
+
+
+def definition(alg: ExtAlgebra, row: dict) -> dict:
+    """The coefficients of a row from the definition e_m s0 = -sum_b
+    u0^((k - m) b) s_b, k the torus weight of s0."""
+    p, n, W = alg.field.p, alg.weyl.n, alg.weyl
+    out: dict = {}
+    for key, c in row.items():
+        if len(key) == 3:
+            terms = {key: 1}
+        else:
+            m, d, sign, word = key
+            s0 = BasisSymbol(d, sign, W.element(0, word))
+            k = alg._torus_weight(s0)
+            terms = {BasisSymbol(d, sign, W.element(b, word)): -alg.field.root_pow((k - m) * b)
+                     for b in range(n)}
+        for sym, v in terms.items():
+            out[sym] = (out.get(sym, 0) + c * v) % p
+    return {sym: v for sym, v in out.items() if v}
+
+
+def orbit_symbols(alg: ExtAlgebra):
+    """Every torus-free symbol with support length <= 2, as (d, sign, word)."""
+    for d, sign, (exp, word) in alg.basis_symbols(2):
+        if exp == 0:
+            yield d, sign, word
+
+
+def edge_coefficients(p: int) -> tuple[int, ...]:
+    """1, p - 1, (p - 1)/2 and (p + 1)/2: the edges of the balanced-sign rule."""
+    return 1, p - 1, (p - 1) // 2, (p + 1) // 2
+
+
+def is_expanded(x: GradedElement) -> bool:
+    """Whether the coeffs of x are filled, read without filling them."""
+    return x._coeffs is not None
+
+
+def assert_renders_as_expansion(alg: ExtAlgebra, row: dict) -> None:
+    x = GradedElement.lazy(alg, dict(row))
+    coeffs = definition(alg, row)
+    assert render_element(x) == old_render(alg, coeffs), row
+    assert element_to_json(x) == old_json(alg, coeffs), row
+    assert not is_expanded(x)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_render_of_one_character_key_is_the_sorted_expansion(p):
+    alg = ExtAlgebra(p)
+    # a plain term before and after the orbit in the canonical order
+    before = BasisSymbol(0, None, alg.weyl.element(2, ()))
+    after = BasisSymbol(3, None, alg.weyl.element(1, (S1, S0, S1)))
+    for d, sign, word in orbit_symbols(alg):
+        for m in range(alg.weyl.n):
+            for c in edge_coefficients(p):
+                key = (m, d, sign, word)
+                assert_renders_as_expansion(alg, {key: c})
+                assert_renders_as_expansion(alg, {after: 2, key: c, before: p - 1})
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_render_of_two_character_keys_of_one_degree_and_word(p):
+    alg = ExtAlgebra(p)
+    n = alg.weyl.n
+    coefficients = edge_coefficients(p)
+    by_group: dict = {}
+    for d, sign, word in orbit_symbols(alg):
+        by_group.setdefault((d, word), []).append(sign)
+    for (d, word), signs in by_group.items():
+        for m1 in range(n):
+            for m2 in range(n):
+                c1, c2 = coefficients[m1 % 4], coefficients[(m1 + m2 + 1) % 4]
+                # two signs, whose orbits interleave in the order (exponent, sign)
+                for s1, s2 in combinations(signs, 2):
+                    assert_renders_as_expansion(alg, {(m2, d, s2, word): c2, (m1, d, s1, word): c1})
+                # two characters on one orbit (for m1 == m2 the keys would be one)
+                if m1 != m2:
+                    for s in signs:
+                        assert_renders_as_expansion(alg, {(m1, d, s, word): c1, (m2, d, s, word): c2})
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_render_of_a_key_with_plain_terms_that_cancel_part_or_all_of_its_orbit(p):
+    alg = ExtAlgebra(p)
+    W, n = alg.weyl, alg.weyl.n
+    for d, sign, word in orbit_symbols(alg):
+        for m in range(n):
+            for c in edge_coefficients(p):
+                key = (m, d, sign, word)
+                expansion = definition(alg, {key: c})
+                negated = {sym: p - v for sym, v in expansion.items()}
+                first = {sym: v for sym, v in negated.items() if sym.support.exp < n // 2}
+                assert_renders_as_expansion(alg, {key: c, **first})
+                # a plain term that does not cancel, on the same orbit
+                partial = dict(first)
+                partial[BasisSymbol(d, sign, W.element(n - 1, word))] = 1
+                assert_renders_as_expansion(alg, {key: c, **partial})
+                whole = {key: c, **negated}
+                assert render_element(GradedElement.lazy(alg, whole)) == "0"
+                assert element_to_json(GradedElement.lazy(alg, whole)) == {"terms": []}
+                assert GradedElement.lazy(alg, whole).is_zero
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_render_of_plain_rows_is_unchanged(p):
+    alg = ExtAlgebra(p)
+    symbols = list(alg.basis_symbols(2))
+    for i, sym in enumerate(symbols):
+        row = {sym: edge_coefficients(p)[i % 4], symbols[(7 * i + 3) % len(symbols)]: 2}
+        x = GradedElement(alg, row)
+        assert render_element(x) == old_render(alg, x.coeffs)
+        assert element_to_json(x) == old_json(alg, x.coeffs)
+    assert render_element(alg.zero()) == "0"
+
+
+# --- lazy elements ---
+
+
+def lazy_results(alg: ExtAlgebra) -> list:
+    """Callables that each build a fresh lazy result of one public entry,
+    with coeffs not yet read."""
+    H = alg.hecke
+    parse = lambda text: parse_element(alg, text)
+    y = "bm(w(1; s0)) + 2*a0(w(3; s1 s0))"
+    return [
+        lambda: parse("3*e(5)"),
+        lambda: multiply(parse("3*e(5)"), parse(y)),
+        lambda: multiply(parse(y), parse("e(2)")),
+        lambda: multiply(parse("b0(w(1; s0))"), parse("b0(w(2; s0))")),
+        lambda: alg.act_left(H.idempotent(3), parse(y)),
+        lambda: alg.act_right(parse(y), H.idempotent(1)),
+        lambda: alg.involution(parse("4*e(1)")),
+        lambda: alg.uniformizer_conj(parse("4*e(1)")),
+        lambda: alg.idempotent_times(2, parse("e(2)")),
+    ]
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_lazy_results_agree_with_eager_elements(p):
+    alg = ExtAlgebra(p)
+    other = parse_element(alg, "tau(w(0;)) - b0(w(1; s0))")
+    for fresh in lazy_results(alg):
+        x = fresh()
+        assert x.row is not None and any(len(k) == 4 for k in x.row) and not is_expanded(x)
+        assert x.coeffs == alg._expand(x.row) == definition(alg, x.row)
+        eager = GradedElement(alg, dict(x.coeffs))
+        assert eager.row is None
+        assert fresh() == eager and eager == fresh()
+        assert fresh() + other == eager + other and other + fresh() == other + eager
+        assert fresh() - eager == alg.zero()
+        assert fresh().scale(3) == eager.scale(3) and 2 * fresh() == 2 * eager
+        assert fresh().is_zero == eager.is_zero
+        for d in range(4):
+            assert fresh().component(d) == eager.component(d)
+        assert fresh().degrees() == eager.degrees()
+        assert repr(fresh()) == repr(eager)
+        assert multiply(fresh(), other) == multiply(eager, other)
+        assert multiply(other, fresh()) == multiply(other, eager)
+        assert alg.involution(fresh()) == alg.involution(eager)
+
+
+def test_a_parsed_idempotent_is_one_character_key():
+    alg = ExtAlgebra(1009)
+    x = parse_element(alg, "3*e(5)")
+    assert x.row == {(5, 0, None, ()): 3}
+    assert alg.idempotent(-1, 1010).row == {(1007, 0, None, ()): 1}
+    assert alg.idempotent(4, 1009).is_zero
+
+
+def test_an_idempotent_request_at_p1009_builds_no_symbol_of_its_orbit():
+    alg = ExtAlgebra(1009)
+    x = multiply(parse_element(alg, "3*e(5)"), parse_element(alg, "bm(w(1; s0))"))
+    text, payload = render_element(x), element_to_json(x)
+    assert alg._char_cache == {}
+    assert text.count("bm(") == len(payload["terms"]) == 1008
+    # the first read of coeffs expands, once
+    assert len(x.coeffs) == 1008 and len(alg._char_cache) == 1
+    assert render_element(x) == text == old_render(alg, x.coeffs)

@@ -261,15 +261,17 @@ class TestMemoValuesAreReadOnly:
         # a bad sign-0 pair reaches the base square, the J table and the pair memo;
         # a Hecke letter acting on the left fills the letter memo; a twisted
         # pair in a known torus orbit is derived from the orbit memo
-        multiply(alg.beta(0, W.s0), alg.beta(0, W.s0))
+        square = multiply(alg.beta(0, W.s0), alg.beta(0, W.s0))
         multiply(alg.tau(W.s1), alg.beta(-1, W.s1))
         multiply(alg.tau(W.element(1, (S1,))), alg.beta(-1, W.element(2, (S1,))))
         # a bad 1x2 pair is transported through J; a letter on two symbols of
         # one torus orbit, on either side, fills that side's letter memo and
-        # its orbit memo; a Hecke product fills the bare-word memo; the public
-        # multiply expands the base square's character keys through the
+        # its orbit memo; a Hecke product fills the bare-word memo; the first
+        # read of coeffs expands the base square's character keys through the
         # expansion memo
         multiply(alg.beta(1, W.s0), alg.alpha(-1, W.s0))
+        assert square.row is not None
+        square.coeffs
         for exp in (0, 3):
             alg.act_right(alg.beta(-1, W.element(exp, (S1,))), alg.hecke.tau(W.s1))
             alg.act_left(alg.hecke.tau(W.s0), alg.alpha(1, W.element(exp, (S0,))))
@@ -291,6 +293,8 @@ class TestMemoValuesAreReadOnly:
             for value in memo.values():
                 with pytest.raises(TypeError):
                     value[next(iter(value), 0)] = 1
+                # a result hands out neither its row nor its coeffs from a memo
+                assert value is not square.row and value is not square.coeffs, name
         # each orbit memo is smaller than its per-symbol memo, and each
         # representative is that memo's own value, not a copy
         for memo, orbits, at in (
