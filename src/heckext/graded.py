@@ -732,16 +732,6 @@ class ExtAlgebra:
 
     # --- factorization of degree-1 symbols through the four generators ---
 
-    def generator_symbols(self) -> tuple[BasisSymbol, BasisSymbol, BasisSymbol, BasisSymbol]:
-        """The four E0-bimodule generators of degree 1."""
-        W = self.weyl
-        return (
-            BasisSymbol(1, -1, W.identity),
-            BasisSymbol(1, 1, W.identity),
-            BasisSymbol(1, 0, W.s0),
-            BasisSymbol(1, 0, W.s1),
-        )
-
     def factor_through_generators(
         self, sym: BasisSymbol
     ) -> tuple[int, WeylElement, BasisSymbol, WeylElement]:

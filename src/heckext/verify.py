@@ -1,12 +1,18 @@
 """Verification suites behind `heckext verify` and the acceptance tests.
 
-Each suite returns a list of named checks with an optional counterexample
-string; results are sorted by check name so reports are deterministic
-given (p, max_length, seed).
+A check is a name, its cases in order, and a test that returns None when a
+case holds and the counterexample (a string, or a value shown by its repr)
+when it fails. `_check` runs every check: it stops at the first failing
+case; `{n}` in a name is the number of cases run, the failing one included;
+and a check that ran no case FAILs with `no cases`. A suite draws all of its
+samples before any check runs, so one failing check does not shift the
+samples of the next. Results are sorted by check name, so reports are
+deterministic given (p, max_length, seed).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -35,11 +41,21 @@ class CheckResult:
     counterexample: str | None = None
 
 
-def _result(name, ok, detail=None):
-    return CheckResult(name, ok, None if ok else (detail or "failed"))
+def _check(name, cases, test) -> CheckResult:
+    n = 0
+    for n, case in enumerate(cases, start=1):
+        bad = test(case)
+        if bad is not None:
+            return CheckResult(name.format(n=n), False, bad if isinstance(bad, str) else repr(bad))
+    return CheckResult(name.format(n=n), n > 0, None if n else "no cases")
 
 
 # --- random sampling helpers ---
+
+
+def _signs(w: WeylElement) -> tuple[int, ...]:
+    """The signs of the degree-1 and degree-2 symbols supported at w."""
+    return (-1, 1) if w.length == 0 else (-1, 0, 1)
 
 
 def _random_weyl(rng: random.Random, alg: ExtAlgebra, max_length: int) -> WeylElement:
@@ -57,76 +73,67 @@ def _random_symbol(rng, alg, degree, max_length) -> BasisSymbol:
     w = _random_weyl(rng, alg, max_length)
     if degree in (0, 3):
         return BasisSymbol(degree, None, w)
-    signs = (-1, 1) if w.length == 0 else (-1, 0, 1)
-    return BasisSymbol(degree, rng.choice(signs), w)
+    return BasisSymbol(degree, rng.choice(_signs(w)), w)
 
 
-def _random_hecke(rng, alg, max_length, terms=2):
+def _random_hecke(rng, alg, max_length):
     h = alg.hecke.zero()
-    for _ in range(terms):
+    for _ in range(2):
         c = rng.randrange(1, alg.field.p)
         h = h + alg.hecke.tau(_random_weyl(rng, alg, max_length)).scale(c)
     return h
 
 
-def _show(x: GradedElement, limit: int = 120) -> str:
-    s = render_element(x)
-    return s if len(s) <= limit else s[:limit] + " ..."
+def _vanishes(val: GradedElement, limit: int = 120) -> str | None:
+    if val.is_zero:
+        return None
+    s = render_element(val)
+    return "evaluates to " + (s if len(s) <= limit else s[:limit] + " ...")
 
 
 # --- suites ---
 
 
 def suite_relators(alg, *, epsilon_bound="p-2", **_):
-    out = []
-    for name, rel in pres.all_relators(alg, epsilon_bound):
-        val = pres.evaluate(rel)
-        out.append(_result(f"relator_{name}", val.is_zero, f"evaluates to {_show(val)}"))
-    return out
+    return [
+        _check(f"relator_{name}", [rel], lambda rel: _vanishes(pres.evaluate(rel)))
+        for name, rel in pres.all_relators(alg, epsilon_bound)
+    ]
 
 
 def suite_kernel(alg, **_):
-    out = []
-    for idx, gen in enumerate(kernel_generators(alg), start=1):
-        val = gen.evaluate()
-        out.append(
-            _result(f"kernel_gen_{idx:02d}", val.is_zero, f"evaluates to {_show(val)}")
-        )
-    for idx, gen in enumerate(candidate_kernel_deg2(alg), start=1):
-        val = gen.evaluate()
-        out.append(
-            _result(f"kernel_k2_{idx:02d}", val.is_zero, f"evaluates to {_show(val)}")
-        )
-    return out
+    families = (("gen", kernel_generators(alg)), ("k2", candidate_kernel_deg2(alg)))
+    return [
+        _check(f"kernel_{kind}_{idx:02d}", [gen], lambda gen: _vanishes(gen.evaluate()))
+        for kind, gens in families
+        for idx, gen in enumerate(gens, start=1)
+    ]
 
 
 def suite_sections(alg, *, max_length=8, **_):
-    out = []
-    bad2 = bad3 = bad3s = None
-    n2 = n3 = 0
-    for sym in alg.basis_symbols(max_length, degrees=(2,)):
-        n2 += 1
+    deg2 = list(alg.basis_symbols(max_length, degrees=(2,)))
+    deg3 = list(alg.basis_symbols(max_length, degrees=(3,)))
+
+    def splits(section):
+        def test(sym):
+            el = alg.symbol_element(sym)
+            return None if section(el).evaluate() == el else f"fails at {sym!r}"
+        return test
+
+    def symmetric_splits(sym):
         el = alg.symbol_element(sym)
-        if bad2 is None and section_deg2(el).evaluate() != el:
-            bad2 = sym
-    for sym in alg.basis_symbols(max_length, degrees=(3,)):
-        n3 += 1
-        el = alg.symbol_element(sym)
-        if bad3 is None and section_deg3(el).evaluate() != el:
-            bad3 = sym
-        if bad3s is None:
-            t = section_deg3_symmetric(el)
-            if t.evaluate() != el:
-                bad3s = sym
-            elif sym.support.length >= 1 and sorted(t.terms) != sorted(
-                section_deg3(el).terms
-            ):
-                bad3s = sym
-    out.append(_result(f"sections_deg2_identity_{n2}_symbols", bad2 is None, f"fails at {bad2!r}"))
-    out.append(_result(f"sections_deg3_identity_{n3}_symbols", bad3 is None, f"fails at {bad3!r}"))
-    out.append(_result(f"sections_deg3_symmetric_identity_{n3}_symbols", bad3s is None, f"fails at {bad3s!r}"))
-    out.append(_identity_section_fixed_forms(alg))
-    return out
+        t = section_deg3_symmetric(el)
+        if t.evaluate() != el or (
+            sym.support.length >= 1 and sorted(t.terms) != sorted(section_deg3(el).terms)
+        ):
+            return f"fails at {sym!r}"
+
+    return [
+        _check("sections_deg2_identity_{n}_symbols", deg2, splits(section_deg2)),
+        _check("sections_deg3_identity_{n}_symbols", deg3, splits(section_deg3)),
+        _check("sections_deg3_symmetric_identity_{n}_symbols", deg3, symmetric_splits),
+        _identity_section_fixed_forms(alg),
+    ]
 
 
 def _identity_section_fixed_forms(alg) -> CheckResult:
@@ -151,449 +158,346 @@ def _identity_section_fixed_forms(alg) -> CheckResult:
         tensor_act(H.tau(W.inv(W.s0)) + e1, t3(-1, (bm, BasisSymbol(1, 0, W.s0), bm)), "right"),
         tensor_act(H.tau(W.inv(W.s1)) + e1, t3(1, (bp, BasisSymbol(1, 0, W.s1), bp)), "right"),
     ]
-    phi1 = alg.phi(one)
-    for k, form in enumerate(forms):
-        if form.evaluate() != phi1:
-            return _result("sections_identity_fixed_forms", False, f"summand {k} misses phi(1)")
-    avg = forms[0]
-    for form in forms[1:]:
-        avg = avg + form
-    avg = avg.scale(alg.field.inv(4))
-    for e in range(W.n):
-        target = alg.phi(W.omega(e))
-        got = tensor_act(H.tau(W.omega(e)), avg, "right").evaluate()
-        if got != target:
-            return _result(
-                "sections_identity_fixed_forms", False, f"average misses phi at torus exp {e}"
-            )
-    return _result("sections_identity_fixed_forms", True)
+
+    # each case is (tensor, the element it must evaluate to, the message if not)
+    def cases():
+        for k, form in enumerate(forms):
+            yield form, alg.phi(one), f"summand {k} misses phi(1)"
+        avg = sum(forms[1:], forms[0]).scale(alg.field.inv(4))
+        for e in range(W.n):
+            pushed = tensor_act(H.tau(W.omega(e)), avg, "right")
+            yield pushed, alg.phi(W.omega(e)), f"average misses phi at torus exp {e}"
+
+    return _check("sections_identity_fixed_forms", cases(),
+                  lambda c: None if c[0].evaluate() == c[1] else c[2])
 
 
 _DEGREE_PATTERNS = [
-    (a, b, c)
-    for a in range(4)
-    for b in range(4)
-    for c in range(4)
-    if a + b + c <= 3
+    pattern for pattern in itertools.product(range(4), repeat=3) if sum(pattern) <= 3
 ]
 
 
 def suite_assoc(alg, *, max_length=5, samples=1000, seed=0, **_):
     rng = random.Random(f"assoc:{alg.field.p}:{seed}")
-    out = []
     per = max(1, samples // len(_DEGREE_PATTERNS) + 1)
-    bad = None
-    count = 0
-    for pattern in _DEGREE_PATTERNS:
-        for _ in range(per):
-            syms = [_random_symbol(rng, alg, d, max_length) for d in pattern]
-            x, y, z = (alg.symbol_element(s) for s in syms)
-            if multiply(multiply(x, y), z) != multiply(x, multiply(y, z)):
-                bad = syms
-                break
-            count += 1
-        if bad:
-            break
-    out.append(
-        _result(f"assoc_total_le3_{count}_triples", bad is None, f"triple {bad!r}")
-    )
 
-    bad = None
-    count = 0
-    for _ in range(200):
+    def draw(degrees):
+        return [_random_symbol(rng, alg, d, max_length) for d in degrees]
+
+    def degrees_at_least_4():
         degs = []
         while sum(degs) < 4:
             degs = [rng.randint(0, 3) for _ in range(3)]
-        syms = [_random_symbol(rng, alg, d, max_length) for d in degs]
-        x, y, z = (alg.symbol_element(s) for s in syms)
+        return degs
+
+    low = [draw(pattern) for pattern in _DEGREE_PATTERNS for _ in range(per)]
+    high = [draw(degrees_at_least_4()) for _ in range(200)]
+    quadruples = [tuple(map(alg.symbol_element, draw((1,) * 4))) for _ in range(50)]
+
+    def associates(syms):
+        x, y, z = map(alg.symbol_element, syms)
+        if multiply(multiply(x, y), z) != multiply(x, multiply(y, z)):
+            return f"triple {syms!r}"
+
+    def both_zero(syms):
+        x, y, z = map(alg.symbol_element, syms)
         lhs = multiply(multiply(x, y), z)
         rhs = multiply(x, multiply(y, z))
         if not (lhs.is_zero and rhs.is_zero):
-            bad = syms
-            break
-        count += 1
-    out.append(
-        _result(f"assoc_total_ge4_zero_{count}_triples", bad is None, f"triple {bad!r}")
-    )
+            return f"triple {syms!r}"
 
-    bad = None
-    for _ in range(50):
-        a, b, c, d = (
-            alg.symbol_element(_random_symbol(rng, alg, 1, max_length)) for _ in range(4)
-        )
+    def vanishes(quad):
+        a, b, c, d = quad
         ab = multiply(a, b)
-        if not (
-            multiply(ab, multiply(c, d)).is_zero
-            and multiply(multiply(ab, c), d).is_zero
-        ):
-            bad = (a, b, c, d)
-            break
-    out.append(_result("assoc_deg4_vanishes", bad is None, f"quadruple {bad!r}"))
-    return out
+        if multiply(ab, multiply(c, d)).is_zero and multiply(multiply(ab, c), d).is_zero:
+            return None
+        return f"quadruple {quad!r}"
+
+    return [
+        _check("assoc_total_le3_{n}_triples", low, associates),
+        _check("assoc_total_ge4_zero_{n}_triples", high, both_zero),
+        _check("assoc_deg4_vanishes", quadruples, vanishes),
+    ]
 
 
 def suite_involutions(alg, *, max_length=5, samples=500, seed=0, **_):
     rng = random.Random(f"invol:{alg.field.p}:{seed}")
-    out = []
-    bad_jj = bad_gg = bad_com = None
-    for _ in range(samples):
-        sym = _random_symbol(rng, alg, rng.randint(0, 3), max_length)
-        x = alg.symbol_element(sym)
-        if bad_jj is None and alg.involution(alg.involution(x)) != x:
-            bad_jj = sym
-        if bad_gg is None and alg.uniformizer_conj(alg.uniformizer_conj(x)) != x:
-            bad_gg = sym
-        if bad_com is None and alg.uniformizer_conj(alg.involution(x)) != alg.involution(
-            alg.uniformizer_conj(x)
-        ):
-            bad_com = sym
-    out.append(_result(f"involution_squares_to_id_{samples}", bad_jj is None, f"{bad_jj!r}"))
-    out.append(_result(f"uniformizer_conj_squares_to_id_{samples}", bad_gg is None, f"{bad_gg!r}"))
-    out.append(_result(f"involutions_commute_{samples}", bad_com is None, f"{bad_com!r}"))
+    J, G = alg.involution, alg.uniformizer_conj
+    syms = [_random_symbol(rng, alg, rng.randint(0, 3), max_length) for _ in range(samples)]
 
-    bad_j = bad_g = None
-    npairs = max(500, samples)
-    for _ in range(npairs):
+    def draw_pair():
         da = rng.randint(0, 3)
         db = rng.randint(0, 3 - da) if rng.random() < 0.9 else rng.randint(0, 3)
-        sa = _random_symbol(rng, alg, da, max_length)
-        sb = _random_symbol(rng, alg, db, max_length)
+        return _random_symbol(rng, alg, da, max_length), _random_symbol(rng, alg, db, max_length)
+
+    pairs = [draw_pair() for _ in range(max(500, samples))]
+
+    def holds(law):
+        return lambda sym: None if law(alg.symbol_element(sym)) else sym
+
+    def antihom(pair):
+        sa, sb = pair
         x, y = alg.symbol_element(sa), alg.symbol_element(sb)
-        xy = multiply(x, y)
-        sign = -1 if (da * db) % 2 else 1
-        if bad_j is None and alg.involution(xy) != multiply(
-            alg.involution(y), alg.involution(x)
-        ).scale(sign):
-            bad_j = (sa, sb)
-        if bad_g is None and alg.uniformizer_conj(xy) != multiply(
-            alg.uniformizer_conj(x), alg.uniformizer_conj(y)
-        ):
-            bad_g = (sa, sb)
-    out.append(_result(f"involution_graded_antihom_{npairs}", bad_j is None, f"{bad_j!r}"))
-    out.append(_result(f"uniformizer_conj_multiplicative_{npairs}", bad_g is None, f"{bad_g!r}"))
-    return out
+        sign = -1 if (sa.degree * sb.degree) % 2 else 1
+        return None if J(multiply(x, y)) == multiply(J(y), J(x)).scale(sign) else pair
+
+    def multiplicative(pair):
+        x, y = map(alg.symbol_element, pair)
+        return None if G(multiply(x, y)) == multiply(G(x), G(y)) else pair
+
+    return [
+        _check("involution_squares_to_id_{n}", syms, holds(lambda x: J(J(x)) == x)),
+        _check("uniformizer_conj_squares_to_id_{n}", syms, holds(lambda x: G(G(x)) == x)),
+        _check("involutions_commute_{n}", syms, holds(lambda x: G(J(x)) == J(G(x)))),
+        _check("involution_graded_antihom_{n}", pairs, antihom),
+        _check("uniformizer_conj_multiplicative_{n}", pairs, multiplicative),
+    ]
 
 
 def suite_rightaction(alg, *, max_length=8, **_):
-    W, H, F = alg.weyl, alg.hecke, alg.field
-    out = []
+    W, H = alg.weyl, alg.hecke
     supports = W.elements(max_length)
 
     def act(x, w):
         return alg.act_right(x, H.tau(w))
 
     # torus action on degrees 1, 2, 3: plain support shift
-    bad = None
-    for w in supports:
-        for e in range(W.n):
-            t = W.omega(e)
-            wt = W.mul(w, t)
-            for d in (1, 2):
-                for sign in (-1, 0, 1):
-                    if sign == 0 and w.length == 0:
-                        continue
-                    got = act(alg.symbol_element(BasisSymbol(d, sign, w)), t)
-                    if got != alg.symbol_element(BasisSymbol(d, sign, wt)):
-                        bad = (d, sign, w, e)
-                        break
-                if bad:
-                    break
-            if bad is None and act(alg.phi(w), t) != alg.phi(wt):
-                bad = (3, None, w, e)
-            if bad:
-                break
-        if bad:
-            break
-    out.append(_result("rightaction_torus_all_degrees", bad is None, f"{bad!r}"))
+    def torus_shift(case):
+        w, e = case
+        t = W.omega(e)
+        wt = W.mul(w, t)
+        for d in (1, 2):
+            for sign in _signs(w):
+                got = act(alg.symbol_element(BasisSymbol(d, sign, w)), t)
+                if got != alg.symbol_element(BasisSymbol(d, sign, wt)):
+                    return (d, sign, w, e)
+        if act(alg.phi(w), t) != alg.phi(wt):
+            return (3, None, w, e)
 
     # degree 1, lengths add: branch on the first letter of the product
-    bad = None
-    checked = 0
-    for w in supports:
-        for v in supports:
-            if v.length < 1 or w.length + v.length > max_length:
-                continue
-            if not W.lengths_add(w, v):
-                continue
-            wv = W.mul(w, v)
-            first = wv.word[0]
-            cases = [(0, alg.beta(0, wv))] if w.length >= 1 else []
-            if first == S0:
-                cases += [(-1, alg.beta(-1, wv)), (1, alg.zero())]
-            else:
-                cases += [(-1, alg.zero()), (1, alg.beta(1, wv))]
-            for sign, expected in cases:
-                got = act(alg.beta(sign, w), v)
-                if got != expected:
-                    bad = (sign, w, v)
-                    break
-            checked += 1
-            if bad:
-                break
-        if bad:
-            break
-    out.append(_result(f"rightaction_deg1_lengths_add_{checked}_pairs", bad is None, f"{bad!r}"))
+    pairs = (
+        (w, v)
+        for w in supports
+        for v in supports
+        if v.length >= 1 and w.length + v.length <= max_length and W.lengths_add(w, v)
+    )
+
+    def lengths_add(pair):
+        w, v = pair
+        wv = W.mul(w, v)
+        cases = [(0, alg.beta(0, wv))] if w.length >= 1 else []
+        if wv.word[0] == S0:
+            cases += [(-1, alg.beta(-1, wv)), (1, alg.zero())]
+        else:
+            cases += [(-1, alg.zero()), (1, alg.beta(1, wv))]
+        for sign, expected in cases:
+            if act(alg.beta(sign, w), v) != expected:
+                return (sign, w, v)
 
     # degree 1, bad side: the two printed sign-0 formulas
-    bad = None
-    for v in supports:
-        if v.length < 1:
-            continue
+    def shortening(v):
         j = v.word[0]
         got = act(alg.beta(0, W.simple(j)), v)
+        expected = alg.idempotent_times(0, alg.beta(0, v)).scale(-1)
         if j == S0:
-            expected = alg.idempotent_times(0, alg.beta(0, v)).scale(-1) + alg.idempotent_times(
-                -1, alg.beta(-1, v)
-            ).scale(-1)
+            expected = expected + alg.idempotent_times(-1, alg.beta(-1, v)).scale(-1)
         else:
-            expected = alg.idempotent_times(0, alg.beta(0, v)).scale(-1) + alg.idempotent_times(
-                1, alg.beta(1, v)
-            )
-        if got != expected:
-            bad = (j, v)
-            break
-    out.append(_result("rightaction_deg1_shortening", bad is None, f"{bad!r}"))
+            expected = expected + alg.idempotent_times(1, alg.beta(1, v))
+        return None if got == expected else (j, v)
 
     # degree 3: right action by simple reflections, both length cases
-    bad = None
-    for w in supports:
-        for j in (S0, S1):
-            sj = W.simple(j)
-            got = act(alg.phi(w), sj)
-            if W.lengths_add(w, sj):
-                expected = alg.zero()
-            else:
-                expected = alg.phi(W.mul(w, sj))
-                for e in range(W.n):
-                    expected = expected + alg.phi(W.mul(w, W.omega(e)))
-            if got != expected:
-                bad = (w, j)
-                break
-        if bad:
-            break
-    out.append(_result("rightaction_deg3_reflections", bad is None, f"{bad!r}"))
+    def reflection(case):
+        w, j = case
+        sj = W.simple(j)
+        got = act(alg.phi(w), sj)
+        if W.lengths_add(w, sj):
+            expected = alg.zero()
+        else:
+            expected = alg.phi(W.mul(w, sj))
+            for e in range(W.n):
+                expected = expected + alg.phi(W.mul(w, W.omega(e)))
+        return None if got == expected else (w, j)
 
     # idempotent slide laws on degrees 1 and 2, lengths <= 6; the left side
     # acts by the p - 1 terms tau_t of e_m one at a time, not through the
     # character key of act_right, which applies the slide law itself
-    bad = None
     idempotents = H.idempotents()
-    for w in supports:
-        if w.length > min(6, max_length):
-            continue
-        for d in (1, 2):
-            for sign in (-1, 0, 1):
-                if sign == 0 and w.length == 0:
-                    continue
-                sym = BasisSymbol(d, sign, w)
-                weight = alg._torus_weight(sym)
-                for m, idem in enumerate(idempotents):
-                    lhs = alg._expand(alg._act_right({sym: 1}, idem.coeffs))
-                    mprime = (m if w.length % 2 == 0 else -m) + weight
-                    rhs = alg.idempotent_times(mprime, alg.symbol_element(sym))
-                    if lhs != rhs.coeffs:
-                        bad = (sym, m)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    out.append(_result("rightaction_idempotent_slide", bad is None, f"{bad!r}"))
-    return out
+    slid = (
+        BasisSymbol(d, sign, w)
+        for w in supports
+        if w.length <= min(6, max_length)
+        for d in (1, 2)
+        for sign in _signs(w)
+    )
+
+    def slide(sym):
+        weight = alg._torus_weight(sym)
+        for m, idem in enumerate(idempotents):
+            lhs = alg._expand(alg._act_right({sym: 1}, idem.coeffs))
+            mprime = (m if sym.support.length % 2 == 0 else -m) + weight
+            rhs = alg.idempotent_times(mprime, alg.symbol_element(sym))
+            if lhs != rhs.coeffs:
+                return (sym, m)
+
+    return [
+        _check("rightaction_torus_all_degrees", itertools.product(supports, range(W.n)),
+               torus_shift),
+        _check("rightaction_deg1_lengths_add_{n}_pairs", pairs, lengths_add),
+        _check("rightaction_deg1_shortening", [v for v in supports if v.length >= 1],
+               shortening),
+        _check("rightaction_deg3_reflections", itertools.product(supports, (S0, S1)),
+               reflection),
+        _check("rightaction_idempotent_slide", slid, slide),
+    ]
 
 
 def suite_duality(alg, *, max_length=8, samples=1000, seed=0, **_):
     rng = random.Random(f"duality:{alg.field.p}:{seed}")
-    W, H = alg.weyl, alg.hecke
-    out = []
-    supports = W.elements(max_length)
+    supports = alg.weyl.elements(max_length)
 
-    bad = None
-    for w in supports:
-        for v in supports:
-            expected = 1 if v == w else 0
-            if duality_pairing(alg.phi(w), alg.tau(v)) != expected:
-                bad = (w, v)
-                break
-        if bad:
-            break
-    out.append(_result(f"duality_phi_tau_{len(supports)}_supports", bad is None, f"{bad!r}"))
-
-    bad = None
-    for w in supports:
-        signs = (-1, 1) if w.length == 0 else (-1, 0, 1)
-        for sa in signs:
-            for sb in signs:
-                expected = 1 if sa == sb else 0
-                if duality_pairing(alg.beta(sa, w), alg.alpha(sb, w)) != expected:
-                    bad = (w, sa, sb)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    out.append(_result("duality_beta_alpha", bad is None, f"{bad!r}"))
-
-    bad = None
-    trials = max(100, samples // 5)
-    for _ in range(trials):
+    def draw_triple():
         h = _random_hecke(rng, alg, 3)
         d = rng.randint(0, 3)
         x = alg.symbol_element(_random_symbol(rng, alg, d, 4))
-        y = alg.symbol_element(_random_symbol(rng, alg, 3 - d, 4))
+        return h, x, alg.symbol_element(_random_symbol(rng, alg, 3 - d, 4))
+
+    triples = [draw_triple() for _ in range(max(100, samples // 5))]
+
+    def phi_tau(w):
+        for v in supports:
+            if duality_pairing(alg.phi(w), alg.tau(v)) != (1 if v == w else 0):
+                return (w, v)
+
+    def beta_alpha(w):
+        for sa in _signs(w):
+            for sb in _signs(w):
+                if duality_pairing(alg.beta(sa, w), alg.alpha(sb, w)) != (1 if sa == sb else 0):
+                    return (w, sa, sb)
+
+    def twisted(triple):
+        h, x, y = triple
         hx = alg.act_left(h, x)
-        jy = alg.act_left(H.involution(h), y)
+        jy = alg.act_left(alg.hecke.involution(h), y)
         if duality_pairing(hx, y) != duality_pairing(x, jy):
-            bad = ("left", h, x, y)
-            break
+            return ("left", h, x, y)
         xh = alg.act_right(x, h)
-        yjh = alg.act_right(y, H.involution(h))
+        yjh = alg.act_right(y, alg.hecke.involution(h))
         if duality_pairing(xh, y) != duality_pairing(x, yjh):
-            bad = ("right", h, x, y)
-            break
-    out.append(_result(f"duality_twisted_module_law_{trials}", bad is None, f"{bad!r}"))
-    return out
+            return ("right", h, x, y)
+
+    return [
+        _check("duality_phi_tau_{n}_supports", supports, phi_tau),
+        _check("duality_beta_alpha", supports, beta_alpha),
+        _check("duality_twisted_module_law_{n}", triples, twisted),
+    ]
 
 
 def suite_cup_independent(alg, **_):
     """Recompute the torus-support degree-1 x degree-2 products by the
     length-1 shift and compare with the dual-basis rule."""
     W, H = alg.weyl, alg.hecke
-    out = []
-    bad = None
-    for e in range(W.n):
+
+    def torus_constant(case):
+        e, sx, sy = case
         omega = W.omega(e)
-        for sx in (-1, 1):
-            x = alg.beta(sx, omega)
-            for sy in (-1, 1):
-                y = alg.alpha(sy, omega)
-                route1 = multiply(x, y)
-                if sy == -1:
-                    s, other_sign = W.s0, 1
-                else:
-                    s, other_sign = W.s1, -1
-                other = alg.alpha(other_sign, W.mul(W.inv(s), omega))
-                shift = alg.act_left(H.tau(s), other)
-                xi = shift + y
-                if xi.support_lengths() - {1}:
-                    bad = (e, sx, sy, "shift outside length 1")
-                    break
-                route2 = multiply(x, xi) - multiply(alg.act_right(x, H.tau(s)), other)
-                if route1 != route2:
-                    bad = (e, sx, sy, "routes disagree")
-                    break
-                target = alg.phi(omega) if sx == sy else alg.zero()
-                got = cup_summand(
-                    alg,
-                    BasisSymbol(1, sx, omega),
-                    BasisSymbol(2, sy, omega),
-                )
-                if got != target:
-                    bad = (e, sx, sy, "cup constant wrong")
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    out.append(_result("cup_torus_constants_via_shift", bad is None, f"{bad!r}"))
-    return out
+        x = alg.beta(sx, omega)
+        y = alg.alpha(sy, omega)
+        route1 = multiply(x, y)
+        s, other_sign = (W.s0, 1) if sy == -1 else (W.s1, -1)
+        other = alg.alpha(other_sign, W.mul(W.inv(s), omega))
+        shift = alg.act_left(H.tau(s), other)
+        xi = shift + y
+        if xi.support_lengths() - {1}:
+            return (e, sx, sy, "shift outside length 1")
+        route2 = multiply(x, xi) - multiply(alg.act_right(x, H.tau(s)), other)
+        if route1 != route2:
+            return (e, sx, sy, "routes disagree")
+        target = alg.phi(omega) if sx == sy else alg.zero()
+        got = cup_summand(alg, BasisSymbol(1, sx, omega), BasisSymbol(2, sy, omega))
+        if got != target:
+            return (e, sx, sy, "cup constant wrong")
+
+    cases = itertools.product(range(W.n), (-1, 1), (-1, 1))
+    return [_check("cup_torus_constants_via_shift", cases, torus_constant)]
 
 
 def suite_presentation(alg, *, max_length=8, samples=1000, seed=0, epsilon_bound="p-2", **_):
     rng = random.Random(f"pres:{alg.field.p}:{seed}")
-    out = []
 
-    bad = None
-    count = 0
-    for sym in alg.basis_symbols(max_length):
-        count += 1
-        word = pres.word_for_basis(alg, sym)
-        if pres.evaluate(word) != alg.symbol_element(sym):
-            bad = sym
-            break
-    out.append(_result(f"presentation_round_trip_{count}_symbols", bad is None, f"{bad!r}"))
+    def draw_word():
+        return tuple(rng.randrange(7) for _ in range(rng.randint(0, 6)))
 
-    bad = None
-    trials = 40
-    for _ in range(trials):
-        wa = tuple(rng.randrange(7) for _ in range(rng.randint(0, 6)))
-        wb = tuple(rng.randrange(7) for _ in range(rng.randint(0, 6)))
-        f = pres.FreeElement(alg, {wa: rng.randrange(1, alg.field.p)})
-        g = pres.FreeElement(alg, {wb: rng.randrange(1, alg.field.p)})
+    # two words, then their coefficients
+    p = alg.field.p
+    products = [(draw_word(), draw_word(), rng.randrange(1, p), rng.randrange(1, p))
+                for _ in range(40)]
+
+    def round_trip(sym):
+        if pres.evaluate(pres.word_for_basis(alg, sym)) != alg.symbol_element(sym):
+            return sym
+
+    def multiplicative(case):
+        wa, wb, ca, cb = case
+        f, g = pres.FreeElement(alg, {wa: ca}), pres.FreeElement(alg, {wb: cb})
         if pres.evaluate(f * g) != multiply(pres.evaluate(f), pres.evaluate(g)):
-            bad = (wa, wb)
-            break
-    out.append(_result(f"presentation_evaluate_multiplicative_{trials}", bad is None, f"{bad!r}"))
+            return (wa, wb)
 
-    bad = None
-    for m in range(alg.weyl.n):
+    def free_idempotent(m):
         eps = pres.free_idempotent(alg, m, epsilon_bound)
-        if eps.word_count() != alg.field.p - 1 and epsilon_bound == "p-2":
-            bad = (m, "term count")
-            break
-        if epsilon_bound == "p-2" and pres.evaluate(eps) != alg.embed(alg.hecke.idempotent(m)):
-            bad = (m, "image")
-            break
-    out.append(_result("presentation_free_idempotents", bad is None, f"{bad!r}"))
-    return out
+        if eps.word_count() != p - 1:
+            return (m, "term count")
+        if pres.evaluate(eps) != alg.embed(alg.hecke.idempotent(m)):
+            return (m, "image")
+
+    return [
+        _check("presentation_round_trip_{n}_symbols", alg.basis_symbols(max_length), round_trip),
+        _check("presentation_evaluate_multiplicative_{n}", products, multiplicative),
+        _check("presentation_free_idempotents", range(alg.weyl.n), free_idempotent),
+    ]
 
 
 def suite_e0(alg, *, max_length=8, samples=1000, seed=0, **_):
     rng = random.Random(f"e0:{alg.field.p}:{seed}")
     H, W = alg.hecke, alg.weyl
-    out = []
-
     idems = H.idempotents()
-    bad = None
-    total = H.zero()
-    for a, ea in enumerate(idems):
-        total = total + ea
-        for b, eb in enumerate(idems):
-            expected = ea if a == b else H.zero()
-            if H.mul(ea, eb) != expected:
-                bad = (a, b)
-                break
-        if bad:
-            break
-    ok = bad is None and total == H.one()
-    out.append(_result("e0_idempotent_system", ok, f"{bad!r}" if bad else "sum is not 1"))
-
-    bad = None
     e1 = H.idempotent(0)
-    for i in (S0, S1):
-        t = H.tau(W.simple(i))
-        if not H.mul(t, t + e1).is_zero:
-            bad = i
-            break
-    out.append(_result("e0_quadratic_relation", bad is None, f"s{bad}"))
 
-    bad = None
-    braid_trials = max(200, samples // 5)
-    for _ in range(braid_trials):
-        v = _random_weyl(rng, alg, max_length)
-        w = _random_weyl(rng, alg, max_length)
-        if W.lengths_add(v, w):
-            if H.mul(H.tau(v), H.tau(w)) != H.tau(W.mul(v, w)):
-                bad = (v, w, "braid")
-                break
+    def draw(k):
+        return [_random_weyl(rng, alg, max_length) for _ in range(k)]
+
+    braids = [draw(2) for _ in range(max(200, samples // 5))]
+    triples = [tuple(map(H.tau, draw(3))) for _ in range(samples)]
+
+    # the cases are the ordered pairs of idempotents, then their sum
+    def idempotent_system(case):
+        if case == "sum":
+            return None if sum(idems, H.zero()) == H.one() else "sum is not 1"
+        a, b = case
+        return None if H.mul(idems[a], idems[b]) == (idems[a] if a == b else H.zero()) else case
+
+    def quadratic(i):
+        t = H.tau(W.simple(i))
+        return None if H.mul(t, t + e1).is_zero else f"s{i}"
+
+    def braid_and_recursions(pair):
+        v, w = pair
+        if W.lengths_add(v, w) and H.mul(H.tau(v), H.tau(w)) != H.tau(W.mul(v, w)):
+            return (v, w, "braid")
         prod_left = H.mul(H.tau(v), H.tau(w))
         if prod_left != H.mul_right_recursion(H.tau(v), H.tau(w)):
-            bad = (v, w, "left/right recursion")
-            break
-    out.append(_result(f"e0_braid_and_recursions_{braid_trials}", bad is None, f"{bad!r}"))
+            return (v, w, "left/right recursion")
 
-    bad = None
-    for _ in range(samples):
-        a = H.tau(_random_weyl(rng, alg, max_length))
-        b = H.tau(_random_weyl(rng, alg, max_length))
-        c = H.tau(_random_weyl(rng, alg, max_length))
-        if H.mul(H.mul(a, b), c) != H.mul(a, H.mul(b, c)):
-            bad = (a, b, c)
-            break
-    out.append(_result(f"e0_associativity_{samples}_triples", bad is None, f"{bad!r}"))
-    return out
+    def associative(triple):
+        a, b, c = triple
+        return None if H.mul(H.mul(a, b), c) == H.mul(a, H.mul(b, c)) else triple
+
+    pairs = [*itertools.product(range(len(idems)), repeat=2), "sum"]
+    return [
+        _check("e0_idempotent_system", pairs, idempotent_system),
+        _check("e0_quadratic_relation", (S0, S1), quadratic),
+        _check("e0_braid_and_recursions_{n}", braids, braid_and_recursions),
+        _check("e0_associativity_{n}_triples", triples, associative),
+    ]
 
 
 SUITES = {

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from heckext import ExtAlgebra
 from heckext.cli import Config, main
 from heckext.graded import BasisSymbol, GradedElement
 from heckext.grammar import ParseError, parse_element, render_element
+from heckext.verify import run
 from heckext.weyl import S0, S1
 
 from test_graded import rand_symbol
@@ -139,6 +141,17 @@ MUL_DIGESTS = [
 ]
 
 
+# SHA-256 of the stdout of `heckext verify all --p P --max-length 8` in text,
+# with the elapsed time removed from the summary line, and in --format json,
+# recorded before the suites were rewritten as checks run by one runner.
+VERIFY_DIGESTS = [
+    (5, "339aa29a619aac00b594de1a031c745f2879f9097e9f4c3c47a597cbc7a66755",
+     "43da8f3aeb1f7f413d21e17c8fc6c29b9d95d15d6b643b1714c3e2f8d25a358c"),
+    (7, "d0875df9be30e1c330c7562274e2ccde6176e53ab1e3fe613eef31cbd4453594",
+     "0ffaf97987b7e6bc430a0a29e1b05d09772b15aebb039c0abbd78b2f9fc0ddbb"),
+]
+
+
 class TestCli:
     @pytest.mark.parametrize("p, left, right, text_digest, json_digest", MUL_DIGESTS)
     def test_mul_outputs_of_expanding_products_are_unchanged(
@@ -147,6 +160,19 @@ class TestCli:
         for fmt, digest in (("text", text_digest), ("json", json_digest)):
             assert main(["mul", left, right, "--p", str(p), "--format", fmt]) == 0
             assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
+
+    @pytest.mark.parametrize("p, text_digest, json_digest", VERIFY_DIGESTS)
+    def test_verify_all_outputs_are_unchanged(self, capsys, p, text_digest, json_digest):
+        args = ["verify", "all", "--p", str(p), "--max-length", "8"]
+        assert main(args) == 0
+        text = re.sub(r", [0-9.]+s\)\n\Z", ")\n", capsys.readouterr().out)
+        assert hashlib.sha256(text.encode()).hexdigest() == text_digest
+        assert main(args + ["--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == json_digest
+
+    def test_smallest_valid_options_leave_no_check_empty(self):
+        report = run(ExtAlgebra(5), "all", max_length=1, samples=1)
+        assert [r for results in report.values() for r in results if not r.ok] == []
 
     def test_mul_matches_spec_examples(self, capsys):
         assert main(["mul", "b0(w(0; s1))", "b0(w(0; s0))", "--p", "5"]) == 0
@@ -181,6 +207,12 @@ class TestCli:
         )
         assert rc == 1
         assert "FAILED" in capsys.readouterr().out
+
+    def test_verify_presentation_catches_the_literal_epsilon_bound(self, capsys):
+        rc = main(["verify", "presentation", "--p", "5", "--epsilon-bound", "p-1"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "presentation_free_idempotents: FAIL  ((0, 'term count'))" in out
 
     def test_verify_json_schema(self, capsys):
         rc = main(["verify", "cup-independent", "--p", "5", "--format", "json"])
