@@ -175,11 +175,16 @@ def _section2_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     ).scale(-1)
 
 
+def _sum_of_sections(alg: ExtAlgebra, arity: int, x: GradedElement, section) -> TensorExpression:
+    """The sum over the terms c sym of x of c section(sym), with the terms in
+    order.  It is built as one expression, so each slot is validated once."""
+    return TensorExpression.from_terms(alg, arity, [
+        (c * k, syms) for sym, c in x.coeffs.items() for k, syms in section(sym).terms
+    ])
+
+
 def _section2_element(alg: ExtAlgebra, x: GradedElement) -> TensorExpression:
-    out = TensorExpression.from_terms(alg, 2, [])
-    for sym, c in x.coeffs.items():
-        out = out + _section2_symbol(alg, sym).scale(c)
-    return out
+    return _sum_of_sections(alg, 2, x, lambda sym: _section2_symbol(alg, sym))
 
 
 def section_deg2(x: GradedElement) -> TensorExpression:
@@ -222,10 +227,7 @@ def section_deg3(x: GradedElement) -> TensorExpression:
     if not x.is_homogeneous(3):
         raise ValueError("section_deg3 expects a degree-3 element")
     alg = x.algebra
-    out = TensorExpression.from_terms(alg, 3, [])
-    for sym, c in x.coeffs.items():
-        out = out + _section3_symbol(alg, sym).scale(c)
-    return out
+    return _sum_of_sections(alg, 3, x, lambda sym: _section3_symbol(alg, sym))
 
 
 def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
@@ -239,13 +241,11 @@ def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
     if not x.is_homogeneous(3):
         raise ValueError("section_deg3_symmetric expects a degree-3 element")
     alg = x.algebra
-    quarter = alg.field.inv(4)
-    out = TensorExpression.from_terms(alg, 3, [])
-    for sym, c in x.coeffs.items():
+
+    def section(sym):
         w = sym.support
         if w.length >= 1:
-            out = out + _section3_symbol(alg, sym).scale(c)
-            continue
+            return _section3_symbol(alg, sym)
         base = _section3_symbol(alg, BasisSymbol(3, None, alg.weyl.identity))
         jbase = tensor_involution(base)
         avg = (
@@ -253,9 +253,10 @@ def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
             + tensor_uniformizer_conj(base)
             + jbase
             + tensor_uniformizer_conj(jbase)
-        ).scale(quarter)
-        out = out + tensor_act(alg.hecke.tau(w), avg, "right").scale(c)
-    return out
+        ).scale(alg.field.inv(4))
+        return tensor_act(alg.hecke.tau(w), avg, "right")
+
+    return _sum_of_sections(alg, 3, x, section)
 
 
 # --- kernel generators ---

@@ -12,7 +12,9 @@ deterministic given (p, max_length, seed).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -48,6 +50,15 @@ def _check(name, cases, test) -> CheckResult:
         if bad is not None:
             return CheckResult(name.format(n=n), False, bad if isinstance(bad, str) else repr(bad))
     return CheckResult(name.format(n=n), n > 0, None if n else "no cases")
+
+
+def _restated(name, cases, test, direct) -> CheckResult:
+    """A check whose test is a faster restatement of a direct one: a case
+    that test passes, direct passes too.  When test fails, direct runs over
+    all the cases, so the verdict and the counterexample are direct's."""
+    cases = list(cases)
+    result = _check(name, cases, test)
+    return result if result.ok else _check(name, cases, direct)
 
 
 # --- random sampling helpers ---
@@ -318,27 +329,6 @@ def suite_rightaction(alg, *, max_length=8, **_):
                 expected = expected + alg.phi(W.mul(w, W.omega(e)))
         return None if got == expected else (w, j)
 
-    # idempotent slide laws on degrees 1 and 2, lengths <= 6; the left side
-    # acts by the p - 1 terms tau_t of e_m one at a time, not through the
-    # character key of act_right, which applies the slide law itself
-    idempotents = H.idempotents()
-    slid = (
-        BasisSymbol(d, sign, w)
-        for w in supports
-        if w.length <= min(6, max_length)
-        for d in (1, 2)
-        for sign in _signs(w)
-    )
-
-    def slide(sym):
-        weight = alg._torus_weight(sym)
-        for m, idem in enumerate(idempotents):
-            lhs = alg._expand(alg._act_right({sym: 1}, idem.coeffs))
-            mprime = (m if sym.support.length % 2 == 0 else -m) + weight
-            rhs = alg.idempotent_times(mprime, alg.symbol_element(sym))
-            if lhs != rhs.coeffs:
-                return (sym, m)
-
     return [
         _check("rightaction_torus_all_degrees", itertools.product(supports, range(W.n)),
                torus_shift),
@@ -347,8 +337,66 @@ def suite_rightaction(alg, *, max_length=8, **_):
                shortening),
         _check("rightaction_deg3_reflections", itertools.product(supports, (S0, S1)),
                reflection),
-        _check("rightaction_idempotent_slide", slid, slide),
+        _restated("rightaction_idempotent_slide", *_idempotent_slide(alg, max_length)),
     ]
+
+
+def _idempotent_slide(alg, max_length):
+    """The slide law sym e_m = e_m' sym, m' = (-1)^|sym| m + k(sym), on the
+    symbols of degrees 1 and 2 at lengths <= 6: its cases, its restated test
+    and its direct test.
+
+    The left side is the transported right action of e_m term by term, never
+    the character key of act_right, which applies the slide law itself; the
+    right side is idempotent_times.  _act_right sums the terms c tau_t of h
+    one at a time, so sym e_m = sum_t e_m[t] y_t with y_t = sym tau_t, t over
+    the torus: the same p - 1 right actions for every m.  The direct test
+    applies them again for each m; the restated test computes each y_t once
+    per symbol and forms every left side from them in F_p, with e_m[t] read
+    from the columns of one coefficient table, each column built once per
+    suite.  Case by case the two left sides are equal.
+    """
+    W, H, p = alg.weyl, alg.hecke, alg.field.p
+    torus = W.torus()
+    idempotents = H.idempotents()
+    cases = [
+        BasisSymbol(d, sign, w)
+        for w in W.elements(min(6, max_length))
+        for d in (1, 2)
+        for sign in _signs(w)
+    ]
+
+    def rhs(sym, m):
+        mprime = (m if sym.support.length % 2 == 0 else -m) + alg._torus_weight(sym)
+        return alg.idempotent_times(mprime, alg.symbol_element(sym)).coeffs
+
+    @functools.cache
+    def scaled(t, c):
+        """c e_m[t] for every m."""
+        return [c * idem.coeffs.get(t, 0) % p for idem in idempotents]
+
+    def restated(sym):
+        # key -> its coefficient in every left side, [lhs_m[key] for m]
+        cols: dict = {}
+        for t in torus:
+            for key, c in alg._expand(alg._act_right({sym: 1}, {t: 1})).items():
+                col = scaled(t, c)
+                cols[key] = [(x + y) % p for x, y in zip(cols[key], col)] if key in cols else col
+        # one tuple of values per m; empty tuples when every y_t is 0
+        rows = list(zip(*cols.values())) or [()] * len(idempotents)
+        for m, values in enumerate(rows):
+            lhs = dict(zip(cols, values))
+            if 0 in values:
+                lhs = {key: c for key, c in lhs.items() if c}
+            if lhs != rhs(sym, m):
+                return (sym, m)
+
+    def direct(sym):
+        for m, idem in enumerate(idempotents):
+            if alg._expand(alg._act_right({sym: 1}, idem.coeffs)) != rhs(sym, m):
+                return (sym, m)
+
+    return cases, restated, direct
 
 
 def suite_duality(alg, *, max_length=8, samples=1000, seed=0, **_):
@@ -459,7 +507,6 @@ def suite_presentation(alg, *, max_length=8, samples=1000, seed=0, epsilon_bound
 def suite_e0(alg, *, max_length=8, samples=1000, seed=0, **_):
     rng = random.Random(f"e0:{alg.field.p}:{seed}")
     H, W = alg.hecke, alg.weyl
-    idems = H.idempotents()
     e1 = H.idempotent(0)
 
     def draw(k):
@@ -467,13 +514,6 @@ def suite_e0(alg, *, max_length=8, samples=1000, seed=0, **_):
 
     braids = [draw(2) for _ in range(max(200, samples // 5))]
     triples = [tuple(map(H.tau, draw(3))) for _ in range(samples)]
-
-    # the cases are the ordered pairs of idempotents, then their sum
-    def idempotent_system(case):
-        if case == "sum":
-            return None if sum(idems, H.zero()) == H.one() else "sum is not 1"
-        a, b = case
-        return None if H.mul(idems[a], idems[b]) == (idems[a] if a == b else H.zero()) else case
 
     def quadratic(i):
         t = H.tau(W.simple(i))
@@ -491,13 +531,69 @@ def suite_e0(alg, *, max_length=8, samples=1000, seed=0, **_):
         a, b, c = triple
         return None if H.mul(H.mul(a, b), c) == H.mul(a, H.mul(b, c)) else triple
 
-    pairs = [*itertools.product(range(len(idems)), repeat=2), "sum"]
     return [
-        _check("e0_idempotent_system", pairs, idempotent_system),
+        _restated("e0_idempotent_system", *_idempotent_system(alg)),
         _check("e0_quadratic_relation", (S0, S1), quadratic),
         _check("e0_braid_and_recursions_{n}", braids, braid_and_recursions),
         _check("e0_associativity_{n}_triples", triples, associative),
     ]
+
+
+def _idempotent_system(alg):
+    """e_a e_b = delta_ab e_a for every ordered pair (a, b), then sum_a e_a = 1:
+    its cases, its restated test and its direct test.
+
+    Read the character chi_a off the engine's e_a = -sum_t chi_a(t)^-1 tau_t,
+    so e_a[t] = -chi_a(t)^-1.  H.mul is bilinear (its loop multiplies the
+    scalars of the two terms), so
+
+        e_a e_b = sum_t e_b[t] e_a tau_t = (-sum_t chi_a(t) chi_b(t)^-1) e_a
+
+    and e_a e_b = delta_ab e_a follows from two facts:
+      1. the eigen law e_a tau_t = chi_a(t) e_a for every t.  It is checked
+         scaled by e_a[t], as e_a (e_a[t] tau_t) = -e_a, so that the right
+         factor carries a scalar as it does in e_a e_b: a product that
+         dropped that scalar passes the unscaled law but fails here, as it
+         fails the direct test.  The p - 1 products of a are computed on its
+         first case and kept for its other cases;
+      2. -sum_t chi_a(t) chi_b(t)^-1 = delta_ab mod p, integer arithmetic.
+    That is O(p^3) in all; the direct test makes (p - 1)^2 products of
+    (p - 1)-term elements, O(p^4).
+    """
+    H, p = alg.hecke, alg.field.p
+    torus = alg.weyl.torus()
+    idems = H.idempotents()
+    table = [[e.coeffs.get(t, 0) for t in torus] for e in idems]
+    # chi_a(t) = -1 / e_a[t]; a missing term gives 0 and fails the eigen law
+    chi = [[-pow(c, p - 2, p) % p for c in row] for row in table]
+    eigen: dict = {}
+
+    def eigen_law(a):
+        e = idems[a]
+        for t, c in zip(torus, table[a]):
+            if H.mul(e, H.element({t: c})) != -e:
+                return (a, t)
+
+    def sums_to_one():
+        return None if sum(idems, H.zero()) == H.one() else "sum is not 1"
+
+    def restated(case):
+        if case == "sum":
+            return sums_to_one()
+        a, b = case
+        if a not in eigen:
+            eigen[a] = eigen_law(a)
+        # -chi_b(t)^-1 = e_b[t]
+        if eigen[a] is not None or sum(map(operator.mul, chi[a], table[b])) % p != (a == b):
+            return case
+
+    def direct(case):
+        if case == "sum":
+            return sums_to_one()
+        a, b = case
+        return None if H.mul(idems[a], idems[b]) == (idems[a] if a == b else H.zero()) else case
+
+    return [*itertools.product(range(len(idems)), repeat=2), "sum"], restated, direct
 
 
 SUITES = {

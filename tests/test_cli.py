@@ -150,6 +150,11 @@ VERIFY_DIGESTS = [
     (7, "d0875df9be30e1c330c7562274e2ccde6176e53ab1e3fe613eef31cbd4453594",
      "0ffaf97987b7e6bc430a0a29e1b05d09772b15aebb039c0abbd78b2f9fc0ddbb"),
 ]
+# the suites of the two restated checks at the benchmark's p (text, time stripped)
+SUITE_DIGESTS_P13 = [
+    ("rightaction", "46f85faba31cb0a558a1456a85b41775531365f2a1f263f6422ef8ad1c19d7e5"),
+    ("e0", "84d2fa2fae381744df9014efe2df6214a9c90d4780043baca9f4ac8de19029fd"),
+]
 
 
 class TestCli:
@@ -169,6 +174,12 @@ class TestCli:
         assert hashlib.sha256(text.encode()).hexdigest() == text_digest
         assert main(args + ["--format", "json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == json_digest
+
+    @pytest.mark.parametrize("suite, text_digest", SUITE_DIGESTS_P13)
+    def test_verify_suite_outputs_at_p13_are_unchanged(self, capsys, suite, text_digest):
+        assert main(["verify", suite, "--p", "13", "--max-length", "8"]) == 0
+        text = re.sub(r", [0-9.]+s\)\n\Z", ")\n", capsys.readouterr().out)
+        assert hashlib.sha256(text.encode()).hexdigest() == text_digest
 
     def test_smallest_valid_options_leave_no_check_empty(self):
         report = run(ExtAlgebra(5), "all", max_length=1, samples=1)

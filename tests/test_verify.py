@@ -1,10 +1,13 @@
 """Tests of the verification suites themselves: what they report on failure
 and which options they refuse."""
 
+import itertools
+
 import pytest
 
 from heckext import ExtAlgebra
 from heckext import verify
+from heckext.graded import BasisSymbol
 from heckext.weyl import S0, S1
 
 
@@ -134,3 +137,121 @@ def test_a_failing_check_does_not_shift_the_samples_of_the_next(monkeypatch):
 def test_vacuous_options_are_refused(entry, option, value):
     with pytest.raises(ValueError, match=option):
         entry(ExtAlgebra(5), "e0", **{option: value})
+
+
+# --- the two restated checks against their direct forms ---
+#
+# rightaction_idempotent_slide and e0_idempotent_system compute each torus
+# product once.  The functions below are the direct forms those checks
+# replaced, kept literally as oracles: the slide applies the whole e_m for
+# every (symbol, m), and the idempotent system multiplies every pair e_a e_b.
+
+
+def direct_slide_cases(alg, max_length):
+    W = alg.weyl
+    return [
+        BasisSymbol(d, sign, w)
+        for w in W.elements(max_length)
+        if w.length <= min(6, max_length)
+        for d in (1, 2)
+        for sign in ((-1, 1) if w.length == 0 else (-1, 0, 1))
+    ]
+
+
+def direct_slide(alg):
+    idempotents = alg.hecke.idempotents()
+
+    def slide(sym):
+        weight = alg._torus_weight(sym)
+        for m, idem in enumerate(idempotents):
+            lhs = alg._expand(alg._act_right({sym: 1}, idem.coeffs))
+            mprime = (m if sym.support.length % 2 == 0 else -m) + weight
+            rhs = alg.idempotent_times(mprime, alg.symbol_element(sym))
+            if lhs != rhs.coeffs:
+                return (sym, m)
+
+    return slide
+
+
+def direct_system_cases(alg):
+    return [*itertools.product(range(alg.weyl.n), repeat=2), "sum"]
+
+
+def direct_system(alg):
+    H = alg.hecke
+    idems = H.idempotents()
+
+    def idempotent_system(case):
+        if case == "sum":
+            return None if sum(idems, H.zero()) == H.one() else "sum is not 1"
+        a, b = case
+        return None if H.mul(idems[a], idems[b]) == (idems[a] if a == b else H.zero()) else case
+
+    return idempotent_system
+
+
+def direct_results(alg, max_length):
+    """The direct forms' report of the two checks, name -> (ok, counterexample)."""
+    checks = [
+        verify._check("rightaction_idempotent_slide",
+                      direct_slide_cases(alg, max_length), direct_slide(alg)),
+        verify._check("e0_idempotent_system", direct_system_cases(alg), direct_system(alg)),
+    ]
+    return {r.name: (r.ok, r.counterexample) for r in checks}
+
+
+def restated_results(alg, max_length):
+    results = [
+        *verify.suite_rightaction(alg, max_length=max_length),
+        *verify.suite_e0(alg, max_length=max_length, samples=1),
+    ]
+    return {r.name: (r.ok, r.counterexample) for r in results}
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_restated_checks_agree_with_the_direct_forms_case_by_case(p):
+    alg = ExtAlgebra(p)
+    for (cases, restated, direct), oracle_cases, oracle in (
+        (verify._idempotent_slide(alg, 8), direct_slide_cases(alg, 8), direct_slide(alg)),
+        (verify._idempotent_system(alg), direct_system_cases(alg), direct_system(alg)),
+    ):
+        assert cases == oracle_cases
+        expected = [oracle(case) for case in cases]
+        assert expected == [None] * len(cases)
+        assert [restated(case) for case in cases] == expected
+        assert [direct(case) for case in cases] == expected
+
+
+def _wrong_inverse(H):
+    """HeckeAlgebra.idempotent with lambda(t) where lambda(t)^-1 belongs."""
+    p, n, powers = H.field.p, H.weyl.n, H.field.root_powers()
+    return lambda m: H.element({t: p - powers[m * e % n] for e, t in enumerate(H.weyl.torus())})
+
+
+def _slide_slip(alg):
+    """_slide with m' = m + k at odd length too."""
+    return lambda sym, m: (m + alg._torus_weight(sym)) % alg.weyl.n
+
+
+def _right_scalar_dropped(H):
+    """HeckeAlgebra.mul reading every term of the right factor with scalar 1."""
+    real = H.mul
+    return lambda a, b: sum((real(a, H.tau(w)) for w in b.coeffs), H.zero())
+
+
+@pytest.mark.parametrize("mutant, owner, attr, slide, system", [
+    (_wrong_inverse, "hecke", "idempotent", "(bm(w(0;)), 1)", None),
+    (_slide_slip, "alg", "_slide", None, None),
+    (_right_scalar_dropped, "hecke", "mul", None, "(0, 0)"),
+])
+def test_a_restated_check_reports_what_its_direct_form_reports(
+    monkeypatch, mutant, owner, attr, slide, system
+):
+    alg = ExtAlgebra(5)
+    target = alg.hecke if owner == "hecke" else alg
+    monkeypatch.setattr(target, attr, mutant(target))
+    got = restated_results(alg, 2)
+    expected = direct_results(alg, 2)
+    for name, counterexample in (("rightaction_idempotent_slide", slide),
+                                 ("e0_idempotent_system", system)):
+        assert got[name] == expected[name] == (counterexample is None, counterexample)
