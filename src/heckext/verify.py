@@ -53,9 +53,10 @@ def _check(name, cases, test) -> CheckResult:
 
 
 def _restated(name, cases, test, direct) -> CheckResult:
-    """A check whose test is a faster restatement of a direct one: a case
-    that test passes, direct passes too.  When test fails, direct runs over
-    all the cases, so the verdict and the counterexample are direct's."""
+    """A check whose test is a faster restatement of a direct one that may
+    name a different first counterexample: a case that test passes, direct
+    passes too.  When test fails, direct runs over all the cases, so the
+    verdict and the counterexample are direct's."""
     cases = list(cases)
     result = _check(name, cases, test)
     return result if result.ok else _check(name, cases, direct)
@@ -337,28 +338,40 @@ def suite_rightaction(alg, *, max_length=8, **_):
                shortening),
         _check("rightaction_deg3_reflections", itertools.product(supports, (S0, S1)),
                reflection),
-        _restated("rightaction_idempotent_slide", *_idempotent_slide(alg, max_length)),
+        _check("rightaction_idempotent_slide", *_idempotent_slide(alg, max_length)),
     ]
 
 
 def _idempotent_slide(alg, max_length):
     """The slide law sym e_m = e_m' sym, m' = (-1)^|sym| m + k(sym), on the
-    symbols of degrees 1 and 2 at lengths <= 6: its cases, its restated test
-    and its direct test.
+    symbols of degrees 1 and 2 at lengths <= 6: its cases and its test.
 
     The left side is the transported right action of e_m term by term, never
     the character key of act_right, which applies the slide law itself; the
     right side is idempotent_times.  _act_right sums the terms c tau_t of h
-    one at a time, so sym e_m = sum_t e_m[t] y_t with y_t = sym tau_t, t over
-    the torus: the same p - 1 right actions for every m.  The direct test
-    applies them again for each m; the restated test computes each y_t once
-    per symbol and forms every left side from them in F_p, with e_m[t] read
-    from the columns of one coefficient table, each column built once per
-    suite.  Case by case the two left sides are equal.
+    one at a time, c times the action of tau_t, so with y_t = sym (u0^e tau_t)
+    for t = omega^e over the torus,
+
+        sym e_m = sum_t e_m[t] (sym tau_t) = sum_t (e_m[t] / u0^e) y_t:
+
+    the same p - 1 right actions for every m.  The test computes each y_t
+    once per symbol and forms every left side from them in F_p, where
+    applying the whole e_m for each m would repeat them p - 1 times.  y_t
+    carries a unit scalar as the terms of e_m carry theirs, so a right action
+    that drops the scalar of h still fails; the unit comes from the field, so
+    a wrong e_m enters both forms alike.  As _act_right is linear in h, each
+    left side equals the whole e_m's, and the verdict and the first
+    counterexample are those of applying e_m whole; tests/test_verify.py
+    keeps that form as an oracle.
     """
     W, H, p = alg.weyl, alg.hecke, alg.field.p
-    torus = W.torus()
     idempotents = H.idempotents()
+    units = dict(zip(W.torus(), alg.field.root_powers()))
+    # column t of the ratio table: e_m[t] / u0^e for every m
+    ratios = {
+        t: [idem.coeffs.get(t, 0) * pow(u, p - 2, p) % p for idem in idempotents]
+        for t, u in units.items()
+    }
     cases = [
         BasisSymbol(d, sign, w)
         for w in W.elements(min(6, max_length))
@@ -372,31 +385,22 @@ def _idempotent_slide(alg, max_length):
 
     @functools.cache
     def scaled(t, c):
-        """c e_m[t] for every m."""
-        return [c * idem.coeffs.get(t, 0) % p for idem in idempotents]
+        """c e_m[t] / u0^e for every m."""
+        return [c * r % p for r in ratios[t]]
 
-    def restated(sym):
+    def slide(sym):
         # key -> its coefficient in every left side, [lhs_m[key] for m]
         cols: dict = {}
-        for t in torus:
-            for key, c in alg._expand(alg._act_right({sym: 1}, {t: 1})).items():
+        for t, u in units.items():
+            for key, c in alg._expand(alg._act_right({sym: 1}, {t: u})).items():
                 col = scaled(t, c)
                 cols[key] = [(x + y) % p for x, y in zip(cols[key], col)] if key in cols else col
-        # one tuple of values per m; empty tuples when every y_t is 0
-        rows = list(zip(*cols.values())) or [()] * len(idempotents)
-        for m, values in enumerate(rows):
-            lhs = dict(zip(cols, values))
-            if 0 in values:
-                lhs = {key: c for key, c in lhs.items() if c}
+        for m in range(len(idempotents)):
+            lhs = {key: col[m] for key, col in cols.items() if col[m]}
             if lhs != rhs(sym, m):
                 return (sym, m)
 
-    def direct(sym):
-        for m, idem in enumerate(idempotents):
-            if alg._expand(alg._act_right({sym: 1}, idem.coeffs)) != rhs(sym, m):
-                return (sym, m)
-
-    return cases, restated, direct
+    return cases, slide
 
 
 def suite_duality(alg, *, max_length=8, samples=1000, seed=0, **_):
@@ -559,6 +563,14 @@ def _idempotent_system(alg):
       2. -sum_t chi_a(t) chi_b(t)^-1 = delta_ab mod p, integer arithmetic.
     That is O(p^3) in all; the direct test makes (p - 1)^2 products of
     (p - 1)-term elements, O(p^4).
+
+    With H.mul bilinear and e_0, ..., e_(p-2) built from the p - 1
+    characters, the restated test fails a case of a exactly when some product
+    e_a e_b is wrong, so the two verdicts agree.  But a failing eigen law
+    fails (a, 0), where e_a e_0 may still be right: with the torus rule
+    slipped to tau_t tau_t' = tau_(t t'^-1), the restated test fails (1, 0)
+    and the first wrong product is e_1 e_1.  So the check is a _restated one:
+    on failure the direct test names the first wrong product.
     """
     H, p = alg.hecke, alg.field.p
     torus = alg.weyl.torus()

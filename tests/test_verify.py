@@ -7,8 +7,9 @@ import pytest
 
 from heckext import ExtAlgebra
 from heckext import verify
+from heckext.coeff import add_into
 from heckext.graded import BasisSymbol
-from heckext.weyl import S0, S1
+from heckext.weyl import S0, S1, WeylElement
 
 
 def test_duality_beta_alpha_reports_the_first_counterexample(monkeypatch):
@@ -145,6 +146,8 @@ def test_vacuous_options_are_refused(entry, option, value):
 # product once.  The functions below are the direct forms those checks
 # replaced, kept literally as oracles: the slide applies the whole e_m for
 # every (symbol, m), and the idempotent system multiplies every pair e_a e_b.
+# On failure e0_idempotent_system reruns its own direct form, which names the
+# first wrong product where the eigen law may name an earlier case.
 
 
 def direct_slide_cases(alg, max_length):
@@ -211,15 +214,17 @@ def restated_results(alg, max_length):
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_restated_checks_agree_with_the_direct_forms_case_by_case(p):
     alg = ExtAlgebra(p)
-    for (cases, restated, direct), oracle_cases, oracle in (
-        (verify._idempotent_slide(alg, 8), direct_slide_cases(alg, 8), direct_slide(alg)),
-        (verify._idempotent_system(alg), direct_system_cases(alg), direct_system(alg)),
+    slide_cases, slide = verify._idempotent_slide(alg, 8)
+    system_cases, restated, direct = verify._idempotent_system(alg)
+    for cases, oracle_cases, oracle, tests in (
+        (slide_cases, direct_slide_cases(alg, 8), direct_slide(alg), [slide]),
+        (system_cases, direct_system_cases(alg), direct_system(alg), [restated, direct]),
     ):
         assert cases == oracle_cases
         expected = [oracle(case) for case in cases]
         assert expected == [None] * len(cases)
-        assert [restated(case) for case in cases] == expected
-        assert [direct(case) for case in cases] == expected
+        for test in tests:
+            assert [test(case) for case in cases] == expected
 
 
 def _wrong_inverse(H):
@@ -239,10 +244,38 @@ def _right_scalar_dropped(H):
     return lambda a, b: sum((real(a, H.tau(w)) for w in b.coeffs), H.zero())
 
 
+def _torus_rule_slipped(H):
+    """HeckeAlgebra.mul with tau_t tau_t' = tau_(t t'^-1): past a word of even
+    length the torus exponent of the right factor enters negated."""
+    real, W = H.mul, H.weyl
+
+    def mul(a, b):
+        flipped = H.element({WeylElement(W, -w.exp % W.n, w.word): c for w, c in b.coeffs.items()})
+        return sum((real(H.element({w: c}), b if len(w.word) % 2 else flipped)
+                    for w, c in a.coeffs.items()), H.zero())
+
+    return mul
+
+
+def _act_right_scalar_dropped(alg):
+    """ExtAlgebra._act_right reading every term of h with scalar 1."""
+    real, p = alg._act_right, alg.field.p
+
+    def act(row, h):
+        total = {}
+        for w in h:
+            add_into(total, real(row, {w: 1}).items(), 1, p)
+        return total
+
+    return act
+
+
 @pytest.mark.parametrize("mutant, owner, attr, slide, system", [
     (_wrong_inverse, "hecke", "idempotent", "(bm(w(0;)), 1)", None),
     (_slide_slip, "alg", "_slide", None, None),
     (_right_scalar_dropped, "hecke", "mul", None, "(0, 0)"),
+    (_torus_rule_slipped, "hecke", "mul", None, "(1, 1)"),
+    (_act_right_scalar_dropped, "alg", "_act_right", "(bm(w(0;)), 0)", None),
 ])
 def test_a_restated_check_reports_what_its_direct_form_reports(
     monkeypatch, mutant, owner, attr, slide, system
@@ -255,3 +288,14 @@ def test_a_restated_check_reports_what_its_direct_form_reports(
     for name, counterexample in (("rightaction_idempotent_slide", slide),
                                  ("e0_idempotent_system", system)):
         assert got[name] == expected[name] == (counterexample is None, counterexample)
+
+
+def test_the_eigen_law_can_fail_before_the_first_wrong_product(monkeypatch):
+    """With the torus rule slipped, the restated test of e0_idempotent_system
+    fails (1, 0), where e_1 e_0 = 0 still holds; the check reports the direct
+    form's (1, 1), as the mutant test above asserts."""
+    alg = ExtAlgebra(5)
+    monkeypatch.setattr(alg.hecke, "mul", _torus_rule_slipped(alg.hecke))
+    cases, restated, direct = verify._idempotent_system(alg)
+    assert verify._check("e0_idempotent_system", cases, restated).counterexample == "(1, 0)"
+    assert direct((1, 0)) is None
