@@ -2,7 +2,7 @@
 algebra of SL2(Qp), p >= 5, with machine verification of its defining
 identities and of its finite presentation."""
 
-from .coeff import Character, PrimeField
+from .coeff import PrimeField
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .hecke import HeckeAlgebra, HeckeElement
 from .product import cup_summand, duality_pairing, multiply
@@ -19,7 +19,6 @@ from .weyl import S0, S1, WeylElement, WeylGroup
 
 __all__ = [
     "PrimeField",
-    "Character",
     "WeylGroup",
     "WeylElement",
     "S0",

@@ -1,5 +1,5 @@
-"""Exact arithmetic in the prime field F_p (p >= 5), characters of F_p^x,
-and the sparse F_p-linear combinations every element type is built on.
+"""Exact arithmetic in the prime field F_p (p >= 5) and the sparse
+F_p-linear combinations every element type is built on.
 
 Everything downstream is linear algebra over F_p.  Scalars are plain int
 residues in [0, p); a :class:`PrimeField` instance owns the modulus and a
@@ -8,7 +8,8 @@ overridden, so results are reproducible across runs.
 
 Characters of the finite torus T0/T1 ~ F_p^x are powers of the fundamental
 character ``id`` sending the fixed torus generator to u0; they are
-represented by their exponent mod p - 1.
+represented by their exponent m mod p - 1, and id^m takes the e-th power
+of the generator to root_pow(m * e).
 
 The core.  Hecke, graded and free elements are finite maps key ->
 residue in [1, p) over a parent algebra that owns the field.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from functools import cache
 
-__all__ = ["PrimeField", "Character", "Combination", "add_into", "check_parameters"]
+__all__ = ["PrimeField", "Combination", "add_into", "check_parameters"]
 
 
 def _is_prime(n: int) -> bool:
@@ -132,37 +133,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p}, primitive_root={self.u0})"
-
-
-class Character:
-    """The character id^m of the finite torus, m read mod p - 1.
-
-    ``id`` sends the generator omega_u0 of the torus to u0, so id^m sends
-    the e-th power of the generator to u0^(m*e).
-    """
-
-    __slots__ = ("field", "m")
-
-    def __init__(self, field: PrimeField, m: int):
-        self.field = field
-        self.m = m % field.order
-
-    def eval_exponent(self, e: int) -> int:
-        """Value at the e-th power of the fixed torus generator."""
-        return self.field.root_pow(self.m * e)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Character)
-            and self.m == other.m
-            and self.field == other.field
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.m))
-
-    def __repr__(self):
-        return f"Character(id^{self.m} mod {self.field.p})"
 
 
 def check_parameters(a, b) -> None:

@@ -8,13 +8,13 @@ zero.
 
 Elements are combinations of the core in coeff.py keyed on BasisSymbol;
 this module adds the degree-0 actions and the involutions, product.py the
-product.  The left action of the Hecke algebra is given by explicit
-single-letter tables, keyed on the acting letter, the degree and sign of
-the target symbol, whether lengths add, and (where the tables split
-further) on whether the support has length 1 or >= 2.  Every row where
-the word shortens starts with -e_0 sym; in degree 0 that is the whole row,
-the quadratic relation of the Hecke algebra (hecke.py states it expanded,
-and the tests check the two against each other).  The right action is
+product.  The left action of the Hecke algebra is given by one explicit
+single-letter table for s0 (_S0_ROWS).  Its s1 rows, and the s1 halves of
+factor_through_generators, the degree-2 bad pairs and the sections, are
+derived through the uniformizer conjugation iota, which swaps s0 and s1:
+tau_{s1} x = iota(tau_{s0} iota(x)).  So there uniformizer_conj_multiplicative
+checks only the s0 half; the s1 half is pinned by the printed s1 rows in
+tests/test_letter_memos.py and by the pair digests.  The right action is
 their transport through the anti-involution, x h = J(J(h) J(x)) (deg h =
 0, no sign), made term by term: for tau_w, w = omega^e u, the right torus
 shift by e (no scalar), then the letters of u from left to right, each
@@ -145,6 +145,57 @@ def _weight(d: int, sign: int | None) -> int:
     if not sign:
         return 0
     return 2 * sign if d == 1 else -2 * sign
+
+
+# tau_{s0} on the degree-d symbol of this sign at w, keyed by (d, sign, whether
+# lengths add).  An entry (m, sign', c) is c e_m times the degree-d symbol of
+# sign' at w, and an entry (sign', c) is c times the one at s0 w.  A row lists
+# the entries at every length of w, then those only at length 1 and those only
+# at length >= 2.  A key not listed gives zero where lengths add; where they do
+# not, every row starts with -e_0 sym, and in degree 0 that is the whole row,
+# the quadratic relation tau_{s0} tau_w = -e_0 tau_w (hecke.py states it
+# expanded, and the tests check the two against each other).
+_S0_ROWS = {
+    (0, None, True): (((None, 1),), (), ()),
+    (1, -1, True): (((1, -1),), (), ()),
+    (1, 0, True): (((0, -1),), (), ()),
+    (2, 1, True): (((-1, -1),), (), ()),
+    (1, -1, False): (((1, 0, -2), (1, -1)), ((2, 1, 1),), ()),
+    (1, 0, False): ((), ((1, 1, 1),), ()),
+    (2, 0, False): (((1, -1, 2),), (), ((0, -1),)),
+    (2, 1, False): (((-1, -1),), ((1, 0, -1), (2, -1, 1)), ()),
+    (3, None, False): (((None, 1),), (), ()),
+}
+
+
+def _iota_entry(entry: tuple, unit: int) -> tuple:
+    """An s0 row entry mapped by iota: e_m -> e_-m, sign -> -sign, and -1 on
+    a sign-0 symbol; unit is -1 when the acted-on symbol has sign 0."""
+    *m, sign, c = entry
+    c = -unit * c if sign == 0 else unit * c
+    return (-m[0], sign and -sign, c) if m else (sign and -sign, c)
+
+
+def _letter_rows(s0_rows: dict) -> dict:
+    """Both letters' rows, keyed by (letter, d, sign, whether lengths add,
+    whether l(w) = 1), as (entries at w, entries at s_i w).  The uniformizer
+    conjugation iota swaps s0 and s1, so tau_{s1} sym = iota(tau_{s0} iota(sym)):
+    the s0 row of iota(sym) (opposite sign, same length), each entry mapped."""
+    rows = {}
+    for d, sign in KIND_NAMES:
+        for adds in (True, False):
+            every, at_length_1, longer = s0_rows.get((d, sign, adds), ((), (), ()))
+            for short in (True, False):
+                entries = every + (at_length_1 if short else longer)
+                s0 = entries if adds else ((0, sign, -1),) + entries
+                s1 = [_iota_entry(entry, -1 if sign == 0 else 1) for entry in s0]
+                for key, row in (((S0, d, sign), s0), ((S1, d, sign and -sign), s1)):
+                    rows[(*key, adds, short)] = (
+                        tuple(e for e in row if len(e) == 3), tuple(e for e in row if len(e) == 2))
+    return rows
+
+
+_LETTER_ROWS = _letter_rows(_S0_ROWS)
 
 
 class GradedElement(Combination):
@@ -482,78 +533,14 @@ class ExtAlgebra:
         W = self.weyl
         d, sign, w = sym
         si = W.simple(i)
-        sw = W.mul(si, w)
+        chars, plain = _LETTER_ROWS[i, d, sign, W.lengths_add(si, w), len(w[1]) == 1]
+        return self._row(d, w, chars, W.mul(si, w), plain)
 
-        plain: list = []
-        if W.lengths_add(si, w):
-            # degree 3, and the signs not listed, give zero when lengths add
-            if d == 0:
-                plain.append((BasisSymbol(0, None, sw), 1))
-            elif d == 1:
-                if i == S0 and sign == -1:
-                    plain.append((BasisSymbol(1, 1, sw), -1))
-                elif sign == 0:
-                    plain.append((BasisSymbol(1, 0, sw), -1))
-                elif i == S1 and sign == 1:
-                    plain.append((BasisSymbol(1, -1, sw), -1))
-            elif d == 2:
-                if i == S0 and sign == 1:
-                    plain.append((BasisSymbol(2, -1, sw), -1))
-                elif i == S1 and sign == -1:
-                    plain.append((BasisSymbol(2, 1, sw), -1))
-            return self._row(d, w, [], plain)
-
-        # lengths do not add: l(s_i w) = l(w) - 1, so l(w) >= 1.  Every row
-        # starts with -e_0 sym; in degree 0 that is the whole row, the
-        # quadratic relation tau_{s_i} tau_w = -e_0 tau_w.  Each (m, sign, c)
-        # stands for c e_m times the degree-d symbol of that sign at w.
-        L = w.length
-        chars = [(0, sign, -1)]
-        if d == 1:
-            if i == S0:
-                if sign == -1:
-                    chars.append((1, 0, -2))
-                    plain.append((BasisSymbol(1, 1, sw), -1))
-                    if L == 1:
-                        chars.append((2, 1, 1))
-                elif sign == 0 and L == 1:
-                    chars.append((1, 1, 1))
-            else:
-                if sign == 0 and L == 1:
-                    chars.append((-1, -1, -1))
-                elif sign == 1:
-                    chars.append((-1, 0, 2))
-                    plain.append((BasisSymbol(1, -1, sw), -1))
-                    if L == 1:
-                        chars.append((-2, -1, 1))
-        elif d == 2:
-            if i == S0:
-                if sign == 0:
-                    chars.append((1, -1, 2))
-                    if L >= 2:
-                        plain.append((BasisSymbol(2, 0, sw), -1))
-                elif sign == 1:
-                    plain.append((BasisSymbol(2, -1, sw), -1))
-                    if L == 1:
-                        chars += [(1, 0, -1), (2, -1, 1)]
-            else:
-                if sign == -1:
-                    plain.append((BasisSymbol(2, 1, sw), -1))
-                    if L == 1:
-                        chars += [(-1, 0, 1), (-2, 1, 1)]
-                elif sign == 0:
-                    chars.append((-1, 1, -2))
-                    if L >= 2:
-                        plain.append((BasisSymbol(2, 0, sw), -1))
-        elif d == 3:
-            plain.append((BasisSymbol(3, None, sw), 1))
-        return self._row(d, w, chars, plain)
-
-    def _row(self, d: int, w: WeylElement, chars: list, plain: list) -> dict:
-        """The symbolic row of the plain terms (sym, c) and the terms (m, sign,
-        c), each c e_m times the degree-d symbol of that sign at w."""
+    def _row(self, d: int, w: WeylElement, chars, v: WeylElement | None = None, plain=()) -> dict:
+        """The symbolic row of the terms (m, sign, c), each c e_m times the
+        degree-d symbol of that sign at w, and (sign, c) at v."""
         p = self.field.p
-        row = {sym: c % p for sym, c in plain}
+        row = {BasisSymbol(d, sign, v): c % p for sign, c in plain}
         for m, sign, c in chars:
             self._project(row, m, {BasisSymbol(d, sign, w): c}, 1)
         return row
@@ -713,13 +700,12 @@ class ExtAlgebra:
         return self._result(self._involution(self._operand(x)))
 
     def _symbol_uniformizer_conj(self, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
-        cw = self.weyl.uniformizer_conj(sym.support)
-        d, sign = sym.degree, sym.sign
-        if d in (0, 3):
-            return 1, BasisSymbol(d, None, cw)
-        if sign == 0:
-            return self.field.p - 1, BasisSymbol(d, 0, cw)
-        return 1, BasisSymbol(d, -sign, cw)
+        """The uniformizer conjugation on one symbol, as (unit, image): the sign
+        flips, and a sign-0 symbol gains -1.  The image of a valid symbol is
+        valid, so it is built unchecked."""
+        d, sign, w = sym
+        image = _shifted((d, sign and -sign, self.weyl.uniformizer_conj(w)))
+        return (self.field.p - 1 if sign == 0 else 1), image
 
     def _uniformizer_conj(self, row) -> dict:
         """The uniformizer conjugation on a symbolic row: it inverts the torus,
@@ -738,11 +724,13 @@ class ExtAlgebra:
         """Write a degree-1 symbol as c * tau_a * g * tau_b.
 
         g is one of the four bimodule generators; exactly which case applies
-        is decided by the sign and the first letter of the support word.
+        is decided by the sign and the first letter of the support word.  The
+        sign +1 case is the image under the uniformizer conjugation of the
+        sign -1 factorization of its conjugate.
         """
         if sym.degree != 1:
             raise ValueError(f"expected a degree-1 symbol, got {sym!r}")
-        W, F = self.weyl, self.field
+        W = self.weyl
         w = sym.support
         word = w.word
         if sym.sign == 0:
@@ -753,36 +741,24 @@ class ExtAlgebra:
                 BasisSymbol(1, 0, W.simple(j)),
                 WeylElement(W, 0, word[1:]),
             )
-        if sym.sign == -1:
-            if not word or word[0] == S0:
-                return 1, W.identity, BasisSymbol(1, -1, W.identity), w
-            if len(word) % 2 == 0:  # word of shape (s1 s0)^k
-                return (
-                    W.unit_square(w),
-                    w,
-                    BasisSymbol(1, -1, W.identity),
-                    W.identity,
-                )
-            # word of shape s1 (s0 s1)^k
+        if sym.sign == 1:
+            # iota has unit 1 on signed symbols, and g is signed
+            iota = self._symbol_uniformizer_conj
+            c, left, g, right = self.factor_through_generators(iota(sym)[1])
+            return c, W.uniformizer_conj(left), iota(g)[1], W.uniformizer_conj(right)
+        if not word or word[0] == S0:
+            return 1, W.identity, BasisSymbol(1, -1, W.identity), w
+        if len(word) % 2 == 0:  # word of shape (s1 s0)^k
             return (
-                F.neg(W.unit_square(w)),
+                W.unit_square(w),
                 w,
-                BasisSymbol(1, 1, W.identity),
+                BasisSymbol(1, -1, W.identity),
                 W.identity,
             )
-        if not word or word[0] == S1:
-            return 1, W.identity, BasisSymbol(1, 1, W.identity), w
-        if len(word) % 2 == 0:  # word of shape (s0 s1)^k
-            return (
-                F.inv(W.unit_square(w)),
-                w,
-                BasisSymbol(1, 1, W.identity),
-                W.identity,
-            )
-        # word of shape s0 (s1 s0)^k
+        # word of shape s1 (s0 s1)^k
         return (
-            F.neg(F.inv(W.unit_square(w))),
+            self.field.neg(W.unit_square(w)),
             w,
-            BasisSymbol(1, -1, W.identity),
+            BasisSymbol(1, 1, W.identity),
             W.identity,
         )

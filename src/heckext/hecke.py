@@ -7,12 +7,13 @@ letters, and each letter acts on the right factor by a single-letter
 rule.  A single letter either extends the word (braid relation, lengths
 add) or, when the word would shorten, expands through the quadratic
 relation tau_{s_i}^2 = -e_1 tau_{s_i} into the sum of all torus twists.
-That rule is stated once, in HeckeAlgebra._letter_left, which also gives
-the degree-0 rows of the graded left table.  Recursion depth is the
-length of the left factor, so products terminate.  It runs once per pair
-of bare words u, v (torus exponent 0), whose products are memoized per
-algebra as read-only tuples; as s omega^b = omega^-b s, with T the left
-torus shift, tau_{omega^a u} tau_{omega^b v} = T_{a + (-1)^|u| b}(tau_u tau_v).
+That rule is stated once, in HeckeAlgebra._letter_left; the graded left
+table states it as -e_0 tau_w, checked against it in the tests.  The
+recursion depth is the length of the left factor, so products terminate.
+It runs once per pair of bare words u, v (torus exponent 0), whose
+products are memoized per algebra as read-only tuples; as s omega^b =
+omega^-b s, with T the left torus shift,
+tau_{omega^a u} tau_{omega^b v} = T_{a + (-1)^|u| b}(tau_u tau_v).
 
 Right multiplication by letter recursion on the right factor is also
 provided; the tau-basis is stable under the main anti-involution, so the
@@ -21,7 +22,7 @@ two recursions must agree and are cross-checked in the tests.
 
 from __future__ import annotations
 
-from .coeff import Character, Combination, PrimeField, check_parameters
+from .coeff import Combination, PrimeField, check_parameters
 from .weyl import WeylElement, WeylGroup
 
 __all__ = ["HeckeElement", "HeckeAlgebra"]
@@ -63,10 +64,9 @@ class HeckeAlgebra:
     def element(self, coeffs: dict) -> HeckeElement:
         return HeckeElement.make(self, coeffs)
 
-    def idempotent(self, character: Character | int) -> HeckeElement:
-        """e_lambda = -sum over the torus of lambda(t)^{-1} tau_t, with its
-        terms in the order of WeylGroup.torus()."""
-        m = character.m if isinstance(character, Character) else character
+    def idempotent(self, m: int) -> HeckeElement:
+        """e_m = -sum over the torus of id^m(t)^{-1} tau_t, with its terms in
+        the order of WeylGroup.torus()."""
         p, n = self.field.p, self.weyl.n
         powers = self.field.root_powers()
         # a power of u0 lies in [1, p), so p minus it is its negative
@@ -79,9 +79,8 @@ class HeckeAlgebra:
     # --- multiplication ---
 
     def _letter_left(self, i: int, coeffs: dict) -> dict:
-        """Left multiply a coefficient dict by tau_{s_i}.  This is the one
-        statement of the degree-0 single-letter rule; the graded left table
-        reads its degree-0 entries from here."""
+        """Left multiply a coefficient dict by tau_{s_i}: the one statement of
+        the single-letter rule of the Hecke algebra."""
         W = self.weyl
         si = W.simple(i)
         out: dict = {}

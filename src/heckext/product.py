@@ -14,7 +14,8 @@ extended bilinearly:
       which is peeled down to a fixed base quadratic;
   (4) a bad degree-2 x degree-1 pair is resolved the same way, with the
       degree-2 factor rewritten through single-tensor section rows or
-      shifted to a strictly shorter support;
+      shifted to a strictly shorter support (for a word starting with s0;
+      one starting with s1 goes through the uniformizer conjugation);
   (5) a bad degree-1 x degree-2 pair is transported through the
       anti-involution to case (4); the graded sign is +1 there.
 
@@ -200,7 +201,7 @@ def _base_beta0_square(alg: ExtAlgebra, i: int) -> MappingProxyType:
         return cached
     if i == S0:
         # -e_0 alpha^0_{s0} - e_-1 alpha^+_{s0} + e_1 alpha^-_{s0}
-        out = alg._row(2, alg.weyl.s0, [(0, 0, -1), (-1, 1, -1), (1, -1, 1)], [])
+        out = alg._row(2, alg.weyl.s0, [(0, 0, -1), (-1, 1, -1), (1, -1, 1)])
     else:
         out = alg._uniformizer_conj(_base_beta0_square(alg, S0))
     base = alg._base_sq[i] = MappingProxyType(out)
@@ -257,28 +258,22 @@ def _deg2_times_generator(alg: ExtAlgebra, q: BasisSymbol, g: BasisSymbol):
         scale = F.root_pow(-alg._torus_weight(q) * u.exp)
         inner = _deg2_times_generator(alg, BasisSymbol(2, q.sign, bare), g)
         return alg._shift_left(inner, u.exp, scale)
-    j = u.word[0]
+    if u.word[0] == S1:
+        # the uniformizer conjugation iota swaps s0 and s1: q g = iota(iota(q)
+        # iota(g)), each iota on a symbol with its unit
+        (cq, iq), (cg, ig) = alg._symbol_uniformizer_conj(q), alg._symbol_uniformizer_conj(g)
+        out = alg._uniformizer_conj(_deg2_times_generator(alg, iq, ig))
+        return out if cq == cg else {key: F.neg(c) for key, c in out.items()}
     if q.sign == 0:
-        # single-tensor section row: alpha^0 = (+-) beta^{-+}_1 * beta^{+-}_u
-        if j == S1:
-            inner = _pair(alg, BasisSymbol(1, -1, u), g)
-            return _multiply(alg, {BasisSymbol(1, 1, W.identity): 1}, inner)
+        # single-tensor section row: alpha^0_u = -beta^-_1 * beta^+_u
         inner = _pair(alg, BasisSymbol(1, 1, u), g)
         return _multiply(alg, {BasisSymbol(1, -1, W.identity): -1}, inner)
-    if q.sign == -1 and j == S0:
+    if q.sign == -1:
         # alpha^-_u = -tau_{s0} alpha^+_{s0^{-1} u}: strictly shorter support
         shorter = W.mul(W.inv(W.s0), u)
         inner = _deg2_times_generator(alg, BasisSymbol(2, 1, shorter), g)
         return alg._act_left({W.s0: -1}, inner)
-    if q.sign == 1 and j == S1:
-        shorter = W.mul(W.inv(W.s1), u)
-        inner = _deg2_times_generator(alg, BasisSymbol(2, -1, shorter), g)
-        return alg._act_left({W.s1: -1}, inner)
-    if q.sign == -1:
-        # j == S1: alpha^-_u = -beta^+_1 * beta^0_u
-        inner = _pair(alg, BasisSymbol(1, 0, u), g)
-        return _multiply(alg, {BasisSymbol(1, 1, W.identity): -1}, inner)
-    # q.sign == +1, j == S0: alpha^+_u = beta^-_1 * beta^0_u
+    # alpha^+_u = beta^-_1 * beta^0_u
     inner = _pair(alg, BasisSymbol(1, 0, u), g)
     return _multiply(alg, {BasisSymbol(1, -1, W.identity): 1}, inner)
 

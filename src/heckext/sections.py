@@ -10,6 +10,8 @@ The degree-2 and degree-3 sections are given by the explicit rows for
 supports of length >= 1; at torus supports they recurse literally into
 the length-1 rows (the defining combination is checked to land in the
 length-1 summands and evaluation stays citable, with no simplification).
+Rows are stated for s0 and sign -1; the rest is the image under the
+uniformizer conjugation of the section of the conjugate symbol.
 """
 
 from __future__ import annotations
@@ -141,37 +143,28 @@ def tensor_uniformizer_conj(t: TensorExpression) -> TensorExpression:
 def _section2_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     W = alg.weyl
     w = sym.support
+    if w.word[:1] == (S1,) or (not w.word and sym.sign == 1):
+        # the uniformizer conjugation iota swaps s0 and s1 (and the signs at a
+        # torus support): the section of sym is iota of the section of iota(sym)
+        unit, image = alg._symbol_uniformizer_conj(sym)
+        return _map_slots(_section2_symbol(alg, image), alg._symbol_uniformizer_conj, unit)
     if w.length >= 1:
-        j = w.word[0]
         b = lambda sign, supp: BasisSymbol(1, sign, supp)
-        one = W.identity
-        if j == S1:
-            rows = {
-                -1: (-1, (b(1, one), b(0, w))),
-                0: (1, (b(1, one), b(-1, w))),
-                1: (1, (b(0, W.s1), b(1, W.mul(W.inv(W.s1), w)))),
-            }
+        if sym.sign == -1:
+            term = (-1, (b(0, W.s0), b(-1, W.mul(W.inv(W.s0), w))))
+        elif sym.sign == 0:
+            term = (-1, (b(-1, W.identity), b(1, w)))
         else:
-            rows = {
-                -1: (-1, (b(0, W.s0), b(-1, W.mul(W.inv(W.s0), w)))),
-                0: (-1, (b(-1, one), b(1, w))),
-                1: (1, (b(-1, one), b(0, w))),
-            }
-        c, syms = rows[sym.sign]
-        return TensorExpression.from_terms(alg, 2, [(c, syms)])
-    # torus support: recurse through the length-1 shift rows
-    if sym.sign == -1:
-        s, other_sign = W.s0, 1
-    elif sym.sign == 1:
-        s, other_sign = W.s1, -1
-    else:
-        raise ValueError("sign-0 symbols do not exist at torus supports")
-    shifted = BasisSymbol(2, other_sign, W.mul(W.inv(s), w))
-    combo = alg.act_left(alg.hecke.tau(s), alg.symbol_element(shifted)) + alg.symbol_element(sym)
+            term = (1, (b(-1, W.identity), b(0, w)))
+        return TensorExpression.from_terms(alg, 2, [term])
+    # sign -1 at a torus support: recurse through the length-1 shift row
+    tau_s0 = alg.hecke.tau(W.s0)
+    shifted = BasisSymbol(2, 1, W.mul(W.inv(W.s0), w))
+    combo = alg.act_left(tau_s0, alg.symbol_element(shifted)) + alg.symbol_element(sym)
     if combo.support_lengths() - {1}:
         raise AssertionError("shift combination must land in the length-1 summands")
     return _section2_element(alg, combo) + tensor_act(
-        alg.hecke.tau(s), _section2_symbol(alg, shifted), "left"
+        tau_s0, _section2_symbol(alg, shifted), "left"
     ).scale(-1)
 
 
@@ -200,18 +193,13 @@ def section_deg2(x: GradedElement) -> TensorExpression:
 def _section3_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     W = alg.weyl
     w = sym.support
-    one = W.identity
+    if w.word[:1] == (S1,):
+        # iota of the section of iota(sym), as in degree 2
+        unit, image = alg._symbol_uniformizer_conj(sym)
+        return _map_slots(_section3_symbol(alg, image), alg._symbol_uniformizer_conj, unit)
     if w.length >= 1:
-        j = w.word[0]
-        if j == S1:
-            syms = (
-                BasisSymbol(1, 1, one),
-                BasisSymbol(1, 0, W.s1),
-                BasisSymbol(1, 1, W.mul(W.inv(W.s1), w)),
-            )
-            return TensorExpression.from_terms(alg, 3, [(1, syms)])
         syms = (
-            BasisSymbol(1, -1, one),
+            BasisSymbol(1, -1, W.identity),
             BasisSymbol(1, 0, W.s0),
             BasisSymbol(1, -1, W.mul(W.inv(W.s0), w)),
         )

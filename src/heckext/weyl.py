@@ -125,7 +125,7 @@ class WeylGroup:
 
     def uniformizer_conj(self, w: WeylElement) -> WeylElement:
         """Conjugation by the uniformizer: inverts the torus, swaps s0 <-> s1."""
-        return WeylElement(self, (-w.exp) % self.n, tuple(1 - l for l in w.word))
+        return _weyl((-w[0] % self.n, tuple(1 - l for l in w[1])))
 
     def unit_square(self, w: WeylElement) -> int:
         """The square u_w^2 in F_p of the torus unit attached to w.

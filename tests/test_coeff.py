@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heckext.coeff import Character, PrimeField
+from heckext.coeff import PrimeField
 from heckext.graded import ExtAlgebra, GradedElement
 from heckext.hecke import HeckeElement
 from heckext.presentation import B_P, LETTERS, FreeElement, free_letter
@@ -78,37 +78,7 @@ class TestPrimeField:
             if b % 7:
                 assert F.inv(a * b) == F.inv(a) * F.inv(b) % 7
         assert F.root_pow(a + b) == F.root_pow(a) * F.root_pow(b) % 7
-
-
-class TestCharacter:
-    def test_frozen_examples_p5(self):
-        F = PrimeField(5)
-        assert Character(F, 1).eval_exponent(1) == 2          # id of the generator
-        assert Character(F, 0).eval_exponent(7) == 1          # trivial character
-        assert Character(F, 2).eval_exponent(3) == pow(2, 6 % 4, 5) == 4
-
-    @given(
-        st.sampled_from([5, 7, 11]),
-        st.integers(-20, 20),
-        st.integers(-20, 20),
-        st.integers(-30, 30),
-    )
-    def test_multiplicative_in_the_character(self, p, m1, m2, e):
-        F = PrimeField(p)
-        a, b = Character(F, m1), Character(F, m2)
-        lhs = Character(F, m1 + m2).eval_exponent(e)
-        assert lhs == a.eval_exponent(e) * b.eval_exponent(e) % p
-
-    @given(st.sampled_from([5, 7, 11]), st.integers(-10, 10), st.integers(-30, 30))
-    def test_periodic_in_the_exponent(self, p, m, e):
-        F = PrimeField(p)
-        lam = Character(F, m)
-        assert lam.eval_exponent(e) == lam.eval_exponent(e + p - 1)
-
-    @given(st.sampled_from([5, 7, 11]), st.integers(-10, 10), st.integers(-30, 30))
-    def test_evaluation_by_modular_exponentiation_oracle(self, p, m, e):
-        F = PrimeField(p)
-        assert Character(F, m).eval_exponent(e) == pow(F.u0, (m * e) % (p - 1), p)
+        assert F.root_pow(a) == pow(F.u0, a % 6, 7)
 
 
 # --- the linear-combination core shared by the three element types ---

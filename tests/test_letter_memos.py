@@ -2,8 +2,11 @@
 
 The left action is computed letter by letter from a memo whose misses are
 left torus shifts of one row per orbit; each row must equal the table
-itself.  Rows are symbolic (their e_m terms stay character keys), so they
-are compared after expansion.  The right action is computed from a memo
+itself.  The table states s0 and derives the s1 rows through the
+uniformizer conjugation; the s1 rows as they were printed before that are
+kept here, and the derived rows must equal them.  Rows are symbolic (their
+e_m terms stay character keys), so they are compared after expansion.  The
+right action is computed from a memo
 whose misses are right torus shifts of one representative per orbit; the
 representative is the symbolic transport of a left row through the
 anti-involution J and must equal the concrete transport written out here,
@@ -25,6 +28,37 @@ from heckext.weyl import S0, S1
 
 MAX_LENGTH = 3
 
+# tau_{s1} on the degree-d symbol of this sign at w, keyed by (d, sign, whether
+# lengths add): entries (m, sign', c) for c e_m times the degree-d symbol of
+# sign' at w and (sign', c) for c times the one at s1 w; the entries at every
+# length of w, then those only at length 1 and only at length >= 2.  Where
+# lengths do not add, every row also starts with -e_0 sym.
+PRINTED_S1_ROWS = {
+    (0, None, True): (((None, 1),), (), ()),
+    (1, 0, True): (((0, -1),), (), ()),
+    (1, 1, True): (((-1, -1),), (), ()),
+    (2, -1, True): (((1, -1),), (), ()),
+    (1, 0, False): ((), ((-1, -1, -1),), ()),
+    (1, 1, False): (((-1, 0, 2), (-1, -1)), ((-2, -1, 1),), ()),
+    (2, -1, False): (((1, -1),), ((-1, 0, 1), (-2, 1, 1)), ()),
+    (2, 0, False): (((-1, 1, -2),), (), ((0, -1),)),
+    (3, None, False): (((None, 1),), (), ()),
+}
+
+
+def printed_s1_row(alg: ExtAlgebra, sym) -> dict:
+    """tau_{s1} sym from PRINTED_S1_ROWS, expanded."""
+    W = alg.weyl
+    d, sign, w = sym
+    adds = W.lengths_add(W.s1, w)
+    every, at_length_1, longer = PRINTED_S1_ROWS.get((d, sign, adds), ((), (), ()))
+    entries = every + (at_length_1 if w.length == 1 else longer)
+    if not adds:
+        entries = ((0, sign, -1),) + entries
+    chars = [e for e in entries if len(e) == 3]
+    plain = [e for e in entries if len(e) == 2]
+    return alg._expand(alg._row(d, w, chars, W.mul(W.s1, w), plain))
+
 
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_orbit_derived_left_rows_equal_the_table(p):
@@ -36,6 +70,8 @@ def test_orbit_derived_left_rows_equal_the_table(p):
             fresh = ExtAlgebra(p)
             expected = fresh._expand(fresh._letter_row(i, sym))
             assert alg._expand(alg._letter_on_symbol(i, sym)) == expected, (i, sym)
+            if i == S1:
+                assert expected == printed_s1_row(fresh, sym), sym
     assert len(alg._letter_cache) > len(alg._left_orbit_cache)
 
 

@@ -1,10 +1,13 @@
 """Every product of two basis symbols of total degree <= 3 and support length <= 2.
 
-At p=5 that is 15,088 pairs and at p=7 33,948.  One SHA-256 digest of
-their canonical renders is pinned per prime; the digests were recorded
-with the engine that computed every pair through the dispatch, before the
-orbit memo derived pairs from their torus orbit.  Re-record them only for
-an intended change of output:
+At p=5 that is 15,088 pairs, at p=7 33,948 and at p=13 135,792.  One
+SHA-256 digest of their canonical renders is pinned per prime.  The p=5
+and p=7 digests were recorded with the engine that computed every pair
+through the dispatch, before the orbit memo derived pairs from their torus
+orbit; the p=13 digest with the engine that still printed the s1 half of
+its formulas, before that half was derived through the uniformizer
+conjugation.  So the digests pin every derived half independently of the
+derivation.  Re-record them only for an intended change of output:
 
     PYTHONPATH=src python3 tests/test_pairs.py
 
@@ -30,6 +33,7 @@ MAX_LENGTH = 2
 DIGESTS = {
     5: (15088, "b096a659f43d8b426c39f08e63b26a829b53df22dd87c104dbd3b296102bc973"),
     7: (33948, "2b1418caa8d66dee40fbfda8c030174f8b5c9ee4a79674791dc5e12d40ca9255"),
+    13: (135792, "6415d7550677764b0c406bc8111a29306950654e265f26712a441ab86b31b008"),
 }
 
 

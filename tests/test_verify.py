@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from heckext import ExtAlgebra
-from heckext import verify
+from heckext import graded, verify
 from heckext.coeff import add_into
 from heckext.graded import BasisSymbol
 from heckext.weyl import S0, S1, WeylElement
@@ -299,3 +299,27 @@ def test_the_eigen_law_can_fail_before_the_first_wrong_product(monkeypatch):
     cases, restated, direct = verify._idempotent_system(alg)
     assert verify._check("e0_idempotent_system", cases, restated).counterexample == "(1, 0)"
     assert direct((1, 0)) is None
+
+
+# Entries of the s0 letter table, each with a wrong value: (row key, entry
+# group, entry, mutant).  The s1 half is derived from this table through the
+# uniformizer conjugation, so a wrong s0 entry shows in both halves, and
+# uniformizer_conj_multiplicative is no longer bound to see it.
+S0_ROW_MUTANTS = [
+    # -2 e_1 beta^0_w in tau_{s0} beta^-_w where the word shortens
+    ((1, -1, False), 0, (1, 0, -2), (1, 0, -1)),
+    # e_2 alpha^-_w in tau_{s0} alpha^+_w where the word shortens, at l(w) = 1
+    ((2, 1, False), 1, (2, -1, 1), (3, -1, 1)),
+]
+
+
+@pytest.mark.parametrize("key, group, entry, mutant", S0_ROW_MUTANTS)
+def test_a_wrong_s0_table_entry_fails_the_relators(monkeypatch, key, group, entry, mutant):
+    row = list(graded._S0_ROWS[key])
+    assert entry in row[group]
+    row[group] = tuple(mutant if e == entry else e for e in row[group])
+    s0_rows = {**graded._S0_ROWS, key: tuple(row)}
+    # the s1 table is derived from the mutated s0 table, as at import
+    monkeypatch.setattr(graded, "_LETTER_ROWS", graded._letter_rows(s0_rows))
+    results = verify.run_suite(ExtAlgebra(5), "relators", max_length=2)
+    assert any(not r.ok for r in results)
