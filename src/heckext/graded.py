@@ -281,6 +281,7 @@ class ExtAlgebra:
         self._orbit_cache: dict[tuple, tuple[int, int, MappingProxyType]] = {}
         self._symbols: dict[BasisSymbol, BasisSymbol] = {}
         self._char_cache: dict[tuple, MappingProxyType] = {}
+        self._section_cache: dict[tuple[int, BasisSymbol], "TensorExpression"] = {}
 
     # --- element constructors ---
 

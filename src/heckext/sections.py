@@ -12,16 +12,24 @@ the length-1 rows (the defining combination is checked to land in the
 length-1 summands and evaluation stays citable, with no simplification).
 Rows are stated for s0 and sign -1; the rest is the image under the
 uniformizer conjugation of the section of the conjugate symbol.
+
+The section of one symbol is a pure function of (algebra, symbol), so it
+is memoized in the algebra's section memo, keyed (degree, symbol); its
+values are the frozen expressions themselves, whose terms are tuples of
+immutable symbols.  Evaluation multiplies the slots of each term left to
+right on symbolic rows, as the product engine does, and returns a lazy
+element when the sum holds a character key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, wraps
 
-from .coeff import add_into
+from .coeff import add_into, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .hecke import HeckeElement
-from .product import multiply
+from .product import _multiply
 from .weyl import S1
 
 __all__ = [
@@ -61,6 +69,7 @@ class TensorExpression:
         return cls(alg, arity, clean)
 
     def __add__(self, other: "TensorExpression") -> "TensorExpression":
+        check_parameters(self.algebra, other.algebra)
         if self.arity != other.arity:
             raise ValueError("cannot add tensor expressions of different arity")
         return TensorExpression(self.algebra, self.arity, self.terms + other.terms)
@@ -76,15 +85,16 @@ class TensorExpression:
     def evaluate(self) -> GradedElement:
         """Image under the multiplication map: left-to-right products."""
         alg = self.algebra
+        p = alg.field.p
         total: dict = {}
         for c, syms in self.terms:
-            acc = alg.symbol_element(syms[0])
+            acc = {syms[0]: 1}
             for s in syms[1:]:
-                if acc.is_zero:
+                if not acc:
                     break
-                acc = multiply(acc, alg.symbol_element(s))
-            add_into(total, acc.coeffs.items(), c, alg.field.p)
-        return GradedElement(alg, total)
+                acc = _multiply(alg, acc, {s: 1})
+            add_into(total, acc.items(), c, p)
+        return alg._result(total)
 
     def __repr__(self):
         if not self.terms:
@@ -137,9 +147,28 @@ def tensor_uniformizer_conj(t: TensorExpression) -> TensorExpression:
     return _map_slots(t, t.algebra._symbol_uniformizer_conj)
 
 
+def _memoized(degree: int):
+    """Read the section of one symbol from the algebra's section memo, and
+    build it with the decorated function on a miss."""
+
+    def decorate(build):
+        @wraps(build)
+        def section(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
+            key = (degree, sym)
+            cached = alg._section_cache.get(key)
+            if cached is None:
+                cached = alg._section_cache[key] = build(alg, sym)
+            return cached
+
+        return section
+
+    return decorate
+
+
 # --- the degree-2 section ---
 
 
+@_memoized(2)
 def _section2_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     W = alg.weyl
     w = sym.support
@@ -190,6 +219,7 @@ def section_deg2(x: GradedElement) -> TensorExpression:
 # --- the degree-3 section ---
 
 
+@_memoized(3)
 def _section3_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     W = alg.weyl
     w = sym.support
@@ -230,19 +260,23 @@ def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
         raise ValueError("section_deg3_symmetric expects a degree-3 element")
     alg = x.algebra
 
-    def section(sym):
-        w = sym.support
-        if w.length >= 1:
-            return _section3_symbol(alg, sym)
+    @cache
+    def average():
+        """The 1/4-average, made once a call when a torus term first needs it."""
         base = _section3_symbol(alg, BasisSymbol(3, None, alg.weyl.identity))
         jbase = tensor_involution(base)
-        avg = (
+        return (
             base
             + tensor_uniformizer_conj(base)
             + jbase
             + tensor_uniformizer_conj(jbase)
         ).scale(alg.field.inv(4))
-        return tensor_act(alg.hecke.tau(w), avg, "right")
+
+    def section(sym):
+        w = sym.support
+        if w.length >= 1:
+            return _section3_symbol(alg, sym)
+        return tensor_act(alg.hecke.tau(w), average(), "right")
 
     return _sum_of_sections(alg, 3, x, section)
 

@@ -1,8 +1,13 @@
 import pytest
 
-from heckext.graded import BasisSymbol
+from conftest import algebra
+from heckext import ExtAlgebra, verify
+from heckext.coeff import add_into
+from heckext.graded import BasisSymbol, GradedElement
+from heckext.product import multiply
 from heckext.sections import (
     TensorExpression,
+    _section2_symbol,
     candidate_kernel_deg2,
     kernel_generators,
     section_deg2,
@@ -19,6 +24,21 @@ def t2(alg, terms):
     return TensorExpression.from_terms(alg, 2, terms)
 
 
+def evaluate_through_multiply(t):
+    """The oracle: each term's slots multiplied left to right through the
+    public multiply, summed into an eager element."""
+    alg = t.algebra
+    total: dict = {}
+    for c, syms in t.terms:
+        acc = alg.symbol_element(syms[0])
+        for s in syms[1:]:
+            if acc.is_zero:
+                break
+            acc = multiply(acc, alg.symbol_element(s))
+        add_into(total, acc.coeffs.items(), c, alg.field.p)
+    return GradedElement(alg, total)
+
+
 class TestTensorExpression:
     def test_validation(self, alg5):
         W = alg5.weyl
@@ -28,6 +48,15 @@ class TestTensorExpression:
             TensorExpression(
                 alg5, 2, ((1, (BasisSymbol(0, None, W.s0), BasisSymbol(1, -1, W.s0))),)
             )
+
+    def test_add_refuses_another_algebra(self, alg5, alg7):
+        one5, one7 = alg5.weyl.identity, alg7.weyl.identity
+        x = t2(alg5, [(1, (BasisSymbol(1, 1, one5), BasisSymbol(1, 1, one5)))])
+        y = t2(alg7, [(1, (BasisSymbol(1, 1, one7), BasisSymbol(1, 1, one7)))])
+        with pytest.raises(ValueError, match="different parameters"):
+            x + y
+        with pytest.raises(ValueError, match="different parameters"):
+            y + x
 
     def test_evaluate_examples(self, alg5):
         W = alg5.weyl
@@ -148,6 +177,56 @@ class TestSectionRows:
         ]
         for form, conj in zip(forms, conjugates):
             assert conj.evaluate() == form.evaluate() == phi1
+
+
+class TestRowEvaluation:
+    """evaluate runs on symbolic rows; the public-multiply path is its oracle."""
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_sections_match_the_multiply_oracle(self, p):
+        alg = algebra(p)
+        sections = {2: (section_deg2,), 3: (section_deg3, section_deg3_symmetric)}
+        for sym in alg.basis_symbols(5, degrees=(2, 3)):
+            el = alg.symbol_element(sym)
+            for section in sections[sym.degree]:
+                t = section(el)
+                assert t.evaluate() == evaluate_through_multiply(t) == el, (section, sym)
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_kernel_generators_match_the_multiply_oracle(self, p):
+        alg = algebra(p)
+        for gen in kernel_generators(alg):
+            assert gen.evaluate() == evaluate_through_multiply(gen)
+
+    def test_lazy_result_renders_as_the_oracle(self, alg7):
+        phi = alg7.phi(alg7.weyl.identity)
+        t = section_deg3(phi)
+        assert t.evaluate().row is not None
+        assert repr(t.evaluate()) == repr(evaluate_through_multiply(t)) == repr(phi)
+
+
+class TestSectionMemo:
+    def test_torus_section_is_one_object(self, alg7):
+        sym = BasisSymbol(2, -1, alg7.weyl.omega(3))
+        first = _section2_symbol(alg7, sym)
+        assert len(first.terms) > 1
+        assert _section2_symbol(alg7, sym) is first
+        assert alg7._section_cache[2, sym] is first
+
+    def test_each_algebra_has_its_own_memo(self, alg5, alg7):
+        # the same key at p=5 and p=7: each algebra builds and keeps its own
+        sym = BasisSymbol(2, 1, alg5.weyl.omega(1))
+        t5, t7 = _section2_symbol(alg5, sym), _section2_symbol(alg7, sym)
+        assert t5 is not t7
+        assert t5.algebra is alg5 and t7.algebra is alg7
+        assert alg5._section_cache[2, sym] is t5
+        assert alg7._section_cache[2, sym] is t7
+
+    def test_engine_adds_no_attribute_after_init(self):
+        alg = ExtAlgebra(5)
+        verify.run(alg, "all", max_length=2, samples=5)
+        assert alg._section_cache
+        assert set(vars(alg)) == set(vars(ExtAlgebra(5)))
 
 
 class TestKernelGenerators:
