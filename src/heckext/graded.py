@@ -231,6 +231,14 @@ class GradedElement(Combination):
             coeffs = self._coeffs = self.algebra._expand(self.row)
         return coeffs
 
+    def scale(self, c: int) -> "GradedElement":
+        """c * self; a lazy element scales its row and stays lazy."""
+        p = self.algebra.field.p
+        if self.row is None or c % p == 0:
+            return super().scale(c)
+        # c and every coefficient of the row are units, so no product vanishes
+        return GradedElement.lazy(self.algebra, {k: c * v % p for k, v in self.row.items()})
+
     def _product(self, other: "GradedElement") -> "GradedElement":
         from . import product
 

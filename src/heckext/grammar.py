@@ -9,15 +9,23 @@
 
 Rendering is canonical (sorted terms, balanced coefficient signs), and
 parse(render(x)) == x; render(parse(s)) == s on canonically rendered
-input.  Parse errors carry the offending position.  A parsed e(m) is the
-lazy element of one character key (graded.py).  The renderer and the JSON
-export walk the terms in one canonical order, read from the element's
-row: a character key becomes a coefficient vector over its torus orbit,
-so a lazy element is rendered without building its p - 1 symbols.
+input.  A sum of well-formed terms is read one term per match of the
+regular expression _TERM; any other input goes through the scanner
+(_parse_scanned), which reads it token by token and raises a ParseError
+that carries the offending position.  A parsed c*e(m) is the lazy element
+of one character key (graded.py).  The renderer and the JSON export walk
+the terms in one canonical order, read from the element's row: a
+character key becomes a coefficient vector over its torus orbit, so a
+lazy element is rendered without building its p - 1 symbols.  Each term's
+coefficient prefix is read from a table per p (_heads).
 """
 
 from __future__ import annotations
 
+import re
+from functools import cache
+
+from .coeff import add_into
 from .graded import KIND_NAMES, BasisSymbol, ExtAlgebra, GradedElement, _weight
 from .weyl import S0, S1, WeylElement
 
@@ -33,7 +41,6 @@ _KINDS = {
     "ap": (2, 1),
     "phi": (3, None),
 }
-_KIND_ORDER = {name: i for i, name in enumerate(_KINDS)}
 
 
 class ParseError(ValueError):
@@ -149,7 +156,59 @@ def _parse_term(sc: _Scanner, alg: ExtAlgebra) -> GradedElement:
     return alg.symbol_element(sym).scale(coeff)
 
 
+# One well-formed term with its operator and the whitespace around it:
+# [op] [int '*'] (kind '(' weyl | 'e' '(' int) ')'.  Integers are ASCII
+# digits, as in the scanner; \s is str.isspace and \w the scanner's
+# identifier characters, so a letter run into a name ("s0s1") fails.
+_TERM = re.compile(r"""
+    \s* ([+-]?) \s*
+    (?: ([0-9]+) \s* \* \s* )?
+    (?: (tau|bm|b0|bp|am|a0|ap|phi) \s* \( \s* w \s* \( \s* ([+-]?[0-9]+) \s* ;
+            ((?: \s* s[01] (?!\w) )*) \s* \)
+      | e \s* \( \s* ([+-]?[0-9]+) )
+    \s* \) \s*
+""", re.VERBOSE)
+_LETTERS = {"s0": S0, "s1": S1}
+
+
 def parse_element(alg: ExtAlgebra, text: str) -> GradedElement:
+    """The element that text writes in the grammar above; a ParseError
+    carries the position of the first error."""
+    try:
+        x = _parse_terms(alg, text)
+    except ValueError:  # an invalid symbol, or an integer past int()'s digit limit
+        x = None
+    return _parse_scanned(alg, text) if x is None else x
+
+
+def _parse_terms(alg: ExtAlgebra, text: str) -> GradedElement | None:
+    """The element of a sum of well-formed terms, or None where the text is
+    not one: a term _TERM does not match, a leading '+', a missing operator,
+    or an e(m) that is not the whole text.  The scanner decides those."""
+    weyl, p = alg.weyl, alg.field.p
+    total: dict = {}
+    pos = 0
+    while True:
+        term = _TERM.match(text, pos)
+        if term is None or term[1] == ("" if pos else "+"):
+            return None
+        c = int(term[2]) if term[2] else 1
+        if term[1] == "-":
+            c = -c
+        if term[3] is None:
+            # alone, c*e(m) is the lazy element; in a sum the scanner expands it
+            if pos or term.end() < len(text):
+                return None
+            return alg.idempotent(int(term[6]), c)
+        degree, sign = _KINDS[term[3]]
+        w = weyl.element(int(term[4]), [_LETTERS[l] for l in term[5].split()])
+        add_into(total, ((BasisSymbol(degree, sign, w), 1),), c, p)
+        pos = term.end()
+        if pos == len(text):
+            return GradedElement(alg, total)
+
+
+def _parse_scanned(alg: ExtAlgebra, text: str) -> GradedElement:
     sc = _Scanner(text)
     if sc.done():
         raise ParseError("empty input", 0)
@@ -225,29 +284,41 @@ def _canonical_groups(x: GradedElement):
             vectors: dict = {}
             for m, sign, c in chars:
                 step = (_weight(d, sign) - m) % n
-                vector = vectors.get(sign, [0] * n)
-                vectors[sign] = [v + c * (p - powers[b * step % n]) for b, v in enumerate(vector)]
+                orbit = [p - powers[b * step % n] for b in range(n)]
+                vector = vectors.get(sign)
+                vectors[sign] = ([c * u for u in orbit] if vector is None
+                                 else [v + c * u for v, u in zip(vector, orbit)])
             for exp, sign, c in terms:
                 vectors.setdefault(sign, [0] * n)[exp] += c
-            columns = [(KIND_NAMES[d, sign], vector) for sign, vector in sorted(vectors.items())]
-            terms = [(exp, kind, c) for exp in range(n) for kind, vector in columns
-                     if (c := vector[exp] % p)]
+            columns = [(KIND_NAMES[d, sign], [v % p for v in vector])
+                       for sign, vector in sorted(vectors.items())]
+            if len(columns) == 1:
+                kind, vector = columns[0]
+                terms = [(exp, kind, c) for exp, c in enumerate(vector) if c]
+            else:
+                terms = [(exp, kind, c) for exp in range(n) for kind, vector in columns
+                         if (c := vector[exp])]
         yield word, terms
 
 
-def render_element(x: GradedElement) -> str:
-    p = x.algebra.field.p
+@cache
+def _heads(p: int) -> tuple[str, ...]:
+    """The prefix of a term of coefficient c, for each c in [0, p): the
+    balanced sign, " + c*" or " - (p - c)*", with a unit factor left out."""
     half = (p - 1) // 2
+    return tuple(
+        (" + " if c == 1 else f" + {c}*") if c <= half
+        else (" - " if c == p - 1 else f" - {p - c}*")
+        for c in range(p)
+    )
+
+
+def render_element(x: GradedElement) -> str:
+    heads = _heads(x.algebra.field.p)
     parts = []
     for word, terms in _canonical_groups(x):
         tail = f";{_letters(word)}))"
-        for exp, kind, c in terms:
-            # balanced sign: render p - c as a subtraction when that is smaller
-            if c <= half:
-                head = " + " if c == 1 else f" + {c}*"
-            else:
-                head = " - " if c == p - 1 else f" - {p - c}*"
-            parts.append(f"{head}{kind}(w({exp}{tail}")
+        parts += [f"{heads[c]}{kind}(w({exp}{tail}" for exp, kind, c in terms]
     if not parts:
         return "0"
     # the first term drops its " + ", or keeps its " - " as a bare "-"

@@ -199,7 +199,12 @@ def _section2_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
 
 def _sum_of_sections(alg: ExtAlgebra, arity: int, x: GradedElement, section) -> TensorExpression:
     """The sum over the terms c sym of x of c section(sym), with the terms in
-    order.  It is built as one expression, so each slot is validated once."""
+    order.  It is built as one expression, so each slot is validated once;
+    a single symbol of coefficient 1 returns its section itself."""
+    if len(x.coeffs) == 1:
+        [(sym, c)] = x.coeffs.items()
+        if c == 1:
+            return section(sym)
     return TensorExpression.from_terms(alg, arity, [
         (c * k, syms) for sym, c in x.coeffs.items() for k, syms in section(sym).terms
     ])

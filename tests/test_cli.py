@@ -7,14 +7,69 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heckext import ExtAlgebra
+from heckext import ExtAlgebra, grammar
 from heckext.cli import Config, main
 from heckext.graded import BasisSymbol, GradedElement
-from heckext.grammar import ParseError, parse_element, render_element
+from heckext.grammar import ParseError, _parse_scanned, parse_element, render_element
 from heckext.verify import run
 from heckext.weyl import S0, S1
 
+from conftest import algebra
 from test_graded import rand_symbol
+
+
+# token soup: every token of the grammar, and some that only look like one
+TOKEN_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(
+        ["tau", "bm", "a0", "phi", "e", "w", "(", ")", ";", "s0", "s1", "*", "+", "-",
+         " ", "0", "3", "12", "²", "١", "9" * 4400]
+    )).map("".join),
+)
+WHITESPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\u00a0"])
+
+
+@st.composite
+def well_formed_text(draw):
+    """Sums of one to four terms with whitespace around every token, signed
+    and unsigned, coefficients from 0, e(m) among them, and words of length
+    0-8, one in ten with a repeated letter."""
+    ws = lambda: draw(WHITESPACE)
+    text = ""
+    for i in range(draw(st.integers(1, 4))):
+        text += ws() + draw(st.sampled_from(["", "-"] if i == 0 else ["+", "-"])) + ws()
+        if draw(st.booleans()):
+            text += f"{draw(st.integers(0, 30))}{ws()}*{ws()}"
+        exp = draw(st.sampled_from(["", "+", "-"])) + str(draw(st.integers(0, 40)))
+        if draw(st.integers(0, 7)) == 0:
+            text += f"e{ws()}({ws()}{exp}{ws()}){ws()}"
+            continue
+        first, length = draw(st.integers(0, 1)), draw(st.integers(0, 8))
+        letters = [(first + j) % 2 for j in range(length)]
+        if length > 1 and draw(st.integers(0, 9)) == 0:
+            letters[-1] = letters[-2]
+        word = "".join(draw(st.sampled_from([" ", "  ", "\t"])) + f"s{l}" for l in letters)
+        kind = draw(st.sampled_from(["tau", "bm", "b0", "bp", "am", "a0", "ap", "phi"]))
+        text += f"{kind}{ws()}({ws()}w{ws()}({ws()}{exp}{ws()};{word}{ws()}){ws()}){ws()}"
+    return text
+
+
+def assert_parsers_agree(alg, text):
+    """parse_element reads text as the scanner does: an equal element, lazy
+    or eager alike, or a ParseError with the same message and position."""
+    try:
+        expected = _parse_scanned(alg, text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            parse_element(alg, text)
+        assert (str(got.value), got.value.pos) == (str(err), err.pos)
+        return
+    x = parse_element(alg, text)
+    assert x == expected and (x.row is None) == (expected.row is None)
+
+
+def scanner_must_not_run(alg, text):
+    raise AssertionError(f"the scanner read {text!r}")
 
 
 class TestGrammar:
@@ -71,21 +126,36 @@ class TestGrammar:
             parse_element(alg5, text)
         assert "position" in str(err.value)
 
-    @given(st.one_of(
-        st.text(),
-        st.lists(st.sampled_from(
-            ["tau", "bm", "a0", "phi", "e", "w", "(", ")", ";", "s0", "s1", "*", "+", "-",
-             " ", "0", "3", "12", "²", "١", "9" * 4400]
-        )).map("".join),
-    ))
+    @given(TOKEN_TEXT)
     def test_parse_returns_an_element_or_raises_parse_error(self, alg5, text):
         try:
             assert isinstance(parse_element(alg5, text), GradedElement)
         except ParseError:
             pass
 
-    def test_render_parse_round_trip_on_random_elements(self, alg5):
+    @given(TOKEN_TEXT)
+    def test_parse_agrees_with_the_scanner_on_token_text(self, alg5, text):
+        assert_parsers_agree(alg5, text)
+
+    @given(st.sampled_from([5, 7, 13]), well_formed_text())
+    def test_parse_agrees_with_the_scanner_on_well_formed_text(self, p, text):
+        assert_parsers_agree(algebra(p), text)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("e(" + "9" * 5000 + ")", id="5000-digit-idempotent"),
+        "tau(w(0; s0s1))",
+        "+tau(w(0;))",
+        "0",
+        "   ",
+        "-3*e(5)",
+        "e(1) + tau(w(0;))",
+    ])
+    def test_parse_agrees_with_the_scanner_on_edge_cases(self, alg5, text):
+        assert_parsers_agree(alg5, text)
+
+    def test_render_parse_round_trip_on_random_elements(self, alg5, monkeypatch):
         rng = random.Random(113)
+        elements = []
         for _ in range(150):
             x = alg5.zero()
             for _ in range(rng.randint(0, 4)):
@@ -93,6 +163,12 @@ class TestGrammar:
                     rand_symbol(rng, alg5, rng.randint(0, 3), 4)
                 ).scale(rng.randrange(1, 5))
             assert parse_element(alg5, render_element(x)) == x
+            elements.append(x)
+        # every canonical render but "0" is read by _TERM alone
+        monkeypatch.setattr(grammar, "_parse_scanned", scanner_must_not_run)
+        for x in elements:
+            if not x.is_zero:
+                assert parse_element(alg5, render_element(x)) == x
 
     def test_render_is_canonical_fixed_point(self, alg5):
         for text in (

@@ -18,7 +18,7 @@ import pytest
 
 from heckext import ExtAlgebra
 from heckext.graded import KIND_NAMES, BasisSymbol, GradedElement
-from heckext.grammar import element_to_json, parse_element, render_element
+from heckext.grammar import _heads, element_to_json, parse_element, render_element
 from heckext.product import multiply
 from heckext.weyl import S0, S1
 
@@ -138,6 +138,30 @@ def test_render_of_two_character_keys_of_one_degree_and_word(p):
                         assert_renders_as_expansion(alg, {(m1, d, s, word): c1, (m2, d, s, word): c2})
 
 
+def test_render_of_two_character_keys_of_one_sign_with_plain_terms():
+    alg = ExtAlgebra(7)
+    W, n, p = alg.weyl, alg.weyl.n, alg.field.p
+    for d, sign, word in orbit_symbols(alg):
+        # plain terms of the same sign at the ends of the orbit
+        plain = {BasisSymbol(d, sign, W.element(0, word)): 1,
+                 BasisSymbol(d, sign, W.element(n - 1, word)): p - 1}
+        for m1, m2 in combinations(range(n), 2):
+            keys = {(m1, d, sign, word): 3, (m2, d, sign, word): 5}
+            assert_renders_as_expansion(alg, {**keys, **plain})
+
+
+@pytest.mark.parametrize("p", [5, 1009])
+def test_heads_follow_the_balanced_sign_rule(p):
+    # the head of c is what old_render writes between two terms
+    alg = ExtAlgebra(p)
+    first, second = (BasisSymbol(0, None, alg.weyl.omega(e)) for e in (0, 1))
+    heads = _heads(p)
+    assert len(heads) == p
+    for c in range(1, p):
+        text = old_render(alg, {first: 1, second: c})
+        assert heads[c] == text[len("tau(w(0;))"):-len("tau(w(1;))")], c
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_render_of_a_key_with_plain_terms_that_cancel_part_or_all_of_its_orbit(p):
     alg = ExtAlgebra(p)
@@ -208,6 +232,9 @@ def test_lazy_results_agree_with_eager_elements(p):
         assert fresh() + other == eager + other and other + fresh() == other + eager
         assert fresh() - eager == alg.zero()
         assert fresh().scale(3) == eager.scale(3) and 2 * fresh() == 2 * eager
+        assert -fresh() == -eager and fresh().scale(p) == eager.scale(p) == alg.zero()
+        for scaled in (fresh().scale(3), -fresh(), 2 * fresh()):
+            assert scaled.row is not None and not is_expanded(scaled)
         assert fresh().is_zero == eager.is_zero
         for d in range(4):
             assert fresh().component(d) == eager.component(d)
@@ -224,6 +251,14 @@ def test_a_parsed_idempotent_is_one_character_key():
     assert x.row == {(5, 0, None, ()): 3}
     assert alg.idempotent(-1, 1010).row == {(1007, 0, None, ()): 1}
     assert alg.idempotent(4, 1009).is_zero
+
+
+def test_a_scaled_idempotent_stays_one_character_key():
+    alg = ExtAlgebra(1009)
+    assert parse_element(alg, "-3*e(5)").row == {(5, 0, None, ()): 1006}
+    assert parse_element(alg, "-e(5)").row == {(5, 0, None, ()): 1008}
+    assert (3 * parse_element(alg, "e(5)")).row == {(5, 0, None, ()): 3}
+    assert alg._char_cache == {}
 
 
 def test_an_idempotent_request_at_p1009_builds_no_symbol_of_its_orbit():

@@ -8,6 +8,7 @@ from heckext.product import multiply
 from heckext.sections import (
     TensorExpression,
     _section2_symbol,
+    _section3_symbol,
     candidate_kernel_deg2,
     kernel_generators,
     section_deg2,
@@ -212,6 +213,17 @@ class TestSectionMemo:
         assert len(first.terms) > 1
         assert _section2_symbol(alg7, sym) is first
         assert alg7._section_cache[2, sym] is first
+
+    def test_section_of_one_symbol_is_its_memo_entry(self, alg7):
+        # a single symbol of coefficient 1 returns the memoized expression, uncopied
+        W = alg7.weyl
+        for sym in (BasisSymbol(2, -1, W.omega(3)), BasisSymbol(2, 0, W.element(2, (S1, S0)))):
+            assert section_deg2(alg7.symbol_element(sym)) is _section2_symbol(alg7, sym)
+        for sym in (BasisSymbol(3, None, W.omega(3)), BasisSymbol(3, None, W.element(1, (S0,)))):
+            assert section_deg3(alg7.symbol_element(sym)) is _section3_symbol(alg7, sym)
+        # any other coefficient builds a new expression
+        sym = BasisSymbol(2, -1, W.omega(3))
+        assert section_deg2(alg7.symbol_element(sym).scale(2)) is not _section2_symbol(alg7, sym)
 
     def test_each_algebra_has_its_own_memo(self, alg5, alg7):
         # the same key at p=5 and p=7: each algebra builds and keeps its own
