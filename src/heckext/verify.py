@@ -8,6 +8,16 @@ and a check that ran no case FAILs with `no cases`. A suite draws all of its
 samples before any check runs, so one failing check does not shift the
 samples of the next. Results are sorted by check name, so reports are
 deterministic given (p, max_length, seed).
+
+Some checks run a faster test than the direct one they replaced, resting
+on a property of the code named in the docstring of the function that
+builds it; tests/test_verify.py keeps each direct form as an oracle.  Where
+the faster test names the same first counterexample as the direct form, the
+check runs it alone; where it may name another, the check is a _restated
+one, which falls back on the direct form.  A faster test may skip code
+that the direct form ran (the public act_right around _act_right, the
+expansion of a character key), or rest on a law of the code that a fault
+could break; its docstring says so, and other checks run that code.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ import random
 from dataclasses import dataclass
 
 from . import presentation as pres
+from .coeff import add_into
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .grammar import render_element
 from .product import cup_summand, duality_pairing, multiply
@@ -54,9 +65,11 @@ def _check(name, cases, test) -> CheckResult:
 
 def _restated(name, cases, test, direct) -> CheckResult:
     """A check whose test is a faster restatement of a direct one that may
-    name a different first counterexample: a case that test passes, direct
-    passes too.  When test fails, direct runs over all the cases, so the
-    verdict and the counterexample are direct's."""
+    name a different first counterexample.  Where the law test rests on
+    holds and the code it skips is right, both named where the two are
+    built, a case that test passes, direct passes too.  When test fails,
+    direct runs over all the cases, so the verdict and the counterexample
+    are direct's."""
     cases = list(cases)
     result = _check(name, cases, test)
     return result if result.ok else _check(name, cases, direct)
@@ -273,39 +286,6 @@ def suite_rightaction(alg, *, max_length=8, **_):
     def act(x, w):
         return alg.act_right(x, H.tau(w))
 
-    # torus action on degrees 1, 2, 3: plain support shift
-    def torus_shift(case):
-        w, e = case
-        t = W.omega(e)
-        wt = W.mul(w, t)
-        for d in (1, 2):
-            for sign in _signs(w):
-                got = act(alg.symbol_element(BasisSymbol(d, sign, w)), t)
-                if got != alg.symbol_element(BasisSymbol(d, sign, wt)):
-                    return (d, sign, w, e)
-        if act(alg.phi(w), t) != alg.phi(wt):
-            return (3, None, w, e)
-
-    # degree 1, lengths add: branch on the first letter of the product
-    pairs = (
-        (w, v)
-        for w in supports
-        for v in supports
-        if v.length >= 1 and w.length + v.length <= max_length and W.lengths_add(w, v)
-    )
-
-    def lengths_add(pair):
-        w, v = pair
-        wv = W.mul(w, v)
-        cases = [(0, alg.beta(0, wv))] if w.length >= 1 else []
-        if wv.word[0] == S0:
-            cases += [(-1, alg.beta(-1, wv)), (1, alg.zero())]
-        else:
-            cases += [(-1, alg.zero()), (1, alg.beta(1, wv))]
-        for sign, expected in cases:
-            if act(alg.beta(sign, w), v) != expected:
-                return (sign, w, v)
-
     # degree 1, bad side: the two printed sign-0 formulas
     def shortening(v):
         j = v.word[0]
@@ -331,20 +311,140 @@ def suite_rightaction(alg, *, max_length=8, **_):
         return None if got == expected else (w, j)
 
     return [
-        _check("rightaction_torus_all_degrees", itertools.product(supports, range(W.n)),
-               torus_shift),
-        _check("rightaction_deg1_lengths_add_{n}_pairs", pairs, lengths_add),
+        _check("rightaction_torus_all_degrees", *_torus_shift(alg, max_length)),
+        _restated("rightaction_deg1_lengths_add_{n}_pairs", *_lengths_add(alg, max_length)),
         _check("rightaction_deg1_shortening", [v for v in supports if v.length >= 1],
                shortening),
         _check("rightaction_deg3_reflections", itertools.product(supports, (S0, S1)),
                reflection),
-        _check("rightaction_idempotent_slide", *_idempotent_slide(alg, max_length)),
+        _restated("rightaction_idempotent_slide", *_idempotent_slide(alg, max_length)),
     ]
+
+
+def _torus_shift(alg, max_length):
+    """The right torus action on degrees 1, 2, 3 is the plain support shift,
+    sym tau_t = sym t for t = omega^e: its cases and its test.
+
+    The direct form compared public elements, seven act_right calls per
+    (w, e).  act_right(x, tau_t) is _act_right({sym: 1}, {t: 1}) and its
+    coeffs are that row expanded, so the test compares the same rows, in
+    the same order, without the public wrapper (_operand, _compress of h,
+    _result); the rows {sym: 1} are built once per w, as the cases are
+    w-outer.  It names the direct form's first counterexample, and
+    rightaction_deg1_shortening and rightaction_deg3_reflections still call
+    the public act_right.
+    """
+    W = alg.weyl
+    cases = list(itertools.product(W.elements(max_length), range(W.n)))
+    sources: dict = {}  # w -> [(d, sign, {sym: 1}) in the direct order], current w only
+
+    def torus_shift(case):
+        w, e = case
+        if w not in sources:
+            sources.clear()
+            kinds = [(d, sign) for d in (1, 2) for sign in _signs(w)] + [(3, None)]
+            sources[w] = [(d, sign, {BasisSymbol(d, sign, w): 1}) for d, sign in kinds]
+        t = W.omega(e)
+        wt = W.mul(w, t)
+        h = {t: 1}
+        for d, sign, row in sources[w]:
+            if alg._expand(alg._act_right(row, h)) != {BasisSymbol(d, sign, wt): 1}:
+                return (d, sign, w, e)
+
+    return cases, torus_shift
+
+
+def _lengths_add(alg, max_length):
+    """beta^sign_w tau_v in degree 1 where lengths add, l(wv) = l(w) + l(v):
+    beta^0_wv, and beta^-_wv or beta^+_wv by the first letter of wv, the
+    other sign 0.  Its cases, w-outer, its restated test and its direct test.
+
+    The restated test rests on the law by which _act_right walks a word,
+    x tau_(omega^e u) = ((x tau_(omega^e)) tau_(u_1)) ... tau_(u_k): the
+    right torus shift by e, then one letter at a time, left to right
+    (tests/test_verify.py checks the law on seeded rows).  Lengths add
+    along the way, so x tau_(v' s) = (x tau_v') tau_s, v' = omega^e u' the
+    prefix of v = omega^e u' s.  Each row beta^sign_w tau_v is one
+    single-letter _act_right on the row of its prefix, kept in a memo keyed
+    by v (one row per sign) and cleared when w changes; the prefixes of v
+    lie in the cases of the same w, so the memo holds O(len(supports))
+    rows.  The direct test walks every word afresh through the public
+    act_right, one _act_right call per (sign, w, v).
+
+    The two forms make different _act_right calls, so a fault that breaks
+    the walk law can fail the restated test at a case the direct test
+    passes: the check is a _restated one, and its signs run in the direct
+    order.  A fault that keeps single letters right but walks longer words
+    wrongly passes the restated test; the walk law test and
+    rightaction_deg1_shortening, which acts by whole words through the
+    public act_right, catch it.
+    """
+    W, H = alg.weyl, alg.hecke
+    supports = W.elements(max_length)
+    cases = [
+        (w, v)
+        for w in supports
+        for v in supports
+        if v.length >= 1 and w.length + v.length <= max_length and W.lengths_add(w, v)
+    ]
+    letters = {S0: {W.s0: 1}, S1: {W.s1: 1}}
+    rows: dict = {}
+    current = None
+
+    def signs(w):
+        # the order of the direct form: sign 0 first
+        return (0, -1, 1) if w.length >= 1 else (-1, 1)
+
+    def rows_at(w, v):
+        """[beta^sign_w tau_v for sign in signs(w)], memoized for the current w."""
+        out = rows.get(v)
+        if out is None:
+            exp, word = v
+            if word:
+                h = letters[word[-1]]
+                out = [alg._act_right(r, h) for r in rows_at(w, WeylElement(W, exp, word[:-1]))]
+            else:
+                out = [alg._act_right({BasisSymbol(1, sign, w): 1}, {v: 1}) for sign in signs(w)]
+            rows[v] = out
+        return out
+
+    def restated(pair):
+        nonlocal current
+        w, v = pair
+        if w != current:
+            rows.clear()
+            current = w
+        wv = W.mul(w, v)
+        starts_s0 = wv.word[0] == S0
+        for sign, row in zip(signs(w), rows_at(w, v)):
+            got = alg._expand(row)
+            # sign 0 gives beta^0_wv; -1 and +1 give beta^-_wv and 0 when wv
+            # starts with s0, 0 and beta^+_wv when it starts with s1
+            if sign == 0 or (sign == -1) == starts_s0:
+                if got != {BasisSymbol(1, sign, wv): 1}:
+                    return (sign, w, v)
+            elif got:
+                return (sign, w, v)
+
+    def direct(pair):
+        w, v = pair
+        wv = W.mul(w, v)
+        cases = [(0, alg.beta(0, wv))] if w.length >= 1 else []
+        if wv.word[0] == S0:
+            cases += [(-1, alg.beta(-1, wv)), (1, alg.zero())]
+        else:
+            cases += [(-1, alg.zero()), (1, alg.beta(1, wv))]
+        for sign, expected in cases:
+            if alg.act_right(alg.beta(sign, w), H.tau(v)) != expected:
+                return (sign, w, v)
+
+    return cases, restated, direct
 
 
 def _idempotent_slide(alg, max_length):
     """The slide law sym e_m = e_m' sym, m' = (-1)^|sym| m + k(sym), on the
-    symbols of degrees 1 and 2 at lengths <= 6: its cases and its test.
+    symbols of degrees 1 and 2 at lengths <= 6: its cases, its restated test
+    and its direct test.
 
     The left side is the transported right action of e_m term by term, never
     the character key of act_right, which applies the slide law itself; the
@@ -354,19 +454,33 @@ def _idempotent_slide(alg, max_length):
 
         sym e_m = sum_t e_m[t] (sym tau_t) = sum_t (e_m[t] / u0^e) y_t:
 
-    the same p - 1 right actions for every m.  The test computes each y_t
-    once per symbol and forms every left side from them in F_p, where
-    applying the whole e_m for each m would repeat them p - 1 times.  y_t
-    carries a unit scalar as the terms of e_m carry theirs, so a right action
-    that drops the scalar of h still fails; the unit comes from the field, so
-    a wrong e_m enters both forms alike.  As _act_right is linear in h, each
-    left side equals the whole e_m's, and the verdict and the first
-    counterexample are those of applying e_m whole; tests/test_verify.py
-    keeps that form as an oracle.
+    the same p - 1 right actions for every m.  The restated test computes
+    each y_t once per symbol and forms every left side from them in F_p,
+    column by column, where the direct test applies the whole e_m for each
+    m.  y_t carries a unit scalar as the terms of e_m carry theirs, so a
+    right action that drops the scalar of h still fails; the unit comes from
+    the field, so a wrong e_m enters both forms alike.  As _act_right is
+    linear in h, each left side equals the whole e_m's.
+
+    The right side is read as the row idempotent_times returns, never
+    expanded (so the check leaves the expansion memo empty).  For sym at
+    exponent f of torus weight k it must be the one character key
+    u0^((m' - k) f) e_m' s0, as e_m' s_f = u0^((m' - k) f) e_m' s0.  That key
+    expands to -u0^((m' - k) f) u0^((k - m') b) = -u0^((m' - k) (f - b)) at
+    the symbol s_b of exponent b, and m' - k = (-1)^|sym| m, so the column
+    of s_b over m is the character -u0^(r m), r = (-1)^|sym| (f - b): one
+    list per r, built once per check.  The test compares each column of the
+    left side with it; any other right side or column fails the restated
+    test, and the direct test then decides.  The direct test expands the
+    right side (_expand, _char_expansion) and the restated test does not;
+    rightaction_deg3_reflections, presentation_round_trip and the relator
+    checks expand character keys.
     """
     W, H, p = alg.weyl, alg.hecke, alg.field.p
+    n = W.n
+    powers = alg.field.root_powers()
     idempotents = H.idempotents()
-    units = dict(zip(W.torus(), alg.field.root_powers()))
+    units = dict(zip(W.torus(), powers))
     # column t of the ratio table: e_m[t] / u0^e for every m
     ratios = {
         t: [idem.coeffs.get(t, 0) * pow(u, p - 2, p) % p for idem in idempotents]
@@ -379,28 +493,51 @@ def _idempotent_slide(alg, max_length):
         for sign in _signs(w)
     ]
 
-    def rhs(sym, m):
-        mprime = (m if sym.support.length % 2 == 0 else -m) + alg._torus_weight(sym)
-        return alg.idempotent_times(mprime, alg.symbol_element(sym)).coeffs
+    def slid(sym, m):
+        return (m if sym.support.length % 2 == 0 else -m) + alg._torus_weight(sym)
 
     @functools.cache
     def scaled(t, c):
         """c e_m[t] / u0^e for every m."""
         return [c * r % p for r in ratios[t]]
 
-    def slide(sym):
+    # the column -u0^(r m) over m of a right side, for every r
+    characters = [[p - powers[r * m % n] for m in range(n)] for r in range(n)]
+
+    def restated(sym):
         # key -> its coefficient in every left side, [lhs_m[key] for m]
         cols: dict = {}
         for t, u in units.items():
             for key, c in alg._expand(alg._act_right({sym: 1}, {t: u})).items():
                 col = scaled(t, c)
                 cols[key] = [(x + y) % p for x, y in zip(cols[key], col)] if key in cols else col
-        for m in range(len(idempotents)):
-            lhs = {key: col[m] for key, col in cols.items() if col[m]}
-            if lhs != rhs(sym, m):
+        d, sign, (f, word) = sym
+        x, k = alg.symbol_element(sym), alg._torus_weight(sym)
+        for m in range(n):
+            mprime = slid(sym, m) % n
+            row = alg.idempotent_times(mprime, x).row
+            if row != {(mprime, d, sign, word): powers[(mprime - k) * f % n]}:
+                return sym
+        odd = len(word) % 2
+        on_orbit = 0
+        for (kd, ksign, (b, kword)), col in cols.items():
+            if (kd, ksign, kword) == (d, sign, word):
+                on_orbit += 1
+                if col != characters[(b - f if odd else f - b) % n]:
+                    return sym
+            elif any(col):
+                return sym
+        if on_orbit != n:
+            return sym
+
+    def direct(sym):
+        for m, idem in enumerate(idempotents):
+            lhs = alg._expand(alg._act_right({sym: 1}, idem.coeffs))
+            rhs = alg.idempotent_times(slid(sym, m), alg.symbol_element(sym))
+            if lhs != rhs.coeffs:
                 return (sym, m)
 
-    return cases, slide
+    return cases, restated, direct
 
 
 def suite_duality(alg, *, max_length=8, samples=1000, seed=0, **_):
@@ -414,11 +551,6 @@ def suite_duality(alg, *, max_length=8, samples=1000, seed=0, **_):
         return h, x, alg.symbol_element(_random_symbol(rng, alg, 3 - d, 4))
 
     triples = [draw_triple() for _ in range(max(100, samples // 5))]
-
-    def phi_tau(w):
-        for v in supports:
-            if duality_pairing(alg.phi(w), alg.tau(v)) != (1 if v == w else 0):
-                return (w, v)
 
     def beta_alpha(w):
         for sa in _signs(w):
@@ -438,10 +570,31 @@ def suite_duality(alg, *, max_length=8, samples=1000, seed=0, **_):
             return ("right", h, x, y)
 
     return [
-        _check("duality_phi_tau_{n}_supports", supports, phi_tau),
+        _check("duality_phi_tau_{n}_supports", *_phi_tau(alg, max_length)),
         _check("duality_beta_alpha", supports, beta_alpha),
         _check("duality_twisted_module_law_{n}", triples, twisted),
     ]
+
+
+def _phi_tau(alg, max_length):
+    """<phi_w, tau_v> = delta_wv over every pair of supports: its cases (the
+    supports w) and its test.
+
+    The test builds phi(w) once per case and the list of tau(v) once per
+    check, and makes one duality_pairing call per (w, v), as the direct
+    form did on elements it built for each pair: the same calls on equal
+    elements, so the same first counterexample.
+    """
+    supports = alg.weyl.elements(max_length)
+    taus = [(v, alg.tau(v)) for v in supports]
+
+    def phi_tau(w):
+        x = alg.phi(w)
+        for v, y in taus:
+            if duality_pairing(x, y) != (1 if v == w else 0):
+                return (w, v)
+
+    return supports, phi_tau
 
 
 def suite_cup_independent(alg, **_):
@@ -484,10 +637,6 @@ def suite_presentation(alg, *, max_length=8, samples=1000, seed=0, epsilon_bound
     products = [(draw_word(), draw_word(), rng.randrange(1, p), rng.randrange(1, p))
                 for _ in range(40)]
 
-    def round_trip(sym):
-        if pres.evaluate(pres.word_for_basis(alg, sym)) != alg.symbol_element(sym):
-            return sym
-
     def multiplicative(case):
         wa, wb, ca, cb = case
         f, g = pres.FreeElement(alg, {wa: ca}), pres.FreeElement(alg, {wb: cb})
@@ -502,10 +651,58 @@ def suite_presentation(alg, *, max_length=8, samples=1000, seed=0, epsilon_bound
             return (m, "image")
 
     return [
-        _check("presentation_round_trip_{n}_symbols", alg.basis_symbols(max_length), round_trip),
+        _check("presentation_round_trip_{n}_symbols", *_round_trip(alg, max_length)),
         _check("presentation_evaluate_multiplicative_{n}", products, multiplicative),
         _check("presentation_free_idempotents", range(alg.weyl.n), free_idempotent),
     ]
+
+
+def _round_trip(alg, max_length):
+    """Every basis symbol of support length <= max_length is the value of
+    its word, evaluate(word_for_basis(sym)) = sym: its cases and its test.
+
+    evaluate multiplies the images of a word's letters from left to right,
+    starting from 1 and stopping at a zero product, and adds up the words
+    with their coefficients.  So the value of a word is the value of its
+    prefix times the image of its last letter, and the test evaluates each
+    prefix once: a trie of prefixes and their values, kept while the cases
+    stay in one torus orbit of supports (the symbols at omega^e u for one u,
+    which are consecutive) and cleared at the next.  The words of an orbit
+    share their prefixes, the powers of T_w0 above all, which spell omega^e
+    as e letters.  The trie makes the same products as evaluate, so the test
+    names the direct form's first counterexample; evaluate itself stays the
+    definition of the homomorphism, which the relator and
+    presentation_evaluate_multiplicative checks call.
+    """
+    p = alg.field.p
+    images = pres.generator_images(alg)
+    one = alg.one()
+    trie: dict = {}
+    orbit = None
+
+    def value(word):
+        node, acc = trie, one
+        for letter in word:
+            entry = node.get(letter)
+            if entry is None:
+                entry = node[letter] = (multiply(acc, images[letter]), {})
+            acc, node = entry
+            if acc.is_zero:
+                break
+        return acc
+
+    def round_trip(sym):
+        nonlocal orbit
+        if sym.support.word != orbit:
+            trie.clear()
+            orbit = sym.support.word
+        total: dict = {}
+        for word, c in pres.word_for_basis(alg, sym).coeffs.items():
+            add_into(total, value(word).coeffs.items(), c, p)
+        if total != {sym: 1}:
+            return sym
+
+    return list(alg.basis_symbols(max_length)), round_trip
 
 
 def suite_e0(alg, *, max_length=8, samples=1000, seed=0, **_):

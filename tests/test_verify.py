@@ -2,13 +2,16 @@
 and which options they refuse."""
 
 import itertools
+import random
 
 import pytest
 
 from heckext import ExtAlgebra
-from heckext import graded, verify
+from heckext import graded, product, verify
+from heckext import presentation as pres
 from heckext.coeff import add_into
 from heckext.graded import BasisSymbol
+from heckext.product import duality_pairing
 from heckext.weyl import S0, S1, WeylElement
 
 
@@ -32,16 +35,18 @@ def test_duality_beta_alpha_reports_the_first_counterexample(monkeypatch):
 
 def test_rightaction_torus_reports_the_first_counterexample(monkeypatch):
     alg = ExtAlgebra(5)
-    W, H = alg.weyl, alg.hecke
-    w, t = W.element(1, (S0,)), H.tau(W.omega(2))
-    real = alg.act_right
+    W = alg.weyl
+    w, t = W.element(1, (S0,)), W.omega(2)
+    real = alg._act_right
 
-    def broken(x, h):
+    def broken(row, h):
         # wrong on degrees 1 and 2 at the same (w, e): degree 1 comes first
-        wrong = h == t and any(s.degree in (1, 2) and s.support == w for s in x.coeffs)
-        return real(x, h).scale(2) if wrong else real(x, h)
+        wrong = h == {t: 1} and any(len(k) == 3 and k[0] in (1, 2) and k[2] == w for k in row)
+        out = real(row, h)
+        return {k: 2 * c % 5 for k, c in out.items()} if wrong else out
 
-    monkeypatch.setattr(alg, "act_right", broken)
+    # act_right and the rows of the restated check both go through _act_right
+    monkeypatch.setattr(alg, "_act_right", broken)
     results = {r.name: r for r in verify.suite_rightaction(alg, max_length=1)}
     check = results["rightaction_torus_all_degrees"]
     assert not check.ok
@@ -89,20 +94,29 @@ def test_the_runner_stops_at_the_first_counterexample_and_counts_it():
 
 def test_rightaction_lengths_add_reports_the_first_failing_sign(monkeypatch):
     alg = ExtAlgebra(5)
-    W, H = alg.weyl, alg.hecke
+    W = alg.weyl
     # s1 s0 starts with s1, so the signs are checked in the order 0, -1, +1
     w, v = W.element(0, (S1,)), W.element(0, (S0,))
-    wrong = (alg.beta(-1, w), alg.beta(1, w))
-    real = alg.act_right
+    wrong = ({BasisSymbol(1, -1, w): 1}, {BasisSymbol(1, 1, w): 1})
+    phi = BasisSymbol(3, None, W.identity)
+    real = alg._act_right
 
-    def broken(x, h):
-        return real(x, h) + alg.phi(W.identity) if h == H.tau(v) and x in wrong else real(x, h)
+    def broken(row, h):
+        out = real(row, h)
+        return {**out, phi: 1} if h == {v: 1} and row in wrong else out
 
-    monkeypatch.setattr(alg, "act_right", broken)
+    # act_right and the rows of the restated check both go through _act_right
+    monkeypatch.setattr(alg, "_act_right", broken)
     results = verify.suite_rightaction(alg, max_length=2)
     check = next(r for r in results if r.name.startswith("rightaction_deg1_lengths_add_"))
     assert not check.ok
     assert check.counterexample == repr((-1, w, v))
+    # the restated test alone walks s1 s0 one letter at a time and fails an
+    # earlier case, which the direct form passes: the check reruns the direct form
+    cases, restated, direct = verify._lengths_add(alg, 2)
+    earlier = (W.identity, W.element(0, (S1, S0)))
+    assert verify._check("", cases, restated).counterexample == repr((1, *earlier))
+    assert direct(earlier) is None
 
 
 def test_a_failing_check_does_not_shift_the_samples_of_the_next(monkeypatch):
@@ -140,14 +154,79 @@ def test_vacuous_options_are_refused(entry, option, value):
         entry(ExtAlgebra(5), "e0", **{option: value})
 
 
-# --- the two restated checks against their direct forms ---
+# --- the restated checks against their direct forms ---
 #
-# rightaction_idempotent_slide and e0_idempotent_system compute each torus
-# product once.  The functions below are the direct forms those checks
-# replaced, kept literally as oracles: the slide applies the whole e_m for
-# every (symbol, m), and the idempotent system multiplies every pair e_a e_b.
-# On failure e0_idempotent_system reruns its own direct form, which names the
-# first wrong product where the eigen law may name an earlier case.
+# Six checks run a faster test than the direct form they replaced: the
+# torus, lengths-add and slide checks of rightaction, duality_phi_tau,
+# presentation_round_trip and e0_idempotent_system.  The functions below are
+# those direct forms, copied literally as oracles (the slide from before it
+# computed each torus product once).  The torus, phi/tau and round-trip tests
+# make the same calls as their direct forms, so they name the same first
+# counterexample and run alone.  The lengths-add, slide and idempotent-system
+# tests may name another case, so they run through verify._restated, which
+# reruns a direct form kept in verify.py on failure.
+
+
+def _signs(w):
+    return (-1, 1) if w.length == 0 else (-1, 0, 1)
+
+
+def direct_torus_cases(alg, max_length):
+    return list(itertools.product(alg.weyl.elements(max_length), range(alg.weyl.n)))
+
+
+def direct_torus(alg, max_length):
+    W, H = alg.weyl, alg.hecke
+
+    def act(x, w):
+        return alg.act_right(x, H.tau(w))
+
+    # torus action on degrees 1, 2, 3: plain support shift
+    def torus_shift(case):
+        w, e = case
+        t = W.omega(e)
+        wt = W.mul(w, t)
+        for d in (1, 2):
+            for sign in _signs(w):
+                got = act(alg.symbol_element(BasisSymbol(d, sign, w)), t)
+                if got != alg.symbol_element(BasisSymbol(d, sign, wt)):
+                    return (d, sign, w, e)
+        if act(alg.phi(w), t) != alg.phi(wt):
+            return (3, None, w, e)
+
+    return torus_shift
+
+
+def direct_lengths_add_cases(alg, max_length):
+    W = alg.weyl
+    supports = W.elements(max_length)
+    return [
+        (w, v)
+        for w in supports
+        for v in supports
+        if v.length >= 1 and w.length + v.length <= max_length and W.lengths_add(w, v)
+    ]
+
+
+def direct_lengths_add(alg, max_length):
+    W, H = alg.weyl, alg.hecke
+
+    def act(x, w):
+        return alg.act_right(x, H.tau(w))
+
+    def lengths_add(pair):
+        w, v = pair
+        wv = W.mul(w, v)
+        cases = [(0, alg.beta(0, wv))] if w.length >= 1 else []
+        if wv.word[0] == S0:
+            cases += [(-1, alg.beta(-1, wv)), (1, alg.zero())]
+        else:
+            cases += [(-1, alg.zero()), (1, alg.beta(1, wv))]
+        for sign, expected in cases:
+            if act(alg.beta(sign, w), v) != expected:
+                return (sign, w, v)
+
+    return lengths_add
 
 
 def direct_slide_cases(alg, max_length):
@@ -161,7 +240,7 @@ def direct_slide_cases(alg, max_length):
     ]
 
 
-def direct_slide(alg):
+def direct_slide(alg, max_length):
     idempotents = alg.hecke.idempotents()
 
     def slide(sym):
@@ -176,11 +255,38 @@ def direct_slide(alg):
     return slide
 
 
-def direct_system_cases(alg):
+def direct_phi_tau_cases(alg, max_length):
+    return alg.weyl.elements(max_length)
+
+
+def direct_phi_tau(alg, max_length):
+    supports = alg.weyl.elements(max_length)
+
+    def phi_tau(w):
+        for v in supports:
+            if duality_pairing(alg.phi(w), alg.tau(v)) != (1 if v == w else 0):
+                return (w, v)
+
+    return phi_tau
+
+
+def direct_round_trip_cases(alg, max_length):
+    return list(alg.basis_symbols(max_length))
+
+
+def direct_round_trip(alg, max_length):
+    def round_trip(sym):
+        if pres.evaluate(pres.word_for_basis(alg, sym)) != alg.symbol_element(sym):
+            return sym
+
+    return round_trip
+
+
+def direct_system_cases(alg, max_length):
     return [*itertools.product(range(alg.weyl.n), repeat=2), "sum"]
 
 
-def direct_system(alg):
+def direct_system(alg, max_length):
     H = alg.hecke
     idems = H.idempotents()
 
@@ -193,38 +299,101 @@ def direct_system(alg):
     return idempotent_system
 
 
-def direct_results(alg, max_length):
-    """The direct forms' report of the two checks, name -> (ok, counterexample)."""
-    checks = [
-        verify._check("rightaction_idempotent_slide",
-                      direct_slide_cases(alg, max_length), direct_slide(alg)),
-        verify._check("e0_idempotent_system", direct_system_cases(alg), direct_system(alg)),
-    ]
-    return {r.name: (r.ok, r.counterexample) for r in checks}
+# check name -> (the function in verify.py that returns its cases and its test,
+# then its direct test for a _restated check; the oracle's cases; the oracle's
+# test)
+RESTATED = {
+    "rightaction_torus_all_degrees":
+        (verify._torus_shift, direct_torus_cases, direct_torus),
+    "rightaction_deg1_lengths_add_{n}_pairs":
+        (verify._lengths_add, direct_lengths_add_cases, direct_lengths_add),
+    "rightaction_idempotent_slide":
+        (verify._idempotent_slide, direct_slide_cases, direct_slide),
+    "duality_phi_tau_{n}_supports":
+        (verify._phi_tau, direct_phi_tau_cases, direct_phi_tau),
+    "presentation_round_trip_{n}_symbols":
+        (verify._round_trip, direct_round_trip_cases, direct_round_trip),
+    "e0_idempotent_system":
+        (lambda alg, max_length: verify._idempotent_system(alg), direct_system_cases, direct_system),
+}
 
 
-def restated_results(alg, max_length):
+def reports(alg, max_length):
+    """Check name -> (the suites' report, the oracle's report), each
+    (ok, counterexample), for every row of RESTATED."""
     results = [
         *verify.suite_rightaction(alg, max_length=max_length),
+        *verify.suite_duality(alg, max_length=max_length, samples=1),
+        *verify.suite_presentation(alg, max_length=max_length, samples=1),
         *verify.suite_e0(alg, max_length=max_length, samples=1),
     ]
-    return {r.name: (r.ok, r.counterexample) for r in results}
+    suites = {r.name: (r.ok, r.counterexample) for r in results}
+    out = {}
+    for name, (_, cases, test) in RESTATED.items():
+        oracle = verify._check(name, cases(alg, max_length), test(alg, max_length))
+        # a report under another count is missing here
+        out[name] = (suites.get(oracle.name), (oracle.ok, oracle.counterexample))
+    return out
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_restated_checks_agree_with_the_direct_forms_case_by_case(p):
     alg = ExtAlgebra(p)
-    slide_cases, slide = verify._idempotent_slide(alg, 8)
-    system_cases, restated, direct = verify._idempotent_system(alg)
-    for cases, oracle_cases, oracle, tests in (
-        (slide_cases, direct_slide_cases(alg, 8), direct_slide(alg), [slide]),
-        (system_cases, direct_system_cases(alg), direct_system(alg), [restated, direct]),
-    ):
-        assert cases == oracle_cases
-        expected = [oracle(case) for case in cases]
-        assert expected == [None] * len(cases)
-        for test in tests:
-            assert [test(case) for case in cases] == expected
+    for name, (helper, oracle_cases, oracle) in RESTATED.items():
+        cases, *forms = helper(alg, 8)
+        assert list(cases) == list(oracle_cases(alg, 8)), name
+        test = oracle(alg, 8)
+        expected = [test(case) for case in cases]
+        assert expected == [None] * len(cases), name
+        for form in forms:
+            assert [form(case) for case in cases] == expected, name
+
+
+def test_the_slide_check_leaves_the_expansion_memo_empty():
+    """The right side of the slide is read as idempotent_times' row, one
+    character key, so no case expands it."""
+    alg = ExtAlgebra(13)
+    cases, restated, _ = verify._idempotent_slide(alg, 8)
+    assert verify._check("rightaction_idempotent_slide", cases, restated).ok
+    assert alg._char_cache == {}
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_act_right_walks_a_word_one_letter_at_a_time(p):
+    """The law rightaction_deg1_lengths_add rests on: row tau_v, v = omega^e u,
+    is the right torus shift of row by e, then one single-letter _act_right
+    per letter of u, from left to right.  Rows are one symbol, or one symbol
+    plus a character key."""
+    alg = ExtAlgebra(p)
+    W = alg.weyl
+    rng = random.Random(f"walk:{p}")
+    for _ in range(300):
+        sym = verify._random_symbol(rng, alg, rng.randint(0, 3), 6)
+        row = {sym: rng.randrange(1, p)}
+        if rng.random() < 0.5:
+            other = verify._random_symbol(rng, alg, rng.randint(0, 3), 6)
+            row.update(alg.idempotent_times(rng.randrange(W.n), alg.symbol_element(other)).row)
+        v = verify._random_weyl(rng, alg, 6)
+        walked = alg._shift_right(row, v.exp)
+        for letter in v.word:
+            walked = alg._act_right(walked, {W.simple(letter): 1})
+        assert alg._act_right(row, {v: 1}) == walked, (row, v)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_evaluate_multiplies_the_letter_images_from_left_to_right(p):
+    """The law presentation_round_trip rests on: the value of a word is the
+    value of its prefix times the image of its last letter."""
+    alg = ExtAlgebra(p)
+    images = pres.generator_images(alg)
+    rng = random.Random(f"fold:{p}")
+    for _ in range(200):
+        word = tuple(rng.randrange(7) for _ in range(rng.randint(0, 6)))
+        c = rng.randrange(1, p)
+        acc = alg.one()
+        for letter in word:
+            acc = product.multiply(acc, images[letter])
+        assert pres.evaluate(pres.FreeElement(alg, {word: c})) == acc.scale(c), word
 
 
 def _wrong_inverse(H):
@@ -270,24 +439,82 @@ def _act_right_scalar_dropped(alg):
     return act
 
 
-@pytest.mark.parametrize("mutant, owner, attr, slide, system", [
-    (_wrong_inverse, "hecke", "idempotent", "(bm(w(0;)), 1)", None),
-    (_slide_slip, "alg", "_slide", None, None),
-    (_right_scalar_dropped, "hecke", "mul", None, "(0, 0)"),
-    (_torus_rule_slipped, "hecke", "mul", None, "(1, 1)"),
-    (_act_right_scalar_dropped, "alg", "_act_right", "(bm(w(0;)), 0)", None),
+def _shift_right_flipped(alg):
+    """ExtAlgebra._shift_right with the sign of the exponent flipped."""
+    real = alg._shift_right
+    return lambda coeffs, a: real(coeffs, -a)
+
+
+def _right_row_off_by_one(alg):
+    """ExtAlgebra._right_letter_on_symbol with +1 on every coefficient of
+    beta^-_w tau_{s0} where lengths add."""
+    real, p = alg._right_letter_on_symbol, alg.field.p
+
+    def row(i, sym):
+        out = real(i, sym)
+        if i == S0 and sym[:2] == (1, -1) and sym[2][1][-1:] != (S0,):
+            return {k: (c + 1) % p for k, c in out.items()}
+        return out
+
+    return row
+
+
+def _cup_constant_wrong(module):
+    """product._cup_symbols with phi_w cup tau_w = 2 phi_w."""
+    real = module._cup_symbols
+
+    def cup(alg, a, b):
+        out = real(alg, a, b)
+        return {k: 2 * c for k, c in out.items()} if (a[0], b[0]) == (3, 0) else out
+
+    return cup
+
+
+def _generators_swapped(module):
+    """presentation.generator_images with the images of B_m and B_p swapped."""
+    real = module.generator_images
+
+    def images(alg):
+        out = dict(real(alg))
+        out[module.B_M], out[module.B_P] = out[module.B_P], out[module.B_M]
+        return out
+
+    return images
+
+
+@pytest.mark.parametrize("mutant, owner, attr, failures", [
+    (_wrong_inverse, "hecke", "idempotent", {"rightaction_idempotent_slide": "(bm(w(0;)), 1)"}),
+    (_slide_slip, "alg", "_slide", {}),
+    (_right_scalar_dropped, "hecke", "mul", {"e0_idempotent_system": "(0, 0)"}),
+    (_torus_rule_slipped, "hecke", "mul", {"e0_idempotent_system": "(1, 1)"}),
+    (_act_right_scalar_dropped, "alg", "_act_right",
+     {"rightaction_idempotent_slide": "(bm(w(0;)), 0)"}),
+    (_shift_right_flipped, "alg", "_shift_right", {
+        "rightaction_torus_all_degrees": "(1, -1, w(0;), 1)",
+        "rightaction_deg1_lengths_add_{n}_pairs": "(-1, w(0;), w(1; s0 s1))",
+        "rightaction_idempotent_slide": "(bm(w(0;)), 1)",
+        "presentation_round_trip_{n}_symbols": "am(w(0;))",
+    }),
+    (_right_row_off_by_one, "alg", "_right_letter_on_symbol", {
+        "rightaction_deg1_lengths_add_{n}_pairs": "(-1, w(0;), w(0; s0))",
+        "presentation_round_trip_{n}_symbols": "am(w(0;))",
+    }),
+    (_cup_constant_wrong, "product", "_cup_symbols",
+     {"duality_phi_tau_{n}_supports": "(w(0;), w(0;))"}),
+    (_generators_swapped, "presentation", "generator_images",
+     {"presentation_round_trip_{n}_symbols": "bm(w(0;))"}),
 ])
 def test_a_restated_check_reports_what_its_direct_form_reports(
-    monkeypatch, mutant, owner, attr, slide, system
+    monkeypatch, mutant, owner, attr, failures
 ):
+    """failures: check name -> its first counterexample; every other
+    restated check passes."""
     alg = ExtAlgebra(5)
-    target = alg.hecke if owner == "hecke" else alg
+    target = {"hecke": alg.hecke, "alg": alg, "product": product, "presentation": pres}[owner]
     monkeypatch.setattr(target, attr, mutant(target))
-    got = restated_results(alg, 2)
-    expected = direct_results(alg, 2)
-    for name, counterexample in (("rightaction_idempotent_slide", slide),
-                                 ("e0_idempotent_system", system)):
-        assert got[name] == expected[name] == (counterexample is None, counterexample)
+    for name, (got, expected) in reports(alg, 2).items():
+        counterexample = failures.get(name)
+        assert got == expected == (counterexample is None, counterexample), name
 
 
 def test_the_eigen_law_can_fail_before_the_first_wrong_product(monkeypatch):
@@ -299,6 +526,101 @@ def test_the_eigen_law_can_fail_before_the_first_wrong_product(monkeypatch):
     cases, restated, direct = verify._idempotent_system(alg)
     assert verify._check("e0_idempotent_system", cases, restated).counterexample == "(1, 0)"
     assert direct((1, 0)) is None
+
+
+def _public_act_right_result_unexpanded(alg):
+    """ExtAlgebra.act_right returning its row as an eager element, character
+    keys left unexpanded in coeffs."""
+    real = alg.act_right
+
+    def act(x, h):
+        y = real(x, h)
+        return y if y.row is None else graded.GradedElement(alg, y.row)
+
+    return act
+
+
+def _public_act_right_compress_slipped(alg):
+    """ExtAlgebra.act_right with e_(m+1) for every character key of the
+    compressed h."""
+    n = alg.weyl.n
+
+    def act(x, h):
+        h = h.coeffs
+        if len(h) >= n:
+            h = {((k[0] + 1) % n, *k[1:]) if len(k) == 4 else k: c
+                 for k, c in alg._compress(h).items()}
+        return alg._result(alg._act_right(alg._operand(x), h))
+
+    return act
+
+
+def _char_expansion_negated(alg):
+    """ExtAlgebra._char_expansion with every coefficient negated."""
+    real, p = alg._char_expansion, alg.field.p
+    return lambda key: {k: p - c for k, c in real(key).items()}
+
+
+def _act_right_walks_right_to_left(alg):
+    """ExtAlgebra._act_right applying the letters of a word from the right."""
+    real = alg._act_right
+
+    def act(row, h):
+        total = {}
+        for w, c in h.items():
+            if len(w) == 2 and len(w[1]) > 1:
+                cur = alg._shift_right(row, w[0])
+                for letter in reversed(w[1]):
+                    cur = real(cur, {alg.weyl.simple(letter): 1})
+                add_into(total, cur.items(), c, alg.field.p)
+            else:
+                add_into(total, real(row, {w: c}).items(), 1, alg.field.p)
+        return total
+
+    return act
+
+
+# mutant, the attribute of ExtAlgebra it replaces, the checks whose faster
+# test skips the faulty code and passes, and check -> first counterexample of
+# checks in verify all that run it.  The suites to run are the name prefixes.
+SKIPPED_CODE_MUTANTS = [
+    (_public_act_right_result_unexpanded, "act_right",
+     ["rightaction_torus_all_degrees", "rightaction_deg1_lengths_add_{n}_pairs"],
+     {"rightaction_deg1_shortening": "(0, w(0; s0))",
+      "rightaction_deg3_reflections": "(w(0; s0), 0)"}),
+    (_public_act_right_compress_slipped, "act_right",
+     ["rightaction_torus_all_degrees", "rightaction_deg1_lengths_add_{n}_pairs"],
+     {"sections_identity_fixed_forms": "summand 2 misses phi(1)"}),
+    (_char_expansion_negated, "_char_expansion", ["rightaction_idempotent_slide"],
+     {"rightaction_deg3_reflections": "(w(0; s0), 0)",
+      "presentation_round_trip_{n}_symbols": "phi(w(0;))"}),
+    (_act_right_walks_right_to_left, "_act_right", ["rightaction_deg1_lengths_add_{n}_pairs"],
+     {"rightaction_deg1_shortening": "(0, w(0; s0 s1))"}),
+]
+
+
+@pytest.mark.parametrize("mutant, attr, passing, caught", SKIPPED_CODE_MUTANTS)
+def test_code_a_faster_test_skips_is_caught_by_another_check(
+    monkeypatch, mutant, attr, passing, caught
+):
+    """The torus and lengths-add tests call _act_right on rows, not the
+    public act_right; the slide never expands its right side; lengths add
+    walks a word one letter at a time.  A fault in the code so skipped
+    passes those checks, and other checks of verify all fail it."""
+    alg = ExtAlgebra(5)
+    monkeypatch.setattr(alg, attr, mutant(alg))
+    suites = {name.split("_")[0] for name in [*passing, *caught]}
+    results = [r for suite in sorted(suites)
+               for r in verify.run_suite(alg, suite, max_length=2, samples=1)]
+
+    def report(template):
+        r = next(r for r in results if r.name.startswith(template.split("{n}")[0]))
+        return (r.ok, r.counterexample)
+
+    for name in passing:
+        assert report(name) == (True, None), name
+    for name, counterexample in caught.items():
+        assert report(name) == (False, counterexample), name
 
 
 # Entries of the s0 letter table, each with a wrong value: (row key, entry
