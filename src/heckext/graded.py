@@ -42,11 +42,12 @@ and the JSON export read the row itself (grammar.py).  idempotent(m) is
 the lazy element of one key.  On the way in, a lazy operand's row is read
 as it is, and the coeffs of an eager operand are compressed
 (_compress, the inverse of the expansion): each whole torus orbit whose
-p - 1 coefficients are one character becomes its character key.  In the
-Hecke operand of act_left and act_right such an orbit is c e_m tau_u,
-applied as e_m (tau_u row) on the left and as (row e_m) tau_u on the
-right, where row e_m slides each term.  Other terms stay plain, and a dict
-of fewer than p - 1 terms is passed on after one length check.
+p - 1 coefficients are one character becomes its character key.  The
+Hecke operand of act_left and act_right is read as a degree-0 row
+(_hecke_row), an orbit c e_m tau_u as a character key, so both actions
+are products: one pair memo lookup per pair of terms.  Other terms stay
+plain, and a dict of fewer than p - 1 terms is passed on after one length
+check.
 
 Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
 BasisSymbol the tuple (degree, sign, support), so the keys of every
@@ -65,11 +66,11 @@ a copy.
 
 Shift kernels.  _shift_left (the left torus action, with a scalar) and
 _shift_right (the plain right shift) move a row along its torus orbit;
-the torus letters of act_left and act_right and the three orbit
-derivations all go through them.  They intern their images in one table
-per algebra, so the symbols of derived entries are shared, and they read
-u0^e from the power table of the field (PrimeField.root_powers: memoized
-per (p, u0), built on first use).
+the torus prefixes of the letter walks _act_left and _act_right (behind
+a pair miss) and the three orbit derivations all go through them.  They
+intern their images in one table per algebra, so the symbols of derived
+entries are shared, and they read u0^e from the power table of the field
+(PrimeField.root_powers: memoized per (p, u0), built on first use).
 """
 
 from __future__ import annotations
@@ -584,24 +585,27 @@ class ExtAlgebra:
 
     # --- the two-sided action ---
 
+    def _hecke_row(self, h: HeckeElement) -> dict:
+        """h as a degree-0 row: tau_w is the symbol (0, None, w), and c e_m
+        tau_u, a whole orbit to _compress, the key (m, 0, None, u)."""
+        h = h.coeffs
+        if len(h) >= self.weyl.n:
+            h = self._compress(h)
+        return {(_shifted((0, None, w)) if len(w) == 2 else w): c for w, c in h.items()}
+
     def act_left(self, h: HeckeElement, x: GradedElement) -> GradedElement:
+        from .product import _multiply
         check_parameters(self, h.algebra)
         check_parameters(self, x.algebra)
-        h = h.coeffs
-        h = h if len(h) < self.weyl.n else self._compress(h)
-        return self._result(self._act_left(h, self._operand(x)))
+        return self._result(_multiply(self, self._hecke_row(h), self._operand(x)))
 
     def _act_left(self, h: dict, row) -> dict:
-        """h row on a symbolic row, h a coefficient dict of the Hecke algebra
-        whose keys are supports or degree-0 character keys: (c e_m tau_u) row
-        = e_m (c tau_u row)."""
+        """h row on a symbolic row, h a coefficient dict of the Hecke algebra:
+        each word walked letter by letter from the right, then its torus
+        prefix."""
         p = self.field.p
         total: dict = {}
-        for w, c in h.items():
-            if len(w) == 2:
-                exp, word = w
-            else:
-                exp, word = 0, w[3]
+        for (exp, word), c in h.items():
             cur = row
             for letter in reversed(word):
                 cur = self._apply_letter(self._letter_on_symbol, letter, cur, True)
@@ -609,45 +613,29 @@ class ExtAlgebra:
                     break
             if cur and exp:
                 cur = self._shift_left(cur, exp)
-            if len(w) == 2:
-                add_into(total, cur.items(), c, p)
-            else:
-                self._project(total, w[0], cur, c)
+            add_into(total, cur.items(), c, p)
         return total
 
     def act_right(self, x: GradedElement, h: HeckeElement) -> GradedElement:
+        from .product import _multiply
         check_parameters(self, x.algebra)
         check_parameters(self, h.algebra)
-        h = h.coeffs
-        h = h if len(h) < self.weyl.n else self._compress(h)
-        return self._result(self._act_right(self._operand(x), h))
+        return self._result(_multiply(self, self._operand(x), self._hecke_row(h)))
 
     def _act_right(self, row, h: dict) -> dict:
-        """row h on a symbolic row, h a coefficient dict of the Hecke algebra
-        whose keys are supports or degree-0 character keys: row (c e_m tau_u)
-        = c (row e_m) tau_u."""
+        """row h on a symbolic row, h a coefficient dict of the Hecke algebra:
+        for each tau_w, w = omega^e u, the right torus shift by e, then the
+        letters of u from left to right."""
         p = self.field.p
         total: dict = {}
-        for w, c in h.items():
-            if len(w) == 2:
-                exp, word = w
-                cur = self._shift_right(row, exp) if exp else row
-            else:
-                word = w[3]
-                cur = self._times_idempotent(row, w[0])
+        for (exp, word), c in h.items():
+            cur = self._shift_right(row, exp) if exp else row
             for letter in word:
                 cur = self._apply_letter(self._right_letter_on_symbol, letter, cur, False)
                 if not cur:
                     break
             add_into(total, cur.items(), c, p)
         return total
-
-    def _times_idempotent(self, row, m: int) -> dict:
-        """row e_m: each term slides, s e_m = e_m' s, and is projected to e_m'."""
-        out: dict = {}
-        for key, c in row.items():
-            self._project(out, self._slide(key if len(key) == 3 else self._base(key), m), {key: c}, 1)
-        return out
 
     def _right_letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:
         """sym tau_{s_i} as a symbolic row, memoized.  The first miss in a torus

@@ -23,9 +23,9 @@ coefficient prefix is read from a table per p (_heads).
 from __future__ import annotations
 
 import re
-from functools import cache
+from functools import cache, lru_cache
 
-from .coeff import add_into
+from .coeff import _root_powers, add_into
 from .graded import KIND_NAMES, BasisSymbol, ExtAlgebra, GradedElement, _weight
 from .weyl import S0, S1, WeylElement
 
@@ -280,11 +280,9 @@ def _canonical_groups(x: GradedElement):
             # no two terms share (exp, sign), so coefficients are never compared
             terms = [(exp, KIND_NAMES[d, sign], c) for exp, sign, c in sorted(terms)]
         else:
-            powers = field.root_powers()
             vectors: dict = {}
             for m, sign, c in chars:
-                step = (_weight(d, sign) - m) % n
-                orbit = [p - powers[b * step % n] for b in range(n)]
+                orbit = _orbit(p, field.u0, (_weight(d, sign) - m) % n)
                 vector = vectors.get(sign)
                 vectors[sign] = ([c * u for u in orbit] if vector is None
                                  else [v + c * u for v, u in zip(vector, orbit)])
@@ -299,6 +297,14 @@ def _canonical_groups(x: GradedElement):
                 terms = [(exp, kind, c) for exp in range(n) for kind, vector in columns
                          if (c := vector[exp])]
         yield word, terms
+
+
+@lru_cache(maxsize=256)
+def _orbit(p: int, u0: int, step: int) -> tuple[int, ...]:
+    """p - u0^(b step), b in [0, p - 1): the orbit vector of step k - m;
+    p - 1 references an entry, so the cache is bounded (2 MB at p=1009)."""
+    first = [p - u for u in _root_powers(p, u0)] if step == 1 else _orbit(p, u0, 1)
+    return tuple([first[b * step % (p - 1)] for b in range(p - 1)])
 
 
 @cache

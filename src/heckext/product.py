@@ -4,7 +4,8 @@ The product is defined by a finite dispatch on basis-symbol pairs and
 extended bilinearly:
 
   (0) total degree >= 4 is zero;
-  (1) a degree-0 factor acts through the Hecke action on its side;
+  (1) a degree-0 factor acts through the Hecke action on its side; the
+      public act_left and act_right are such pairs, h a degree-0 row;
   (2) when the support lengths add, the product reduces to a cup product
       inside the summand of the product support, via
       x * y = (x * tau_{supp y}) cup (tau_{supp x} * y);
@@ -285,23 +286,20 @@ def duality_pairing(x: GradedElement, y: GradedElement) -> int:
     of the components; (phi_w) and (tau_w) are dual, and beta^s_w pairs
     with alpha^t_w to delta_{s,t}.
     """
-    alg = x.algebra
-    if x.is_zero or y.is_zero:
+    xc, yc = x.coeffs, y.coeffs
+    if not xc or not yc:
         return 0
-    xdegs, ydegs = x.degrees(), y.degrees()
-    if len(xdegs) != 1 or len(ydegs) != 1:
+    dx, dy = next(iter(xc))[0], next(iter(yc))[0]
+    if len(xc) > 1 and any(s[0] != dx for s in xc) or len(yc) > 1 and any(s[0] != dy for s in yc):
         raise ValueError("pairing requires homogeneous elements")
-    dx, dy = next(iter(xdegs)), next(iter(ydegs))
     if dx + dy != 3:
         raise ValueError(f"pairing requires complementary degrees, got {dx} and {dy}")
-    p = alg.field.p
+    alg, acc = x.algebra, 0
     by_support: dict = {}
-    for sb, cb in y.coeffs.items():
-        by_support.setdefault(sb.support, []).append((sb, cb))
-    acc = 0
-    for sa, ca in x.coeffs.items():
-        for sb, cb in by_support.get(sa.support, ()):
-            cup = _cup_symbols(alg, sa, sb)
-            phi = BasisSymbol(3, None, sa.support)
-            acc = (acc + ca * cb * cup.get(phi, 0)) % p
-    return acc
+    for sb, cb in yc.items():
+        by_support.setdefault(sb[2], []).append((sb, cb))
+    # one cup per pair on one support; the tuple (3, None, w) finds phi_w
+    for sa, ca in xc.items():
+        for sb, cb in by_support.get(sa[2], ()):
+            acc += ca * cb * _cup_symbols(alg, sa, sb).get((3, None, sa[2]), 0)
+    return acc % alg.field.p

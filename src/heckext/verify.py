@@ -14,8 +14,10 @@ on a property of the code named in the docstring of the function that
 builds it; tests/test_verify.py keeps each direct form as an oracle.  Where
 the faster test names the same first counterexample as the direct form, the
 check runs it alone; where it may name another, the check is a _restated
-one, which falls back on the direct form.  A faster test may skip code
-that the direct form ran (the public act_right around _act_right, the
+one, which falls back on the direct form.  The torus and lengths-add forms
+read _act_right, the value of a pair-memo miss: the direct form's public
+act_right with the pair memo off (_torus_shift).  A faster test may skip
+code that the direct form ran (the public act_right and its pair memo, the
 expansion of a character key), or rest on a law of the code that a fault
 could break; its docstring says so, and other checks run that code.
 """
@@ -69,7 +71,9 @@ def _restated(name, cases, test, direct) -> CheckResult:
     holds and the code it skips is right, both named where the two are
     built, a case that test passes, direct passes too.  When test fails,
     direct runs over all the cases, so the verdict and the counterexample
-    are direct's."""
+    are direct's.  direct is the direct form that tests/test_verify.py keeps
+    as an oracle; for lengths add, that form with the pair memo off
+    (_lengths_add)."""
     cases = list(cases)
     result = _check(name, cases, test)
     return result if result.ok else _check(name, cases, direct)
@@ -325,14 +329,14 @@ def _torus_shift(alg, max_length):
     """The right torus action on degrees 1, 2, 3 is the plain support shift,
     sym tau_t = sym t for t = omega^e: its cases and its test.
 
-    The direct form compared public elements, seven act_right calls per
-    (w, e).  act_right(x, tau_t) is _act_right({sym: 1}, {t: 1}) and its
-    coeffs are that row expanded, so the test compares the same rows, in
-    the same order, without the public wrapper (_operand, _compress of h,
-    _result); the rows {sym: 1} are built once per w, as the cases are
-    w-outer.  It names the direct form's first counterexample, and
-    rightaction_deg1_shortening and rightaction_deg3_reflections still call
-    the public act_right.
+    The direct form made seven public act_right calls per (w, e), each a
+    pair-memo lookup whose miss is _act_right({sym: 1}, {t: 1}).  The test
+    makes that call for every case, in order, on rows {sym: 1} built once
+    per w: the direct form with the pair memo off, the same counterexample.
+    The memo derives each pair of a torus orbit from the first one computed,
+    so under a wrong right shift the public value depends on the products
+    made before; the test reads the shift on every case.  The shortening
+    and reflection checks of this suite call the public act_right.
     """
     W = alg.weyl
     cases = list(itertools.product(W.elements(max_length), range(W.n)))
@@ -368,8 +372,10 @@ def _lengths_add(alg, max_length):
     single-letter _act_right on the row of its prefix, kept in a memo keyed
     by v (one row per sign) and cleared when w changes; the prefixes of v
     lie in the cases of the same w, so the memo holds O(len(supports))
-    rows.  The direct test walks every word afresh through the public
-    act_right, one _act_right call per (sign, w, v).
+    rows.  The direct test walks every word afresh, one _act_right call per
+    (sign, w, v): the direct form's public act_right with the pair memo
+    off, where each call is a pair miss (_torus_shift says why not with the
+    memo).
 
     The two forms make different _act_right calls, so a fault that breaks
     the walk law can fail the restated test at a case the direct test
@@ -379,7 +385,7 @@ def _lengths_add(alg, max_length):
     rightaction_deg1_shortening, which acts by whole words through the
     public act_right, catch it.
     """
-    W, H = alg.weyl, alg.hecke
+    W = alg.weyl
     supports = W.elements(max_length)
     cases = [
         (w, v)
@@ -429,13 +435,13 @@ def _lengths_add(alg, max_length):
     def direct(pair):
         w, v = pair
         wv = W.mul(w, v)
-        cases = [(0, alg.beta(0, wv))] if w.length >= 1 else []
+        cases = [(0, {BasisSymbol(1, 0, wv): 1})] if w.length >= 1 else []
         if wv.word[0] == S0:
-            cases += [(-1, alg.beta(-1, wv)), (1, alg.zero())]
+            cases += [(-1, {BasisSymbol(1, -1, wv): 1}), (1, {})]
         else:
-            cases += [(-1, alg.zero()), (1, alg.beta(1, wv))]
+            cases += [(-1, {}), (1, {BasisSymbol(1, 1, wv): 1})]
         for sign, expected in cases:
-            if alg.act_right(alg.beta(sign, w), H.tau(v)) != expected:
+            if alg._expand(alg._act_right({BasisSymbol(1, sign, w): 1}, {v: 1})) != expected:
                 return (sign, w, v)
 
     return cases, restated, direct

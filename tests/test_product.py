@@ -219,6 +219,32 @@ class TestDuality:
         with pytest.raises(ValueError):
             duality_pairing(alg5.tau(alg5.weyl.s0), alg5.tau(alg5.weyl.s0))
 
+    def test_the_errors_and_the_zero_operand(self, alg5):
+        w = alg5.weyl.element(1, (S0,))
+        mixed = alg5.tau(w) + alg5.phi(w)
+        for x, y in ((mixed, alg5.phi(w)), (alg5.phi(w), mixed), (mixed, mixed)):
+            with pytest.raises(ValueError, match="^pairing requires homogeneous elements$"):
+                duality_pairing(x, y)
+        with pytest.raises(ValueError, match="^pairing requires complementary degrees, got 1 and 1$"):
+            duality_pairing(alg5.beta(0, w), alg5.beta(1, w) + alg5.beta(-1, w))
+        # a zero operand pairs to 0 before any degree is read
+        assert duality_pairing(alg5.zero(), mixed) == duality_pairing(mixed, alg5.zero()) == 0
+
+    def test_multi_term_pairing_is_bilinear(self, alg5):
+        rng = random.Random(31)
+        W = alg5.weyl
+        supports = [W.element(e, word) for e in (0, 3) for word in ((), (S0,), (S1, S0))]
+        for _ in range(60):
+            d = rng.randint(0, 3)
+            terms = []
+            for degree in (d, 3 - d):
+                syms = [s for s in alg5.basis_symbols(2, (degree,)) if s.support in supports]
+                terms.append({s: rng.randrange(1, 5) for s in rng.sample(syms, rng.randint(1, 4))})
+            x, y = (alg5.element(t) for t in terms)
+            expected = sum(ca * cb * duality_pairing(alg5.symbol_element(sa), alg5.symbol_element(sb))
+                           for sa, ca in terms[0].items() for sb, cb in terms[1].items()) % 5
+            assert duality_pairing(x, y) == expected, (x, y)
+
     def test_twisted_module_law(self, alg5):
         H = alg5.hecke
         rng = random.Random(97)
@@ -265,16 +291,17 @@ class TestMemoValuesAreReadOnly:
         multiply(alg.tau(W.s1), alg.beta(-1, W.s1))
         multiply(alg.tau(W.element(1, (S1,))), alg.beta(-1, W.element(2, (S1,))))
         # a bad 1x2 pair is transported through J; a letter on two symbols of
-        # one torus orbit, on either side, fills that side's letter memo and
-        # its orbit memo; a Hecke product fills the bare-word memo; the first
-        # read of coeffs expands the base square's character keys through the
-        # expansion memo
+        # one torus orbit, on either side, walked by _act_left or _act_right
+        # (the public actions read the pair memo), fills that side's letter
+        # memo and its orbit memo; a Hecke product fills the bare-word memo;
+        # the first read of coeffs expands the base square's character keys
+        # through the expansion memo
         multiply(alg.beta(1, W.s0), alg.alpha(-1, W.s0))
         assert square.row is not None
         square.coeffs
         for exp in (0, 3):
-            alg.act_right(alg.beta(-1, W.element(exp, (S1,))), alg.hecke.tau(W.s1))
-            alg.act_left(alg.hecke.tau(W.s0), alg.alpha(1, W.element(exp, (S0,))))
+            alg._act_right({BasisSymbol(1, -1, W.element(exp, (S1,))): 1}, {W.s1: 1})
+            alg._act_left({W.s0: 1}, {BasisSymbol(2, 1, W.element(exp, (S0,))): 1})
         alg.hecke.mul(alg.hecke.tau(W.element(1, (S0,))), alg.hecke.tau(W.element(2, (S0,))))
         memos = {
             "pair": alg._pair_cache,
