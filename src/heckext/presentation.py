@@ -17,9 +17,12 @@ fail to vanish.  The verification suites distinguish the two.
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import ne
+
 from .coeff import Combination, add_into, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
-from .product import multiply
+from .product import _multiply
 from .sections import TensorExpression, _section2_symbol, _section3_symbol
 from .weyl import S0, S1, WeylElement
 
@@ -115,18 +118,32 @@ def generator_images(alg: ExtAlgebra) -> dict[int, GradedElement]:
 
 
 def evaluate(f: FreeElement) -> GradedElement:
-    """Substitute the concrete generators and multiply left to right."""
+    """Substitute the concrete generators and multiply left to right.
+
+    The value of a word is the value of its prefix times the image of its
+    last letter, and a zero prefix ends the word.  The words are walked in
+    sorted order, so each keeps the values of the prefix it shares with the
+    word before, and each new prefix costs one product on symbolic rows
+    (a torus idempotent stays a character key); the sum is expanded once.
+    """
     alg = f.algebra
-    images = generator_images(alg)
+    p = alg.field.p
+    images = {letter: x.coeffs for letter, x in generator_images(alg).items()}
     total: dict = {}
-    for word, c in f.coeffs.items():
-        acc = alg.one()
-        for letter in word:
-            acc = multiply(acc, images[letter])
-            if acc.is_zero:
+    # values[i] is the row of prev[:i], prev the word before; a zero row ends
+    # values, and every word that shares that prefix is zero
+    prev: tuple = ()
+    values = [alg.one().coeffs]
+    for word, c in sorted(f.coeffs.items()):
+        shared = next(compress(count(), map(ne, word, prev)), min(len(word), len(prev)))
+        del values[shared + 1:]
+        for letter in word[shared:]:
+            if not values[-1]:
                 break
-        add_into(total, acc.coeffs.items(), c, alg.field.p)
-    return GradedElement(alg, total)
+            values.append(_multiply(alg, values[-1], images[letter]))
+        prev = word
+        add_into(total, values[-1].items(), c, p)
+    return GradedElement(alg, alg._expand(total))
 
 
 # --- the relator lists ---
@@ -245,17 +262,31 @@ def _word_for_weyl(alg: ExtAlgebra, w: WeylElement) -> FreeElement:
 
 
 def _word_for_tensor(alg: ExtAlgebra, t: TensorExpression) -> FreeElement:
+    """The words of the slots of each term, concatenated; a character-key
+    slot e_m s0 is spelled free_idempotent(m) (the 'p-2' bound) times the
+    word of s0."""
     out: dict = {}
     for c, syms in t.terms:
         acc = free_one(alg)
         for s in syms:
-            acc = acc * word_for_basis(alg, s)
+            if len(s) == 4:
+                acc = acc * free_idempotent(alg, s[0]) * word_for_basis(alg, alg._base(s))
+            else:
+                acc = acc * word_for_basis(alg, s)
         add_into(out, acc.coeffs.items(), c, alg.field.p)
     return FreeElement(alg, out)
 
 
 def word_for_basis(alg: ExtAlgebra, sym: BasisSymbol) -> FreeElement:
-    """A free word evaluating to the given basis symbol."""
+    """A free word evaluating to the given basis symbol.
+
+    Degree 0 is the word of tau_w, degree 1 the factorization through the
+    four bimodule generators, and degrees 2 and 3 the words of the slots of
+    the symbol's section (_word_for_tensor).  At a torus support a section
+    slot may be a character key e_m s0, spelled with free_idempotent(m) at
+    the 'p-2' bound whatever bound the relators use; so the word of such a
+    symbol is a sum of about 3(p - 1) words in degree 2 and p in degree 3.
+    """
     if sym.degree == 0:
         return _word_for_weyl(alg, sym.support)
     if sym.degree == 1:

@@ -1,22 +1,27 @@
 """Section maps of the multiplication map and the kernel-generator lists.
 
 Tensor expressions are formal sums of scalar-weighted tuples of degree-1
-basis symbols; they are kept syntactic on purpose.  The tensor module over
-the degree-0 subalgebra has no canonical basis here, so no equality or
-normal form is offered: expressions are only compared through their
-evaluation under the multiplication map.
+slots; they are kept syntactic on purpose.  A slot is a degree-1 basis
+symbol or a degree-1 character key (m, 1, sign, word), which stands for
+e_m s0 (graded.py).  The tensor product is over the degree-0 subalgebra,
+so e_m s0 is one element of one slot, not p - 1 terms.  The tensor module
+has no canonical basis here, so no equality or normal form is offered:
+expressions are only compared through their evaluation under the
+multiplication map.
 
 The degree-2 and degree-3 sections are given by the explicit rows for
 supports of length >= 1; at torus supports they recurse literally into
 the length-1 rows (the defining combination is checked to land in the
-length-1 summands and evaluation stays citable, with no simplification).
-Rows are stated for s0 and sign -1; the rest is the image under the
-uniformizer conjugation of the section of the conjugate symbol.
+length-1 summands, with no simplification).  A torus idempotent there
+stays a character key in the head slot, so the section at a torus
+support is a few terms (at most four), however large p is.  Rows are
+stated for s0 and sign -1; the rest is the image under the uniformizer
+conjugation of the section of the conjugate symbol.
 
 The section of one symbol is a pure function of (algebra, symbol), so it
 is memoized in the algebra's section memo, keyed (degree, symbol); its
 values are the frozen expressions themselves, whose terms are tuples of
-immutable symbols.  Evaluation multiplies the slots of each term left to
+immutable slots.  Evaluation multiplies the slots of each term left to
 right on symbolic rows, as the product engine does, and returns a lazy
 element when the sum holds a character key.
 """
@@ -44,8 +49,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TensorExpression:
-    """Formal sum of scalar-weighted tuples of degree-1 symbols.
+    """Formal sum of scalar-weighted tuples of degree-1 slots.
 
+    A slot is a degree-1 BasisSymbol or a degree-1 character key (m, 1,
+    sign, word), which stands for e_m s0, s0 the symbol at torus exponent
+    0: a section at a torus support keeps its idempotent as one slot.
     Deliberately syntactic: no equality, no normal form.  Two expressions
     are compared only through their evaluation under the multiplication
     map (the tensor module has no canonical basis here).
@@ -53,14 +61,15 @@ class TensorExpression:
 
     algebra: ExtAlgebra
     arity: int
-    terms: tuple[tuple[int, tuple[BasisSymbol, ...]], ...]
+    terms: tuple[tuple[int, tuple[tuple, ...]], ...]
 
     def __post_init__(self):
         for _, syms in self.terms:
             if len(syms) != self.arity:
                 raise ValueError("mixed arities in tensor expression")
-            if any(s.degree != 1 for s in syms):
-                raise ValueError("tensor slots must be degree-1 symbols")
+            # a symbol is (degree, sign, support), a character key (m, degree, sign, word)
+            if any((s[0] if len(s) == 3 else s[1]) != 1 for s in syms):
+                raise ValueError("tensor slots must be degree-1 symbols or character keys")
 
     @classmethod
     def from_terms(cls, alg: ExtAlgebra, arity: int, terms) -> "TensorExpression":
@@ -99,38 +108,46 @@ class TensorExpression:
     def __repr__(self):
         if not self.terms:
             return "0 (tensor)"
-        bits = []
-        for c, syms in self.terms:
-            body = " @ ".join(repr(s) for s in syms)
-            bits.append(f"{c}*({body})")
-        return " + ".join(bits)
+        # a character key e_m s0 is spelled e(m)*s0
+        base = self.algebra._base
+        slot = lambda s: repr(s) if len(s) == 3 else f"e({s[0]})*{base(s)!r}"
+        return " + ".join(f"{c}*({' @ '.join(map(slot, syms))})" for c, syms in self.terms)
+
+
+def _slot_element(alg: ExtAlgebra, slot: tuple) -> GradedElement:
+    """The element of one slot: a symbol, or the lazy e_m s0 of a character key."""
+    return alg.symbol_element(slot) if len(slot) == 3 else GradedElement.lazy(alg, {slot: 1})
 
 
 def tensor_act(h: HeckeElement, t: TensorExpression, side: str) -> TensorExpression:
-    """Apply a degree-0 element to the outer slot of every term."""
+    """Apply a degree-0 element to the outer slot of every term, through the
+    public act_left or act_right; each term of the result's row (_operand:
+    a character key unexpanded) becomes one slot."""
     alg = t.algebra
     terms = []
     for c, syms in t.terms:
         if side == "left":
-            moved = alg.act_left(h, alg.symbol_element(syms[0]))
-            terms.extend((c * cz, (z,) + syms[1:]) for z, cz in moved.coeffs.items())
+            row = alg._operand(alg.act_left(h, _slot_element(alg, syms[0])))
+            terms.extend((c * cz, (z,) + syms[1:]) for z, cz in row.items())
         elif side == "right":
-            moved = alg.act_right(alg.symbol_element(syms[-1]), h)
-            terms.extend((c * cz, syms[:-1] + (z,)) for z, cz in moved.coeffs.items())
+            row = alg._operand(alg.act_right(_slot_element(alg, syms[-1]), h))
+            terms.extend((c * cz, syms[:-1] + (z,)) for z, cz in row.items())
         else:
             raise ValueError("side must be 'left' or 'right'")
     return TensorExpression.from_terms(alg, t.arity, terms)
 
 
 def _map_slots(t: TensorExpression, fn, sign: int = 1, reverse: bool = False) -> TensorExpression:
-    """Apply fn: symbol -> (unit, symbol) to every slot, in reversed slot order
-    if asked, and multiply each term by sign and the units."""
+    """Apply fn, the row form of J or the uniformizer conjugation, to every
+    slot, in reversed slot order if asked, and multiply each term by sign and
+    the units.  Both take one key to one key with a unit, a character key
+    to a character key."""
     terms = []
     for c, syms in t.terms:
         coeff = c * sign
         out = []
         for s in reversed(syms) if reverse else syms:
-            cs, image = fn(s)
+            [(image, cs)] = fn({s: 1}).items()
             coeff *= cs
             out.append(image)
         terms.append((coeff, tuple(out)))
@@ -140,11 +157,22 @@ def _map_slots(t: TensorExpression, fn, sign: int = 1, reverse: bool = False) ->
 def tensor_involution(t: TensorExpression) -> TensorExpression:
     """The anti-involution on tensors: reverse slots with the permutation sign."""
     sign = -1 if (t.arity * (t.arity - 1) // 2) % 2 else 1
-    return _map_slots(t, t.algebra._symbol_involution, sign, reverse=True)
+    return _map_slots(t, t.algebra._involution, sign, reverse=True)
 
 
 def tensor_uniformizer_conj(t: TensorExpression) -> TensorExpression:
-    return _map_slots(t, t.algebra._symbol_uniformizer_conj)
+    return _map_slots(t, t.algebra._uniformizer_conj)
+
+
+def _idempotent_times(alg: ExtAlgebra, m: int, t: TensorExpression, scale: int = 1) -> list:
+    """The terms of scale e_m t: e_m moves onto the head slot of each term
+    (_project), as e_m (x @ y) = (e_m x) @ y, so it costs no term."""
+    terms = []
+    for k, syms in t.terms:
+        head: dict = {}
+        alg._project(head, m, {syms[0]: 1}, scale * k)
+        terms.extend((c, (z,) + syms[1:]) for z, c in head.items())
+    return terms
 
 
 def _memoized(degree: int):
@@ -176,7 +204,7 @@ def _section2_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
         # the uniformizer conjugation iota swaps s0 and s1 (and the signs at a
         # torus support): the section of sym is iota of the section of iota(sym)
         unit, image = alg._symbol_uniformizer_conj(sym)
-        return _map_slots(_section2_symbol(alg, image), alg._symbol_uniformizer_conj, unit)
+        return _map_slots(_section2_symbol(alg, image), alg._uniformizer_conj, unit)
     if w.length >= 1:
         b = lambda sign, supp: BasisSymbol(1, sign, supp)
         if sym.sign == -1:
@@ -186,13 +214,23 @@ def _section2_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
         else:
             term = (1, (b(-1, W.identity), b(0, w)))
         return TensorExpression.from_terms(alg, 2, [term])
-    # sign -1 at a torus support: recurse through the length-1 shift row
+    # sign -1 at a torus support: recurse through the length-1 shift row,
+    # built as a row, so its idempotents stay character keys
     tau_s0 = alg.hecke.tau(W.s0)
     shifted = BasisSymbol(2, 1, W.mul(W.inv(W.s0), w))
-    combo = alg.act_left(tau_s0, alg.symbol_element(shifted)) + alg.symbol_element(sym)
-    if combo.support_lengths() - {1}:
+    combo = dict(alg._operand(alg.act_left(tau_s0, alg.symbol_element(shifted))))
+    add_into(combo, ((sym, 1),), 1, alg.field.p)
+    words = (key[2][1] if len(key) == 3 else key[3] for key in combo)
+    if any(len(word) != 1 for word in words):
         raise AssertionError("shift combination must land in the length-1 summands")
-    return _section2_element(alg, combo) + tensor_act(
+    # a character key e_m s0 takes the section of s0 with e_m on its head slot
+    terms = []
+    for key, c in combo.items():
+        if len(key) == 3:
+            terms.extend((c * k, syms) for k, syms in _section2_symbol(alg, key).terms)
+        else:
+            terms.extend(_idempotent_times(alg, key[0], _section2_symbol(alg, alg._base(key)), c))
+    return TensorExpression.from_terms(alg, 2, terms) + tensor_act(
         tau_s0, _section2_symbol(alg, shifted), "left"
     ).scale(-1)
 
@@ -210,15 +248,12 @@ def _sum_of_sections(alg: ExtAlgebra, arity: int, x: GradedElement, section) -> 
     ])
 
 
-def _section2_element(alg: ExtAlgebra, x: GradedElement) -> TensorExpression:
-    return _sum_of_sections(alg, 2, x, lambda sym: _section2_symbol(alg, sym))
-
-
 def section_deg2(x: GradedElement) -> TensorExpression:
     """A linear section of the degree-2 multiplication map."""
     if not x.is_homogeneous(2):
         raise ValueError("section_deg2 expects a degree-2 element")
-    return _section2_element(x.algebra, x)
+    alg = x.algebra
+    return _sum_of_sections(alg, 2, x, lambda sym: _section2_symbol(alg, sym))
 
 
 # --- the degree-3 section ---
@@ -231,7 +266,7 @@ def _section3_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     if w.word[:1] == (S1,):
         # iota of the section of iota(sym), as in degree 2
         unit, image = alg._symbol_uniformizer_conj(sym)
-        return _map_slots(_section3_symbol(alg, image), alg._symbol_uniformizer_conj, unit)
+        return _map_slots(_section3_symbol(alg, image), alg._uniformizer_conj, unit)
     if w.length >= 1:
         syms = (
             BasisSymbol(1, -1, W.identity),
@@ -239,10 +274,12 @@ def _section3_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
             BasisSymbol(1, -1, W.mul(W.inv(W.s0), w)),
         )
         return TensorExpression.from_terms(alg, 3, [(-1, syms)])
-    # torus support: (tau_{s0} + e_1) applied to the section one step down
-    shifted = BasisSymbol(3, None, W.mul(W.inv(W.s0), w))
-    h = alg.hecke.tau(W.s0) + alg.hecke.idempotent(0)
-    return tensor_act(h, _section3_symbol(alg, shifted), "left")
+    # torus support: (tau_{s0} + e_1) applied to the section one step down,
+    # e_1 (index 0, the trivial character) moved onto the head slot as a
+    # character key
+    shifted = _section3_symbol(alg, BasisSymbol(3, None, W.mul(W.inv(W.s0), w)))
+    return tensor_act(alg.hecke.tau(W.s0), shifted, "left") + TensorExpression.from_terms(
+        alg, 3, _idempotent_times(alg, 0, shifted))
 
 
 def section_deg3(x: GradedElement) -> TensorExpression:

@@ -675,10 +675,12 @@ def _round_trip(alg, max_length):
     stay in one torus orbit of supports (the symbols at omega^e u for one u,
     which are consecutive) and cleared at the next.  The words of an orbit
     share their prefixes, the powers of T_w0 above all, which spell omega^e
-    as e letters.  The trie makes the same products as evaluate, so the test
-    names the direct form's first counterexample; evaluate itself stays the
-    definition of the homomorphism, which the relator and
-    presentation_evaluate_multiplicative checks call.
+    as e letters.  The trie makes the products evaluate makes (evaluate
+    shares the prefixes of one element and multiplies rows; the trie goes
+    through the public multiply), so the test names the direct form's first
+    counterexample; evaluate itself stays the definition of the
+    homomorphism, which the relator and presentation_evaluate_multiplicative
+    checks call.
     """
     p = alg.field.p
     images = pres.generator_images(alg)

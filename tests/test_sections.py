@@ -25,19 +25,102 @@ def t2(alg, terms):
     return TensorExpression.from_terms(alg, 2, terms)
 
 
+def slot_through_multiply(alg, slot):
+    """A slot as an element: a symbol, or a character key (m, 1, sign, word)
+    as multiply(e_m, the symbol at torus exponent 0)."""
+    if len(slot) == 3:
+        return alg.symbol_element(slot)
+    m, d, sign, word = slot
+    s0 = BasisSymbol(d, sign, alg.weyl.element(0, word))
+    return multiply(alg.idempotent(m), alg.symbol_element(s0))
+
+
 def evaluate_through_multiply(t):
     """The oracle: each term's slots multiplied left to right through the
     public multiply, summed into an eager element."""
     alg = t.algebra
     total: dict = {}
     for c, syms in t.terms:
-        acc = alg.symbol_element(syms[0])
+        acc = slot_through_multiply(alg, syms[0])
         for s in syms[1:]:
             if acc.is_zero:
                 break
-            acc = multiply(acc, alg.symbol_element(s))
+            acc = multiply(acc, slot_through_multiply(alg, s))
         add_into(total, acc.coeffs.items(), c, alg.field.p)
     return GradedElement(alg, total)
+
+
+# --- the torus sections as built before their idempotents were slots ---
+#
+# Verbatim copies of the torus branches of _section2_symbol and
+# _section3_symbol, with tensor_act and _map_slots as they were then: every
+# torus idempotent expanded into its p - 1 terms.  The rows at supports of
+# length >= 1 are unchanged, so the copies read them from the live code
+# (section_deg2 of the length-1 combination is the _section2_element of
+# then, which section_deg2 absorbed).
+
+
+def expanded_tensor_act(h, t, side):
+    alg = t.algebra
+    terms = []
+    for c, syms in t.terms:
+        if side == "left":
+            moved = alg.act_left(h, alg.symbol_element(syms[0]))
+            terms.extend((c * cz, (z,) + syms[1:]) for z, cz in moved.coeffs.items())
+        elif side == "right":
+            moved = alg.act_right(alg.symbol_element(syms[-1]), h)
+            terms.extend((c * cz, syms[:-1] + (z,)) for z, cz in moved.coeffs.items())
+        else:
+            raise ValueError("side must be 'left' or 'right'")
+    return TensorExpression.from_terms(alg, t.arity, terms)
+
+
+def expanded_map_slots(t, fn, sign=1, reverse=False):
+    terms = []
+    for c, syms in t.terms:
+        coeff = c * sign
+        out = []
+        for s in reversed(syms) if reverse else syms:
+            cs, image = fn(s)
+            coeff *= cs
+            out.append(image)
+        terms.append((coeff, tuple(out)))
+    return TensorExpression.from_terms(t.algebra, t.arity, terms)
+
+
+def expanded_torus_section2(alg, sym):
+    W = alg.weyl
+    w = sym.support
+    assert w.length == 0
+    if sym.sign == 1:
+        unit, image = alg._symbol_uniformizer_conj(sym)
+        return expanded_map_slots(
+            expanded_torus_section2(alg, image), alg._symbol_uniformizer_conj, unit)
+    tau_s0 = alg.hecke.tau(W.s0)
+    shifted = BasisSymbol(2, 1, W.mul(W.inv(W.s0), w))
+    combo = alg.act_left(tau_s0, alg.symbol_element(shifted)) + alg.symbol_element(sym)
+    if combo.support_lengths() - {1}:
+        raise AssertionError("shift combination must land in the length-1 summands")
+    return section_deg2(combo) + expanded_tensor_act(
+        tau_s0, _section2_symbol(alg, shifted), "left"
+    ).scale(-1)
+
+
+def expanded_torus_section3(alg, sym):
+    W = alg.weyl
+    w = sym.support
+    assert w.length == 0
+    shifted = BasisSymbol(3, None, W.mul(W.inv(W.s0), w))
+    h = alg.hecke.tau(W.s0) + alg.hecke.idempotent(0)
+    return expanded_tensor_act(h, _section3_symbol(alg, shifted), "left")
+
+
+def torus_symbols(alg):
+    for e in range(alg.weyl.n):
+        t = alg.weyl.omega(e)
+        yield BasisSymbol(2, -1, t)
+        yield BasisSymbol(2, 1, t)
+        yield BasisSymbol(3, None, t)
 
 
 class TestTensorExpression:
@@ -49,6 +132,16 @@ class TestTensorExpression:
             TensorExpression(
                 alg5, 2, ((1, (BasisSymbol(0, None, W.s0), BasisSymbol(1, -1, W.s0))),)
             )
+        # a character key (m, degree, sign, word) is a slot in degree 1 only
+        bz0 = BasisSymbol(1, 0, W.s0)
+        TensorExpression(alg5, 2, ((1, ((3, 1, -1, ()), bz0)),))
+        with pytest.raises(ValueError, match="degree-1"):
+            TensorExpression(alg5, 2, ((1, ((3, 2, -1, ()), bz0)),))
+
+    def test_repr_spells_a_character_key_slot(self, alg5):
+        W = alg5.weyl
+        t = t2(alg5, [(2, ((3, 1, -1, ()), BasisSymbol(1, 0, W.s0)))])
+        assert repr(t) == "2*(e(3)*bm(w(0;)) @ b0(w(0; s0)))"
 
     def test_add_refuses_another_algebra(self, alg5, alg7):
         one5, one7 = alg5.weyl.identity, alg7.weyl.identity
@@ -200,10 +293,36 @@ class TestRowEvaluation:
             assert gen.evaluate() == evaluate_through_multiply(gen)
 
     def test_lazy_result_renders_as_the_oracle(self, alg7):
-        phi = alg7.phi(alg7.weyl.identity)
-        t = section_deg3(phi)
+        # e_3 beta^-_1 @ beta^0_{s0} evaluates to e_3 alpha^+_{s0}, one character key
+        W = alg7.weyl
+        t = t2(alg7, [(1, ((3, 1, -1, ()), BasisSymbol(1, 0, W.s0)))])
         assert t.evaluate().row is not None
-        assert repr(t.evaluate()) == repr(evaluate_through_multiply(t)) == repr(phi)
+        expected = multiply(alg7.idempotent(3), alg7.alpha(1, W.s0))
+        assert repr(t.evaluate()) == repr(evaluate_through_multiply(t)) == repr(expected)
+
+
+class TestTorusSections:
+    """At a torus support the section keeps its idempotent as a character key
+    in the head slot; the expanded construction it replaced is the oracle."""
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_sections_evaluate_as_the_expanded_construction(self, p):
+        alg = algebra(p)
+        for sym in torus_symbols(alg):
+            el = alg.symbol_element(sym)
+            if sym.degree == 2:
+                new, old = section_deg2(el), expanded_torus_section2(alg, sym)
+            else:
+                new, old = section_deg3(el), expanded_torus_section3(alg, sym)
+            assert all(len(slot) == 3 for _, slots in old.terms for slot in slots), sym
+            assert new.evaluate() == old.evaluate() == el, sym
+
+    @pytest.mark.parametrize("p", [13, 31, 101])
+    def test_a_torus_section_has_at_most_four_terms(self, p):
+        alg = ExtAlgebra(p)
+        for sym in torus_symbols(alg):
+            section = section_deg2 if sym.degree == 2 else section_deg3
+            assert len(section(alg.symbol_element(sym)).terms) <= 4, sym
 
 
 class TestSectionMemo:

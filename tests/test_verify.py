@@ -513,7 +513,7 @@ def _generators_swapped(module):
         "rightaction_torus_all_degrees": "(1, -1, w(0;), 1)",
         "rightaction_deg1_lengths_add_{n}_pairs": "(-1, w(0;), w(1; s0 s1))",
         "rightaction_idempotent_slide": "(bm(w(0;)), 1)",
-        "presentation_round_trip_{n}_symbols": "am(w(0;))",
+        "presentation_round_trip_{n}_symbols": "bm(w(1;))",
     }),
     (_right_row_off_by_one, "alg", "_right_letter_on_symbol", {
         "rightaction_deg1_lengths_add_{n}_pairs": "(-1, w(0;), w(0; s0))",
@@ -611,7 +611,7 @@ SKIPPED_CODE_MUTANTS = [
      {"sections_identity_fixed_forms": "summand 2 misses phi(1)"}),
     (_char_expansion_negated, "_char_expansion", ["rightaction_idempotent_slide"],
      {"rightaction_deg3_reflections": "(w(0; s0), 0)",
-      "presentation_round_trip_{n}_symbols": "phi(w(0;))"}),
+      "presentation_round_trip_{n}_symbols": "am(w(0;))"}),
     (_act_right_walks_right_to_left, "_act_right", ["rightaction_deg1_lengths_add_{n}_pairs"],
      {"rightaction_deg1_shortening": "(0, w(0; s0 s1))"}),
 ]
