@@ -39,8 +39,9 @@ idempotent_times (and product.multiply) return a result whose row holds a
 character key unexpanded, as a lazy GradedElement: its coeffs are
 expanded through the expansion memo on the first read, and the renderer
 and the JSON export read the row itself (grammar.py).  idempotent(m) is
-the lazy element of one key.  On the way in, a lazy operand's row is read
-as it is, and the coeffs of an eager operand are compressed
+the lazy element of one key, and a sum with a lazy side stays lazy.  On
+the way in, a lazy operand's row is read as it is, and the coeffs of an
+eager operand are compressed
 (_compress, the inverse of the expansion): each whole torus orbit whose
 p - 1 coefficients are one character becomes its character key.  The
 Hecke operand of act_left and act_right is read as a degree-0 row
@@ -240,6 +241,17 @@ class GradedElement(Combination):
         # c and every coefficient of the row are units, so no product vanishes
         return GradedElement.lazy(self.algebra, {k: c * v % p for k, v in self.row.items()})
 
+    def __add__(self, other, scale: int = 1):
+        """self + scale * other; with a lazy side, the sum of both rows stays
+        lazy (a plain key and a character key of one orbit merge on expansion)."""
+        if type(other) is not GradedElement or (self.row is None and other.row is None):
+            return super().__add__(other, scale)
+        check_parameters(self.algebra, other.algebra)
+        out = dict(self.coeffs if self.row is None else self.row)
+        add_into(out, (other.coeffs if other.row is None else other.row).items(), scale,
+                 self.algebra.field.p)
+        return self.algebra._result(out)
+
     def _product(self, other: "GradedElement") -> "GradedElement":
         from . import product
 
@@ -301,6 +313,8 @@ class ExtAlgebra:
         return self.tau(self.weyl.identity)
 
     def symbol_element(self, sym: BasisSymbol) -> GradedElement:
+        if not isinstance(sym, BasisSymbol):
+            raise ValueError(f"expected a BasisSymbol, got {sym!r}")
         return GradedElement(self, {sym: 1})
 
     def tau(self, w: WeylElement) -> GradedElement:

@@ -12,8 +12,8 @@ parse(render(x)) == x; render(parse(s)) == s on canonically rendered
 input.  A sum of well-formed terms is read one term per match of the
 regular expression _TERM; any other input goes through the scanner
 (_parse_scanned), which reads it token by token and raises a ParseError
-that carries the offending position.  A parsed c*e(m) is the lazy element
-of one character key (graded.py).  The renderer and the JSON export walk
+that carries the offending position.  A parsed c*e(m) is one character
+key, also in a sum (graded.py).  The renderer and the JSON export walk
 the terms in one canonical order, read from the element's row: a
 character key becomes a coefficient vector over its torus orbit, so a
 lazy element is rendered without building its p - 1 symbols.  Each term's
@@ -183,8 +183,9 @@ def parse_element(alg: ExtAlgebra, text: str) -> GradedElement:
 
 def _parse_terms(alg: ExtAlgebra, text: str) -> GradedElement | None:
     """The element of a sum of well-formed terms, or None where the text is
-    not one: a term _TERM does not match, a leading '+', a missing operator,
-    or an e(m) that is not the whole text.  The scanner decides those."""
+    not one: a term _TERM does not match, a leading '+' or a missing
+    operator.  The scanner decides those.  An e(m) is summed as its
+    character key, so a sum that holds one is lazy."""
     weyl, p = alg.weyl, alg.field.p
     total: dict = {}
     pos = 0
@@ -196,16 +197,15 @@ def _parse_terms(alg: ExtAlgebra, text: str) -> GradedElement | None:
         if term[1] == "-":
             c = -c
         if term[3] is None:
-            # alone, c*e(m) is the lazy element; in a sum the scanner expands it
-            if pos or term.end() < len(text):
-                return None
-            return alg.idempotent(int(term[6]), c)
-        degree, sign = _KINDS[term[3]]
-        w = weyl.element(int(term[4]), [_LETTERS[l] for l in term[5].split()])
-        add_into(total, ((BasisSymbol(degree, sign, w), 1),), c, p)
+            pairs = alg.idempotent(int(term[6])).row.items()
+        else:
+            degree, sign = _KINDS[term[3]]
+            w = weyl.element(int(term[4]), [_LETTERS[l] for l in term[5].split()])
+            pairs = ((BasisSymbol(degree, sign, w), 1),)
+        add_into(total, pairs, c, p)
         pos = term.end()
         if pos == len(text):
-            return GradedElement(alg, total)
+            return alg._result(total)
 
 
 def _parse_scanned(alg: ExtAlgebra, text: str) -> GradedElement:

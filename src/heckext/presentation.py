@@ -13,6 +13,15 @@ configurable: the default 'p-2' sums over the p-1 torus classes; the
 alternative reading 'p-1' adds one more power of the torus generator,
 which double-counts the identity class and makes the quadratic relators
 fail to vanish.  The verification suites distinguish the two.
+
+Relators pair up under the uniformizer conjugation iota: each pair is
+printed for s0 on the blocks (T_s0, T_s1, B_m, B_p, B_z0, B_z1, e_id,
+e_id^-1, +1) and built again on (T_s1, T_s0, B_p, B_m, B_z1, B_z0, e_id^-1,
+e_id, -1), the side table _SIDES.  That is iota with runs of T_w0 reduced
+mod p - 1; the sign stands for the -1 iota puts on B_z, on the terms whose
+count of B_z letters differs in parity from the first term's.  The six
+torus-commutation relators (deg0_02/03, bimodule_13-16) stay printed: their
+iota-images are not +-1 times a listed relator.
 """
 
 from __future__ import annotations
@@ -104,17 +113,17 @@ def free_idempotent(alg: ExtAlgebra, m: int, bound: str = "p-2") -> FreeElement:
     return FreeElement.make(alg, {(T_W0,) * i: -F.root_pow(-m * i) for i in range(top + 1)})
 
 
+# the letter of each bimodule generator beta^sign at the support w(0; word),
+# keyed by (sign, word)
+_B_LETTERS = {(-1, ()): B_M, (1, ()): B_P, (0, (S0,)): B_Z0, (0, (S1,)): B_Z1}
+
+
 def generator_images(alg: ExtAlgebra) -> dict[int, GradedElement]:
     W = alg.weyl
-    return {
-        T_W0: alg.tau(W.omega(1)),
-        T_S0: alg.tau(W.s0),
-        T_S1: alg.tau(W.s1),
-        B_M: alg.beta(-1, W.identity),
-        B_P: alg.beta(1, W.identity),
-        B_Z0: alg.beta(0, W.s0),
-        B_Z1: alg.beta(0, W.s1),
-    }
+    images = {T_W0: alg.tau(W.omega(1)), T_S0: alg.tau(W.s0), T_S1: alg.tau(W.s1)}
+    for (sign, word), letter in _B_LETTERS.items():
+        images[letter] = alg.beta(sign, W.element(0, word))
+    return images
 
 
 def evaluate(f: FreeElement) -> GradedElement:
@@ -149,105 +158,88 @@ def evaluate(f: FreeElement) -> GradedElement:
 # --- the relator lists ---
 
 
+# The blocks of the paired formulas on each side (the module docstring):
+# (T_s0, T_s1, B_m, B_p, B_z0, B_z1, m of e_id, m of e_id^-1, sign).
+_SIDES = (
+    (T_S0, T_S1, B_M, B_P, B_Z0, B_Z1, 1, -1, 1),
+    (T_S1, T_S0, B_P, B_M, B_Z1, B_Z0, -1, 1, -1),
+)
+
+
+def _paired(alg: ExtAlgebra, bound: str, formulas) -> list[FreeElement]:
+    """formulas, the s0 members of some pairs as a function of the blocks,
+    evaluated on both sides: each s0 member followed by its s1 member."""
+    sides = [
+        formulas(*(free_letter(alg, letter) for letter in side[:6]),
+                 *(free_idempotent(alg, m, bound) for m in side[6:8]), side[8])
+        for side in _SIDES
+    ]
+    return [r for pair in zip(*sides) for r in pair]
+
+
 def hecke_relators(alg: ExtAlgebra, bound: str = "p-2") -> list[FreeElement]:
     """Five relators presenting the degree-0 subalgebra."""
     p = alg.field.p
-    tw = free_letter(alg, T_W0)
-    ts0 = free_letter(alg, T_S0)
-    ts1 = free_letter(alg, T_S1)
-    one = free_one(alg)
+    tw, ts0, ts1 = (free_letter(alg, letter) for letter in (T_W0, T_S0, T_S1))
     eps1 = free_idempotent(alg, 0, bound)
     return [
-        tw ** (p - 1) - one,
+        tw ** (p - 1) - free_one(alg),
         tw * ts0 - ts0 * tw ** (p - 2),
         tw * ts1 - ts1 * tw ** (p - 2),
-        ts0 * ts0 + eps1 * ts0,
-        ts1 * ts1 + eps1 * ts1,
+        *_paired(alg, bound, lambda ts0, *_: [ts0 * ts0 + eps1 * ts0]),
     ]
 
 
 def bimodule_relators(alg: ExtAlgebra, bound: str = "p-2") -> list[FreeElement]:
     """Sixteen relators presenting degree 1 as a bimodule over degree 0."""
     p = alg.field.p
-    F = alg.field
     tw = free_letter(alg, T_W0)
-    ts0 = free_letter(alg, T_S0)
-    ts1 = free_letter(alg, T_S1)
-    bm = free_letter(alg, B_M)
-    bp = free_letter(alg, B_P)
-    bz0 = free_letter(alg, B_Z0)
-    bz1 = free_letter(alg, B_Z1)
     eps1 = free_idempotent(alg, 0, bound)
-    eps_id = free_idempotent(alg, 1, bound)
-    eps_idinv = free_idempotent(alg, -1, bound)
-    half = (p - 1) // 2
-    qs0 = ts0 + eps1
-    qs1 = ts1 + eps1
-    usq = F.root_pow(2)
-    uinv = F.root_pow(-2)
-    return [
-        ts1 * bm,
-        ts0 * bp,
-        bp * ts0,
-        bm * ts1,
-        qs0 * bm * qs0 + (eps_id * bz0).scale(2) + tw ** half * bp,
-        qs1 * bp * qs1 - (eps_idinv * bz1).scale(2) + tw ** half * bm,
-        ts0 * bz1 + bz0 * ts1,
-        ts1 * bz0 + bz1 * ts0,
-        qs0 * bz0 + eps_id * ts0 * bm,
-        qs1 * bz1 - eps_idinv * ts1 * bp,
-        bz0 * qs0 + eps_idinv * bm * ts0,
-        bz1 * qs1 - eps_id * bp * ts1,
-        tw * bm - (bm * tw).scale(uinv),
-        tw * bp - (bp * tw).scale(usq),
+
+    def pairs(ts0, ts1, bm, bp, bz0, bz1, eps_id, eps_idinv, sign):
+        qs0 = ts0 + eps1
+        return [
+            ts1 * bm,
+            bp * ts0,
+            qs0 * bm * qs0 + (eps_id * bz0).scale(2 * sign) + tw ** ((p - 1) // 2) * bp,
+            ts0 * bz1 + bz0 * ts1,
+            qs0 * bz0 + (eps_id * ts0 * bm).scale(sign),
+            bz0 * qs0 + (eps_idinv * bm * ts0).scale(sign),
+        ]
+
+    bm, bp, bz0, bz1 = (free_letter(alg, letter) for letter in (B_M, B_P, B_Z0, B_Z1))
+    return _paired(alg, bound, pairs) + [
+        tw * bm - (bm * tw).scale(alg.field.root_pow(-2)),
+        tw * bp - (bp * tw).scale(alg.field.root_pow(2)),
         tw * bz0 - bz0 * tw ** (p - 2),
         tw * bz1 - bz1 * tw ** (p - 2),
     ]
 
 
 def kernel_relators(alg: ExtAlgebra, bound: str = "p-2") -> list[FreeElement]:
-    """Fifteen relators lifting the kernel generators of the tensor algebra."""
-    tw = free_letter(alg, T_W0)
-    ts0 = free_letter(alg, T_S0)
-    ts1 = free_letter(alg, T_S1)
-    bm = free_letter(alg, B_M)
-    bp = free_letter(alg, B_P)
-    bz0 = free_letter(alg, B_Z0)
-    bz1 = free_letter(alg, B_Z1)
+    """Fifteen relators lifting the kernel generators of the tensor algebra:
+    ten monomials, two pairs, and the sum of the two halves of the last."""
     eps1 = free_idempotent(alg, 0, bound)
-    eps_id = free_idempotent(alg, 1, bound)
-    eps_idinv = free_idempotent(alg, -1, bound)
-    qs0 = ts0 + eps1
-    qs1 = ts1 + eps1
-    return [
-        bm * bm,
-        bp * bm,
-        bz1 * bm,
-        bm * bp,
-        bp * bp,
-        bz0 * bp,
-        bp * bz0,
-        bz1 * bz0,
-        bm * bz1,
-        bz0 * bz1,
-        bz0 * bz0 + eps_idinv * bm * bz0 + eps_id * bz0 * bm + eps1 * bm * ts0 * bm,
-        bz1 * bz1 - eps_id * bp * bz1 - eps_idinv * bz1 * bp + eps1 * bp * ts1 * bp,
-        bz0 * bm * ts0 - ts0 * bm * bz0,
-        bz1 * bp * ts1 - ts1 * bp * bz1,
-        qs1 * bp * bz1 * bp + qs0 * bm * bz0 * bm,
-    ]
+
+    def pairs(ts0, ts1, bm, bp, bz0, bz1, eps_id, eps_idinv, sign):
+        return [
+            bz0 * bz0 + (eps_idinv * bm * bz0 + eps_id * bz0 * bm).scale(sign)
+            + eps1 * bm * ts0 * bm,
+            bz0 * bm * ts0 - ts0 * bm * bz0,
+            (ts0 + eps1) * bm * bz0 * bm,
+        ]
+
+    monomials = [(B_M, B_M), (B_P, B_M), (B_Z1, B_M), (B_M, B_P), (B_P, B_P),
+                 (B_Z0, B_P), (B_P, B_Z0), (B_Z1, B_Z0), (B_M, B_Z1), (B_Z0, B_Z1)]
+    *paired, half0, half1 = _paired(alg, bound, pairs)
+    return [FreeElement(alg, {word: 1}) for word in monomials] + paired + [half1 + half0]
 
 
 def all_relators(alg: ExtAlgebra, bound: str = "p-2") -> list[tuple[str, FreeElement]]:
     """All 36 relators, with stable names."""
-    out = []
-    for idx, r in enumerate(hecke_relators(alg, bound), start=1):
-        out.append((f"deg0_{idx:02d}", r))
-    for idx, r in enumerate(bimodule_relators(alg, bound), start=1):
-        out.append((f"bimodule_{idx:02d}", r))
-    for idx, r in enumerate(kernel_relators(alg, bound), start=1):
-        out.append((f"kernel_{idx:02d}", r))
-    return out
+    lists = (("deg0", hecke_relators), ("bimodule", bimodule_relators), ("kernel", kernel_relators))
+    return [(f"{name}_{idx:02d}", r) for name, relators in lists
+            for idx, r in enumerate(relators(alg, bound), start=1)]
 
 
 # --- constructive surjectivity ---
@@ -291,15 +283,9 @@ def word_for_basis(alg: ExtAlgebra, sym: BasisSymbol) -> FreeElement:
         return _word_for_weyl(alg, sym.support)
     if sym.degree == 1:
         c, left, g, right = alg.factor_through_generators(sym)
-        gletter = {
-            (-1, 0): B_M,
-            (1, 0): B_P,
-            (0, S0): B_Z0,
-            (0, S1): B_Z1,
-        }[(g.sign, g.support.word[0] if g.sign == 0 else 0)]
         word = (
             _word_for_weyl(alg, left)
-            * free_letter(alg, gletter)
+            * free_letter(alg, _B_LETTERS[g.sign, g.support.word])
             * _word_for_weyl(alg, right)
         )
         return word.scale(c)

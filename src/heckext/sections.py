@@ -18,6 +18,10 @@ support is a few terms (at most four), however large p is.  Rows are
 stated for s0 and sign -1; the rest is the image under the uniformizer
 conjugation of the section of the conjugate symbol.
 
+The paired kernel generators are printed for s0 and built again on the s1
+blocks of the side table _SIDES, as the relators are (presentation.py):
+iota with runs of T_w0 reduced mod p - 1, a sign standing for its -1 on B_z.
+
 The section of one symbol is a pure function of (algebra, symbol), so it
 is memoized in the algebra's section memo, keyed (degree, symbol); its
 values are the frozen expressions themselves, whose terms are tuples of
@@ -35,7 +39,7 @@ from .coeff import add_into, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .hecke import HeckeElement
 from .product import _multiply
-from .weyl import S1
+from .weyl import S0, S1
 
 __all__ = [
     "TensorExpression",
@@ -114,23 +118,19 @@ class TensorExpression:
         return " + ".join(f"{c}*({' @ '.join(map(slot, syms))})" for c, syms in self.terms)
 
 
-def _slot_element(alg: ExtAlgebra, slot: tuple) -> GradedElement:
-    """The element of one slot: a symbol, or the lazy e_m s0 of a character key."""
-    return alg.symbol_element(slot) if len(slot) == 3 else GradedElement.lazy(alg, {slot: 1})
-
-
 def tensor_act(h: HeckeElement, t: TensorExpression, side: str) -> TensorExpression:
     """Apply a degree-0 element to the outer slot of every term, through the
     public act_left or act_right; each term of the result's row (_operand:
-    a character key unexpanded) becomes one slot."""
+    a character key unexpanded) becomes one slot.  A slot's element is a
+    symbol, or the lazy e_m s0 of a character key (_result)."""
     alg = t.algebra
     terms = []
     for c, syms in t.terms:
         if side == "left":
-            row = alg._operand(alg.act_left(h, _slot_element(alg, syms[0])))
+            row = alg._operand(alg.act_left(h, alg._result({syms[0]: 1})))
             terms.extend((c * cz, (z,) + syms[1:]) for z, cz in row.items())
         elif side == "right":
-            row = alg._operand(alg.act_right(_slot_element(alg, syms[-1]), h))
+            row = alg._operand(alg.act_right(alg._result({syms[-1]: 1}), h))
             terms.extend((c * cz, syms[:-1] + (z,)) for z, cz in row.items())
         else:
             raise ValueError("side must be 'left' or 'right'")
@@ -326,76 +326,46 @@ def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
 # --- kernel generators ---
 
 
+# The blocks of the paired generators on each side: (s, sign of B_m, m of e_id,
+# m of e_id^-1, sign); B_p is the symbol of the other sign, B_z the sign-0
+# symbol at s.
+_SIDES = ((S0, -1, 1, -1, 1), (S1, 1, -1, 1, -1))
+
+
+def _on_side(alg: ExtAlgebra, s: int, minus: int, e_id: int, e_idinv: int, sign: int) -> list:
+    """The s0 members of the paired generators, on one side's blocks: the
+    quadratic combination, the mixed relation and a half of the degree-3
+    generator."""
+    W = alg.weyl
+    s0 = W.simple(s)
+    b = lambda sign_, w: BasisSymbol(1, sign_, w)
+    bm, bz0 = b(minus, W.identity), b(0, s0)
+    t2 = lambda terms: TensorExpression.from_terms(alg, 2, terms)
+    e_left = lambda m, c, s1, s2: tensor_act(alg.hecke.idempotent(m), t2([(c, (s1, s2))]), "left")
+    return [
+        t2([(1, (bz0, bz0))]) + e_left(e_idinv, sign, bm, bz0) + e_left(e_id, sign, bz0, bm)
+        + e_left(0, -1, bm, b(-minus, s0)),
+        t2([(1, (b(-minus, s0), bz0)), (1, (bz0, b(minus, s0)))]),
+        tensor_act(alg.hecke.tau(s0) + alg.hecke.idempotent(0), TensorExpression.from_terms(
+            alg, 3, [(1, (bm, b(0, W.inv(s0)), bm))]), "left"),
+    ]
+
+
 def candidate_kernel_deg2(alg: ExtAlgebra) -> list[TensorExpression]:
     """The fourteen degree-2 kernel generators (ten monomial pairs, two
     quadratic combinations, two mixed relations)."""
-    W = alg.weyl
-    one = W.identity
-    bm = BasisSymbol(1, -1, one)
-    bp = BasisSymbol(1, 1, one)
-    bz0 = BasisSymbol(1, 0, W.s0)
-    bz1 = BasisSymbol(1, 0, W.s1)
-    t2 = lambda terms: TensorExpression.from_terms(alg, 2, terms)
-    e_left = lambda m, c, s1, s2: tensor_act(
-        alg.hecke.idempotent(m), t2([(c, (s1, s2))]), "left"
-    )
-
-    gens = [
-        t2([(1, (bm, bm))]),
-        t2([(1, (bp, bm))]),
-        t2([(1, (bz1, bm))]),
-        t2([(1, (bp, bz0))]),
-        t2([(1, (bz1, bz0))]),
-        t2([(1, (bm, bp))]),
-        t2([(1, (bp, bp))]),
-        t2([(1, (bz0, bp))]),
-        t2([(1, (bm, bz1))]),
-        t2([(1, (bz0, bz1))]),
-    ]
-    # the two quadratic combinations
-    gens.append(
-        t2([(1, (bz0, bz0))])
-        + e_left(-1, 1, bm, bz0)
-        + e_left(1, 1, bz0, bm)
-        + e_left(0, -1, bm, BasisSymbol(1, 1, W.s0))
-    )
-    gens.append(
-        t2([(1, (bz1, bz1))])
-        + e_left(1, -1, bp, bz1)
-        + e_left(-1, -1, bz1, bp)
-        + e_left(0, -1, bp, BasisSymbol(1, -1, W.s1))
-    )
-    # the two mixed relations
-    gens.append(
-        t2([
-            (1, (BasisSymbol(1, 1, W.s0), bz0)),
-            (1, (bz0, BasisSymbol(1, -1, W.s0))),
-        ])
-    )
-    gens.append(
-        t2([
-            (1, (BasisSymbol(1, -1, W.s1), bz1)),
-            (1, (bz1, BasisSymbol(1, 1, W.s1))),
-        ])
-    )
-    return gens
+    return kernel_generators(alg)[:14]
 
 
 def kernel_generators(alg: ExtAlgebra) -> list[TensorExpression]:
-    """The full generator list: fourteen in degree 2 plus one in degree 3."""
+    """The full generator list: fourteen in degree 2, each pair's s0 member
+    followed by its s1 member, plus one in degree 3, the sum of both halves."""
     W = alg.weyl
-    one = W.identity
-    gens = list(candidate_kernel_deg2(alg))
-    t3 = lambda c, syms: TensorExpression.from_terms(alg, 3, [(c, syms)])
-    part1 = tensor_act(
-        alg.hecke.tau(W.s1) + alg.hecke.idempotent(0),
-        t3(1, (BasisSymbol(1, 1, one), BasisSymbol(1, 0, W.inv(W.s1)), BasisSymbol(1, 1, one))),
-        "left",
-    )
-    part0 = tensor_act(
-        alg.hecke.tau(W.s0) + alg.hecke.idempotent(0),
-        t3(1, (BasisSymbol(1, -1, one), BasisSymbol(1, 0, W.inv(W.s0)), BasisSymbol(1, -1, one))),
-        "left",
-    )
-    gens.append(part1 + part0)
-    return gens
+    bm, bp = BasisSymbol(1, -1, W.identity), BasisSymbol(1, 1, W.identity)
+    bz0, bz1 = BasisSymbol(1, 0, W.s0), BasisSymbol(1, 0, W.s1)
+    monomials = [(bm, bm), (bp, bm), (bz1, bm), (bp, bz0), (bz1, bz0),
+                 (bm, bp), (bp, bp), (bz0, bp), (bm, bz1), (bz0, bz1)]
+    s0, s1 = (_on_side(alg, *side) for side in _SIDES)
+    *paired, half0, half1 = (g for pair in zip(s0, s1) for g in pair)
+    return [TensorExpression.from_terms(alg, 2, [(1, slots)]) for slots in monomials] + paired + [
+        half1 + half0]

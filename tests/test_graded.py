@@ -53,6 +53,18 @@ class TestSymbols:
         # per torus element: tau, beta^-, beta^+, alpha^-, alpha^+, phi
         assert len(syms) == 6 * alg5.weyl.n
 
+    def test_symbol_element_rejects_a_character_key(self, alg7):
+        # (3, 1, -1, ()) is the character key of e_3 bm(w(0;)), not a symbol
+        with pytest.raises(ValueError):
+            alg7.symbol_element((3, 1, -1, ()))
+        with pytest.raises(ValueError):
+            alg7.symbol_element((1, -1, alg7.weyl.identity))
+
+    def test_symbol_element_accepts_every_basis_symbol(self, alg7):
+        for sym in alg7.basis_symbols(2):
+            x = alg7.symbol_element(sym)
+            assert x.coeffs == {sym: 1} and x.degrees() == {sym.degree}
+
 
 class TestLeftActionTables:
     def test_reflection_on_degree1_lengths_add(self, alg5):

@@ -18,7 +18,7 @@ import pytest
 
 from heckext import ExtAlgebra
 from heckext.graded import KIND_NAMES, BasisSymbol, GradedElement
-from heckext.grammar import _heads, element_to_json, parse_element, render_element
+from heckext.grammar import _heads, _parse_scanned, element_to_json, parse_element, render_element
 from heckext.product import multiply
 from heckext.weyl import S0, S1
 
@@ -259,6 +259,41 @@ def test_a_scaled_idempotent_stays_one_character_key():
     assert parse_element(alg, "-e(5)").row == {(5, 0, None, ()): 1008}
     assert (3 * parse_element(alg, "e(5)")).row == {(5, 0, None, ()): 3}
     assert alg._char_cache == {}
+
+
+def test_a_sum_with_an_idempotent_stays_lazy():
+    alg = ExtAlgebra(1009)
+    x = parse_element(alg, "e(5) + e(11)")
+    assert x.row == {(5, 0, None, ()): 1, (11, 0, None, ()): 1}
+    assert alg._char_cache == {}
+    assert x == alg.idempotent(5) + alg.idempotent(11)
+    assert x - alg.idempotent(11) == alg.idempotent(5)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_lazy_sums_are_the_sums_of_their_expansions(p):
+    # every mix of lazy and eager operands, through the operators and both
+    # parsers
+    alg = ExtAlgebra(p)
+    W = alg.weyl
+    one, s0 = W.identity, W.element(1, (S0,))
+    elements = [
+        alg.idempotent(1), alg.idempotent(2, 3), alg.beta(-1, one), alg.tau(W.omega(1)),
+        alg.act_left(alg.hecke.idempotent(1), alg.beta(0, s0)), alg.beta(0, s0), alg.zero(),
+    ]
+    for x in elements:
+        for y in elements:
+            eager = GradedElement(alg, x.coeffs), GradedElement(alg, y.coeffs)
+            for op in (lambda a, b: a + b, lambda a, b: a - b):
+                got = op(x, y)
+                assert got == op(*eager) and got.is_zero == op(*eager).is_zero
+                # a lazy sum holds a character key
+                assert got.row is None or any(len(k) == 4 for k in got.row)
+                assert repr(got) == repr(op(*eager))
+    text = "e(1) + tau(w(1;)) - 2*e(1) + bm(w(0; s0))"
+    for parsed in (parse_element(alg, text), _parse_scanned(alg, text)):
+        assert parsed.row is not None
+        assert parsed == -alg.idempotent(1) + alg.tau(W.omega(1)) + alg.beta(-1, W.s0)
 
 
 def test_an_idempotent_request_at_p1009_builds_no_symbol_of_its_orbit():
