@@ -608,7 +608,6 @@ class ExtAlgebra:
         return {(_shifted((0, None, w)) if len(w) == 2 else w): c for w, c in h.items()}
 
     def act_left(self, h: HeckeElement, x: GradedElement) -> GradedElement:
-        from .product import _multiply
         check_parameters(self, h.algebra)
         check_parameters(self, x.algebra)
         return self._result(_multiply(self, self._hecke_row(h), self._operand(x)))
@@ -631,7 +630,6 @@ class ExtAlgebra:
         return total
 
     def act_right(self, x: GradedElement, h: HeckeElement) -> GradedElement:
-        from .product import _multiply
         check_parameters(self, x.algebra)
         check_parameters(self, h.algebra)
         return self._result(_multiply(self, self._operand(x), self._hecke_row(h)))
@@ -773,3 +771,7 @@ class ExtAlgebra:
             BasisSymbol(1, 1, W.identity),
             W.identity,
         )
+
+
+# bound last: product.py imports the names above from this module
+from .product import _multiply  # noqa: E402

@@ -44,7 +44,7 @@ from .sections import (
     section_deg3_symmetric,
     tensor_act,
 )
-from .weyl import S0, S1, WeylElement
+from .weyl import S0, S1, WeylElement, _weyl
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run"]
 
@@ -87,15 +87,17 @@ def _signs(w: WeylElement) -> tuple[int, ...]:
     return (-1, 1) if w.length == 0 else (-1, 0, 1)
 
 
+@functools.cache
+def _alternating(first: int, length: int) -> tuple[int, ...]:
+    return tuple((first + j) % 2 for j in range(length))
+
+
 def _random_weyl(rng: random.Random, alg: ExtAlgebra, max_length: int) -> WeylElement:
-    W = alg.weyl
+    """A random element: its length, then its first letter if it has one,
+    then its exponent, in that order from rng."""
     ln = rng.randint(0, max_length)
-    if ln == 0:
-        word: tuple[int, ...] = ()
-    else:
-        first = rng.choice((S0, S1))
-        word = tuple((first + j) % 2 for j in range(ln))
-    return WeylElement(W, rng.randrange(W.n), word)
+    word = _alternating(rng.choice((S0, S1)), ln) if ln else ()
+    return _weyl((rng.randrange(alg.weyl.n), word))
 
 
 def _random_symbol(rng, alg, degree, max_length) -> BasisSymbol:
@@ -753,8 +755,9 @@ def _idempotent_system(alg):
     its cases, its restated test and its direct test.
 
     Read the character chi_a off the engine's e_a = -sum_t chi_a(t)^-1 tau_t,
-    so e_a[t] = -chi_a(t)^-1.  H.mul is bilinear (its loop multiplies the
-    scalars of the two terms), so
+    so e_a[t] = -chi_a(t)^-1.  H.mul is bilinear (it scales each plain term
+    of a bare-word product by the scalars of a pair of terms, and each orbit
+    sum by the sums of those scalars on the two words), so
 
         e_a e_b = sum_t e_b[t] e_a tau_t = (-sum_t chi_a(t) chi_b(t)^-1) e_a
 

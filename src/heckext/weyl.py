@@ -83,7 +83,7 @@ class WeylGroup:
 
     def omega(self, exp: int) -> WeylElement:
         """The exp-th power of the torus generator."""
-        return WeylElement(self, exp % self.n, ())
+        return _weyl((exp % self.n, ()))
 
     def elements(self, max_length: int) -> list[WeylElement]:
         """All elements of length <= max_length, by length, first letter, exponent."""
@@ -109,12 +109,12 @@ class WeylGroup:
         k = 0
         while k < len(left) and k < len(right) and left[-1 - k] == right[k]:
             k += 1
-        return WeylElement(self, (exp + k * self.half) % self.n, left[: len(left) - k] + right[k:])
+        return _weyl(((exp + k * self.half) % self.n, left[: len(left) - k] + right[k:]))
 
     def inv(self, w: WeylElement) -> WeylElement:
         m = len(w.word)
         exp = m * self.half + (w.exp if m % 2 else -w.exp)
-        return WeylElement(self, exp % self.n, w.word[::-1])
+        return _weyl((exp % self.n, w.word[::-1]))
 
     def length(self, w: WeylElement) -> int:
         return len(w.word)
