@@ -155,8 +155,8 @@ def _weight(d: int, sign: int | None) -> int:
 # the entries at every length of w, then those only at length 1 and those only
 # at length >= 2.  A key not listed gives zero where lengths add; where they do
 # not, every row starts with -e_0 sym, and in degree 0 that is the whole row,
-# the quadratic relation tau_{s0} tau_w = -e_0 tau_w (hecke.py states it
-# expanded, and the tests check the two against each other).
+# the quadratic relation tau_{s0} tau_w = -e_0 tau_w (hecke.py states it as
+# the orbit sum of the word of w; the tests check the two agree).
 _S0_ROWS = {
     (0, None, True): (((None, 1),), (), ()),
     (1, -1, True): (((1, -1),), (), ()),

@@ -1,26 +1,23 @@
 """The pro-p Iwahori-Hecke algebra: sparse linear combinations of tau_w.
 
 Elements are combinations of the core in coeff.py keyed on WeylElement;
-this module adds the product.  Products are computed by letter recursion:
-the left factor is split into its torus letter and simple-reflection
-letters, and each letter acts on the right factor by a single-letter
-rule.  A single letter either extends the word (braid relation, lengths
-add) or, when the word would shorten, gives through the quadratic
-relation tau_{s_i}^2 = -e_1 tau_{s_i} the orbit sum of the word: an entry
-(word, x) stands for x sum_h tau_{omega^h word}.  That rule is stated
-once, in HeckeAlgebra._letter_left, which derives from it a letter on an
-orbit sum; the graded left table states it as -e_0 tau_w, checked against
-it in the tests.  The recursion depth is the length of the left factor,
-so products terminate.  It runs once per pair of bare words u, v (torus
-exponent 0), whose products are memoized per algebra as read-only pairs
-(plain terms, orbit sums); as s omega^b = omega^-b s, with T the left
-torus shift, tau_{omega^a u} tau_{omega^b v} = T_{a + (-1)^|u| b}(tau_u tau_v).
-An orbit sum is invariant under T, so mul adds it once per pair of words,
+this module adds the product.  The Weyl group is infinite dihedral, so a
+product of two alternating bare words u, v (torus exponent 0) shortens at
+most once, where they meet.  If the lengths of u and v add, tau_u tau_v =
+tau_(uv).  Otherwise u = u' s_i and v = s_i v', and the quadratic relation
+tau_{s_i}^2 = -e_1 tau_{s_i}, applied once, gives the orbit sum of the word
+u + v[1:] = u' s_i v' with coefficient 1 (u' extends each torus twist of
+s_i v'), where an orbit sum (word, x) stands for x sum_h tau_{omega^h word}.
+As s omega^b = omega^-b s, with T the left torus shift,
+tau_{omega^a u} tau_{omega^b v} = T_{a + (-1)^|u| b}(tau_u tau_v).  An
+orbit sum is invariant under T, so mul adds it once per pair of words,
 times the sums of both factors' coefficients there, and expands it last.
+The graded left table states the same quadratic relation as -e_0 tau_w,
+checked against mul in the tests.
 
 Right multiplication by letter recursion on the right factor is also
-provided; the tau-basis is stable under the main anti-involution, so the
-two recursions must agree and are cross-checked in the tests.
+provided; the tau-basis is stable under the main anti-involution, so it
+must agree with mul, and the two are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ class HeckeAlgebra:
     def __init__(self, weyl: WeylGroup):
         self.weyl = weyl
         self.field: PrimeField = weyl.field
-        self._word_cache: dict[tuple[tuple, tuple], tuple] = {}
 
     def zero(self) -> HeckeElement:
         return HeckeElement(self, {})
@@ -81,32 +77,6 @@ class HeckeAlgebra:
 
     # --- multiplication ---
 
-    def _letter_left(self, i: int, plain: dict, orbits: dict) -> tuple[dict, dict]:
-        """Left multiply by tau_{s_i} the plain terms {w: c} plus the orbit
-        sums {word: x}, giving the same form reduced mod p: the one statement
-        of the single-letter rule of the Hecke algebra."""
-        W, p = self.weyl, self.field.p
-        si = W.simple(i)
-        out, sums = {}, {}
-        for w, c in plain.items():
-            if W.lengths_add(si, w):
-                k = W.mul(si, w)
-                out[k] = out.get(k, 0) + c
-            else:
-                # tau_{s_i} tau_w = -e_1 tau_w: the orbit sum of the word of w
-                sums[w.word] = sums.get(w.word, 0) + c
-        if orbits:
-            # s_i omega^h = omega^-h s_i: the rule on the exponent-0 terms, summed
-            # over T_-h, so an image term gives the orbit sum of its word and an
-            # image orbit sum n times itself
-            terms, inner = self._letter_left(i, {_weyl((0, u)): x for u, x in orbits.items()}, {})
-            for k, x in terms.items():
-                sums[k.word] = sums.get(k.word, 0) + x
-            for u, x in inner.items():
-                sums[u] = sums.get(u, 0) + W.n * x
-        return ({k: r for k, c in out.items() if (r := c % p)},
-                {u: r for u, x in sums.items() if (r := x % p)})
-
     def mul(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
         check_parameters(self, a.algebra)
         check_parameters(self, b.algebra)
@@ -118,28 +88,19 @@ class HeckeAlgebra:
                 by_word.setdefault(word, []).append((e, c))
         total, sums = {}, {}
         for u, terms_a in left.items():
+            odd = len(u) % 2
             for v, terms_b in right.items():
-                bare = self._word_cache.get((u, v))
-                if bare is None:
-                    cur = ({_weyl((0, v)): 1}, {})
-                    for letter in reversed(u):
-                        cur = self._letter_left(letter, *cur)
-                    bare = self._word_cache[u, v] = tuple(tuple(d.items()) for d in cur)
-                plain, orbits = bare
-                if orbits:
+                if u and v and u[-1] == v[0]:
+                    word = u + v[1:]
                     scale = sum(c for _, c in terms_a) * sum(d for _, d in terms_b)
-                    for word, x in orbits:
-                        sums[word] = sums.get(word, 0) + scale * x
-                if not plain:
+                    sums[word] = sums.get(word, 0) + scale
                     continue
+                word = u + v
                 # raw int sums in the hot loop, reduced once by make
                 for ea, c in terms_a:
                     for eb, d in terms_b:
-                        e = ea - eb if len(u) % 2 else ea + eb
-                        cd = c * d
-                        for (f, word), x in plain:
-                            w = _weyl(((e + f) % n, word))
-                            total[w] = total.get(w, 0) + cd * x
+                        w = _weyl(((ea - eb if odd else ea + eb) % n, word))
+                        total[w] = total.get(w, 0) + c * d
         for word, x in sums.items():
             for h in range(n):
                 w = _weyl((h, word))

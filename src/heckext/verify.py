@@ -732,10 +732,10 @@ def suite_e0(alg, *, max_length=8, samples=1000, seed=0, **_):
 
     def braid_and_recursions(pair):
         v, w = pair
-        if W.lengths_add(v, w) and H.mul(H.tau(v), H.tau(w)) != H.tau(W.mul(v, w)):
+        prod = H.mul(H.tau(v), H.tau(w))
+        if W.lengths_add(v, w) and prod != H.tau(W.mul(v, w)):
             return (v, w, "braid")
-        prod_left = H.mul(H.tau(v), H.tau(w))
-        if prod_left != H.mul_right_recursion(H.tau(v), H.tau(w)):
+        if prod != H.mul_right_recursion(H.tau(v), H.tau(w)):
             return (v, w, "left/right recursion")
 
     def associative(triple):
@@ -755,9 +755,9 @@ def _idempotent_system(alg):
     its cases, its restated test and its direct test.
 
     Read the character chi_a off the engine's e_a = -sum_t chi_a(t)^-1 tau_t,
-    so e_a[t] = -chi_a(t)^-1.  H.mul is bilinear (it scales each plain term
-    of a bare-word product by the scalars of a pair of terms, and each orbit
-    sum by the sums of those scalars on the two words), so
+    so e_a[t] = -chi_a(t)^-1.  H.mul is bilinear (it scales each product
+    of two terms by their scalars, and each orbit sum by the sums of those
+    scalars on the two words), so
 
         e_a e_b = sum_t e_b[t] e_a tau_t = (-sum_t chi_a(t) chi_b(t)^-1) e_a
 

@@ -1,14 +1,14 @@
-"""The Hecke product as it was before it carried torus orbits.
+"""The Hecke product against a letter-by-letter oracle.
 
-HeckeAlgebra.mul keeps each bare-word product as plain terms plus orbit
-sums, an orbit sum (word, x) standing for x sum_h tau_(omega^h word), and
-expands the orbit sums once, at the end.  The product as it was before,
+HeckeAlgebra.mul reads each product of two bare words u, v (torus
+exponent 0) from a closed form: tau_(uv) when the lengths of u and v add,
+otherwise the orbit sum of the word u + v[1:], an orbit sum (word, x)
+standing for x sum_h tau_(omega^h word).  A product by letter recursion,
 expanding every orbit into its p - 1 terms at each letter, is kept here,
-and the engine must equal it: its single-letter rule on plain terms and on
-orbit sums, its products of single supports and of multi-term factors.  A
-shortening pair of bare words holds one orbit sum in the word memo, not
-p - 1 plain terms.  A wrong derivation of a letter on an orbit sum must
-fail the oracle, and the e0 suite where mul reaches it.
+and the engine must equal it: on each pair of bare words, on products of
+single supports and on multi-term factors.  A shortening pair of bare
+words gives one orbit sum.  A wrong closed form must fail the oracle and
+the e0 suite.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ MAX_LENGTH = 6
 
 
 class ExpandedProduct:
-    """HeckeAlgebra._letter_left and HeckeAlgebra.mul as they were, over the
-    Hecke algebra H, with their own bare-word memo."""
+    """The product over the Hecke algebra H by letter recursion: the letters
+    of each bare left word applied one at a time, every orbit expanded, the
+    result memoized per pair of bare words and shifted by the torus."""
 
     def __init__(self, H):
         self.H = H
@@ -75,35 +76,9 @@ class ExpandedProduct:
         return HeckeElement.make(self.H, total)
 
 
-def expand(H, plain: dict, orbits: dict) -> dict:
-    """The coefficient dict of plain terms plus orbit sums, reduced mod p."""
-    total = dict(plain)
-    for word, x in orbits.items():
-        for h in range(H.weyl.n):
-            w = _weyl((h, word))
-            total[w] = total.get(w, 0) + x
-    return HeckeElement.make(H, total).coeffs
-
-
 def words(max_length: int) -> list[tuple[int, ...]]:
     return [()] + [tuple((first + j) % 2 for j in range(ln))
                    for ln in range(1, max_length + 1) for first in (S0, S1)]
-
-
-def letter_mismatch(H, max_length: int):
-    """The first (letter, plain, orbits) on which _letter_left differs from
-    the expanded rule: every support and every orbit sum of length at most
-    max_length, with the scalar 2, and each word as a term and an orbit sum
-    at once."""
-    oracle = ExpandedProduct(H)
-    for word in words(max_length):
-        inputs = [({}, {word: 2}), ({_weyl((1, word)): 3}, {word: 2})]
-        inputs += [({w: 2}, {}) for w in H.weyl.elements(max_length) if w.word == word]
-        for i in (S0, S1):
-            for plain, orbits in inputs:
-                got = expand(H, *H._letter_left(i, plain, orbits))
-                if got != oracle._letter_left(i, expand(H, plain, orbits)):
-                    return (i, plain, orbits)
 
 
 def multi_term_factors(H, rng: random.Random, max_length: int) -> list[HeckeElement]:
@@ -144,8 +119,26 @@ def product_mismatch(H, max_length: int, samples: int):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_the_letter_rule_is_the_expanded_rule_on_terms_and_orbit_sums(p):
-    assert letter_mismatch(ExtAlgebra(p).hecke, MAX_LENGTH) is None
+def test_bare_word_products_equal_the_expanded_products(p):
+    H = ExtAlgebra(p).hecke
+    oracle = ExpandedProduct(H)
+    for u in words(MAX_LENGTH):
+        for v in words(MAX_LENGTH):
+            tu, tv = H.tau(_weyl((0, u))), H.tau(_weyl((0, v)))
+            assert H.mul(tu, tv) == oracle.mul(tu, tv), (u, v)
+
+
+@pytest.mark.parametrize("p", [13, 31])
+def test_a_shortening_pair_holds_one_orbit_sum(p):
+    H = ExtAlgebra(p).hecke
+    for u in words(MAX_LENGTH):
+        for v in words(MAX_LENGTH):
+            got = H.mul(H.tau(_weyl((0, u))), H.tau(_weyl((0, v)))).coeffs
+            if u and v and u[-1] == v[0]:
+                # the one quadratic step, where the words meet
+                assert got == {_weyl((h, u + v[1:])): 1 for h in range(H.weyl.n)}, (u, v)
+            else:
+                assert got == {_weyl((0, u + v)): 1}, (u, v)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -153,72 +146,53 @@ def test_products_equal_the_expanded_products(p):
     assert product_mismatch(ExtAlgebra(p).hecke, MAX_LENGTH, 300) is None
 
 
-@pytest.mark.parametrize("p", [13, 31])
-def test_a_shortening_pair_holds_one_orbit_sum(p):
-    H = ExtAlgebra(p).hecke
-    W = H.weyl
-    for u in words(MAX_LENGTH):
-        for v in words(MAX_LENGTH):
-            H.mul(H.tau(_weyl((0, u))), H.tau(_weyl((0, v))))
-            plain, orbits = H._word_cache[u, v]
-            if not W.lengths_add(_weyl((0, u)), _weyl((0, v))):
-                # the one quadratic step leaves the word of u v with a letter
-                # removed, and every later letter extends it
-                assert plain == () and orbits == ((u + v[1:], 1),), (u, v)
-            else:
-                assert orbits == () and len(plain) == 1, (u, v)
+def _closed_form_mutant(H, *, junction=1, orbit=True, meet=-1):
+    """HeckeAlgebra.mul term by term on the closed form, where the pair
+    shortens when u[meet] == v[0] and then gives the orbit sum of the word
+    u + v[junction:] (or nothing, orbit False)."""
+    n = H.weyl.n
+
+    def mul(a, b):
+        total: dict = {}
+        for (ea, u), c in a.coeffs.items():
+            for (eb, v), d in b.coeffs.items():
+                if not (u and v and u[meet] == v[0]):
+                    w = _weyl(((ea - eb if len(u) % 2 else ea + eb) % n, u + v))
+                    total[w] = total.get(w, 0) + c * d
+                elif orbit:
+                    for h in range(n):
+                        w = _weyl((h, u + v[junction:]))
+                        total[w] = total.get(w, 0) + c * d
+        return HeckeElement.make(H, total)
+
+    return mul
 
 
-def _letter_on_orbits_mutant(H, *, term_to_orbit: bool = True, orbit_scale=None):
-    """_letter_left with its letter on an orbit sum derived again here: an
-    image term gives the orbit sum of its word (or, term_to_orbit False,
-    stays that one term), an image orbit sum is scaled by orbit_scale
-    (n when None)."""
-    real, p = H._letter_left, H.field.p
-    scale = H.weyl.n if orbit_scale is None else orbit_scale
-
-    def letter(i, plain, orbits):
-        out, sums = (dict(d) for d in real(i, plain, {}))
-        for u, x in orbits.items():
-            terms, inner = real(i, {_weyl((0, u)): x}, {})
-            for k, y in terms.items():
-                if term_to_orbit:
-                    sums[k.word] = sums.get(k.word, 0) + y
-                else:
-                    out[k] = out.get(k, 0) + y
-            for v, y in inner.items():
-                sums[v] = sums.get(v, 0) + scale * y
-        return ({k: c % p for k, c in out.items() if c % p},
-                {v: x % p for v, x in sums.items() if x % p})
-
-    return letter
-
-
-# mutant options, the e0 checks it fails at p=5, L=2, and whether the
-# product oracle fails it.  An image orbit sum of a letter on an orbit sum
-# comes only from a shortening letter on an orbit sum, which no bare-word
-# product reaches: its one quadratic step leaves an orbit sum whose word
-# begins with the letter just applied, and the rest of the alternating left
-# word only extends it.  So the unscaled orbit image changes no product,
-# and the letter-rule oracle alone fails it.
-ORBIT_MUTANTS = {
-    "as derived in the engine": ({}, set(), False),
-    "the orbit image not scaled by n": ({"orbit_scale": 1}, set(), False),
-    "an image term kept as that term": (
-        {"term_to_orbit": False},
+# mutant options and the e0 checks it fails at p=5, L=2; every mutant but
+# the first fails the product oracle too
+CLOSED_FORM_MUTANTS = {
+    "as in the engine": ({}, set()),
+    "junction word u + v": (
+        {"junction": 0},
+        {"e0_braid_and_recursions_{n}", "e0_quadratic_relation"},
+    ),
+    "orbit sum dropped": (
+        {"orbit": False},
+        {"e0_braid_and_recursions_{n}", "e0_quadratic_relation"},
+    ),
+    "lengths add tested on u[0]": (
+        {"meet": 0},
         {"e0_associativity_{n}_triples", "e0_braid_and_recursions_{n}"},
-        True,
     ),
 }
 
 
-@pytest.mark.parametrize("mutant", ORBIT_MUTANTS)
-def test_a_wrong_letter_on_an_orbit_sum_fails_the_oracles(monkeypatch, mutant):
-    options, e0_failures, product_fails = ORBIT_MUTANTS[mutant]
+@pytest.mark.parametrize("mutant", CLOSED_FORM_MUTANTS)
+def test_a_wrong_closed_form_fails_the_oracles(monkeypatch, mutant):
+    options, e0_failures = CLOSED_FORM_MUTANTS[mutant]
     alg = ExtAlgebra(5)
     H = alg.hecke
-    monkeypatch.setattr(H, "_letter_left", _letter_on_orbits_mutant(H, **options))
+    monkeypatch.setattr(H, "mul", _closed_form_mutant(H, **options))
     results = verify.run_suite(alg, "e0", max_length=2, samples=200)
     assert {re.sub(r"_\d+", "_{n}", r.name) for r in results if not r.ok} == e0_failures
-    assert (product_mismatch(H, 2, 100) is not None) == product_fails
-    assert (letter_mismatch(H, 2) is not None) == bool(options)
+    assert (product_mismatch(H, 2, 100) is not None) == bool(options)

@@ -293,16 +293,14 @@ class TestMemoValuesAreReadOnly:
         # a bad 1x2 pair is transported through J; a letter on two symbols of
         # one torus orbit, on either side, walked by _act_left or _act_right
         # (the public actions read the pair memo), fills that side's letter
-        # memo and its orbit memo; a Hecke product fills the bare-word memo;
-        # the first read of coeffs expands the base square's character keys
-        # through the expansion memo
+        # memo and its orbit memo; the first read of coeffs expands the base
+        # square's character keys through the expansion memo
         multiply(alg.beta(1, W.s0), alg.alpha(-1, W.s0))
         assert square.row is not None
         square.coeffs
         for exp in (0, 3):
             alg._act_right({BasisSymbol(1, -1, W.element(exp, (S1,))): 1}, {W.s1: 1})
             alg._act_left({W.s0: 1}, {BasisSymbol(2, 1, W.element(exp, (S0,))): 1})
-        alg.hecke.mul(alg.hecke.tau(W.element(1, (S0,))), alg.hecke.tau(W.element(2, (S0,))))
         memos = {
             "pair": alg._pair_cache,
             "letter": alg._letter_cache,
@@ -312,7 +310,6 @@ class TestMemoValuesAreReadOnly:
             "left orbit": {orbit: rep[1] for orbit, rep in alg._left_orbit_cache.items()},
             "right letter": alg._right_letter_cache,
             "right orbit": {orbit: rep[1] for orbit, rep in alg._right_orbit_cache.items()},
-            "Hecke bare word": alg.hecke._word_cache,
             "expansion": alg._char_cache,
         }
         for name, memo in memos.items():
