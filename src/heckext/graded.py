@@ -19,7 +19,10 @@ their transport through the anti-involution, x h = J(J(h) J(x)) (deg h =
 0, no sign), made term by term: for tau_w, w = omega^e u, the right torus
 shift by e (no scalar), then the letters of u from left to right, each
 transported once per torus orbit.  The printed right-action formulas are
-regression tests, not a second table.
+regression tests, not a second table.  Where lengths add, each row is one
+plain term at s_i w or zero, the same at every length, so tau_u sym is
+read in closed form from those rows (_ADDS_RULES, _adds_left) and sym
+tau_v as its transport J(tau_(u^-1) J(sym)) (_adds_right).
 
 Character keys.  A term c e_{id^m} s of a row, e_m the torus idempotent,
 has p - 1 terms when expanded; the engine keeps it as the character key
@@ -55,7 +58,8 @@ BasisSymbol the tuple (degree, sign, support), so the keys of every
 coefficient dict and memo hash and compare in C.  Each ExtAlgebra keeps
 memos of pure functions of their keys: the pair memo (products of two
 basis symbols, in product.py), the letter memo and the right-letter memo
-(one simple reflection acting on one symbol, on the left or the right),
+(one simple reflection acting on one symbol, on the left or the right;
+only the letter walks read them),
 the J table (J on one symbol, as a (coeff, symbol) pair) and the
 expansion memo (a character key to its p - 1 plain terms, also read by
 the compression to check a candidate key).  The values of
@@ -67,11 +71,12 @@ a copy.
 
 Shift kernels.  _shift_left (the left torus action, with a scalar) and
 _shift_right (the plain right shift) move a row along its torus orbit;
-the torus prefixes of the letter walks _act_left and _act_right (behind
-a pair miss) and the three orbit derivations all go through them.  They
-intern their images in one table per algebra, so the symbols of derived
-entries are shared, and they read u0^e from the power table of the field
-(PrimeField.root_powers: memoized per (p, u0), built on first use).
+the letter walks _act_left and _act_right and the closed forms _adds_left
+and _adds_right (behind a pair miss) and the three orbit derivations all
+go through them.  They intern their images in one table per algebra, so
+the symbols of derived entries are shared, and they read u0^e from the
+power table of the field (PrimeField.root_powers: memoized per (p, u0),
+built on first use).
 """
 
 from __future__ import annotations
@@ -198,6 +203,22 @@ def _letter_rows(s0_rows: dict) -> dict:
 
 
 _LETTER_ROWS = _letter_rows(_S0_ROWS)
+
+
+def _adds_rules(rows: dict) -> dict:
+    """tau_{s_i} where lengths add, keyed by (letter, d, sign): (sign', c), c
+    times the symbol of sign' at s_i w, or None for zero.  It is read off the
+    lengths-add rows, each at most one plain entry, the same at every length."""
+    rules = {}
+    for (i, d, sign, adds, short), (chars, plain) in rows.items():
+        if adds:
+            if chars or len(plain) > 1 or rows[i, d, sign, adds, not short] != (chars, plain):
+                raise ValueError(f"the lengths-add row {(i, d, sign)} is not one plain term")
+            rules[i, d, sign] = plain[0] if plain else None
+    return rules
+
+
+_ADDS_RULES = _adds_rules(_LETTER_ROWS)
 
 
 class GradedElement(Combination):
@@ -629,6 +650,23 @@ class ExtAlgebra:
             add_into(total, cur.items(), c, p)
         return total
 
+    def _adds_left(self, u: WeylElement, sym: BasisSymbol, c: int = 1) -> dict:
+        """c tau_u sym where lengths add, l(u w) = l(u) + l(w) for w the support
+        of sym: one symbol at u w or zero, the rules of _ADDS_RULES applied
+        letter by letter from the right, then the torus prefix of u."""
+        d, sign, (f, w) = sym
+        exp, word = u
+        for letter in reversed(word):
+            rule = _ADDS_RULES[letter, d, sign]
+            if rule is None:
+                return {}
+            sign, unit = rule
+            c *= unit
+        # the words join without a cancellation; omega^f crosses the word
+        support = _weyl(((-f if len(word) % 2 else f) % self.weyl.n, word + w))
+        row = {_shifted((d, sign, support)): c % self.field.p}
+        return self._shift_left(row, exp) if exp else row
+
     def act_right(self, x: GradedElement, h: HeckeElement) -> GradedElement:
         check_parameters(self, x.algebra)
         check_parameters(self, h.algebra)
@@ -648,6 +686,22 @@ class ExtAlgebra:
                     break
             add_into(total, cur.items(), c, p)
         return total
+
+    def _adds_right(self, sym: BasisSymbol, v: WeylElement) -> dict:
+        """sym tau_v where lengths add, v = omega^e u = u omega^g, g = (-1)^l(u) e:
+        J(tau_(u^-1) J(sym)) tau_(omega^g), one J lookup each way.  u^-1 is
+        omega^h times the reversed word, h = l(u) half, and J(tau_(omega^h) y)
+        = J(y) tau_(omega^-h), so the right torus shift is by g - h."""
+        exp, word = v
+        c, jsym = self._symbol_involution(sym)
+        row = self._adds_left(_weyl((0, word[::-1])), jsym, c)
+        if not row:
+            return row
+        ((key, c),) = row.items()
+        unit, image = self._symbol_involution(key)
+        W, row = self.weyl, {image: c * unit % self.field.p}
+        shift = ((-exp if len(word) % 2 else exp) - len(word) * W.half) % W.n
+        return self._shift_right(row, shift) if shift else row
 
     def _right_letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:
         """sym tau_{s_i} as a symbolic row, memoized.  The first miss in a torus

@@ -5,7 +5,8 @@ extended bilinearly:
 
   (0) total degree >= 4 is zero;
   (1) a degree-0 factor acts through the Hecke action on its side; the
-      public act_left and act_right are such pairs, h a degree-0 row;
+      public act_left and act_right are such pairs, h a degree-0 row; where
+      the lengths add, one term or zero in closed form (_adds_left/right);
   (2) when the support lengths add, the product reduces to a cup product
       inside the summand of the product support, via
       x * y = (x * tau_{supp y}) cup (tau_{supp x} * y);
@@ -163,11 +164,12 @@ def _pair_uncached(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
     da, db = a.degree, b.degree
     if da + db >= 4:
         return {}
+    adds = alg.weyl.lengths_add(a.support, b.support)
     if da == 0:
-        return alg._act_left({a.support: 1}, {b: 1})
+        return alg._adds_left(a.support, b) if adds else alg._act_left({a.support: 1}, {b: 1})
     if db == 0:
-        return alg._act_right({a: 1}, {b.support: 1})
-    if alg.weyl.lengths_add(a.support, b.support):
+        return alg._adds_right(a, b.support) if adds else alg._act_right({a: 1}, {b.support: 1})
+    if adds:
         return _good_pair(alg, a, b)
     if da == 1 and db == 1:
         return _bad_pair(alg, a, b, _deg1_times_generator)
@@ -179,12 +181,12 @@ def _pair_uncached(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
 
 
 def _good_pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
-    # lengths add, so both actions are plain: no shortening row occurs
+    # lengths add, so each action is one term or zero: no shortening row occurs
     p = alg.field.p
-    r = alg._act_right({a: 1}, {b.support: 1})
+    r = alg._adds_right(a, b.support)
     if not r:
         return {}
-    l = alg._act_left({a.support: 1}, {b: 1})
+    l = alg._adds_left(a.support, b)
     if not l:
         return {}
     out: dict = {}

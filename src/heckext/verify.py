@@ -14,12 +14,13 @@ on a property of the code named in the docstring of the function that
 builds it; tests/test_verify.py keeps each direct form as an oracle.  Where
 the faster test names the same first counterexample as the direct form, the
 check runs it alone; where it may name another, the check is a _restated
-one, which falls back on the direct form.  The torus and lengths-add forms
-read _act_right, the value of a pair-memo miss: the direct form's public
-act_right with the pair memo off (_torus_shift).  A faster test may skip
-code that the direct form ran (the public act_right and its pair memo, the
-expansion of a character key), or rest on a law of the code that a fault
-could break; its docstring says so, and other checks run that code.
+one, which falls back on the direct form.  The torus and lengths-add tests
+read the value of a pair-memo miss (_act_right, _adds_right): the direct
+form's public act_right with the pair memo off (_torus_shift).  A faster
+test may skip code that the direct form ran (the public act_right and its
+pair memo, the expansion of a character key), or rest on a law of the code
+that a fault could break; its docstring says so, and other checks run that
+code.
 """
 
 from __future__ import annotations
@@ -72,8 +73,7 @@ def _restated(name, cases, test, direct) -> CheckResult:
     built, a case that test passes, direct passes too.  When test fails,
     direct runs over all the cases, so the verdict and the counterexample
     are direct's.  direct is the direct form that tests/test_verify.py keeps
-    as an oracle; for lengths add, that form with the pair memo off
-    (_lengths_add)."""
+    as an oracle."""
     cases = list(cases)
     result = _check(name, cases, test)
     return result if result.ok else _check(name, cases, direct)
@@ -318,7 +318,7 @@ def suite_rightaction(alg, *, max_length=8, **_):
 
     return [
         _check("rightaction_torus_all_degrees", *_torus_shift(alg, max_length)),
-        _restated("rightaction_deg1_lengths_add_{n}_pairs", *_lengths_add(alg, max_length)),
+        _check("rightaction_deg1_lengths_add_{n}_pairs", *_lengths_add(alg, max_length)),
         _check("rightaction_deg1_shortening", [v for v in supports if v.length >= 1],
                shortening),
         _check("rightaction_deg3_reflections", itertools.product(supports, (S0, S1)),
@@ -332,9 +332,11 @@ def _torus_shift(alg, max_length):
     sym tau_t = sym t for t = omega^e: its cases and its test.
 
     The direct form made seven public act_right calls per (w, e), each a
-    pair-memo lookup whose miss is _act_right({sym: 1}, {t: 1}).  The test
-    makes that call for every case, in order, on rows {sym: 1} built once
-    per w: the direct form with the pair memo off, the same counterexample.
+    pair-memo lookup whose miss is _adds_right(sym, t): at a torus element,
+    _shift_right({sym: 1}, e), as _act_right({sym: 1}, {t: 1}) computes.
+    The test makes that _act_right call for every case, in order, on rows
+    {sym: 1} built once per w: the direct form with the pair memo off, the
+    same counterexample.
     The memo derives each pair of a torus orbit from the first one computed,
     so under a wrong right shift the public value depends on the products
     made before; the test reads the shift on every case.  The shortening
@@ -363,90 +365,41 @@ def _torus_shift(alg, max_length):
 def _lengths_add(alg, max_length):
     """beta^sign_w tau_v in degree 1 where lengths add, l(wv) = l(w) + l(v):
     beta^0_wv, and beta^-_wv or beta^+_wv by the first letter of wv, the
-    other sign 0.  Its cases, w-outer, its restated test and its direct test.
+    other sign 0.  Its cases, w-outer, and its test.
 
-    The restated test rests on the law by which _act_right walks a word,
-    x tau_(omega^e u) = ((x tau_(omega^e)) tau_(u_1)) ... tau_(u_k): the
-    right torus shift by e, then one letter at a time, left to right
-    (tests/test_verify.py checks the law on seeded rows).  Lengths add
-    along the way, so x tau_(v' s) = (x tau_v') tau_s, v' = omega^e u' the
-    prefix of v = omega^e u' s.  Each row beta^sign_w tau_v is one
-    single-letter _act_right on the row of its prefix, kept in a memo keyed
-    by v (one row per sign) and cleared when w changes; the prefixes of v
-    lie in the cases of the same w, so the memo holds O(len(supports))
-    rows.  The direct test walks every word afresh, one _act_right call per
-    (sign, w, v): the direct form's public act_right with the pair memo
-    off, where each call is a pair miss (_torus_shift says why not with the
-    memo).
-
-    The two forms make different _act_right calls, so a fault that breaks
-    the walk law can fail the restated test at a case the direct test
-    passes: the check is a _restated one, and its signs run in the direct
-    order.  A fault that keeps single letters right but walks longer words
-    wrongly passes the restated test; the walk law test and
-    rightaction_deg1_shortening, which acts by whole words through the
-    public act_right, catch it.
+    The direct form made one public act_right call per (sign, w, v), each a
+    pair-memo lookup whose miss is _adds_right(beta^sign_w, v).  The test
+    makes that call for every case, with its signs in the direct order:
+    the direct form with the pair memo off, the same counterexample
+    (_torus_shift says why not with the memo).  The cases list each v of
+    length >= 1 once, with its length and first letter, and keep those that
+    fit each w.
     """
     W = alg.weyl
     supports = W.elements(max_length)
-    cases = [
-        (w, v)
-        for w in supports
-        for v in supports
-        if v.length >= 1 and w.length + v.length <= max_length and W.lengths_add(w, v)
-    ]
-    letters = {S0: {W.s0: 1}, S1: {W.s1: 1}}
-    rows: dict = {}
-    current = None
+    tails = [(v, len(v[1]), v[1][:1]) for v in supports if v[1]]
+    cases = []
+    for w in supports:
+        room, last = max_length - len(w[1]), w[1][-1:]
+        cases += [(w, v) for v, length, first in tails if length <= room and first != last]
 
-    def signs(w):
-        # the order of the direct form: sign 0 first
-        return (0, -1, 1) if w.length >= 1 else (-1, 1)
+    # w -> beta^sign_w for each sign in the direct order, sign 0 first
+    symbols = {w: [BasisSymbol(1, sign, w) for sign in ((0, -1, 1) if w[1] else (-1, 1))]
+               for w in supports}
 
-    def rows_at(w, v):
-        """[beta^sign_w tau_v for sign in signs(w)], memoized for the current w."""
-        out = rows.get(v)
-        if out is None:
-            exp, word = v
-            if word:
-                h = letters[word[-1]]
-                out = [alg._act_right(r, h) for r in rows_at(w, WeylElement(W, exp, word[:-1]))]
-            else:
-                out = [alg._act_right({BasisSymbol(1, sign, w): 1}, {v: 1}) for sign in signs(w)]
-            rows[v] = out
-        return out
-
-    def restated(pair):
-        nonlocal current
-        w, v = pair
-        if w != current:
-            rows.clear()
-            current = w
-        wv = W.mul(w, v)
-        starts_s0 = wv.word[0] == S0
-        for sign, row in zip(signs(w), rows_at(w, v)):
-            got = alg._expand(row)
-            # sign 0 gives beta^0_wv; -1 and +1 give beta^-_wv and 0 when wv
-            # starts with s0, 0 and beta^+_wv when it starts with s1
-            if sign == 0 or (sign == -1) == starts_s0:
-                if got != {BasisSymbol(1, sign, wv): 1}:
-                    return (sign, w, v)
-            elif got:
-                return (sign, w, v)
-
-    def direct(pair):
+    def lengths_add(pair):
         w, v = pair
         wv = W.mul(w, v)
-        cases = [(0, {BasisSymbol(1, 0, wv): 1})] if w.length >= 1 else []
-        if wv.word[0] == S0:
-            cases += [(-1, {BasisSymbol(1, -1, wv): 1}), (1, {})]
-        else:
-            cases += [(-1, {}), (1, {BasisSymbol(1, 1, wv): 1})]
-        for sign, expected in cases:
-            if alg._expand(alg._act_right({BasisSymbol(1, sign, w): 1}, {v: 1})) != expected:
+        # sign 0 gives beta^0_wv; -1 and +1 give beta^-_wv and 0 when wv
+        # starts with s0, 0 and beta^+_wv when it starts with s1
+        kept = -1 if wv[1][0] == S0 else 1
+        for sym in symbols[w]:
+            sign = sym[1]
+            expected = {BasisSymbol(1, sign, wv): 1} if sign in (0, kept) else {}
+            if alg._adds_right(sym, v) != expected:
                 return (sign, w, v)
 
-    return cases, restated, direct
+    return cases, lengths_add
 
 
 def _idempotent_slide(alg, max_length):
@@ -789,9 +742,9 @@ def _idempotent_system(alg):
     eigen: dict = {}
 
     def eigen_law(a):
-        e = idems[a]
+        e, neg = idems[a], -idems[a]
         for t, c in zip(torus, table[a]):
-            if H.mul(e, H.element({t: c})) != -e:
+            if H.mul(e, H.element({t: c})) != neg:
                 return (a, t)
 
     def sums_to_one():

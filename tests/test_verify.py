@@ -46,7 +46,7 @@ def test_rightaction_torus_reports_the_first_counterexample(monkeypatch):
         out = real(row, h)
         return {k: 2 * c % 5 for k, c in out.items()} if wrong else out
 
-    # act_right and the rows of the restated check both go through _act_right
+    # the rows of the torus check go through _act_right
     monkeypatch.setattr(alg, "_act_right", broken)
     results = {r.name: r for r in verify.suite_rightaction(alg, max_length=1)}
     check = results["rightaction_torus_all_degrees"]
@@ -98,26 +98,20 @@ def test_rightaction_lengths_add_reports_the_first_failing_sign(monkeypatch):
     W = alg.weyl
     # s1 s0 starts with s1, so the signs are checked in the order 0, -1, +1
     w, v = W.element(0, (S1,)), W.element(0, (S0,))
-    wrong = ({BasisSymbol(1, -1, w): 1}, {BasisSymbol(1, 1, w): 1})
+    wrong = (BasisSymbol(1, -1, w), BasisSymbol(1, 1, w))
     phi = BasisSymbol(3, None, W.identity)
-    real = alg._act_right
+    real = alg._adds_right
 
-    def broken(row, h):
-        out = real(row, h)
-        return {**out, phi: 1} if h == {v: 1} and row in wrong else out
+    def broken(sym, u):
+        out = real(sym, u)
+        return {**out, phi: 1} if u == v and sym in wrong else out
 
-    # act_right and the rows of the restated check both go through _act_right
-    monkeypatch.setattr(alg, "_act_right", broken)
+    # act_right and the test of the check both read a pair miss, _adds_right
+    monkeypatch.setattr(alg, "_adds_right", broken)
     results = verify.suite_rightaction(alg, max_length=2)
     check = next(r for r in results if r.name.startswith("rightaction_deg1_lengths_add_"))
     assert not check.ok
     assert check.counterexample == repr((-1, w, v))
-    # the restated test alone walks s1 s0 one letter at a time and fails an
-    # earlier case, which the direct form passes: the check reruns the direct form
-    cases, restated, direct = verify._lengths_add(alg, 2)
-    earlier = (W.identity, W.element(0, (S1, S0)))
-    assert verify._check("", cases, restated).counterexample == repr((1, *earlier))
-    assert direct(earlier) is None
 
 
 def test_a_failing_check_does_not_shift_the_samples_of_the_next(monkeypatch):
@@ -157,23 +151,24 @@ def test_vacuous_options_are_refused(entry, option, value):
 
 # --- the restated checks against their direct forms ---
 #
-# Six checks run a faster test than the direct form they replaced: the
-# torus, lengths-add and slide checks of rightaction, duality_phi_tau,
+# Five checks run a faster test than the direct form they replaced: the
+# torus and slide checks of rightaction, duality_phi_tau,
 # presentation_round_trip and e0_idempotent_system.  The functions below are
 # those direct forms, copied literally as oracles (the slide from before it
-# computed each torus product once).  The torus, phi/tau and round-trip
-# tests make the same calls as their direct forms, so they name the same
-# first counterexample and run alone.  The lengths-add, slide and
-# idempotent-system tests may name another case, so they run through
-# verify._restated, which reruns a direct form kept in verify.py on failure.
+# computed each torus product once), and the direct form of the lengths-add
+# check.  The torus, phi/tau and round-trip tests make the same calls as
+# their direct forms, so they name the same first counterexample and run
+# alone.  The slide and idempotent-system tests may name another case, so
+# they run through verify._restated, which reruns a direct form kept in
+# verify.py on failure.
 #
-# The torus and lengths-add forms in verify.py call _act_right, which is how
-# a pair-memo miss computes x tau_v.  Their oracles call the public act_right,
-# which reads the pair memo.  The memo derives every pair of a torus orbit
-# from the first one computed, so under a wrong right shift a public value
-# depends on the products made before it.  reports() therefore runs these
-# two oracles with the pair memo off (PAIR_MISS_ORACLES), where each public
-# act_right is one pair miss.
+# The torus and lengths-add tests in verify.py call _act_right and
+# _adds_right, which is how a pair-memo miss computes x tau_v.  Their oracles
+# call the public act_right, which reads the pair memo.  The memo derives
+# every pair of a torus orbit from the first one computed, so under a wrong
+# right shift a public value depends on the products made before it.
+# reports() therefore runs these two oracles with the pair memo off
+# (PAIR_MISS_ORACLES), where each public act_right is one pair miss.
 
 
 def _signs(w):
@@ -378,12 +373,21 @@ def test_the_slide_check_leaves_the_expansion_memo_empty():
     assert alg._char_cache == {}
 
 
+@pytest.mark.parametrize("p", [5, 13])
+def test_the_lengths_add_cases_are_every_pair_whose_lengths_add(p):
+    """The cases, listed from each v's length and first letter, are the
+    pairs (w, v) that W.lengths_add keeps, in the same order."""
+    alg = ExtAlgebra(p)
+    for max_length in (1, 2, 5, 8):
+        cases, _ = verify._lengths_add(alg, max_length)
+        assert cases == direct_lengths_add_cases(alg, max_length), max_length
+
+
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_act_right_walks_a_word_one_letter_at_a_time(p):
-    """The law rightaction_deg1_lengths_add rests on: row tau_v, v = omega^e u,
-    is the right torus shift of row by e, then one single-letter _act_right
-    per letter of u, from left to right.  Rows are one symbol, or one symbol
-    plus a character key."""
+    """row tau_v, v = omega^e u, is the right torus shift of row by e, then
+    one single-letter _act_right per letter of u, from left to right.  Rows
+    are one symbol, or one symbol plus a character key."""
     alg = ExtAlgebra(p)
     W = alg.weyl
     rng = random.Random(f"walk:{p}")
@@ -467,7 +471,8 @@ def _shift_right_flipped(alg):
 
 def _right_row_off_by_one(alg):
     """ExtAlgebra._right_letter_on_symbol with +1 on every coefficient of
-    beta^-_w tau_{s0} where lengths add."""
+    beta^-_w tau_{s0} where lengths add.  A pair miss where lengths add
+    reads _adds_right, not this memo, so every restated check passes."""
     real, p = alg._right_letter_on_symbol, alg.field.p
 
     def row(i, sym):
@@ -511,14 +516,11 @@ def _generators_swapped(module):
      {"rightaction_idempotent_slide": "(bm(w(0;)), 0)"}),
     (_shift_right_flipped, "alg", "_shift_right", {
         "rightaction_torus_all_degrees": "(1, -1, w(0;), 1)",
-        "rightaction_deg1_lengths_add_{n}_pairs": "(-1, w(0;), w(1; s0 s1))",
+        "rightaction_deg1_lengths_add_{n}_pairs": "(-1, w(0;), w(1; s0))",
         "rightaction_idempotent_slide": "(bm(w(0;)), 1)",
         "presentation_round_trip_{n}_symbols": "bm(w(1;))",
     }),
-    (_right_row_off_by_one, "alg", "_right_letter_on_symbol", {
-        "rightaction_deg1_lengths_add_{n}_pairs": "(-1, w(0;), w(0; s0))",
-        "presentation_round_trip_{n}_symbols": "am(w(0;))",
-    }),
+    (_right_row_off_by_one, "alg", "_right_letter_on_symbol", {}),
     (_cup_constant_wrong, "product", "_cup_symbols",
      {"duality_phi_tau_{n}_supports": "(w(0;), w(0;))"}),
     (_generators_swapped, "presentation", "generator_images",
@@ -621,10 +623,11 @@ SKIPPED_CODE_MUTANTS = [
 def test_code_a_faster_test_skips_is_caught_by_another_check(
     monkeypatch, mutant, attr, passing, caught
 ):
-    """The torus and lengths-add tests call _act_right on rows, not the
-    public act_right; the slide never expands its right side; lengths add
-    walks a word one letter at a time.  A fault in the code so skipped
-    passes those checks, and other checks of verify all fail it."""
+    """The torus and lengths-add tests call _act_right and _adds_right on
+    rows, not the public act_right; the slide never expands its right side;
+    a lengths-add pair miss never walks a word through _act_right.  A fault
+    in the code so skipped passes those checks, and other checks of verify
+    all fail it."""
     alg = ExtAlgebra(5)
     monkeypatch.setattr(alg, attr, mutant(alg))
     suites = {name.split("_")[0] for name in [*passing, *caught]}
