@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import presentation as pres
 from .graded import ExtAlgebra
-from .grammar import ParseError, element_to_json, parse_element, render_element, render_weyl
+from .grammar import element_to_json, parse_element, render_element
 from .product import multiply
 from .verify import SUITE_NAMES, run
 
@@ -163,7 +163,7 @@ def cmd_table(cfg: Config, degree: int) -> int:
     rows = []
     for sym in alg.basis_symbols(cfg.max_length, degrees=(degree,)):
         el = alg.symbol_element(sym)
-        entry = {"symbol": f"{sym.kind}({render_weyl(sym.support)})"}
+        entry = {"symbol": repr(sym)}
         for label, w in actors:
             entry[f"left_{label}"] = render_element(alg.act_left(H.tau(w), el))
             entry[f"right_{label}"] = render_element(alg.act_right(el, H.tau(w)))
@@ -218,16 +218,10 @@ def main(argv=None) -> int:
             return cmd_verify(cfg, args.suite, quiet=args.quiet)
         if args.command == "table":
             return cmd_table(cfg, args.degree)
-        if args.command == "relators":
-            return cmd_relators(cfg)
-        parser.error(f"unknown command {args.command!r}")
-    except ParseError as exc:
+        return cmd_relators(cfg)  # the subparsers admit no other command
+    except ValueError as exc:  # a ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -1,23 +1,22 @@
 """Text grammar for elements, used by the CLI and by __repr__.
 
-    element := ['-'] term (('+'|'-') term)*
+    element := '0' | ['-'] term (('+'|'-') term)*
     term    := [int '*'] symbol
     symbol  := kind '(' weyl ')' | 'e' '(' int ')'
     kind    := 'tau'|'bm'|'b0'|'bp'|'am'|'a0'|'ap'|'phi'
     weyl    := 'w(' int ';' [letters] ')'
     letters := ('s0'|'s1') {' ' ('s0'|'s1')}
 
-Rendering is canonical (sorted terms, balanced coefficient signs), and
-parse(render(x)) == x; render(parse(s)) == s on canonically rendered
-input.  A sum of well-formed terms is read one term per match of the
-regular expression _TERM; any other input goes through the scanner
-(_parse_scanned), which reads it token by token and raises a ParseError
-that carries the offending position.  A parsed c*e(m) is one character
-key, also in a sum (graded.py).  The renderer and the JSON export walk
-the terms in one canonical order, read from the element's row: a
-character key becomes a coefficient vector over its torus orbit, so a
-lazy element is rendered without building its p - 1 symbols.  Each term's
-coefficient prefix is read from a table per p (_heads).
+An int is a run of ASCII digits, signed in a weyl or e(m) by a sign right
+before it.  parse_element reads the tokens of one findall of _TOKEN in one
+pass and sums the terms into one row, a c*e(m) as one character key
+(graded.py), so a sum that holds one stays lazy.  A ParseError carries the
+position of the first error; positions are found only for an error or a
+signed int.  Rendering is canonical (sorted terms, balanced coefficient
+signs), parse(render(x)) == x, and render(parse(s)) == s on canonically
+rendered input.  The renderer and the JSON export read the element's row,
+so a lazy element is rendered without building the p - 1 symbols of a
+character key.
 """
 
 from __future__ import annotations
@@ -26,21 +25,18 @@ import re
 from functools import cache, lru_cache
 
 from .coeff import _root_powers, add_into
-from .graded import KIND_NAMES, BasisSymbol, ExtAlgebra, GradedElement, _weight
-from .weyl import S0, S1, WeylElement
+from .graded import KIND_NAMES, BasisSymbol, ExtAlgebra, GradedElement, _shifted, _weight
+from .weyl import S0, S1, _alternating, _weyl
 
-__all__ = ["ParseError", "parse_element", "parse_weyl", "render_element", "element_to_json"]
+__all__ = ["ParseError", "parse_element", "render_element", "element_to_json"]
 
-_KINDS = {
-    "tau": (0, None),
-    "bm": (1, -1),
-    "b0": (1, 0),
-    "bp": (1, 1),
-    "am": (2, -1),
-    "a0": (2, 0),
-    "ap": (2, 1),
-    "phi": (3, None),
-}
+_KINDS = {name: kind for kind, name in KIND_NAMES.items()}
+_LETTERS = {"s0": S0, "s1": S1}
+# One token after optional whitespace (\s, that is str.isspace): a run of
+# ASCII digits, a run of identifier characters (\w: str.isalnum or '_') or
+# one other character.  The end is one more, empty token, so trailing
+# whitespace is skipped once, not retried from each of its characters.
+_TOKEN = re.compile(r"\s*([0-9]+|\w+|\S|\Z)")
 
 
 class ParseError(ValueError):
@@ -49,204 +45,120 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        # ASCII digits only: str.isdigit also accepts superscripts and other scripts' digits
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
-            raise ParseError("expected an integer", start)
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError as exc:  # beyond the interpreter's digit limit
-            raise ParseError("integer has too many digits", start) from exc
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a symbol name", start)
-        return self.text[start:self.pos]
-
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-
-def _parse_weyl(sc: _Scanner, alg: ExtAlgebra) -> WeylElement:
-    name = sc.ident()
-    if name != "w":
-        raise ParseError(f"expected 'w', got {name!r}", sc.pos)
-    sc.expect("(")
-    exp = sc.integer()
-    sc.expect(";")
-    letters = []
-    while sc.peek() not in (")", ""):
-        lit = sc.ident()
-        if lit == "s0":
-            letters.append(S0)
-        elif lit == "s1":
-            letters.append(S1)
-        else:
-            raise ParseError(f"expected 's0' or 's1', got {lit!r}", sc.pos)
-    sc.expect(")")
-    try:
-        return alg.weyl.element(exp, letters)
-    except ValueError as exc:
-        raise ParseError(str(exc), sc.pos) from exc
-
-
-def parse_weyl(alg: ExtAlgebra, text: str) -> WeylElement:
-    sc = _Scanner(text)
-    w = _parse_weyl(sc, alg)
-    if not sc.done():
-        raise ParseError("trailing input", sc.pos)
-    return w
-
-
-def _parse_term(sc: _Scanner, alg: ExtAlgebra) -> GradedElement:
-    coeff = 1
-    if "0" <= sc.peek() <= "9":
-        coeff = sc.integer()
-        if sc.peek() != "*":
-            raise ParseError("expected '*' after a coefficient", sc.pos)
-        sc.expect("*")
-    name = sc.ident()
-    if name == "e":
-        sc.expect("(")
-        m = sc.integer()
-        sc.expect(")")
-        return alg.idempotent(m, coeff)
-    if name not in _KINDS:
-        raise ParseError(f"unknown symbol kind {name!r}", sc.pos)
-    degree, sign = _KINDS[name]
-    sc.expect("(")
-    w = _parse_weyl(sc, alg)
-    sc.expect(")")
-    try:
-        sym = BasisSymbol(degree, sign, w)
-    except ValueError as exc:
-        raise ParseError(str(exc), sc.pos) from exc
-    return alg.symbol_element(sym).scale(coeff)
-
-
-# One well-formed term with its operator and the whitespace around it:
-# [op] [int '*'] (kind '(' weyl | 'e' '(' int) ')'.  Integers are ASCII
-# digits, as in the scanner; \s is str.isspace and \w the scanner's
-# identifier characters, so a letter run into a name ("s0s1") fails.
-_TERM = re.compile(r"""
-    \s* ([+-]?) \s*
-    (?: ([0-9]+) \s* \* \s* )?
-    (?: (tau|bm|b0|bp|am|a0|ap|phi) \s* \( \s* w \s* \( \s* ([+-]?[0-9]+) \s* ;
-            ((?: \s* s[01] (?!\w) )*) \s* \)
-      | e \s* \( \s* ([+-]?[0-9]+) )
-    \s* \) \s*
-""", re.VERBOSE)
-_LETTERS = {"s0": S0, "s1": S1}
-
-
 def parse_element(alg: ExtAlgebra, text: str) -> GradedElement:
     """The element that text writes in the grammar above; a ParseError
     carries the position of the first error."""
-    try:
-        x = _parse_terms(alg, text)
-    except ValueError:  # an invalid symbol, or an integer past int()'s digit limit
-        x = None
-    return _parse_scanned(alg, text) if x is None else x
-
-
-def _parse_terms(alg: ExtAlgebra, text: str) -> GradedElement | None:
-    """The element of a sum of well-formed terms, or None where the text is
-    not one: a term _TERM does not match, a leading '+' or a missing
-    operator.  The scanner decides those.  An e(m) is summed as its
-    character key, so a sum that holds one is lazy."""
-    weyl, p = alg.weyl, alg.field.p
-    total: dict = {}
-    pos = 0
-    while True:
-        term = _TERM.match(text, pos)
-        if term is None or term[1] == ("" if pos else "+"):
-            return None
-        c = int(term[2]) if term[2] else 1
-        if term[1] == "-":
-            c = -c
-        if term[3] is None:
-            pairs = alg.idempotent(int(term[6])).row.items()
-        else:
-            degree, sign = _KINDS[term[3]]
-            w = weyl.element(int(term[4]), [_LETTERS[l] for l in term[5].split()])
-            pairs = ((BasisSymbol(degree, sign, w), 1),)
-        add_into(total, pairs, c, p)
-        pos = term.end()
-        if pos == len(text):
-            return alg._result(total)
-
-
-def _parse_scanned(alg: ExtAlgebra, text: str) -> GradedElement:
-    sc = _Scanner(text)
-    if sc.done():
+    tokens = _TOKEN.findall(text)
+    if not tokens[0]:
         raise ParseError("empty input", 0)
-    if sc.peek() == "0":
-        save = sc.pos
-        sc.integer()
-        if sc.done():
-            return alg.zero()
-        sc.pos = save
-    negate = False
-    if sc.peek() == "-":
-        sc.expect("-")
-        negate = True
-    total = _parse_term(sc, alg)
-    if negate:
-        total = -total
-    while not sc.done():
-        op = sc.peek()
-        if op == "+":
-            sc.expect("+")
-            total = total + _parse_term(sc, alg)
-        elif op == "-":
-            sc.expect("-")
-            total = total - _parse_term(sc, alg)
-        else:
-            raise ParseError(f"expected '+' or '-', got {op!r}", sc.pos)
-    return total
+    if tokens[0] == "0" and not tokens[1]:
+        return alg.zero()
+    total: dict = {}
+    p, n = alg.field.p, alg.weyl.n
+    sign, i = (-1, 1) if tokens[0] == "-" else (1, 0)
+    while True:  # a term, then its operator
+        c, name = 1, tokens[i]
+        if "0" <= name < ":":  # starts with an ASCII digit: a digit token
+            try:
+                c = int(name)
+            except ValueError:  # beyond the interpreter's digit limit
+                raise ParseError("integer has too many digits", _starts(text)[i]) from None
+            if tokens[i + 1] != "*":
+                raise ParseError("expected '*' after a coefficient", _starts(text)[i + 1])
+            i += 2
+            name = tokens[i]
+        if name != "e" and name not in _KINDS:
+            raise _name_error(text, i, "unknown symbol kind {!r}")
+        if tokens[i + 1] != "(":
+            raise ParseError("expected '('", _starts(text)[i + 1])
+        if name == "e":  # 'e' '(' int ')'
+            m, i = _integer(text, tokens, i + 2)
+            if tokens[i] != ")":
+                raise ParseError("expected ')'", _starts(text)[i])
+            add_into(total, alg.idempotent(m).row.items(), sign * c, p)
+        else:  # kind '(' 'w(' int ';' [letters] ')' ')'
+            if tokens[i + 2] != "w":
+                raise _name_error(text, i + 2, "expected 'w', got {!r}")
+            if tokens[i + 3] != "(":
+                raise ParseError("expected '('", _starts(text)[i + 3])
+            exp, i = _integer(text, tokens, i + 4)
+            if tokens[i] != ";":
+                raise ParseError("expected ';'", _starts(text)[i])
+            try:
+                word = _word(tuple(tokens[i + 1:(end := tokens.index(")", i))]))
+            except (KeyError, ValueError) as exc:
+                raise _letters_error(text, tokens, i + 1, exc) from exc
+            i = end + 1
+            if tokens[i] != ")":
+                raise ParseError("expected ')'", _starts(text)[i])
+            d, s = _KINDS[name]
+            w = _weyl((exp % n, word))
+            try:  # BasisSymbol refuses b0 and a0 at a torus element, and no other
+                sym = BasisSymbol(d, s, w) if s == 0 and not word else _shifted((d, s, w))
+            except ValueError as exc:
+                raise ParseError(str(exc), _starts(text)[i] + 1) from exc
+            add_into(total, ((sym, 1),), sign * c, p)
+        op = tokens[i + 1]
+        if not op:
+            return alg._result(total)
+        if op not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', got {op[0]!r}", _starts(text)[i + 1])
+        sign, i = -1 if op == "-" else 1, i + 2
+
+
+@lru_cache(maxsize=256)
+def _word(letters: tuple) -> tuple:
+    """The word that a run of letter tokens spells: a KeyError at a token
+    that is no letter, a ValueError where a letter repeats.  Only two words
+    of each length pass, so the cache holds every word in use."""
+    return _alternating([_LETTERS[letter] for letter in letters])
+
+
+def _integer(text: str, tokens: list, i: int):
+    """The integer at token i and the index after it: a digit token, after
+    a sign token that touches it, if any."""
+    digits, end = tokens[i], i + 1
+    if not "0" <= digits < ":":
+        start = _starts(text)[i]
+        if digits not in ("+", "-") or not "0" <= text[start + 1:start + 2] < ":":
+            raise ParseError("expected an integer", start)
+        digits, end = digits + tokens[end], end + 1
+    try:
+        return int(digits), end
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise ParseError("integer has too many digits", _starts(text)[i]) from exc
+
+
+@lru_cache(maxsize=1)
+def _starts(text: str) -> list[int]:
+    """Where each token of text starts, past the whitespace before it, the
+    end token at len(text).  Only an error or a signed integer asks."""
+    return [match.start(1) for match in _TOKEN.finditer(text)]
+
+
+def _letters_error(text: str, tokens: list, i: int, exc: ValueError) -> ParseError:
+    """The error in the letters from token i on: at the first token that is
+    no letter, or exc (a letter repeats) just after the ')' that ends them."""
+    while tokens[i] in _LETTERS:
+        i += 1
+    if tokens[i] == ")":
+        return ParseError(str(exc), _starts(text)[i] + 1)
+    if not tokens[i]:
+        return ParseError("expected ')'", len(text))
+    return _name_error(text, i, "expected 's0' or 's1', got {!r}")
+
+
+def _name_error(text: str, i: int, message: str) -> ParseError:
+    """The error at the name that token i starts: all the identifier
+    characters there, as a digit token runs into a name after it ("5x")."""
+    start = _starts(text)[i]
+    name = re.match(r"\w*", text[start:])[0]
+    if not name:
+        return ParseError("expected a symbol name", start)
+    return ParseError(message.format(name), start + len(name))
 
 
 # --- rendering ---
-
-
-def _letters(word: tuple[int, ...]) -> str:
-    return "".join([" s0" if l == S0 else " s1" for l in word])
-
-
-def render_weyl(w: WeylElement) -> str:
-    return f"w({w.exp};{_letters(w.word)})"
 
 
 def _canonical_groups(x: GradedElement):
@@ -323,7 +235,7 @@ def render_element(x: GradedElement) -> str:
     heads = _heads(x.algebra.field.p)
     parts = []
     for word, terms in _canonical_groups(x):
-        tail = f";{_letters(word)}))"
+        tail = ";" + "".join([" s0" if l == S0 else " s1" for l in word]) + "))"
         parts += [f"{heads[c]}{kind}(w({exp}{tail}" for exp, kind, c in terms]
     if not parts:
         return "0"

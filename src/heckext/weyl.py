@@ -56,6 +56,17 @@ class WeylElement(tuple):
 _weyl = partial(tuple.__new__, WeylElement)
 
 
+def _alternating(word) -> tuple[int, ...]:
+    """word as a tuple, checked to be an alternating word in s0, s1."""
+    word = tuple(word)
+    for a, b in zip(word, word[1:]):
+        if a == b:
+            raise ValueError(f"word {word} is not alternating")
+    if any(l not in (S0, S1) for l in word):
+        raise ValueError(f"letters must be s0/s1, got {word}")
+    return word
+
+
 @cache
 def _torus(n: int) -> tuple[WeylElement, ...]:
     return tuple(_weyl((e, ())) for e in range(n))
@@ -73,13 +84,7 @@ class WeylGroup:
         self.s1 = WeylElement(self, 0, (S1,))
 
     def element(self, exp: int, word=()) -> WeylElement:
-        word = tuple(word)
-        for a, b in zip(word, word[1:]):
-            if a == b:
-                raise ValueError(f"word {word} is not alternating")
-        if any(l not in (S0, S1) for l in word):
-            raise ValueError(f"letters must be s0/s1, got {word}")
-        return WeylElement(self, exp % self.n, word)
+        return WeylElement(self, exp % self.n, _alternating(word))
 
     def omega(self, exp: int) -> WeylElement:
         """The exp-th power of the torus generator."""

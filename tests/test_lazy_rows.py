@@ -18,9 +18,11 @@ import pytest
 
 from heckext import ExtAlgebra
 from heckext.graded import KIND_NAMES, BasisSymbol, GradedElement
-from heckext.grammar import _heads, _parse_scanned, element_to_json, parse_element, render_element
+from heckext.grammar import _heads, element_to_json, parse_element, render_element
 from heckext.product import multiply
 from heckext.weyl import S0, S1
+
+from scanner_oracle import _parse_scanned
 
 PRIMES = [5, 7]
 
