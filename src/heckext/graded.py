@@ -57,23 +57,21 @@ Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
 BasisSymbol the tuple (degree, sign, support), so the keys of every
 coefficient dict and memo hash and compare in C.  Each ExtAlgebra keeps
 memos of pure functions of their keys: the pair memo (products of two
-basis symbols, in product.py), the letter memo and the right-letter memo
-(one simple reflection acting on one symbol, on the left or the right;
-only the letter walks read them),
-the J table (J on one symbol, as a (coeff, symbol) pair) and the
-expansion memo (a character key to its p - 1 plain terms, also read by
-the compression to check a candidate key).  The values of
-the pair and letter memos are symbolic rows.  Beside the pair memo and
-each letter memo, an orbit memo keeps one entry per torus orbit, from
-which the other entries of the orbit are derived by a torus shift.  Memo
-values are read-only (MappingProxyType or tuples) and handed out without
-a copy.
+basis symbols, in product.py), the letter memo (one simple reflection
+acting on one symbol, keyed (letter, symbol, right) for both sides; only
+the letter walks read it), the J table (J on one symbol, as a (coeff,
+symbol) pair) and the expansion memo (a character key to its p - 1 plain
+terms, also read by the compression to check a candidate key).  The
+values of the pair and letter memos are symbolic rows.  Beside each, an
+orbit memo keeps one entry per torus orbit, from which the other entries
+of the orbit are derived by product.py's pair law.  Memo values are
+read-only (MappingProxyType or tuples) and handed out without a copy.
 
 Shift kernels.  _shift_left (the left torus action, with a scalar) and
 _shift_right (the plain right shift) move a row along its torus orbit;
-the letter walks _act_left and _act_right and the closed forms _adds_left
-and _adds_right (behind a pair miss) and the three orbit derivations all
-go through them.  They intern their images in one table per algebra, so
+the letter walks _act_left and _act_right, the closed forms _adds_left
+and _adds_right (behind a pair miss) and both orbit derivations go
+through them.  They intern their images in one table per algebra, so
 the symbols of derived entries are shared, and they read u0^e from the
 power table of the field (PrimeField.root_powers: memoized per (p, u0),
 built on first use).
@@ -313,13 +311,10 @@ class ExtAlgebra:
         self.field = PrimeField(p, primitive_root)
         self.weyl = WeylGroup(self.field)
         self.hecke = HeckeAlgebra(self.weyl)
-        self._letter_cache: dict[tuple[int, BasisSymbol], MappingProxyType] = {}
-        self._left_orbit_cache: dict[tuple, tuple[int, MappingProxyType]] = {}
+        self._letter_cache: dict[tuple[int, BasisSymbol, bool], MappingProxyType] = {}
+        self._letter_orbit_cache: dict[tuple, tuple[int, MappingProxyType]] = {}
         self._pair_cache: dict[tuple[BasisSymbol, BasisSymbol], MappingProxyType] = {}
-        self._base_sq: dict[int, MappingProxyType] = {}
         self._j_cache: dict[BasisSymbol, tuple[int, BasisSymbol]] = {}
-        self._right_letter_cache: dict[tuple[int, BasisSymbol], MappingProxyType] = {}
-        self._right_orbit_cache: dict[tuple, tuple[int, MappingProxyType]] = {}
         self._orbit_cache: dict[tuple, tuple[int, int, MappingProxyType]] = {}
         self._symbols: dict[BasisSymbol, BasisSymbol] = {}
         self._char_cache: dict[tuple, MappingProxyType] = {}
@@ -351,9 +346,13 @@ class ExtAlgebra:
         return self.symbol_element(BasisSymbol(3, None, w))
 
     def element(self, coeffs: dict) -> GradedElement:
+        for sym in coeffs:
+            if not isinstance(sym, BasisSymbol):
+                raise ValueError(f"expected a BasisSymbol, got {sym!r}")
         return GradedElement.make(self, coeffs)
 
     def embed(self, h: HeckeElement) -> GradedElement:
+        check_parameters(self, h.algebra)
         return GradedElement(self, {BasisSymbol(0, None, w): c for w, c in h.coeffs.items()})
 
     def idempotent(self, m: int, scale: int = 1) -> GradedElement:
@@ -528,7 +527,9 @@ class ExtAlgebra:
 
     def _operand(self, x: GradedElement):
         """The row a public call reads for x: a lazy element's own row, or its
-        coeffs with each whole single-character orbit compressed."""
+        coeffs with each whole single-character orbit compressed.  An element
+        over other parameters is refused."""
+        check_parameters(self, x.algebra)
         row = x.row
         if row is None:
             row = x._coeffs
@@ -548,27 +549,31 @@ class ExtAlgebra:
         self._project(out, m, self._operand(x), 1)
         return self._result(out)
 
-    # --- single-letter left action tables ---
+    # --- single-letter action tables ---
 
-    def _letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:
-        """tau_{s_i} sym as a symbolic row, memoized.  The first miss in a torus
-        orbit is computed from the table and stored as the orbit's
-        representative, with its exponent f0.  As s_i omega^f = omega^-f s_i,
-        a later miss at f is u0^(-k (f - f0)) T_(f0 - f) of it, k the torus
-        weight of sym."""
-        key = (i, sym)
+    def _letter_on_symbol(self, i: int, sym: BasisSymbol, right: bool = False) -> MappingProxyType:
+        """tau_{s_i} sym, or sym tau_{s_i} when right, as a symbolic row,
+        memoized.  The first miss in a torus orbit is computed (_letter_row,
+        or _right_row on the right) and stored as its representative, with
+        its exponent f0.  A later miss at f is product.py's pair law with
+        tau_{s_i} as a factor: u0^(-k (f - f0)) T_(f - f0) of it on the
+        right, T_(f0 - f) on the left (s_i omega^f = omega^-f s_i), k the
+        torus weight of sym.  perfbench/tracer.py wraps this method and
+        gauges _letter_cache, so renaming either changes the benchmark."""
+        key = (i, sym, right)
         cached = self._letter_cache.get(key)
         if cached is not None:
             return cached
         d, sign, (f, word) = sym
-        rep = self._left_orbit_cache.get((i, d, sign, word))
+        orbit = (i, d, sign, word, right)
+        rep = self._letter_orbit_cache.get(orbit)
         if rep is None:
-            out = MappingProxyType(self._letter_row(i, sym))
-            self._left_orbit_cache[i, d, sign, word] = (f, out)
+            out = MappingProxyType(self._right_row(i, sym) if right else self._letter_row(i, sym))
+            self._letter_orbit_cache[orbit] = (f, out)
         else:
             f0, first = rep
             scale = self.field.root_powers()[-_weight(d, sign) * (f - f0) % self.weyl.n]
-            out = MappingProxyType(self._shift_left(first, f0 - f, scale))
+            out = MappingProxyType(self._shift_left(first, f - f0 if right else f0 - f, scale))
         self._letter_cache[key] = out
         return out
 
@@ -581,6 +586,17 @@ class ExtAlgebra:
         chars, plain = _LETTER_ROWS[i, d, sign, W.lengths_add(si, w), len(w[1]) == 1]
         return self._row(d, w, chars, W.mul(si, w), plain)
 
+    def _right_row(self, i: int, sym: BasisSymbol) -> dict:
+        """sym tau_{s_i} as a symbolic row: the left row of J(sym) transported
+        through J, J(tau_{omega^half} tau_{s_i} J(sym)), as J(tau_{s_i}) =
+        tau_{s_i^-1} and s_i^-1 = omega^half s_i.  T_half scales no plain
+        symbol (u0^half = -1 and torus weights are even) and a character key
+        e_m s0 by u0^(m half); J takes a character key to a character key.
+        So it costs one J lookup per row entry, however many terms an e_m
+        has."""
+        c, jsym = self._symbol_involution(sym)
+        return self._involution(self._shift_left(self._letter_row(i, jsym), self.weyl.half, c))
+
     def _row(self, d: int, w: WeylElement, chars, v: WeylElement | None = None, plain=()) -> dict:
         """The symbolic row of the terms (m, sign, c), each c e_m times the
         degree-d symbol of that sign at w, and (sign, c) at v."""
@@ -590,17 +606,18 @@ class ExtAlgebra:
             self._project(row, m, {BasisSymbol(d, sign, w): c}, 1)
         return row
 
-    def _apply_letter(self, table, i: int, coeffs, flip: bool) -> dict:
-        """Apply one letter through table, a letter memo on the left or right.
+    def _apply_letter(self, i: int, coeffs, right: bool) -> dict:
+        """Apply one letter on the left or the right through the letter memo.
         A character key goes through the row of its s0 projected to e_m, or
-        to e_-m on the left (flip), as tau_{s_i} e_m = e_-m tau_{s_i}."""
+        to e_-m on the left, as tau_{s_i} e_m = e_-m tau_{s_i}."""
         p = self.field.p
+        letter = self._letter_on_symbol
         out: dict = {}
         for key, c in coeffs.items():
             if len(key) == 3:
-                add_into(out, table(i, key).items(), c, p)
+                add_into(out, letter(i, key, right).items(), c, p)
             else:
-                self._project(out, -key[0] if flip else key[0], table(i, self._base(key)), c)
+                self._project(out, key[0] if right else -key[0], letter(i, self._base(key), right), c)
         return out
 
     def _map_symbols(self, coeffs, fn, index) -> dict:
@@ -630,7 +647,6 @@ class ExtAlgebra:
 
     def act_left(self, h: HeckeElement, x: GradedElement) -> GradedElement:
         check_parameters(self, h.algebra)
-        check_parameters(self, x.algebra)
         return self._result(_multiply(self, self._hecke_row(h), self._operand(x)))
 
     def _act_left(self, h: dict, row) -> dict:
@@ -642,7 +658,7 @@ class ExtAlgebra:
         for (exp, word), c in h.items():
             cur = row
             for letter in reversed(word):
-                cur = self._apply_letter(self._letter_on_symbol, letter, cur, True)
+                cur = self._apply_letter(letter, cur, False)
                 if not cur:
                     break
             if cur and exp:
@@ -668,7 +684,6 @@ class ExtAlgebra:
         return self._shift_left(row, exp) if exp else row
 
     def act_right(self, x: GradedElement, h: HeckeElement) -> GradedElement:
-        check_parameters(self, x.algebra)
         check_parameters(self, h.algebra)
         return self._result(_multiply(self, self._operand(x), self._hecke_row(h)))
 
@@ -681,7 +696,7 @@ class ExtAlgebra:
         for (exp, word), c in h.items():
             cur = self._shift_right(row, exp) if exp else row
             for letter in word:
-                cur = self._apply_letter(self._right_letter_on_symbol, letter, cur, False)
+                cur = self._apply_letter(letter, cur, True)
                 if not cur:
                     break
             add_into(total, cur.items(), c, p)
@@ -702,37 +717,6 @@ class ExtAlgebra:
         W, row = self.weyl, {image: c * unit % self.field.p}
         shift = ((-exp if len(word) % 2 else exp) - len(word) * W.half) % W.n
         return self._shift_right(row, shift) if shift else row
-
-    def _right_letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:
-        """sym tau_{s_i} as a symbolic row, memoized.  The first miss in a torus
-        orbit is stored as the orbit's representative (_right_row), with g
-        where sym = sym0 tau_{omega^g}.  A later miss at g' is its right torus
-        shift by g - g'."""
-        cached = self._right_letter_cache.get((i, sym))
-        if cached is not None:
-            return cached
-        d, sign, (f, word) = sym
-        g = -f if len(word) % 2 else f
-        rep = self._right_orbit_cache.get((i, d, sign, word))
-        if rep is None:
-            out = MappingProxyType(self._right_row(i, sym))
-            self._right_orbit_cache[i, d, sign, word] = (g, out)
-        else:
-            g0, first = rep
-            out = MappingProxyType(self._shift_right(first, g0 - g))
-        self._right_letter_cache[i, sym] = out
-        return out
-
-    def _right_row(self, i: int, sym: BasisSymbol) -> dict:
-        """sym tau_{s_i} as a symbolic row: the left row of J(sym) transported
-        through J, J(tau_{omega^half} tau_{s_i} J(sym)), as J(tau_{s_i}) =
-        tau_{s_i^-1} and s_i^-1 = omega^half s_i.  T_half scales no plain
-        symbol (u0^half = -1 and torus weights are even) and a character key
-        e_m s0 by u0^(m half); J takes a character key to a character key.
-        So it costs one J lookup per row entry, however many terms an e_m
-        has."""
-        c, jsym = self._symbol_involution(sym)
-        return self._involution(self._shift_left(self._letter_row(i, jsym), self.weyl.half, c))
 
     # --- involutions ---
 

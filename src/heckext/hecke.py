@@ -61,6 +61,9 @@ class HeckeAlgebra:
         return HeckeElement(self, {w: 1})
 
     def element(self, coeffs: dict) -> HeckeElement:
+        for w in coeffs:
+            if not isinstance(w, WeylElement):
+                raise ValueError(f"expected a WeylElement, got {w!r}")
         return HeckeElement.make(self, coeffs)
 
     def idempotent(self, m: int) -> HeckeElement:
@@ -141,9 +144,11 @@ class HeckeAlgebra:
 
     def involution(self, a: HeckeElement) -> HeckeElement:
         """The anti-involution sending tau_w to tau at the inverse of w."""
+        check_parameters(self, a.algebra)
         W = self.weyl
         return HeckeElement(self, {W.inv(w): c for w, c in a.coeffs.items()})
 
     def uniformizer_conj(self, a: HeckeElement) -> HeckeElement:
+        check_parameters(self, a.algebra)
         W = self.weyl
         return HeckeElement(self, {W.uniformizer_conj(w): c for w, c in a.coeffs.items()})

@@ -52,9 +52,9 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .coeff import add_into, check_parameters
+from .coeff import add_into
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
-from .weyl import S0, S1, WeylElement
+from .weyl import S1, WeylElement
 
 __all__ = ["multiply", "cup_summand", "duality_pairing"]
 
@@ -105,7 +105,6 @@ def _cup_symbols(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
 
 def multiply(x: GradedElement, y: GradedElement) -> GradedElement:
     alg = x.algebra
-    check_parameters(alg, y.algebra)
     return alg._result(_multiply(alg, alg._operand(x), alg._operand(y)))
 
 
@@ -196,21 +195,6 @@ def _good_pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
     return out
 
 
-def _base_beta0_square(alg: ExtAlgebra, i: int) -> MappingProxyType:
-    """The quadratic base product beta^0_{s_i} * beta^0_{s_i}, as a row of
-    three character keys."""
-    cached = alg._base_sq.get(i)
-    if cached is not None:
-        return cached
-    if i == S0:
-        # -e_0 alpha^0_{s0} - e_-1 alpha^+_{s0} + e_1 alpha^-_{s0}
-        out = alg._row(2, alg.weyl.s0, [(0, 0, -1), (-1, 1, -1), (1, -1, 1)])
-    else:
-        out = alg._uniformizer_conj(_base_beta0_square(alg, S0))
-    base = alg._base_sq[i] = MappingProxyType(out)
-    return base
-
-
 def _bad_pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol, times_generator) -> dict:
     """A bad pair with a degree-1 right factor b = c tau_l g tau_r, g a bimodule
     generator (cases (3) and (4)): a.b = c ((a tau_l) g) tau_r, with each term
@@ -234,10 +218,12 @@ def _deg1_times_generator(alg: ExtAlgebra, z: BasisSymbol, g: BasisSymbol):
     i = g.support.word[0]
     if z.sign == 0:
         if z.support.length == 1:
-            # pull the torus prefix, then the base quadratic
-            base = _base_beta0_square(alg, i)
-            if z.support.exp == 0:
-                return base
+            # the base quadratic beta^0_{s0} beta^0_{s0} = -e_0 alpha^0_{s0}
+            # - e_-1 alpha^+_{s0} + e_1 alpha^-_{s0} (three character keys),
+            # conjugated at s1, then the torus prefix
+            base = alg._row(2, W.s0, [(0, 0, -1), (-1, 1, -1), (1, -1, 1)])
+            if i == S1:
+                base = alg._uniformizer_conj(base)
             return alg._shift_left(base, z.support.exp)
         # peel: beta^0_v = beta^0_{v s_i^{-1}} * tau_{s_i}, then the length-1 row
         v2 = W.mul(z.support, W.inv(W.simple(i)))

@@ -80,9 +80,9 @@ def test_letters_on_character_keys_equal_the_expanded_computation(p):
         x = expanded(oracle, {key: 2})
         for i in (S0, S1):
             tau = H.tau(oracle.weyl.simple(i))
-            left = alg._apply_letter(alg._letter_on_symbol, i, {key: 2}, True)
+            left = alg._apply_letter(i, {key: 2}, False)
             assert expanded(alg, left) == oracle.act_left(tau, x), (i, key)
-            right = alg._apply_letter(alg._right_letter_on_symbol, i, {key: 2}, False)
+            right = alg._apply_letter(i, {key: 2}, True)
             assert expanded(alg, right) == oracle.act_right(x, tau), (i, key)
 
 
@@ -277,5 +277,5 @@ def test_memo_growth_of_an_idempotent_right_action_does_not_depend_on_p(x):
         e_m = H.idempotent(5)
         alg.act_right(y, e_m)
         alg.act_right(y, H.mul(e_m, H.tau(W.element(0, (S0, S1)))))
-        sizes.append((len(alg._right_letter_cache), len(alg._j_cache)))
+        sizes.append((len(alg._letter_cache), len(alg._j_cache)))
     assert sizes[0] == sizes[1]

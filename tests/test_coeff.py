@@ -1,9 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from heckext.coeff import PrimeField
-from heckext.graded import ExtAlgebra, GradedElement
+from heckext.graded import BasisSymbol, ExtAlgebra, GradedElement
 from heckext.hecke import HeckeElement
 from heckext.presentation import B_P, LETTERS, FreeElement, free_letter
 
@@ -145,6 +147,23 @@ class TestCombination:
             with pytest.raises(TypeError):
                 a * b
 
+    def test_element_refuses_a_key_of_another_kind(self):
+        E = ALGEBRAS[5]
+        W = E.weyl
+        for build, key, kind in (
+            (E.element, "junk", "BasisSymbol"),
+            # the entries of a symbol, as a plain tuple
+            (E.element, (1, 1, None, ()), "BasisSymbol"),
+            (E.element, W.s0, "BasisSymbol"),
+            (E.hecke.element, "junk", "WeylElement"),
+            (E.hecke.element, (0, ()), "WeylElement"),
+            (E.hecke.element, BasisSymbol(0, None, W.s0), "WeylElement"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"expected a {kind}, got {key!r}")):
+                build({key: 3})
+        assert E.element({BasisSymbol(0, None, W.s0): 3}) == E.tau(W.s0).scale(3)
+        assert E.hecke.element({W.s0: 3}) == E.hecke.tau(W.s0).scale(3)
+
     def test_refuses_to_mix_parameters(self):
         E5, E7 = ALGEBRAS[5], ALGEBRAS[7]
         x5, x7 = E5.beta(1, E5.weyl.identity), E7.beta(1, E7.weyl.omega(5))
@@ -162,6 +181,12 @@ class TestCombination:
             lambda: E5.hecke.mul(h5, h7),
             lambda: E5.hecke.mul(h7, h5),
             lambda: x5 * x7,
+            lambda: E5.involution(x7),
+            lambda: E5.uniformizer_conj(x7),
+            lambda: E5.idempotent_times(1, x7),
+            lambda: E5.embed(h7),
+            lambda: E5.hecke.involution(h7),
+            lambda: E5.hecke.uniformizer_conj(h7),
         ):
             with pytest.raises(ValueError, match="different parameters"):
                 mix()

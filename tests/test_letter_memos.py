@@ -1,20 +1,18 @@
-"""Exhaustive oracles for the torus-orbit letter memos.
+"""Exhaustive oracles for the torus-orbit letter memo.
 
-The left action is computed letter by letter from a memo whose misses are
-left torus shifts of one row per orbit; each row must equal the table
-itself.  The table states s0 and derives the s1 rows through the
-uniformizer conjugation; the s1 rows as they were printed before that are
-kept here, and the derived rows must equal them.  Rows are symbolic (their
-e_m terms stay character keys), so they are compared after expansion.  The
-right action is computed from a memo
-whose misses are right torus shifts of one representative per orbit; the
-representative is the symbolic transport of a left row through the
-anti-involution J and must equal the concrete transport written out here,
-and the whole action must equal the transport of the left action through
-J.  Hecke products are read from the closed form of bare-word products,
-their plain terms shifted by the torus and their orbit sums expanded; they
-must equal the right-factor recursion of the engine and a left letter
-recursion written out here over the Weyl group.
+Both actions are computed letter by letter from one memo whose misses are
+torus shifts of one row per orbit and side; each row must equal the table
+itself on the left, and on the right its symbolic transport through the
+anti-involution J.  The table states s0 and derives the s1 rows through
+the uniformizer conjugation; the s1 rows as they were printed before that
+are kept here, and the derived rows must equal them.  Rows are symbolic
+(their e_m terms stay character keys), so they are compared after
+expansion.  The symbolic transport must equal the concrete transport
+written out here, and the whole right action must equal the transport of
+the left action through J.  Hecke products are read from the closed form
+of bare-word products, their plain terms shifted by the torus and their
+orbit sums expanded; they must equal the right-factor recursion of the
+engine and a left letter recursion written out here over the Weyl group.
 """
 
 from __future__ import annotations
@@ -63,18 +61,24 @@ def printed_s1_row(alg: ExtAlgebra, sym) -> dict:
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
-def test_orbit_derived_left_rows_equal_the_table(p):
+def test_orbit_derived_rows_equal_the_table(p):
+    # one memo serves both sides: every row it holds, left or right, equals
+    # the table row or its J transport computed on a fresh algebra
     alg = ExtAlgebra(p)
-    for sym in alg.basis_symbols(4):
+    symbols = list(alg.basis_symbols(4))
+    for sym in symbols:
         for i in (S0, S1):
-            # a fresh algebra each time: its table computes the row afresh;
-            # rows are symbolic, so both are compared after expansion
-            fresh = ExtAlgebra(p)
-            expected = fresh._expand(fresh._letter_row(i, sym))
-            assert alg._expand(alg._letter_on_symbol(i, sym)) == expected, (i, sym)
-            if i == S1:
-                assert expected == printed_s1_row(fresh, sym), sym
-    assert len(alg._letter_cache) > len(alg._left_orbit_cache)
+            for right in (False, True):
+                # rows are symbolic, so both are compared after expansion
+                fresh = ExtAlgebra(p)
+                table = fresh._right_row if right else fresh._letter_row
+                expected = fresh._expand(table(i, sym))
+                got = alg._expand(alg._letter_on_symbol(i, sym, right))
+                assert got == expected, (i, sym, right)
+                if i == S1 and not right:
+                    assert expected == printed_s1_row(fresh, sym), sym
+    assert len(alg._letter_cache) == 4 * len(symbols)
+    assert len(alg._letter_cache) > len(alg._letter_orbit_cache)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -124,7 +128,7 @@ def test_a_right_representative_makes_one_j_miss_per_row_entry():
     row = alg._letter_row(S0, jsym)
     assert sorted(len(key) for key in row) == [3, 4, 4, 4]
     before = len(alg._j_cache)
-    out = alg._right_letter_on_symbol(S0, sym)
+    out = alg._letter_on_symbol(S0, sym, True)
     assert 0 < len(alg._j_cache) - before <= len(row)
     assert len(out) == len(row)
     assert len(alg._expand(out)) > alg.weyl.n
@@ -145,7 +149,7 @@ def test_right_action_on_basis_symbols_equals_the_j_transport(p):
         for w in supports:
             h = alg.hecke.tau(w)
             assert alg.act_right(x, h) == transported_right(oracle, sym, h), (sym, w)
-    assert len(alg._right_letter_cache) > len(alg._right_orbit_cache)
+    assert len(alg._letter_cache) > len(alg._letter_orbit_cache)
 
 
 def test_right_action_by_idempotents_equals_the_j_transport():

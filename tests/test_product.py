@@ -3,12 +3,14 @@ within-summand cup product at supports of positive length."""
 
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from heckext import ExtAlgebra
 from heckext.graded import BasisSymbol
 from heckext.product import _pair, cup_summand, duality_pairing, multiply
+from heckext.sections import TensorExpression, section_deg2
 from heckext.weyl import S0, S1
 
 from test_graded import rand_hecke, rand_symbol, rand_weyl
@@ -292,52 +294,57 @@ class TestMemoValuesAreReadOnly:
         multiply(alg.tau(W.element(1, (S1,))), alg.beta(-1, W.element(2, (S1,))))
         # a bad 1x2 pair is transported through J; a letter on two symbols of
         # one torus orbit, on either side, walked by _act_left or _act_right
-        # (the public actions read the pair memo), fills that side's letter
-        # memo and its orbit memo; the first read of coeffs expands the base
-        # square's character keys through the expansion memo
+        # (the public actions read the pair memo), fills the letter memo and
+        # the letter orbit memo; the first read of coeffs expands the base
+        # square's character keys through the expansion memo; a section
+        # fills the section memo
         multiply(alg.beta(1, W.s0), alg.alpha(-1, W.s0))
         assert square.row is not None
         square.coeffs
         for exp in (0, 3):
             alg._act_right({BasisSymbol(1, -1, W.element(exp, (S1,))): 1}, {W.s1: 1})
             alg._act_left({W.s0: 1}, {BasisSymbol(2, 1, W.element(exp, (S0,))): 1})
+        section_deg2(alg.alpha(1, W.s0))
         memos = {
-            "pair": alg._pair_cache,
-            "letter": alg._letter_cache,
-            "J": alg._j_cache,
-            "base square": alg._base_sq,
-            "orbit": {orbit: rep[2] for orbit, rep in alg._orbit_cache.items()},
-            "left orbit": {orbit: rep[1] for orbit, rep in alg._left_orbit_cache.items()},
-            "right letter": alg._right_letter_cache,
-            "right orbit": {orbit: rep[1] for orbit, rep in alg._right_orbit_cache.items()},
-            "expansion": alg._char_cache,
+            "_pair_cache": alg._pair_cache,
+            "_letter_cache": alg._letter_cache,
+            "_j_cache": alg._j_cache,
+            "_orbit_cache": {orbit: rep[2] for orbit, rep in alg._orbit_cache.items()},
+            "_letter_orbit_cache": {orbit: rep[1] for orbit, rep in alg._letter_orbit_cache.items()},
+            "_symbols": alg._symbols,
+            "_char_cache": alg._char_cache,
+            "_section_cache": alg._section_cache,
         }
+        # every table ExtAlgebra declares is listed, so a new memo fails here
+        # until it is
+        assert set(memos) == {name for name, memo in vars(alg).items() if isinstance(memo, dict)}
         for name, memo in memos.items():
             assert memo, f"the {name} memo is empty"
             for value in memo.values():
-                with pytest.raises(TypeError):
-                    value[next(iter(value), 0)] = 1
+                if isinstance(value, TensorExpression):
+                    with pytest.raises(FrozenInstanceError):
+                        value.terms = ()
+                else:
+                    with pytest.raises(TypeError):
+                        value[next(iter(value), 0)] = 1
                 # a result hands out neither its row nor its coeffs from a memo
                 assert value is not square.row and value is not square.coeffs, name
         # each orbit memo is smaller than its per-symbol memo, and each
         # representative is that memo's own value, not a copy
         for memo, orbits, at in (
             (alg._pair_cache, alg._orbit_cache, 2),
-            (alg._letter_cache, alg._left_orbit_cache, 1),
-            (alg._right_letter_cache, alg._right_orbit_cache, 1),
+            (alg._letter_cache, alg._letter_orbit_cache, 1),
         ):
             stored = {id(value) for value in memo.values()}
             assert all(id(rep[at]) in stored for rep in orbits.values())
             assert len(memo) > len(orbits)
-        # the representative of a letter orbit is its first entry, at exponent 0
-        for memo, orbits, sym in (
-            (alg._letter_cache, alg._left_orbit_cache, BasisSymbol(2, 1, W.s0)),
-            (alg._right_letter_cache, alg._right_orbit_cache, BasisSymbol(1, -1, W.s1)),
-        ):
+        # the representative of a letter orbit is its first entry, at exponent
+        # 0, on each side
+        for sym, right in ((BasisSymbol(2, 1, W.s0), False), (BasisSymbol(1, -1, W.s1), True)):
             i, (d, sign, (_, word)) = sym.support.word[0], sym
-            f, rep = orbits[(i, d, sign, word)]
-            assert f == 0 and memo[(i, sym)] is rep
-            assert memo[(i, BasisSymbol(d, sign, W.element(3, word)))] is not rep
+            f, rep = alg._letter_orbit_cache[(i, d, sign, word, right)]
+            assert f == 0 and alg._letter_cache[(i, sym, right)] is rep
+            assert alg._letter_cache[(i, BasisSymbol(d, sign, W.element(3, word)), right)] is not rep
 
     def test_derived_products_share_one_object_per_symbol(self):
         alg = ExtAlgebra(5)

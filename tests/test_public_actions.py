@@ -137,11 +137,10 @@ def test_a_repeated_public_action_reads_only_the_pair_memo(monkeypatch, side):
     first = [act(h, x) for h, x in cases]
     before = memo_sizes(alg)
 
-    def no_letter(i, sym):
+    def no_letter(i, sym, right=False):
         raise AssertionError(f"a repeated action applied letter {i} to {sym!r}")
 
     monkeypatch.setattr(alg, "_letter_on_symbol", no_letter)
-    monkeypatch.setattr(alg, "_right_letter_on_symbol", no_letter)
     again = [act(h, x) for h, x in cases]
     assert memo_sizes(alg) == before
     assert [y.row or y.coeffs for y in again] == [y.row or y.coeffs for y in first]

@@ -470,10 +470,10 @@ def _shift_right_flipped(alg):
 
 
 def _right_row_off_by_one(alg):
-    """ExtAlgebra._right_letter_on_symbol with +1 on every coefficient of
-    beta^-_w tau_{s0} where lengths add.  A pair miss where lengths add
-    reads _adds_right, not this memo, so every restated check passes."""
-    real, p = alg._right_letter_on_symbol, alg.field.p
+    """ExtAlgebra._right_row with +1 on every coefficient of beta^-_w tau_{s0}
+    where lengths add.  A pair miss where lengths add reads _adds_right, not
+    the letter memo, so every restated check passes."""
+    real, p = alg._right_row, alg.field.p
 
     def row(i, sym):
         out = real(i, sym)
@@ -520,7 +520,7 @@ def _generators_swapped(module):
         "rightaction_idempotent_slide": "(bm(w(0;)), 1)",
         "presentation_round_trip_{n}_symbols": "bm(w(1;))",
     }),
-    (_right_row_off_by_one, "alg", "_right_letter_on_symbol", {}),
+    (_right_row_off_by_one, "alg", "_right_row", {}),
     (_cup_constant_wrong, "product", "_cup_symbols",
      {"duality_phi_tau_{n}_supports": "(w(0;), w(0;))"}),
     (_generators_swapped, "presentation", "generator_images",
@@ -537,6 +537,42 @@ def test_a_restated_check_reports_what_its_direct_form_reports(
     for name, (got, expected) in reports(alg, 2).items():
         counterexample = failures.get(name)
         assert got == expected == (counterexample is None, counterexample), name
+
+
+def _letter_orbit_shift_flipped(alg, flipped_side):
+    """ExtAlgebra._letter_on_symbol with the rows of one side that are not
+    their orbit's representative derived by the other side's torus shift:
+    T_(f - f0) on the left, or T_(f0 - f) on the right, scalar unchanged."""
+    real, n, powers = alg._letter_on_symbol, alg.weyl.n, alg.field.root_powers()
+
+    def letter(i, sym, right=False):
+        out = real(i, sym, right)
+        d, sign, (f, word) = sym
+        f0, first = alg._letter_orbit_cache[i, d, sign, word, right]
+        if right != flipped_side or f == f0:
+            return out
+        scale = powers[-graded._weight(d, sign) * (f - f0) % n]
+        return alg._shift_left(first, f0 - f if right else f - f0, scale)
+
+    return letter
+
+
+@pytest.mark.parametrize("right, first_failure", [
+    (True, ("assoc_total_le3_208_triples",
+            "triple [tau(w(1; s0 s1)), bp(w(3; s0)), tau(w(2; s0 s1))]")),
+    (False, ("assoc_total_le3_206_triples",
+             "triple [tau(w(0; s1 s0)), bm(w(0;)), tau(w(0; s0))]")),
+])
+def test_the_sign_of_the_letter_orbit_shift_is_certified(monkeypatch, right, first_failure):
+    """The letter memo derives both sides by one rule, with the torus shift
+    negated between them; with either side's sign flipped, verify all at
+    p=5, L=2 fails, first at this check."""
+    alg = ExtAlgebra(5)
+    monkeypatch.setattr(alg, "_letter_on_symbol", _letter_orbit_shift_flipped(alg, right))
+    failures = [(r.name, r.counterexample)
+                for results in verify.run(alg, "all", max_length=2).values()
+                for r in results if not r.ok]
+    assert failures[0] == first_failure
 
 
 def test_the_eigen_law_can_fail_before_the_first_wrong_product(monkeypatch):
