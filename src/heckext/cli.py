@@ -39,28 +39,30 @@ class Config:
             raise ValueError("--samples must be >= 1")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=int, default=5, help="the prime p >= 5 (default 5)")
-    parser.add_argument(
-        "--root", type=int, default=None, help="override the primitive root mod p"
-    )
-    parser.add_argument(
-        "--max-length", type=int, default=8, help="support length bound L (default 8)"
-    )
-    parser.add_argument(
-        "--samples", type=int, default=1000, help="sample count for randomized checks"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--epsilon-bound",
+# each option by its Config field, which holds its default; every command
+# takes --p and --root
+_OPTIONS = {
+    "p": ("--p", dict(type=int, help="the prime p >= 5 (default 5)")),
+    "primitive_root": ("--root", dict(
+        type=int, metavar="ROOT", help="override the primitive root mod p")),
+    "max_length": ("--max-length", dict(type=int, help="support length bound L (default 8)")),
+    "samples": ("--samples", dict(type=int, help="sample count for randomized checks")),
+    "seed": ("--seed", dict(type=int, help="RNG seed (default 0)")),
+    "fmt": ("--format", dict(choices=("text", "json"))),
+    "epsilon_bound": ("--epsilon-bound", dict(
         choices=("p-2", "p-1"),
-        default="p-2",
         help="summation bound of the free torus idempotents; 'p-1' double-counts "
         "the identity class and makes the quadratic relators fail",
-    )
+    )),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    """The options of one command; an option left out of the command line is
+    left out of its namespace too, so Config supplies its default."""
+    for name in ("p", "primitive_root") + names:
+        flag, kwargs = _OPTIONS[name]
+        parser.add_argument(flag, dest=name, default=argparse.SUPPRESS, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,21 +76,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mul = sub.add_parser("mul", help="multiply two elements of the graded algebra")
     p_mul.add_argument("left", help="element expression, e.g. 'b0(w(0; s1))'")
     p_mul.add_argument("right", help="element expression, e.g. '2*tau(w(1; s0)) - e(1)'")
-    _add_common(p_mul)
+    _add_options(p_mul, "fmt")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=("all",) + SUITE_NAMES)
     p_verify.add_argument("--quiet", action="store_true", help="only print the summary")
-    _add_common(p_verify)
+    _add_options(p_verify, "max_length", "samples", "seed", "fmt", "epsilon_bound")
 
     p_table = sub.add_parser(
         "table", help="print the left/right action table in one degree"
     )
     p_table.add_argument("degree", type=int, choices=(1, 2, 3))
-    _add_common(p_table)
+    _add_options(p_table, "max_length", "fmt")
 
     p_rel = sub.add_parser("relators", help="export the 36 relators as JSON")
-    _add_common(p_rel)
+    _add_options(p_rel, "epsilon_bound")
 
     return parser
 
@@ -203,15 +205,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = Config(
-            p=args.p,
-            primitive_root=args.root,
-            max_length=args.max_length,
-            samples=args.samples,
-            seed=args.seed,
-            fmt=args.fmt,
-            epsilon_bound=args.epsilon_bound,
-        )
+        cfg = Config(**{name: value for name, value in vars(args).items() if name in _OPTIONS})
         if args.command == "mul":
             return cmd_mul(cfg, args.left, args.right)
         if args.command == "verify":

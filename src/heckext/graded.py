@@ -489,8 +489,8 @@ class ExtAlgebra:
         terms are one character, c_f = c_0 u0^(j f) at exponent f, becomes the
         character key (k - j, d, sign, word) with coefficient -c_0, as e_m s0
         = -sum_f u0^((k - m) f) s_f; every other term stays as it is.  The keys
-        are plain: graded symbols, or the supports of a Hecke element, where
-        sum_f c_f tau_{omega^f u} becomes the degree-0 key of c e_m tau_u.
+        are plain graded symbols (a Hecke element as degree-0 symbols,
+        _hecke_row).
 
         coeffs has at least p - 1 terms (a smaller dict holds no whole orbit,
         and callers pass it on unchanged).  Only a word that carries p - 1
@@ -498,21 +498,18 @@ class ExtAlgebra:
         degree and sign): j comes from c_1 / c_0, and the candidate key is
         checked against its expansion, so the cost is O(p) per such orbit."""
         n, p = self.weyl.n, self.field.p
-        hecke = len(next(iter(coeffs))) == 2
-        supports = coeffs if hecke else map(_support, coeffs)
         chars: dict = {}
-        for word, count in Counter(map(_word, supports)).items():
+        for word, count in Counter(map(_word, map(_support, coeffs))).items():
             if count < n:
                 continue
-            for d, sign in ((0, None),) if hecke else KIND_NAMES:
-                c0 = coeffs.get((0, word) if hecke else (d, sign, (0, word)))
-                c1 = coeffs.get((1, word) if hecke else (d, sign, (1, word)))
+            for d, sign in KIND_NAMES:
+                c0 = coeffs.get((d, sign, (0, word)))
+                c1 = coeffs.get((d, sign, (1, word)))
                 if c0 is None or c1 is None:
                     continue
                 j = self.field.root_powers().index(c1 * pow(c0, p - 2, p) % p)
                 key, c = ((_weight(d, sign) - j) % n, d, sign, word), p - c0
-                if all(coeffs.get(s[2] if hecke else s) == c * v % p
-                       for s, v in self._char_expansion(key).items()):
+                if all(coeffs.get(s) == c * v % p for s, v in self._char_expansion(key).items()):
                     chars[key] = c
         if not chars:
             return coeffs
@@ -521,7 +518,7 @@ class ExtAlgebra:
         out = dict(coeffs)
         for key in chars:
             for s in self._char_expansion(key):
-                del out[s[2] if hecke else s]
+                del out[s]
         out.update(chars)
         return out
 
@@ -640,10 +637,8 @@ class ExtAlgebra:
     def _hecke_row(self, h: HeckeElement) -> dict:
         """h as a degree-0 row: tau_w is the symbol (0, None, w), and c e_m
         tau_u, a whole orbit to _compress, the key (m, 0, None, u)."""
-        h = h.coeffs
-        if len(h) >= self.weyl.n:
-            h = self._compress(h)
-        return {(_shifted((0, None, w)) if len(w) == 2 else w): c for w, c in h.items()}
+        row = {_shifted((0, None, w)): c for w, c in h.coeffs.items()}
+        return self._compress(row) if len(row) >= self.weyl.n else row
 
     def act_left(self, h: HeckeElement, x: GradedElement) -> GradedElement:
         check_parameters(self, h.algebra)

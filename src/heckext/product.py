@@ -14,10 +14,10 @@ extended bilinearly:
       factoring the right factor through the four bimodule generators;
       the only hard core is a sign-0 symbol against a sign-0 generator,
       which is peeled down to a fixed base quadratic;
-  (4) a bad degree-2 x degree-1 pair is resolved the same way, with the
-      degree-2 factor rewritten through single-tensor section rows or
-      shifted to a strictly shorter support (for a word starting with s0;
-      one starting with s1 goes through the uniformizer conjugation);
+  (4) a bad degree-2 x degree-1 pair is factored the same way; against
+      the generator, alpha^- at a word starting with s0 and alpha^+ at one
+      starting with s1 give zero, and every other alpha reads its one-term
+      section row q = c x y (sections.py) as q g = c x (y g);
   (5) a bad degree-1 x degree-2 pair is transported through the
       anti-involution to case (4); the graded sign is +1 there.
 
@@ -54,7 +54,7 @@ from types import MappingProxyType
 
 from .coeff import add_into
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
-from .weyl import S1, WeylElement
+from .weyl import S0, S1
 
 __all__ = ["multiply", "cup_summand", "duality_pairing"]
 
@@ -237,34 +237,16 @@ def _deg1_times_generator(alg: ExtAlgebra, z: BasisSymbol, g: BasisSymbol):
 
 
 def _deg2_times_generator(alg: ExtAlgebra, q: BasisSymbol, g: BasisSymbol):
-    W, F = alg.weyl, alg.field
-    if W.lengths_add(q.support, g.support):
+    if alg.weyl.lengths_add(q.support, g.support):
         return _pair(alg, q, g)
-    u = q.support
-    if u.exp != 0:
-        # pull the torus prefix out first
-        bare = WeylElement(W, 0, u.word)
-        scale = F.root_pow(-alg._torus_weight(q) * u.exp)
-        inner = _deg2_times_generator(alg, BasisSymbol(2, q.sign, bare), g)
-        return alg._shift_left(inner, u.exp, scale)
-    if u.word[0] == S1:
-        # the uniformizer conjugation iota swaps s0 and s1: q g = iota(iota(q)
-        # iota(g)), each iota on a symbol with its unit
-        (cq, iq), (cg, ig) = alg._symbol_uniformizer_conj(q), alg._symbol_uniformizer_conj(g)
-        out = alg._uniformizer_conj(_deg2_times_generator(alg, iq, ig))
-        return out if cq == cg else {key: F.neg(c) for key, c in out.items()}
-    if q.sign == 0:
-        # single-tensor section row: alpha^0_u = -beta^-_1 * beta^+_u
-        inner = _pair(alg, BasisSymbol(1, 1, u), g)
-        return _multiply(alg, {BasisSymbol(1, -1, W.identity): -1}, inner)
-    if q.sign == -1:
-        # alpha^-_u = -tau_{s0} alpha^+_{s0^{-1} u}: strictly shorter support
-        shorter = W.mul(W.inv(W.s0), u)
-        inner = _deg2_times_generator(alg, BasisSymbol(2, 1, shorter), g)
-        return alg._act_left({W.s0: -1}, inner)
-    # alpha^+_u = beta^-_1 * beta^0_u
-    inner = _pair(alg, BasisSymbol(1, 0, u), g)
-    return _multiply(alg, {BasisSymbol(1, -1, W.identity): 1}, inner)
+    if q.sign == (-1 if q.support.word[0] == S0 else 1):
+        # alpha^-_u at u = s0..., alpha^+_u at u = s1...: q = c tau_v alpha^+-_1
+        # (_ADDS_RULES), and the good pair alpha^+-_1 g cups a signed alpha
+        # with beta^0, which is zero by the dual-basis rule
+        return {}
+    # the section row q = c x y, x = beta^-+_1: q g = c x (y g), a good outer pair
+    ((c, (x, y)),) = _section2_symbol(alg, q).terms
+    return _multiply(alg, {x: c}, _pair(alg, y, g))
 
 
 def duality_pairing(x: GradedElement, y: GradedElement) -> int:
@@ -291,3 +273,7 @@ def duality_pairing(x: GradedElement, y: GradedElement) -> int:
         for sb, cb in by_support.get(sa[2], ()):
             acc += ca * cb * _cup_symbols(alg, sa, sb).get((3, None, sa[2]), 0)
     return acc % alg.field.p
+
+
+# bound last: sections.py imports _multiply from this module
+from .sections import _section2_symbol  # noqa: E402

@@ -403,3 +403,28 @@ class TestCli:
 
     def test_bad_prime_rejected(self, capsys):
         assert main(["mul", "tau(w(0;))", "tau(w(0;))", "--p", "9"]) == 2
+
+    # each command takes only the options it reads, and refuses the others
+    @pytest.mark.parametrize("argv, option, value", [
+        (["mul", "e(0)", "e(0)"], "--max-length", "2"),
+        (["mul", "e(0)", "e(0)"], "--samples", "0"),
+        (["mul", "e(0)", "e(0)"], "--seed", "1"),
+        (["mul", "e(0)", "e(0)"], "--epsilon-bound", "p-1"),
+        (["table", "1"], "--samples", "10"),
+        (["table", "1"], "--seed", "1"),
+        (["table", "1"], "--epsilon-bound", "p-1"),
+        (["relators"], "--max-length", "2"),
+        (["relators"], "--samples", "10"),
+        (["relators"], "--seed", "1"),
+        (["relators"], "--format", "text"),
+    ])
+    def test_a_command_refuses_an_option_it_does_not_read(self, capsys, argv, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--p", "5", option, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+    def test_an_option_left_out_takes_its_config_default(self, capsys):
+        assert main(["relators"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["p"], payload["epsilon_bound"]) == (Config.p, Config.epsilon_bound)

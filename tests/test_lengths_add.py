@@ -70,7 +70,7 @@ FLIPPED_SIGN_0_FAILS = {
     "relator_bimodule_08": "evaluates to -2*b0(w(0; s1 s0))",
     "rightaction_deg1_lengths_add_81_pairs": "(0, w(0; s1), w(0; s0))",
     "sections_deg2_identity_47_symbols": "fails at ap(w(0; s1 s0))",
-    "uniformizer_conj_multiplicative_16": "(tau(w(0; s1)), b0(w(1; s0)))",
+    "uniformizer_conj_multiplicative_3": "(b0(w(2; s0)), am(w(1; s0 s1)))",
 }
 
 
