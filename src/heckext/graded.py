@@ -14,15 +14,15 @@ factor_through_generators, the degree-2 bad pairs and the sections, are
 derived through the uniformizer conjugation iota, which swaps s0 and s1:
 tau_{s1} x = iota(tau_{s0} iota(x)).  So there uniformizer_conj_multiplicative
 checks only the s0 half; the s1 half is pinned by the printed s1 rows in
-tests/test_letter_memos.py and by the pair digests.  The right action is
-their transport through the anti-involution, x h = J(J(h) J(x)) (deg h =
-0, no sign), made term by term: for tau_w, w = omega^e u, the right torus
-shift by e (no scalar), then the letters of u from left to right, each
-transported once per torus orbit.  The printed right-action formulas are
-regression tests, not a second table.  Where lengths add, each row is one
-plain term at s_i w or zero, the same at every length, so tau_u sym is
-read in closed form from those rows (_ADDS_RULES, _adds_left) and sym
-tau_v as its transport J(tau_(u^-1) J(sym)) (_adds_right).
+tests/test_letter_memos.py and by the pair digests.  Where lengths add,
+each row is one plain term at s_i w or zero, the same at every length, so
+tau_u sym is one closed form (_ADDS_RULES, _adds_left); where they do not,
+it is a chain of at most min(l(u), l(w)) table rows (_chain).  The right
+action is their transport through the anti-involution, x h = J(J(h) J(x))
+(deg h = 0, no sign): for tau_w, w = omega^e u, the right torus shift by e
+(no scalar), then J(tau_(u^-1) J(x)) (_act_right, and _adds_right where
+lengths add).  The printed right-action formulas are regression tests,
+not a second table.
 
 Character keys.  A term c e_{id^m} s of a row, e_m the torus idempotent,
 has p - 1 terms when expanded; the engine keeps it as the character key
@@ -57,20 +57,20 @@ Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
 BasisSymbol the tuple (degree, sign, support), so the keys of every
 coefficient dict and memo hash and compare in C.  Each ExtAlgebra keeps
 memos of pure functions of their keys: the pair memo (products of two
-basis symbols, in product.py), the letter memo (one simple reflection
-acting on one symbol, keyed (letter, symbol, right) for both sides; only
-the letter walks read it), the J table (J on one symbol, as a (coeff,
-symbol) pair) and the expansion memo (a character key to its p - 1 plain
-terms, also read by the compression to check a candidate key).  The
-values of the pair and letter memos are symbolic rows.  Beside each, an
-orbit memo keeps one entry per torus orbit, from which the other entries
-of the orbit are derived by product.py's pair law.  Memo values are
-read-only (MappingProxyType or tuples) and handed out without a copy.
+basis symbols, in product.py), the letter memo (the table row of one
+simple reflection on one symbol, keyed (letter, symbol); only the chains
+read it), the J table (J on one symbol, as a (coeff, symbol) pair) and the
+expansion memo (a character key to its p - 1 plain terms, also read by
+the compression to check a candidate key).  The values of the pair and
+letter memos are symbolic rows.  Beside the pair memo, an orbit memo
+keeps one entry per torus orbit, from which the other entries of the
+orbit are derived by product.py's pair law.  Memo values are read-only
+(MappingProxyType or tuples) and handed out without a copy.
 
 Shift kernels.  _shift_left (the left torus action, with a scalar) and
 _shift_right (the plain right shift) move a row along its torus orbit;
-the letter walks _act_left and _act_right, the closed forms _adds_left
-and _adds_right (behind a pair miss) and both orbit derivations go
+the chains _act_left and _act_right, the closed forms _adds_left and
+_adds_right (behind a pair miss) and the pair-orbit derivation go
 through them.  They intern their images in one table per algebra, so
 the symbols of derived entries are shared, and they read u0^e from the
 power table of the field (PrimeField.root_powers: memoized per (p, u0),
@@ -311,8 +311,7 @@ class ExtAlgebra:
         self.field = PrimeField(p, primitive_root)
         self.weyl = WeylGroup(self.field)
         self.hecke = HeckeAlgebra(self.weyl)
-        self._letter_cache: dict[tuple[int, BasisSymbol, bool], MappingProxyType] = {}
-        self._letter_orbit_cache: dict[tuple, tuple[int, MappingProxyType]] = {}
+        self._letter_cache: dict[tuple[int, BasisSymbol], MappingProxyType] = {}
         self._pair_cache: dict[tuple[BasisSymbol, BasisSymbol], MappingProxyType] = {}
         self._j_cache: dict[BasisSymbol, tuple[int, BasisSymbol]] = {}
         self._orbit_cache: dict[tuple, tuple[int, int, MappingProxyType]] = {}
@@ -548,51 +547,20 @@ class ExtAlgebra:
 
     # --- single-letter action tables ---
 
-    def _letter_on_symbol(self, i: int, sym: BasisSymbol, right: bool = False) -> MappingProxyType:
-        """tau_{s_i} sym, or sym tau_{s_i} when right, as a symbolic row,
-        memoized.  The first miss in a torus orbit is computed (_letter_row,
-        or _right_row on the right) and stored as its representative, with
-        its exponent f0.  A later miss at f is product.py's pair law with
-        tau_{s_i} as a factor: u0^(-k (f - f0)) T_(f - f0) of it on the
-        right, T_(f0 - f) on the left (s_i omega^f = omega^-f s_i), k the
-        torus weight of sym.  perfbench/tracer.py wraps this method and
+    def _letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:
+        """tau_{s_i} sym from the table as a symbolic row (its e_m terms stay
+        character keys), memoized.  perfbench/tracer.py wraps this method and
         gauges _letter_cache, so renaming either changes the benchmark."""
-        key = (i, sym, right)
+        key = (i, sym)
         cached = self._letter_cache.get(key)
-        if cached is not None:
-            return cached
-        d, sign, (f, word) = sym
-        orbit = (i, d, sign, word, right)
-        rep = self._letter_orbit_cache.get(orbit)
-        if rep is None:
-            out = MappingProxyType(self._right_row(i, sym) if right else self._letter_row(i, sym))
-            self._letter_orbit_cache[orbit] = (f, out)
-        else:
-            f0, first = rep
-            scale = self.field.root_powers()[-_weight(d, sign) * (f - f0) % self.weyl.n]
-            out = MappingProxyType(self._shift_left(first, f - f0 if right else f0 - f, scale))
-        self._letter_cache[key] = out
-        return out
-
-    def _letter_row(self, i: int, sym: BasisSymbol) -> dict:
-        """tau_{s_i} sym from the table, as a symbolic row: its terms c e_m s
-        on the support of sym stay character keys."""
-        W = self.weyl
-        d, sign, w = sym
-        si = W.simple(i)
-        chars, plain = _LETTER_ROWS[i, d, sign, W.lengths_add(si, w), len(w[1]) == 1]
-        return self._row(d, w, chars, W.mul(si, w), plain)
-
-    def _right_row(self, i: int, sym: BasisSymbol) -> dict:
-        """sym tau_{s_i} as a symbolic row: the left row of J(sym) transported
-        through J, J(tau_{omega^half} tau_{s_i} J(sym)), as J(tau_{s_i}) =
-        tau_{s_i^-1} and s_i^-1 = omega^half s_i.  T_half scales no plain
-        symbol (u0^half = -1 and torus weights are even) and a character key
-        e_m s0 by u0^(m half); J takes a character key to a character key.
-        So it costs one J lookup per row entry, however many terms an e_m
-        has."""
-        c, jsym = self._symbol_involution(sym)
-        return self._involution(self._shift_left(self._letter_row(i, jsym), self.weyl.half, c))
+        if cached is None:
+            W = self.weyl
+            d, sign, w = sym
+            si = W.simple(i)
+            chars, plain = _LETTER_ROWS[i, d, sign, W.lengths_add(si, w), len(w[1]) == 1]
+            row = self._row(d, w, chars, W.mul(si, w), plain)
+            cached = self._letter_cache[key] = MappingProxyType(row)
+        return cached
 
     def _row(self, d: int, w: WeylElement, chars, v: WeylElement | None = None, plain=()) -> dict:
         """The symbolic row of the terms (m, sign, c), each c e_m times the
@@ -602,20 +570,6 @@ class ExtAlgebra:
         for m, sign, c in chars:
             self._project(row, m, {BasisSymbol(d, sign, w): c}, 1)
         return row
-
-    def _apply_letter(self, i: int, coeffs, right: bool) -> dict:
-        """Apply one letter on the left or the right through the letter memo.
-        A character key goes through the row of its s0 projected to e_m, or
-        to e_-m on the left, as tau_{s_i} e_m = e_-m tau_{s_i}."""
-        p = self.field.p
-        letter = self._letter_on_symbol
-        out: dict = {}
-        for key, c in coeffs.items():
-            if len(key) == 3:
-                add_into(out, letter(i, key, right).items(), c, p)
-            else:
-                self._project(out, key[0] if right else -key[0], letter(i, self._base(key), right), c)
-        return out
 
     def _map_symbols(self, coeffs, fn, index) -> dict:
         """Apply fn: symbol -> (unit, symbol), injective on symbols (J, the
@@ -646,20 +600,45 @@ class ExtAlgebra:
 
     def _act_left(self, h: dict, row) -> dict:
         """h row on a symbolic row, h a coefficient dict of the Hecke algebra:
-        each word walked letter by letter from the right, then its torus
-        prefix."""
+        for each tau_w, w = omega^e u, the chain of u on each key of row, then
+        the torus prefix."""
         p = self.field.p
         total: dict = {}
         for (exp, word), c in h.items():
-            cur = row
-            for letter in reversed(word):
-                cur = self._apply_letter(letter, cur, False)
-                if not cur:
-                    break
+            cur: dict = {}
+            for key, cx in row.items():
+                self._chain(word, key, cx, cur)
             if cur and exp:
                 cur = self._shift_left(cur, exp)
             add_into(total, cur.items(), c, p)
         return total
+
+    def _chain(self, word: tuple, key, c: int, out: dict) -> None:
+        """out += c tau_u key for the bare word u, read from the right.  While a
+        letter shortens the support, its row holds character keys on that
+        support, which meet the rest of u where lengths add, and at most one
+        plain term, which meets the next letter.  A character key e_m s0 is
+        the chain of s0 projected to e_(+-m), as tau_{s_i} e_m = e_-m tau_{s_i}."""
+        if len(key) == 4:
+            part: dict = {}
+            self._chain(word, self._base(key), 1, part)
+            self._project(out, -key[0] if len(word) % 2 else key[0], part, c)
+            return
+        p, n = self.field.p, len(word)
+        # s_i shortens the support exactly when its word starts with i
+        while n and key[2][1][:1] == word[n - 1:n]:
+            n -= 1
+            rest, plain = _weyl((0, word[:n])), None
+            for entry, ce in self._letter_on_symbol(word[n], key).items():
+                if len(entry) == 3:
+                    plain = entry, ce
+                else:
+                    m = -entry[0] if n % 2 else entry[0]
+                    self._project(out, m, self._adds_left(rest, self._base(entry)), c * ce)
+            if plain is None:
+                return
+            key, c = plain[0], c * plain[1] % p
+        add_into(out, self._adds_left(_weyl((0, word[:n])), key).items(), c, p)
 
     def _adds_left(self, u: WeylElement, sym: BasisSymbol, c: int = 1) -> dict:
         """c tau_u sym where lengths add, l(u w) = l(u) + l(w) for w the support
@@ -685,15 +664,14 @@ class ExtAlgebra:
     def _act_right(self, row, h: dict) -> dict:
         """row h on a symbolic row, h a coefficient dict of the Hecke algebra:
         for each tau_w, w = omega^e u, the right torus shift by e, then the
-        letters of u from left to right."""
+        transport J(tau_(u^-1) J(row)), as J(tau_u) = tau_(u^-1) (deg 0)."""
         p = self.field.p
         total: dict = {}
         for (exp, word), c in h.items():
             cur = self._shift_right(row, exp) if exp else row
-            for letter in word:
-                cur = self._apply_letter(letter, cur, True)
-                if not cur:
-                    break
+            if word:
+                inverse = {self.weyl.inv(_weyl((0, word))): 1}
+                cur = self._involution(self._act_left(inverse, self._involution(cur)))
             add_into(total, cur.items(), c, p)
         return total
 
@@ -781,7 +759,7 @@ class ExtAlgebra:
                 1,
                 W.omega(w.exp),
                 BasisSymbol(1, 0, W.simple(j)),
-                WeylElement(W, 0, word[1:]),
+                _weyl((0, word[1:])),
             )
         if sym.sign == 1:
             # iota has unit 1 on signed symbols, and g is signed

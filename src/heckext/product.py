@@ -4,9 +4,10 @@ The product is defined by a finite dispatch on basis-symbol pairs and
 extended bilinearly:
 
   (0) total degree >= 4 is zero;
-  (1) a degree-0 factor acts through the Hecke action on its side; the
-      public act_left and act_right are such pairs, h a degree-0 row; where
-      the lengths add, one term or zero in closed form (_adds_left/right);
+  (1) a degree-0 factor acts through the Hecke action on its side, one term
+      or zero where the lengths add (_adds_left/right), and otherwise a chain
+      of table rows (_act_left, and _act_right through J); the public
+      actions and the Hecke factors of routes (3) and (4) are such pairs;
   (2) when the support lengths add, the product reduces to a cup product
       inside the summand of the product support, via
       x * y = (x * tau_{supp y}) cup (tau_{supp x} * y);
@@ -202,12 +203,12 @@ def _bad_pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol, times_generator) 
     p = alg.field.p
     c, t_left, g, t_right = alg.factor_through_generators(b)
     mid: dict = {}
-    for z, cz in alg._act_right({a: 1}, {t_left: 1}).items():
+    for z, cz in _pair(alg, a, BasisSymbol(0, None, t_left)).items():
         if len(z) == 3:
             add_into(mid, times_generator(alg, z, g).items(), cz, p)
         else:
             alg._project(mid, z[0], times_generator(alg, alg._base(z), g), cz)
-    return alg._act_right(mid, {t_right: c})
+    return _multiply(alg, mid, {BasisSymbol(0, None, t_right): c})
 
 
 def _deg1_times_generator(alg: ExtAlgebra, z: BasisSymbol, g: BasisSymbol):
@@ -227,13 +228,12 @@ def _deg1_times_generator(alg: ExtAlgebra, z: BasisSymbol, g: BasisSymbol):
             return alg._shift_left(base, z.support.exp)
         # peel: beta^0_v = beta^0_{v s_i^{-1}} * tau_{s_i}, then the length-1 row
         v2 = W.mul(z.support, W.inv(W.simple(i)))
-        inner = alg._act_left({W.simple(i): 1}, {g: 1})
+        inner = _pair(alg, BasisSymbol(0, None, W.simple(i)), g)
         return _multiply(alg, {BasisSymbol(1, 0, v2): 1}, inner)
     # signed symbol: factor it and reassociate through the Hecke action
     cz, t_left, g2, t_right = alg.factor_through_generators(z)
-    inner = alg._act_left({t_right: 1}, {g: 1})
-    mid = _multiply(alg, {g2: 1}, inner)
-    return alg._act_left({t_left: cz}, mid)
+    mid = _multiply(alg, {g2: 1}, _pair(alg, BasisSymbol(0, None, t_right), g))
+    return _multiply(alg, {BasisSymbol(0, None, t_left): cz}, mid)
 
 
 def _deg2_times_generator(alg: ExtAlgebra, q: BasisSymbol, g: BasisSymbol):

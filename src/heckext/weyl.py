@@ -26,15 +26,16 @@ LETTER_NAMES = ("s0", "s1")
 
 class WeylElement(tuple):
     """Normal form: the flat tuple (exp, word) of a torus exponent mod p-1
-    and an alternating word; it hashes and compares in C.
-
-    The element does not carry its group: `WeylElement(W, exp, word)` takes
-    the group for its signature only, and group operations live on WeylGroup.
-    """
+    and an alternating word; it hashes and compares in C.  It does not
+    carry its group, and group operations live on WeylGroup:
+    `WeylElement(W, exp, word)` reads W to reduce exp and check the word,
+    and unpickling passes None and keeps the stored tuple."""
 
     __slots__ = ()
 
     def __new__(cls, group: "WeylGroup | None", exp: int = 0, word: tuple[int, ...] = ()):
+        if group is not None:
+            exp, word = exp % group.n, _alternating(word)
         return tuple.__new__(cls, (exp, word))
 
     exp = property(itemgetter(0))
@@ -79,12 +80,12 @@ class WeylGroup:
         self.field = fld
         self.n = fld.order          # torus exponents live mod p - 1
         self.half = self.n // 2     # exponent of the central element s_i^2
-        self.identity = WeylElement(self, 0, ())
-        self.s0 = WeylElement(self, 0, (S0,))
-        self.s1 = WeylElement(self, 0, (S1,))
+        self.identity = _weyl((0, ()))
+        self.s0 = _weyl((0, (S0,)))
+        self.s1 = _weyl((0, (S1,)))
 
     def element(self, exp: int, word=()) -> WeylElement:
-        return WeylElement(self, exp % self.n, _alternating(word))
+        return WeylElement(self, exp, word)
 
     def omega(self, exp: int) -> WeylElement:
         """The exp-th power of the torus generator."""
@@ -94,7 +95,7 @@ class WeylGroup:
         """All elements of length <= max_length, by length, first letter, exponent."""
         words = [()] + [tuple((first + j) % 2 for j in range(ln))
                         for ln in range(1, max_length + 1) for first in (S0, S1)]
-        return [WeylElement(self, e, word) for word in words for e in range(self.n)]
+        return [_weyl((e, word)) for word in words for e in range(self.n)]
 
     def torus(self) -> tuple[WeylElement, ...]:
         """The torus elements omega^0, ..., omega^(n-1); memoized per n and

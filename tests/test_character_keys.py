@@ -29,6 +29,8 @@ from heckext.grammar import parse_element
 from heckext.product import _multiply, multiply
 from heckext.weyl import S0, S1
 
+from walk_oracle import WalkAlgebra
+
 MAX_LENGTH = 3
 PRIMES = [5, 7]
 
@@ -74,15 +76,17 @@ def test_expansion_sums_the_terms_of_one_orbit():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_letters_on_character_keys_equal_the_expanded_computation(p):
-    alg, oracle = ExtAlgebra(p), ExtAlgebra(p)
+    # the oracle's public actions walk each letter of the expansion
+    alg, oracle = ExtAlgebra(p), WalkAlgebra(p)
     H = oracle.hecke
     for key in character_keys(alg):
         x = expanded(oracle, {key: 2})
         for i in (S0, S1):
-            tau = H.tau(oracle.weyl.simple(i))
-            left = alg._apply_letter(i, {key: 2}, False)
+            si = alg.weyl.simple(i)
+            tau = H.tau(si)
+            left = alg._act_left({si: 1}, {key: 2})
             assert expanded(alg, left) == oracle.act_left(tau, x), (i, key)
-            right = alg._apply_letter(i, {key: 2}, True)
+            right = alg._act_right({key: 2}, {si: 1})
             assert expanded(alg, right) == oracle.act_right(x, tau), (i, key)
 
 

@@ -1,15 +1,15 @@
-"""Exhaustive oracles for the torus-orbit letter memo.
+"""Exhaustive oracles for the letter memo and the right transport.
 
-Both actions are computed letter by letter from one memo whose misses are
-torus shifts of one row per orbit and side; each row must equal the table
-itself on the left, and on the right its symbolic transport through the
-anti-involution J.  The table states s0 and derives the s1 rows through
-the uniformizer conjugation; the s1 rows as they were printed before that
-are kept here, and the derived rows must equal them.  Rows are symbolic
-(their e_m terms stay character keys), so they are compared after
-expansion.  The symbolic transport must equal the concrete transport
-written out here, and the whole right action must equal the transport of
-the left action through J.  Hecke products are read from the closed form
+The left action reads chains of table rows from one letter memo, and the
+right action is its transport through the anti-involution J.  The table
+states s0 and derives the s1 rows through the uniformizer conjugation; the
+s1 rows as they were printed before that are kept here, and the derived
+rows must equal them, and the rows of the letter-by-letter walk kept in
+tests/walk_oracle.py.  Rows are symbolic (their e_m terms stay character
+keys), so they are compared after expansion.  The right action of one
+letter, and the walk's symbolic transport, must equal the concrete
+transport written out here, at one J lookup per entry of a row, and the
+whole right action must equal the transport of the left action through J.  Hecke products are read from the closed form
 of bare-word products, their plain terms shifted by the torus and their
 orbit sums expanded; they must equal the right-factor recursion of the
 engine and a left letter recursion written out here over the Weyl group.
@@ -24,6 +24,8 @@ from heckext.coeff import add_into
 from heckext.graded import BasisSymbol, GradedElement
 from heckext.hecke import HeckeElement
 from heckext.weyl import S0, S1
+
+from walk_oracle import WalkAlgebra
 
 
 MAX_LENGTH = 3
@@ -61,24 +63,19 @@ def printed_s1_row(alg: ExtAlgebra, sym) -> dict:
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
-def test_orbit_derived_rows_equal_the_table(p):
-    # one memo serves both sides: every row it holds, left or right, equals
-    # the table row or its J transport computed on a fresh algebra
-    alg = ExtAlgebra(p)
+def test_letter_rows_equal_the_walk_and_the_printed_s1_rows(p):
+    # every row of the letter memo, read from the table, equals the walk's
+    # row (most of them torus shifts of their orbit's first row), and each
+    # s1 row the printed one
+    alg, oracle = ExtAlgebra(p), WalkAlgebra(p)
     symbols = list(alg.basis_symbols(4))
     for sym in symbols:
         for i in (S0, S1):
-            for right in (False, True):
-                # rows are symbolic, so both are compared after expansion
-                fresh = ExtAlgebra(p)
-                table = fresh._right_row if right else fresh._letter_row
-                expected = fresh._expand(table(i, sym))
-                got = alg._expand(alg._letter_on_symbol(i, sym, right))
-                assert got == expected, (i, sym, right)
-                if i == S1 and not right:
-                    assert expected == printed_s1_row(fresh, sym), sym
-    assert len(alg._letter_cache) == 4 * len(symbols)
-    assert len(alg._letter_cache) > len(alg._letter_orbit_cache)
+            got = alg._expand(alg._letter_on_symbol(i, sym))
+            assert got == oracle._expand(oracle._letter_on_symbol(i, sym)), (i, sym)
+            if i == S1:
+                assert got == printed_s1_row(oracle, sym), sym
+    assert len(alg._letter_cache) == 2 * len(symbols)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -92,7 +89,7 @@ def test_degree0_rows_are_the_hecke_rule(p):
         for i in (S0, S1):
             row = H.mul(H.tau(alg.weyl.simple(i)), H.tau(w)).coeffs
             expected = {BasisSymbol(0, None, v): c for v, c in row.items()}
-            assert alg._expand(alg._letter_row(i, BasisSymbol(0, None, w))) == expected, (i, w)
+            assert alg._expand(alg._letter_on_symbol(i, BasisSymbol(0, None, w))) == expected, (i, w)
 
 
 def concrete_right_row(oracle: ExtAlgebra, i: int, sym) -> GradedElement:
@@ -100,7 +97,7 @@ def concrete_right_row(oracle: ExtAlgebra, i: int, sym) -> GradedElement:
     F, W = oracle.field, oracle.weyl
     row: dict = {}
     for s, c in oracle.involution(oracle.symbol_element(sym)).coeffs.items():
-        add_into(row, oracle._expand(oracle._letter_row(i, s)).items(), c, F.p)
+        add_into(row, oracle._expand(oracle._letter_on_symbol(i, s)).items(), c, F.p)
     # T_half: the support w becomes omega^half w, and weight k scales by u0^(k half)
     shifted = {
         BasisSymbol(s.degree, s.sign, W.element(s.support.exp + W.half, s.support.word)):
@@ -112,23 +109,27 @@ def concrete_right_row(oracle: ExtAlgebra, i: int, sym) -> GradedElement:
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_symbolic_right_rows_equal_the_concrete_transport(p):
-    alg, oracle = ExtAlgebra(p), ExtAlgebra(p)
+    # the engine's right letter and the walk's right row, one J lookup per
+    # entry of a left row
+    alg, walk, oracle = ExtAlgebra(p), WalkAlgebra(p), ExtAlgebra(p)
     for sym in alg.basis_symbols(MAX_LENGTH):
         for i in (S0, S1):
-            got = GradedElement(alg, alg._expand(alg._right_row(i, sym)))
-            assert got == concrete_right_row(oracle, i, sym), (i, sym)
+            expected = concrete_right_row(oracle, i, sym)
+            got = GradedElement(alg, alg._expand(alg._act_right({sym: 1}, {alg.weyl.simple(i): 1})))
+            assert got == expected, (i, sym)
+            assert GradedElement(walk, walk._expand(walk._right_row(i, sym))) == expected, (i, sym)
 
 
-def test_a_right_representative_makes_one_j_miss_per_row_entry():
+def test_a_right_letter_makes_one_j_miss_per_row_entry():
     alg = ExtAlgebra(1009)
     sym = BasisSymbol(1, 1, alg.weyl.s0)
     # J(sym) is beta^- at s0^-1, on which tau_{s0} shortens the word: the row
     # has three character keys (m, d, sign, word) and one plain symbol
     _, jsym = alg._symbol_involution(sym)
-    row = alg._letter_row(S0, jsym)
+    row = alg._letter_on_symbol(S0, jsym)
     assert sorted(len(key) for key in row) == [3, 4, 4, 4]
     before = len(alg._j_cache)
-    out = alg._letter_on_symbol(S0, sym, True)
+    out = alg._act_right({sym: 1}, {alg.weyl.s0: 1})
     assert 0 < len(alg._j_cache) - before <= len(row)
     assert len(out) == len(row)
     assert len(alg._expand(out)) > alg.weyl.n
@@ -149,7 +150,6 @@ def test_right_action_on_basis_symbols_equals_the_j_transport(p):
         for w in supports:
             h = alg.hecke.tau(w)
             assert alg.act_right(x, h) == transported_right(oracle, sym, h), (sym, w)
-    assert len(alg._letter_cache) > len(alg._letter_orbit_cache)
 
 
 def test_right_action_by_idempotents_equals_the_j_transport():

@@ -292,12 +292,12 @@ class TestMemoValuesAreReadOnly:
         square = multiply(alg.beta(0, W.s0), alg.beta(0, W.s0))
         multiply(alg.tau(W.s1), alg.beta(-1, W.s1))
         multiply(alg.tau(W.element(1, (S1,))), alg.beta(-1, W.element(2, (S1,))))
-        # a bad 1x2 pair is transported through J; a letter on two symbols of
-        # one torus orbit, on either side, walked by _act_left or _act_right
-        # (the public actions read the pair memo), fills the letter memo and
-        # the letter orbit memo; the first read of coeffs expands the base
-        # square's character keys through the expansion memo; a section
-        # fills the section memo
+        # a bad 1x2 pair is transported through J; a shortening letter on two
+        # symbols of one torus orbit, on either side, read by _act_left or
+        # _act_right (the public actions read the pair memo), fills the
+        # letter memo; the first read of coeffs expands the base square's
+        # character keys through the expansion memo; a section fills the
+        # section memo
         multiply(alg.beta(1, W.s0), alg.alpha(-1, W.s0))
         assert square.row is not None
         square.coeffs
@@ -310,7 +310,6 @@ class TestMemoValuesAreReadOnly:
             "_letter_cache": alg._letter_cache,
             "_j_cache": alg._j_cache,
             "_orbit_cache": {orbit: rep[2] for orbit, rep in alg._orbit_cache.items()},
-            "_letter_orbit_cache": {orbit: rep[1] for orbit, rep in alg._letter_orbit_cache.items()},
             "_symbols": alg._symbols,
             "_char_cache": alg._char_cache,
             "_section_cache": alg._section_cache,
@@ -329,22 +328,11 @@ class TestMemoValuesAreReadOnly:
                         value[next(iter(value), 0)] = 1
                 # a result hands out neither its row nor its coeffs from a memo
                 assert value is not square.row and value is not square.coeffs, name
-        # each orbit memo is smaller than its per-symbol memo, and each
+        # the orbit memo is smaller than the pair memo, and each
         # representative is that memo's own value, not a copy
-        for memo, orbits, at in (
-            (alg._pair_cache, alg._orbit_cache, 2),
-            (alg._letter_cache, alg._letter_orbit_cache, 1),
-        ):
-            stored = {id(value) for value in memo.values()}
-            assert all(id(rep[at]) in stored for rep in orbits.values())
-            assert len(memo) > len(orbits)
-        # the representative of a letter orbit is its first entry, at exponent
-        # 0, on each side
-        for sym, right in ((BasisSymbol(2, 1, W.s0), False), (BasisSymbol(1, -1, W.s1), True)):
-            i, (d, sign, (_, word)) = sym.support.word[0], sym
-            f, rep = alg._letter_orbit_cache[(i, d, sign, word, right)]
-            assert f == 0 and alg._letter_cache[(i, sym, right)] is rep
-            assert alg._letter_cache[(i, BasisSymbol(d, sign, W.element(3, word)), right)] is not rep
+        stored = {id(value) for value in alg._pair_cache.values()}
+        assert all(id(rep[2]) in stored for rep in alg._orbit_cache.values())
+        assert len(alg._pair_cache) > len(alg._orbit_cache)
 
     def test_derived_products_share_one_object_per_symbol(self):
         alg = ExtAlgebra(5)

@@ -4,8 +4,8 @@ act_left(h, x) multiplies h, read as a degree-0 row, with x, and
 act_right(x, h) multiplies x with it: a term tau_w of h is the symbol
 tau_w, and a whole torus orbit c e_m tau_u is one degree-0 character key.
 So a warm call reads the pair memo.  Both are checked here against the
-letter walk of a second, fresh algebra (_act_left and _act_right on the
-expanded coeffs), on a cold algebra and on one whose pair memo was filled
+letter walk of tests/walk_oracle.py on a fresh algebra (_act_left and
+_act_right on the expanded coeffs), on a cold algebra and on one whose pair memo was filled
 in another order, and the hit path is pinned: a repeated call grows no
 memo and applies no letter.  On a whole orbit h = 2 e_m tau_u, each action
 must be the sum of the actions on the terms of h, checked exhaustively at
@@ -24,6 +24,7 @@ from heckext.graded import GradedElement
 from heckext.weyl import S0, S1
 
 from test_verify import _public_act_right_compress_slipped
+from walk_oracle import WalkAlgebra
 
 PRIMES = [5, 7, 13]
 WORDS = ((), (S0,), (S1, S0), (S0, S1, S0))
@@ -56,7 +57,7 @@ def operands(alg: ExtAlgebra) -> list[tuple]:
     return out
 
 
-def walked(oracle: ExtAlgebra, h, x: GradedElement) -> tuple[dict, dict]:
+def walked(oracle: WalkAlgebra, h, x: GradedElement) -> tuple[dict, dict]:
     """h x and x h through the letter walk of oracle, on expanded coeffs."""
     xs = oracle._expand(x.row) if x.row is not None else x.coeffs
     hs = dict(h.coeffs)
@@ -65,7 +66,7 @@ def walked(oracle: ExtAlgebra, h, x: GradedElement) -> tuple[dict, dict]:
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_public_actions_equal_the_letter_walk_of_a_fresh_algebra(p):
-    oracle, cold, warm = ExtAlgebra(p), ExtAlgebra(p), ExtAlgebra(p)
+    oracle, cold, warm = WalkAlgebra(p), ExtAlgebra(p), ExtAlgebra(p)
     cases = operands(cold)
     expected = [walked(oracle, h, x) for h, x in cases]
     # some h compress to character keys, and some x are lazy or compress
@@ -137,7 +138,7 @@ def test_a_repeated_public_action_reads_only_the_pair_memo(monkeypatch, side):
     first = [act(h, x) for h, x in cases]
     before = memo_sizes(alg)
 
-    def no_letter(i, sym, right=False):
+    def no_letter(i, sym):
         raise AssertionError(f"a repeated action applied letter {i} to {sym!r}")
 
     monkeypatch.setattr(alg, "_letter_on_symbol", no_letter)

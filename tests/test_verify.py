@@ -13,7 +13,7 @@ from heckext import presentation as pres
 from heckext.coeff import add_into
 from heckext.graded import BasisSymbol
 from heckext.product import duality_pairing
-from heckext.weyl import S0, S1, WeylElement
+from heckext.weyl import S0, S1, WeylElement, _weyl
 
 
 def test_duality_beta_alpha_reports_the_first_counterexample(monkeypatch):
@@ -469,15 +469,16 @@ def _shift_right_flipped(alg):
     return lambda coeffs, a: real(coeffs, -a)
 
 
-def _right_row_off_by_one(alg):
-    """ExtAlgebra._right_row with +1 on every coefficient of beta^-_w tau_{s0}
-    where lengths add.  A pair miss where lengths add reads _adds_right, not
-    the letter memo, so every restated check passes."""
-    real, p = alg._right_row, alg.field.p
+def _letter_row_off_by_one(alg):
+    """ExtAlgebra._letter_on_symbol with +1 on every coefficient of tau_{s0}
+    beta^-_w where lengths add.  A chain reads the letter memo only where a
+    letter shortens the support, and a lengths-add pair miss reads
+    _adds_left or _adds_right, so every restated check passes."""
+    real, p = alg._letter_on_symbol, alg.field.p
 
     def row(i, sym):
         out = real(i, sym)
-        if i == S0 and sym[:2] == (1, -1) and sym[2][1][-1:] != (S0,):
+        if i == S0 and sym[:2] == (1, -1) and sym[2][1][:1] != (S0,):
             return {k: (c + 1) % p for k, c in out.items()}
         return out
 
@@ -518,9 +519,9 @@ def _generators_swapped(module):
         "rightaction_torus_all_degrees": "(1, -1, w(0;), 1)",
         "rightaction_deg1_lengths_add_{n}_pairs": "(-1, w(0;), w(1; s0))",
         "rightaction_idempotent_slide": "(bm(w(0;)), 1)",
-        "presentation_round_trip_{n}_symbols": "bm(w(1;))",
+        "presentation_round_trip_{n}_symbols": "am(w(0;))",
     }),
-    (_right_row_off_by_one, "alg", "_right_row", {}),
+    (_letter_row_off_by_one, "alg", "_letter_on_symbol", {}),
     (_cup_constant_wrong, "product", "_cup_symbols",
      {"duality_phi_tau_{n}_supports": "(w(0;), w(0;))"}),
     (_generators_swapped, "presentation", "generator_images",
@@ -539,40 +540,58 @@ def test_a_restated_check_reports_what_its_direct_form_reports(
         assert got == expected == (counterexample is None, counterexample), name
 
 
-def _letter_orbit_shift_flipped(alg, flipped_side):
-    """ExtAlgebra._letter_on_symbol with the rows of one side that are not
-    their orbit's representative derived by the other side's torus shift:
-    T_(f - f0) on the left, or T_(f0 - f) on the right, scalar unchanged."""
-    real, n, powers = alg._letter_on_symbol, alg.weyl.n, alg.field.root_powers()
+def _chain_mutant(alg, flipped=False, dropped=False):
+    """ExtAlgebra._chain with e_m and e_-m swapped in the projection of a
+    row's character key past the rest of the word (flipped), or with the
+    plain survivor of a row carried on without its coefficient (dropped)."""
+    p = alg.field.p
 
-    def letter(i, sym, right=False):
-        out = real(i, sym, right)
-        d, sign, (f, word) = sym
-        f0, first = alg._letter_orbit_cache[i, d, sign, word, right]
-        if right != flipped_side or f == f0:
-            return out
-        scale = powers[-graded._weight(d, sign) * (f - f0) % n]
-        return alg._shift_left(first, f0 - f if right else f - f0, scale)
+    def chain(word, key, c, out):
+        if len(key) == 4:
+            part: dict = {}
+            chain(word, alg._base(key), 1, part)
+            alg._project(out, -key[0] if len(word) % 2 else key[0], part, c)
+            return
+        n = len(word)
+        while n and key[2][1][:1] == word[n - 1:n]:
+            n -= 1
+            rest, plain = _weyl((0, word[:n])), None
+            for entry, ce in alg._letter_on_symbol(word[n], key).items():
+                if len(entry) == 3:
+                    plain = entry, ce
+                else:
+                    m = -entry[0] if (n % 2 == 1) != flipped else entry[0]
+                    alg._project(out, m, alg._adds_left(rest, alg._base(entry)), c * ce)
+            if plain is None:
+                return
+            key, c = plain[0], c if dropped else c * plain[1] % p
+        add_into(out, alg._adds_left(_weyl((0, word[:n])), key).items(), c, p)
 
-    return letter
+    return chain
 
 
-@pytest.mark.parametrize("right, first_failure", [
-    (True, ("assoc_total_le3_208_triples",
-            "triple [tau(w(1; s0 s1)), bp(w(3; s0)), tau(w(2; s0 s1))]")),
-    (False, ("assoc_total_le3_206_triples",
-             "triple [tau(w(0; s1 s0)), bm(w(0;)), tau(w(0; s0))]")),
-])
-def test_the_sign_of_the_letter_orbit_shift_is_certified(monkeypatch, right, first_failure):
-    """The letter memo derives both sides by one rule, with the torus shift
-    negated between them; with either side's sign flipped, verify all at
-    p=5, L=2 fails, first at this check."""
+def _first_failure(alg):
+    """The first failing check of verify all at L=2, suite by suite."""
+    for name in verify.SUITE_NAMES:
+        for r in verify.run_suite(alg, name, max_length=2):
+            if not r.ok:
+                return r.name, r.counterexample
+
+
+@pytest.mark.parametrize("faults, first_failure", [
+    ({}, None),
+    ({"flipped": True}, ("relator_bimodule_05", "evaluates to -2*b0(w(1; s0)) + 2*b0(w(3; s0))")),
+    ({"dropped": True}, ("relator_bimodule_05", "evaluates to 2*bp(w(2;))")),
+], ids=["unmutated", "projection-flipped", "survivor-coefficient-dropped"])
+def test_a_chain_mutant_fails_verify_all(monkeypatch, faults, first_failure):
+    """A shortening chain projects each character key of a row to e_(+-m) by
+    the parity of the rest of the word, and carries the one plain term of
+    the row, with its coefficient, to the next letter; with either rule
+    broken, verify all at p=5, L=2 fails, first at this check.  The
+    unmutated copy passes."""
     alg = ExtAlgebra(5)
-    monkeypatch.setattr(alg, "_letter_on_symbol", _letter_orbit_shift_flipped(alg, right))
-    failures = [(r.name, r.counterexample)
-                for results in verify.run(alg, "all", max_length=2).values()
-                for r in results if not r.ok]
-    assert failures[0] == first_failure
+    monkeypatch.setattr(alg, "_chain", _chain_mutant(alg, **faults))
+    assert _first_failure(alg) == first_failure
 
 
 def test_the_eigen_law_can_fail_before_the_first_wrong_product(monkeypatch):

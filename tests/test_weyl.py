@@ -8,6 +8,7 @@ this form congruent to the identity modulo the pro-p torus is the
 identity itself, so matrix equality is group equality.
 """
 
+import pickle
 import random
 
 import pytest
@@ -86,6 +87,30 @@ class TestNormalForm:
     def test_constructor_rejects_non_alternating(self):
         with pytest.raises(ValueError):
             W5.element(0, (S0, S0))
+
+    def test_the_public_constructor_gives_the_normal_form(self):
+        # the exponent is read mod p - 1, and the word must alternate in s0, s1
+        assert WeylElement(W5, 7, ()) == WeylElement(W5, 3) == W5.omega(3)
+        assert WeylElement(W5, -1, [S0, S1]) == W5.element(3, (S0, S1))
+        for word in ((S0, S0), (S1, S0, S0), (2,)):
+            with pytest.raises(ValueError):
+                WeylElement(W5, 0, word)
+
+    def test_a_public_element_acts_as_its_normal_form(self):
+        from heckext import ExtAlgebra
+        from heckext.product import multiply
+
+        E = ExtAlgebra(5)
+        W = E.weyl
+        assert E.tau(WeylElement(W, 7, ())) == E.tau(W.omega(3))
+        assert multiply(E.tau(WeylElement(W, 4, (S0,))), E.one()) == E.tau(W.s0)
+        with pytest.raises(ValueError):
+            E.tau(WeylElement(W, 0, (S0, S0)))
+
+    def test_pickling_keeps_the_normal_form(self):
+        for w in all_normal_forms(W7, 3):
+            assert pickle.loads(pickle.dumps(w)) == w
+            assert type(pickle.loads(pickle.dumps(w))) is WeylElement
 
     def test_spec_examples(self):
         assert W5.mul(W5.s0, W5.s0) == W5.omega(2)
