@@ -113,6 +113,8 @@ class BasisSymbol(tuple):
     def __new__(cls, degree: int, sign: int | None, support: WeylElement):
         if degree not in (0, 1, 2, 3):
             raise ValueError(f"degree must be 0..3, got {degree}")
+        if not isinstance(support, WeylElement):
+            raise ValueError(f"the support must be a WeylElement, got {support!r}")
         if degree in (0, 3):
             if sign is not None:
                 raise ValueError("degree 0/3 symbols carry no sign")

@@ -58,7 +58,7 @@ class HeckeAlgebra:
         return HeckeElement(self, {self.weyl.identity: 1})
 
     def tau(self, w: WeylElement) -> HeckeElement:
-        return HeckeElement(self, {w: 1})
+        return self.element({w: 1})
 
     def element(self, coeffs: dict) -> HeckeElement:
         for w in coeffs:

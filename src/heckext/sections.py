@@ -9,18 +9,21 @@ has no canonical basis here, so no equality or normal form is offered:
 expressions are only compared through their evaluation under the
 multiplication map.
 
-The degree-2 and degree-3 sections are given by the explicit rows for
-supports of length >= 1; at torus supports they recurse literally into
-the length-1 rows (the defining combination is checked to land in the
-length-1 summands, with no simplification).  A torus idempotent there
-stays a character key in the head slot, so the section at a torus
-support is a few terms (at most four), however large p is.  Rows are
-stated for s0 and sign -1; the rest is the image under the uniformizer
-conjugation of the section of the conjugate symbol.
+The degree-2 and degree-3 sections are written rows: one row per sign
+for supports of length >= 1, and at a torus support omega^e four terms
+in degree 2 and two in degree 3, however large p is.  A torus idempotent
+e_m x there is written as the character key of x in the head slot, and
+no row is built by the product engine, so the suites that evaluate the
+sections check them against an engine that did not build them.  Rows
+are stated for s0 and sign -1; the rest is the image under the
+uniformizer conjugation of the section of the conjugate symbol.  The
+symmetric degree-3 section at a torus support pushes its average by the
+right torus shift of the last slot.
 
-The paired kernel generators are printed for s0 and built again on the s1
-blocks of the side table _SIDES, as the relators are (presentation.py):
-iota with runs of T_w0 reduced mod p - 1, a sign standing for its -1 on B_z.
+The paired kernel generators are written for s0, with the same character
+keys, and built again on the s1 blocks of the side table _SIDES, as the
+relators are (presentation.py): iota with runs of T_w0 reduced mod p - 1,
+a sign standing for its -1 on B_z.
 
 The section of one symbol is a pure function of (algebra, symbol), so it
 is memoized in the algebra's section memo, keyed (degree, symbol); its
@@ -123,17 +126,17 @@ def tensor_act(h: HeckeElement, t: TensorExpression, side: str) -> TensorExpress
     public act_left or act_right; each term of the result's row (_operand:
     a character key unexpanded) becomes one slot.  A slot's element is a
     symbol, or the lazy e_m s0 of a character key (_result)."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     alg = t.algebra
     terms = []
     for c, syms in t.terms:
         if side == "left":
             row = alg._operand(alg.act_left(h, alg._result({syms[0]: 1})))
             terms.extend((c * cz, (z,) + syms[1:]) for z, cz in row.items())
-        elif side == "right":
+        else:
             row = alg._operand(alg.act_right(alg._result({syms[-1]: 1}), h))
             terms.extend((c * cz, syms[:-1] + (z,)) for z, cz in row.items())
-        else:
-            raise ValueError("side must be 'left' or 'right'")
     return TensorExpression.from_terms(alg, t.arity, terms)
 
 
@@ -162,17 +165,6 @@ def tensor_involution(t: TensorExpression) -> TensorExpression:
 
 def tensor_uniformizer_conj(t: TensorExpression) -> TensorExpression:
     return _map_slots(t, t.algebra._uniformizer_conj)
-
-
-def _idempotent_times(alg: ExtAlgebra, m: int, t: TensorExpression, scale: int = 1) -> list:
-    """The terms of scale e_m t: e_m moves onto the head slot of each term
-    (_project), as e_m (x @ y) = (e_m x) @ y, so it costs no term."""
-    terms = []
-    for k, syms in t.terms:
-        head: dict = {}
-        alg._project(head, m, {syms[0]: 1}, scale * k)
-        terms.extend((c, (z,) + syms[1:]) for z, c in head.items())
-    return terms
 
 
 def _memoized(degree: int):
@@ -205,8 +197,8 @@ def _section2_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
         # torus support): the section of sym is iota of the section of iota(sym)
         unit, image = alg._symbol_uniformizer_conj(sym)
         return _map_slots(_section2_symbol(alg, image), alg._uniformizer_conj, unit)
+    b = lambda sign, supp: BasisSymbol(1, sign, supp)
     if w.length >= 1:
-        b = lambda sign, supp: BasisSymbol(1, sign, supp)
         if sym.sign == -1:
             term = (-1, (b(0, W.s0), b(-1, W.mul(W.inv(W.s0), w))))
         elif sym.sign == 0:
@@ -214,46 +206,38 @@ def _section2_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
         else:
             term = (1, (b(-1, W.identity), b(0, w)))
         return TensorExpression.from_terms(alg, 2, [term])
-    # sign -1 at a torus support: recurse through the length-1 shift row,
-    # built as a row, so its idempotents stay character keys
-    tau_s0 = alg.hecke.tau(W.s0)
-    shifted = BasisSymbol(2, 1, W.mul(W.inv(W.s0), w))
-    combo = dict(alg._operand(alg.act_left(tau_s0, alg.symbol_element(shifted))))
-    add_into(combo, ((sym, 1),), 1, alg.field.p)
-    words = (key[2][1] if len(key) == 3 else key[3] for key in combo)
-    if any(len(word) != 1 for word in words):
-        raise AssertionError("shift combination must land in the length-1 summands")
-    # a character key e_m s0 takes the section of s0 with e_m on its head slot
-    terms = []
-    for key, c in combo.items():
-        if len(key) == 3:
-            terms.extend((c * k, syms) for k, syms in _section2_symbol(alg, key).terms)
-        else:
-            terms.extend(_idempotent_times(alg, key[0], _section2_symbol(alg, alg._base(key)), c))
-    return TensorExpression.from_terms(alg, 2, terms) + tensor_act(
-        tau_s0, _section2_symbol(alg, shifted), "left"
-    ).scale(-1)
+    # sign -1 at w = omega^e: -u0^(-2e) e_0 bm_1 @ b0_s0 - u0^(-e) e_1 bm_1 @ bp_s0
+    # - e_2 b0_s0 @ bm_1 + bp_s0 @ b0_(s0^-1 w), each e_m x the character key
+    # (m, 1, sign, word) of x at exponent 0, on the head slot
+    u = alg.field.root_pow
+    return TensorExpression.from_terms(alg, 2, [
+        (-u(-2 * w.exp), ((0, 1, -1, ()), b(0, W.s0))),
+        (-u(-w.exp), ((1, 1, -1, ()), b(1, W.s0))),
+        (-1, ((2, 1, 0, (S0,)), b(-1, W.identity))),
+        (1, (b(1, W.s0), b(0, W.mul(W.inv(W.s0), w)))),
+    ])
 
 
-def _sum_of_sections(alg: ExtAlgebra, arity: int, x: GradedElement, section) -> TensorExpression:
-    """The sum over the terms c sym of x of c section(sym), with the terms in
-    order.  It is built as one expression, so each slot is validated once;
-    a single symbol of coefficient 1 returns its section itself."""
+def _sum_of_sections(name: str, arity: int, x: GradedElement, section) -> TensorExpression:
+    """The sum over the terms c sym of x, of degree arity, of c section(alg,
+    sym), with the terms in order.  It is built as one expression, so each
+    slot is validated once; a single symbol of coefficient 1 returns its
+    section itself."""
+    if not x.is_homogeneous(arity):
+        raise ValueError(f"{name} expects a degree-{arity} element")
+    alg = x.algebra
     if len(x.coeffs) == 1:
         [(sym, c)] = x.coeffs.items()
         if c == 1:
-            return section(sym)
+            return section(alg, sym)
     return TensorExpression.from_terms(alg, arity, [
-        (c * k, syms) for sym, c in x.coeffs.items() for k, syms in section(sym).terms
+        (c * k, syms) for sym, c in x.coeffs.items() for k, syms in section(alg, sym).terms
     ])
 
 
 def section_deg2(x: GradedElement) -> TensorExpression:
     """A linear section of the degree-2 multiplication map."""
-    if not x.is_homogeneous(2):
-        raise ValueError("section_deg2 expects a degree-2 element")
-    alg = x.algebra
-    return _sum_of_sections(alg, 2, x, lambda sym: _section2_symbol(alg, sym))
+    return _sum_of_sections("section_deg2", 2, x, _section2_symbol)
 
 
 # --- the degree-3 section ---
@@ -267,27 +251,20 @@ def _section3_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
         # iota of the section of iota(sym), as in degree 2
         unit, image = alg._symbol_uniformizer_conj(sym)
         return _map_slots(_section3_symbol(alg, image), alg._uniformizer_conj, unit)
+    b = lambda sign, supp: BasisSymbol(1, sign, supp)
     if w.length >= 1:
-        syms = (
-            BasisSymbol(1, -1, W.identity),
-            BasisSymbol(1, 0, W.s0),
-            BasisSymbol(1, -1, W.mul(W.inv(W.s0), w)),
-        )
-        return TensorExpression.from_terms(alg, 3, [(-1, syms)])
-    # torus support: (tau_{s0} + e_1) applied to the section one step down,
-    # e_1 (index 0, the trivial character) moved onto the head slot as a
-    # character key
-    shifted = _section3_symbol(alg, BasisSymbol(3, None, W.mul(W.inv(W.s0), w)))
-    return tensor_act(alg.hecke.tau(W.s0), shifted, "left") + TensorExpression.from_terms(
-        alg, 3, _idempotent_times(alg, 0, shifted))
+        row = (b(-1, W.identity), b(0, W.s0), b(-1, W.mul(W.inv(W.s0), w)))
+        return TensorExpression.from_terms(alg, 3, [(-1, row)])
+    # torus support: (bp_s0 - e_0 bm_1) @ b0_s0 @ bm_(omega^half w), e_0 (the
+    # trivial character) a character key on the head slot
+    tail = (b(0, W.s0), b(-1, W.omega(W.half + w.exp)))
+    return TensorExpression.from_terms(
+        alg, 3, [(1, (b(1, W.s0), *tail)), (-1, ((0, 1, -1, ()), *tail))])
 
 
 def section_deg3(x: GradedElement) -> TensorExpression:
     """A linear section of the degree-3 multiplication map."""
-    if not x.is_homogeneous(3):
-        raise ValueError("section_deg3 expects a degree-3 element")
-    alg = x.algebra
-    return _sum_of_sections(alg, 3, x, lambda sym: _section3_symbol(alg, sym))
+    return _sum_of_sections("section_deg3", 3, x, _section3_symbol)
 
 
 def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
@@ -298,29 +275,26 @@ def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
     section at the identity, pushed over by the right torus action.  It
     commutes with both involutions.
     """
-    if not x.is_homogeneous(3):
-        raise ValueError("section_deg3_symmetric expects a degree-3 element")
-    alg = x.algebra
 
     @cache
-    def average():
+    def average(alg):
         """The 1/4-average, made once a call when a torus term first needs it."""
         base = _section3_symbol(alg, BasisSymbol(3, None, alg.weyl.identity))
         jbase = tensor_involution(base)
-        return (
-            base
-            + tensor_uniformizer_conj(base)
-            + jbase
-            + tensor_uniformizer_conj(jbase)
-        ).scale(alg.field.inv(4))
+        total = base + tensor_uniformizer_conj(base) + jbase + tensor_uniformizer_conj(jbase)
+        return total.scale(alg.field.inv(4))
 
-    def section(sym):
+    def section(alg, sym):
         w = sym.support
         if w.length >= 1:
             return _section3_symbol(alg, sym)
-        return tensor_act(alg.hecke.tau(w), average(), "right")
+        # the right action of tau_w, w = omega^e, is the right torus shift of
+        # the last slot, one key to one key
+        return TensorExpression.from_terms(alg, 3, [
+            (c * cz, syms[:-1] + (z,)) for c, syms in average(alg).terms
+            for z, cz in alg._shift_right({syms[-1]: 1}, w.exp).items()])
 
-    return _sum_of_sections(alg, 3, x, section)
+    return _sum_of_sections("section_deg3_symmetric", 3, x, section)
 
 
 # --- kernel generators ---
@@ -335,19 +309,20 @@ _SIDES = ((S0, -1, 1, -1, 1), (S1, 1, -1, 1, -1))
 def _on_side(alg: ExtAlgebra, s: int, minus: int, e_id: int, e_idinv: int, sign: int) -> list:
     """The s0 members of the paired generators, on one side's blocks: the
     quadratic combination, the mixed relation and a half of the degree-3
-    generator."""
+    generator.  Each e_m x, x at torus exponent 0, is the character key (m, 1,
+    sign, word) of x, and (tau_s + e_0) B_m is -B_p at s plus e_0 B_m."""
     W = alg.weyl
     s0 = W.simple(s)
     b = lambda sign_, w: BasisSymbol(1, sign_, w)
-    bm, bz0 = b(minus, W.identity), b(0, s0)
-    t2 = lambda terms: TensorExpression.from_terms(alg, 2, terms)
-    e_left = lambda m, c, s1, s2: tensor_act(alg.hecke.idempotent(m), t2([(c, (s1, s2))]), "left")
+    bm, bz0, bp = b(minus, W.identity), b(0, s0), b(-minus, s0)
+    e = lambda m, x: (m % W.n, 1, x.sign, x.support.word)
+    t = lambda arity, *terms: TensorExpression.from_terms(alg, arity, terms)
+    tail = (b(0, W.inv(s0)), bm)
     return [
-        t2([(1, (bz0, bz0))]) + e_left(e_idinv, sign, bm, bz0) + e_left(e_id, sign, bz0, bm)
-        + e_left(0, -1, bm, b(-minus, s0)),
-        t2([(1, (b(-minus, s0), bz0)), (1, (bz0, b(minus, s0)))]),
-        tensor_act(alg.hecke.tau(s0) + alg.hecke.idempotent(0), TensorExpression.from_terms(
-            alg, 3, [(1, (bm, b(0, W.inv(s0)), bm))]), "left"),
+        t(2, (1, (bz0, bz0)), (sign, (e(e_idinv, bm), bz0)), (sign, (e(e_id, bz0), bm)),
+          (-1, (e(0, bm), bp))),
+        t(2, (1, (bp, bz0)), (1, (bz0, b(minus, s0)))),
+        t(3, (-1, (bp, *tail)), (1, (e(0, bm), *tail))),
     ]
 
 

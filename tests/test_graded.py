@@ -46,6 +46,13 @@ class TestSymbols:
         with pytest.raises(ValueError):
             BasisSymbol(1, None, alg5.weyl.s0)
 
+    def test_support_must_be_a_weyl_element(self, alg5):
+        # (0, (0, 0)) is no normal form: it once built tau(w(0; s0 s0))
+        with pytest.raises(ValueError, match="WeylElement"):
+            alg5.tau((0, (0, 0)))
+        with pytest.raises(ValueError, match="WeylElement"):
+            BasisSymbol(1, -1, (0, ()))
+
     def test_torus_only_enumeration_has_no_sign_zero(self, alg5):
         syms = list(alg5.basis_symbols(0))
         assert all(s.support.length == 0 for s in syms)

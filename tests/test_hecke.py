@@ -41,6 +41,13 @@ class TestBasics:
             assert H.mul(t, t + e1).is_zero
             assert H.mul(t + e1, t).is_zero
 
+    def test_tau_refuses_what_element_refuses(self, alg5):
+        H = alg5.hecke
+        with pytest.raises(ValueError, match="WeylElement"):
+            H.tau("x")
+        with pytest.raises(ValueError, match="WeylElement"):
+            H.element({"x": 1})
+
 
 class TestIdempotents:
     @pytest.mark.parametrize("p", [5, 7, 13])

@@ -1,12 +1,15 @@
 import pytest
 
+import section_oracle
 from conftest import algebra
-from heckext import ExtAlgebra, verify
+from heckext import ExtAlgebra, graded, product, sections, verify
 from heckext.coeff import add_into
 from heckext.graded import BasisSymbol, GradedElement
 from heckext.product import multiply
 from heckext.sections import (
+    _SIDES,
     TensorExpression,
+    _on_side,
     _section2_symbol,
     _section3_symbol,
     candidate_kernel_deg2,
@@ -180,6 +183,11 @@ class TestTensorExpression:
         tw = H.tau(W.omega(1))
         assert tensor_act(tw, t, "right").evaluate() == alg5.act_right(t.evaluate(), tw)
 
+    def test_tensor_act_refuses_a_side_before_reading_a_term(self, alg5):
+        empty = t2(alg5, [])
+        with pytest.raises(ValueError, match="'middle'"):
+            tensor_act(alg5.hecke.one(), empty, "middle")
+
 
 class TestSectionRows:
     def test_deg2_rows_from_the_tables(self, alg5):
@@ -323,6 +331,44 @@ class TestTorusSections:
         for sym in torus_symbols(alg):
             section = section_deg2 if sym.degree == 2 else section_deg3
             assert len(section(alg.symbol_element(sym)).terms) <= 4, sym
+
+
+class TestWrittenRows:
+    """The torus rows of the sections and the kernel generators are written
+    as data; the engine-built construction they replaced is the oracle."""
+
+    @pytest.mark.parametrize("p, root", [(5, None), (7, None), (13, None), (7, 5), (13, 11)])
+    def test_rows_match_the_engine_built_oracle_term_for_term(self, p, root):
+        alg = ExtAlgebra(p, root)
+        for t in alg.weyl.torus():
+            am, phi = BasisSymbol(2, -1, t), BasisSymbol(3, None, t)
+            assert _section2_symbol(alg, am).terms == section_oracle.section2_torus(alg, am).terms
+            assert _section3_symbol(alg, phi).terms == section_oracle.section3_torus(alg, phi).terms
+        for side in _SIDES:
+            written, built = _on_side(alg, *side), section_oracle.on_side(alg, *side)
+            assert [g.terms for g in written] == [g.terms for g in built], side
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_sections_and_generators_are_built_without_the_engine(self, monkeypatch, p):
+        """With every action and product entry point refusing, each section of
+        support <= 3 and each generator is still built, and no memo of the
+        engine gains an entry."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the product engine was called")
+
+        for name in ("act_left", "act_right", "_act_left", "_act_right", "_compress"):
+            monkeypatch.setattr(ExtAlgebra, name, refuse)
+        for module in (product, graded, sections):
+            monkeypatch.setattr(module, "_multiply", refuse)
+        alg = ExtAlgebra(p)
+        for sym in alg.basis_symbols(3, degrees=(2, 3)):
+            (_section2_symbol if sym.degree == 2 else _section3_symbol)(alg, sym)
+        assert len(kernel_generators(alg)) == 15
+        memos = {name: table for name, table in vars(alg).items()
+                 if isinstance(table, dict) and name != "_section_cache"}
+        assert len(memos) == 6 and alg._section_cache
+        assert {name: len(table) for name, table in memos.items()} == dict.fromkeys(memos, 0)
 
 
 class TestSectionMemo:

@@ -570,14 +570,6 @@ def _chain_mutant(alg, flipped=False, dropped=False):
     return chain
 
 
-def _first_failure(alg):
-    """The first failing check of verify all at L=2, suite by suite."""
-    for name in verify.SUITE_NAMES:
-        for r in verify.run_suite(alg, name, max_length=2):
-            if not r.ok:
-                return r.name, r.counterexample
-
-
 @pytest.mark.parametrize("faults, first_failure", [
     ({}, None),
     ({"flipped": True}, ("relator_bimodule_05", "evaluates to -2*b0(w(1; s0)) + 2*b0(w(3; s0))")),
@@ -587,11 +579,18 @@ def test_a_chain_mutant_fails_verify_all(monkeypatch, faults, first_failure):
     """A shortening chain projects each character key of a row to e_(+-m) by
     the parity of the rest of the word, and carries the one plain term of
     the row, with its coefficient, to the next letter; with either rule
-    broken, verify all at p=5, L=2 fails, first at this check.  The
-    unmutated copy passes."""
+    broken, verify all at p=5, L=2 runs to its end and fails, first at this
+    check, and the degree-2 sections fail at the first torus symbol, as their
+    rows are written, not built by the chain they check.  The unmutated copy
+    passes."""
     alg = ExtAlgebra(5)
     monkeypatch.setattr(alg, "_chain", _chain_mutant(alg, **faults))
-    assert _first_failure(alg) == first_failure
+    results = verify.run(alg, max_length=2)
+    failures = {r.name: r.counterexample
+                for name in verify.SUITE_NAMES for r in results[name] if not r.ok}
+    assert next(iter(failures.items()), None) == first_failure
+    if faults:
+        assert failures["sections_deg2_identity_1_symbols"] == "fails at am(w(0;))"
 
 
 def test_the_eigen_law_can_fail_before_the_first_wrong_product(monkeypatch):

@@ -96,6 +96,11 @@ class TestNormalForm:
             with pytest.raises(ValueError):
                 WeylElement(W5, 0, word)
 
+    def test_the_public_constructor_refuses_an_exponent_that_is_not_an_int(self):
+        for exp in (1.5, "1", None):
+            with pytest.raises(ValueError, match="exponent"):
+                W5.element(exp, ())
+
     def test_a_public_element_acts_as_its_normal_form(self):
         from heckext import ExtAlgebra
         from heckext.product import multiply
