@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import cache
 
-__all__ = ["PrimeField", "Combination", "add_into", "check_parameters"]
+__all__ = ["PrimeField", "Combination", "add_into", "check_index", "check_parameters"]
 
 
 def _is_prime(n: int) -> bool:
@@ -140,6 +140,12 @@ def check_parameters(a, b) -> None:
     u0).  The parents of one ExtAlgebra share one field object."""
     if a.field is not b.field and a.field != b.field:
         raise ValueError("elements live over different parameters")
+
+
+def check_index(m) -> None:
+    """Refuse an idempotent index e_m that is not an int."""
+    if not isinstance(m, int):
+        raise ValueError(f"the idempotent index must be an int, got {m!r}")
 
 
 def add_into(total: dict, pairs, scale: int, p: int) -> None:

@@ -84,7 +84,7 @@ from functools import partial
 from operator import itemgetter
 from types import MappingProxyType
 
-from .coeff import Combination, PrimeField, add_into, check_parameters
+from .coeff import Combination, PrimeField, add_into, check_index, check_parameters
 from .hecke import HeckeAlgebra, HeckeElement
 from .weyl import S0, S1, WeylElement, WeylGroup, _weyl
 
@@ -208,13 +208,20 @@ _LETTER_ROWS = _letter_rows(_S0_ROWS)
 def _adds_rules(rows: dict) -> dict:
     """tau_{s_i} where lengths add, keyed by (letter, d, sign): (sign', c), c
     times the symbol of sign' at s_i w, or None for zero.  It is read off the
-    lengths-add rows, each at most one plain entry, the same at every length."""
+    lengths-add rows, each at most one plain entry, the same at every length.
+    A nonzero rule followed by the other letter's must give back the symbol
+    it started from (period 2), as _adds_left applies at most two rules."""
     rules = {}
     for (i, d, sign, adds, short), (chars, plain) in rows.items():
         if adds:
             if chars or len(plain) > 1 or rows[i, d, sign, adds, not short] != (chars, plain):
                 raise ValueError(f"the lengths-add row {(i, d, sign)} is not one plain term")
             rules[i, d, sign] = plain[0] if plain else None
+    for (i, d, sign), rule in rules.items():
+        if rule is not None:
+            back = rules[1 - i, d, rule[0]]
+            if back is None or back[0] != sign or back[1] * rule[1] != 1:
+                raise ValueError(f"the lengths-add rules at {(i, d, sign)} do not have period 2")
     return rules
 
 
@@ -358,6 +365,7 @@ class ExtAlgebra:
 
     def idempotent(self, m: int, scale: int = 1) -> GradedElement:
         """scale * e_m in degree 0: the lazy element of its character key."""
+        check_index(m)
         scale %= self.field.p
         if not scale:
             return self.zero()
@@ -543,6 +551,7 @@ class ExtAlgebra:
         return GradedElement(self, row)
 
     def idempotent_times(self, m: int, x: GradedElement) -> GradedElement:
+        check_index(m)
         out: dict = {}
         self._project(out, m, self._operand(x), 1)
         return self._result(out)
@@ -645,10 +654,12 @@ class ExtAlgebra:
     def _adds_left(self, u: WeylElement, sym: BasisSymbol, c: int = 1) -> dict:
         """c tau_u sym where lengths add, l(u w) = l(u) + l(w) for w the support
         of sym: one symbol at u w or zero, the rules of _ADDS_RULES applied
-        letter by letter from the right, then the torus prefix of u."""
+        from the right, then the torus prefix of u.  The rules have period 2
+        along an alternating word (_adds_rules), so only the last letter of an
+        odd u and the last two of an even u are applied."""
         d, sign, (f, w) = sym
         exp, word = u
-        for letter in reversed(word):
+        for letter in reversed(word[len(word) % 2 - 2:]):
             rule = _ADDS_RULES[letter, d, sign]
             if rule is None:
                 return {}

@@ -22,7 +22,7 @@ must agree with mul, and the two are cross-checked in the tests.
 
 from __future__ import annotations
 
-from .coeff import Combination, PrimeField, check_parameters
+from .coeff import Combination, PrimeField, check_index, check_parameters
 from .weyl import WeylElement, WeylGroup, _weyl
 
 __all__ = ["HeckeElement", "HeckeAlgebra"]
@@ -69,6 +69,7 @@ class HeckeAlgebra:
     def idempotent(self, m: int) -> HeckeElement:
         """e_m = -sum over the torus of id^m(t)^{-1} tau_t, with its terms in
         the order of WeylGroup.torus()."""
+        check_index(m)
         p, n = self.field.p, self.weyl.n
         powers = self.field.root_powers()
         # a power of u0 lies in [1, p), so p minus it is its negative

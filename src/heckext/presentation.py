@@ -126,33 +126,45 @@ def generator_images(alg: ExtAlgebra) -> dict[int, GradedElement]:
     return images
 
 
-def evaluate(f: FreeElement) -> GradedElement:
-    """Substitute the concrete generators and multiply left to right.
+class _Prefixes:
+    """The values of free words, each prefix multiplied out once: the value
+    of a word is the value of its prefix times the image of its last letter.
+    For each first letter it keeps the path of the last word read with that
+    letter, values[i] the row of prev[:i]; a zero row ends the path, as every
+    word that shares that prefix is zero.  Each new prefix costs one product
+    on symbolic rows (a torus idempotent stays a character key)."""
 
-    The value of a word is the value of its prefix times the image of its
-    last letter, and a zero prefix ends the word.  The words are walked in
-    sorted order, so each keeps the values of the prefix it shares with the
-    word before, and each new prefix costs one product on symbolic rows
-    (a torus idempotent stays a character key); the sum is expanded once.
-    """
-    alg = f.algebra
-    p = alg.field.p
-    images = {letter: x.coeffs for letter, x in generator_images(alg).items()}
-    total: dict = {}
-    # values[i] is the row of prev[:i], prev the word before; a zero row ends
-    # values, and every word that shares that prefix is zero
-    prev: tuple = ()
-    values = [alg.one().coeffs]
-    for word, c in sorted(f.coeffs.items()):
+    def __init__(self, alg: ExtAlgebra):
+        self.alg = alg
+        self.images = {letter: x.coeffs for letter, x in generator_images(alg).items()}
+        self.one = alg.one().coeffs
+        self.paths: dict = {}  # word[:1] -> (prev, values)
+
+    def value(self, word: tuple) -> dict:
+        prev, values = self.paths.get(word[:1]) or ((), [self.one])
         shared = next(compress(count(), map(ne, word, prev)), min(len(word), len(prev)))
         del values[shared + 1:]
         for letter in word[shared:]:
             if not values[-1]:
                 break
-            values.append(_multiply(alg, values[-1], images[letter]))
-        prev = word
-        add_into(total, values[-1].items(), c, p)
-    return GradedElement(alg, alg._expand(total))
+            values.append(_multiply(self.alg, values[-1], self.images[letter]))
+        self.paths[word[:1]] = word, values
+        return values[-1]
+
+    def row(self, f: FreeElement) -> dict:
+        """The symbolic row of f, its words read in sorted order, so that the
+        words with one first letter come in one block."""
+        total: dict = {}
+        for word, c in sorted(f.coeffs.items()):
+            add_into(total, self.value(word).items(), c, self.alg.field.p)
+        return total
+
+
+def evaluate(f: FreeElement) -> GradedElement:
+    """Substitute the concrete generators and multiply left to right, each
+    prefix once (_Prefixes); the sum is expanded once."""
+    alg = f.algebra
+    return GradedElement(alg, alg._expand(_Prefixes(alg).row(f)))
 
 
 # --- the relator lists ---
@@ -245,12 +257,9 @@ def all_relators(alg: ExtAlgebra, bound: str = "p-2") -> list[tuple[str, FreeEle
 # --- constructive surjectivity ---
 
 
-def _word_for_weyl(alg: ExtAlgebra, w: WeylElement) -> FreeElement:
-    """The canonical spanning word for tau_w."""
-    word: tuple[int, ...] = (T_W0,) * w.exp
-    for letter in w.word:
-        word = word + ((T_S0,) if letter == S0 else (T_S1,))
-    return FreeElement(alg, {word: 1})
+def _word_for_weyl(w: WeylElement) -> tuple[int, ...]:
+    """The canonical spanning word for tau_w (T_s1 = T_s0 + 1, as s1 = s0 + 1)."""
+    return (T_W0,) * w.exp + tuple(T_S0 + letter for letter in w.word)
 
 
 def _word_for_tensor(alg: ExtAlgebra, t: TensorExpression) -> FreeElement:
@@ -280,15 +289,11 @@ def word_for_basis(alg: ExtAlgebra, sym: BasisSymbol) -> FreeElement:
     symbol is a sum of about 3(p - 1) words in degree 2 and p in degree 3.
     """
     if sym.degree == 0:
-        return _word_for_weyl(alg, sym.support)
+        return FreeElement(alg, {_word_for_weyl(sym.support): 1})
     if sym.degree == 1:
         c, left, g, right = alg.factor_through_generators(sym)
-        word = (
-            _word_for_weyl(alg, left)
-            * free_letter(alg, _B_LETTERS[g.sign, g.support.word])
-            * _word_for_weyl(alg, right)
-        )
-        return word.scale(c)
+        letter = _B_LETTERS[g.sign, g.support.word]
+        return FreeElement.make(alg, {_word_for_weyl(left) + (letter,) + _word_for_weyl(right): c})
     if sym.degree == 2:
         return _word_for_tensor(alg, _section2_symbol(alg, sym))
     return _word_for_tensor(alg, _section3_symbol(alg, sym))

@@ -16,11 +16,12 @@ the faster test names the same first counterexample as the direct form, the
 check runs it alone; where it may name another, the check is a _restated
 one, which falls back on the direct form.  The torus and lengths-add tests
 read the value of a pair-memo miss (_act_right, _adds_right): the direct
-form's public act_right with the pair memo off (_torus_shift).  A faster
-test may skip code that the direct form ran (the public act_right and its
-pair memo, the expansion of a character key), or rest on a law of the code
-that a fault could break; its docstring says so, and other checks run that
-code.
+form's public act_right with the pair memo off (_torus_shift).  The
+round-trip test reads evaluate's own prefix walker, one per torus orbit of
+supports, so it runs the code it certifies.  A faster test may skip code
+that the direct form ran (the public act_right and its pair memo, the
+expansion of a character key), or rest on a law of the code that a fault
+could break; its docstring says so, and other checks run that code.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import random
 from dataclasses import dataclass
 
 from . import presentation as pres
-from .coeff import add_into
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .grammar import render_element
 from .product import cup_summand, duality_pairing, multiply
@@ -45,7 +45,7 @@ from .sections import (
     section_deg3_symmetric,
     tensor_act,
 )
-from .weyl import S0, S1, WeylElement, _weyl
+from .weyl import S0, S1, WeylElement, _alternating_word, _weyl
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run"]
 
@@ -87,16 +87,11 @@ def _signs(w: WeylElement) -> tuple[int, ...]:
     return (-1, 1) if w.length == 0 else (-1, 0, 1)
 
 
-@functools.cache
-def _alternating(first: int, length: int) -> tuple[int, ...]:
-    return tuple((first + j) % 2 for j in range(length))
-
-
 def _random_weyl(rng: random.Random, alg: ExtAlgebra, max_length: int) -> WeylElement:
     """A random element: its length, then its first letter if it has one,
     then its exponent, in that order from rng."""
     ln = rng.randint(0, max_length)
-    word = _alternating(rng.choice((S0, S1)), ln) if ln else ()
+    word = _alternating_word(rng.choice((S0, S1)), ln) if ln else ()
     return _weyl((rng.randrange(alg.weyl.n), word))
 
 
@@ -622,47 +617,19 @@ def _round_trip(alg, max_length):
     """Every basis symbol of support length <= max_length is the value of
     its word, evaluate(word_for_basis(sym)) = sym: its cases and its test.
 
-    evaluate multiplies the images of a word's letters from left to right,
-    starting from 1 and stopping at a zero product, and adds up the words
-    with their coefficients.  So the value of a word is the value of its
-    prefix times the image of its last letter, and the test evaluates each
-    prefix once: a trie of prefixes and their values, kept while the cases
-    stay in one torus orbit of supports (the symbols at omega^e u for one u,
-    which are consecutive) and cleared at the next.  The words of an orbit
-    share their prefixes, the powers of T_w0 above all, which spell omega^e
-    as e letters.  The trie makes the products evaluate makes (evaluate
-    shares the prefixes of one element and multiplies rows; the trie goes
-    through the public multiply), so the test names the direct form's first
-    counterexample; evaluate itself stays the definition of the
-    homomorphism, which the relator and presentation_evaluate_multiplicative
-    checks call.
+    The test reads evaluate's prefix walker (presentation._Prefixes), one
+    per torus orbit of supports (the symbols at omega^e u for one u, which
+    are consecutive), whose words share prefixes, the powers of T_w0 above
+    all.  A word's value does not depend on the words read before it, so
+    the test names the direct form's first counterexample.
     """
-    p = alg.field.p
-    images = pres.generator_images(alg)
-    one = alg.one()
-    trie: dict = {}
-    orbit = None
-
-    def value(word):
-        node, acc = trie, one
-        for letter in word:
-            entry = node.get(letter)
-            if entry is None:
-                entry = node[letter] = (multiply(acc, images[letter]), {})
-            acc, node = entry
-            if acc.is_zero:
-                break
-        return acc
+    walker, orbit = None, None
 
     def round_trip(sym):
-        nonlocal orbit
+        nonlocal walker, orbit
         if sym.support.word != orbit:
-            trie.clear()
-            orbit = sym.support.word
-        total: dict = {}
-        for word, c in pres.word_for_basis(alg, sym).coeffs.items():
-            add_into(total, value(word).coeffs.items(), c, p)
-        if total != {sym: 1}:
+            walker, orbit = pres._Prefixes(alg), sym.support.word
+        if alg._expand(walker.row(pres.word_for_basis(alg, sym))) != {sym: 1}:
             return sym
 
     return list(alg.basis_symbols(max_length)), round_trip

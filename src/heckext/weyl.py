@@ -71,6 +71,12 @@ def _alternating(word) -> tuple[int, ...]:
 
 
 @cache
+def _alternating_word(first: int, length: int) -> tuple[int, ...]:
+    """The alternating word of this length that starts with first."""
+    return tuple((first + j) % 2 for j in range(length))
+
+
+@cache
 def _torus(n: int) -> tuple[WeylElement, ...]:
     return tuple(_weyl((e, ())) for e in range(n))
 
@@ -95,7 +101,7 @@ class WeylGroup:
 
     def elements(self, max_length: int) -> list[WeylElement]:
         """All elements of length <= max_length, by length, first letter, exponent."""
-        words = [()] + [tuple((first + j) % 2 for j in range(ln))
+        words = [()] + [_alternating_word(first, ln)
                         for ln in range(1, max_length + 1) for first in (S0, S1)]
         return [_weyl((e, word)) for word in words for e in range(self.n)]
 

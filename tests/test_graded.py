@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -212,6 +213,18 @@ class TestIdempotentSlide:
                 lhs = alg5.act_right(x, H.idempotent(m))
                 rhs = alg5.idempotent_times(parity * m + weight, x)
                 assert lhs == rhs, (sym, m)
+
+
+class TestIdempotentIndex:
+    @pytest.mark.parametrize("m", [1.5, "1", None])
+    def test_idempotent_refuses_an_index_that_is_not_an_int(self, alg5, m):
+        with pytest.raises(ValueError, match=re.escape(f"must be an int, got {m!r}")):
+            alg5.idempotent(m)
+
+    @pytest.mark.parametrize("m", [1.5, "1", None])
+    def test_idempotent_times_refuses_an_index_that_is_not_an_int(self, alg5, m):
+        with pytest.raises(ValueError, match=re.escape(f"must be an int, got {m!r}")):
+            alg5.idempotent_times(m, alg5.beta(0, alg5.weyl.s0))
 
 
 class TestFactorThroughGenerators:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -58,6 +59,11 @@ class TestIdempotents:
         for m in range(-1, W.n + 1):
             expected = {W.omega(e): -F.root_pow(-m * e) % p for e in range(W.n)}
             assert H.idempotent(m) == HeckeElement(H, expected), m
+
+    @pytest.mark.parametrize("m", [1.5, "1", None])
+    def test_an_index_that_is_not_an_int_is_refused(self, alg5, m):
+        with pytest.raises(ValueError, match=re.escape(f"must be an int, got {m!r}")):
+            alg5.hecke.idempotent(m)
 
     def test_trivial_idempotent_frozen_p5(self, alg5):
         H, W = alg5.hecke, alg5.weyl

@@ -15,7 +15,7 @@ import pytest
 from heckext import ExtAlgebra, graded, verify
 from heckext.graded import BasisSymbol
 from heckext.product import multiply
-from heckext.weyl import S0
+from heckext.weyl import S0, S1, _alternating_word, _weyl
 
 from walk_oracle import WalkAlgebra
 
@@ -49,6 +49,46 @@ def test_a_good_pair_at_p1009_reads_no_letter_memo():
     assert alg._letter_cache == {}
 
 
+def walked_adds_left(alg, u, sym):
+    """tau_u sym where lengths add, the rules of _ADDS_RULES applied one
+    letter at a time from the right, then the torus prefix of u."""
+    d, sign, (f, w) = sym
+    exp, word = u
+    c = 1
+    for letter in reversed(word):
+        rule = graded._ADDS_RULES[letter, d, sign]
+        if rule is None:
+            return {}
+        sign, unit = rule
+        c *= unit
+    support = alg.weyl.mul(_weyl((0, word)), _weyl((f, w)))
+    return alg._shift_left({BasisSymbol(d, sign, support): c % alg.field.p}, exp)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_the_two_step_rules_are_the_letter_by_letter_walk(p):
+    """Every (d, sign), u of either first letter and every length 0-12 at
+    two exponents, on supports of length <= 2 that u adds to."""
+    alg = ExtAlgebra(p)
+    W = alg.weyl
+    us = [_weyl((e, _alternating_word(first, length)))
+          for length in range(13) for first in (S0, S1) for e in (0, 1)]
+    for sym in alg.basis_symbols(2):
+        for u in us:
+            if W.lengths_add(u, sym.support):
+                assert alg._adds_left(u, sym) == walked_adds_left(alg, u, sym), (u, sym)
+
+
+def test_a_lengths_add_table_without_period_2_is_refused():
+    """tau_{s0} beta^0_w = +beta^0_{s0 w} where lengths add, and s1 still -1:
+    two letters no longer give back beta^0_w."""
+    flipped = ((), ((0, 1),))
+    rows = {**graded._LETTER_ROWS, (S0, 1, 0, True, True): flipped,
+            (S0, 1, 0, True, False): flipped}
+    with pytest.raises(ValueError, match="period 2"):
+        graded._adds_rules(rows)
+
+
 @pytest.mark.parametrize("short, longer", [
     # a character-key entry, at every length
     ((((2, 1, 1),), ((1, -1),)),) * 2,
@@ -69,8 +109,8 @@ def test_a_lengths_add_row_that_is_not_one_plain_term_is_refused(short, longer):
 # its first counterexample; a shortening chain reads the rule too, for the
 # rest of its word after a character key
 FLIPPED_SIGN_0_FAILS = {
-    "assoc_total_le3_208_triples":
-        "triple [tau(w(1; s0 s1)), bp(w(3; s0)), tau(w(2; s0 s1))]",
+    "assoc_total_le3_65_triples":
+        "triple [tau(w(3; s1 s0)), tau(w(1; s1)), b0(w(1; s0))]",
     "duality_twisted_module_law_64":
         "('right', 1*tau(w(0; s0 s1 s0)) + 4*tau(w(1; s0 s1 s0)), "
         "bm(w(0; s1 s0 s1 s0)), a0(w(1; s1 s0 s1 s0)))",

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from heckext import ExtAlgebra
 from heckext import presentation as pres
 from heckext.graded import BasisSymbol
 from heckext.product import multiply
@@ -112,3 +113,34 @@ class TestWordForBasis:
         for sym in alg7.basis_symbols(2):
             word = pres.word_for_basis(alg7, sym)
             assert pres.evaluate(word) == alg7.symbol_element(sym), sym
+
+
+def multiplied_out(alg, f):
+    """f with each word multiplied out from 1, letter by letter, through the
+    public multiply: no prefix shared, and a zero prefix multiplied on.  Also
+    the number of words whose value is zero before their last letter."""
+    images = pres.generator_images(alg)
+    total, cut = alg.zero(), 0
+    for word, c in f.coeffs.items():
+        acc, zero_before_last = alg.one(), False
+        for letter in word:
+            zero_before_last = zero_before_last or acc.is_zero
+            acc = multiply(acc, images[letter])
+        total, cut = total + acc.scale(c), cut + zero_before_last
+    return total, cut
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("bound", ["p-2", "p-1"])
+def test_evaluate_is_the_prefix_free_product_on_every_relator(p, bound):
+    """Each relator, and each relator times B_m: no relator word has a zero
+    proper prefix, but B_m B_m B_m and T_s1 B_m B_m have one."""
+    alg = ExtAlgebra(p)
+    bm = pres.free_letter(alg, pres.B_M)
+    cut = 0
+    for name, rel in pres.all_relators(alg, bound):
+        for f in (rel, rel * bm):
+            value, cut_here = multiplied_out(alg, f)
+            assert pres.evaluate(f) == value, name
+            cut += cut_here
+    assert cut, "no word has a zero prefix"

@@ -406,7 +406,7 @@ def test_act_right_walks_a_word_one_letter_at_a_time(p):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_evaluate_multiplies_the_letter_images_from_left_to_right(p):
-    """The law presentation_round_trip rests on: the value of a word is the
+    """The law evaluate's prefix walker rests on: the value of a word is the
     value of its prefix times the image of its last letter."""
     alg = ExtAlgebra(p)
     images = pres.generator_images(alg)
@@ -652,6 +652,41 @@ def _act_right_walks_right_to_left(alg):
         return total
 
     return act
+
+
+def _one_degree1_word_doubled(real):
+    """word_for_basis with the word of b+(w(2; s1)) scaled by 2."""
+    def word_for_basis(alg, sym):
+        word = real(alg, sym)
+        return word.scale(2) if sym == BasisSymbol(1, 1, alg.weyl.element(2, (S1,))) else word
+
+    return word_for_basis
+
+
+def _one_torus_word_dropped(real):
+    """word_for_basis without the last word, in sorted order, of each
+    degree-2 symbol at a torus support."""
+    def word_for_basis(alg, sym):
+        word = real(alg, sym)
+        if sym.degree == 2 and not sym.support.word:
+            del word.coeffs[max(word.coeffs)]
+        return word
+
+    return word_for_basis
+
+
+@pytest.mark.parametrize("mutant", [_one_degree1_word_doubled, _one_torus_word_dropped])
+def test_the_round_trip_reports_what_a_direct_loop_reports(monkeypatch, mutant):
+    """The round trip reads one prefix walker per torus orbit; it names the
+    check and the first counterexample a loop of evaluate names."""
+    alg = ExtAlgebra(5)
+    monkeypatch.setattr(pres, "word_for_basis", mutant(pres.word_for_basis))
+    n, sym = next((n, sym) for n, sym in enumerate(alg.basis_symbols(2), start=1)
+                  if pres.evaluate(pres.word_for_basis(alg, sym)) != alg.symbol_element(sym))
+    (check,) = [r for r in verify.run_suite(alg, "presentation", max_length=2)
+                if r.name.startswith("presentation_round_trip")]
+    assert (check.name, check.ok, check.counterexample) == (
+        f"presentation_round_trip_{n}_symbols", False, repr(sym))
 
 
 # mutant, the attribute of ExtAlgebra it replaces, the checks whose faster
