@@ -22,7 +22,7 @@ character key.
 from __future__ import annotations
 
 import re
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .coeff import _root_powers, add_into
 from .graded import KIND_NAMES, BasisSymbol, ExtAlgebra, GradedElement, _shifted, _weight
@@ -163,15 +163,16 @@ def _name_error(text: str, i: int, message: str) -> ParseError:
 
 def _canonical_groups(x: GradedElement):
     """The terms of x in canonical order (degree, word length, word,
-    exponent, sign), as groups (word, terms) of one degree and word, each
-    term (exp, kind name, c).
+    exponent, sign), as groups (word, terms, columns) of one degree and
+    word.
 
     It reads x's row, so a lazy element is never expanded.  A group without
-    a character key is sorted as it is.  A group with one gets a
-    length-(p - 1) coefficient vector per sign: a key (m, d, sign, word)
-    adds c (p - u0^((k - m) b)) at exponent b, as e_m s0 = -sum_b
-    u0^((k - m) b) s_b, and a plain term adds c at its exponent; zero sums
-    are skipped."""
+    a character key comes as its sorted terms (exp, kind name, c), columns
+    None.  A group with one comes as its columns (kind name, vector), in
+    sign order, terms None: a length-(p - 1) coefficient vector mod p per
+    sign, where a key (m, d, sign, word) adds c (p - u0^((k - m) b)) at
+    exponent b, as e_m s0 = -sum_b u0^((k - m) b) s_b, and a plain term
+    adds c at its exponent; a zero entry is no term."""
     row = x.row
     if row is None:
         row = x.coeffs
@@ -190,39 +191,34 @@ def _canonical_groups(x: GradedElement):
         terms, chars = groups[group]
         if not chars:
             # no two terms share (exp, sign), so coefficients are never compared
-            terms = [(exp, KIND_NAMES[d, sign], c) for exp, sign, c in sorted(terms)]
-        else:
-            vectors: dict = {}
-            for m, sign, c in chars:
-                orbit = _orbit(p, field.u0, (_weight(d, sign) - m) % n)
-                vector = vectors.get(sign)
-                vectors[sign] = ([c * u for u in orbit] if vector is None
-                                 else [v + c * u for v, u in zip(vector, orbit)])
-            for exp, sign, c in terms:
-                vectors.setdefault(sign, [0] * n)[exp] += c
-            columns = [(KIND_NAMES[d, sign], [v % p for v in vector])
-                       for sign, vector in sorted(vectors.items())]
-            if len(columns) == 1:
-                kind, vector = columns[0]
-                terms = [(exp, kind, c) for exp, c in enumerate(vector) if c]
-            else:
-                terms = [(exp, kind, c) for exp in range(n) for kind, vector in columns
-                         if (c := vector[exp])]
-        yield word, terms
+            yield word, [(exp, KIND_NAMES[d, sign], c) for exp, sign, c in sorted(terms)], None
+            continue
+        vectors: dict = {}
+        for m, sign, c in chars:
+            orbit = _orbit(p, field.u0, (_weight(d, sign) - m) % n)
+            vector = vectors.get(sign)
+            vectors[sign] = ([c * u % p for u in orbit] if vector is None
+                             else [(v + c * u) % p for v, u in zip(vector, orbit)])
+        for exp, sign, c in terms:
+            vector = vectors.setdefault(sign, [0] * n)
+            vector[exp] = (vector[exp] + c) % p
+        yield word, None, [(KIND_NAMES[d, sign], vector) for sign, vector in sorted(vectors.items())]
 
 
 @lru_cache(maxsize=256)
 def _orbit(p: int, u0: int, step: int) -> tuple[int, ...]:
-    """p - u0^(b step), b in [0, p - 1): the orbit vector of step k - m;
-    p - 1 references an entry, so the cache is bounded (2 MB at p=1009)."""
+    """p - u0^(b step), b in [0, p - 1): the orbit vector of step k - m.
+    An entry is a tuple of p - 1 references to the ints of the step-1
+    entry, 8 KB at p=1009, so the cache is bounded (2 MB there)."""
     first = [p - u for u in _root_powers(p, u0)] if step == 1 else _orbit(p, u0, 1)
     return tuple([first[b * step % (p - 1)] for b in range(p - 1)])
 
 
-@cache
+@lru_cache(maxsize=16)
 def _heads(p: int) -> tuple[str, ...]:
     """The prefix of a term of coefficient c, for each c in [0, p): the
-    balanced sign, " + c*" or " - (p - c)*", with a unit factor left out."""
+    balanced sign, " + c*" or " - (p - c)*", with a unit factor left out.
+    An entry is p strings, 64 KB at p=1009, so the cache is bounded."""
     half = (p - 1) // 2
     return tuple(
         (" + " if c == 1 else f" + {c}*") if c <= half
@@ -231,12 +227,27 @@ def _heads(p: int) -> tuple[str, ...]:
     )
 
 
+@lru_cache(maxsize=16)
+def _exponents(n: int) -> tuple[str, ...]:
+    """The text "(w(b" that opens the support of a term at exponent b, for
+    each b in [0, n), n = p - 1; an entry is as large as one of _heads."""
+    return tuple([f"(w({b}" for b in range(n)])
+
+
 def render_element(x: GradedElement) -> str:
-    heads = _heads(x.algebra.field.p)
+    field = x.algebra.field
+    heads, exps = _heads(field.p), _exponents(field.order)
     parts = []
-    for word, terms in _canonical_groups(x):
+    for word, terms, columns in _canonical_groups(x):
         tail = ";" + "".join([" s0" if l == S0 else " s1" for l in word]) + "))"
-        parts += [f"{heads[c]}{kind}(w({exp}{tail}" for exp, kind, c in terms]
+        if columns is None:
+            parts += [f"{heads[c]}{kind}(w({exp}{tail}" for exp, kind, c in terms]
+        elif len(columns) == 1:
+            (kind, vector), = columns
+            parts += [f"{heads[c]}{kind}{e}{tail}" for e, c in zip(exps, vector) if c]
+        else:  # the signs of one exponent in a row
+            parts += [f"{heads[c]}{kind}{e}{tail}" for exp, e in enumerate(exps)
+                      for kind, vector in columns if (c := vector[exp])]
     if not parts:
         return "0"
     # the first term drops its " + ", or keeps its " - " as a bare "-"
@@ -247,8 +258,11 @@ def render_element(x: GradedElement) -> str:
 
 def element_to_json(x: GradedElement) -> dict:
     terms = []
-    for word, group in _canonical_groups(x):
+    for word, group, columns in _canonical_groups(x):
         letters = ["s0" if l == S0 else "s1" for l in word]
+        if columns is not None:
+            group = [(exp, kind, c) for exp in range(x.algebra.field.order)
+                     for kind, vector in columns if (c := vector[exp])]
         for exp, kind, c in group:
             terms.append(
                 {

@@ -6,7 +6,9 @@ read.  The renderer and the JSON export read the row itself, one torus
 orbit at a time.  Their output is checked here, exhaustively at p=5 and
 p=7, against the sort every render used before rows were read: the
 expansion sorted by (degree, word length, word, exponent, sign), written
-out below as the oracle.  The lazy elements are checked against eager
+out below as the oracle.  The column walk that writes a torus orbit from
+its coefficient vectors is checked at p up to 1009 against the tuple walk
+kept in render_oracle.py.  The lazy elements are checked against eager
 ones for every operation of the core.
 """
 
@@ -15,13 +17,19 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckext import ExtAlgebra
 from heckext.graded import KIND_NAMES, BasisSymbol, GradedElement
-from heckext.grammar import _heads, element_to_json, parse_element, render_element
+from heckext.grammar import (
+    _exponents, _heads, _orbit, element_to_json, parse_element, render_element,
+)
 from heckext.product import multiply
 from heckext.weyl import S0, S1
 
+import render_oracle
+from conftest import algebra
 from scanner_oracle import _parse_scanned
 
 PRIMES = [5, 7]
@@ -87,6 +95,14 @@ def orbit_symbols(alg: ExtAlgebra):
             yield d, sign, word
 
 
+def orbit_groups(alg: ExtAlgebra) -> list:
+    """Every torus-free (degree, word) of support length <= 2, with its signs."""
+    by_group: dict = {}
+    for d, sign, word in orbit_symbols(alg):
+        by_group.setdefault((d, word), []).append(sign)
+    return list(by_group.items())
+
+
 def edge_coefficients(p: int) -> tuple[int, ...]:
     """1, p - 1, (p - 1)/2 and (p + 1)/2: the edges of the balanced-sign rule."""
     return 1, p - 1, (p - 1) // 2, (p + 1) // 2
@@ -124,10 +140,7 @@ def test_render_of_two_character_keys_of_one_degree_and_word(p):
     alg = ExtAlgebra(p)
     n = alg.weyl.n
     coefficients = edge_coefficients(p)
-    by_group: dict = {}
-    for d, sign, word in orbit_symbols(alg):
-        by_group.setdefault((d, word), []).append(sign)
-    for (d, word), signs in by_group.items():
+    for (d, word), signs in orbit_groups(alg):
         for m1 in range(n):
             for m2 in range(n):
                 c1, c2 = coefficients[m1 % 4], coefficients[(m1 + m2 + 1) % 4]
@@ -164,6 +177,12 @@ def test_heads_follow_the_balanced_sign_rule(p):
         assert heads[c] == text[len("tau(w(0;))"):-len("tau(w(1;))")], c
 
 
+def test_the_render_tables_are_bounded_caches():
+    # each entry holds p strings or ints
+    for table in (_orbit, _heads, _exponents):
+        assert table.cache_info().maxsize is not None
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_render_of_a_key_with_plain_terms_that_cancel_part_or_all_of_its_orbit(p):
     alg = ExtAlgebra(p)
@@ -196,6 +215,68 @@ def test_render_of_plain_rows_is_unchanged(p):
         assert render_element(x) == old_render(alg, x.coeffs)
         assert element_to_json(x) == old_json(alg, x.coeffs)
     assert render_element(alg.zero()) == "0"
+
+
+# --- the column walk against the tuple walk ---
+
+
+def assert_renders_as_oracle(x: GradedElement) -> str:
+    text = render_element(x)
+    assert text == render_oracle.render_element(x)
+    assert element_to_json(x) == render_oracle.element_to_json(x)
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([5, 7, 13, 1009]), st.data())
+def test_the_column_walk_renders_as_the_tuple_walk(p, data):
+    # 0-3 character keys of mixed signs on one word, plain terms that cancel
+    # a prefix of their orbits (all of them, at cut = n), and plain terms on
+    # that word and on others
+    alg = algebra(p)
+    W, n = alg.weyl, alg.weyl.n
+    groups = orbit_groups(alg)
+    (d, word), signs = data.draw(st.sampled_from(groups))
+    coefficient = st.integers(1, p - 1)
+    row: dict = {}
+    for _ in range(data.draw(st.integers(0, 3))):
+        key = (data.draw(st.integers(0, n - 1)), d, data.draw(st.sampled_from(signs)), word)
+        row[key] = data.draw(coefficient)
+    cut = data.draw(st.one_of(st.sampled_from([0, 1, n - 1, n]), st.integers(0, n)))
+    for sym, v in definition(alg, row).items():
+        if sym.support.exp < cut:
+            row[sym] = p - v
+    for _ in range(data.draw(st.integers(0, 3))):
+        (d2, word2), signs2 = data.draw(st.sampled_from([((d, word), signs)] + groups))
+        sym = BasisSymbol(d2, data.draw(st.sampled_from(signs2)),
+                          W.element(data.draw(st.integers(0, n - 1)), word2))
+        if (c := (row.get(sym, 0) + data.draw(coefficient)) % p):
+            row[sym] = c
+        else:
+            del row[sym]
+    x = GradedElement.lazy(alg, row)
+    assert_renders_as_oracle(x)
+    assert not is_expanded(x)
+    assert render_element(x) == old_render(alg, x.coeffs)
+
+
+@pytest.mark.parametrize("p", [5, 1009])
+def test_a_first_group_that_cancels_leaves_the_sign_to_the_next(p):
+    # tau(w(.;)) sorts first; its orbit cancels to zero, and the next group
+    # starts with a negative term, plain or of an orbit
+    alg = algebra(p)
+    key = (1, 0, None, ())
+    cancelled = {key: 2, **{sym: p - v for sym, v in definition(alg, {key: 2}).items()}}
+    plain = BasisSymbol(1, -1, alg.weyl.element(0, (S0,)))
+    expected = {"kind": "bm", "support": {"exp": 0, "word": ["s0"]}, "coeff": p - 2}
+    x = GradedElement.lazy(alg, {**cancelled, plain: p - 2})
+    assert assert_renders_as_oracle(x) == "-2*bm(w(0; s0))"
+    assert element_to_json(x) == {"terms": [expected]}
+    # the orbit of e_m s0 starts at b = 0 with -1
+    x = GradedElement.lazy(alg, {**cancelled, (3, 1, -1, (S0,)): 1})
+    assert assert_renders_as_oracle(x).startswith("-bm(w(0; s0)) ")
+    assert element_to_json(x)["terms"][0] == {**expected, "coeff": p - 1}
+    assert len(element_to_json(x)["terms"]) == p - 1
 
 
 # --- lazy elements ---
@@ -307,3 +388,15 @@ def test_an_idempotent_request_at_p1009_builds_no_symbol_of_its_orbit():
     # the first read of coeffs expands, once
     assert len(x.coeffs) == 1008 and len(alg._char_cache) == 1
     assert render_element(x) == text == old_render(alg, x.coeffs)
+
+
+def test_a_row_of_several_keys_and_signs_at_p1009_builds_no_symbol_of_its_orbits():
+    alg = ExtAlgebra(1009)
+    x = multiply(parse_element(alg, "3*e(5) + 2*e(7)"),
+                 parse_element(alg, "bm(w(1; s0)) - bp(w(2; s0)) + tau(w(3;))"))
+    assert sum(len(key) == 4 and key[1:] == (1, -1, (S0,)) for key in x.row) == 2
+    assert sum(len(key) == 4 and key[1:] == (1, 1, (S0,)) for key in x.row) == 2
+    text, payload = render_element(x), element_to_json(x)
+    assert alg._char_cache == {} and x._coeffs is None
+    assert len(payload["terms"]) == text.count("(w(") > 2 * 1008
+    assert text == old_render(alg, x.coeffs) and payload == old_json(alg, x.coeffs)
