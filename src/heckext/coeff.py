@@ -94,11 +94,9 @@ class PrimeField:
         if primitive_root is None:
             # memoized per prime: each request of a fresh algebra would repeat the search
             primitive_root = _smallest_primitive_root(p)
-        else:
-            primitive_root %= p
-            if not _is_primitive_root(primitive_root, p, _prime_factors(self.order)):
-                raise ValueError(f"{primitive_root} is not a primitive root mod {p}")
-        self.u0 = primitive_root
+        elif not _is_primitive_root(primitive_root, p, _prime_factors(self.order)):
+            raise ValueError(f"{primitive_root} is not a primitive root mod {p}")
+        self.u0 = primitive_root % p
 
     # --- field operations on int residues ---
 
@@ -167,8 +165,9 @@ class Combination:
 
     ``coeffs`` maps each key to a residue in [1, p); the parent's ``field``
     fixes p.  The constructor stores the map as given; ``make`` reduces it.
-    Each subclass declares how ``coeffs`` is stored: a slot, or a property
-    that fills it on the first read.
+    Each subclass declares how ``coeffs`` is stored: a slot (Hecke and free
+    elements), or the expansion of a graded element's symbolic row, made on
+    the first read (graded.py), whose ``scale`` and ``+`` work on that row.
     """
 
     __slots__ = ("algebra",)

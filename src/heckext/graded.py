@@ -36,22 +36,22 @@ a plain entry becomes a character key and a character entry survives only
 when its index is m.  So tau_{s_i} e_m x = e_-m (tau_{s_i} x), (e_m x)
 tau_{s_i} = e_m (x tau_{s_i}), both torus shifts scale a character key
 (u0^(m a) on the left, u0^((m - k) (+-a)) on the right), and J and the
-uniformizer conjugation take a character key to a character key.  The
+uniformizer conjugation take a character key to a character key.
+
+Elements.  A GradedElement is its symbolic row (GradedElement.row); its
+coeffs are the expansion of the row through the expansion memo, made on
+the first read (a row without a character key is its own expansion), and
+the renderer and the JSON export read the row itself (grammar.py).  The
 public act_left, act_right, involution, uniformizer_conj and
-idempotent_times (and product.multiply) return a result whose row holds a
-character key unexpanded, as a lazy GradedElement: its coeffs are
-expanded through the expansion memo on the first read, and the renderer
-and the JSON export read the row itself (grammar.py).  idempotent(m) is
-the lazy element of one key, and a sum with a lazy side stays lazy.  On
-the way in, a lazy operand's row is read as it is, and the coeffs of an
-eager operand are compressed
-(_compress, the inverse of the expansion): each whole torus orbit whose
-p - 1 coefficients are one character becomes its character key.  The
-Hecke operand of act_left and act_right is read as a degree-0 row
-(_hecke_row), an orbit c e_m tau_u as a character key, so both actions
-are products: one pair memo lookup per pair of terms.  Other terms stay
-plain, and a dict of fewer than p - 1 terms is passed on after one length
-check.
+idempotent_times (and product.multiply) return the element of their
+result row, idempotent(m) is the element of one key, and sums and scalar
+multiples are taken on the rows.  On the way in (_operand), a row with a
+character key is read as it is, and a row of at least p - 1 plain terms
+is compressed (_compress, the inverse of the expansion): each whole torus
+orbit whose p - 1 coefficients are one character becomes its character
+key.  The Hecke operand of act_left and act_right is read as a degree-0
+row (_hecke_row), an orbit c e_m tau_u as a character key, so both
+actions are products: one pair memo lookup per pair of terms.
 
 Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
 BasisSymbol the tuple (degree, sign, support), so the keys of every
@@ -80,11 +80,11 @@ built on first use).
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from types import MappingProxyType
 
-from .coeff import Combination, PrimeField, add_into, check_index, check_parameters
+from .coeff import Combination, PrimeField, _root_powers, add_into, check_index, check_parameters
 from .hecke import HeckeAlgebra, HeckeElement
 from .weyl import S0, S1, WeylElement, WeylGroup, _weyl
 
@@ -144,6 +144,16 @@ class BasisSymbol(tuple):
 # symbol is valid
 _shifted = partial(tuple.__new__, BasisSymbol)
 _support, _word = itemgetter(2), itemgetter(1)
+
+
+@lru_cache(maxsize=256)
+def _orbit(p: int, u0: int, step: int) -> tuple[int, ...]:
+    """p - u0^(b step), b in [0, p - 1): the coefficients of e_m s0 = -sum_b
+    u0^((k - m) b) s_b at step k - m, read by the expansion memo and the
+    renderer.  An entry is a tuple of p - 1 references to the ints of the
+    step-1 entry, 8 KB at p=1009, so the cache is bounded (2 MB there)."""
+    first = [p - u for u in _root_powers(p, u0)] if step == 1 else _orbit(p, u0, 1)
+    return tuple([first[b * step % (p - 1)] for b in range(p - 1)])
 
 
 def _weight(d: int, sign: int | None) -> int:
@@ -229,30 +239,16 @@ _ADDS_RULES = _adds_rules(_LETTER_ROWS)
 
 
 class GradedElement(Combination):
-    """Element of the graded algebra: finite map basis symbol -> scalar.
-
-    ``row`` is None on an eager element.  A lazy element (``lazy``) holds a
-    symbolic row with character keys instead, and its ``coeffs`` are the
-    expansion of the row, made on the first read.  The public operations
-    read the row of a lazy operand as it is, and the renderer reads it
-    directly.
-    """
+    """Element of the graded algebra: its symbolic row, plain terms and
+    character keys, whose expansion ``coeffs`` maps basis symbols to
+    scalars; the expansion is made on the first read of ``coeffs``."""
 
     __slots__ = ("_coeffs", "row")
 
-    def __init__(self, algebra, coeffs: dict):
+    def __init__(self, algebra, row: dict):
         self.algebra = algebra
-        self._coeffs = coeffs
-        self.row = None
-
-    @classmethod
-    def lazy(cls, algebra, row: dict) -> "GradedElement":
-        """The element of a symbolic row, expanded on the first read of coeffs."""
-        x = cls.__new__(cls)
-        x.algebra = algebra
-        x._coeffs = None
-        x.row = row
-        return x
+        self.row = row
+        self._coeffs = None
 
     @property
     def coeffs(self) -> dict:
@@ -262,23 +258,20 @@ class GradedElement(Combination):
         return coeffs
 
     def scale(self, c: int) -> "GradedElement":
-        """c * self; a lazy element scales its row and stays lazy."""
         p = self.algebra.field.p
-        if self.row is None or c % p == 0:
-            return super().scale(c)
+        c %= p
         # c and every coefficient of the row are units, so no product vanishes
-        return GradedElement.lazy(self.algebra, {k: c * v % p for k, v in self.row.items()})
+        return GradedElement(self.algebra, {k: c * v % p for k, v in self.row.items()} if c else {})
 
     def __add__(self, other, scale: int = 1):
-        """self + scale * other; with a lazy side, the sum of both rows stays
-        lazy (a plain key and a character key of one orbit merge on expansion)."""
-        if type(other) is not GradedElement or (self.row is None and other.row is None):
-            return super().__add__(other, scale)
+        """self + scale * other on the rows (a plain key and a character key
+        of one orbit merge on expansion)."""
+        if type(other) is not GradedElement:
+            return NotImplemented
         check_parameters(self.algebra, other.algebra)
-        out = dict(self.coeffs if self.row is None else self.row)
-        add_into(out, (other.coeffs if other.row is None else other.row).items(), scale,
-                 self.algebra.field.p)
-        return self.algebra._result(out)
+        out = dict(self.row)
+        add_into(out, other.row.items(), scale, self.algebra.field.p)
+        return GradedElement(self.algebra, out)
 
     def _product(self, other: "GradedElement") -> "GradedElement":
         from . import product
@@ -364,12 +357,12 @@ class ExtAlgebra:
         return GradedElement(self, {BasisSymbol(0, None, w): c for w, c in h.coeffs.items()})
 
     def idempotent(self, m: int, scale: int = 1) -> GradedElement:
-        """scale * e_m in degree 0: the lazy element of its character key."""
+        """scale * e_m in degree 0: the element of its character key."""
         check_index(m)
         scale %= self.field.p
         if not scale:
             return self.zero()
-        return GradedElement.lazy(self, {(m % self.weyl.n, 0, None, ()): scale})
+        return GradedElement(self, {(m % self.weyl.n, 0, None, ()): scale})
 
     def basis_symbols(self, max_length: int, degrees=(0, 1, 2, 3)):
         """All basis symbols with support length <= max_length."""
@@ -465,11 +458,10 @@ class ExtAlgebra:
         cached = self._char_cache.get(key)
         if cached is None:
             m, d, sign, word = key
-            p, n = self.field.p, self.weyl.n
-            powers = self.field.root_powers()
-            step = (_weight(d, sign) - m) % n
-            cached = self._char_cache[key] = MappingProxyType({
-                _shifted((d, sign, _weyl((b, word)))): p - powers[b * step % n] for b in range(n)})
+            field = self.field
+            orbit = _orbit(field.p, field.u0, (_weight(d, sign) - m) % field.order)
+            cached = self._char_cache[key] = MappingProxyType(dict(zip(
+                [_shifted((d, sign, _weyl((b, word)))) for b in range(field.order)], orbit)))
         return cached
 
     def _expand(self, row) -> dict:
@@ -532,29 +524,20 @@ class ExtAlgebra:
         return out
 
     def _operand(self, x: GradedElement):
-        """The row a public call reads for x: a lazy element's own row, or its
-        coeffs with each whole single-character orbit compressed.  An element
-        over other parameters is refused."""
+        """The row a public call reads for x: its row, compressed when it
+        holds at least p - 1 terms and no character key.  An element over
+        other parameters is refused."""
         check_parameters(self, x.algebra)
         row = x.row
-        if row is None:
-            row = x._coeffs
-            if len(row) >= self.weyl.n:
-                row = self._compress(row)
+        if len(row) >= self.weyl.n and 4 not in map(len, row):
+            row = self._compress(row)
         return row
-
-    def _result(self, row: dict) -> GradedElement:
-        """The public result of a fresh symbolic row: lazy when it holds a
-        character key."""
-        if 4 in map(len, row):
-            return GradedElement.lazy(self, row)
-        return GradedElement(self, row)
 
     def idempotent_times(self, m: int, x: GradedElement) -> GradedElement:
         check_index(m)
         out: dict = {}
         self._project(out, m, self._operand(x), 1)
-        return self._result(out)
+        return GradedElement(self, out)
 
     # --- single-letter action tables ---
 
@@ -607,7 +590,7 @@ class ExtAlgebra:
 
     def act_left(self, h: HeckeElement, x: GradedElement) -> GradedElement:
         check_parameters(self, h.algebra)
-        return self._result(_multiply(self, self._hecke_row(h), self._operand(x)))
+        return GradedElement(self, _multiply(self, self._hecke_row(h), self._operand(x)))
 
     def _act_left(self, h: dict, row) -> dict:
         """h row on a symbolic row, h a coefficient dict of the Hecke algebra:
@@ -672,7 +655,7 @@ class ExtAlgebra:
 
     def act_right(self, x: GradedElement, h: HeckeElement) -> GradedElement:
         check_parameters(self, h.algebra)
-        return self._result(_multiply(self, self._operand(x), self._hecke_row(h)))
+        return GradedElement(self, _multiply(self, self._operand(x), self._hecke_row(h)))
 
     def _act_right(self, row, h: dict) -> dict:
         """row h on a symbolic row, h a coefficient dict of the Hecke algebra:
@@ -730,7 +713,7 @@ class ExtAlgebra:
 
     def involution(self, x: GradedElement) -> GradedElement:
         """The involutive anti-automorphism J (graded sign on products)."""
-        return self._result(self._involution(self._operand(x)))
+        return GradedElement(self, self._involution(self._operand(x)))
 
     def _symbol_uniformizer_conj(self, sym: BasisSymbol) -> tuple[int, BasisSymbol]:
         """The uniformizer conjugation on one symbol, as (unit, image): the sign
@@ -747,7 +730,7 @@ class ExtAlgebra:
 
     def uniformizer_conj(self, x: GradedElement) -> GradedElement:
         """The involutive algebra automorphism induced by the uniformizer."""
-        return self._result(self._uniformizer_conj(self._operand(x)))
+        return GradedElement(self, self._uniformizer_conj(self._operand(x)))
 
     # --- factorization of degree-1 symbols through the four generators ---
 

@@ -10,13 +10,12 @@
 An int is a run of ASCII digits, signed in a weyl or e(m) by a sign right
 before it.  parse_element reads the tokens of one findall of _TOKEN in one
 pass and sums the terms into one row, a c*e(m) as one character key
-(graded.py), so a sum that holds one stays lazy.  A ParseError carries the
+(graded.py), which is the parsed element.  A ParseError carries the
 position of the first error; positions are found only for an error or a
 signed int.  Rendering is canonical (sorted terms, balanced coefficient
 signs), parse(render(x)) == x, and render(parse(s)) == s on canonically
 rendered input.  The renderer and the JSON export read the element's row,
-so a lazy element is rendered without building the p - 1 symbols of a
-character key.
+so a character key is rendered without building its p - 1 symbols.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .coeff import _root_powers, add_into
-from .graded import KIND_NAMES, BasisSymbol, ExtAlgebra, GradedElement, _shifted, _weight
+from .coeff import add_into
+from .graded import KIND_NAMES, BasisSymbol, ExtAlgebra, GradedElement, _orbit, _shifted, _weight
 from .weyl import S0, S1, _alternating, _weyl
 
 __all__ = ["ParseError", "parse_element", "render_element", "element_to_json"]
@@ -100,7 +99,7 @@ def parse_element(alg: ExtAlgebra, text: str) -> GradedElement:
             add_into(total, ((sym, 1),), sign * c, p)
         op = tokens[i + 1]
         if not op:
-            return alg._result(total)
+            return GradedElement(alg, total)
         if op not in ("+", "-"):
             raise ParseError(f"expected '+' or '-', got {op[0]!r}", _starts(text)[i + 1])
         sign, i = -1 if op == "-" else 1, i + 2
@@ -166,18 +165,15 @@ def _canonical_groups(x: GradedElement):
     exponent, sign), as groups (word, terms, columns) of one degree and
     word.
 
-    It reads x's row, so a lazy element is never expanded.  A group without
-    a character key comes as its sorted terms (exp, kind name, c), columns
-    None.  A group with one comes as its columns (kind name, vector), in
-    sign order, terms None: a length-(p - 1) coefficient vector mod p per
-    sign, where a key (m, d, sign, word) adds c (p - u0^((k - m) b)) at
-    exponent b, as e_m s0 = -sum_b u0^((k - m) b) s_b, and a plain term
-    adds c at its exponent; a zero entry is no term."""
-    row = x.row
-    if row is None:
-        row = x.coeffs
+    It reads x's row, never its expansion.  A group without a character
+    key comes as its sorted terms (exp, kind name, c), columns None.  A
+    group with one comes as its columns (kind name, vector), in sign order,
+    terms None: a length-(p - 1) coefficient vector mod p per sign, where a
+    key (m, d, sign, word) adds c times _orbit of step k - m, as e_m s0 =
+    -sum_b u0^((k - m) b) s_b, and a plain term adds c at its exponent; a
+    zero entry is no term."""
     groups: dict = {}
-    for key, c in row.items():
+    for key, c in x.row.items():
         if len(key) == 3:
             d, sign, (exp, word) = key
             groups.setdefault((d, len(word), word), ([], []))[0].append((exp, sign, c))
@@ -203,15 +199,6 @@ def _canonical_groups(x: GradedElement):
             vector = vectors.setdefault(sign, [0] * n)
             vector[exp] = (vector[exp] + c) % p
         yield word, None, [(KIND_NAMES[d, sign], vector) for sign, vector in sorted(vectors.items())]
-
-
-@lru_cache(maxsize=256)
-def _orbit(p: int, u0: int, step: int) -> tuple[int, ...]:
-    """p - u0^(b step), b in [0, p - 1): the orbit vector of step k - m.
-    An entry is a tuple of p - 1 references to the ints of the step-1
-    entry, 8 KB at p=1009, so the cache is bounded (2 MB there)."""
-    first = [p - u for u in _root_powers(p, u0)] if step == 1 else _orbit(p, u0, 1)
-    return tuple([first[b * step % (p - 1)] for b in range(p - 1)])
 
 
 @lru_cache(maxsize=16)

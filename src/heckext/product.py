@@ -33,13 +33,13 @@ character key, so a bad pair through the base quadratic costs a few
 pair lookups, not one per torus twist.  A character key meets a pair by
 the projection rule: (e_m a0).b = e_m (a0.b), and a.(e_m b0) = e_m' (a.b0)
 by the idempotent slide a e_m = e_m' a.  The internal product _multiply
-works on rows.  The public multiply reads the row of a lazy operand as
-it is and compresses the coeffs of an eager one (a whole torus orbit that
-is one character becomes its character key, so e_m * x is one pair, not
-p - 1); a result with a character key stays lazy, expanded on the first
-read of its coeffs (graded.py).  A miss is
-derived from the first computed pair of its torus orbit when there is
-one.  With k the torus weight and a0, b0 the symbols at torus exponent 0,
+works on rows.  The public multiply reads each operand's row, compressed
+when it is plain (a whole torus orbit that is one character becomes its
+character key, so e_m * x is one pair, not p - 1), and returns the element
+of the product row, expanded on the first read of its coeffs (graded.py).
+A miss is derived from the first computed pair of its torus orbit when
+there is one.  With k the torus weight and a0, b0 the symbols at torus
+exponent 0,
 
   a.b = u0^-t T_e(a0.b0),  e = ea + (-1)^|wa| eb,  t = k(a) e + k(b) eb,
 
@@ -106,7 +106,7 @@ def _cup_symbols(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
 
 def multiply(x: GradedElement, y: GradedElement) -> GradedElement:
     alg = x.algebra
-    return alg._result(_multiply(alg, alg._operand(x), alg._operand(y)))
+    return GradedElement(alg, _multiply(alg, alg._operand(x), alg._operand(y)))
 
 
 def _multiply(alg: ExtAlgebra, x, y) -> dict:

@@ -29,8 +29,8 @@ The section of one symbol is a pure function of (algebra, symbol), so it
 is memoized in the algebra's section memo, keyed (degree, symbol); its
 values are the frozen expressions themselves, whose terms are tuples of
 immutable slots.  Evaluation multiplies the slots of each term left to
-right on symbolic rows, as the product engine does, and returns a lazy
-element when the sum holds a character key.
+right on symbolic rows, as the product engine does, and returns the
+element of the summed row.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class TensorExpression:
                     break
                 acc = _multiply(alg, acc, {s: 1})
             add_into(total, acc.items(), c, p)
-        return alg._result(total)
+        return GradedElement(alg, total)
 
     def __repr__(self):
         if not self.terms:
@@ -123,19 +123,18 @@ class TensorExpression:
 
 def tensor_act(h: HeckeElement, t: TensorExpression, side: str) -> TensorExpression:
     """Apply a degree-0 element to the outer slot of every term, through the
-    public act_left or act_right; each term of the result's row (_operand:
-    a character key unexpanded) becomes one slot.  A slot's element is a
-    symbol, or the lazy e_m s0 of a character key (_result)."""
+    public act_left or act_right, on the element of the slot's one key;
+    each term of the row the result is read as (_operand) becomes one slot."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     alg = t.algebra
     terms = []
     for c, syms in t.terms:
         if side == "left":
-            row = alg._operand(alg.act_left(h, alg._result({syms[0]: 1})))
+            row = alg._operand(alg.act_left(h, GradedElement(alg, {syms[0]: 1})))
             terms.extend((c * cz, (z,) + syms[1:]) for z, cz in row.items())
         else:
-            row = alg._operand(alg.act_right(alg._result({syms[-1]: 1}), h))
+            row = alg._operand(alg.act_right(GradedElement(alg, {syms[-1]: 1}), h))
             terms.extend((c * cz, syms[:-1] + (z,)) for z, cz in row.items())
     return TensorExpression.from_terms(alg, t.arity, terms)
 

@@ -2,13 +2,14 @@
 written from its coefficient vectors, kept as a test oracle: each term of
 a torus orbit is one tuple (exp, kind name, c), formatted by one f-string.
 heckext.grammar's render_element and element_to_json must give the same
-text and the same JSON for every element, lazy or eager.
+text and the same JSON for every element, whether its row holds a
+character key or not.
 """
 
 from __future__ import annotations
 
-from heckext.graded import KIND_NAMES, GradedElement, _weight
-from heckext.grammar import _heads, _orbit
+from heckext.graded import KIND_NAMES, GradedElement, _orbit, _weight
+from heckext.grammar import _heads
 from heckext.weyl import S0
 
 
@@ -17,17 +18,13 @@ def _canonical_groups(x: GradedElement):
     exponent, sign), as groups (word, terms) of one degree and word, each
     term (exp, kind name, c).
 
-    It reads x's row, so a lazy element is never expanded.  A group without
-    a character key is sorted as it is.  A group with one gets a
-    length-(p - 1) coefficient vector per sign: a key (m, d, sign, word)
-    adds c (p - u0^((k - m) b)) at exponent b, as e_m s0 = -sum_b
-    u0^((k - m) b) s_b, and a plain term adds c at its exponent; zero sums
-    are skipped."""
-    row = x.row
-    if row is None:
-        row = x.coeffs
+    It reads x's row, never its expansion.  A group without a character
+    key is sorted as it is.  A group with one gets a length-(p - 1)
+    coefficient vector per sign: a key (m, d, sign, word) adds c (p -
+    u0^((k - m) b)) at exponent b, as e_m s0 = -sum_b u0^((k - m) b) s_b,
+    and a plain term adds c at its exponent; zero sums are skipped."""
     groups: dict = {}
-    for key, c in row.items():
+    for key, c in x.row.items():
         if len(key) == 3:
             d, sign, (exp, word) = key
             groups.setdefault((d, len(word), word), ([], []))[0].append((exp, sign, c))

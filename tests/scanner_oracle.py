@@ -1,6 +1,7 @@
 """The character scanner that read element text before the token reader,
 kept as a test oracle: the reader in heckext.grammar must give the same
-element, lazy or eager alike, or the same ParseError message and position.
+element, a character key held as one, or the same ParseError message and
+position.
 
 The one change from that scanner: only a lone '0' reads as zero, where
 any integer starting with '0' ("05", "00") once did.

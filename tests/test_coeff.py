@@ -52,6 +52,13 @@ class TestPrimeField:
         with pytest.raises(ValueError):
             PrimeField(5, primitive_root=4)  # order 2, not primitive
 
+    def test_a_refused_root_is_named_as_given(self):
+        # 7, 8 and -1 reduce to 0, 1 and 6 mod 7; the message names the value given
+        for root in (7, 8, -1):
+            with pytest.raises(ValueError, match=rf"^{root} is not a primitive root mod 7$"):
+                PrimeField(7, primitive_root=root)
+        assert PrimeField(7, primitive_root=10).u0 == 3
+
     def test_frozen_examples_p5(self):
         F = PrimeField(5)
         assert F.inv(4) == 4  # 4*4 = 16 = 1

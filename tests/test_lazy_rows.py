@@ -1,15 +1,16 @@
-"""Lazy results and the row-reading renderer.
+"""Elements as symbolic rows, and the row-reading renderer.
 
-A public result whose symbolic row holds a character key keeps that row
-(GradedElement.row) and fills its coeffs from the expansion on the first
-read.  The renderer and the JSON export read the row itself, one torus
-orbit at a time.  Their output is checked here, exhaustively at p=5 and
-p=7, against the sort every render used before rows were read: the
-expansion sorted by (degree, word length, word, exponent, sign), written
-out below as the oracle.  The column walk that writes a torus orbit from
-its coefficient vectors is checked at p up to 1009 against the tuple walk
-kept in render_oracle.py.  The lazy elements are checked against eager
-ones for every operation of the core.
+A GradedElement keeps its symbolic row (GradedElement.row) and fills its
+coeffs from the expansion on the first read; a row without a character
+key is its own expansion.  The renderer and the JSON export read the row
+itself, one torus orbit at a time.  Their output is checked here,
+exhaustively at p=5 and p=7, against the sort every render used before
+rows were read: the expansion sorted by (degree, word length, word,
+exponent, sign), written out below as the oracle.  The column walk that
+writes a torus orbit from its coefficient vectors is checked at p up to
+1009 against the tuple walk kept in render_oracle.py.  Rows with and
+without character keys are checked against the elements of their
+expansions for every operation of the core.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckext import ExtAlgebra
-from heckext.graded import KIND_NAMES, BasisSymbol, GradedElement
-from heckext.grammar import (
-    _exponents, _heads, _orbit, element_to_json, parse_element, render_element,
-)
+from heckext.graded import KIND_NAMES, BasisSymbol, GradedElement, _orbit
+from heckext.grammar import _exponents, _heads, element_to_json, parse_element, render_element
 from heckext.product import multiply
 from heckext.weyl import S0, S1
 
@@ -113,8 +112,12 @@ def is_expanded(x: GradedElement) -> bool:
     return x._coeffs is not None
 
 
+def has_character_key(x: GradedElement) -> bool:
+    return any(len(key) == 4 for key in x.row)
+
+
 def assert_renders_as_expansion(alg: ExtAlgebra, row: dict) -> None:
-    x = GradedElement.lazy(alg, dict(row))
+    x = GradedElement(alg, dict(row))
     coeffs = definition(alg, row)
     assert render_element(x) == old_render(alg, coeffs), row
     assert element_to_json(x) == old_json(alg, coeffs), row
@@ -200,9 +203,9 @@ def test_render_of_a_key_with_plain_terms_that_cancel_part_or_all_of_its_orbit(p
                 partial[BasisSymbol(d, sign, W.element(n - 1, word))] = 1
                 assert_renders_as_expansion(alg, {key: c, **partial})
                 whole = {key: c, **negated}
-                assert render_element(GradedElement.lazy(alg, whole)) == "0"
-                assert element_to_json(GradedElement.lazy(alg, whole)) == {"terms": []}
-                assert GradedElement.lazy(alg, whole).is_zero
+                assert render_element(GradedElement(alg, whole)) == "0"
+                assert element_to_json(GradedElement(alg, whole)) == {"terms": []}
+                assert GradedElement(alg, whole).is_zero
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -254,7 +257,7 @@ def test_the_column_walk_renders_as_the_tuple_walk(p, data):
             row[sym] = c
         else:
             del row[sym]
-    x = GradedElement.lazy(alg, row)
+    x = GradedElement(alg, row)
     assert_renders_as_oracle(x)
     assert not is_expanded(x)
     assert render_element(x) == old_render(alg, x.coeffs)
@@ -269,22 +272,23 @@ def test_a_first_group_that_cancels_leaves_the_sign_to_the_next(p):
     cancelled = {key: 2, **{sym: p - v for sym, v in definition(alg, {key: 2}).items()}}
     plain = BasisSymbol(1, -1, alg.weyl.element(0, (S0,)))
     expected = {"kind": "bm", "support": {"exp": 0, "word": ["s0"]}, "coeff": p - 2}
-    x = GradedElement.lazy(alg, {**cancelled, plain: p - 2})
+    x = GradedElement(alg, {**cancelled, plain: p - 2})
     assert assert_renders_as_oracle(x) == "-2*bm(w(0; s0))"
     assert element_to_json(x) == {"terms": [expected]}
     # the orbit of e_m s0 starts at b = 0 with -1
-    x = GradedElement.lazy(alg, {**cancelled, (3, 1, -1, (S0,)): 1})
+    x = GradedElement(alg, {**cancelled, (3, 1, -1, (S0,)): 1})
     assert assert_renders_as_oracle(x).startswith("-bm(w(0; s0)) ")
     assert element_to_json(x)["terms"][0] == {**expected, "coeff": p - 1}
     assert len(element_to_json(x)["terms"]) == p - 1
 
 
-# --- lazy elements ---
+# --- rows with and without character keys ---
 
 
 def lazy_results(alg: ExtAlgebra) -> list:
-    """Callables that each build a fresh lazy result of one public entry,
-    with coeffs not yet read."""
+    """Callables that each build a fresh result of one public entry, with
+    coeffs not yet read: rows with a character key, then plain rows (one
+    of them a whole torus orbit of p - 1 terms)."""
     H = alg.hecke
     parse = lambda text: parse_element(alg, text)
     y = "bm(w(1; s0)) + 2*a0(w(3; s1 s0))"
@@ -298,26 +302,35 @@ def lazy_results(alg: ExtAlgebra) -> list:
         lambda: alg.involution(parse("4*e(1)")),
         lambda: alg.uniformizer_conj(parse("4*e(1)")),
         lambda: alg.idempotent_times(2, parse("e(2)")),
+        lambda: parse(y),
+        lambda: multiply(parse(y), parse("tau(w(2; s1))")),
+        lambda: alg.involution(parse(y)),
+        lambda: alg.embed(H.idempotent(3)),
     ]
 
 
 @pytest.mark.parametrize("p", [7, 13])
 def test_lazy_results_agree_with_eager_elements(p):
+    # each result against the element of its expansion, a plain row
     alg = ExtAlgebra(p)
     other = parse_element(alg, "tau(w(0;)) - b0(w(1; s0))")
+    kinds = []
     for fresh in lazy_results(alg):
         x = fresh()
-        assert x.row is not None and any(len(k) == 4 for k in x.row) and not is_expanded(x)
+        kinds.append(has_character_key(x))
+        assert not is_expanded(x)
         assert x.coeffs == alg._expand(x.row) == definition(alg, x.row)
+        if not kinds[-1]:
+            assert x.coeffs is x.row
         eager = GradedElement(alg, dict(x.coeffs))
-        assert eager.row is None
+        assert not has_character_key(eager)
         assert fresh() == eager and eager == fresh()
         assert fresh() + other == eager + other and other + fresh() == other + eager
         assert fresh() - eager == alg.zero()
         assert fresh().scale(3) == eager.scale(3) and 2 * fresh() == 2 * eager
         assert -fresh() == -eager and fresh().scale(p) == eager.scale(p) == alg.zero()
         for scaled in (fresh().scale(3), -fresh(), 2 * fresh()):
-            assert scaled.row is not None and not is_expanded(scaled)
+            assert has_character_key(scaled) == kinds[-1] and not is_expanded(scaled)
         assert fresh().is_zero == eager.is_zero
         for d in range(4):
             assert fresh().component(d) == eager.component(d)
@@ -326,6 +339,7 @@ def test_lazy_results_agree_with_eager_elements(p):
         assert multiply(fresh(), other) == multiply(eager, other)
         assert multiply(other, fresh()) == multiply(other, eager)
         assert alg.involution(fresh()) == alg.involution(eager)
+    assert kinds == [True] * 9 + [False] * 4
 
 
 def test_a_parsed_idempotent_is_one_character_key():
@@ -355,8 +369,8 @@ def test_a_sum_with_an_idempotent_stays_lazy():
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_lazy_sums_are_the_sums_of_their_expansions(p):
-    # every mix of lazy and eager operands, through the operators and both
-    # parsers
+    # every mix of rows with and without a character key, through the
+    # operators and both parsers
     alg = ExtAlgebra(p)
     W = alg.weyl
     one, s0 = W.identity, W.element(1, (S0,))
@@ -370,12 +384,12 @@ def test_lazy_sums_are_the_sums_of_their_expansions(p):
             for op in (lambda a, b: a + b, lambda a, b: a - b):
                 got = op(x, y)
                 assert got == op(*eager) and got.is_zero == op(*eager).is_zero
-                # a lazy sum holds a character key
-                assert got.row is None or any(len(k) == 4 for k in got.row)
+                # a sum holds a character key only where an operand does
+                assert has_character_key(got) <= (has_character_key(x) or has_character_key(y))
                 assert repr(got) == repr(op(*eager))
     text = "e(1) + tau(w(1;)) - 2*e(1) + bm(w(0; s0))"
     for parsed in (parse_element(alg, text), _parse_scanned(alg, text)):
-        assert parsed.row is not None
+        assert has_character_key(parsed)
         assert parsed == -alg.idempotent(1) + alg.tau(W.omega(1)) + alg.beta(-1, W.s0)
 
 

@@ -299,7 +299,7 @@ class TestMemoValuesAreReadOnly:
         # character keys through the expansion memo; a section fills the
         # section memo
         multiply(alg.beta(1, W.s0), alg.alpha(-1, W.s0))
-        assert square.row is not None
+        assert 4 in map(len, square.row)
         square.coeffs
         for exp in (0, 3):
             alg._act_right({BasisSymbol(1, -1, W.element(exp, (S1,))): 1}, {W.s1: 1})

@@ -33,8 +33,8 @@ WORDS = ((), (S0,), (S1, S0), (S0, S1, S0))
 def operands(alg: ExtAlgebra) -> list[tuple]:
     """Seeded pairs (h, x), the same for every algebra of one p.  h has
     several terms, among them whole torus orbits c e_m tau_u; x has several
-    terms, and is lazy (its row holds a character key), eager with a whole
-    orbit, or eager with plain terms only."""
+    terms, and its row holds a character key, or is plain with a whole
+    orbit, or plain without one."""
     p, W, H = alg.field.p, alg.weyl, alg.hecke
     rng = random.Random(f"public actions:{p}")
     out = []
@@ -48,7 +48,7 @@ def operands(alg: ExtAlgebra) -> list[tuple]:
         other = alg.symbol_element(verify._random_symbol(rng, alg, rng.randint(0, 3), 4))
         row.update(alg.idempotent_times(rng.randrange(W.n), other).row)
         if i % 3 == 0:
-            x = GradedElement.lazy(alg, row)
+            x = GradedElement(alg, row)
         elif i % 3 == 1:
             x = GradedElement(alg, alg._expand(row))
         else:
@@ -59,7 +59,7 @@ def operands(alg: ExtAlgebra) -> list[tuple]:
 
 def walked(oracle: WalkAlgebra, h, x: GradedElement) -> tuple[dict, dict]:
     """h x and x h through the letter walk of oracle, on expanded coeffs."""
-    xs = oracle._expand(x.row) if x.row is not None else x.coeffs
+    xs = oracle._expand(x.row)
     hs = dict(h.coeffs)
     return oracle._expand(oracle._act_left(hs, xs)), oracle._expand(oracle._act_right(xs, hs))
 
@@ -69,7 +69,7 @@ def test_public_actions_equal_the_letter_walk_of_a_fresh_algebra(p):
     oracle, cold, warm = WalkAlgebra(p), ExtAlgebra(p), ExtAlgebra(p)
     cases = operands(cold)
     expected = [walked(oracle, h, x) for h, x in cases]
-    # some h compress to character keys, and some x are lazy or compress
+    # some h compress to character keys, and some x hold one or compress
     assert any(len(k) == 4 for h, _ in cases for k in cold._hecke_row(h))
     assert any(len(k) == 4 for _, x in cases[1::3] for k in cold._operand(x))
     # the warm-up fills the pair memo in the reverse order, by torus twists
@@ -144,4 +144,4 @@ def test_a_repeated_public_action_reads_only_the_pair_memo(monkeypatch, side):
     monkeypatch.setattr(alg, "_letter_on_symbol", no_letter)
     again = [act(h, x) for h, x in cases]
     assert memo_sizes(alg) == before
-    assert [y.row or y.coeffs for y in again] == [y.row or y.coeffs for y in first]
+    assert [y.row for y in again] == [y.row for y in first]

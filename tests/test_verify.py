@@ -605,13 +605,14 @@ def test_the_eigen_law_can_fail_before_the_first_wrong_product(monkeypatch):
 
 
 def _public_act_right_result_unexpanded(alg):
-    """ExtAlgebra.act_right returning its row as an eager element, character
-    keys left unexpanded in coeffs."""
+    """ExtAlgebra.act_right returning a result whose coeffs are its raw row,
+    character keys left unexpanded."""
     real = alg.act_right
 
     def act(x, h):
         y = real(x, h)
-        return y if y.row is None else graded.GradedElement(alg, y.row)
+        y._coeffs = y.row
+        return y
 
     return act
 
@@ -624,7 +625,7 @@ def _public_act_right_compress_slipped(alg):
     def act(x, h):
         h = {((k[0] + 1) % n, *k[1:]) if len(k) == 4 else k: c
              for k, c in alg._hecke_row(h).items()}
-        return alg._result(product._multiply(alg, alg._operand(x), h))
+        return graded.GradedElement(alg, product._multiply(alg, alg._operand(x), h))
 
     return act
 
