@@ -24,6 +24,7 @@ different fields are never combined (:func:`check_parameters`).
 from __future__ import annotations
 
 from functools import cache
+from operator import attrgetter
 
 __all__ = ["PrimeField", "Combination", "add_into", "check_index", "check_parameters"]
 
@@ -167,7 +168,8 @@ class Combination:
     fixes p.  The constructor stores the map as given; ``make`` reduces it.
     Each subclass declares how ``coeffs`` is stored: a slot (Hecke and free
     elements), or the expansion of a graded element's symbolic row, made on
-    the first read (graded.py), whose ``scale`` and ``+`` work on that row.
+    the first read (graded.py).  ``scale`` and ``+`` act on ``_terms``, the
+    map the constructor takes: ``coeffs`` here, a graded element's row.
     """
 
     __slots__ = ("algebra",)
@@ -175,6 +177,9 @@ class Combination:
     def __init__(self, algebra, coeffs: dict):
         self.algebra = algebra
         self.coeffs = coeffs
+
+    # the map scale and + act on, the one the constructor takes
+    _terms = property(attrgetter("coeffs"))
 
     @classmethod
     def make(cls, algebra, coeffs: dict):
@@ -187,8 +192,8 @@ class Combination:
         if type(other) is not type(self):
             return NotImplemented
         check_parameters(self.algebra, other.algebra)
-        out = dict(self.coeffs)
-        add_into(out, other.coeffs.items(), scale, self.algebra.field.p)
+        out = dict(self._terms)
+        add_into(out, other._terms.items(), scale, self.algebra.field.p)
         return type(self)(self.algebra, out)
 
     def __sub__(self, other):
@@ -203,7 +208,7 @@ class Combination:
         if c == 0:
             return type(self)(self.algebra, {})
         # c and every stored coefficient are units, so no product vanishes
-        return type(self)(self.algebra, {k: c * x % p for k, x in self.coeffs.items()})
+        return type(self)(self.algebra, {k: c * x % p for k, x in self._terms.items()})
 
     def __mul__(self, other):
         """x * c is c * x; x * y, both of the same type, is the subclass's

@@ -20,9 +20,11 @@ tau_u sym is one closed form (_ADDS_RULES, _adds_left); where they do not,
 it is a chain of at most min(l(u), l(w)) table rows (_chain).  The right
 action is their transport through the anti-involution, x h = J(J(h) J(x))
 (deg h = 0, no sign): for tau_w, w = omega^e u, the right torus shift by e
-(no scalar), then J(tau_(u^-1) J(x)) (_act_right, and _adds_right where
-lengths add).  The printed right-action formulas are regression tests,
-not a second table.
+(no scalar), then J(tau_(u^-1) J(x)) (_adds_right where lengths add).
+The two kernels _act_left(u, sym) and _act_right(sym, v) take one Weyl
+element and one plain symbol: they are the pair misses of route (1) in
+product.py, and every sum over terms goes through its _multiply.  The
+printed right-action formulas are regression tests, not a second table.
 
 Character keys.  A term c e_{id^m} s of a row, e_m the torus idempotent,
 has p - 1 terms when expanded; the engine keeps it as the character key
@@ -69,19 +71,18 @@ orbit are derived by product.py's pair law.  Memo values are read-only
 
 Shift kernels.  _shift_left (the left torus action, with a scalar) and
 _shift_right (the plain right shift) move a row along its torus orbit;
-the chains _act_left and _act_right, the closed forms _adds_left and
-_adds_right (behind a pair miss) and the pair-orbit derivation go
-through them.  They intern their images in one table per algebra, so
-the symbols of derived entries are shared, and they read u0^e from the
-power table of the field (PrimeField.root_powers: memoized per (p, u0),
-built on first use).
+the kernels _act_left and _act_right, the closed forms _adds_left and
+_adds_right and the pair-orbit derivation go through them.  They intern
+their images in one table per algebra, so the symbols of derived entries
+are shared, and they read u0^e from the power table of the field
+(PrimeField.root_powers: memoized per (p, u0), built on first use).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, partial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
 from .coeff import Combination, PrimeField, _root_powers, add_into, check_index, check_parameters
@@ -257,21 +258,9 @@ class GradedElement(Combination):
             coeffs = self._coeffs = self.algebra._expand(self.row)
         return coeffs
 
-    def scale(self, c: int) -> "GradedElement":
-        p = self.algebra.field.p
-        c %= p
-        # c and every coefficient of the row are units, so no product vanishes
-        return GradedElement(self.algebra, {k: c * v % p for k, v in self.row.items()} if c else {})
-
-    def __add__(self, other, scale: int = 1):
-        """self + scale * other on the rows (a plain key and a character key
-        of one orbit merge on expansion)."""
-        if type(other) is not GradedElement:
-            return NotImplemented
-        check_parameters(self.algebra, other.algebra)
-        out = dict(self.row)
-        add_into(out, other.row.items(), scale, self.algebra.field.p)
-        return GradedElement(self.algebra, out)
+    # scale and + act on the row (a plain key and a character key of one
+    # orbit merge on expansion)
+    _terms = property(attrgetter("row"))
 
     def _product(self, other: "GradedElement") -> "GradedElement":
         from . import product
@@ -329,9 +318,15 @@ class ExtAlgebra:
     def one(self) -> GradedElement:
         return self.tau(self.weyl.identity)
 
-    def symbol_element(self, sym: BasisSymbol) -> GradedElement:
+    def _check_symbol(self, sym) -> None:
+        """Refuse sym unless it is a BasisSymbol whose support lies in this
+        algebra's Weyl group (WeylGroup.check)."""
         if not isinstance(sym, BasisSymbol):
             raise ValueError(f"expected a BasisSymbol, got {sym!r}")
+        self.weyl.check(sym[2])
+
+    def symbol_element(self, sym: BasisSymbol) -> GradedElement:
+        self._check_symbol(sym)
         return GradedElement(self, {sym: 1})
 
     def tau(self, w: WeylElement) -> GradedElement:
@@ -348,21 +343,17 @@ class ExtAlgebra:
 
     def element(self, coeffs: dict) -> GradedElement:
         for sym in coeffs:
-            if not isinstance(sym, BasisSymbol):
-                raise ValueError(f"expected a BasisSymbol, got {sym!r}")
+            self._check_symbol(sym)
         return GradedElement.make(self, coeffs)
 
     def embed(self, h: HeckeElement) -> GradedElement:
         check_parameters(self, h.algebra)
         return GradedElement(self, {BasisSymbol(0, None, w): c for w, c in h.coeffs.items()})
 
-    def idempotent(self, m: int, scale: int = 1) -> GradedElement:
-        """scale * e_m in degree 0: the element of its character key."""
+    def idempotent(self, m: int) -> GradedElement:
+        """e_m in degree 0: the element of its character key."""
         check_index(m)
-        scale %= self.field.p
-        if not scale:
-            return self.zero()
-        return GradedElement(self, {(m % self.weyl.n, 0, None, ()): scale})
+        return GradedElement(self, {(m % self.weyl.n, 0, None, ()): 1})
 
     def basis_symbols(self, max_length: int, degrees=(0, 1, 2, 3)):
         """All basis symbols with support length <= max_length."""
@@ -592,32 +583,25 @@ class ExtAlgebra:
         check_parameters(self, h.algebra)
         return GradedElement(self, _multiply(self, self._hecke_row(h), self._operand(x)))
 
-    def _act_left(self, h: dict, row) -> dict:
-        """h row on a symbolic row, h a coefficient dict of the Hecke algebra:
-        for each tau_w, w = omega^e u, the chain of u on each key of row, then
-        the torus prefix."""
-        p = self.field.p
-        total: dict = {}
-        for (exp, word), c in h.items():
-            cur: dict = {}
-            for key, cx in row.items():
-                self._chain(word, key, cx, cur)
-            if cur and exp:
-                cur = self._shift_left(cur, exp)
-            add_into(total, cur.items(), c, p)
-        return total
+    def _act_left(self, u: WeylElement, sym: BasisSymbol, c: int = 1) -> dict:
+        """c tau_u sym, u = omega^e u', sym a plain symbol: _adds_left where
+        lengths add, and otherwise the chain of u' on sym, then the torus
+        prefix.  A pair miss of route (1) in product.py; every sum over
+        terms, and every character key, goes through _multiply."""
+        exp, word = u
+        # lengths add unless the support's word starts with the last letter of u
+        if not word or sym[2][1][:1] != word[-1:]:
+            return self._adds_left(u, sym, c)
+        out: dict = {}
+        self._chain(word, sym, c, out)
+        return self._shift_left(out, exp) if out and exp else out
 
     def _chain(self, word: tuple, key, c: int, out: dict) -> None:
-        """out += c tau_u key for the bare word u, read from the right.  While a
+        """out += c tau_u key for the bare word u, read from the right, out
+        holding no plain term (a fresh dict in _act_left).  While a
         letter shortens the support, its row holds character keys on that
         support, which meet the rest of u where lengths add, and at most one
-        plain term, which meets the next letter.  A character key e_m s0 is
-        the chain of s0 projected to e_(+-m), as tau_{s_i} e_m = e_-m tau_{s_i}."""
-        if len(key) == 4:
-            part: dict = {}
-            self._chain(word, self._base(key), 1, part)
-            self._project(out, -key[0] if len(word) % 2 else key[0], part, c)
-            return
+        plain term, which meets the next letter."""
         p, n = self.field.p, len(word)
         # s_i shortens the support exactly when its word starts with i
         while n and key[2][1][:1] == word[n - 1:n]:
@@ -632,7 +616,8 @@ class ExtAlgebra:
             if plain is None:
                 return
             key, c = plain[0], c * plain[1] % p
-        add_into(out, self._adds_left(_weyl((0, word[:n])), key).items(), c, p)
+        # out holds character keys only, so the one plain term cannot merge
+        out.update(self._adds_left(_weyl((0, word[:n])), key, c))
 
     def _adds_left(self, u: WeylElement, sym: BasisSymbol, c: int = 1) -> dict:
         """c tau_u sym where lengths add, l(u w) = l(u) + l(w) for w the support
@@ -657,19 +642,22 @@ class ExtAlgebra:
         check_parameters(self, h.algebra)
         return GradedElement(self, _multiply(self, self._operand(x), self._hecke_row(h)))
 
-    def _act_right(self, row, h: dict) -> dict:
-        """row h on a symbolic row, h a coefficient dict of the Hecke algebra:
-        for each tau_w, w = omega^e u, the right torus shift by e, then the
-        transport J(tau_(u^-1) J(row)), as J(tau_u) = tau_(u^-1) (deg 0)."""
-        p = self.field.p
-        total: dict = {}
-        for (exp, word), c in h.items():
-            cur = self._shift_right(row, exp) if exp else row
-            if word:
-                inverse = {self.weyl.inv(_weyl((0, word))): 1}
-                cur = self._involution(self._act_left(inverse, self._involution(cur)))
-            add_into(total, cur.items(), c, p)
-        return total
+    def _act_right(self, sym: BasisSymbol, v: WeylElement) -> dict:
+        """sym tau_v, v = omega^e u, sym a plain symbol: the plain right torus
+        shift at a torus element, _adds_right where lengths add, and
+        otherwise the right torus shift by e, then the transport
+        J(tau_(u^-1) J(.)), as J(tau_u) = tau_(u^-1) (deg 0).  A pair miss of
+        route (1) in product.py."""
+        exp, word = v
+        if not word:
+            return self._shift_right({sym: 1}, exp)
+        # lengths add unless the support's word ends with the first letter of u
+        if sym[2][1][-1:] != word[:1]:
+            return self._adds_right(sym, v)
+        if exp:
+            ((sym, _),) = self._shift_right({sym: 1}, exp).items()
+        c, jsym = self._symbol_involution(sym)
+        return self._involution(self._act_left(self.weyl.inv(_weyl((0, word))), jsym, c))
 
     def _adds_right(self, sym: BasisSymbol, v: WeylElement) -> dict:
         """sym tau_v where lengths add, v = omega^e u = u omega^g, g = (-1)^l(u) e:

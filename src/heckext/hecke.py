@@ -62,8 +62,7 @@ class HeckeAlgebra:
 
     def element(self, coeffs: dict) -> HeckeElement:
         for w in coeffs:
-            if not isinstance(w, WeylElement):
-                raise ValueError(f"expected a WeylElement, got {w!r}")
+            self.weyl.check(w)
         return HeckeElement.make(self, coeffs)
 
     def idempotent(self, m: int) -> HeckeElement:

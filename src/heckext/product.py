@@ -4,10 +4,12 @@ The product is defined by a finite dispatch on basis-symbol pairs and
 extended bilinearly:
 
   (0) total degree >= 4 is zero;
-  (1) a degree-0 factor acts through the Hecke action on its side, one term
-      or zero where the lengths add (_adds_left/right), and otherwise a chain
-      of table rows (_act_left, and _act_right through J); the public
-      actions and the Hecke factors of routes (3) and (4) are such pairs;
+  (1) a degree-0 factor acts through the Hecke action on its side: the
+      miss tau_u.b is the kernel _act_left(u, b) and a.tau_v the kernel
+      _act_right(a, v), one term or zero where the lengths add
+      (_adds_left/right), and otherwise a chain of table rows, on the
+      right through J; the public actions and the Hecke factors of routes
+      (3) and (4) are such pairs;
   (2) when the support lengths add, the product reduces to a cup product
       inside the summand of the product support, via
       x * y = (x * tau_{supp y}) cup (tau_{supp x} * y);
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .coeff import add_into
+from .coeff import add_into, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .weyl import S0, S1
 
@@ -164,12 +166,11 @@ def _pair_uncached(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
     da, db = a.degree, b.degree
     if da + db >= 4:
         return {}
-    adds = alg.weyl.lengths_add(a.support, b.support)
     if da == 0:
-        return alg._adds_left(a.support, b) if adds else alg._act_left({a.support: 1}, {b: 1})
+        return alg._act_left(a.support, b)
     if db == 0:
-        return alg._adds_right(a, b.support) if adds else alg._act_right({a: 1}, {b.support: 1})
-    if adds:
+        return alg._act_right(a, b.support)
+    if alg.weyl.lengths_add(a.support, b.support):
         return _good_pair(alg, a, b)
     if da == 1 and db == 1:
         return _bad_pair(alg, a, b, _deg1_times_generator)
@@ -256,6 +257,7 @@ def duality_pairing(x: GradedElement, y: GradedElement) -> int:
     of the components; (phi_w) and (tau_w) are dual, and beta^s_w pairs
     with alpha^t_w to delta_{s,t}.
     """
+    check_parameters(x.algebra, y.algebra)
     xc, yc = x.coeffs, y.coeffs
     if not xc or not yc:
         return 0

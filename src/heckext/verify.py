@@ -14,14 +14,15 @@ on a property of the code named in the docstring of the function that
 builds it; tests/test_verify.py keeps each direct form as an oracle.  Where
 the faster test names the same first counterexample as the direct form, the
 check runs it alone; where it may name another, the check is a _restated
-one, which falls back on the direct form.  The torus and lengths-add tests
-read the value of a pair-memo miss (_act_right, _adds_right): the direct
-form's public act_right with the pair memo off (_torus_shift).  The
-round-trip test reads evaluate's own prefix walker, one per torus orbit of
-supports, so it runs the code it certifies.  A faster test may skip code
-that the direct form ran (the public act_right and its pair memo, the
-expansion of a character key), or rest on a law of the code that a fault
-could break; its docstring says so, and other checks run that code.
+one, which falls back on the direct form.  The torus, lengths-add and
+slide tests call the kernel a pair miss of a degree-0 right factor runs,
+_act_right(sym, v): the direct form's public act_right with the pair memo
+off (_torus_shift).  The round-trip test reads evaluate's own prefix
+walker, one per torus orbit of supports, so it runs the code it
+certifies.  A faster test may skip code that the direct form ran (the
+public act_right and its pair memo, the expansion of a character key), or
+rest on a law of the code that a fault could break; its docstring says
+so, and other checks run that code.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import random
 from dataclasses import dataclass
 
 from . import presentation as pres
+from .coeff import add_into
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .grammar import render_element
 from .product import cup_summand, duality_pairing, multiply
@@ -327,11 +329,10 @@ def _torus_shift(alg, max_length):
     sym tau_t = sym t for t = omega^e: its cases and its test.
 
     The direct form made seven public act_right calls per (w, e), each a
-    pair-memo lookup whose miss is _adds_right(sym, t): at a torus element,
-    _shift_right({sym: 1}, e), as _act_right({sym: 1}, {t: 1}) computes.
-    The test makes that _act_right call for every case, in order, on rows
-    {sym: 1} built once per w: the direct form with the pair memo off, the
-    same counterexample.
+    pair-memo lookup whose miss is the kernel _act_right(sym, t): at a torus
+    element, _shift_right({sym: 1}, e).  The test calls that kernel for
+    every case, in order, on the symbols built once per w: the direct form
+    with the pair memo off, the same counterexample.
     The memo derives each pair of a torus orbit from the first one computed,
     so under a wrong right shift the public value depends on the products
     made before; the test reads the shift on every case.  The shortening
@@ -339,19 +340,18 @@ def _torus_shift(alg, max_length):
     """
     W = alg.weyl
     cases = list(itertools.product(W.elements(max_length), range(W.n)))
-    sources: dict = {}  # w -> [(d, sign, {sym: 1}) in the direct order], current w only
+    sources: dict = {}  # w -> [(d, sign, sym) in the direct order], current w only
 
     def torus_shift(case):
         w, e = case
         if w not in sources:
             sources.clear()
             kinds = [(d, sign) for d in (1, 2) for sign in _signs(w)] + [(3, None)]
-            sources[w] = [(d, sign, {BasisSymbol(d, sign, w): 1}) for d, sign in kinds]
+            sources[w] = [(d, sign, BasisSymbol(d, sign, w)) for d, sign in kinds]
         t = W.omega(e)
         wt = W.mul(w, t)
-        h = {t: 1}
-        for d, sign, row in sources[w]:
-            if alg._expand(alg._act_right(row, h)) != {BasisSymbol(d, sign, wt): 1}:
+        for d, sign, sym in sources[w]:
+            if alg._expand(alg._act_right(sym, t)) != {BasisSymbol(d, sign, wt): 1}:
                 return (d, sign, w, e)
 
     return cases, torus_shift
@@ -363,8 +363,9 @@ def _lengths_add(alg, max_length):
     other sign 0.  Its cases, w-outer, and its test.
 
     The direct form made one public act_right call per (sign, w, v), each a
-    pair-memo lookup whose miss is _adds_right(beta^sign_w, v).  The test
-    makes that call for every case, with its signs in the direct order:
+    pair-memo lookup whose miss is the kernel _act_right(beta^sign_w, v),
+    there _adds_right.  The test calls that kernel for every case, with its
+    signs in the direct order:
     the direct form with the pair memo off, the same counterexample
     (_torus_shift says why not with the memo).  The cases list each v of
     length >= 1 once, with its length and first letter, and keep those that
@@ -391,7 +392,7 @@ def _lengths_add(alg, max_length):
         for sym in symbols[w]:
             sign = sym[1]
             expected = {BasisSymbol(1, sign, wv): 1} if sign in (0, kept) else {}
-            if alg._adds_right(sym, v) != expected:
+            if alg._act_right(sym, v) != expected:
                 return (sign, w, v)
 
     return cases, lengths_add
@@ -402,21 +403,15 @@ def _idempotent_slide(alg, max_length):
     symbols of degrees 1 and 2 at lengths <= 6: its cases, its restated test
     and its direct test.
 
-    The left side is the transported right action of e_m term by term, never
-    the character key of act_right, which applies the slide law itself; the
-    right side is idempotent_times.  _act_right sums the terms c tau_t of h
-    one at a time, c times the action of tau_t, so with y_t = sym (u0^e tau_t)
-    for t = omega^e over the torus,
-
-        sym e_m = sum_t e_m[t] (sym tau_t) = sum_t (e_m[t] / u0^e) y_t:
-
-    the same p - 1 right actions for every m.  The restated test computes
-    each y_t once per symbol and forms every left side from them in F_p,
-    column by column, where the direct test applies the whole e_m for each
-    m.  y_t carries a unit scalar as the terms of e_m carry theirs, so a
-    right action that drops the scalar of h still fails; the unit comes from
-    the field, so a wrong e_m enters both forms alike.  As _act_right is
-    linear in h, each left side equals the whole e_m's.
+    The left side is the right action of e_m term by term, sum_t e_m[t]
+    (sym tau_t) over the torus t = omega^e, never the character key of
+    act_right, which applies the slide law itself; each sym tau_t is the
+    kernel _act_right(sym, t) that a pair miss runs.  The right side is
+    idempotent_times.  The direct test sums the p - 1 kernel rows for each
+    m; the restated test calls the kernel once per t and forms every left
+    side from those rows in F_p, column by column: the coefficient of a key
+    over m is sum_t e_m[t] c_t, c_t its coefficient in sym tau_t.  A wrong
+    e_m enters both forms alike.
 
     The right side is read as the row idempotent_times returns, never
     expanded (so the check leaves the expansion memo empty).  For sym at
@@ -436,12 +431,7 @@ def _idempotent_slide(alg, max_length):
     n = W.n
     powers = alg.field.root_powers()
     idempotents = H.idempotents()
-    units = dict(zip(W.torus(), powers))
-    # column t of the ratio table: e_m[t] / u0^e for every m
-    ratios = {
-        t: [idem.coeffs.get(t, 0) * pow(u, p - 2, p) % p for idem in idempotents]
-        for t, u in units.items()
-    }
+    torus = W.torus()
     cases = [
         BasisSymbol(d, sign, w)
         for w in W.elements(min(6, max_length))
@@ -454,8 +444,8 @@ def _idempotent_slide(alg, max_length):
 
     @functools.cache
     def scaled(t, c):
-        """c e_m[t] / u0^e for every m."""
-        return [c * r % p for r in ratios[t]]
+        """c e_m[t] for every m."""
+        return [c * idem.coeffs.get(t, 0) % p for idem in idempotents]
 
     # the column -u0^(r m) over m of a right side, for every r
     characters = [[p - powers[r * m % n] for m in range(n)] for r in range(n)]
@@ -463,8 +453,8 @@ def _idempotent_slide(alg, max_length):
     def restated(sym):
         # key -> its coefficient in every left side, [lhs_m[key] for m]
         cols: dict = {}
-        for t, u in units.items():
-            for key, c in alg._expand(alg._act_right({sym: 1}, {t: u})).items():
+        for t in torus:
+            for key, c in alg._expand(alg._act_right(sym, t)).items():
                 col = scaled(t, c)
                 cols[key] = [(x + y) % p for x, y in zip(cols[key], col)] if key in cols else col
         d, sign, (f, word) = sym
@@ -488,9 +478,11 @@ def _idempotent_slide(alg, max_length):
 
     def direct(sym):
         for m, idem in enumerate(idempotents):
-            lhs = alg._expand(alg._act_right({sym: 1}, idem.coeffs))
+            lhs: dict = {}
+            for t, c in idem.coeffs.items():
+                add_into(lhs, alg._act_right(sym, t).items(), c, p)
             rhs = alg.idempotent_times(slid(sym, m), alg.symbol_element(sym))
-            if lhs != rhs.coeffs:
+            if alg._expand(lhs) != rhs.coeffs:
                 return (sym, m)
 
     return cases, restated, direct

@@ -110,6 +110,14 @@ class WeylGroup:
         built on first use."""
         return _torus(self.n)
 
+    def check(self, w) -> None:
+        """Refuse w unless it is a WeylElement whose torus exponent lies in
+        [0, p - 1), as the normal form of this group has it."""
+        if not isinstance(w, WeylElement):
+            raise ValueError(f"expected a WeylElement, got {w!r}")
+        if not 0 <= w[0] < self.n:
+            raise ValueError(f"the torus exponent {w[0]} of {w!r} is outside [0, {self.n})")
+
     def simple(self, i: int) -> WeylElement:
         return self.s0 if i == S0 else self.s1
 

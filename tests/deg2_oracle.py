@@ -37,7 +37,7 @@ def _deg2_times_generator(alg: ExtAlgebra, q: BasisSymbol, g: BasisSymbol):
         # alpha^-_u = -tau_{s0} alpha^+_{s0^{-1} u}: strictly shorter support
         shorter = W.mul(W.inv(W.s0), u)
         inner = _deg2_times_generator(alg, BasisSymbol(2, 1, shorter), g)
-        return alg._act_left({W.s0: -1}, inner)
+        return _multiply(alg, {BasisSymbol(0, None, W.s0): -1}, inner)
     # alpha^+_u = beta^-_1 * beta^0_u
     inner = _pair(alg, BasisSymbol(1, 0, u), g)
     return _multiply(alg, {BasisSymbol(1, -1, W.identity): 1}, inner)

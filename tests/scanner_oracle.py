@@ -97,7 +97,7 @@ def _parse_term(sc: _Scanner, alg: ExtAlgebra) -> GradedElement:
         sc.expect("(")
         m = sc.integer()
         sc.expect(")")
-        return alg.idempotent(m, coeff)
+        return alg.idempotent(m).scale(coeff)
     if name not in _KINDS:
         raise ParseError(f"unknown symbol kind {name!r}", sc.pos)
     degree, sign = _KINDS[name]

@@ -3,8 +3,9 @@
 _act_left reads tau_u sym from the right as a chain: while a letter
 shortens the support, one row of the letter memo, whose character keys
 meet the rest of u in closed form and whose one plain term meets the next
-letter; _act_right is its transport through J.  Both must give the rows,
-exactly, that the letter-by-letter walk kept in tests/walk_oracle.py gives:
+letter; _act_right is its transport through J.  Both kernels, one symbol
+against one Weyl element, must give the rows, exactly, that the
+letter-by-letter walk kept in tests/walk_oracle.py gives:
 on every symbol against every u, bare or with a torus prefix, on both
 sides, and on the full cancellations tau_(w^-1) x_w and x_w tau_(w^-1) of
 256-letter supports, where each chain reads one row per letter.
@@ -36,9 +37,8 @@ def test_chains_give_the_rows_of_the_walk(p, max_length):
     words = bare + [W.mul(W.omega(3), u) for u in bare]
     for sym in alg.basis_symbols(max_length):
         for u in words:
-            h = {u: 1}
-            assert alg._act_left(h, {sym: 1}) == oracle._act_left(h, {sym: 1}), (u, sym)
-            assert alg._act_right({sym: 1}, h) == oracle._act_right({sym: 1}, h), (sym, u)
+            assert alg._act_left(u, sym) == oracle._act_left(u, sym), (u, sym)
+            assert alg._act_right(sym, u) == oracle._act_right(sym, u), (sym, u)
 
 
 @pytest.mark.parametrize("kind", KIND_NAMES, ids=KIND_NAMES.values())
@@ -47,10 +47,10 @@ def test_a_full_cancellation_gives_the_rows_of_the_walk(kind):
     W = alg.weyl
     w = W.element(3, tuple(j % 2 for j in range(256)))
     sym = BasisSymbol(*kind, w)
-    h = {W.inv(w): 2}
-    left = alg._act_left(h, {sym: 1})
-    assert left and left == oracle._act_left(h, {sym: 1})
-    right = alg._act_right({sym: 1}, h)
-    assert right and right == oracle._act_right({sym: 1}, h)
+    u = W.inv(w)
+    left = alg._act_left(u, sym, 2)
+    assert left and left == oracle._act_left(u, sym, 2)
+    right = alg._act_right(sym, u)
+    assert right and right == oracle._act_right(sym, u)
     # one row per letter, the same on both sides
     assert len(alg._letter_cache) <= 2 * 256

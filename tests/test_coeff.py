@@ -8,6 +8,7 @@ from heckext.coeff import PrimeField
 from heckext.graded import BasisSymbol, ExtAlgebra, GradedElement
 from heckext.hecke import HeckeElement
 from heckext.presentation import B_P, LETTERS, FreeElement, free_letter
+from heckext.product import duality_pairing
 
 
 def egcd(a, b):
@@ -194,6 +195,7 @@ class TestCombination:
             lambda: E5.embed(h7),
             lambda: E5.hecke.involution(h7),
             lambda: E5.hecke.uniformizer_conj(h7),
+            lambda: duality_pairing(E5.phi(E5.weyl.identity), E7.tau(E7.weyl.identity)),
         ):
             with pytest.raises(ValueError, match="different parameters"):
                 mix()

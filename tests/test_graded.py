@@ -54,6 +54,26 @@ class TestSymbols:
         with pytest.raises(ValueError, match="WeylElement"):
             BasisSymbol(1, -1, (0, ()))
 
+    @pytest.mark.parametrize("exp", [5, -1])
+    def test_a_support_exponent_outside_the_torus_is_refused(self, alg5, exp):
+        """w(5;) of p=7 has no exponent in [0, 4); stored at p=5, beta^-
+        there was unequal to beta^- at w(1;), though every product reduced
+        it, and the renderer raised on it."""
+        far = WeylElement(None, exp, ())
+        H = alg5.hecke
+        for make in (
+            lambda: alg5.tau(far),
+            lambda: alg5.beta(-1, far),
+            lambda: alg5.alpha(1, far),
+            lambda: alg5.phi(far),
+            lambda: alg5.symbol_element(BasisSymbol(1, -1, far)),
+            lambda: alg5.element({BasisSymbol(3, None, far): 2}),
+            lambda: H.tau(far),
+            lambda: H.element({far: 2}),
+        ):
+            with pytest.raises(ValueError, match=f"torus exponent {exp} "):
+                make()
+
     def test_torus_only_enumeration_has_no_sign_zero(self, alg5):
         syms = list(alg5.basis_symbols(0))
         assert all(s.support.length == 0 for s in syms)

@@ -346,8 +346,8 @@ def test_a_parsed_idempotent_is_one_character_key():
     alg = ExtAlgebra(1009)
     x = parse_element(alg, "3*e(5)")
     assert x.row == {(5, 0, None, ()): 3}
-    assert alg.idempotent(-1, 1010).row == {(1007, 0, None, ()): 1}
-    assert alg.idempotent(4, 1009).is_zero
+    assert alg.idempotent(-1).scale(1010).row == {(1007, 0, None, ()): 1}
+    assert alg.idempotent(4).scale(1009).is_zero
 
 
 def test_a_scaled_idempotent_stays_one_character_key():
@@ -375,7 +375,7 @@ def test_lazy_sums_are_the_sums_of_their_expansions(p):
     W = alg.weyl
     one, s0 = W.identity, W.element(1, (S0,))
     elements = [
-        alg.idempotent(1), alg.idempotent(2, 3), alg.beta(-1, one), alg.tau(W.omega(1)),
+        alg.idempotent(1), alg.idempotent(2).scale(3), alg.beta(-1, one), alg.tau(W.omega(1)),
         alg.act_left(alg.hecke.idempotent(1), alg.beta(0, s0)), alg.beta(0, s0), alg.zero(),
     ]
     for x in elements:

@@ -115,7 +115,7 @@ def test_symbolic_right_rows_equal_the_concrete_transport(p):
     for sym in alg.basis_symbols(MAX_LENGTH):
         for i in (S0, S1):
             expected = concrete_right_row(oracle, i, sym)
-            got = GradedElement(alg, alg._expand(alg._act_right({sym: 1}, {alg.weyl.simple(i): 1})))
+            got = GradedElement(alg, alg._expand(alg._act_right(sym, alg.weyl.simple(i))))
             assert got == expected, (i, sym)
             assert GradedElement(walk, walk._expand(walk._right_row(i, sym))) == expected, (i, sym)
 
@@ -129,7 +129,7 @@ def test_a_right_letter_makes_one_j_miss_per_row_entry():
     row = alg._letter_on_symbol(S0, jsym)
     assert sorted(len(key) for key in row) == [3, 4, 4, 4]
     before = len(alg._j_cache)
-    out = alg._act_right({sym: 1}, {alg.weyl.s0: 1})
+    out = alg._act_right(sym, alg.weyl.s0)
     assert 0 < len(alg._j_cache) - before <= len(row)
     assert len(out) == len(row)
     assert len(alg._expand(out)) > alg.weyl.n

@@ -302,8 +302,8 @@ class TestMemoValuesAreReadOnly:
         assert 4 in map(len, square.row)
         square.coeffs
         for exp in (0, 3):
-            alg._act_right({BasisSymbol(1, -1, W.element(exp, (S1,))): 1}, {W.s1: 1})
-            alg._act_left({W.s0: 1}, {BasisSymbol(2, 1, W.element(exp, (S0,))): 1})
+            alg._act_right(BasisSymbol(1, -1, W.element(exp, (S1,))), W.s1)
+            alg._act_left(W.s0, BasisSymbol(2, 1, W.element(exp, (S0,))))
         section_deg2(alg.alpha(1, W.s0))
         memos = {
             "_pair_cache": alg._pair_cache,

@@ -4,8 +4,8 @@ act_left(h, x) multiplies h, read as a degree-0 row, with x, and
 act_right(x, h) multiplies x with it: a term tau_w of h is the symbol
 tau_w, and a whole torus orbit c e_m tau_u is one degree-0 character key.
 So a warm call reads the pair memo.  Both are checked here against the
-letter walk of tests/walk_oracle.py on a fresh algebra (_act_left and
-_act_right on the expanded coeffs), on a cold algebra and on one whose pair memo was filled
+letter walk of tests/walk_oracle.py on a fresh algebra (its walk on the
+expanded coeffs), on a cold algebra and on one whose pair memo was filled
 in another order, and the hit path is pinned: a repeated call grows no
 memo and applies no letter.  On a whole orbit h = 2 e_m tau_u, each action
 must be the sum of the actions on the terms of h, checked exhaustively at
@@ -61,7 +61,7 @@ def walked(oracle: WalkAlgebra, h, x: GradedElement) -> tuple[dict, dict]:
     """h x and x h through the letter walk of oracle, on expanded coeffs."""
     xs = oracle._expand(x.row)
     hs = dict(h.coeffs)
-    return oracle._expand(oracle._act_left(hs, xs)), oracle._expand(oracle._act_right(xs, hs))
+    return oracle._expand(oracle._walk_left(hs, xs)), oracle._expand(oracle._walk_right(xs, hs))
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -40,13 +40,14 @@ def test_rightaction_torus_reports_the_first_counterexample(monkeypatch):
     w, t = W.element(1, (S0,)), W.omega(2)
     real = alg._act_right
 
-    def broken(row, h):
+    def broken(sym, v):
         # wrong on degrees 1 and 2 at the same (w, e): degree 1 comes first
-        wrong = h == {t: 1} and any(len(k) == 3 and k[0] in (1, 2) and k[2] == w for k in row)
-        out = real(row, h)
-        return {k: 2 * c % 5 for k, c in out.items()} if wrong else out
+        out = real(sym, v)
+        if v == t and sym[0] in (1, 2) and sym[2] == w:
+            return {k: 2 * c % 5 for k, c in out.items()}
+        return out
 
-    # the rows of the torus check go through _act_right
+    # the symbols of the torus check go through the kernel _act_right
     monkeypatch.setattr(alg, "_act_right", broken)
     results = {r.name: r for r in verify.suite_rightaction(alg, max_length=1)}
     check = results["rightaction_torus_all_degrees"]
@@ -162,11 +163,12 @@ def test_vacuous_options_are_refused(entry, option, value):
 # they run through verify._restated, which reruns a direct form kept in
 # verify.py on failure.
 #
-# The torus and lengths-add tests in verify.py call _act_right and
-# _adds_right, which is how a pair-memo miss computes x tau_v.  Their oracles
-# call the public act_right, which reads the pair memo.  The memo derives
-# every pair of a torus orbit from the first one computed, so under a wrong
-# right shift a public value depends on the products made before it.
+# The torus and lengths-add tests in verify.py call the kernel
+# _act_right(sym, v), which is how a pair-memo miss computes sym tau_v.
+# Their oracles call the public act_right, which reads the pair memo.  The
+# memo derives every pair of a torus orbit from the first one computed, so
+# under a wrong right shift a public value depends on the products made
+# before it.
 # reports() therefore runs these two oracles with the pair memo off
 # (PAIR_MISS_ORACLES), where each public act_right is one pair miss.
 
@@ -250,7 +252,11 @@ def direct_slide(alg, max_length):
     def slide(sym):
         weight = alg._torus_weight(sym)
         for m, idem in enumerate(idempotents):
-            lhs = alg._expand(alg._act_right({sym: 1}, idem.coeffs))
+            # e_m term by term, each term one kernel call
+            lhs: dict = {}
+            for t, c in idem.coeffs.items():
+                add_into(lhs, alg._act_right(sym, t).items(), c, alg.field.p)
+            lhs = alg._expand(lhs)
             mprime = (m if sym.support.length % 2 == 0 else -m) + weight
             rhs = alg.idempotent_times(mprime, alg.symbol_element(sym))
             if lhs != rhs.coeffs:
@@ -386,22 +392,26 @@ def test_the_lengths_add_cases_are_every_pair_whose_lengths_add(p):
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_act_right_walks_a_word_one_letter_at_a_time(p):
     """row tau_v, v = omega^e u, is the right torus shift of row by e, then
-    one single-letter _act_right per letter of u, from left to right.  Rows
-    are one symbol, or one symbol plus a character key."""
+    one product with tau_{s_i} per letter of u, from left to right, both
+    through _multiply; on one symbol it is the kernel _act_right(sym, v).
+    Rows are one symbol, or one symbol plus a character key."""
     alg = ExtAlgebra(p)
     W = alg.weyl
     rng = random.Random(f"walk:{p}")
     for _ in range(300):
         sym = verify._random_symbol(rng, alg, rng.randint(0, 3), 6)
-        row = {sym: rng.randrange(1, p)}
+        c = rng.randrange(1, p)
+        row = {sym: c}
         if rng.random() < 0.5:
             other = verify._random_symbol(rng, alg, rng.randint(0, 3), 6)
             row.update(alg.idempotent_times(rng.randrange(W.n), alg.symbol_element(other)).row)
         v = verify._random_weyl(rng, alg, 6)
         walked = alg._shift_right(row, v.exp)
         for letter in v.word:
-            walked = alg._act_right(walked, {W.simple(letter): 1})
-        assert alg._act_right(row, {v: 1}) == walked, (row, v)
+            walked = product._multiply(alg, walked, {BasisSymbol(0, None, W.simple(letter)): 1})
+        assert product._multiply(alg, row, {BasisSymbol(0, None, v): 1}) == walked, (row, v)
+        if len(row) == 1:
+            assert {k: x * c % p for k, x in alg._act_right(sym, v).items()} == walked, (sym, v)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -448,19 +458,6 @@ def _torus_rule_slipped(H):
                     for w, c in a.coeffs.items()), H.zero())
 
     return mul
-
-
-def _act_right_scalar_dropped(alg):
-    """ExtAlgebra._act_right reading every term of h with scalar 1."""
-    real, p = alg._act_right, alg.field.p
-
-    def act(row, h):
-        total = {}
-        for w in h:
-            add_into(total, real(row, {w: 1}).items(), 1, p)
-        return total
-
-    return act
 
 
 def _shift_right_flipped(alg):
@@ -513,8 +510,6 @@ def _generators_swapped(module):
     (_slide_slip, "alg", "_slide", {}),
     (_right_scalar_dropped, "hecke", "mul", {"e0_idempotent_system": "(0, 0)"}),
     (_torus_rule_slipped, "hecke", "mul", {"e0_idempotent_system": "(1, 1)"}),
-    (_act_right_scalar_dropped, "alg", "_act_right",
-     {"rightaction_idempotent_slide": "(bm(w(0;)), 0)"}),
     (_shift_right_flipped, "alg", "_shift_right", {
         "rightaction_torus_all_degrees": "(1, -1, w(0;), 1)",
         "rightaction_deg1_lengths_add_{n}_pairs": "(-1, w(0;), w(1; s0))",
@@ -547,11 +542,6 @@ def _chain_mutant(alg, flipped=False, dropped=False):
     p = alg.field.p
 
     def chain(word, key, c, out):
-        if len(key) == 4:
-            part: dict = {}
-            chain(word, alg._base(key), 1, part)
-            alg._project(out, -key[0] if len(word) % 2 else key[0], part, c)
-            return
         n = len(word)
         while n and key[2][1][:1] == word[n - 1:n]:
             n -= 1
@@ -565,7 +555,7 @@ def _chain_mutant(alg, flipped=False, dropped=False):
             if plain is None:
                 return
             key, c = plain[0], c if dropped else c * plain[1] % p
-        add_into(out, alg._adds_left(_weyl((0, word[:n])), key).items(), c, p)
+        out.update(alg._adds_left(_weyl((0, word[:n])), key, c))
 
     return chain
 
@@ -637,20 +627,18 @@ def _char_expansion_negated(alg):
 
 
 def _act_right_walks_right_to_left(alg):
-    """ExtAlgebra._act_right applying the letters of a word from the right."""
-    real = alg._act_right
+    """ExtAlgebra._act_right applying the letters of a word from the right
+    where lengths do not add."""
+    real, W = alg._act_right, alg.weyl
 
-    def act(row, h):
-        total = {}
-        for w, c in h.items():
-            if len(w) == 2 and len(w[1]) > 1:
-                cur = alg._shift_right(row, w[0])
-                for letter in reversed(w[1]):
-                    cur = real(cur, {alg.weyl.simple(letter): 1})
-                add_into(total, cur.items(), c, alg.field.p)
-            else:
-                add_into(total, real(row, {w: c}).items(), 1, alg.field.p)
-        return total
+    def act(sym, v):
+        exp, word = v
+        if len(word) < 2 or W.lengths_add(sym[2], v):
+            return real(sym, v)
+        cur = alg._shift_right({sym: 1}, exp)
+        for letter in reversed(word):
+            cur = product._multiply(alg, cur, {BasisSymbol(0, None, W.simple(letter)): 1})
+        return cur
 
     return act
 
@@ -713,9 +701,9 @@ SKIPPED_CODE_MUTANTS = [
 def test_code_a_faster_test_skips_is_caught_by_another_check(
     monkeypatch, mutant, attr, passing, caught
 ):
-    """The torus and lengths-add tests call _act_right and _adds_right on
-    rows, not the public act_right; the slide never expands its right side;
-    a lengths-add pair miss never walks a word through _act_right.  A fault
+    """The torus and lengths-add tests call the kernel _act_right, not the
+    public act_right; the slide never expands its right side; a lengths-add
+    pair miss never reaches the transport of _act_right.  A fault
     in the code so skipped passes those checks, and other checks of verify
     all fail it."""
     alg = ExtAlgebra(5)

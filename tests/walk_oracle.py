@@ -4,8 +4,10 @@ through one letter memo keyed (letter, symbol, right), whose first miss in
 a torus orbit is computed (the table row on the left, its transport through
 J on the right) and kept in a letter-orbit memo, and whose later misses are
 torus shifts of that representative.  WalkAlgebra is an ExtAlgebra whose
-_act_left and _act_right are that walk, so its pair misses, and every
-product and public action built on them, go through the walk too.
+kernels _act_left(u, sym) and _act_right(sym, v) are that walk, so its
+pair misses, and every product and public action built on them, go
+through the walk too.  The walk on sums of terms, character keys among
+them, is _walk_left(h, row) and _walk_right(row, h).
 """
 
 from __future__ import annotations
@@ -80,7 +82,13 @@ class WalkAlgebra(ExtAlgebra):
                 self._project(out, key[0] if right else -key[0], letter(i, self._base(key), right), c)
         return out
 
-    def _act_left(self, h: dict, row) -> dict:
+    def _act_left(self, u, sym: BasisSymbol, c: int = 1) -> dict:
+        return self._walk_left({u: c}, {sym: 1})
+
+    def _act_right(self, sym: BasisSymbol, v) -> dict:
+        return self._walk_right({sym: 1}, {v: 1})
+
+    def _walk_left(self, h: dict, row) -> dict:
         """h row on a symbolic row, h a coefficient dict of the Hecke algebra:
         each word walked letter by letter from the right, then its torus
         prefix."""
@@ -97,7 +105,7 @@ class WalkAlgebra(ExtAlgebra):
             add_into(total, cur.items(), c, p)
         return total
 
-    def _act_right(self, row, h: dict) -> dict:
+    def _walk_right(self, row, h: dict) -> dict:
         """row h on a symbolic row, h a coefficient dict of the Hecke algebra:
         for each tau_w, w = omega^e u, the right torus shift by e, then the
         letters of u from left to right."""
