@@ -51,9 +51,9 @@ multiples are taken on the rows.  On the way in (_operand), a row with a
 character key is read as it is, and a row of at least p - 1 plain terms
 is compressed (_compress, the inverse of the expansion): each whole torus
 orbit whose p - 1 coefficients are one character becomes its character
-key.  The Hecke operand of act_left and act_right is read as a degree-0
-row (_hecke_row), an orbit c e_m tau_u as a character key, so both
-actions are products: one pair memo lookup per pair of terms.
+key.  The Hecke operand of act_left and act_right is read as the row of
+its embedding, _operand(embed(h)), an orbit c e_m tau_u as a character
+key, so both actions are products: one pair memo lookup per pair of terms.
 
 Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
 BasisSymbol the tuple (degree, sign, support), so the keys of every
@@ -347,8 +347,9 @@ class ExtAlgebra:
         return GradedElement.make(self, coeffs)
 
     def embed(self, h: HeckeElement) -> GradedElement:
+        # HeckeAlgebra.element checked the supports of h
         check_parameters(self, h.algebra)
-        return GradedElement(self, {BasisSymbol(0, None, w): c for w, c in h.coeffs.items()})
+        return GradedElement(self, {_shifted((0, None, w)): c for w, c in h.coeffs.items()})
 
     def idempotent(self, m: int) -> GradedElement:
         """e_m in degree 0: the element of its character key."""
@@ -482,7 +483,7 @@ class ExtAlgebra:
         character key (k - j, d, sign, word) with coefficient -c_0, as e_m s0
         = -sum_f u0^((k - m) f) s_f; every other term stays as it is.  The keys
         are plain graded symbols (a Hecke element as degree-0 symbols,
-        _hecke_row).
+        embed).
 
         coeffs has at least p - 1 terms (a smaller dict holds no whole orbit,
         and callers pass it on unchanged).  Only a word that carries p - 1
@@ -573,15 +574,8 @@ class ExtAlgebra:
 
     # --- the two-sided action ---
 
-    def _hecke_row(self, h: HeckeElement) -> dict:
-        """h as a degree-0 row: tau_w is the symbol (0, None, w), and c e_m
-        tau_u, a whole orbit to _compress, the key (m, 0, None, u)."""
-        row = {_shifted((0, None, w)): c for w, c in h.coeffs.items()}
-        return self._compress(row) if len(row) >= self.weyl.n else row
-
     def act_left(self, h: HeckeElement, x: GradedElement) -> GradedElement:
-        check_parameters(self, h.algebra)
-        return GradedElement(self, _multiply(self, self._hecke_row(h), self._operand(x)))
+        return GradedElement(self, _multiply(self, self._operand(self.embed(h)), self._operand(x)))
 
     def _act_left(self, u: WeylElement, sym: BasisSymbol, c: int = 1) -> dict:
         """c tau_u sym, u = omega^e u', sym a plain symbol: _adds_left where
@@ -639,8 +633,7 @@ class ExtAlgebra:
         return self._shift_left(row, exp) if exp else row
 
     def act_right(self, x: GradedElement, h: HeckeElement) -> GradedElement:
-        check_parameters(self, h.algebra)
-        return GradedElement(self, _multiply(self, self._operand(x), self._hecke_row(h)))
+        return GradedElement(self, _multiply(self, self._operand(x), self._operand(self.embed(h))))
 
     def _act_right(self, sym: BasisSymbol, v: WeylElement) -> dict:
         """sym tau_v, v = omega^e u, sym a plain symbol: the plain right torus

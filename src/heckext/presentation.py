@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import compress, count
 from operator import ne
 
-from .coeff import Combination, add_into, check_parameters
+from .coeff import Combination, add_into, check_index, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .product import _multiply
 from .sections import TensorExpression, _section2_symbol, _section3_symbol
@@ -106,6 +106,7 @@ def free_idempotent(alg: ExtAlgebra, m: int, bound: str = "p-2") -> FreeElement:
     bound 'p-2' sums i = 0 .. p-2 (one term per torus class); 'p-1' sums
     one power further, double-counting the identity class.
     """
+    check_index(m)
     if bound not in ("p-2", "p-1"):
         raise ValueError(f"bound must be 'p-2' or 'p-1', got {bound!r}")
     F = alg.field

@@ -13,16 +13,16 @@ Some checks run a faster test than the direct one they replaced, resting
 on a property of the code named in the docstring of the function that
 builds it; tests/test_verify.py keeps each direct form as an oracle.  Where
 the faster test names the same first counterexample as the direct form, the
-check runs it alone; where it may name another, the check is a _restated
-one, which falls back on the direct form.  The torus, lengths-add and
-slide tests call the kernel a pair miss of a degree-0 right factor runs,
-_act_right(sym, v): the direct form's public act_right with the pair memo
-off (_torus_shift).  The round-trip test reads evaluate's own prefix
-walker, one per torus orbit of supports, so it runs the code it
-certifies.  A faster test may skip code that the direct form ran (the
-public act_right and its pair memo, the expansion of a character key), or
-rest on a law of the code that a fault could break; its docstring says
-so, and other checks run that code.
+check runs it alone; where it may fail a case the direct form passes, the
+check is a _restated one: the direct form decides each case the faster test
+fails.  The torus, lengths-add and slide tests call the kernel a pair miss
+of a degree-0 right factor runs, _act_right(sym, v): the direct form's
+public act_right with the pair memo off (_torus_shift).  The round-trip
+test reads evaluate's own prefix walker, one per torus orbit of supports,
+so it runs the code it certifies.  A faster test may skip code that the
+direct form ran (the public act_right and its pair memo, the expansion of
+a character key), or rest on a law of the code that a fault could break;
+its docstring says so, and other checks run that code.
 """
 
 from __future__ import annotations
@@ -70,15 +70,13 @@ def _check(name, cases, test) -> CheckResult:
 
 def _restated(name, cases, test, direct) -> CheckResult:
     """A check whose test is a faster restatement of a direct one that may
-    name a different first counterexample.  Where the law test rests on
-    holds and the code it skips is right, both named where the two are
-    built, a case that test passes, direct passes too.  When test fails,
-    direct runs over all the cases, so the verdict and the counterexample
-    are direct's.  direct is the direct form that tests/test_verify.py keeps
-    as an oracle."""
-    cases = list(cases)
-    result = _check(name, cases, test)
-    return result if result.ok else _check(name, cases, direct)
+    fail a case the direct one passes.  Where the law test rests on holds
+    and the code it skips is right, both named where the two are built, a
+    case that test passes, direct passes too; so direct decides only the
+    cases test fails, and the first case failing both is the first case
+    direct fails: the verdict, the count and the counterexample are direct's.
+    direct is the direct form that tests/test_verify.py keeps as an oracle."""
+    return _check(name, cases, lambda case: None if test(case) is None else direct(case))
 
 
 # --- random sampling helpers ---
@@ -139,8 +137,8 @@ def suite_kernel(alg, **_):
 
 
 def suite_sections(alg, *, max_length=8, **_):
-    deg2 = list(alg.basis_symbols(max_length, degrees=(2,)))
-    deg3 = list(alg.basis_symbols(max_length, degrees=(3,)))
+    def symbols(degree):
+        return alg.basis_symbols(max_length, degrees=(degree,))
 
     def splits(section):
         def test(sym):
@@ -157,9 +155,9 @@ def suite_sections(alg, *, max_length=8, **_):
             return f"fails at {sym!r}"
 
     return [
-        _check("sections_deg2_identity_{n}_symbols", deg2, splits(section_deg2)),
-        _check("sections_deg3_identity_{n}_symbols", deg3, splits(section_deg3)),
-        _check("sections_deg3_symmetric_identity_{n}_symbols", deg3, symmetric_splits),
+        _check("sections_deg2_identity_{n}_symbols", symbols(2), splits(section_deg2)),
+        _check("sections_deg3_identity_{n}_symbols", symbols(3), splits(section_deg3)),
+        _check("sections_deg3_symmetric_identity_{n}_symbols", symbols(3), symmetric_splits),
         _identity_section_fixed_forms(alg),
     ]
 
@@ -316,7 +314,7 @@ def suite_rightaction(alg, *, max_length=8, **_):
     return [
         _check("rightaction_torus_all_degrees", *_torus_shift(alg, max_length)),
         _check("rightaction_deg1_lengths_add_{n}_pairs", *_lengths_add(alg, max_length)),
-        _check("rightaction_deg1_shortening", [v for v in supports if v.length >= 1],
+        _check("rightaction_deg1_shortening", (v for v in supports if v.length >= 1),
                shortening),
         _check("rightaction_deg3_reflections", itertools.product(supports, (S0, S1)),
                reflection),
@@ -339,7 +337,7 @@ def _torus_shift(alg, max_length):
     and reflection checks of this suite call the public act_right.
     """
     W = alg.weyl
-    cases = list(itertools.product(W.elements(max_length), range(W.n)))
+    cases = itertools.product(W.elements(max_length), range(W.n))
     sources: dict = {}  # w -> [(d, sign, sym) in the direct order], current w only
 
     def torus_shift(case):
@@ -367,17 +365,18 @@ def _lengths_add(alg, max_length):
     there _adds_right.  The test calls that kernel for every case, with its
     signs in the direct order:
     the direct form with the pair memo off, the same counterexample
-    (_torus_shift says why not with the memo).  The cases list each v of
-    length >= 1 once, with its length and first letter, and keep those that
-    fit each w.
+    (_torus_shift says why not with the memo).  The cases read each v of
+    length >= 1 from one list, with its length and first letter, and keep
+    those that fit each w.
     """
     W = alg.weyl
     supports = W.elements(max_length)
     tails = [(v, len(v[1]), v[1][:1]) for v in supports if v[1]]
-    cases = []
-    for w in supports:
-        room, last = max_length - len(w[1]), w[1][-1:]
-        cases += [(w, v) for v, length, first in tails if length <= room and first != last]
+
+    def cases():
+        for w in supports:
+            room, last = max_length - len(w[1]), w[1][-1:]
+            yield from ((w, v) for v, length, first in tails if length <= room and first != last)
 
     # w -> beta^sign_w for each sign in the direct order, sign 0 first
     symbols = {w: [BasisSymbol(1, sign, w) for sign in ((0, -1, 1) if w[1] else (-1, 1))]
@@ -395,7 +394,7 @@ def _lengths_add(alg, max_length):
             if alg._act_right(sym, v) != expected:
                 return (sign, w, v)
 
-    return cases, lengths_add
+    return cases(), lengths_add
 
 
 def _idempotent_slide(alg, max_length):
@@ -432,12 +431,12 @@ def _idempotent_slide(alg, max_length):
     powers = alg.field.root_powers()
     idempotents = H.idempotents()
     torus = W.torus()
-    cases = [
+    cases = (
         BasisSymbol(d, sign, w)
         for w in W.elements(min(6, max_length))
         for d in (1, 2)
         for sign in _signs(w)
-    ]
+    )
 
     def slid(sym, m):
         return (m if sym.support.length % 2 == 0 else -m) + alg._torus_weight(sym)
@@ -624,7 +623,7 @@ def _round_trip(alg, max_length):
         if alg._expand(walker.row(pres.word_for_basis(alg, sym))) != {sym: 1}:
             return sym
 
-    return list(alg.basis_symbols(max_length)), round_trip
+    return alg.basis_symbols(max_length), round_trip
 
 
 def suite_e0(alg, *, max_length=8, samples=1000, seed=0, **_):
@@ -690,7 +689,7 @@ def _idempotent_system(alg):
     fails (a, 0), where e_a e_0 may still be right: with the torus rule
     slipped to tau_t tau_t' = tau_(t t'^-1), the restated test fails (1, 0)
     and the first wrong product is e_1 e_1.  So the check is a _restated one:
-    on failure the direct test names the first wrong product.
+    the direct test passes (1, 0) and names (1, 1), the first wrong product.
     """
     H, p = alg.hecke, alg.field.p
     torus = alg.weyl.torus()
@@ -725,7 +724,7 @@ def _idempotent_system(alg):
         a, b = case
         return None if H.mul(idems[a], idems[b]) == (idems[a] if a == b else H.zero()) else case
 
-    return [*itertools.product(range(len(idems)), repeat=2), "sum"], restated, direct
+    return itertools.chain(itertools.product(range(p - 1), repeat=2), ["sum"]), restated, direct
 
 
 SUITES = {
@@ -747,8 +746,9 @@ def run_suite(alg: ExtAlgebra, name: str, **options) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     for option in ("samples", "max_length"):
-        if options.get(option, 1) < 1:
-            raise ValueError(f"{option} must be >= 1, got {options[option]}")
+        value = options.get(option, 1)
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"{option} must be an int >= 1, got {value!r}")
     results = SUITES[name](alg, **options)
     return sorted(results, key=lambda r: r.name)
 

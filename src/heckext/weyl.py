@@ -112,9 +112,14 @@ class WeylGroup:
 
     def check(self, w) -> None:
         """Refuse w unless it is a WeylElement whose torus exponent lies in
-        [0, p - 1), as the normal form of this group has it."""
+        [0, p - 1) and whose word is a tuple alternating in s0, s1, as the
+        normal form of this group has it (unpickling keeps any tuple)."""
         if not isinstance(w, WeylElement):
             raise ValueError(f"expected a WeylElement, got {w!r}")
+        word = w[1]
+        # the alternating word of its length that starts with s1 if word does, else s0
+        if type(word) is not tuple or word != _alternating_word(word[:1] == (S1,), len(word)):
+            raise ValueError(f"the word {word!r} is not alternating in s0, s1")
         if not 0 <= w[0] < self.n:
             raise ValueError(f"the torus exponent {w[0]} of {w!r} is outside [0, {self.n})")
 

@@ -193,10 +193,11 @@ def test_compress_of_a_hecke_element_is_e_m_tau_u(p):
         for m in range(n):
             e_m_u = H.mul(H.idempotent(m), H.tau(u))
             for c in (1, 2, p - 1):
-                assert alg._hecke_row(e_m_u.scale(c)) == {(m, 0, None, u.word): c}, (u, m, c)
+                row = alg._operand(alg.embed(e_m_u.scale(c)))
+                assert row == {(m, 0, None, u.word): c}, (u, m, c)
             shifted = H.mul(e_m_u, H.tau(alg.weyl.omega(1)))  # a whole orbit too
             assert len(shifted.coeffs) == n
-            got = alg._hecke_row(shifted)
+            got = alg._operand(alg.embed(shifted))
             assert list(map(len, got)) == [4] and alg._expand(got) == alg.embed(shifted).coeffs
 
 
@@ -243,7 +244,7 @@ def test_public_calls_on_whole_orbits_equal_the_term_by_term_computation(p):
             oracle._project(out, m, xs, 1)
             assert alg.idempotent_times(m, x).coeffs == oracle._expand(out), (m, x)
     hs, ohs = hecke_operands(alg), hecke_operands(oracle)
-    assert all(list(map(len, alg._hecke_row(h))) == [4] for h in hs[::2])
+    assert all(list(map(len, alg._operand(alg.embed(h)))) == [4] for h in hs[::2])
     for h, oh in zip(hs, ohs):
         for x, ox in zip(operands[:8] + [alg.symbol_element(s) for s in others], plain[:8] + [
                 oracle.symbol_element(s) for s in others]):

@@ -59,19 +59,17 @@ class TestSymbols:
         """w(5;) of p=7 has no exponent in [0, 4); stored at p=5, beta^-
         there was unequal to beta^- at w(1;), though every product reduced
         it, and the renderer raised on it."""
-        far = WeylElement(None, exp, ())
-        H = alg5.hecke
-        for make in (
-            lambda: alg5.tau(far),
-            lambda: alg5.beta(-1, far),
-            lambda: alg5.alpha(1, far),
-            lambda: alg5.phi(far),
-            lambda: alg5.symbol_element(BasisSymbol(1, -1, far)),
-            lambda: alg5.element({BasisSymbol(3, None, far): 2}),
-            lambda: H.tau(far),
-            lambda: H.element({far: 2}),
-        ):
+        for make in _constructors(alg5, WeylElement(None, exp, ())):
             with pytest.raises(ValueError, match=f"torus exponent {exp} "):
+                make()
+
+    @pytest.mark.parametrize("word", [(0, 0), (0, 2)])
+    def test_a_support_word_that_is_not_alternating_is_refused(self, alg5, word):
+        """Unpickling keeps any word: w(0; s0 s0) once built tau(w(0; s0 s0)),
+        whose product with tau(w(0; s0)) was a 4-term orbit, and the repr of
+        tau at the word (0, 2) raised IndexError."""
+        for make in _constructors(alg5, WeylElement(None, 0, word)):
+            with pytest.raises(ValueError, match=re.escape(f"word {word!r} is not alternating")):
                 make()
 
     def test_torus_only_enumeration_has_no_sign_zero(self, alg5):
@@ -220,6 +218,22 @@ class TestInvolutions:
             assert alg5.uniformizer_conj(alg5.act_left(h, x)) == alg5.act_left(
                 H.uniformizer_conj(h), alg5.uniformizer_conj(x)
             )
+
+
+def _constructors(alg, w):
+    """Every public constructor of a graded or Hecke element, each at the
+    support w."""
+    H = alg.hecke
+    return (
+        lambda: alg.tau(w),
+        lambda: alg.beta(-1, w),
+        lambda: alg.alpha(1, w),
+        lambda: alg.phi(w),
+        lambda: alg.symbol_element(BasisSymbol(1, -1, w)),
+        lambda: alg.element({BasisSymbol(3, None, w): 2}),
+        lambda: H.tau(w),
+        lambda: H.element({w: 2}),
+    )
 
 
 class TestIdempotentSlide:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -39,6 +40,11 @@ class TestFreeIdempotents:
     def test_bad_bound_value(self, alg5):
         with pytest.raises(ValueError):
             pres.free_idempotent(alg5, 0, bound="p")
+
+    @pytest.mark.parametrize("m", [1.5, "1", None])
+    def test_an_index_that_is_not_an_int_is_refused(self, alg5, m):
+        with pytest.raises(ValueError, match=re.escape(f"must be an int, got {m!r}")):
+            pres.free_idempotent(alg5, m)
 
 
 class TestRelators:

@@ -70,7 +70,7 @@ def test_public_actions_equal_the_letter_walk_of_a_fresh_algebra(p):
     cases = operands(cold)
     expected = [walked(oracle, h, x) for h, x in cases]
     # some h compress to character keys, and some x hold one or compress
-    assert any(len(k) == 4 for h, _ in cases for k in cold._hecke_row(h))
+    assert any(len(k) == 4 for h, _ in cases for k in cold._operand(cold.embed(h)))
     assert any(len(k) == 4 for _, x in cases[1::3] for k in cold._operand(x))
     # the warm-up fills the pair memo in the reverse order, by torus twists
     # of each h, so representatives sit at other exponents than on cold
