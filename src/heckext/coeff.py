@@ -23,7 +23,7 @@ different fields are never combined (:func:`check_parameters`).
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from operator import attrgetter
 
 __all__ = ["PrimeField", "Combination", "add_into", "check_index", "check_parameters"]
@@ -75,6 +75,16 @@ def _root_powers(p: int, u0: int) -> tuple[int, ...]:
     return tuple(powers)
 
 
+@lru_cache(maxsize=256)
+def _orbit(p: int, u0: int, step: int) -> tuple[int, ...]:
+    """p - u0^(b step), b in [0, p - 1): the coefficients of e_m s0 = -sum_b
+    u0^((k - m) b) s_b at step k - m, and of the torus idempotent e_m at -m.
+    An entry is a tuple of p - 1 references to the ints of the step-1
+    entry, 8 KB at p=1009, so the cache is bounded (2 MB there)."""
+    first = [p - u for u in _root_powers(p, u0)] if step == 1 else _orbit(p, u0, 1)
+    return tuple([first[b * step % (p - 1)] for b in range(p - 1)])
+
+
 class PrimeField:
     """The field F_p together with a fixed generator of F_p^x.
 
@@ -95,6 +105,8 @@ class PrimeField:
         if primitive_root is None:
             # memoized per prime: each request of a fresh algebra would repeat the search
             primitive_root = _smallest_primitive_root(p)
+        elif type(primitive_root) is not int:
+            raise ValueError(f"the primitive root must be an int, got {primitive_root!r}")
         elif not _is_primitive_root(primitive_root, p, _prime_factors(self.order)):
             raise ValueError(f"{primitive_root} is not a primitive root mod {p}")
         self.u0 = primitive_root % p

@@ -10,11 +10,12 @@ Elements are combinations of the core in coeff.py keyed on BasisSymbol;
 this module adds the degree-0 actions and the involutions, product.py the
 product.  The left action of the Hecke algebra is given by one explicit
 single-letter table for s0 (_S0_ROWS).  Its s1 rows, and the s1 halves of
-factor_through_generators, the degree-2 bad pairs and the sections, are
-derived through the uniformizer conjugation iota, which swaps s0 and s1:
-tau_{s1} x = iota(tau_{s0} iota(x)).  So there uniformizer_conj_multiplicative
-checks only the s0 half; the s1 half is pinned by the printed s1 rows in
-tests/test_letter_memos.py and by the pair digests.  Where lengths add,
+the degree-2 bad pairs and the sections, are derived through the
+uniformizer conjugation iota, which swaps s0 and s1: tau_{s1} x =
+iota(tau_{s0} iota(x)).  So there uniformizer_conj_multiplicative checks
+only the s0 half; the s1 half is pinned by the printed s1 rows in
+tests/test_letter_memos.py and by the pair digests.
+factor_through_generators reads both signs from the lengths-add rules.  Where lengths add,
 each row is one plain term at s_i w or zero, the same at every length, so
 tau_u sym is one closed form (_ADDS_RULES, _adds_left); where they do not,
 it is a chain of at most min(l(u), l(w)) table rows (_chain).  The right
@@ -81,11 +82,11 @@ are shared, and they read u0^e from the power table of the field
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, partial
+from functools import partial
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
-from .coeff import Combination, PrimeField, _root_powers, add_into, check_index, check_parameters
+from .coeff import Combination, PrimeField, _orbit, add_into, check_index, check_parameters
 from .hecke import HeckeAlgebra, HeckeElement
 from .weyl import S0, S1, WeylElement, WeylGroup, _weyl
 
@@ -145,16 +146,6 @@ class BasisSymbol(tuple):
 # symbol is valid
 _shifted = partial(tuple.__new__, BasisSymbol)
 _support, _word = itemgetter(2), itemgetter(1)
-
-
-@lru_cache(maxsize=256)
-def _orbit(p: int, u0: int, step: int) -> tuple[int, ...]:
-    """p - u0^(b step), b in [0, p - 1): the coefficients of e_m s0 = -sum_b
-    u0^((k - m) b) s_b at step k - m, read by the expansion memo and the
-    renderer.  An entry is a tuple of p - 1 references to the ints of the
-    step-1 entry, 8 KB at p=1009, so the cache is bounded (2 MB there)."""
-    first = [p - u for u in _root_powers(p, u0)] if step == 1 else _orbit(p, u0, 1)
-    return tuple([first[b * step % (p - 1)] for b in range(p - 1)])
 
 
 def _weight(d: int, sign: int | None) -> int:
@@ -273,10 +264,9 @@ class GradedElement(Combination):
         return {s.degree for s in self.coeffs}
 
     def component(self, degree: int) -> "GradedElement":
-        return GradedElement(
-            self.algebra,
-            {s: c for s, c in self.coeffs.items() if s.degree == degree},
-        )
+        # the degree is key[-3] of a plain key (d, sign, support) and of a
+        # character key (m, d, sign, word), so the row is filtered unexpanded
+        return GradedElement(self.algebra, {k: c for k, c in self.row.items() if k[-3] == degree})
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(s.degree == degree for s in self.coeffs)
@@ -718,47 +708,28 @@ class ExtAlgebra:
     def factor_through_generators(
         self, sym: BasisSymbol
     ) -> tuple[int, WeylElement, BasisSymbol, WeylElement]:
-        """Write a degree-1 symbol as c * tau_a * g * tau_b.
+        """Write a degree-1 symbol as c * tau_a * g * tau_b, g one of the four
+        bimodule generators.
 
-        g is one of the four bimodule generators; exactly which case applies
-        is decided by the sign and the first letter of the support word.  The
-        sign +1 case is the image under the uniformizer conjugation of the
-        sign -1 factorization of its conjugate.
+        A sign-0 symbol is tau_(omega^e) beta^0_(s_j) tau_(rest).  A signed
+        symbol whose word is empty or starts with the letter of its sign (s0
+        for -, s1 for +) is beta^sign_1 tau_w.  Otherwise its support w joins
+        the generator g at 1 without a cancellation, g of the same sign when
+        l(w) is even and of the other when it is odd, and tau_w g is c times
+        the symbol, c read from the lengths-add closed form (_adds_left).
         """
         if sym.degree != 1:
             raise ValueError(f"expected a degree-1 symbol, got {sym!r}")
         W = self.weyl
-        w = sym.support
+        _, sign, w = sym
         word = w.word
-        if sym.sign == 0:
-            j = word[0]
-            return (
-                1,
-                W.omega(w.exp),
-                BasisSymbol(1, 0, W.simple(j)),
-                _weyl((0, word[1:])),
-            )
-        if sym.sign == 1:
-            # iota has unit 1 on signed symbols, and g is signed
-            iota = self._symbol_uniformizer_conj
-            c, left, g, right = self.factor_through_generators(iota(sym)[1])
-            return c, W.uniformizer_conj(left), iota(g)[1], W.uniformizer_conj(right)
-        if not word or word[0] == S0:
-            return 1, W.identity, BasisSymbol(1, -1, W.identity), w
-        if len(word) % 2 == 0:  # word of shape (s1 s0)^k
-            return (
-                W.unit_square(w),
-                w,
-                BasisSymbol(1, -1, W.identity),
-                W.identity,
-            )
-        # word of shape s1 (s0 s1)^k
-        return (
-            self.field.neg(W.unit_square(w)),
-            w,
-            BasisSymbol(1, 1, W.identity),
-            W.identity,
-        )
+        if sign == 0:
+            return 1, W.omega(w.exp), BasisSymbol(1, 0, W.simple(word[0])), _weyl((0, word[1:]))
+        if not word or word[0] == (S1 if sign > 0 else S0):
+            return 1, W.identity, BasisSymbol(1, sign, W.identity), w
+        g = BasisSymbol(1, -sign if len(word) % 2 else sign, W.identity)
+        ((_, c),) = self._adds_left(w, g).items()
+        return self.field.inv(c), w, g, W.identity
 
 
 # bound last: product.py imports the names above from this module

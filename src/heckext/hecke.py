@@ -22,7 +22,7 @@ must agree with mul, and the two are cross-checked in the tests.
 
 from __future__ import annotations
 
-from .coeff import Combination, PrimeField, check_index, check_parameters
+from .coeff import Combination, PrimeField, _orbit, check_index, check_parameters
 from .weyl import WeylElement, WeylGroup, _weyl
 
 __all__ = ["HeckeElement", "HeckeAlgebra"]
@@ -67,13 +67,10 @@ class HeckeAlgebra:
 
     def idempotent(self, m: int) -> HeckeElement:
         """e_m = -sum over the torus of id^m(t)^{-1} tau_t, with its terms in
-        the order of WeylGroup.torus()."""
+        the order of WeylGroup.torus(): the orbit vector _orbit of step -m."""
         check_index(m)
-        p, n = self.field.p, self.weyl.n
-        powers = self.field.root_powers()
-        # a power of u0 lies in [1, p), so p minus it is its negative
-        coeffs = [p - powers[-m * e % n] for e in range(n)]
-        return HeckeElement(self, dict(zip(self.weyl.torus(), coeffs)))
+        F = self.field
+        return HeckeElement(self, dict(zip(self.weyl.torus(), _orbit(F.p, F.u0, -m % F.order))))
 
     def idempotents(self) -> list[HeckeElement]:
         return [self.idempotent(m) for m in range(self.weyl.n)]

@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import compress, count
 from operator import ne
 
-from .coeff import Combination, add_into, check_index, check_parameters
+from .coeff import Combination, _orbit, add_into, check_index, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .product import _multiply
 from .sections import TensorExpression, _section2_symbol, _section3_symbol
@@ -103,15 +103,18 @@ def free_one(alg: ExtAlgebra) -> FreeElement:
 def free_idempotent(alg: ExtAlgebra, m: int, bound: str = "p-2") -> FreeElement:
     """The free-algebra mirror of the torus idempotent for id^m.
 
-    bound 'p-2' sums i = 0 .. p-2 (one term per torus class); 'p-1' sums
-    one power further, double-counting the identity class.
+    bound 'p-2' sums i = 0 .. p-2 (one term per torus class), with the
+    coefficients of HeckeAlgebra.idempotent; 'p-1' sums one power further,
+    -T_w0^(p-1), double-counting the identity class.
     """
     check_index(m)
     if bound not in ("p-2", "p-1"):
         raise ValueError(f"bound must be 'p-2' or 'p-1', got {bound!r}")
     F = alg.field
-    top = F.p - 2 if bound == "p-2" else F.p - 1
-    return FreeElement.make(alg, {(T_W0,) * i: -F.root_pow(-m * i) for i in range(top + 1)})
+    coeffs = {(T_W0,) * i: c for i, c in enumerate(_orbit(F.p, F.u0, -m % F.order))}
+    if bound == "p-1":
+        coeffs[(T_W0,) * F.order] = F.p - 1
+    return FreeElement(alg, coeffs)
 
 
 # the letter of each bimodule generator beta^sign at the support w(0; word),

@@ -749,6 +749,8 @@ def run_suite(alg: ExtAlgebra, name: str, **options) -> list[CheckResult]:
         value = options.get(option, 1)
         if not isinstance(value, int) or value < 1:
             raise ValueError(f"{option} must be an int >= 1, got {value!r}")
+    if not isinstance(options.get("seed", 0), int):
+        raise ValueError(f"seed must be an int, got {options['seed']!r}")
     results = SUITES[name](alg, **options)
     return sorted(results, key=lambda r: r.name)
 

@@ -111,8 +111,8 @@ class WeylGroup:
         return _torus(self.n)
 
     def check(self, w) -> None:
-        """Refuse w unless it is a WeylElement whose torus exponent lies in
-        [0, p - 1) and whose word is a tuple alternating in s0, s1, as the
+        """Refuse w unless it is a WeylElement whose torus exponent is an int
+        in [0, p - 1) and whose word is a tuple alternating in s0, s1, as the
         normal form of this group has it (unpickling keeps any tuple)."""
         if not isinstance(w, WeylElement):
             raise ValueError(f"expected a WeylElement, got {w!r}")
@@ -120,6 +120,8 @@ class WeylGroup:
         # the alternating word of its length that starts with s1 if word does, else s0
         if type(word) is not tuple or word != _alternating_word(word[:1] == (S1,), len(word)):
             raise ValueError(f"the word {word!r} is not alternating in s0, s1")
+        if type(w[0]) is not int:
+            raise ValueError(f"the torus exponent {w[0]!r} of {w!r} is not an int")
         if not 0 <= w[0] < self.n:
             raise ValueError(f"the torus exponent {w[0]} of {w!r} is outside [0, {self.n})")
 
@@ -153,14 +155,6 @@ class WeylGroup:
     def uniformizer_conj(self, w: WeylElement) -> WeylElement:
         """Conjugation by the uniformizer: inverts the torus, swaps s0 <-> s1."""
         return _weyl((-w[0] % self.n, tuple(1 - l for l in w[1])))
-
-    def unit_square(self, w: WeylElement) -> int:
-        """The square u_w^2 in F_p of the torus unit attached to w.
-
-        u_w is defined only up to the central sign, but its square is read
-        off the normal-form torus exponent.
-        """
-        return self.field.root_pow(2 * w.exp)
 
     def __eq__(self, other):
         return isinstance(other, WeylGroup) and self.field == other.field

@@ -60,6 +60,13 @@ class TestPrimeField:
                 PrimeField(7, primitive_root=root)
         assert PrimeField(7, primitive_root=10).u0 == 3
 
+    @pytest.mark.parametrize("root", [3.0, "3", True])
+    def test_a_root_that_is_not_an_int_is_refused(self, root):
+        # 3.0 raised TypeError in pow(), "3" in the %-formatting of a str
+        message = f"primitive root must be an int, got {root!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PrimeField(7, primitive_root=root)
+
     def test_frozen_examples_p5(self):
         F = PrimeField(5)
         assert F.inv(4) == 4  # 4*4 = 16 = 1

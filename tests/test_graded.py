@@ -63,6 +63,14 @@ class TestSymbols:
             with pytest.raises(ValueError, match=f"torus exponent {exp} "):
                 make()
 
+    @pytest.mark.parametrize("exp", [1.5, True])
+    def test_a_support_exponent_that_is_not_an_int_is_refused(self, alg5, exp):
+        """Unpickling keeps any exponent: w(1.5;) once built tau(w(1.5;)),
+        and True passed the range check as 1."""
+        for make in _constructors(alg5, WeylElement(None, exp, ())):
+            with pytest.raises(ValueError, match=re.escape(f"torus exponent {exp!r} of")):
+                make()
+
     @pytest.mark.parametrize("word", [(0, 0), (0, 2)])
     def test_a_support_word_that_is_not_alternating_is_refused(self, alg5, word):
         """Unpickling keeps any word: w(0; s0 s0) once built tau(w(0; s0 s0)),
@@ -182,7 +190,7 @@ class TestInvolutions:
         assert alg5.involution(alg5.beta(0, w_odd)) == -alg5.beta(0, W.inv(w_odd))
         assert alg5.involution(alg5.tau(w_odd)) == alg5.tau(W.inv(w_odd))
         assert alg5.involution(alg5.phi(w_even)) == alg5.phi(W.inv(w_even))
-        usq = W.unit_square(w_odd)
+        usq = alg5.field.root_pow(2 * w_odd.exp)
         assert alg5.involution(alg5.beta(-1, w_odd)) == alg5.beta(1, W.inv(w_odd)).scale(
             -usq
         )

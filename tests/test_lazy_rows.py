@@ -367,6 +367,17 @@ def test_a_sum_with_an_idempotent_stays_lazy():
     assert x - alg.idempotent(11) == alg.idempotent(5)
 
 
+def test_a_component_keeps_its_character_keys():
+    # filtering the expansion built 1,008 plain terms, and filled the expansion memo
+    alg = ExtAlgebra(1009)
+    x = parse_element(alg, "3*e(5) + bm(w(1; s0))")
+    assert x.component(0).row == {(5, 0, None, ()): 3}
+    assert x.component(1).row == {BasisSymbol(1, -1, alg.weyl.element(1, (S0,))): 1}
+    assert x.component(2).is_zero
+    assert alg._char_cache == {}
+    assert x.component(0) == alg.idempotent(5).scale(3)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_lazy_sums_are_the_sums_of_their_expansions(p):
     # every mix of rows with and without a character key, through the

@@ -3,6 +3,7 @@ and which options they refuse."""
 
 import itertools
 import random
+import re
 from types import MappingProxyType
 
 import pytest
@@ -148,6 +149,19 @@ def test_a_failing_check_does_not_shift_the_samples_of_the_next(monkeypatch):
 def test_vacuous_options_are_refused(entry, option, value):
     with pytest.raises(ValueError, match=option):
         entry(ExtAlgebra(5), "e0", **{option: value})
+
+
+@pytest.mark.parametrize("entry", [verify.run_suite, verify.run])
+@pytest.mark.parametrize("seed", [1.5, "0", None])
+def test_a_seed_that_is_not_an_int_is_refused(entry, seed):
+    # seed=1.5 ran, seeding each suite's RNG from a string
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an int, got {seed!r}")):
+        entry(ExtAlgebra(5), "e0", seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, -7])
+def test_a_negative_or_zero_seed_runs(seed):
+    assert all(r.ok for r in verify.run_suite(ExtAlgebra(5), "e0", seed=seed, samples=5))
 
 
 # --- the restated checks against their direct forms ---
