@@ -20,8 +20,11 @@ each row is one plain term at s_i w or zero, the same at every length, so
 tau_u sym is one closed form (_ADDS_RULES, _adds_left); where they do not,
 it is a chain of at most min(l(u), l(w)) table rows (_chain).  The right
 action is their transport through the anti-involution, x h = J(J(h) J(x))
-(deg h = 0, no sign): for tau_w, w = omega^e u, the right torus shift by e
-(no scalar), then J(tau_(u^-1) J(x)) (_adds_right where lengths add).
+(deg h = 0, no sign).  Where lengths add, the transport is made once, on
+the rules: _RIGHT_RULES carries each lengths-add rule through J's sign
+map, and sym tau_v is one closed form too (_adds_right, no J lookup, the
+torus part of v a plain shift).  Where they do not, for tau_w, w = omega^e
+u, it is the right torus shift by e (no scalar), then J(tau_(u^-1) J(x)).
 The two kernels _act_left(u, sym) and _act_right(sym, v) take one Weyl
 element and one plain symbol: they are the pair misses of route (1) in
 product.py, and every sum over terms goes through its _multiply.  The
@@ -70,13 +73,15 @@ keeps one entry per torus orbit, from which the other entries of the
 orbit are derived by product.py's pair law.  Memo values are read-only
 (MappingProxyType or tuples) and handed out without a copy.
 
-Shift kernels.  _shift_left (the left torus action, with a scalar) and
-_shift_right (the plain right shift) move a row along its torus orbit;
-the kernels _act_left and _act_right, the closed forms _adds_left and
-_adds_right and the pair-orbit derivation go through them.  They intern
-their images in one table per algebra, so the symbols of derived entries
-are shared, and they read u0^e from the power table of the field
-(PrimeField.root_powers: memoized per (p, u0), built on first use).
+Shift kernels.  _shift_left (the left torus action, with a scalar) moves
+a row along its torus orbit; the kernel _act_left, the closed form
+_adds_left and the pair-orbit derivation go through it.  The right torus
+shift of a plain symbol carries no scalar and is the closed form
+_adds_right at a torus element; a character key shifts by the pair
+product (product.py).  Both intern their images in one table per
+algebra, so the symbols of derived entries are shared, and _shift_left
+reads u0^e from the power table of the field (PrimeField.root_powers:
+memoized per (p, u0), built on first use).
 """
 
 from __future__ import annotations
@@ -207,27 +212,59 @@ def _letter_rows(s0_rows: dict) -> dict:
 _LETTER_ROWS = _letter_rows(_S0_ROWS)
 
 
+def _period_2(rules: dict, name: str) -> dict:
+    """rules, keyed (letter, d, sign) or (letter, d, sign, l(w) mod 2), refused
+    unless a nonzero rule followed by the other letter's gives back the
+    symbol it started from (period 2): the closed forms apply at most two
+    rules along an alternating word."""
+    for (i, d, sign, *odd), rule in rules.items():
+        if rule is not None:
+            back = rules[(1 - i, d, rule[0], *(1 - x for x in odd))]
+            if back is None or back[0] != sign or back[1] * rule[1] != 1:
+                raise ValueError(f"the {name} rules at {(i, d, sign, *odd)} do not have period 2")
+    return rules
+
+
 def _adds_rules(rows: dict) -> dict:
     """tau_{s_i} where lengths add, keyed by (letter, d, sign): (sign', c), c
     times the symbol of sign' at s_i w, or None for zero.  It is read off the
-    lengths-add rows, each at most one plain entry, the same at every length.
-    A nonzero rule followed by the other letter's must give back the symbol
-    it started from (period 2), as _adds_left applies at most two rules."""
+    lengths-add rows, each at most one plain entry, the same at every length,
+    and must have period 2 (_period_2), as _adds_left applies at most two
+    rules."""
     rules = {}
     for (i, d, sign, adds, short), (chars, plain) in rows.items():
         if adds:
             if chars or len(plain) > 1 or rows[i, d, sign, adds, not short] != (chars, plain):
                 raise ValueError(f"the lengths-add row {(i, d, sign)} is not one plain term")
             rules[i, d, sign] = plain[0] if plain else None
-    for (i, d, sign), rule in rules.items():
-        if rule is not None:
-            back = rules[1 - i, d, rule[0]]
-            if back is None or back[0] != sign or back[1] * rule[1] != 1:
-                raise ValueError(f"the lengths-add rules at {(i, d, sign)} do not have period 2")
-    return rules
+    return _period_2(rules, "lengths-add")
 
 
 _ADDS_RULES = _adds_rules(_LETTER_ROWS)
+
+
+def _right_rules(rules: dict) -> dict:
+    """sym tau_{s_i} where lengths add, keyed by (letter, d, sign, l(w) mod 2),
+    w the support of sym: (sign', c), c times the symbol of sign' at w s_i,
+    or None for zero.  It is the lengths-add rule of tau_{s_i} carried
+    through J, sym tau_{s_i} = J(tau_{s_i^-1} J(sym)): J flips the sign and
+    the unit of a signed symbol of odd length, which is either w or w s_i.
+    J's torus scalars cancel, and s_i^-1 = omega^half s_i adds a right
+    torus shift, which carries no scalar.  The table must keep period 2
+    (_period_2), as _adds_right applies at most two rules."""
+    right = {}
+    for i, d, sign in rules:
+        for odd in (0, 1):
+            # the rule of tau_{s_i} on J(sym), whose sign flips at odd length
+            rule = rules[i, d, -sign if sign and odd else sign]
+            if rule is not None and sign is not None:
+                # J back from w s_i, whose sign flips where w has even length
+                rule = (rule[0] if odd else -rule[0]), -rule[1]
+            right[i, d, sign, odd] = rule
+    return _period_2(right, "right")
+
+
+_RIGHT_RULES = _right_rules(_ADDS_RULES)
 
 
 class GradedElement(Combination):
@@ -260,8 +297,26 @@ class GradedElement(Combination):
 
     # --- structure queries ---
 
+    def _live_keys(self):
+        """The keys of the row on whose torus orbit the element is nonzero.
+        A plain row is its own expansion.  An orbit of plain terms only, or of
+        character keys only, is nonzero (the characters of e_m are
+        independent); one that holds both may cancel, and only it is
+        expanded."""
+        row = self.row
+        if 4 not in map(len, row):
+            return row
+        chars = {key[1:] for key in row if len(key) == 4}
+        if chars.isdisjoint((key[0], key[1], key[2][1]) for key in row if len(key) == 3):
+            return row
+        orbits: dict = {}
+        for key, c in row.items():
+            orbits.setdefault(key[1:] if len(key) == 4 else (key[0], key[1], key[2][1]), {})[key] = c
+        return [key for orbit in orbits.values()
+                if len(set(map(len, orbit))) == 1 or self.algebra._expand(orbit) for key in orbit]
+
     def degrees(self) -> set[int]:
-        return {s.degree for s in self.coeffs}
+        return {key[-3] for key in self._live_keys()}
 
     def component(self, degree: int) -> "GradedElement":
         # the degree is key[-3] of a plain key (d, sign, support) and of a
@@ -269,10 +324,10 @@ class GradedElement(Combination):
         return GradedElement(self.algebra, {k: c for k, c in self.row.items() if k[-3] == degree})
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(s.degree == degree for s in self.coeffs)
+        return all(key[-3] == degree for key in self._live_keys())
 
     def support_lengths(self) -> set[int]:
-        return {s.support.length for s in self.coeffs}
+        return {len(key[3] if len(key) == 4 else key[2][1]) for key in self._live_keys()}
 
     def __repr__(self):
         from .grammar import render_element
@@ -414,24 +469,6 @@ class ExtAlgebra:
             image = _shifted((d, sign, _weyl(((exp + a) % n, word))))
             unit = (up if (sign > 0) == (d == 1) else down) if sign else scale
             out[intern(image, image)] = c * unit % p
-        return out
-
-    def _shift_right(self, coeffs, a: int) -> dict:
-        """coeffs tau_{omega^a}: a support v becomes v omega^a, its exponent
-        gains (-1)^|v| a, with no scalar; a character key e_m s0 stays, with
-        the scalar u0^((m - k) (-1)^|v| a).  Images are interned."""
-        n = self.weyl.n
-        intern = self._symbols.setdefault
-        out: dict = {}
-        for key, c in coeffs.items():
-            if len(key) == 3:
-                d, sign, (exp, word) = key
-                image = _shifted((d, sign, _weyl(((exp - a if len(word) % 2 else exp + a) % n, word))))
-                out[intern(image, image)] = c
-            else:
-                m, d, sign, word = key
-                g = -a if len(word) % 2 else a
-                out[key] = c * self.field.root_powers()[(m - _weight(d, sign)) * g % n] % self.field.p
         return out
 
     def _char_expansion(self, key: tuple) -> MappingProxyType:
@@ -626,37 +663,41 @@ class ExtAlgebra:
         return GradedElement(self, _multiply(self, self._operand(x), self._operand(self.embed(h))))
 
     def _act_right(self, sym: BasisSymbol, v: WeylElement) -> dict:
-        """sym tau_v, v = omega^e u, sym a plain symbol: the plain right torus
-        shift at a torus element, _adds_right where lengths add, and
-        otherwise the right torus shift by e, then the transport
+        """sym tau_v, v = omega^e u, sym a plain symbol: _adds_right where
+        lengths add (always at a torus element), and otherwise the right
+        torus shift by e (_adds_right at omega^e), then the transport
         J(tau_(u^-1) J(.)), as J(tau_u) = tau_(u^-1) (deg 0).  A pair miss of
         route (1) in product.py."""
         exp, word = v
-        if not word:
-            return self._shift_right({sym: 1}, exp)
         # lengths add unless the support's word ends with the first letter of u
-        if sym[2][1][-1:] != word[:1]:
+        if not word or sym[2][1][-1:] != word[:1]:
             return self._adds_right(sym, v)
         if exp:
-            ((sym, _),) = self._shift_right({sym: 1}, exp).items()
+            ((sym, _),) = self._adds_right(sym, _weyl((exp, ()))).items()
         c, jsym = self._symbol_involution(sym)
         return self._involution(self._act_left(self.weyl.inv(_weyl((0, word))), jsym, c))
 
     def _adds_right(self, sym: BasisSymbol, v: WeylElement) -> dict:
-        """sym tau_v where lengths add, v = omega^e u = u omega^g, g = (-1)^l(u) e:
-        J(tau_(u^-1) J(sym)) tau_(omega^g), one J lookup each way.  u^-1 is
-        omega^h times the reversed word, h = l(u) half, and J(tau_(omega^h) y)
-        = J(y) tau_(omega^-h), so the right torus shift is by g - h."""
+        """sym tau_v where lengths add, l(w v) = l(w) + l(v) for w the support
+        of sym: one symbol at w v or zero, the rules of _RIGHT_RULES applied
+        from the left.  The rules have period 2 along an alternating word
+        (_right_rules), so only the first letter of an odd u and the first
+        two of an even u are applied, v = omega^e u.  The torus part carries
+        no scalar; the image is interned."""
+        d, sign, (f, w) = sym
         exp, word = v
-        c, jsym = self._symbol_involution(sym)
-        row = self._adds_left(_weyl((0, word[::-1])), jsym, c)
-        if not row:
-            return row
-        ((key, c),) = row.items()
-        unit, image = self._symbol_involution(key)
-        W, row = self.weyl, {image: c * unit % self.field.p}
-        shift = ((-exp if len(word) % 2 else exp) - len(word) * W.half) % W.n
-        return self._shift_right(row, shift) if shift else row
+        c, odd = 1, len(w) % 2
+        for letter in word[:2 - len(word) % 2]:
+            rule = _RIGHT_RULES[letter, d, sign, odd]
+            if rule is None:
+                return {}
+            sign, unit = rule
+            c *= unit
+            odd ^= 1
+        # the words join without a cancellation; omega^e crosses the word of w
+        f = (f - exp if len(w) % 2 else f + exp) % self.weyl.n
+        image = _shifted((d, sign, _weyl((f, w + word))))
+        return {self._symbols.setdefault(image, image): c % self.field.p}
 
     # --- involutions ---
 

@@ -6,10 +6,11 @@ extended bilinearly:
   (0) total degree >= 4 is zero;
   (1) a degree-0 factor acts through the Hecke action on its side: the
       miss tau_u.b is the kernel _act_left(u, b) and a.tau_v the kernel
-      _act_right(a, v), one term or zero where the lengths add
-      (_adds_left/right), and otherwise a chain of table rows, on the
-      right through J; the public actions and the Hecke factors of routes
-      (3) and (4) are such pairs;
+      _act_right(a, v), one term or zero where the lengths add (the closed
+      forms _adds_left and _adds_right, which read rule tables and no J;
+      against a torus element lengths always add), and otherwise a chain
+      of table rows, on the right through J; the public actions and the
+      Hecke factors of routes (3) and (4) are such pairs;
   (2) when the support lengths add, the product reduces to a cup product
       inside the summand of the product support, via
       x * y = (x * tau_{supp y}) cup (tau_{supp x} * y);

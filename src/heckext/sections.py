@@ -287,11 +287,12 @@ def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
         w = sym.support
         if w.length >= 1:
             return _section3_symbol(alg, sym)
-        # the right action of tau_w, w = omega^e, is the right torus shift of
-        # the last slot, one key to one key
+        # the right action of tau_w, w = omega^e, on the last slot: lengths
+        # add, so one key goes to one key (the closed form _adds_right)
+        tau_w = {BasisSymbol(0, None, w): 1}
         return TensorExpression.from_terms(alg, 3, [
             (c * cz, syms[:-1] + (z,)) for c, syms in average(alg).terms
-            for z, cz in alg._shift_right({syms[-1]: 1}, w.exp).items()])
+            for z, cz in _multiply(alg, {syms[-1]: 1}, tau_w).items()])
 
     return _sum_of_sections("section_deg3_symmetric", 3, x, section)
 

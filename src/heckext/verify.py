@@ -328,7 +328,8 @@ def _torus_shift(alg, max_length):
 
     The direct form made seven public act_right calls per (w, e), each a
     pair-memo lookup whose miss is the kernel _act_right(sym, t): at a torus
-    element, _shift_right({sym: 1}, e).  The test calls that kernel for
+    element, the closed form _adds_right(sym, t), which applies no rule and
+    moves the exponent, with no scalar.  The test calls that kernel for
     every case, in order, on the symbols built once per w: the direct form
     with the pair memo off, the same counterexample.
     The memo derives each pair of a torus orbit from the first one computed,
@@ -362,8 +363,12 @@ def _lengths_add(alg, max_length):
 
     The direct form made one public act_right call per (sign, w, v), each a
     pair-memo lookup whose miss is the kernel _act_right(beta^sign_w, v),
-    there _adds_right.  The test calls that kernel for every case, with its
-    signs in the direct order:
+    there _adds_right, which applies the right rules (_RIGHT_RULES, the
+    lengths-add rules carried through J at import).  So the check restates
+    that table in degree 1, on the cases L reaches; the products that read
+    it through a pair miss (assoc, involution_graded_antihom) see the rest.
+    The test calls that kernel for every case, with its signs in the direct
+    order:
     the direct form with the pair memo off, the same counterexample
     (_torus_shift says why not with the memo).  The cases read each v of
     length >= 1 from one list, with its length and first letter, and keep

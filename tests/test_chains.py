@@ -3,8 +3,9 @@
 _act_left reads tau_u sym from the right as a chain: while a letter
 shortens the support, one row of the letter memo, whose character keys
 meet the rest of u in closed form and whose one plain term meets the next
-letter; _act_right is its transport through J.  Both kernels, one symbol
-against one Weyl element, must give the rows, exactly, that the
+letter; _act_right is its transport through J (where lengths add, the
+closed form _adds_right, whose rules were transported once).  Both
+kernels, one symbol against one Weyl element, must give the rows, exactly, that the
 letter-by-letter walk kept in tests/walk_oracle.py gives:
 on every symbol against every u, bare or with a torus prefix, on both
 sides, and on the full cancellations tau_(w^-1) x_w and x_w tau_(w^-1) of

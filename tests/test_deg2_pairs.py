@@ -79,10 +79,10 @@ def test_a_600_letter_support_does_not_recurse_along_its_word():
 
 def test_the_zero_class_premise():
     """No degree-2 lengths-add rule turns a signed alpha into sign 0, on the
-    left (_ADDS_RULES) or on the right (_adds_right, their transport), and a
-    signed alpha cups to zero with beta^0: so alpha^+-_1 g is zero for a
-    sign-0 generator g."""
-    for (_, d, sign), rule in graded._ADDS_RULES.items():
+    left (_ADDS_RULES) or on the right (_RIGHT_RULES, their transport through
+    J, which _adds_right applies), and a signed alpha cups to zero with
+    beta^0: so alpha^+-_1 g is zero for a sign-0 generator g."""
+    for (_, d, sign, *_), rule in [*graded._ADDS_RULES.items(), *graded._RIGHT_RULES.items()]:
         if d == 2 and sign:
             assert rule is None or rule[0] != 0, (d, sign, rule)
     alg = ExtAlgebra(5)

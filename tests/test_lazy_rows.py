@@ -378,6 +378,37 @@ def test_a_component_keeps_its_character_keys():
     assert x.component(0) == alg.idempotent(5).scale(3)
 
 
+def test_the_structure_queries_read_the_row():
+    # a character key and a plain term of other orbits cannot cancel, so
+    # neither is expanded
+    alg = ExtAlgebra(1009)
+    x = parse_element(alg, "3*e(5) + bm(w(1; s0))")
+    assert x.degrees() == {0, 1} and x.support_lengths() == {0, 1}
+    assert not x.is_homogeneous(0) and x.component(0).is_homogeneous(0)
+    assert alg._char_cache == {} and x._coeffs is None
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_the_structure_queries_expand_only_an_orbit_whose_keys_can_cancel(p):
+    # a key with plain terms of its orbit that cancel all of it, or all but
+    # one term, beside a term of degree 3 at length 3
+    alg = ExtAlgebra(p)
+    phi = BasisSymbol(3, None, alg.weyl.element(0, (S0, S1, S0)))
+    for d, sign, word in orbit_symbols(alg):
+        key = (1, d, sign, word)
+        negated = {sym: p - v for sym, v in definition(alg, {key: 1}).items()}
+        whole = {phi: 1, key: 1, **negated}
+        partial = dict(whole)
+        del partial[next(iter(negated))]
+        for row in (whole, partial, {phi: 1, key: 1}):
+            x, expansion = GradedElement(alg, row), definition(alg, row)
+            assert x.degrees() == {s.degree for s in expansion}, row
+            assert x.support_lengths() == {s.support.length for s in expansion}, row
+            assert x.is_homogeneous(3) == (row is whole or d == 3), row
+            assert x._coeffs is None
+        assert GradedElement(alg, whole).degrees() == {3}
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_lazy_sums_are_the_sums_of_their_expansions(p):
     # every mix of rows with and without a character key, through the

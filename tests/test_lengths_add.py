@@ -1,11 +1,15 @@
 """The closed form of the degree-0 actions where lengths add.
 
 A pair whose support lengths add reads tau_u sym from the lengths-add rows
-of the letter table (_adds_left) and sym tau_v as its transport through J
-(_adds_right).  It must agree on every symbol with the letter walk that
-tests/walk_oracle.py keeps, which reads the letter memo one letter at a
-time, and with the engine's kernels _act_left and _act_right, which a
-pair miss of a degree-0 factor runs; a product of such pairs must leave the letter memo empty.
+of the letter table (_ADDS_RULES, applied by _adds_left) and sym tau_v from
+their transport through J, made once at import (_RIGHT_RULES, applied by
+_adds_right, which looks nothing up in J).  Both must agree on every symbol
+with the letter walk that tests/walk_oracle.py keeps, which reads the
+letter memo one letter at a time and transports each right letter through
+J, and with the engine's kernels _act_left and _act_right, which a pair
+miss of a degree-0 factor runs; a product of such pairs must leave the
+letter memo empty.  Both tables must keep period 2, and a wrong entry of
+either fails verify all.
 """
 
 from __future__ import annotations
@@ -89,6 +93,14 @@ def test_a_lengths_add_table_without_period_2_is_refused():
         graded._adds_rules(rows)
 
 
+def test_a_right_table_without_period_2_is_refused():
+    """The transport of a left table without period 2 (tau_{s0} beta^0_w =
+    +beta^0_{s0 w}) loses it too: beta^0_w tau_{s0} tau_{s1} is -beta^0_w s0 s1."""
+    rules = {**graded._ADDS_RULES, (S0, 1, 0): (0, 1)}
+    with pytest.raises(ValueError, match="right rules .* period 2"):
+        graded._right_rules(rules)
+
+
 @pytest.mark.parametrize("short, longer", [
     # a character-key entry, at every length
     ((((2, 1, 1),), ((1, -1),)),) * 2,
@@ -125,11 +137,42 @@ FLIPPED_SIGN_0_FAILS = {
 }
 
 
+def failures_of_verify_all():
+    results = verify.run(ExtAlgebra(5), max_length=2)
+    return {r.name: r.counterexample for suite in results.values() for r in suite if not r.ok}
+
+
 def test_a_flipped_lengths_add_rule_fails_verify_all(monkeypatch):
+    """The flipped table has lost period 2, which _adds_rules and
+    _right_rules refuse: the mutant is patched in past that check, and the
+    right rules are its transport, as at import."""
     rules = dict(graded._ADDS_RULES)
     assert rules[S0, 1, 0] == (0, -1)
     rules[S0, 1, 0] = (0, 1)
     monkeypatch.setattr(graded, "_ADDS_RULES", rules)
-    results = verify.run(ExtAlgebra(5), max_length=2)
-    failed = {r.name: r.counterexample for suite in results.values() for r in suite if not r.ok}
-    assert failed == FLIPPED_SIGN_0_FAILS
+    with monkeypatch.context() as m:
+        m.setattr(graded, "_period_2", lambda rules, name: rules)
+        right = graded._right_rules(rules)
+    monkeypatch.setattr(graded, "_RIGHT_RULES", right)
+    assert failures_of_verify_all() == FLIPPED_SIGN_0_FAILS
+
+
+# the checks of verify all at p=5, L=2 that fail with one right rule flipped
+# alone, beta^0_w tau_{s0} = -beta^0_{w s0} at l(w) even, each with its first
+# counterexample.  At L=2 that rule meets no case of
+# rightaction_deg1_lengths_add, the check that restates the closed form: the
+# products read it through their pair misses (route (1) and the good pairs).
+FLIPPED_RIGHT_RULE_FAILS = {
+    "assoc_total_le3_235_triples":
+        "triple [tau(w(3; s0 s1)), bp(w(2; s1 s0)), tau(w(2; s1 s0))]",
+    "involution_graded_antihom_355": "(b0(w(0; s0)), bm(w(3; s1 s0)))",
+    "uniformizer_conj_multiplicative_284": "(b0(w(0; s1)), tau(w(1; s0 s1)))",
+}
+
+
+def test_a_flipped_right_rule_fails_verify_all(monkeypatch):
+    right = dict(graded._RIGHT_RULES)
+    assert right[S0, 1, 0, 0] == (0, 1)
+    right[S0, 1, 0, 0] = (0, -1)
+    monkeypatch.setattr(graded, "_RIGHT_RULES", right)
+    assert failures_of_verify_all() == FLIPPED_RIGHT_RULE_FAILS

@@ -16,6 +16,8 @@ from heckext.graded import BasisSymbol
 from heckext.product import duality_pairing
 from heckext.weyl import S0, S1, WeylElement, _weyl
 
+from walk_oracle import shift_right
+
 
 def test_duality_beta_alpha_reports_the_first_counterexample(monkeypatch):
     alg = ExtAlgebra(5)
@@ -450,7 +452,7 @@ def test_act_right_walks_a_word_one_letter_at_a_time(p):
             other = verify._random_symbol(rng, alg, rng.randint(0, 3), 6)
             row.update(alg.idempotent_times(rng.randrange(W.n), alg.symbol_element(other)).row)
         v = verify._random_weyl(rng, alg, 6)
-        walked = alg._shift_right(row, v.exp)
+        walked = shift_right(alg, row, v.exp)
         for letter in v.word:
             walked = product._multiply(alg, walked, {BasisSymbol(0, None, W.simple(letter)): 1})
         assert product._multiply(alg, row, {BasisSymbol(0, None, v): 1}) == walked, (row, v)
@@ -504,10 +506,11 @@ def _torus_rule_slipped(H):
     return mul
 
 
-def _shift_right_flipped(alg):
-    """ExtAlgebra._shift_right with the sign of the exponent flipped."""
-    real = alg._shift_right
-    return lambda coeffs, a: real(coeffs, -a)
+def _right_exponent_flipped(alg):
+    """ExtAlgebra._adds_right with the sign of the exponent of v flipped: the
+    right torus shift, alone or under a word, goes the wrong way."""
+    real, n = alg._adds_right, alg.weyl.n
+    return lambda sym, v: real(sym, _weyl((-v[0] % n, v[1])))
 
 
 def _letter_row_off_by_one(alg):
@@ -554,7 +557,7 @@ def _generators_swapped(module):
     (_slide_slip, "alg", "_slide", {}),
     (_right_scalar_dropped, "hecke", "mul", {"e0_idempotent_system": "(0, 0)"}),
     (_torus_rule_slipped, "hecke", "mul", {"e0_idempotent_system": "(1, 1)"}),
-    (_shift_right_flipped, "alg", "_shift_right", {
+    (_right_exponent_flipped, "alg", "_adds_right", {
         "rightaction_torus_all_degrees": "(1, -1, w(0;), 1)",
         "rightaction_deg1_lengths_add_{n}_pairs": "(-1, w(0;), w(1; s0))",
         "rightaction_idempotent_slide": "(bm(w(0;)), 1)",
@@ -679,7 +682,7 @@ def _act_right_walks_right_to_left(alg):
         exp, word = v
         if len(word) < 2 or W.lengths_add(sym[2], v):
             return real(sym, v)
-        cur = alg._shift_right({sym: 1}, exp)
+        cur = shift_right(alg, {sym: 1}, exp)
         for letter in reversed(word):
             cur = product._multiply(alg, cur, {BasisSymbol(0, None, W.simple(letter)): 1})
         return cur

@@ -7,7 +7,9 @@ torus shifts of that representative.  WalkAlgebra is an ExtAlgebra whose
 kernels _act_left(u, sym) and _act_right(sym, v) are that walk, so its
 pair misses, and every product and public action built on them, go
 through the walk too.  The walk on sums of terms, character keys among
-them, is _walk_left(h, row) and _walk_right(row, h).
+them, is _walk_left(h, row) and _walk_right(row, h).  shift_right(alg,
+coeffs, a) is the plain right torus shift on such sums, which the engine
+reads from its lengths-add closed form (_adds_right at omega^a).
 """
 
 from __future__ import annotations
@@ -15,7 +17,25 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from heckext.coeff import add_into
-from heckext.graded import _LETTER_ROWS, BasisSymbol, ExtAlgebra, _weight
+from heckext.graded import _LETTER_ROWS, BasisSymbol, ExtAlgebra, _shifted, _weight
+from heckext.weyl import _weyl
+
+
+def shift_right(alg: ExtAlgebra, coeffs, a: int) -> dict:
+    """coeffs tau_{omega^a}: a support v becomes v omega^a, its exponent
+    gains (-1)^|v| a, with no scalar; a character key e_m s0 stays, with
+    the scalar u0^((m - k) (-1)^|v| a)."""
+    n, p = alg.weyl.n, alg.field.p
+    out: dict = {}
+    for key, c in coeffs.items():
+        if len(key) == 3:
+            d, sign, (exp, word) = key
+            out[_shifted((d, sign, _weyl(((exp - a if len(word) % 2 else exp + a) % n, word))))] = c
+        else:
+            m, d, sign, word = key
+            g = -a if len(word) % 2 else a
+            out[key] = c * alg.field.root_powers()[(m - _weight(d, sign)) * g % n] % p
+    return out
 
 
 class WalkAlgebra(ExtAlgebra):
@@ -112,7 +132,7 @@ class WalkAlgebra(ExtAlgebra):
         p = self.field.p
         total: dict = {}
         for (exp, word), c in h.items():
-            cur = self._shift_right(row, exp) if exp else row
+            cur = shift_right(self, row, exp) if exp else row
             for letter in word:
                 cur = self._apply_letter(letter, cur, True)
                 if not cur:
