@@ -154,8 +154,8 @@ def check_parameters(a, b) -> None:
 
 
 def check_index(m) -> None:
-    """Refuse an idempotent index e_m that is not an int."""
-    if not isinstance(m, int):
+    """Refuse an idempotent index e_m that is not an int (a bool is not one)."""
+    if type(m) is not int:
         raise ValueError(f"the idempotent index must be an int, got {m!r}")
 
 

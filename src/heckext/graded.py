@@ -16,15 +16,20 @@ iota(tau_{s0} iota(x)).  So there uniformizer_conj_multiplicative checks
 only the s0 half; the s1 half is pinned by the printed s1 rows in
 tests/test_letter_memos.py and by the pair digests.
 factor_through_generators reads both signs from the lengths-add rules.  Where lengths add,
-each row is one plain term at s_i w or zero, the same at every length, so
-tau_u sym is one closed form (_ADDS_RULES, _adds_left); where they do not,
-it is a chain of at most min(l(u), l(w)) table rows (_chain).  The right
-action is their transport through the anti-involution, x h = J(J(h) J(x))
-(deg h = 0, no sign).  Where lengths add, the transport is made once, on
-the rules: _RIGHT_RULES carries each lengths-add rule through J's sign
-map, and sym tau_v is one closed form too (_adds_right, no J lookup, the
-torus part of v a plain shift).  Where they do not, for tau_w, w = omega^e
-u, it is the right torus shift by e (no scalar), then J(tau_(u^-1) J(x)).
+each row is one plain term at s_i w or zero, the same at every length
+(_ADDS_RULES), and the rules have period 2 along an alternating word, so
+the rules of a whole word u compose to one, keyed by its last letter and
+l(u) mod 2 (_ADDS_LEFT, made at import by _closed_forms): tau_u sym is one
+lookup (_adds_left).  Where they do not add, it is a chain of at most
+min(l(u), l(w)) table rows (_chain).  The right action is their transport
+through the anti-involution, x h = J(J(h) J(x)) (deg h = 0, no sign).
+Where lengths add, the transport is made once, on the rules: _RIGHT_RULES
+carries each lengths-add rule through J's sign map, composed like the left
+ones, keyed by the first letter of u, l(u) mod 2 and l(w) mod 2
+(_ADDS_RIGHT), so sym tau_v is one lookup too (_adds_right, no J lookup,
+the torus part of v a plain shift).  Where they do not, for tau_w, w =
+omega^e u, it is the right torus shift by e (no scalar), then
+J(tau_(u^-1) J(x)).
 The two kernels _act_left(u, sym) and _act_right(sym, v) take one Weyl
 element and one plain symbol: they are the pair misses of route (1) in
 product.py, and every sum over terms goes through its _multiply.  The
@@ -215,22 +220,38 @@ _LETTER_ROWS = _letter_rows(_S0_ROWS)
 def _period_2(rules: dict, name: str) -> dict:
     """rules, keyed (letter, d, sign) or (letter, d, sign, l(w) mod 2), refused
     unless a nonzero rule followed by the other letter's gives back the
-    symbol it started from (period 2): the closed forms apply at most two
-    rules along an alternating word."""
+    symbol it started from (period 2): along an alternating word the rules
+    then repeat every two letters, so their closed forms (_closed_forms)
+    compose at most two."""
+    closed = _closed_forms(rules)
     for (i, d, sign, *odd), rule in rules.items():
-        if rule is not None:
-            back = rules[(1 - i, d, rule[0], *(1 - x for x in odd))]
-            if back is None or back[0] != sign or back[1] * rule[1] != 1:
-                raise ValueError(f"the {name} rules at {(i, d, sign, *odd)} do not have period 2")
+        if rule is not None and closed[(i, 0, d, sign, *odd)] != (sign, 1):
+            raise ValueError(f"the {name} rules at {(i, d, sign, *odd)} do not have period 2")
     return rules
+
+
+def _closed_forms(rules: dict) -> dict:
+    """The rules composed along an alternating word u of length >= 1, keyed
+    (the letter of u applied first, l(u) mod 2, d, sign, *the rest of the
+    rule's key): the rule of that letter when l(u) is odd, and when it is
+    even that rule followed by the other letter's, on the sign it gives and
+    at the other parity of l(w)."""
+    closed = {}
+    for (i, d, sign, *odd), rule in rules.items():
+        closed[(i, 1, d, sign, *odd)] = rule
+        if rule is not None:
+            then = rules[(1 - i, d, rule[0], *(1 - x for x in odd))]
+            rule = None if then is None else (then[0], rule[1] * then[1])
+        closed[(i, 0, d, sign, *odd)] = rule
+    return closed
 
 
 def _adds_rules(rows: dict) -> dict:
     """tau_{s_i} where lengths add, keyed by (letter, d, sign): (sign', c), c
     times the symbol of sign' at s_i w, or None for zero.  It is read off the
     lengths-add rows, each at most one plain entry, the same at every length,
-    and must have period 2 (_period_2), as _adds_left applies at most two
-    rules."""
+    and must have period 2 (_period_2), as _adds_left reads their closed
+    forms (_ADDS_LEFT)."""
     rules = {}
     for (i, d, sign, adds, short), (chars, plain) in rows.items():
         if adds:
@@ -241,6 +262,7 @@ def _adds_rules(rows: dict) -> dict:
 
 
 _ADDS_RULES = _adds_rules(_LETTER_ROWS)
+_ADDS_LEFT = _closed_forms(_ADDS_RULES)
 
 
 def _right_rules(rules: dict) -> dict:
@@ -251,7 +273,7 @@ def _right_rules(rules: dict) -> dict:
     the unit of a signed symbol of odd length, which is either w or w s_i.
     J's torus scalars cancel, and s_i^-1 = omega^half s_i adds a right
     torus shift, which carries no scalar.  The table must keep period 2
-    (_period_2), as _adds_right applies at most two rules."""
+    (_period_2), as _adds_right reads its closed forms (_ADDS_RIGHT)."""
     right = {}
     for i, d, sign in rules:
         for odd in (0, 1):
@@ -265,6 +287,7 @@ def _right_rules(rules: dict) -> dict:
 
 
 _RIGHT_RULES = _right_rules(_ADDS_RULES)
+_ADDS_RIGHT = _closed_forms(_RIGHT_RULES)
 
 
 class GradedElement(Combination):
@@ -643,13 +666,13 @@ class ExtAlgebra:
     def _adds_left(self, u: WeylElement, sym: BasisSymbol, c: int = 1) -> dict:
         """c tau_u sym where lengths add, l(u w) = l(u) + l(w) for w the support
         of sym: one symbol at u w or zero, the rules of _ADDS_RULES applied
-        from the right, then the torus prefix of u.  The rules have period 2
-        along an alternating word (_adds_rules), so only the last letter of an
-        odd u and the last two of an even u are applied."""
+        from the right, then the torus prefix of u.  The rules of a nonempty
+        word are one closed form (_ADDS_LEFT), keyed by the last letter of u
+        and l(u) mod 2."""
         d, sign, (f, w) = sym
         exp, word = u
-        for letter in reversed(word[len(word) % 2 - 2:]):
-            rule = _ADDS_RULES[letter, d, sign]
+        if word:
+            rule = _ADDS_LEFT[word[-1], len(word) % 2, d, sign]
             if rule is None:
                 return {}
             sign, unit = rule
@@ -680,22 +703,20 @@ class ExtAlgebra:
     def _adds_right(self, sym: BasisSymbol, v: WeylElement) -> dict:
         """sym tau_v where lengths add, l(w v) = l(w) + l(v) for w the support
         of sym: one symbol at w v or zero, the rules of _RIGHT_RULES applied
-        from the left.  The rules have period 2 along an alternating word
-        (_right_rules), so only the first letter of an odd u and the first
-        two of an even u are applied, v = omega^e u.  The torus part carries
-        no scalar; the image is interned."""
+        from the left.  The rules of a nonempty u, v = omega^e u, are one
+        closed form (_ADDS_RIGHT), keyed by the first letter of u, l(u) mod 2
+        and l(w) mod 2.  The torus part carries no scalar; the image is
+        interned."""
         d, sign, (f, w) = sym
         exp, word = v
-        c, odd = 1, len(w) % 2
-        for letter in word[:2 - len(word) % 2]:
-            rule = _RIGHT_RULES[letter, d, sign, odd]
+        odd, c = len(w) % 2, 1
+        if word:
+            rule = _ADDS_RIGHT[word[0], len(word) % 2, d, sign, odd]
             if rule is None:
                 return {}
-            sign, unit = rule
-            c *= unit
-            odd ^= 1
+            sign, c = rule
         # the words join without a cancellation; omega^e crosses the word of w
-        f = (f - exp if len(w) % 2 else f + exp) % self.weyl.n
+        f = (f - exp if odd else f + exp) % self.weyl.n
         image = _shifted((d, sign, _weyl((f, w + word))))
         return {self._symbols.setdefault(image, image): c % self.field.p}
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import presentation as pres
 from .coeff import add_into
-from .graded import BasisSymbol, ExtAlgebra, GradedElement
+from .graded import BasisSymbol, ExtAlgebra, GradedElement, _shifted
 from .grammar import render_element
 from .product import cup_summand, duality_pairing, multiply
 from .sections import (
@@ -303,13 +303,11 @@ def suite_rightaction(alg, *, max_length=8, **_):
         w, j = case
         sj = W.simple(j)
         got = act(alg.phi(w), sj)
-        if W.lengths_add(w, sj):
-            expected = alg.zero()
-        else:
-            expected = alg.phi(W.mul(w, sj))
-            for e in range(W.n):
-                expected = expected + alg.phi(W.mul(w, W.omega(e)))
-        return None if got == expected else (w, j)
+        # phi_(w s_j) + sum_t phi_(w t) where lengths do not add: p distinct
+        # terms, as l(w s_j) = l(w) - 1
+        expected = {} if W.lengths_add(w, sj) else {
+            _shifted((3, None, W.mul(w, v))): 1 for v in (sj, *W.torus())}
+        return None if got.coeffs == expected else (w, j)
 
     return [
         _check("rightaction_torus_all_degrees", *_torus_shift(alg, max_length)),
@@ -328,10 +326,12 @@ def _torus_shift(alg, max_length):
 
     The direct form made seven public act_right calls per (w, e), each a
     pair-memo lookup whose miss is the kernel _act_right(sym, t): at a torus
-    element, the closed form _adds_right(sym, t), which applies no rule and
+    element, the closed form _adds_right(sym, t), which reads no rule and
     moves the exponent, with no scalar.  The test calls that kernel for
     every case, in order, on the symbols built once per w: the direct form
-    with the pair memo off, the same counterexample.
+    with the pair memo off, the same counterexample.  Each expected symbol
+    (d, sign, w t) is built unchecked (_shifted): w t has the word of w, so
+    it is valid where (d, sign, w) is.
     The memo derives each pair of a torus orbit from the first one computed,
     so under a wrong right shift the public value depends on the products
     made before; the test reads the shift on every case.  The shortening
@@ -350,7 +350,7 @@ def _torus_shift(alg, max_length):
         t = W.omega(e)
         wt = W.mul(w, t)
         for d, sign, sym in sources[w]:
-            if alg._expand(alg._act_right(sym, t)) != {BasisSymbol(d, sign, wt): 1}:
+            if alg._expand(alg._act_right(sym, t)) != {_shifted((d, sign, wt)): 1}:
                 return (d, sign, w, e)
 
     return cases, torus_shift
@@ -363,16 +363,17 @@ def _lengths_add(alg, max_length):
 
     The direct form made one public act_right call per (sign, w, v), each a
     pair-memo lookup whose miss is the kernel _act_right(beta^sign_w, v),
-    there _adds_right, which applies the right rules (_RIGHT_RULES, the
-    lengths-add rules carried through J at import).  So the check restates
-    that table in degree 1, on the cases L reaches; the products that read
-    it through a pair miss (assoc, involution_graded_antihom) see the rest.
-    The test calls that kernel for every case, with its signs in the direct
-    order:
-    the direct form with the pair memo off, the same counterexample
-    (_torus_shift says why not with the memo).  The cases read each v of
-    length >= 1 from one list, with its length and first letter, and keep
-    those that fit each w.
+    there _adds_right, which reads one composed right rule (_ADDS_RIGHT,
+    from _RIGHT_RULES, the lengths-add rules carried through J at import).
+    So the check restates that table in degree 1, on the cases L reaches;
+    the products that read it through a pair miss (assoc,
+    involution_graded_antihom) see the rest.  The test calls that kernel
+    for every case, with its signs in the direct order: the direct form
+    with the pair memo off, the same counterexample (_torus_shift says why
+    not with the memo).  Each expected beta^sign_wv is built unchecked
+    (_shifted): v has length >= 1, so wv does too and sign 0 is valid.  The
+    cases read each v of length >= 1 from one list, with its length and
+    first letter, and keep those that fit each w.
     """
     W = alg.weyl
     supports = W.elements(max_length)
@@ -395,7 +396,7 @@ def _lengths_add(alg, max_length):
         kept = -1 if wv[1][0] == S0 else 1
         for sym in symbols[w]:
             sign = sym[1]
-            expected = {BasisSymbol(1, sign, wv): 1} if sign in (0, kept) else {}
+            expected = {_shifted((1, sign, wv)): 1} if sign in (0, kept) else {}
             if alg._act_right(sym, v) != expected:
                 return (sign, w, v)
 
@@ -750,11 +751,12 @@ SUITE_NAMES = tuple(SUITES)
 def run_suite(alg: ExtAlgebra, name: str, **options) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    # a bool is not an int here, as in WeylGroup.check and PrimeField
     for option in ("samples", "max_length"):
         value = options.get(option, 1)
-        if not isinstance(value, int) or value < 1:
+        if type(value) is not int or value < 1:
             raise ValueError(f"{option} must be an int >= 1, got {value!r}")
-    if not isinstance(options.get("seed", 0), int):
+    if type(options.get("seed", 0)) is not int:
         raise ValueError(f"seed must be an int, got {options['seed']!r}")
     results = SUITES[name](alg, **options)
     return sorted(results, key=lambda r: r.name)

@@ -35,7 +35,7 @@ class WeylElement(tuple):
 
     def __new__(cls, group: "WeylGroup | None", exp: int = 0, word: tuple[int, ...] = ()):
         if group is not None:
-            if not isinstance(exp, int):
+            if type(exp) is not int:
                 raise ValueError(f"the torus exponent must be an int, got {exp!r}")
             exp, word = exp % group.n, _alternating(word)
         return tuple.__new__(cls, (exp, word))

@@ -268,6 +268,14 @@ class TestIdempotentIndex:
         with pytest.raises(ValueError, match=re.escape(f"must be an int, got {m!r}")):
             alg5.idempotent_times(m, alg5.beta(0, alg5.weyl.s0))
 
+    def test_a_bool_index_is_refused(self, alg5):
+        """idempotent(True) returned e_1: a bool passed isinstance(m, int)."""
+        x = alg5.beta(0, alg5.weyl.s0)
+        for index in (alg5.idempotent, lambda m: alg5.idempotent_times(m, x), alg5.hecke.idempotent):
+            for m in (True, False):
+                with pytest.raises(ValueError, match=re.escape(f"must be an int, got {m!r}")):
+                    index(m)
+
 
 class TestFactorThroughGenerators:
     def test_spec_examples(self, alg5):

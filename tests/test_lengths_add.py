@@ -1,15 +1,18 @@
 """The closed form of the degree-0 actions where lengths add.
 
 A pair whose support lengths add reads tau_u sym from the lengths-add rows
-of the letter table (_ADDS_RULES, applied by _adds_left) and sym tau_v from
-their transport through J, made once at import (_RIGHT_RULES, applied by
-_adds_right, which looks nothing up in J).  Both must agree on every symbol
-with the letter walk that tests/walk_oracle.py keeps, which reads the
-letter memo one letter at a time and transports each right letter through
-J, and with the engine's kernels _act_left and _act_right, which a pair
-miss of a degree-0 factor runs; a product of such pairs must leave the
-letter memo empty.  Both tables must keep period 2, and a wrong entry of
-either fails verify all.
+of the letter table (_ADDS_RULES) and sym tau_v from their transport
+through J, made once at import (_RIGHT_RULES, which looks nothing up in J).
+Each table is composed at import into one rule per (letter, l(u) mod 2)
+(_ADDS_LEFT, read by _adds_left, and _ADDS_RIGHT, read by _adds_right).
+Both closed forms must agree on every symbol with the letter walk that
+tests/walk_oracle.py keeps, which reads the letter memo one letter at a
+time and transports each right letter through J, with the loops over one
+or two rules they replaced (the two-step oracles there), and with the
+engine's kernels _act_left and _act_right, which a pair miss of a degree-0
+factor runs; a product of such pairs must leave the letter memo empty.
+Both tables must keep period 2, and a wrong entry of either fails verify
+all.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from heckext.graded import BasisSymbol
 from heckext.product import multiply
 from heckext.weyl import S0, S1, _alternating_word, _weyl
 
-from walk_oracle import WalkAlgebra
+from walk_oracle import WalkAlgebra, two_step_left, two_step_right
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -40,6 +43,23 @@ def test_the_closed_form_is_the_letter_walk(p):
             if W.lengths_add(w, u):
                 walked = oracle._act_right(sym, u)
                 assert alg._adds_right(sym, u) == walked == alg._act_right(sym, u), (sym, u)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_the_closed_forms_are_the_two_step_rules(p):
+    """Every symbol with support of length <= 6 against every u of length
+    <= 6 whose length adds to it, on both sides: one composed rule gives
+    what one or two rules, applied one at a time, gave."""
+    alg = ExtAlgebra(p)
+    W = alg.weyl
+    words = W.elements(6)
+    for sym in alg.basis_symbols(6):
+        w = sym.support
+        for u in words:
+            if W.lengths_add(u, w):
+                assert alg._adds_left(u, sym) == two_step_left(alg, u, sym), (u, sym)
+            if W.lengths_add(w, u):
+                assert alg._adds_right(sym, u) == two_step_right(alg, sym, u), (sym, u)
 
 
 def test_a_good_pair_at_p1009_reads_no_letter_memo():
@@ -142,6 +162,15 @@ def failures_of_verify_all():
     return {r.name: r.counterexample for suite in results.values() for r in suite if not r.ok}
 
 
+def install_rules(monkeypatch, left, right):
+    """Patch in the left and right rule tables with the closed forms
+    composed from them, as at import."""
+    for name, rules, closed in (("_ADDS_RULES", left, "_ADDS_LEFT"),
+                                ("_RIGHT_RULES", right, "_ADDS_RIGHT")):
+        monkeypatch.setattr(graded, name, rules)
+        monkeypatch.setattr(graded, closed, graded._closed_forms(rules))
+
+
 def test_a_flipped_lengths_add_rule_fails_verify_all(monkeypatch):
     """The flipped table has lost period 2, which _adds_rules and
     _right_rules refuse: the mutant is patched in past that check, and the
@@ -149,11 +178,10 @@ def test_a_flipped_lengths_add_rule_fails_verify_all(monkeypatch):
     rules = dict(graded._ADDS_RULES)
     assert rules[S0, 1, 0] == (0, -1)
     rules[S0, 1, 0] = (0, 1)
-    monkeypatch.setattr(graded, "_ADDS_RULES", rules)
     with monkeypatch.context() as m:
         m.setattr(graded, "_period_2", lambda rules, name: rules)
         right = graded._right_rules(rules)
-    monkeypatch.setattr(graded, "_RIGHT_RULES", right)
+    install_rules(monkeypatch, rules, right)
     assert failures_of_verify_all() == FLIPPED_SIGN_0_FAILS
 
 
@@ -174,5 +202,5 @@ def test_a_flipped_right_rule_fails_verify_all(monkeypatch):
     right = dict(graded._RIGHT_RULES)
     assert right[S0, 1, 0, 0] == (0, 1)
     right[S0, 1, 0, 0] = (0, -1)
-    monkeypatch.setattr(graded, "_RIGHT_RULES", right)
+    install_rules(monkeypatch, graded._ADDS_RULES, right)
     assert failures_of_verify_all() == FLIPPED_RIGHT_RULE_FAILS

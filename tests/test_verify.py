@@ -161,6 +161,15 @@ def test_a_seed_that_is_not_an_int_is_refused(entry, seed):
         entry(ExtAlgebra(5), "e0", seed=seed)
 
 
+@pytest.mark.parametrize("entry", [verify.run_suite, verify.run])
+def test_bool_options_are_refused(entry):
+    """run(alg, "e0", max_length=True, samples=True, seed=False) ran, and
+    reported e0_associativity_1_triples: a bool passed isinstance(x, int)."""
+    for option, value in (("max_length", True), ("samples", True), ("seed", False)):
+        with pytest.raises(ValueError, match=re.escape(f"{option} must be an int")):
+            entry(ExtAlgebra(5), "e0", **{option: value})
+
+
 @pytest.mark.parametrize("seed", [0, -7])
 def test_a_negative_or_zero_seed_runs(seed):
     assert all(r.ok for r in verify.run_suite(ExtAlgebra(5), "e0", seed=seed, samples=5))
@@ -388,6 +397,47 @@ def test_restated_checks_agree_with_the_direct_forms_case_by_case(p):
         assert expected == [None] * len(cases), name
         for form in forms:
             assert [form(case) for case in cases] == expected, name
+
+
+def test_the_kernel_checks_make_one_call_per_case_and_symbol(monkeypatch):
+    """A faster torus, lengths-add or slide test must not check less: at
+    p=5, L=3 each calls the kernel _act_right once per (case, symbol) of its
+    direct form above, those of the torus and lengths-add forms run with the
+    pair memo off (each public act_right one call), and the slide's once per
+    (symbol, torus element t), the calls its direct form makes for one e_m."""
+    alg = ExtAlgebra(5)
+    real, calls = alg._act_right, []
+
+    def counted(sym, v):
+        calls.append((sym, v))
+        return real(sym, v)
+
+    monkeypatch.setattr(alg, "_act_right", counted)
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    expected = {
+        "rightaction_torus_all_degrees":
+            sum(2 * len(_signs(w)) + 1 for w, _ in direct_torus_cases(alg, 3)),
+        "rightaction_deg1_lengths_add_{n}_pairs":
+            sum(len(_signs(w)) for w, _ in direct_lengths_add_cases(alg, 3)),
+        "rightaction_idempotent_slide": len(direct_slide_cases(alg, 3)) * alg.weyl.n,
+    }
+    assert expected == {"rightaction_torus_all_degrees": 752,
+                        "rightaction_deg1_lengths_add_{n}_pairs": 480,
+                        "rightaction_idempotent_slide": 640}
+    for name, total in expected.items():
+        helper, oracle_cases, oracle = RESTATED[name]
+        cases, test, *_ = helper(alg, 3)
+        assert count(lambda: verify._check(name, cases, test)) == total, name
+        if name in PAIR_MISS_ORACLES:
+            with monkeypatch.context() as patch:
+                patch.setattr(product, "_pair", _unmemoized_pair)
+                direct = oracle_cases(alg, 3), oracle(alg, 3)
+                assert count(lambda: verify._check(name, *direct)) == total, name
 
 
 def test_the_slide_check_leaves_the_expansion_memo_empty():

@@ -10,6 +10,7 @@ identity itself, so matrix equality is group equality.
 
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,12 @@ class TestNormalForm:
     def test_the_public_constructor_refuses_an_exponent_that_is_not_an_int(self):
         for exp in (1.5, "1", None):
             with pytest.raises(ValueError, match="exponent"):
+                W5.element(exp, ())
+
+    def test_the_public_constructor_refuses_a_bool_exponent(self):
+        """W.element(True, ()) built w(1;): a bool passed isinstance(exp, int)."""
+        for exp in (True, False):
+            with pytest.raises(ValueError, match=re.escape(f"must be an int, got {exp!r}")):
                 W5.element(exp, ())
 
     def test_a_public_element_acts_as_its_normal_form(self):

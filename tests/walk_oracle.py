@@ -10,12 +10,18 @@ through the walk too.  The walk on sums of terms, character keys among
 them, is _walk_left(h, row) and _walk_right(row, h).  shift_right(alg,
 coeffs, a) is the plain right torus shift on such sums, which the engine
 reads from its lengths-add closed form (_adds_right at omega^a).
+
+two_step_left and two_step_right are the lengths-add closed forms as they
+were before their rules were composed at import: a loop over the rules of
+the last (left) or first (right) one or two letters of the word, read from
+graded._ADDS_RULES and graded._RIGHT_RULES on every call.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
 
+from heckext import graded
 from heckext.coeff import add_into
 from heckext.graded import _LETTER_ROWS, BasisSymbol, ExtAlgebra, _shifted, _weight
 from heckext.weyl import _weyl
@@ -36,6 +42,41 @@ def shift_right(alg: ExtAlgebra, coeffs, a: int) -> dict:
             g = -a if len(word) % 2 else a
             out[key] = c * alg.field.root_powers()[(m - _weight(d, sign)) * g % n] % p
     return out
+
+
+def two_step_left(alg: ExtAlgebra, u, sym: BasisSymbol, c: int = 1) -> dict:
+    """c tau_u sym where lengths add: the rules of _ADDS_RULES for the last
+    letter of an odd u and the last two of an even u, applied from the
+    right, then the torus prefix of u."""
+    d, sign, (f, w) = sym
+    exp, word = u
+    for letter in reversed(word[len(word) % 2 - 2:]):
+        rule = graded._ADDS_RULES[letter, d, sign]
+        if rule is None:
+            return {}
+        sign, unit = rule
+        c *= unit
+    support = _weyl(((-f if len(word) % 2 else f) % alg.weyl.n, word + w))
+    row = {_shifted((d, sign, support)): c % alg.field.p}
+    return alg._shift_left(row, exp) if exp else row
+
+
+def two_step_right(alg: ExtAlgebra, sym: BasisSymbol, v) -> dict:
+    """sym tau_v where lengths add: the rules of _RIGHT_RULES for the first
+    letter of an odd u and the first two of an even u, v = omega^e u,
+    applied from the left; the torus part carries no scalar."""
+    d, sign, (f, w) = sym
+    exp, word = v
+    c, odd = 1, len(w) % 2
+    for letter in word[:2 - len(word) % 2]:
+        rule = graded._RIGHT_RULES[letter, d, sign, odd]
+        if rule is None:
+            return {}
+        sign, unit = rule
+        c *= unit
+        odd ^= 1
+    f = (f - exp if len(w) % 2 else f + exp) % alg.weyl.n
+    return {_shifted((d, sign, _weyl((f, w + word)))): c % alg.field.p}
 
 
 class WalkAlgebra(ExtAlgebra):
