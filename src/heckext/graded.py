@@ -173,7 +173,7 @@ def _weight(d: int, sign: int | None) -> int:
 # at length >= 2.  A key not listed gives zero where lengths add; where they do
 # not, every row starts with -e_0 sym, and in degree 0 that is the whole row,
 # the quadratic relation tau_{s0} tau_w = -e_0 tau_w (hecke.py states it as
-# the orbit sum of the word of w; the tests check the two agree).
+# the orbit sum of the word of w; e0_braid_and_recursions checks the two agree).
 _S0_ROWS = {
     (0, None, True): (((None, 1),), (), ()),
     (1, -1, True): (((1, -1),), (), ()),

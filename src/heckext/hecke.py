@@ -12,12 +12,9 @@ As s omega^b = omega^-b s, with T the left torus shift,
 tau_{omega^a u} tau_{omega^b v} = T_{a + (-1)^|u| b}(tau_u tau_v).  An
 orbit sum is invariant under T, so mul adds it once per pair of words,
 times the sums of both factors' coefficients there, and expands it last.
-The graded left table states the same quadratic relation as -e_0 tau_w,
-checked against mul in the tests.
-
-Right multiplication by letter recursion on the right factor is also
-provided; the tau-basis is stable under the main anti-involution, so it
-must agree with mul, and the two are cross-checked in the tests.
+The graded left table states the same quadratic relation as -e_0 tau_w:
+the e0 suite of verify.py checks mul against the graded engine's
+degree-0 product, an independent implementation of the same algebra.
 """
 
 from __future__ import annotations
@@ -105,36 +102,6 @@ class HeckeAlgebra:
             for h in range(n):
                 w = _weyl((h, word))
                 total[w] = total.get(w, 0) + x
-        return HeckeElement.make(self, total)
-
-    def _letter_right(self, coeffs: dict, i: int) -> dict:
-        """Right multiply a coefficient dict by tau_{s_i}."""
-        W = self.weyl
-        si = W.simple(i)
-        out: dict = {}
-        for w, c in coeffs.items():
-            if W.lengths_add(w, si):
-                k = W.mul(w, si)
-                out[k] = out.get(k, 0) + c
-            else:
-                for h in range(W.n):
-                    k = W.mul(w, W.omega(h))
-                    out[k] = out.get(k, 0) + c
-        return HeckeElement.make(self, out).coeffs
-
-    def mul_right_recursion(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
-        """Same product, decomposing the right factor; used as a cross-check."""
-        total: dict = {}
-        for w, c in b.coeffs.items():
-            cur = a.coeffs
-            if w.exp:
-                cur = {self.weyl.mul(v, self.weyl.omega(w.exp)): x for v, x in cur.items()}
-            for letter in w.word:
-                cur = self._letter_right(cur, letter)
-                if not cur:
-                    break
-            for v, x in cur.items():
-                total[v] = total.get(v, 0) + c * x
         return HeckeElement.make(self, total)
 
     # --- involutions ---

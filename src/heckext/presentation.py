@@ -166,9 +166,9 @@ class _Prefixes:
 
 def evaluate(f: FreeElement) -> GradedElement:
     """Substitute the concrete generators and multiply left to right, each
-    prefix once (_Prefixes); the sum is expanded once."""
+    prefix once (_Prefixes): the element of the symbolic row of the sum."""
     alg = f.algebra
-    return GradedElement(alg, alg._expand(_Prefixes(alg).row(f)))
+    return GradedElement(alg, _Prefixes(alg).row(f))
 
 
 # --- the relator lists ---

@@ -145,9 +145,6 @@ class WeylGroup:
         exp = m * self.half + (w.exp if m % 2 else -w.exp)
         return _weyl((exp % self.n, w.word[::-1]))
 
-    def length(self, w: WeylElement) -> int:
-        return len(w.word)
-
     def lengths_add(self, v: WeylElement, w: WeylElement) -> bool:
         """Whether l(vw) = l(v) + l(w); fails exactly when letters cancel."""
         return not (v.word and w.word and v.word[-1] == w.word[0])

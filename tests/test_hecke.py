@@ -4,6 +4,7 @@ import re
 import pytest
 
 from heckext import ExtAlgebra
+from heckext.graded import BasisSymbol
 from heckext.hecke import HeckeElement
 from heckext.weyl import S0, S1, WeylElement
 
@@ -125,13 +126,15 @@ class TestProductLaws:
             assert H.mul(a, b + c) == H.mul(a, b) + H.mul(a, c)
             assert H.mul(b + c, a) == H.mul(b, a) + H.mul(c, a)
 
-    def test_left_and_right_letter_recursions_agree(self, alg5):
+    def test_products_equal_the_graded_kernel(self, alg5):
+        """tau_v tau_w by H.mul equals the graded engine's degree-0 product,
+        the kernel _act_left(v, tau_w) of a pair miss."""
         H, W = alg5.hecke, alg5.weyl
         rng = random.Random(17)
         for _ in range(150):
-            a = H.tau(rand_weyl(rng, W, 6))
-            b = H.tau(rand_weyl(rng, W, 6))
-            assert H.mul(a, b) == H.mul_right_recursion(a, b)
+            v, w = rand_weyl(rng, W, 6), rand_weyl(rng, W, 6)
+            kernel = alg5._expand(alg5._act_left(v, BasisSymbol(0, None, w)))
+            assert kernel == alg5.embed(H.mul(H.tau(v), H.tau(w))).row, (v, w)
 
 
 class TestInvolutions:

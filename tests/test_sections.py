@@ -390,6 +390,17 @@ class TestSectionMemo:
         sym = BasisSymbol(2, -1, W.omega(3))
         assert section_deg2(alg7.symbol_element(sym).scale(2)) is not _section2_symbol(alg7, sym)
 
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_symmetric_section_is_the_memo_entry_on_positive_length(self, p):
+        # both degree-3 sections of a symbol at length >= 1 are its memo entry,
+        # so comparing their terms checks nothing
+        alg = ExtAlgebra(p)
+        symbols = [s for s in alg.basis_symbols(4, degrees=(3,)) if s.support.length]
+        assert len(symbols) == 8 * (p - 1)
+        for sym in symbols:
+            el = alg.symbol_element(sym)
+            assert section_deg3_symmetric(el) is section_deg3(el) is _section3_symbol(alg, sym)
+
     def test_each_algebra_has_its_own_memo(self, alg5, alg7):
         # the same key at p=5 and p=7: each algebra builds and keeps its own
         sym = BasisSymbol(2, 1, alg5.weyl.omega(1))

@@ -11,7 +11,7 @@ import pytest
 from heckext import ExtAlgebra
 from heckext import graded, product, verify
 from heckext import presentation as pres
-from heckext.coeff import add_into
+from heckext.coeff import PrimeField, add_into
 from heckext.graded import BasisSymbol
 from heckext.product import duality_pairing
 from heckext.weyl import S0, S1, WeylElement, _weyl
@@ -470,18 +470,20 @@ def test_the_deterministic_checks_stream_their_cases():
 
 
 def test_a_false_alarm_of_the_restated_test_does_not_fail_the_check(monkeypatch):
-    """With idempotent_times returning its expanded row, the slide's
-    restated test fails every case and the direct form passes them all:
-    the check runs the direct form on each case and passes."""
+    """With the slide built on a negated table of the powers of u0, which
+    only its restated test reads (the expected right sides and columns),
+    the restated test fails every case and the direct form, which reads the
+    engine, passes them all: the check runs the direct form on each case
+    and passes."""
     alg = ExtAlgebra(5)
-    real = alg.idempotent_times
-    monkeypatch.setattr(alg, "idempotent_times",
-                        lambda m, x: graded.GradedElement(alg, real(m, x).coeffs))
-    cases, restated, direct = verify._idempotent_slide(alg, 2)
+    real = PrimeField.root_powers
+    with monkeypatch.context() as patch:
+        patch.setattr(PrimeField, "root_powers",
+                      lambda field: tuple(field.p - u for u in real(field)))
+        cases, restated, direct = verify._idempotent_slide(alg, 2)
     cases = list(cases)
     assert cases and all(restated(case) is not None and direct(case) is None for case in cases)
-    results = {r.name: r for r in verify.suite_rightaction(alg, max_length=2)}
-    slide = results["rightaction_idempotent_slide"]
+    slide = verify._restated("rightaction_idempotent_slide", cases, restated, direct)
     assert (slide.ok, slide.counterexample) == (True, None)
 
 
@@ -680,6 +682,42 @@ def test_a_chain_mutant_fails_verify_all(monkeypatch, faults, first_failure):
         assert failures["sections_deg2_identity_1_symbols"] == "fails at am(w(0;))"
 
 
+@pytest.mark.parametrize("entry", [(0, None, 1), (1, None, -1)],
+                         ids=["sign-flipped", "index-plus-one"])
+def test_a_wrong_degree0_shortening_row_fails_the_e0_cross_check(monkeypatch, entry):
+    """The degree-0 rows of _LETTER_ROWS where lengths do not add state the
+    quadratic relation tau_(s_i) tau_w = -e_0 tau_w.  HeckeAlgebra.mul never
+    reads them, so e0_braid_and_recursions, which compares it with the graded
+    kernel _act_left, is the e0 check that sees a wrong one: -e_0 written as
+    +e_0, or as -e_1."""
+    rows = {key: row for key, row in graded._LETTER_ROWS.items() if key[1] == 0 and not key[3]}
+    assert len(rows) == 4 and set(rows.values()) == {(((0, None, -1),), ())}
+    for key in rows:
+        monkeypatch.setitem(graded._LETTER_ROWS, key, ((entry,), ()))
+    results = verify.run_suite(ExtAlgebra(5), "e0", max_length=2, samples=200)
+    failures = {r.name: r.counterexample for r in results if not r.ok}
+    assert list(failures) == ["e0_braid_and_recursions_17"]
+    assert failures["e0_braid_and_recursions_17"].startswith("(w(2; s0), w(0; s0), ")
+
+
+def test_the_e0_cross_check_makes_one_kernel_call_per_braid_case(monkeypatch):
+    """e0_braid_and_recursions reads the graded product of each pair (v, w)
+    from one call of the kernel _act_left(v, tau_w), so it cannot check less:
+    at p=5, L=3 it runs 200 cases and makes 200 calls, one per case."""
+    alg = ExtAlgebra(5)
+    real, calls = alg._act_left, []
+
+    def counted(u, sym, c=1):
+        calls.append((u, sym))
+        return real(u, sym, c)
+
+    monkeypatch.setattr(alg, "_act_left", counted)
+    results = {r.name: r for r in verify.suite_e0(alg, max_length=3, samples=200)}
+    assert results["e0_braid_and_recursions_200"].ok
+    assert len(calls) == 200
+    assert all(sym[:2] == (0, None) and len(u.word) <= 3 for u, sym in calls)
+
+
 def test_the_eigen_law_can_fail_before_the_first_wrong_product(monkeypatch):
     """With the torus rule slipped, the restated test of e0_idempotent_system
     fails (1, 0), where e_1 e_0 = 0 still holds; the check reports the direct
@@ -721,6 +759,12 @@ def _char_expansion_negated(alg):
     """ExtAlgebra._char_expansion with every coefficient negated."""
     real, p = alg._char_expansion, alg.field.p
     return lambda key: {k: p - c for k, c in real(key).items()}
+
+
+def _public_idempotent_times_shifted(alg):
+    """ExtAlgebra.idempotent_times(m, x) returning e_(m+1) x."""
+    real = alg.idempotent_times
+    return lambda m, x: real(m + 1, x)
 
 
 def _act_right_walks_right_to_left(alg):
@@ -789,6 +833,8 @@ SKIPPED_CODE_MUTANTS = [
     (_char_expansion_negated, "_char_expansion", ["rightaction_idempotent_slide"],
      {"rightaction_deg3_reflections": "(w(0; s0), 0)",
       "presentation_round_trip_{n}_symbols": "am(w(0;))"}),
+    (_public_idempotent_times_shifted, "idempotent_times", ["rightaction_idempotent_slide"],
+     {"rightaction_deg1_shortening": "(0, w(0; s0))"}),
     (_act_right_walks_right_to_left, "_act_right", ["rightaction_deg1_lengths_add_{n}_pairs"],
      {"rightaction_deg1_shortening": "(0, w(0; s0 s1))"}),
 ]
@@ -799,7 +845,8 @@ def test_code_a_faster_test_skips_is_caught_by_another_check(
     monkeypatch, mutant, attr, passing, caught
 ):
     """The torus and lengths-add tests call the kernel _act_right, not the
-    public act_right; the slide never expands its right side; a lengths-add
+    public act_right; the slide reads its right side from _project, not the
+    public idempotent_times, and never expands it; a lengths-add
     pair miss never reaches the transport of _act_right.  A fault
     in the code so skipped passes those checks, and other checks of verify
     all fail it."""

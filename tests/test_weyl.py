@@ -134,8 +134,8 @@ class TestNormalForm:
         assert W5.mul(v, W5.inv(v)) == W5.identity
 
     def test_length_and_lengths_add(self):
-        assert W5.length(W5.element(3, (S0, S1, S0))) == 3
-        assert W5.length(W5.omega(2)) == 0
+        assert W5.element(3, (S0, S1, S0)).length == 3
+        assert W5.omega(2).length == 0
         assert W5.lengths_add(W5.s0, W5.s1)
         assert not W5.lengths_add(W5.s0, W5.s0)
         assert W5.lengths_add(W5.s0, W5.omega(1))
