@@ -26,13 +26,12 @@ iota-images are not +-1 times a listed relator.
 
 from __future__ import annotations
 
-from itertools import compress, count
-from operator import ne
+from operator import countOf
 
 from .coeff import Combination, _orbit, add_into, check_index, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .product import _multiply
-from .sections import TensorExpression, _section2_symbol, _section3_symbol
+from .sections import _section2_symbol, _section3_symbol
 from .weyl import S0, S1, WeylElement
 
 __all__ = [
@@ -54,6 +53,7 @@ __all__ = [
 T_W0, T_S0, T_S1, B_M, B_P, B_Z0, B_Z1 = range(7)
 LETTERS = (T_W0, T_S0, T_S1, B_M, B_P, B_Z0, B_Z1)
 LETTER_NAMES = ("T_w0", "T_s0", "T_s1", "B_m", "B_p", "B_z0", "B_z1")
+_LETTER_BYTES = bytes(LETTERS)
 
 
 class FreeElement(Combination):
@@ -63,15 +63,11 @@ class FreeElement(Combination):
 
     def _product(self, other: "FreeElement") -> "FreeElement":
         check_parameters(self.algebra, other.algebra)
-        # raw int sums in the hot loop, reduced once by make
-        out: dict = {}
-        for wa, ca in self.coeffs.items():
-            for wb, cb in other.coeffs.items():
-                w = wa + wb
-                out[w] = out.get(w, 0) + ca * cb
-        return FreeElement.make(self.algebra, out)
+        return FreeElement.make(self.algebra, _concat(self.coeffs, other.coeffs))
 
     def __pow__(self, n: int) -> "FreeElement":
+        if type(n) is not int:
+            raise ValueError(f"the exponent must be an int, got {n!r}")
         if n < 0:
             raise ValueError("free words have no inverses")
         acc = free_one(self.algebra)
@@ -87,9 +83,20 @@ class FreeElement(Combination):
             return "0"
         bits = []
         for word, c in sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            name = "*".join(LETTER_NAMES[l] for l in word) if word else "1"
+            name = "*".join(LETTER_NAMES[l] for l in _letters(word)) if word else "1"
             bits.append(f"{c}*{name}")
         return " + ".join(bits)
+
+
+def _concat(a: dict, b: dict, out: dict | None = None) -> dict:
+    """out plus the product of two plain maps word -> int, out a new map if
+    None: raw int sums, which the caller reduces once (make)."""
+    out = {} if out is None else out
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            w = wa + wb
+            out[w] = out.get(w, 0) + ca * cb
+    return out
 
 
 def free_letter(alg: ExtAlgebra, letter: int) -> FreeElement:
@@ -130,45 +137,62 @@ def generator_images(alg: ExtAlgebra) -> dict[int, GradedElement]:
     return images
 
 
-class _Prefixes:
-    """The values of free words, each prefix multiplied out once: the value
-    of a word is the value of its prefix times the image of its last letter.
-    For each first letter it keeps the path of the last word read with that
-    letter, values[i] the row of prev[:i]; a zero row ends the path, as every
-    word that shares that prefix is zero.  Each new prefix costs one product
-    on symbolic rows (a torus idempotent stays a character key)."""
+def _letters(word: tuple) -> bytes:
+    """The letters of a word as bytes, after refusing one that is not one of
+    the ints 0..6 (bytes() alone takes a bool for 0 or 1)."""
+    try:
+        letters = bytes(word)
+    except (TypeError, ValueError):  # a letter that is not an int in 0..255
+        letters = None
+    if (letters is None or letters.translate(None, _LETTER_BYTES)
+            or countOf(map(type, word), int) != len(word)):
+        i, x = next((i, x) for i, x in enumerate(word) if type(x) is not int or not 0 <= x < 7)
+        raise ValueError(f"word {word!r}: letter {x!r} at position {i} is not one of the ints 0..6")
+    return letters
+
+
+class _Suffixes:
+    """The values of free words read right to left, through a trie of the
+    suffixes read so far: the value of x s is the image of x times the value
+    of s, one product on symbolic rows.  A run x^k is one step: runs[x] at
+    the node of s holds the values of x s, x x s, ... and, for each k a word
+    read past, the runs below x^k s; so a word whose suffix is known costs
+    one step per run.  A zero value ends the walk.  As the product is
+    associative (the assoc suite), this is the word multiplied from the left."""
 
     def __init__(self, alg: ExtAlgebra):
         self.alg = alg
         self.images = {letter: x.coeffs for letter, x in generator_images(alg).items()}
-        self.one = alg.one().coeffs
-        self.paths: dict = {}  # word[:1] -> (prev, values)
+        self.one, self.runs = alg.one().coeffs, {}
 
     def value(self, word: tuple) -> dict:
-        prev, values = self.paths.get(word[:1]) or ((), [self.one])
-        shared = next(compress(count(), map(ne, word, prev)), min(len(word), len(prev)))
-        del values[shared + 1:]
-        for letter in word[shared:]:
-            if not values[-1]:
-                break
-            values.append(_multiply(self.alg, values[-1], self.images[letter]))
-        self.paths[word[:1]] = word, values
-        return values[-1]
+        letters = _letters(word)
+        value, runs, end = self.one, self.runs, len(letters)
+        while end and value:
+            # the run letter^k is letters[start:end], k = end - start
+            letter, start = letters[end - 1], len(letters[:end].rstrip(letters[end - 1:end]))
+            values, below = runs.setdefault(letter, ([], {}))
+            while len(values) < end - start:
+                values.append(_multiply(self.alg, self.images[letter], values[-1] if values else value))
+            if start:
+                runs = below.setdefault(end - start, {})
+            value, end = values[end - start - 1], start
+        return value
 
     def row(self, f: FreeElement) -> dict:
-        """The symbolic row of f, its words read in sorted order, so that the
-        words with one first letter come in one block."""
+        """The symbolic row of f."""
         total: dict = {}
-        for word, c in sorted(f.coeffs.items()):
+        for word, c in f.coeffs.items():
             add_into(total, self.value(word).items(), c, self.alg.field.p)
         return total
 
 
 def evaluate(f: FreeElement) -> GradedElement:
-    """Substitute the concrete generators and multiply left to right, each
-    prefix once (_Prefixes): the element of the symbolic row of the sum."""
+    """Substitute the concrete generators and multiply each word right to
+    left, each suffix once (_Suffixes): the element of the symbolic row of
+    the sum."""
     alg = f.algebra
-    return GradedElement(alg, _Prefixes(alg).row(f))
+    return GradedElement(alg, _Suffixes(alg).row(f))
 
 
 # --- the relator lists ---
@@ -266,20 +290,28 @@ def _word_for_weyl(w: WeylElement) -> tuple[int, ...]:
     return (T_W0,) * w.exp + tuple(T_S0 + letter for letter in w.word)
 
 
-def _word_for_tensor(alg: ExtAlgebra, t: TensorExpression) -> FreeElement:
-    """The words of the slots of each term, concatenated; a character-key
-    slot e_m s0 is spelled free_idempotent(m) (the 'p-2' bound) times the
-    word of s0."""
+def _words(alg: ExtAlgebra, sym: BasisSymbol) -> dict:
+    """The words of word_for_basis(sym) as a plain map word -> int, unreduced."""
+    if sym.degree == 0:
+        return {_word_for_weyl(sym.support): 1}
+    if sym.degree == 1:
+        c, left, g, right = alg.factor_through_generators(sym)
+        return {_word_for_weyl(left) + (_B_LETTERS[g.sign, g.support.word],) + _word_for_weyl(right): c}
     out: dict = {}
-    for c, syms in t.terms:
-        acc = free_one(alg)
+    section = _section2_symbol if sym.degree == 2 else _section3_symbol
+    for c, syms in section(alg, sym).terms:
+        factors = []
         for s in syms:
             if len(s) == 4:
-                acc = acc * free_idempotent(alg, s[0]) * word_for_basis(alg, alg._base(s))
-            else:
-                acc = acc * word_for_basis(alg, s)
-        add_into(out, acc.coeffs.items(), c, alg.field.p)
-    return FreeElement(alg, out)
+                factors.append(free_idempotent(alg, s[0]).coeffs)
+                s = alg._base(s)
+            factors.append(_words(alg, s))
+        # concatenated from the right, so each word of an idempotent is copied once
+        acc = {(): c}
+        for words in reversed(factors[1:]):
+            acc = _concat(words, acc)
+        _concat(factors[0], acc, out)
+    return out
 
 
 def word_for_basis(alg: ExtAlgebra, sym: BasisSymbol) -> FreeElement:
@@ -287,17 +319,10 @@ def word_for_basis(alg: ExtAlgebra, sym: BasisSymbol) -> FreeElement:
 
     Degree 0 is the word of tau_w, degree 1 the factorization through the
     four bimodule generators, and degrees 2 and 3 the words of the slots of
-    the symbol's section (_word_for_tensor).  At a torus support a section
-    slot may be a character key e_m s0, spelled with free_idempotent(m) at
-    the 'p-2' bound whatever bound the relators use; so the word of such a
-    symbol is a sum of about 3(p - 1) words in degree 2 and p in degree 3.
+    each term of the symbol's section, concatenated.  At a torus support a
+    section slot may be a character key e_m s0, spelled with
+    free_idempotent(m) (the 'p-2' bound, whatever bound the relators use)
+    followed by the word of s0; so the word of such a symbol is a sum of
+    about 3(p - 1) words in degree 2 and p in degree 3.
     """
-    if sym.degree == 0:
-        return FreeElement(alg, {_word_for_weyl(sym.support): 1})
-    if sym.degree == 1:
-        c, left, g, right = alg.factor_through_generators(sym)
-        letter = _B_LETTERS[g.sign, g.support.word]
-        return FreeElement.make(alg, {_word_for_weyl(left) + (letter,) + _word_for_weyl(right): c})
-    if sym.degree == 2:
-        return _word_for_tensor(alg, _section2_symbol(alg, sym))
-    return _word_for_tensor(alg, _section3_symbol(alg, sym))
+    return FreeElement.make(alg, _words(alg, sym))

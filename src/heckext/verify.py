@@ -18,7 +18,7 @@ check is a _restated one: the direct form decides each case the faster test
 fails.  The torus, lengths-add and slide tests call the kernel a pair miss
 of a degree-0 right factor runs, _act_right(sym, v): the direct form's
 public act_right with the pair memo off (_torus_shift).  The round-trip
-test reads evaluate's own prefix walker, one per torus orbit of supports,
+test reads evaluate's own suffix walker, one per torus orbit of supports,
 so it runs the code it certifies.  A faster test may skip code that the
 direct form ran (the public act_right and its pair memo, the expansion of
 a character key), or rest on a law of the code that a fault could break;
@@ -611,18 +611,18 @@ def _round_trip(alg, max_length):
     """Every basis symbol of support length <= max_length is the value of
     its word, evaluate(word_for_basis(sym)) = sym: its cases and its test.
 
-    The test reads evaluate's prefix walker (presentation._Prefixes), one
+    The test reads evaluate's suffix walker (presentation._Suffixes), one
     per torus orbit of supports (the symbols at omega^e u for one u, which
-    are consecutive), whose words share prefixes, the powers of T_w0 above
-    all.  A word's value does not depend on the words read before it, so
-    the test names the direct form's first counterexample.
+    are consecutive), whose words share suffixes, T_w0^k and what follows
+    it above all.  A word's value does not depend on the words read before
+    it, so the test names the direct form's first counterexample.
     """
     walker, orbit = None, None
 
     def round_trip(sym):
         nonlocal walker, orbit
         if sym.support.word != orbit:
-            walker, orbit = pres._Prefixes(alg), sym.support.word
+            walker, orbit = pres._Suffixes(alg), sym.support.word
         if alg._expand(walker.row(pres.word_for_basis(alg, sym))) != {sym: 1}:
             return sym
 

@@ -148,6 +148,7 @@ FLIPPED_SIGN_0_FAILS = {
         "bm(w(0; s1 s0 s1 s0)), a0(w(1; s1 s0 s1 s0)))",
     "involution_graded_antihom_427": "(bm(w(3; s1)), bm(w(1; s1 s0)))",
     "presentation_round_trip_123_symbols": "b0(w(0; s1 s0))",
+    "presentation_evaluate_multiplicative_23": "((2, 1, 3, 1), (5,))",
     "relator_bimodule_07": "evaluates to 2*b0(w(0; s0 s1))",
     "relator_bimodule_08": "evaluates to -2*b0(w(0; s1 s0))",
     "rightaction_deg1_lengths_add_81_pairs": "(0, w(0; s1), w(0; s0))",

@@ -514,8 +514,9 @@ def test_act_right_walks_a_word_one_letter_at_a_time(p):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_evaluate_multiplies_the_letter_images_from_left_to_right(p):
-    """The law evaluate's prefix walker rests on: the value of a word is the
-    value of its prefix times the image of its last letter."""
+    """evaluate multiplies a word from its last letter, the image of each
+    letter times the value of the suffix after it; by associativity that is
+    the value of its prefix times the image of its last letter."""
     alg = ExtAlgebra(p)
     images = pres.generator_images(alg)
     rng = random.Random(f"fold:{p}")
@@ -613,7 +614,7 @@ def _generators_swapped(module):
         "rightaction_torus_all_degrees": "(1, -1, w(0;), 1)",
         "rightaction_deg1_lengths_add_{n}_pairs": "(-1, w(0;), w(1; s0))",
         "rightaction_idempotent_slide": "(bm(w(0;)), 1)",
-        "presentation_round_trip_{n}_symbols": "am(w(0;))",
+        "presentation_round_trip_{n}_symbols": "bm(w(0;))",
     }),
     (_letter_row_off_by_one, "alg", "_letter_on_symbol", {}),
     (_cup_constant_wrong, "product", "_cup_symbols",
@@ -807,7 +808,7 @@ def _one_torus_word_dropped(real):
 
 @pytest.mark.parametrize("mutant", [_one_degree1_word_doubled, _one_torus_word_dropped])
 def test_the_round_trip_reports_what_a_direct_loop_reports(monkeypatch, mutant):
-    """The round trip reads one prefix walker per torus orbit; it names the
+    """The round trip reads one suffix walker per torus orbit; it names the
     check and the first counterexample a loop of evaluate names."""
     alg = ExtAlgebra(5)
     monkeypatch.setattr(pres, "word_for_basis", mutant(pres.word_for_basis))
