@@ -27,7 +27,6 @@ its docstring says so, and other checks run that code.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import random
@@ -401,38 +400,36 @@ def _idempotent_slide(alg, max_length):
     symbols of degrees 1 and 2 at lengths <= 6: its cases, its restated test
     and its direct test.
 
-    The left side is the right action of e_m term by term, sum_t e_m[t]
-    (sym tau_t) over the torus t = omega^e, never the character key of
-    act_right, which applies the slide law itself; each sym tau_t is the
-    kernel _act_right(sym, t) that a pair miss runs.  The right side is
-    idempotent_times.  The direct test sums the p - 1 kernel rows for each
-    m; the restated test calls the kernel once per t and forms every left
-    side from those rows in F_p, column by column: the coefficient of a key
-    over m is sum_t e_m[t] c_t, c_t its coefficient in sym tau_t.  A wrong
-    e_m enters both forms alike.
-
-    The restated test reads the right side as the row of idempotent_times'
-    kernel, _project(row, m', {sym: 1}, 1), not through the public call
-    (check_index, _operand, a new element), and never expands it (so the
-    check leaves the expansion memo empty).  For sym at exponent f of torus
-    weight k it must be the one character key u0^((m' - k) f) e_m' s0, as
-    e_m' s_f = u0^((m' - k) f) e_m' s0.  That key expands to
-    -u0^((m' - k) f) u0^((k - m') b) = -u0^((m' - k) (f - b)) at the symbol
-    s_b of exponent b, and m' - k = (-1)^|sym| m, so the column
-    of s_b over m is the character -u0^(r m), r = (-1)^|sym| (f - b): one
-    list per r, built once per check.  The test compares each column of the
-    left side with it; any other right side or column fails the restated
-    test, and the direct test then decides.  The direct test expands the
-    right side (_expand, _char_expansion) and the restated test does not;
-    rightaction_deg3_reflections, presentation_round_trip and the relator
-    checks expand character keys, and rightaction_deg1_shortening calls the
-    public idempotent_times.
+    The left side is sum_t e_m[t] (sym tau_t) over the torus t = omega^e,
+    never the character key of act_right, which applies the slide law
+    itself; sym tau_t is the kernel _act_right(sym, t) that a pair miss
+    runs.  The direct test sums those rows for each m and compares the sum,
+    expanded, with the public idempotent_times.  The restated test checks
+    three facts that make the two sides equal:
+      1. each kernel row _act_right(sym, t) is {sym t: 1}, the plain right
+         torus shift, one call per t;
+      2. the engine's e_m[t] is p - u0^(-e m) for every (m, t), read once
+         per check: the coefficient of every left side at sym t;
+      3. each right side, read as the row of idempotent_times' kernel,
+         _project(row, m', {sym: 1}, 1), is the one character key
+         u0^((m' - k) f) e_m' s0 of e_m' s_f, f the exponent of sym and k
+         its torus weight.
+    That key expands to -u0^((m' - k) (f - b)) at s_b, the symbol of
+    exponent b; at s_b = sym t, f - b = -(-1)^|sym| e and m' - k =
+    (-1)^|sym| m, so it is p - u0^(-e m), the left side.  Any other row or
+    key fails the restated test, even one equal to it once expanded, and the
+    direct test decides.  The restated test skips the public
+    idempotent_times (check_index, _operand) and the expansion of the key
+    (_expand, _char_expansion), so the check leaves the expansion memo
+    empty; rightaction_deg3_reflections, presentation_round_trip and the
+    relators expand character keys, and rightaction_deg1_shortening calls
+    the public idempotent_times.
     """
-    W, H, p = alg.weyl, alg.hecke, alg.field.p
-    n = W.n
+    W, p, n = alg.weyl, alg.field.p, alg.weyl.n
     powers = alg.field.root_powers()
-    idempotents = H.idempotents()
-    torus = W.torus()
+    idempotents = alg.hecke.idempotents()
+    columns_hold = [idem.coeffs for idem in idempotents] == [
+        {t: p - powers[-e * m % n] for e, t in enumerate(W.torus())} for m in range(n)]
     cases = (
         BasisSymbol(d, sign, w)
         for w in W.elements(min(6, max_length))
@@ -443,40 +440,22 @@ def _idempotent_slide(alg, max_length):
     def slid(sym, m):
         return (m if sym.support.length % 2 == 0 else -m) + alg._torus_weight(sym)
 
-    @functools.cache
-    def scaled(t, c):
-        """c e_m[t] for every m."""
-        return [c * idem.coeffs.get(t, 0) % p for idem in idempotents]
-
-    # the column -u0^(r m) over m of a right side, for every r
-    characters = [[p - powers[r * m % n] for m in range(n)] for r in range(n)]
-
     def restated(sym):
-        # key -> its coefficient in every left side, [lhs_m[key] for m]
-        cols: dict = {}
-        for t in torus:
-            for key, c in alg._expand(alg._act_right(sym, t)).items():
-                col = scaled(t, c)
-                cols[key] = [(x + y) % p for x, y in zip(cols[key], col)] if key in cols else col
+        if not columns_hold:
+            return sym
         d, sign, (f, word) = sym
+        step = -1 if len(word) % 2 else 1  # (-1)^|sym|
+        for e, t in enumerate(W.torus()):
+            shifted = _shifted((d, sign, _weyl(((f + step * e) % n, word))))
+            if alg._act_right(sym, t) != {shifted: 1}:
+                return sym
         k = alg._torus_weight(sym)
         for m in range(n):
-            mprime = slid(sym, m) % n
+            mprime = (step * m + k) % n
             row: dict = {}
             alg._project(row, mprime, {sym: 1}, 1)
-            if row != {(mprime, d, sign, word): powers[(mprime - k) * f % n]}:
+            if row != {(mprime, d, sign, word): powers[step * m * f % n]}:
                 return sym
-        odd = len(word) % 2
-        on_orbit = 0
-        for (kd, ksign, (b, kword)), col in cols.items():
-            if (kd, ksign, kword) == (d, sign, word):
-                on_orbit += 1
-                if col != characters[(b - f if odd else f - b) % n]:
-                    return sym
-            elif any(col):
-                return sym
-        if on_orbit != n:
-            return sym
 
     def direct(sym):
         for m, idem in enumerate(idempotents):
@@ -746,11 +725,18 @@ SUITES = {
     "e0": suite_e0,
 }
 SUITE_NAMES = tuple(SUITES)
+_OPTION_NAMES = ("max_length", "samples", "seed", "epsilon_bound")
 
 
 def run_suite(alg: ExtAlgebra, name: str, **options) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    # every suite takes every option and ignores those it does not read
+    for option in options:
+        if option not in _OPTION_NAMES:
+            raise ValueError(f"unknown option {option!r}; choose from {', '.join(_OPTION_NAMES)}")
+    if options.get("epsilon_bound", "p-2") not in ("p-2", "p-1"):
+        raise ValueError(f"epsilon_bound must be 'p-2' or 'p-1', got {options['epsilon_bound']!r}")
     # a bool is not an int here, as in WeylGroup.check and PrimeField
     for option in ("samples", "max_length"):
         value = options.get(option, 1)

@@ -170,6 +170,20 @@ def test_bool_options_are_refused(entry):
             entry(ExtAlgebra(5), "e0", **{option: value})
 
 
+@pytest.mark.parametrize("entry", [verify.run_suite, verify.run])
+@pytest.mark.parametrize("options, message", [
+    ({"sampels": 3}, "unknown option 'sampels'"),
+    ({"epsilon_bound": "bogus"}, "epsilon_bound must be 'p-2' or 'p-1', got 'bogus'"),
+], ids=["misspelt-option", "bogus-bound"])
+def test_an_unknown_option_or_epsilon_bound_is_refused(entry, options, message):
+    """Every suite swallows the options it does not read, so run(alg, "e0",
+    max_length=2, sampels=3) ran e0_associativity_1000_triples, and e0
+    passed with epsilon_bound="bogus", which only the relators and
+    presentation suites read."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(ExtAlgebra(5), "e0", max_length=2, **options)
+
+
 @pytest.mark.parametrize("seed", [0, -7])
 def test_a_negative_or_zero_seed_runs(seed):
     assert all(r.ok for r in verify.run_suite(ExtAlgebra(5), "e0", seed=seed, samples=5))
@@ -440,6 +454,25 @@ def test_the_kernel_checks_make_one_call_per_case_and_symbol(monkeypatch):
                 assert count(lambda: verify._check(name, *direct)) == total, name
 
 
+def test_the_slide_reads_one_right_side_per_symbol_and_index(monkeypatch):
+    """Beside its kernel calls, the slide's restated test reads the right
+    side e_m' sym of each m from idempotent_times' kernel _project, one call
+    per (symbol, m): at p=5, L=3 as many as its kernel calls, 640."""
+    alg = ExtAlgebra(5)
+    real, calls = alg._project, []
+
+    def counted(out, m, row, scale):
+        calls.append((m, dict(row), scale))
+        real(out, m, row, scale)
+
+    monkeypatch.setattr(alg, "_project", counted)
+    cases, restated, _ = verify._idempotent_slide(alg, 3)
+    assert verify._check("rightaction_idempotent_slide", cases, restated).ok
+    assert len(calls) == 640
+    assert calls == [(alg._slide(sym, m), {sym: 1}, 1)
+                     for sym in direct_slide_cases(alg, 3) for m in range(alg.weyl.n)]
+
+
 def test_the_slide_check_leaves_the_expansion_memo_empty():
     """The right side of the slide is read as idempotent_times' row, one
     character key, so no case expands it."""
@@ -485,6 +518,39 @@ def test_a_false_alarm_of_the_restated_test_does_not_fail_the_check(monkeypatch)
     assert cases and all(restated(case) is not None and direct(case) is None for case in cases)
     slide = verify._restated("rightaction_idempotent_slide", cases, restated, direct)
     assert (slide.ok, slide.counterexample) == (True, None)
+
+
+def _torus_rows_as_character_keys(alg):
+    """ExtAlgebra._act_right writing sym t, at a torus element t, as its
+    p - 1 character keys sum_m u0^((m - k) b) e_m s0, b the exponent of
+    sym t and k its torus weight: the same element, as sum_m e_m = 1."""
+    real, p, n, powers = alg._act_right, alg.field.p, alg.weyl.n, alg.field.root_powers()
+
+    def act(sym, v):
+        row = real(sym, v)
+        if v.word:
+            return row
+        ((image, c),) = row.items()
+        d, sign, (b, word) = image
+        k = alg._torus_weight(image)
+        return {(m, d, sign, word): c * powers[(m - k) * b % n] % p for m in range(n)}
+
+    return act
+
+
+def test_a_false_alarm_through_the_kernel_rows_does_not_fail_the_check(monkeypatch):
+    """With each kernel row at a torus element written as character keys,
+    equal to {sym t: 1} only once expanded, the slide's restated test fails
+    every case and the direct form, which expands its sum, passes them all;
+    the slide and the torus check, which expands each row, pass."""
+    alg = ExtAlgebra(5)
+    monkeypatch.setattr(alg, "_act_right", _torus_rows_as_character_keys(alg))
+    cases, restated, direct = verify._idempotent_slide(alg, 2)
+    cases = list(cases)
+    assert cases and all(restated(case) is not None and direct(case) is None for case in cases)
+    results = {r.name: r for r in verify.suite_rightaction(alg, max_length=2)}
+    for name in ("rightaction_idempotent_slide", "rightaction_torus_all_degrees"):
+        assert (results[name].ok, results[name].counterexample) == (True, None), name
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
