@@ -26,7 +26,8 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from operator import attrgetter
 
-__all__ = ["PrimeField", "Combination", "add_into", "check_index", "check_parameters"]
+__all__ = ["PrimeField", "Combination", "add_into", "check_coefficient", "check_index",
+           "check_parameters"]
 
 
 def _is_prime(n: int) -> bool:
@@ -159,6 +160,12 @@ def check_index(m) -> None:
         raise ValueError(f"the idempotent index must be an int, got {m!r}")
 
 
+def check_coefficient(c) -> None:
+    """Refuse a coefficient that is not an int (a bool is not one)."""
+    if type(c) is not int:
+        raise ValueError(f"a coefficient must be an int, got {c!r}")
+
+
 def add_into(total: dict, pairs, scale: int, p: int) -> None:
     """total += scale * pairs in place, mod p; pairs is an iterable of
     (key, coeff).  A key whose sum is zero is deleted, so total keeps no
@@ -215,6 +222,7 @@ class Combination:
         return self.scale(-1)
 
     def scale(self, c: int):
+        check_coefficient(c)
         p = self.algebra.field.p
         c %= p
         if c == 0:

@@ -8,28 +8,28 @@ zero.
 
 Elements are combinations of the core in coeff.py keyed on BasisSymbol;
 this module adds the degree-0 actions and the involutions, product.py the
-product.  The left action of the Hecke algebra is given by one explicit
-single-letter table for s0 (_S0_ROWS).  Its s1 rows, and the s1 halves of
-the degree-2 bad pairs and the sections, are derived through the
-uniformizer conjugation iota, which swaps s0 and s1: tau_{s1} x =
-iota(tau_{s0} iota(x)).  So there uniformizer_conj_multiplicative checks
-only the s0 half; the s1 half is pinned by the printed s1 rows in
-tests/test_letter_memos.py and by the pair digests.
-factor_through_generators reads both signs from the lengths-add rules.  Where lengths add,
-each row is one plain term at s_i w or zero, the same at every length
-(_ADDS_RULES), and the rules have period 2 along an alternating word, so
-the rules of a whole word u compose to one, keyed by its last letter and
-l(u) mod 2 (_ADDS_LEFT, made at import by _closed_forms): tau_u sym is one
-lookup (_adds_left).  Where they do not add, it is a chain of at most
-min(l(u), l(w)) table rows (_chain).  The right action is their transport
-through the anti-involution, x h = J(J(h) J(x)) (deg h = 0, no sign).
-Where lengths add, the transport is made once, on the rules: _RIGHT_RULES
-carries each lengths-add rule through J's sign map, composed like the left
-ones, keyed by the first letter of u, l(u) mod 2 and l(w) mod 2
-(_ADDS_RIGHT), so sym tau_v is one lookup too (_adds_right, no J lookup,
-the torus part of v a plain shift).  Where they do not, for tau_w, w =
-omega^e u, it is the right torus shift by e (no scalar), then
-J(tau_(u^-1) J(x)).
+product.  The left action of the Hecke algebra is given by two tables for
+s0: its rules where lengths add (_S0_ADDS) and its rows where the word
+shortens (_S0_ROWS).  The s1 halves of both, of the degree-2 bad pairs and
+of the sections are derived through the uniformizer conjugation iota,
+which swaps s0 and s1: tau_{s1} x = iota(tau_{s0} iota(x)).  So there
+uniformizer_conj_multiplicative checks only the s0 half; the s1 half is
+pinned by the printed s1 rows in tests/test_letter_memos.py and by the
+pair digests.  Where lengths add, tau_{s_i} sym is one plain term at s_i w
+or zero, the same at every length (_ADDS_RULES, which
+factor_through_generators also reads), and the rules have period 2 along
+an alternating word, so the rules of a whole word u compose to one, keyed
+by its last letter and l(u) mod 2 (_ADDS_LEFT, made at import by
+_closed_forms): tau_u sym is one lookup (_adds_left).  Where they do not
+add, it is a chain of at most min(l(u), l(w)) shortening rows (_chain).
+The right action is their transport through the anti-involution, x h =
+J(J(h) J(x)) (deg h = 0, no sign).  Where lengths add, the transport is
+made once, on the rules: _RIGHT_RULES carries each lengths-add rule
+through J's sign map, composed like the left ones, keyed by the first
+letter of u, l(u) mod 2 and l(w) mod 2 (_ADDS_RIGHT), so sym tau_v is one
+lookup too (_adds_right, no J lookup, the torus part of v a plain shift).
+Where they do not, for tau_w, w = omega^e u, it is the right torus shift
+by e (no scalar), then J(tau_(u^-1) J(x)).
 The two kernels _act_left(u, sym) and _act_right(sym, v) take one Weyl
 element and one plain symbol: they are the pair misses of route (1) in
 product.py, and every sum over terms goes through its _multiply.  The
@@ -96,7 +96,8 @@ from functools import partial
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
-from .coeff import Combination, PrimeField, _orbit, add_into, check_index, check_parameters
+from .coeff import (
+    Combination, PrimeField, _orbit, add_into, check_coefficient, check_index, check_parameters)
 from .hecke import HeckeAlgebra, HeckeElement
 from .weyl import S0, S1, WeylElement, WeylGroup, _weyl
 
@@ -166,24 +167,23 @@ def _weight(d: int, sign: int | None) -> int:
     return 2 * sign if d == 1 else -2 * sign
 
 
-# tau_{s0} on the degree-d symbol of this sign at w, keyed by (d, sign, whether
-# lengths add).  An entry (m, sign', c) is c e_m times the degree-d symbol of
+# tau_{s0} on the degree-d symbol of this sign at w, keyed by (d, sign).  Where
+# lengths add (_S0_ADDS), it is (sign', c), c times the symbol of sign' at s0 w,
+# the same at every length of w, and a key not listed gives zero.  Where the
+# word shortens (_S0_ROWS), an entry (m, sign', c) is c e_m times the symbol of
 # sign' at w, and an entry (sign', c) is c times the one at s0 w.  A row lists
 # the entries at every length of w, then those only at length 1 and those only
-# at length >= 2.  A key not listed gives zero where lengths add; where they do
-# not, every row starts with -e_0 sym, and in degree 0 that is the whole row,
-# the quadratic relation tau_{s0} tau_w = -e_0 tau_w (hecke.py states it as
-# the orbit sum of the word of w; e0_braid_and_recursions checks the two agree).
+# at length >= 2.  Every row starts with -e_0 sym, and in degree 0 that is the
+# whole row, the quadratic relation tau_{s0} tau_w = -e_0 tau_w (hecke.py
+# states it as the orbit sum of the word of w; e0_braid_and_recursions checks
+# the two agree).
+_S0_ADDS = {(0, None): (None, 1), (1, -1): (1, -1), (1, 0): (0, -1), (2, 1): (-1, -1)}
 _S0_ROWS = {
-    (0, None, True): (((None, 1),), (), ()),
-    (1, -1, True): (((1, -1),), (), ()),
-    (1, 0, True): (((0, -1),), (), ()),
-    (2, 1, True): (((-1, -1),), (), ()),
-    (1, -1, False): (((1, 0, -2), (1, -1)), ((2, 1, 1),), ()),
-    (1, 0, False): ((), ((1, 1, 1),), ()),
-    (2, 0, False): (((1, -1, 2),), (), ((0, -1),)),
-    (2, 1, False): (((-1, -1),), ((1, 0, -1), (2, -1, 1)), ()),
-    (3, None, False): (((None, 1),), (), ()),
+    (1, -1): (((1, 0, -2), (1, -1)), ((2, 1, 1),), ()),
+    (1, 0): ((), ((1, 1, 1),), ()),
+    (2, 0): (((1, -1, 2),), (), ((0, -1),)),
+    (2, 1): (((-1, -1),), ((1, 0, -1), (2, -1, 1)), ()),
+    (3, None): (((None, 1),), (), ()),
 }
 
 
@@ -196,21 +196,19 @@ def _iota_entry(entry: tuple, unit: int) -> tuple:
 
 
 def _letter_rows(s0_rows: dict) -> dict:
-    """Both letters' rows, keyed by (letter, d, sign, whether lengths add,
+    """Both letters' rows where the word shortens, keyed by (letter, d, sign,
     whether l(w) = 1), as (entries at w, entries at s_i w).  The uniformizer
     conjugation iota swaps s0 and s1, so tau_{s1} sym = iota(tau_{s0} iota(sym)):
     the s0 row of iota(sym) (opposite sign, same length), each entry mapped."""
     rows = {}
     for d, sign in KIND_NAMES:
-        for adds in (True, False):
-            every, at_length_1, longer = s0_rows.get((d, sign, adds), ((), (), ()))
-            for short in (True, False):
-                entries = every + (at_length_1 if short else longer)
-                s0 = entries if adds else ((0, sign, -1),) + entries
-                s1 = [_iota_entry(entry, -1 if sign == 0 else 1) for entry in s0]
-                for key, row in (((S0, d, sign), s0), ((S1, d, sign and -sign), s1)):
-                    rows[(*key, adds, short)] = (
-                        tuple(e for e in row if len(e) == 3), tuple(e for e in row if len(e) == 2))
+        every, at_length_1, longer = s0_rows.get((d, sign), ((), (), ()))
+        for short in (True, False):
+            s0 = ((0, sign, -1),) + every + (at_length_1 if short else longer)
+            s1 = [_iota_entry(entry, -1 if sign == 0 else 1) for entry in s0]
+            for key, row in (((S0, d, sign), s0), ((S1, d, sign and -sign), s1)):
+                rows[(*key, short)] = (
+                    tuple(e for e in row if len(e) == 3), tuple(e for e in row if len(e) == 2))
     return rows
 
 
@@ -246,22 +244,21 @@ def _closed_forms(rules: dict) -> dict:
     return closed
 
 
-def _adds_rules(rows: dict) -> dict:
+def _adds_rules(s0_adds: dict) -> dict:
     """tau_{s_i} where lengths add, keyed by (letter, d, sign): (sign', c), c
-    times the symbol of sign' at s_i w, or None for zero.  It is read off the
-    lengths-add rows, each at most one plain entry, the same at every length,
-    and must have period 2 (_period_2), as _adds_left reads their closed
-    forms (_ADDS_LEFT)."""
+    times the symbol of sign' at s_i w, or None for zero.  The s0 rules are
+    _S0_ADDS, and the s1 rules their images under iota, as for the rows.
+    The table must have period 2 (_period_2), as _adds_left reads its
+    closed forms (_ADDS_LEFT)."""
     rules = {}
-    for (i, d, sign, adds, short), (chars, plain) in rows.items():
-        if adds:
-            if chars or len(plain) > 1 or rows[i, d, sign, adds, not short] != (chars, plain):
-                raise ValueError(f"the lengths-add row {(i, d, sign)} is not one plain term")
-            rules[i, d, sign] = plain[0] if plain else None
+    for d, sign in KIND_NAMES:
+        rule = s0_adds.get((d, sign))
+        rules[S0, d, sign] = rule
+        rules[S1, d, sign and -sign] = rule and _iota_entry(rule, -1 if sign == 0 else 1)
     return _period_2(rules, "lengths-add")
 
 
-_ADDS_RULES = _adds_rules(_LETTER_ROWS)
+_ADDS_RULES = _adds_rules(_S0_ADDS)
 _ADDS_LEFT = _closed_forms(_ADDS_RULES)
 
 
@@ -410,12 +407,15 @@ class ExtAlgebra:
         return self.symbol_element(BasisSymbol(3, None, w))
 
     def element(self, coeffs: dict) -> GradedElement:
-        for sym in coeffs:
+        for sym, c in coeffs.items():
             self._check_symbol(sym)
+            check_coefficient(c)
         return GradedElement.make(self, coeffs)
 
     def embed(self, h: HeckeElement) -> GradedElement:
         # HeckeAlgebra.element checked the supports of h
+        if not isinstance(h, HeckeElement):
+            raise ValueError(f"expected a HeckeElement, got {type(h).__name__}")
         check_parameters(self, h.algebra)
         return GradedElement(self, {_shifted((0, None, w)): c for w, c in h.coeffs.items()})
 
@@ -585,16 +585,15 @@ class ExtAlgebra:
 
     def _letter_on_symbol(self, i: int, sym: BasisSymbol) -> MappingProxyType:
         """tau_{s_i} sym from the table as a symbolic row (its e_m terms stay
-        character keys), memoized.  perfbench/tracer.py wraps this method and
+        character keys), memoized; s_i shortens the support of sym, as in
+        _chain, its one caller.  perfbench/tracer.py wraps this method and
         gauges _letter_cache, so renaming either changes the benchmark."""
         key = (i, sym)
         cached = self._letter_cache.get(key)
         if cached is None:
-            W = self.weyl
             d, sign, w = sym
-            si = W.simple(i)
-            chars, plain = _LETTER_ROWS[i, d, sign, W.lengths_add(si, w), len(w[1]) == 1]
-            row = self._row(d, w, chars, W.mul(si, w), plain)
+            chars, plain = _LETTER_ROWS[i, d, sign, len(w[1]) == 1]
+            row = self._row(d, w, chars, self.weyl.mul(self.weyl.simple(i), w), plain)
             cached = self._letter_cache[key] = MappingProxyType(row)
         return cached
 

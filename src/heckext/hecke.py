@@ -19,7 +19,8 @@ degree-0 product, an independent implementation of the same algebra.
 
 from __future__ import annotations
 
-from .coeff import Combination, PrimeField, _orbit, check_index, check_parameters
+from .coeff import (
+    Combination, PrimeField, _orbit, check_coefficient, check_index, check_parameters)
 from .weyl import WeylElement, WeylGroup, _weyl
 
 __all__ = ["HeckeElement", "HeckeAlgebra"]
@@ -58,8 +59,9 @@ class HeckeAlgebra:
         return self.element({w: 1})
 
     def element(self, coeffs: dict) -> HeckeElement:
-        for w in coeffs:
+        for w, c in coeffs.items():
             self.weyl.check(w)
+            check_coefficient(c)
         return HeckeElement.make(self, coeffs)
 
     def idempotent(self, m: int) -> HeckeElement:

@@ -184,18 +184,15 @@ def _pair_uncached(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
 
 def _good_pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
     # lengths add, so each action is one term or zero: no shortening row occurs
-    p = alg.field.p
     r = alg._adds_right(a, b.support)
     if not r:
         return {}
     l = alg._adds_left(a.support, b)
     if not l:
         return {}
-    out: dict = {}
-    for sa, ca in r.items():
-        for sb, cb in l.items():
-            add_into(out, _cup_symbols(alg, sa, sb).items(), ca * cb, p)
-    return out
+    ((sa, ca),), ((sb, cb),) = r.items(), l.items()
+    p = alg.field.p
+    return {s: c * ca * cb % p for s, c in _cup_symbols(alg, sa, sb).items()}
 
 
 def _bad_pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol, times_generator) -> dict:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, wraps
 
-from .coeff import add_into, check_parameters
+from .coeff import add_into, check_coefficient, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .hecke import HeckeElement
 from .product import _multiply
@@ -81,8 +81,10 @@ class TensorExpression:
     @classmethod
     def from_terms(cls, alg: ExtAlgebra, arity: int, terms) -> "TensorExpression":
         p = alg.field.p
-        clean = tuple((c % p, tuple(syms)) for c, syms in terms if c % p)
-        return cls(alg, arity, clean)
+        terms = list(terms)
+        for c, _ in terms:
+            check_coefficient(c)
+        return cls(alg, arity, tuple((c % p, tuple(syms)) for c, syms in terms if c % p))
 
     def __add__(self, other: "TensorExpression") -> "TensorExpression":
         check_parameters(self.algebra, other.algebra)
@@ -91,6 +93,7 @@ class TensorExpression:
         return TensorExpression(self.algebra, self.arity, self.terms + other.terms)
 
     def scale(self, c: int) -> "TensorExpression":
+        check_coefficient(c)
         return TensorExpression.from_terms(
             self.algebra, self.arity, ((c * x, syms) for x, syms in self.terms)
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from heckext import ExtAlgebra, graded
+from heckext import ExtAlgebra, graded, verify
 from heckext.graded import KIND_NAMES, BasisSymbol
 
 from walk_oracle import WalkAlgebra
@@ -25,9 +25,24 @@ from walk_oracle import WalkAlgebra
 def test_a_shortening_row_holds_at_most_one_plain_term():
     # the premise of the chain: a shortening row's character keys sit on the
     # support of the symbol, and only its one plain term meets the next letter
-    for (i, d, sign, adds, short), (chars, plain) in graded._LETTER_ROWS.items():
-        if not adds:
-            assert chars and len(plain) <= 1, (i, d, sign, short)
+    for (i, d, sign, short), (chars, plain) in graded._LETTER_ROWS.items():
+        assert chars and len(plain) <= 1, (i, d, sign, short)
+
+
+def test_the_letter_memo_is_read_only_where_the_letter_shortens(monkeypatch):
+    # the letter table holds no lengths-add row: every row the engine reads
+    # while verify all runs is one whose letter shortens the support
+    real, calls = ExtAlgebra._letter_on_symbol, []
+
+    def recorded(self, i, sym):
+        calls.append((self.weyl, i, sym))
+        return real(self, i, sym)
+
+    monkeypatch.setattr(ExtAlgebra, "_letter_on_symbol", recorded)
+    verify.run(ExtAlgebra(5), "all", max_length=3, samples=50)
+    assert calls
+    for W, i, sym in calls:
+        assert not W.lengths_add(W.simple(i), sym.support), (i, sym)
 
 
 @pytest.mark.parametrize("p, max_length", [(5, 6), (7, 5)])

@@ -255,6 +255,16 @@ VERIFY_DIGESTS = [
     (7, "d0875df9be30e1c330c7562274e2ccde6176e53ab1e3fe613eef31cbd4453594",
      "0ffaf97987b7e6bc430a0a29e1b05d09772b15aebb039c0abbd78b2f9fc0ddbb"),
 ]
+# SHA-256 of the stdout of `heckext table D --p 5 --max-length 3` in text and
+# in --format json, recorded before the lengths-add rules left the letter table.
+TABLE_DIGESTS = [
+    (1, "6aae472a93262269cb718382392ea6869a08c865218ed2be46be21925ff45584",
+     "684963237ac7e964d052420a4bbff1517cbe9f54ebfa3cc834b20aafa05c63e2"),
+    (2, "6a4d65ee26196d63e58060513b04cf34a1734be04c16d241d040462982188400",
+     "0c625f42693858160fe7e6f028c2164d3ba375c3c81e671821080f3fdfcbd3cf"),
+    (3, "6ec2de8312dc485915d9c017754e098eb8c4ab475923e5fe2aa448f24f6abc73",
+     "f21c7b0c729937eca27ab78ae1faf50d7add9fc18c3fd6e11e788d008017a1e9"),
+]
 # the suites of the two restated checks at the benchmark's p (text, time stripped)
 SUITE_DIGESTS_P13 = [
     ("rightaction", "46f85faba31cb0a558a1456a85b41775531365f2a1f263f6422ef8ad1c19d7e5"),
@@ -279,6 +289,13 @@ class TestCli:
         assert hashlib.sha256(text.encode()).hexdigest() == text_digest
         assert main(args + ["--format", "json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == json_digest
+
+    @pytest.mark.parametrize("degree, text_digest, json_digest", TABLE_DIGESTS)
+    def test_table_outputs_are_unchanged(self, capsys, degree, text_digest, json_digest):
+        args = ["table", str(degree), "--p", "5", "--max-length", "3", "--format"]
+        for fmt, digest in (("text", text_digest), ("json", json_digest)):
+            assert main(args + [fmt]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
 
     @pytest.mark.parametrize("suite, text_digest", SUITE_DIGESTS_P13)
     def test_verify_suite_outputs_at_p13_are_unchanged(self, capsys, suite, text_digest):

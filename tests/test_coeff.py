@@ -9,6 +9,7 @@ from heckext.graded import BasisSymbol, ExtAlgebra, GradedElement
 from heckext.hecke import HeckeElement
 from heckext.presentation import B_P, LETTERS, FreeElement, free_letter
 from heckext.product import duality_pairing
+from heckext.sections import TensorExpression
 
 
 def egcd(a, b):
@@ -178,6 +179,37 @@ class TestCombination:
                 build({key: 3})
         assert E.element({BasisSymbol(0, None, W.s0): 3}) == E.tau(W.s0).scale(3)
         assert E.hecke.element({W.s0: 3}) == E.hecke.tau(W.s0).scale(3)
+
+    @pytest.mark.parametrize("c", [0.5, 1.5, True, False, "3", None], ids=repr)
+    def test_a_coefficient_that_is_not_an_int_is_refused(self, c):
+        # 0.5 * tau(w(0;)) used to square to 0.25 * tau(w(0;)), and a graded
+        # element of a float coefficient to reach the products and the renderer
+        E = ALGEBRAS[5]
+        W = E.weyl
+        slot = (BasisSymbol(1, 1, W.identity),)
+        t = TensorExpression.from_terms(E, 1, [(2, slot)])
+        for call in (
+            lambda: E.hecke.element({W.identity: c}),
+            lambda: E.element({BasisSymbol(1, -1, W.identity): c}),
+            lambda: E.hecke.tau(W.s0).scale(c),
+            lambda: E.beta(1, W.s0).scale(c),
+            lambda: free_letter(E, B_P).scale(c),
+            lambda: TensorExpression.from_terms(E, 1, [(2, slot), (c, slot)]),
+            lambda: t.scale(c),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"must be an int, got {c!r}")):
+                call()
+        assert t.scale(-1).terms == ((3, slot),)
+
+    def test_embed_and_the_actions_refuse_an_operand_that_is_not_a_hecke_element(self):
+        # embed of a graded element used to return a degree-0 symbol whose
+        # support is a BasisSymbol, and both actions then failed to unpack it
+        E = ALGEBRAS[5]
+        x = E.beta(-1, E.weyl.identity)
+        for h, kind in ((x, "GradedElement"), (E.weyl.s0, "WeylElement"), (1, "int")):
+            for call in (lambda: E.embed(h), lambda: E.act_left(h, x), lambda: E.act_right(x, h)):
+                with pytest.raises(ValueError, match=f"expected a HeckeElement, got {kind}$"):
+                    call()
 
     def test_refuses_to_mix_parameters(self):
         E5, E7 = ALGEBRAS[5], ALGEBRAS[7]

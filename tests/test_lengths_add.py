@@ -1,8 +1,9 @@
 """The closed form of the degree-0 actions where lengths add.
 
-A pair whose support lengths add reads tau_u sym from the lengths-add rows
-of the letter table (_ADDS_RULES) and sym tau_v from their transport
-through J, made once at import (_RIGHT_RULES, which looks nothing up in J).
+A pair whose support lengths add reads tau_u sym from the lengths-add
+rules (_ADDS_RULES, made from the s0 rules _S0_ADDS) and sym tau_v from
+their transport through J, made once at import (_RIGHT_RULES, which looks
+nothing up in J).
 Each table is composed at import into one rule per (letter, l(u) mod 2)
 (_ADDS_LEFT, read by _adds_left, and _ADDS_RIGHT, read by _adds_right).
 Both closed forms must agree on every symbol with the letter walk that
@@ -104,13 +105,11 @@ def test_the_two_step_rules_are_the_letter_by_letter_walk(p):
 
 
 def test_a_lengths_add_table_without_period_2_is_refused():
-    """tau_{s0} beta^0_w = +beta^0_{s0 w} where lengths add, and s1 still -1:
-    two letters no longer give back beta^0_w."""
-    flipped = ((), ((0, 1),))
-    rows = {**graded._LETTER_ROWS, (S0, 1, 0, True, True): flipped,
-            (S0, 1, 0, True, False): flipped}
-    with pytest.raises(ValueError, match="period 2"):
-        graded._adds_rules(rows)
+    """tau_{s0} beta^0_w = 2 beta^0_{s0 w} where lengths add, and so, through
+    iota, tau_{s1} too: two letters give 4 beta^0_w, not beta^0_w.  (Flipping
+    the sign of that rule keeps period 2, as iota flips the s1 rule with it.)"""
+    with pytest.raises(ValueError, match="lengths-add rules .* period 2"):
+        graded._adds_rules({**graded._S0_ADDS, (1, 0): (0, 2)})
 
 
 def test_a_right_table_without_period_2_is_refused():
@@ -119,21 +118,6 @@ def test_a_right_table_without_period_2_is_refused():
     rules = {**graded._ADDS_RULES, (S0, 1, 0): (0, 1)}
     with pytest.raises(ValueError, match="right rules .* period 2"):
         graded._right_rules(rules)
-
-
-@pytest.mark.parametrize("short, longer", [
-    # a character-key entry, at every length
-    ((((2, 1, 1),), ((1, -1),)),) * 2,
-    # two plain entries, at every length
-    (((), ((1, -1), (0, -1))),) * 2,
-    # an entry only at length 1
-    (((), ((1, -1),)), ((), ())),
-])
-def test_a_lengths_add_row_that_is_not_one_plain_term_is_refused(short, longer):
-    rows = {**graded._LETTER_ROWS, (S0, 1, -1, True, True): short,
-            (S0, 1, -1, True, False): longer}
-    with pytest.raises(ValueError, match="lengths-add row"):
-        graded._adds_rules(rows)
 
 
 # the checks of verify all at p=5, L=2 that fail with the sign-0 rule of s0
@@ -184,6 +168,17 @@ def test_a_flipped_lengths_add_rule_fails_verify_all(monkeypatch):
         right = graded._right_rules(rules)
     install_rules(monkeypatch, rules, right)
     assert failures_of_verify_all() == FLIPPED_SIGN_0_FAILS
+
+
+@pytest.mark.parametrize("key", list(graded._S0_ADDS))
+def test_a_flipped_s0_rule_fails_verify_all(monkeypatch, key):
+    """A sign flipped in the printed table _S0_ADDS flips the s1 rule with
+    it, through iota, so the table keeps period 2 and is built as at
+    import; verify all still fails it."""
+    sign, c = graded._S0_ADDS[key]
+    rules = graded._adds_rules({**graded._S0_ADDS, key: (sign, -c)})
+    install_rules(monkeypatch, rules, graded._right_rules(rules))
+    assert failures_of_verify_all()
 
 
 # the checks of verify all at p=5, L=2 that fail with one right rule flipped

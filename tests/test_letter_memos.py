@@ -1,11 +1,13 @@
 """Exhaustive oracles for the letter memo and the right transport.
 
 The left action reads chains of table rows from one letter memo, and the
-right action is its transport through the anti-involution J.  The table
-states s0 and derives the s1 rows through the uniformizer conjugation; the
-s1 rows as they were printed before that are kept here, and the derived
-rows must equal them, and the rows of the letter-by-letter walk kept in
-tests/walk_oracle.py.  Rows are symbolic (their e_m terms stay character
+right action is its transport through the anti-involution J.  The tables
+state s0 and derive the s1 rows and rules through the uniformizer
+conjugation; the s1 rows as they were printed before that are kept here.
+The engine's one-letter kernel _act_left(s_i, sym), which is the row of
+the letter table where the letter shortens and the lengths-add rule
+where lengths add, must equal them, and the rows of the letter-by-letter
+walk kept in tests/walk_oracle.py.  Rows are symbolic (their e_m terms stay character
 keys), so they are compared after expansion.  The right action of one
 letter, and the walk's symbolic transport, must equal the concrete
 transport written out here, at one J lookup per entry of a row, and the
@@ -65,18 +67,21 @@ def printed_s1_row(alg: ExtAlgebra, sym) -> dict:
 
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_letter_rows_equal_the_walk_and_the_printed_s1_rows(p):
-    # every row of the letter memo, read from the table, equals the walk's
-    # row (most of them torus shifts of their orbit's first row), and each
-    # s1 row the printed one
+    # every one-letter product equals the walk's row (most of them torus
+    # shifts of their orbit's first row), and each s1 row the printed one;
+    # the letter memo keeps exactly the rows of the letters that shorten
     alg, oracle = ExtAlgebra(p), WalkAlgebra(p)
-    symbols = list(alg.basis_symbols(4))
-    for sym in symbols:
+    W = alg.weyl
+    shortening = set()
+    for sym in alg.basis_symbols(4):
         for i in (S0, S1):
-            got = alg._expand(alg._letter_on_symbol(i, sym))
+            got = alg._expand(alg._act_left(W.simple(i), sym))
             assert got == oracle._expand(oracle._letter_on_symbol(i, sym)), (i, sym)
             if i == S1:
                 assert got == printed_s1_row(oracle, sym), sym
-    assert len(alg._letter_cache) == 2 * len(symbols)
+            if not W.lengths_add(W.simple(i), sym.support):
+                shortening.add((i, sym))
+    assert set(alg._letter_cache) == shortening
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -90,7 +95,8 @@ def test_degree0_rows_are_the_hecke_rule(p):
         for i in (S0, S1):
             row = H.mul(H.tau(alg.weyl.simple(i)), H.tau(w)).coeffs
             expected = {BasisSymbol(0, None, v): c for v, c in row.items()}
-            assert alg._expand(alg._letter_on_symbol(i, BasisSymbol(0, None, w))) == expected, (i, w)
+            got = alg._act_left(alg.weyl.simple(i), BasisSymbol(0, None, w))
+            assert alg._expand(got) == expected, (i, w)
 
 
 def concrete_right_row(oracle: ExtAlgebra, i: int, sym) -> GradedElement:
@@ -98,7 +104,7 @@ def concrete_right_row(oracle: ExtAlgebra, i: int, sym) -> GradedElement:
     F, W = oracle.field, oracle.weyl
     row: dict = {}
     for s, c in oracle.involution(oracle.symbol_element(sym)).coeffs.items():
-        add_into(row, oracle._expand(oracle._letter_on_symbol(i, s)).items(), c, F.p)
+        add_into(row, oracle._expand(oracle._act_left(W.simple(i), s)).items(), c, F.p)
     # T_half: the support w becomes omega^half w, and weight k scales by u0^(k half)
     shifted = {
         BasisSymbol(s.degree, s.sign, W.element(s.support.exp + W.half, s.support.word)):

@@ -752,12 +752,12 @@ def test_a_chain_mutant_fails_verify_all(monkeypatch, faults, first_failure):
 @pytest.mark.parametrize("entry", [(0, None, 1), (1, None, -1)],
                          ids=["sign-flipped", "index-plus-one"])
 def test_a_wrong_degree0_shortening_row_fails_the_e0_cross_check(monkeypatch, entry):
-    """The degree-0 rows of _LETTER_ROWS where lengths do not add state the
+    """The degree-0 rows of _LETTER_ROWS (where the word shortens) state the
     quadratic relation tau_(s_i) tau_w = -e_0 tau_w.  HeckeAlgebra.mul never
     reads them, so e0_braid_and_recursions, which compares it with the graded
     kernel _act_left, is the e0 check that sees a wrong one: -e_0 written as
     +e_0, or as -e_1."""
-    rows = {key: row for key, row in graded._LETTER_ROWS.items() if key[1] == 0 and not key[3]}
+    rows = {key: row for key, row in graded._LETTER_ROWS.items() if key[1] == 0}
     assert len(rows) == 4 and set(rows.values()) == {(((0, None, -1),), ())}
     for key in rows:
         monkeypatch.setitem(graded._LETTER_ROWS, key, ((entry,), ()))
@@ -939,9 +939,9 @@ def test_code_a_faster_test_skips_is_caught_by_another_check(
 # uniformizer_conj_multiplicative is no longer bound to see it.
 S0_ROW_MUTANTS = [
     # -2 e_1 beta^0_w in tau_{s0} beta^-_w where the word shortens
-    ((1, -1, False), 0, (1, 0, -2), (1, 0, -1)),
+    ((1, -1), 0, (1, 0, -2), (1, 0, -1)),
     # e_2 alpha^-_w in tau_{s0} alpha^+_w where the word shortens, at l(w) = 1
-    ((2, 1, False), 1, (2, -1, 1), (3, -1, 1)),
+    ((2, 1), 1, (2, -1, 1), (3, -1, 1)),
 ]
 
 

@@ -110,12 +110,17 @@ class WalkAlgebra(ExtAlgebra):
         return out
 
     def _letter_row(self, i: int, sym: BasisSymbol) -> dict:
-        """tau_{s_i} sym from the table, as a symbolic row: its terms c e_m s
-        on the support of sym stay character keys."""
+        """tau_{s_i} sym as a symbolic row: where lengths add, the one plain
+        term of graded._ADDS_RULES or zero; where the word shortens, the row
+        of the letter table, whose terms c e_m s on the support of sym stay
+        character keys."""
         W = self.weyl
         d, sign, w = sym
         si = W.simple(i)
-        chars, plain = _LETTER_ROWS[i, d, sign, W.lengths_add(si, w), len(w[1]) == 1]
+        if W.lengths_add(si, w):
+            rule = graded._ADDS_RULES[i, d, sign]
+            return self._row(d, w, (), W.mul(si, w), (rule,) if rule else ())
+        chars, plain = _LETTER_ROWS[i, d, sign, len(w[1]) == 1]
         return self._row(d, w, chars, W.mul(si, w), plain)
 
     def _right_row(self, i: int, sym: BasisSymbol) -> dict:
