@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import presentation as pres
 from .graded import ExtAlgebra
@@ -22,7 +21,6 @@ from .verify import SUITE_NAMES, run
 __all__ = ["Config", "main"]
 
 
-@dataclass
 class Config:
     p: int = 5
     primitive_root: int | None = None
@@ -32,7 +30,11 @@ class Config:
     fmt: str = "text"
     epsilon_bound: str = "p-2"
 
-    def __post_init__(self):
+    def __init__(self, **options):
+        for name, value in options.items():
+            if name not in Config.__annotations__:
+                raise TypeError(f"Config got an unexpected keyword argument {name!r}")
+            setattr(self, name, value)
         if self.max_length < 1:
             raise ValueError("--max-length must be >= 1")
         if self.samples < 1:

@@ -567,8 +567,10 @@ class ExtAlgebra:
 
     def _operand(self, x: GradedElement):
         """The row a public call reads for x: its row, compressed when it
-        holds at least p - 1 terms and no character key.  An element over
-        other parameters is refused."""
+        holds at least p - 1 terms and no character key.  Anything but a
+        GradedElement, and an element over other parameters, is refused."""
+        if not isinstance(x, GradedElement):
+            raise ValueError(f"expected a GradedElement, got {type(x).__name__}")
         check_parameters(self, x.algebra)
         row = x.row
         if len(row) >= self.weyl.n and 4 not in map(len, row):

@@ -57,7 +57,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .coeff import add_into, check_parameters
-from .graded import BasisSymbol, ExtAlgebra, GradedElement
+from .graded import BasisSymbol, ExtAlgebra, GradedElement, _shifted
 from .weyl import S0, S1
 
 __all__ = ["multiply", "cup_summand", "duality_pairing"]
@@ -107,8 +107,16 @@ def _cup_symbols(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
     return {}
 
 
+def _graded_algebra(x) -> ExtAlgebra:
+    """The algebra of x, a GradedElement; anything else is refused, as
+    ExtAlgebra._operand refuses it."""
+    if not isinstance(x, GradedElement):
+        raise ValueError(f"expected a GradedElement, got {type(x).__name__}")
+    return x.algebra
+
+
 def multiply(x: GradedElement, y: GradedElement) -> GradedElement:
-    alg = x.algebra
+    alg = _graded_algebra(x)  # and _operand refuses y
     return GradedElement(alg, _multiply(alg, alg._operand(x), alg._operand(y)))
 
 
@@ -255,7 +263,7 @@ def duality_pairing(x: GradedElement, y: GradedElement) -> int:
     of the components; (phi_w) and (tau_w) are dual, and beta^s_w pairs
     with alpha^t_w to delta_{s,t}.
     """
-    check_parameters(x.algebra, y.algebra)
+    check_parameters(_graded_algebra(x), _graded_algebra(y))
     xc, yc = x.coeffs, y.coeffs
     if not xc or not yc:
         return 0
@@ -265,13 +273,14 @@ def duality_pairing(x: GradedElement, y: GradedElement) -> int:
     if dx + dy != 3:
         raise ValueError(f"pairing requires complementary degrees, got {dx} and {dy}")
     alg, acc = x.algebra, 0
-    by_support: dict = {}
-    for sb, cb in yc.items():
-        by_support.setdefault(sb[2], []).append((sb, cb))
-    # one cup per pair on one support; the tuple (3, None, w) finds phi_w
+    signs = (None,) if dy in (0, 3) else (-1, 0, 1)
+    # y's terms at the support w of sa are its keys (dy, s, w); (3, None, w) is phi_w
     for sa, ca in xc.items():
-        for sb, cb in by_support.get(sa[2], ()):
-            acc += ca * cb * _cup_symbols(alg, sa, sb).get((3, None, sa[2]), 0)
+        w = sa[2]
+        for s in signs:
+            cb = yc.get((dy, s, w))
+            if cb is not None:
+                acc += ca * cb * _cup_symbols(alg, sa, _shifted((dy, s, w))).get((3, None, w), 0)
     return acc % alg.field.p
 
 

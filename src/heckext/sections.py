@@ -27,15 +27,14 @@ a sign standing for its -1 on B_z.
 
 The section of one symbol is a pure function of (algebra, symbol), so it
 is memoized in the algebra's section memo, keyed (degree, symbol); its
-values are the frozen expressions themselves, whose terms are tuples of
-immutable slots.  Evaluation multiplies the slots of each term left to
+values are the expressions themselves, read-only, whose terms are tuples
+of immutable slots.  Evaluation multiplies the slots of each term left to
 right on symbolic rows, as the product engine does, and returns the
 element of the summed row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, wraps
 
 from .coeff import add_into, check_coefficient, check_parameters
@@ -54,29 +53,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class TensorExpression:
     """Formal sum of scalar-weighted tuples of degree-1 slots.
 
     A slot is a degree-1 BasisSymbol or a degree-1 character key (m, 1,
     sign, word), which stands for e_m s0, s0 the symbol at torus exponent
     0: a section at a torus support keeps its idempotent as one slot.
-    Deliberately syntactic: no equality, no normal form.  Two expressions
-    are compared only through their evaluation under the multiplication
-    map (the tensor module has no canonical basis here).
+    Deliberately syntactic, read-only, and equal only to itself: no normal
+    form.  Two expressions are compared through their evaluation under the
+    multiplication map (the tensor module has no canonical basis here).
     """
 
-    algebra: ExtAlgebra
-    arity: int
-    terms: tuple[tuple[int, tuple[tuple, ...]], ...]
+    __slots__ = ("algebra", "arity", "terms")
 
-    def __post_init__(self):
-        for _, syms in self.terms:
-            if len(syms) != self.arity:
+    def __init__(self, algebra: ExtAlgebra, arity: int, terms: tuple):
+        for _, syms in terms:
+            if len(syms) != arity:
                 raise ValueError("mixed arities in tensor expression")
             # a symbol is (degree, sign, support), a character key (m, degree, sign, word)
             if any((s[0] if len(s) == 3 else s[1]) != 1 for s in syms):
                 raise ValueError("tensor slots must be degree-1 symbols or character keys")
+        for name, value in zip(self.__slots__, (algebra, arity, terms)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"TensorExpression is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return TensorExpression, (self.algebra, self.arity, self.terms)
 
     @classmethod
     def from_terms(cls, alg: ExtAlgebra, arity: int, terms) -> "TensorExpression":

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import presentation as pres
 from .coeff import add_into
@@ -51,11 +51,7 @@ from .weyl import S0, S1, WeylElement, _alternating_word, _weyl
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run"]
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    counterexample: str | None = None
+CheckResult = namedtuple("CheckResult", "name ok counterexample", defaults=(None,))
 
 
 def _check(name, cases, test) -> CheckResult:

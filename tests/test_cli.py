@@ -441,6 +441,21 @@ class TestCli:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
+    def test_config_defaults_and_refusals(self):
+        defaults = dict(p=5, primitive_root=None, max_length=8, samples=1000, seed=0,
+                        fmt="text", epsilon_bound="p-2")
+        cfg = Config()
+        assert {name: getattr(cfg, name) for name in defaults} == defaults
+        assert {name: getattr(Config, name) for name in defaults} == defaults
+        cfg = Config(p=13, seed=4)
+        assert (cfg.p, cfg.seed, cfg.max_length, Config.p) == (13, 4, 8, 5)
+        with pytest.raises(ValueError, match="^--max-length must be >= 1$"):
+            Config(max_length=0)
+        with pytest.raises(ValueError, match="^--samples must be >= 1$"):
+            Config(samples=0)
+        with pytest.raises(TypeError, match="'bogus'"):
+            Config(bogus=1)
+
     def test_an_option_left_out_takes_its_config_default(self, capsys):
         assert main(["relators"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -8,7 +8,7 @@ from heckext.coeff import PrimeField
 from heckext.graded import BasisSymbol, ExtAlgebra, GradedElement
 from heckext.hecke import HeckeElement
 from heckext.presentation import B_P, LETTERS, FreeElement, free_letter
-from heckext.product import duality_pairing
+from heckext.product import duality_pairing, multiply
 from heckext.sections import TensorExpression
 
 
@@ -209,6 +209,27 @@ class TestCombination:
         for h, kind in ((x, "GradedElement"), (E.weyl.s0, "WeylElement"), (1, "int")):
             for call in (lambda: E.embed(h), lambda: E.act_left(h, x), lambda: E.act_right(x, h)):
                 with pytest.raises(ValueError, match=f"expected a HeckeElement, got {kind}$"):
+                    call()
+
+    def test_the_graded_operand_refuses_anything_but_a_graded_element(self):
+        # a HeckeElement used to fail on its missing row, or multiply(h, x)
+        # on its algebra's missing _operand, and duality_pairing(h, phi) on
+        # an index into its Weyl keys
+        E = ALGEBRAS[5]
+        x, phi = E.beta(-1, E.weyl.s0), E.phi(E.weyl.identity)
+        for h, kind in ((E.hecke.tau(E.weyl.s0), "HeckeElement"), (E.weyl.s0, "WeylElement"), (1, "int")):
+            for call in (
+                lambda: E.act_left(E.hecke.one(), h),
+                lambda: E.act_right(h, E.hecke.one()),
+                lambda: E.involution(h),
+                lambda: E.uniformizer_conj(h),
+                lambda: E.idempotent_times(0, h),
+                lambda: multiply(x, h),
+                lambda: multiply(h, x),
+                lambda: duality_pairing(h, phi),
+                lambda: duality_pairing(phi, h),
+            ):
+                with pytest.raises(ValueError, match=f"^expected a GradedElement, got {kind}$"):
                     call()
 
     def test_refuses_to_mix_parameters(self):

@@ -3,7 +3,6 @@ within-summand cup product at supports of positive length."""
 
 import itertools
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -13,6 +12,7 @@ from heckext.product import _pair, cup_summand, duality_pairing, multiply
 from heckext.sections import TensorExpression, section_deg2
 from heckext.weyl import S0, S1
 
+from conftest import algebra
 from test_graded import rand_hecke, rand_symbol, rand_weyl
 
 # wedge monomials on three letters m < z < p, with Koszul signs
@@ -27,6 +27,28 @@ _WEDGE_FORM = {
     (3, None): (1, (0, 1, 2)),
 }
 _FROM_WEDGE = {monomial: (sign, key) for key, (sign, monomial) in _WEDGE_FORM.items()}
+
+
+def pairing_by_support(x, y):
+    """The pairing with y's terms grouped by support, one cup per pair on a
+    support: the oracle of duality_pairing, which looks them up by key."""
+    xc, yc = x.coeffs, y.coeffs
+    if not xc or not yc:
+        return 0
+    degrees = {s[0] for s in xc}, {s[0] for s in yc}
+    if any(len(ds) > 1 for ds in degrees):
+        raise ValueError("pairing requires homogeneous elements")
+    (dx,), (dy,) = degrees
+    if dx + dy != 3:
+        raise ValueError(f"pairing requires complementary degrees, got {dx} and {dy}")
+    alg, acc = x.algebra, 0
+    by_support: dict = {}
+    for sb, cb in yc.items():
+        by_support.setdefault(sb[2], []).append((sb, cb))
+    for sa, ca in xc.items():
+        for sb, cb in by_support.get(sa[2], ()):
+            acc += ca * cb * cup_summand(alg, sa, sb).coeffs.get((3, None, sa[2]), 0)
+    return acc % alg.field.p
 
 
 def wedge(m1, m2):
@@ -247,6 +269,39 @@ class TestDuality:
                            for sa, ca in terms[0].items() for sb, cb in terms[1].items()) % 5
             assert duality_pairing(x, y) == expected, (x, y)
 
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_the_lookup_by_key_equals_the_pairing_by_support(self, p):
+        alg = algebra(p)
+        rng = random.Random(p)
+        # few supports, so that most pairs meet on some support
+        supports = [rand_weyl(rng, alg.weyl, 3) for _ in range(4)] + [alg.weyl.identity]
+        pools = [[s for s in alg.basis_symbols(3, (d,)) if s.support in supports] for d in range(4)]
+
+        def random_element(degree):
+            syms = rng.sample(pools[degree], rng.randint(1, min(5, len(pools[degree]))))
+            return alg.element({s: rng.randrange(1, p) for s in syms})
+
+        nonzero = 0
+        for _ in range(150):
+            d = rng.randint(0, 3)
+            x, y = random_element(d), random_element(3 - d)
+            got = duality_pairing(x, y)
+            assert got == pairing_by_support(x, y), (x, y)
+            nonzero += got != 0
+        assert nonzero > 30
+
+    def test_the_oracle_refuses_what_the_pairing_refuses(self, alg5):
+        w = alg5.weyl.element(1, (S0,))
+        mixed = alg5.tau(w) + alg5.phi(w)
+        for x, y, message in (
+            (mixed, alg5.phi(w), "homogeneous"),
+            (alg5.phi(w), mixed, "homogeneous"),
+            (alg5.beta(0, w), alg5.beta(1, w), "complementary degrees, got 1 and 1"),
+        ):
+            for pairing in (duality_pairing, pairing_by_support):
+                with pytest.raises(ValueError, match=message):
+                    pairing(x, y)
+
     def test_twisted_module_law(self, alg5):
         H = alg5.hecke
         rng = random.Random(97)
@@ -321,7 +376,7 @@ class TestMemoValuesAreReadOnly:
             assert memo, f"the {name} memo is empty"
             for value in memo.values():
                 if isinstance(value, TensorExpression):
-                    with pytest.raises(FrozenInstanceError):
+                    with pytest.raises(AttributeError):
                         value.terms = ()
                 else:
                     with pytest.raises(TypeError):

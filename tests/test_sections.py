@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 import section_oracle
@@ -140,6 +143,23 @@ class TestTensorExpression:
         TensorExpression(alg5, 2, ((1, ((3, 1, -1, ()), bz0)),))
         with pytest.raises(ValueError, match="degree-1"):
             TensorExpression(alg5, 2, ((1, ((3, 2, -1, ()), bz0)),))
+
+    def test_an_expression_is_read_only_and_compared_by_identity(self, alg5):
+        slot = BasisSymbol(1, 1, alg5.weyl.s0)
+        t = t2(alg5, [(1, (slot, slot))])
+        for name in ("algebra", "arity", "terms", "other"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(t, name, None)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(t, name)
+        assert (t.arity, t.terms) == (2, ((1, (slot, slot)),))
+        twin = t2(alg5, [(1, (slot, slot))])
+        assert t == t and t != twin and len({t, twin}) == 2
+        copied = copy.copy(t)
+        assert copied is not t and (copied.algebra, copied.arity, copied.terms) == (alg5, 2, t.terms)
+        fresh = ExtAlgebra(5)
+        back = pickle.loads(pickle.dumps(t2(fresh, [(1, (slot, slot))])))
+        assert (back.arity, back.terms, back.algebra.field) == (2, t.terms, fresh.field)
 
     def test_repr_spells_a_character_key_slot(self, alg5):
         W = alg5.weyl

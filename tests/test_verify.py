@@ -80,6 +80,15 @@ def test_a_check_with_no_cases_fails():
     assert (result.name, result.ok, result.counterexample) == ("empty_0_cases", False, "no cases")
 
 
+def test_a_check_result_reads_and_compares_by_its_fields():
+    result = verify.CheckResult("count_4", False, "3")
+    assert repr(result) == "CheckResult(name='count_4', ok=False, counterexample='3')"
+    assert repr(verify.CheckResult("c", True)) == "CheckResult(name='c', ok=True, counterexample=None)"
+    assert result == verify.CheckResult("count_4", False, "3")
+    assert result != verify.CheckResult("count_4", False, "4")
+    assert verify.CheckResult("c", True) == verify.CheckResult("c", True, None)
+
+
 def test_the_runner_stops_at_the_first_counterexample_and_counts_it():
     seen = []
 
