@@ -414,9 +414,7 @@ class ExtAlgebra:
 
     def embed(self, h: HeckeElement) -> GradedElement:
         # HeckeAlgebra.element checked the supports of h
-        if not isinstance(h, HeckeElement):
-            raise ValueError(f"expected a HeckeElement, got {type(h).__name__}")
-        check_parameters(self, h.algebra)
+        self.hecke.check(h)
         return GradedElement(self, {_shifted((0, None, w)): c for w, c in h.coeffs.items()})
 
     def idempotent(self, m: int) -> GradedElement:

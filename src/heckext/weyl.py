@@ -12,7 +12,7 @@ normal form is unique.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from operator import itemgetter
 
 from .coeff import PrimeField
@@ -76,9 +76,12 @@ def _alternating_word(first: int, length: int) -> tuple[int, ...]:
     return tuple((first + j) % 2 for j in range(length))
 
 
-@cache
-def _torus(n: int) -> tuple[WeylElement, ...]:
-    return tuple(_weyl((e, ())) for e in range(n))
+@lru_cache(maxsize=128)
+def _orbit_table(n: int, word: tuple[int, ...]) -> tuple[WeylElement, ...]:
+    """The torus orbit of a word: omega^e word at index e, for e in [0, n).
+    An entry holds n elements, about 90 KB at p=1009, so the cache is
+    bounded (about 12 MB there)."""
+    return tuple([_weyl((e, word)) for e in range(n)])
 
 
 class WeylGroup:
@@ -106,9 +109,9 @@ class WeylGroup:
         return [_weyl((e, word)) for word in words for e in range(self.n)]
 
     def torus(self) -> tuple[WeylElement, ...]:
-        """The torus elements omega^0, ..., omega^(n-1); memoized per n and
-        built on first use."""
-        return _torus(self.n)
+        """The torus elements omega^0, ..., omega^(n-1): the orbit table of the
+        empty word, built on first use."""
+        return _orbit_table(self.n, ())
 
     def check(self, w) -> None:
         """Refuse w unless it is a WeylElement whose torus exponent is an int

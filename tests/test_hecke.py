@@ -50,6 +50,23 @@ class TestBasics:
         with pytest.raises(ValueError, match="WeylElement"):
             H.element({"x": 1})
 
+    @pytest.mark.parametrize("call, kind", [
+        (lambda alg, h, w: alg.hecke.mul(h, alg.tau(w)), "GradedElement"),
+        (lambda alg, h, w: alg.hecke.mul(alg.tau(w), h), "GradedElement"),
+        (lambda alg, h, w: alg.hecke.involution(alg.tau(w)), "GradedElement"),
+        (lambda alg, h, w: alg.hecke.uniformizer_conj(alg.phi(w)), "GradedElement"),
+        (lambda alg, h, w: alg.hecke.mul(h, 3), "int"),
+        (lambda alg, h, w: alg.hecke.mul(None, h), "NoneType"),
+    ], ids=["mul-graded-right", "mul-graded-left", "involution", "uniformizer_conj", "mul-int",
+            "mul-none"])
+    def test_an_operand_that_is_not_a_hecke_element_is_refused(self, alg5, call, kind):
+        """A GradedElement shares the field of the Hecke algebra, so it passed
+        the parameter check and failed deep in the call, with a message that
+        did not name it."""
+        w = alg5.weyl.element(1, (S0, S1))
+        with pytest.raises(ValueError, match=f"expected a HeckeElement, got {kind}$"):
+            call(alg5, alg5.hecke.tau(w), w)
+
 
 class TestIdempotents:
     @pytest.mark.parametrize("p", [5, 7, 13])

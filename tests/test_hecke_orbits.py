@@ -6,7 +6,8 @@ otherwise the orbit sum of the word u + v[1:], an orbit sum (word, x)
 standing for x sum_h tau_(omega^h word).  A product by letter recursion,
 expanding every orbit into its p - 1 terms at each letter, is kept here,
 and the engine must equal it: on each pair of bare words, on products of
-single supports and on multi-term factors.  A shortening pair of bare
+single supports, on multi-term factors, on a word that both a plain
+product and an orbit sum reach, and on an orbit sum that vanishes mod p.  A shortening pair of bare
 words gives one orbit sum.  A wrong closed form must fail the oracle and
 the e0 suite.
 """
@@ -144,6 +145,54 @@ def test_a_shortening_pair_holds_one_orbit_sum(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_products_equal_the_expanded_products(p):
     assert product_mismatch(ExtAlgebra(p).hecke, MAX_LENGTH, 300) is None
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_word_reached_by_a_plain_product_and_an_orbit_sum(p):
+    """(a tau_(omega s0) + b tau_(s0 s1)) c tau_(omega^2 s1): the first pair
+    gives tau_(s0 s1) at exponent 1 - 2, the second the orbit sum of s0 s1
+    times b c.  With b = -a the exponent -1 cancels to 0 mod p."""
+    H = ExtAlgebra(p).hecke
+    n = H.weyl.n
+    for a in range(1, p):
+        left = H.element({_weyl((1, (S0,))): a, _weyl((0, (S0, S1))): p - a})
+        right = H.element({_weyl((2, (S1,))): 3})
+        got = H.mul(left, right)
+        assert got == ExpandedProduct(H).mul(left, right), a
+        assert got.coeffs == {_weyl((h, (S0, S1))): -3 * a % p for h in range(n) if h != n - 1}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_an_orbit_sum_whose_scalar_is_zero_mod_p(p):
+    """The coefficients of the shortening word s0 s1 sum to 0 mod p on the
+    left, and those of s1 on the right in the mirrored product, so the
+    orbit sum vanishes and only the plain product tau_s0 tau_s1 is left."""
+    H = ExtAlgebra(p).hecke
+    oracle = ExpandedProduct(H)
+    cancels = H.element({_weyl((0, (S0, S1))): 2, _weyl((1, (S0, S1))): p - 2, _weyl((1, (S0,))): 1})
+    s1 = H.tau(_weyl((0, (S1,))))
+    assert H.mul(cancels, s1).coeffs == {_weyl((1, (S0, S1))): 1}
+    assert H.mul(cancels, s1) == oracle.mul(cancels, s1)
+    mirrored = H.element({_weyl((0, (S1,))): 5, _weyl((2, (S1,))): p - 5})
+    for left in (H.tau(_weyl((0, (S1,)))), H.tau(_weyl((1, (S0, S1)))), cancels):
+        assert H.mul(left, mirrored) == oracle.mul(left, mirrored), left
+    assert H.mul(H.tau(_weyl((0, (S1,)))), mirrored).is_zero
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_multi_term_factors_on_both_sides(p):
+    """Factors with several words and several exponents per word on both
+    sides, the words chosen so that some pairs shorten and some do not."""
+    H = ExtAlgebra(p).hecke
+    oracle = ExpandedProduct(H)
+    rng = random.Random(f"both sides:{p}")
+    word_pool = words(4)
+    for _ in range(60):
+        a, b = (H.element({_weyl((rng.randrange(H.weyl.n), u)): rng.randrange(1, p)
+                           for u in rng.sample(word_pool, 3) for _ in range(3)})
+                for _ in range(2))
+        assert len({w.word for w in a.coeffs}) == len({w.word for w in b.coeffs}) == 3
+        assert H.mul(a, b) == oracle.mul(a, b), (a, b)
 
 
 def _closed_form_mutant(H, *, junction=1, orbit=True, meet=-1):

@@ -198,6 +198,17 @@ def test_a_negative_or_zero_seed_runs(seed):
     assert all(r.ok for r in verify.run_suite(ExtAlgebra(5), "e0", seed=seed, samples=5))
 
 
+@pytest.mark.parametrize("p, root", [
+    (p, g) for p in (5, 7, 13) for g in range(2, p)
+    if len({pow(g, k, p) for k in range(p - 1)}) == p - 1])
+def test_the_e0_suite_passes_under_every_primitive_root(p, root):
+    """The idempotents and the eigen law read u0, and the other tests run
+    e0 at the smallest root only."""
+    results = verify.run_suite(ExtAlgebra(p, root), "e0")
+    assert results and all(r.ok for r in results), [r for r in results if not r.ok]
+
+
+
 # --- the restated checks against their direct forms ---
 #
 # Five checks run a faster test than the direct form they replaced: the
