@@ -12,11 +12,10 @@ import json
 import sys
 import time
 
-from . import presentation as pres
 from .graded import ExtAlgebra
 from .grammar import element_to_json, parse_element, render_element
 from .product import multiply
-from .verify import SUITE_NAMES, run
+from .suites import SUITE_NAMES
 
 __all__ = ["Config", "main"]
 
@@ -114,6 +113,8 @@ def cmd_mul(cfg: Config, left: str, right: str) -> int:
 
 
 def cmd_verify(cfg: Config, suite: str, quiet: bool = False) -> int:
+    from .verify import run  # imported here, so that mul and table do not load it
+
     alg = _algebra(cfg)
     started = time.time()
     report = run(
@@ -184,6 +185,8 @@ def cmd_table(cfg: Config, degree: int) -> int:
 
 
 def cmd_relators(cfg: Config) -> int:
+    from . import presentation as pres  # imported here, so that mul and table do not load it
+
     alg = _algebra(cfg)
     payload = []
     for name, rel in pres.all_relators(alg, cfg.epsilon_bound):
@@ -195,7 +198,7 @@ def cmd_relators(cfg: Config) -> int:
                         "coeff": c,
                         "word": [pres.LETTER_NAMES[l] for l in word],
                     }
-                    for word, c in sorted(rel.coeffs.items())
+                    for word, c in sorted(rel.expand().coeffs.items())
                 ],
             }
         )

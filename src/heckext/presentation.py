@@ -8,11 +8,18 @@ performed by evaluating into the concrete model: the machine checks are
 that every relator evaluates to zero and that every basis symbol is hit
 by an explicit word (constructive surjectivity).
 
-The free idempotents mirror the concrete ones.  Their summation bound is
-configurable: the default 'p-2' sums over the p-1 torus classes; the
-alternative reading 'p-1' adds one more power of the torus generator,
-which double-counts the identity class and makes the quadratic relators
-fail to vanish.  The verification suites distinguish the two.
+The free idempotents mirror the concrete ones.  A word may hold one more
+kind of token, E(m): the torus idempotent e_m as one element of E0, as in
+the tensor algebra T_{E0} E1 of the presentation.  It is defined by its
+expansion, the p - 1 words T_w0^i with the coefficients of
+HeckeAlgebra.idempotent (FreeElement.expand), and evaluates to the
+character key of e_m in one product; repr, the relator export and the
+presentation_free_idempotents check read the expanded words.  The
+summation bound is configurable: the default 'p-2' is the token alone,
+one term per torus class; the alternative reading 'p-1' adds one more
+power of the torus generator, which double-counts the identity class and
+makes the quadratic relators fail to vanish.  The verification suites
+distinguish the two.
 
 Relators pair up under the uniformizer conjugation iota: each pair is
 printed for s0 on the blocks (T_s0, T_s1, B_m, B_p, B_z0, B_z1, e_id,
@@ -32,9 +39,10 @@ from .coeff import Combination, _orbit, add_into, check_index, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .product import _multiply
 from .sections import _section2_symbol, _section3_symbol
-from .weyl import S0, S1, WeylElement
+from .weyl import S0, S1, WeylElement, _weyl
 
 __all__ = [
+    "E",
     "LETTERS",
     "LETTER_NAMES",
     "FreeElement",
@@ -54,10 +62,35 @@ T_W0, T_S0, T_S1, B_M, B_P, B_Z0, B_Z1 = range(7)
 LETTERS = (T_W0, T_S0, T_S1, B_M, B_P, B_Z0, B_Z1)
 LETTER_NAMES = ("T_w0", "T_s0", "T_s1", "B_m", "B_p", "B_z0", "B_z1")
 _LETTER_BYTES = bytes(LETTERS)
+_TOKEN = 7  # the byte of a token E(m) in _letters
+
+
+class E:
+    """The free token E(m), the torus idempotent e_m as one letter.  Tokens
+    are interned, one per m, so words holding them hash and compare as
+    fast as words of ints; they are not ordered."""
+
+    __slots__ = ("m",)
+    _interned: dict = {}
+
+    def __new__(cls, m: int):
+        check_index(m)
+        token = cls._interned.get(m)
+        if token is None:
+            token = cls._interned[m] = object.__new__(cls)
+            token.m = m
+        return token
+
+    def __reduce__(self):
+        return E, (self.m,)
+
+    def __repr__(self):
+        return f"E({self.m})"
 
 
 class FreeElement(Combination):
-    """k-linear combination of words in the seven presentation letters."""
+    """k-linear combination of words in the seven presentation letters and
+    the tokens E(m).  == compares the words as they are, tokens included."""
 
     __slots__ = ("coeffs",)
 
@@ -78,12 +111,28 @@ class FreeElement(Combination):
     def word_count(self) -> int:
         return len(self.coeffs)
 
+    def expand(self) -> "FreeElement":
+        """This element in the seven letters: each token E(m) spelled as the
+        p - 1 words T_w0^i of e_m."""
+        F, out = self.algebra.field, {}
+        for word, c in self.coeffs.items():
+            acc, start = {(): c}, 0
+            for i, letter in enumerate(_letters(word)):
+                if letter == _TOKEN:  # the letters since the last token, then T_w0^k
+                    spelled = _orbit(F.p, F.u0, -word[i].m % F.order)
+                    acc = _concat(acc, {word[start:i] + (T_W0,) * k: x for k, x in enumerate(spelled)})
+                    start = i + 1
+            _concat(acc, {word[start:]: 1}, out)
+        return FreeElement.make(self.algebra, out)
+
     def __repr__(self):
-        if not self.coeffs:
+        """The expanded words, shortest first."""
+        coeffs = self.expand().coeffs
+        if not coeffs:
             return "0"
         bits = []
-        for word, c in sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            name = "*".join(LETTER_NAMES[l] for l in _letters(word)) if word else "1"
+        for word, c in sorted(coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
+            name = "*".join(LETTER_NAMES[l] for l in word) if word else "1"
             bits.append(f"{c}*{name}")
         return " + ".join(bits)
 
@@ -110,7 +159,8 @@ def free_one(alg: ExtAlgebra) -> FreeElement:
 def free_idempotent(alg: ExtAlgebra, m: int, bound: str = "p-2") -> FreeElement:
     """The free-algebra mirror of the torus idempotent for id^m.
 
-    bound 'p-2' sums i = 0 .. p-2 (one term per torus class), with the
+    bound 'p-2' is the one-token word E(m mod p - 1), whose expansion sums
+    T_w0^i for i = 0 .. p-2 (one term per torus class) with the
     coefficients of HeckeAlgebra.idempotent; 'p-1' sums one power further,
     -T_w0^(p-1), double-counting the identity class.
     """
@@ -118,7 +168,7 @@ def free_idempotent(alg: ExtAlgebra, m: int, bound: str = "p-2") -> FreeElement:
     if bound not in ("p-2", "p-1"):
         raise ValueError(f"bound must be 'p-2' or 'p-1', got {bound!r}")
     F = alg.field
-    coeffs = {(T_W0,) * i: c for i, c in enumerate(_orbit(F.p, F.u0, -m % F.order))}
+    coeffs = {(E(m % F.order),): 1}
     if bound == "p-1":
         coeffs[(T_W0,) * F.order] = F.p - 1
     return FreeElement(alg, coeffs)
@@ -129,25 +179,32 @@ def free_idempotent(alg: ExtAlgebra, m: int, bound: str = "p-2") -> FreeElement:
 _B_LETTERS = {(-1, ()): B_M, (1, ()): B_P, (0, (S0,)): B_Z0, (0, (S1,)): B_Z1}
 
 
+# the symbol of each letter's image, the same at every p: tau at omega, s0
+# and s1, and the bimodule generators
+_IMAGES = {T_W0: BasisSymbol(0, None, _weyl((1, ()))), T_S0: BasisSymbol(0, None, _weyl((0, (S0,)))),
+           T_S1: BasisSymbol(0, None, _weyl((0, (S1,))))}
+_IMAGES.update((letter, BasisSymbol(1, sign, _weyl((0, word)))) for (sign, word), letter in _B_LETTERS.items())
+
+
 def generator_images(alg: ExtAlgebra) -> dict[int, GradedElement]:
-    W = alg.weyl
-    images = {T_W0: alg.tau(W.omega(1)), T_S0: alg.tau(W.s0), T_S1: alg.tau(W.s1)}
-    for (sign, word), letter in _B_LETTERS.items():
-        images[letter] = alg.beta(sign, W.element(0, word))
-    return images
+    return {letter: GradedElement(alg, {sym: 1}) for letter, sym in _IMAGES.items()}
 
 
 def _letters(word: tuple) -> bytes:
-    """The letters of a word as bytes, after refusing one that is not one of
-    the ints 0..6 (bytes() alone takes a bool for 0 or 1)."""
+    """The letters of a word as bytes, a token E(m) as the byte 7, after
+    refusing a letter that is neither a token nor one of the ints 0..6
+    (bytes() alone takes a bool for 0 or 1)."""
     try:
         letters = bytes(word)
-    except (TypeError, ValueError):  # a letter that is not an int in 0..255
+    except (TypeError, ValueError):  # a token, or a letter that is not an int in 0..255
         letters = None
     if (letters is None or letters.translate(None, _LETTER_BYTES)
             or countOf(map(type, word), int) != len(word)):
-        i, x = next((i, x) for i, x in enumerate(word) if type(x) is not int or not 0 <= x < 7)
-        raise ValueError(f"word {word!r}: letter {x!r} at position {i} is not one of the ints 0..6")
+        for i, x in enumerate(word):
+            if type(x) is not E and (type(x) is not int or not 0 <= x < 7):
+                raise ValueError(f"word {word!r}: letter {x!r} at position {i} "
+                                 "is not one of the ints 0..6 or a token E(m)")
+        letters = bytes([_TOKEN if type(x) is E else x for x in word])
     return letters
 
 
@@ -157,23 +214,28 @@ class _Suffixes:
     of s, one product on symbolic rows.  A run x^k is one step: runs[x] at
     the node of s holds the values of x s, x x s, ... and, for each k a word
     read past, the runs below x^k s; so a word whose suffix is known costs
-    one step per run.  A zero value ends the walk.  As the product is
+    one step per run.  A token E(m) is a run of its own, whose image is the
+    character key of e_m.  A zero value ends the walk.  As the product is
     associative (the assoc suite), this is the word multiplied from the left."""
 
     def __init__(self, alg: ExtAlgebra):
         self.alg = alg
-        self.images = {letter: x.coeffs for letter, x in generator_images(alg).items()}
+        self.images = {letter: x.row for letter, x in generator_images(alg).items()}
         self.one, self.runs = alg.one().coeffs, {}
 
     def value(self, word: tuple) -> dict:
-        letters = _letters(word)
+        letters, images = _letters(word), self.images
         value, runs, end = self.one, self.runs, len(letters)
         while end and value:
-            # the run letter^k is letters[start:end], k = end - start
-            letter, start = letters[end - 1], len(letters[:end].rstrip(letters[end - 1:end]))
+            if letters[end - 1] == _TOKEN:
+                letter, start = word[end - 1], end - 1
+                if letter not in images:
+                    images[letter] = self.alg.idempotent(letter.m).row
+            else:  # the run letter^k is letters[start:end], k = end - start
+                letter, start = letters[end - 1], len(letters[:end].rstrip(letters[end - 1:end]))
             values, below = runs.setdefault(letter, ([], {}))
             while len(values) < end - start:
-                values.append(_multiply(self.alg, self.images[letter], values[-1] if values else value))
+                values.append(_multiply(self.alg, images[letter], values[-1] if values else value))
             if start:
                 runs = below.setdefault(end - start, {})
             value, end = values[end - start - 1], start
@@ -290,39 +352,46 @@ def _word_for_weyl(w: WeylElement) -> tuple[int, ...]:
     return (T_W0,) * w.exp + tuple(T_S0 + letter for letter in w.word)
 
 
-def _words(alg: ExtAlgebra, sym: BasisSymbol) -> dict:
-    """The words of word_for_basis(sym) as a plain map word -> int, unreduced."""
-    if sym.degree == 0:
-        return {_word_for_weyl(sym.support): 1}
-    if sym.degree == 1:
-        c, left, g, right = alg.factor_through_generators(sym)
-        return {_word_for_weyl(left) + (_B_LETTERS[g.sign, g.support.word],) + _word_for_weyl(right): c}
+def _slot_word(alg: ExtAlgebra, s) -> tuple[tuple, int]:
+    """The one word, and its coefficient, of a symbol of degree 0 or 1, or of
+    a character key e_m s0: the token E(m) followed by the word of s0."""
+    if len(s) == 4:
+        word, c = _slot_word(alg, alg._base(s))
+        return (E(s[0]),) + word, c
+    if s.degree == 0:
+        return _word_for_weyl(s.support), 1
+    c, left, g, right = alg.factor_through_generators(s)
+    return _word_for_weyl(left) + (_B_LETTERS[g.sign, g.support.word],) + _word_for_weyl(right), c
+
+
+def _words(alg: ExtAlgebra, sym: BasisSymbol, slots: dict) -> dict:
+    """The words of word_for_basis(sym) as a plain map word -> int, unreduced;
+    slots keeps the word of each section slot spelled."""
+    if sym.degree < 2:
+        word, c = _slot_word(alg, sym)
+        return {word: c}
     out: dict = {}
     section = _section2_symbol if sym.degree == 2 else _section3_symbol
     for c, syms in section(alg, sym).terms:
-        factors = []
+        word = ()
         for s in syms:
-            if len(s) == 4:
-                factors.append(free_idempotent(alg, s[0]).coeffs)
-                s = alg._base(s)
-            factors.append(_words(alg, s))
-        # concatenated from the right, so each word of an idempotent is copied once
-        acc = {(): c}
-        for words in reversed(factors[1:]):
-            acc = _concat(words, acc)
-        _concat(factors[0], acc, out)
+            if s not in slots:
+                slots[s] = _slot_word(alg, s)
+            word, c = word + slots[s][0], c * slots[s][1]
+        out[word] = out.get(word, 0) + c
     return out
 
 
-def word_for_basis(alg: ExtAlgebra, sym: BasisSymbol) -> FreeElement:
+def word_for_basis(alg: ExtAlgebra, sym: BasisSymbol, slots: dict | None = None) -> FreeElement:
     """A free word evaluating to the given basis symbol.
 
     Degree 0 is the word of tau_w, degree 1 the factorization through the
     four bimodule generators, and degrees 2 and 3 the words of the slots of
     each term of the symbol's section, concatenated.  At a torus support a
-    section slot may be a character key e_m s0, spelled with
-    free_idempotent(m) (the 'p-2' bound, whatever bound the relators use)
-    followed by the word of s0; so the word of such a symbol is a sum of
-    about 3(p - 1) words in degree 2 and p in degree 3.
+    section slot may be a character key e_m s0, spelled as the token E(m)
+    followed by the word of s0; so the word of a symbol is a sum of at most
+    4 words in degree 2 and 2 in degree 3, as many as its section has terms.
+    slots, a dict the caller keeps across calls, holds the word of each
+    slot spelled so far, so that each distinct slot is spelled once.
     """
-    return FreeElement.make(alg, _words(alg, sym))
+    return FreeElement.make(alg, _words(alg, sym, {} if slots is None else slots))

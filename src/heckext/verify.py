@@ -46,6 +46,7 @@ from .sections import (
     section_deg3_symmetric,
     tensor_act,
 )
+from .suites import SUITE_NAMES
 from .weyl import S0, S1, WeylElement, _alternating_word, _weyl
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run"]
@@ -84,9 +85,10 @@ def _signs(w: WeylElement) -> tuple[int, ...]:
 
 def _random_weyl(rng: random.Random, alg: ExtAlgebra, max_length: int) -> WeylElement:
     """A random element: its length, then its first letter if it has one,
-    then its exponent, in that order from rng."""
-    ln = rng.randint(0, max_length)
-    word = _alternating_word(rng.choice((S0, S1)), ln) if ln else ()
+    then its exponent, in that order from rng.  randrange(k) draws what
+    randint(0, k - 1) and a choice of k items draw, with fewer calls."""
+    ln = rng.randrange(max_length + 1)
+    word = _alternating_word(rng.randrange(2), ln) if ln else ()  # S0, S1 = 0, 1
     return _weyl((rng.randrange(alg.weyl.n), word))
 
 
@@ -569,7 +571,7 @@ def suite_presentation(alg, *, max_length=8, samples=1000, seed=0, epsilon_bound
             return (wa, wb)
 
     def free_idempotent(m):
-        eps = pres.free_idempotent(alg, m, epsilon_bound)
+        eps = pres.free_idempotent(alg, m, epsilon_bound).expand()
         if eps.word_count() != p - 1:
             return (m, "term count")
         if pres.evaluate(eps) != alg.embed(alg.hecke.idempotent(m)):
@@ -589,16 +591,19 @@ def _round_trip(alg, max_length):
     The test reads evaluate's suffix walker (presentation._Suffixes), one
     per torus orbit of supports (the symbols at omega^e u for one u, which
     are consecutive), whose words share suffixes, T_w0^k and what follows
-    it above all.  A word's value does not depend on the words read before
-    it, so the test names the direct form's first counterexample.
+    it above all.  The words of each distinct section slot are spelled
+    once per round trip (word_for_basis's slots).  A word's value does not
+    depend on the words read before it, nor a slot's words on the symbol
+    that first spelled them, so the test names the direct form's first
+    counterexample.
     """
-    walker, orbit = None, None
+    walker, orbit, slots = None, None, {}
 
     def round_trip(sym):
         nonlocal walker, orbit
         if sym.support.word != orbit:
             walker, orbit = pres._Suffixes(alg), sym.support.word
-        if alg._expand(walker.row(pres.word_for_basis(alg, sym))) != {sym: 1}:
+        if alg._expand(walker.row(pres.word_for_basis(alg, sym, slots))) != {sym: 1}:
             return sym
 
     return alg.basis_symbols(max_length), round_trip
@@ -708,19 +713,7 @@ def _idempotent_system(alg):
     return itertools.chain(itertools.product(range(p - 1), repeat=2), ["sum"]), restated, direct
 
 
-SUITES = {
-    "relators": suite_relators,
-    "kernel": suite_kernel,
-    "sections": suite_sections,
-    "assoc": suite_assoc,
-    "involutions": suite_involutions,
-    "rightaction": suite_rightaction,
-    "duality": suite_duality,
-    "presentation": suite_presentation,
-    "cup-independent": suite_cup_independent,
-    "e0": suite_e0,
-}
-SUITE_NAMES = tuple(SUITES)
+SUITES = {name: globals()["suite_" + name.replace("-", "_")] for name in SUITE_NAMES}
 _OPTION_NAMES = ("max_length", "samples", "seed", "epsilon_bound")
 
 

@@ -270,6 +270,23 @@ SUITE_DIGESTS_P13 = [
     ("rightaction", "46f85faba31cb0a558a1456a85b41775531365f2a1f263f6422ef8ad1c19d7e5"),
     ("e0", "84d2fa2fae381744df9014efe2df6214a9c90d4780043baca9f4ac8de19029fd"),
 ]
+# SHA-256 of the stdout of `heckext relators --p P --epsilon-bound B`, recorded
+# while each free idempotent was p - 1 words T_w0^i, before the token E(m)
+RELATOR_DIGESTS = [
+    (5, "p-2", "4e62d759bfc428eba412f5522a893245296d5bab89d3cff93406eace9225e63d"),
+    (5, "p-1", "339e1a09f821cc2070b1d9586360158fa8686df7aaa1efa4d3fb45e17315c485"),
+    (13, "p-2", "96b691ade52d2f7d0c81f9766d3ff35664a5ec6edb342b519d02b89cdf611bc7"),
+    (13, "p-1", "575d60be2275b3e3f2706b7a05b8a89ea99bf3a186c889bad2cc9d75e70e6a71"),
+]
+# SHA-256 of `heckext [COMMAND] --help` at 80 columns, recorded while cli.py
+# imported verify.py for the suite names
+HELP_DIGESTS = [
+    ([], "5934fcb159aec11f10f5bfea74188aa89ff4545789736b98a246b5784c3bf210"),
+    (["mul"], "7cf937fb2cdd5f72b1f3200c56efbe1e9c26f5cf10b84f17b2e4c40600de50ef"),
+    (["verify"], "23f6bfe6d88aa080175f96b7467255c0af562eeacf4e4f5f6b3b6020239745f4"),
+    (["table"], "fdb87fe74bc59076be929c69b181f0f48dc5ad01f5fa4a32c48bea76ca3829fd"),
+    (["relators"], "fd1d0cab3c871dab203fb3b7c4197bdba3ecab3ac98060d8ef14d95d4fbf7625"),
+]
 
 
 class TestCli:
@@ -296,6 +313,19 @@ class TestCli:
         for fmt, digest in (("text", text_digest), ("json", json_digest)):
             assert main(args + [fmt]) == 0
             assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, fmt
+
+    @pytest.mark.parametrize("command, digest", HELP_DIGESTS)
+    def test_help_is_unchanged(self, capsys, monkeypatch, command, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit:
+            main(command + ["--help"])
+        assert exit.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("p, bound, digest", RELATOR_DIGESTS)
+    def test_relators_exports_are_unchanged(self, capsys, p, bound, digest):
+        assert main(["relators", "--p", str(p), "--epsilon-bound", bound]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("suite, text_digest", SUITE_DIGESTS_P13)
     def test_verify_suite_outputs_at_p13_are_unchanged(self, capsys, suite, text_digest):

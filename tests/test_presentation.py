@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 
@@ -9,12 +10,15 @@ from heckext.graded import BasisSymbol, GradedElement
 from heckext.product import multiply
 from heckext.weyl import S0, S1
 
+import torus_oracle
 from prefix_oracle import Prefixes, word_for_basis_by_products
 
 
 class TestFreeIdempotents:
     def test_trivial_idempotent_p5(self, alg5):
         eps = pres.free_idempotent(alg5, 0)
+        assert eps.coeffs == {(pres.E(0),): 1}
+        eps = eps.expand()
         # -(1 + T + T^2 + T^3), four words
         assert eps.word_count() == 4
         assert all(c == 4 for c in eps.coeffs.values())
@@ -23,8 +27,9 @@ class TestFreeIdempotents:
     def test_images_are_the_concrete_idempotents(self, alg7):
         for m in range(alg7.weyl.n):
             eps = pres.free_idempotent(alg7, m)
-            assert eps.word_count() == alg7.field.p - 1
-            assert pres.evaluate(eps) == alg7.embed(alg7.hecke.idempotent(m))
+            assert eps.expand().word_count() == alg7.field.p - 1
+            assert (pres.evaluate(eps) == pres.evaluate(eps.expand())
+                    == alg7.embed(alg7.hecke.idempotent(m)))
 
     def test_literal_bound_is_rejected_by_the_relators(self, alg5):
         # the one-power-further reading double-counts the identity class:
@@ -92,7 +97,7 @@ class TestEvaluate:
             val = pres.evaluate(rel)
             assert val.is_zero
             # every monomial of the relator has exactly one B letter
-            for word in rel.coeffs:
+            for word in rel.expand().coeffs:
                 assert sum(1 for l in word if l >= pres.B_M) == 1
 
 
@@ -150,8 +155,8 @@ def test_evaluate_is_the_prefix_free_product_on_every_relator(p, bound):
     cut = 0
     for name, rel in pres.all_relators(alg, bound):
         for f in (rel, rel * bm):
-            value, cut_here = multiplied_out(alg, f)
-            assert pres.evaluate(f) == value == GradedElement(alg, Prefixes(alg).row(f)), name
+            value, cut_here = multiplied_out(alg, f.expand())
+            assert pres.evaluate(f) == value == GradedElement(alg, Prefixes(alg).row(f.expand())), name
             cut += cut_here
     assert cut, "no word has a zero prefix"
 
@@ -188,14 +193,16 @@ def test_one_suffix_walker_values_every_word_as_the_oracles_do(p):
 
 def test_every_round_trip_word_is_valued_as_the_oracles_do():
     """The words of every symbol of support length <= 3 at p=5, read by one
-    walker in the round trip's order, each against both oracles."""
+    walker in the round trip's order, each against both oracles on its
+    expansion."""
     alg = ExtAlgebra(5)
-    walker, oracle = pres._Suffixes(alg), Prefixes(alg)
+    walker = pres._Suffixes(alg)
     for sym in alg.basis_symbols(3):
         for word in pres.word_for_basis(alg, sym).coeffs:
-            expected = multiplied_out(alg, pres.FreeElement(alg, {word: 1}))[0]
+            expanded = pres.FreeElement(alg, {word: 1}).expand()
+            expected = multiplied_out(alg, expanded)[0]
             assert (GradedElement(alg, walker.value(word)) == expected
-                    == GradedElement(alg, oracle.value(word))), (sym, word)
+                    == GradedElement(alg, Prefixes(alg).row(expanded))), (sym, word)
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -205,11 +212,12 @@ def test_word_for_basis_spells_the_words_of_the_product_builder(p):
         assert pres.word_for_basis(alg, sym).coeffs == word_for_basis_by_products(alg, sym).coeffs, sym
 
 
-@pytest.mark.parametrize("p, calls", [(13, 2208), (53, 11288)])
+@pytest.mark.parametrize("p, calls", [(13, 2028), (53, 8388)])
 def test_the_round_trip_multiplies_each_suffix_once(monkeypatch, p, calls):
     """The products the round trip makes at L=8.  Multiplying each word out
     from its first letter, sharing only the prefixes of consecutive words,
-    made 12,508 at p=13 and 195,048 at p=53."""
+    made 12,508 at p=13 and 195,048 at p=53; reading each torus idempotent
+    as its p - 1 words T_w0^i through the suffix trie, 2,208 and 11,288."""
     real, made = pres._multiply, []
 
     def counted(*args):
@@ -234,7 +242,8 @@ def test_the_round_trip_multiplies_each_suffix_once(monkeypatch, p, calls):
 ])
 def test_a_letter_that_is_not_one_of_the_seven_is_refused(alg5, word, letter, position):
     f = pres.FreeElement(alg5, {word: 2})
-    message = re.escape(f"word {word!r}: letter {letter!r} at position {position} is not one of the ints 0..6")
+    message = re.escape(f"word {word!r}: letter {letter!r} at position {position} "
+                        "is not one of the ints 0..6 or a token E(m)")
     with pytest.raises(ValueError, match=message):
         pres.evaluate(f)
     with pytest.raises(ValueError, match=message):
@@ -254,3 +263,75 @@ def test_an_exponent_that_is_not_an_int_is_refused(alg5, n):
     with pytest.raises(ValueError, match=re.escape(f"the exponent must be an int, got {n!r}")):
         tw ** n
     assert tw ** 2 == tw * tw and tw ** 0 == pres.free_one(alg5)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+@pytest.mark.parametrize("bound", ["p-2", "p-1"])
+def test_each_relator_expands_to_the_words_of_the_spelled_idempotents(monkeypatch, p, bound):
+    """The relators built on tokens E(m), expanded, against the same formulas
+    built on the free idempotents spelled as p - 1 (or p) words T_w0^i, the
+    form the relators had before the token."""
+    alg = ExtAlgebra(p)
+    tokens = pres.all_relators(alg, bound)
+    monkeypatch.setattr(pres, "free_idempotent", torus_oracle.free_idempotent)
+    spelled = pres.all_relators(alg, bound)
+    assert [name for name, _ in tokens] == [name for name, _ in spelled]
+    for (name, rel), (_, words) in zip(tokens, spelled):
+        assert rel.expand() == words, name
+        assert not any(isinstance(x, pres.E) for word in words.coeffs for x in word)
+    assert any(isinstance(x, pres.E) for _, rel in tokens for word in rel.coeffs for x in word)
+
+
+@pytest.mark.parametrize("p", [5, 1009])
+def test_a_relator_with_one_term_deleted_fails_its_check(monkeypatch, p):
+    """Each relator term whose value is not zero, deleted from the token form,
+    fails that relator's check and no other."""
+    alg = ExtAlgebra(p)
+    relators = pres.all_relators(alg)
+    walker = pres._Suffixes(alg)
+    cases = [(i, word) for i, (_, rel) in enumerate(relators) for word in rel.coeffs
+             if walker.value(word)]
+    assert len(cases) == 60
+    for i, word in cases:
+        name, rel = relators[i]
+        cut = pres.FreeElement(alg, {w: c for w, c in rel.coeffs.items() if w != word})
+        monkeypatch.setattr(pres, "all_relators", lambda alg, bound: [
+            *relators[:i], (name, cut), *relators[i + 1:]])
+        failed = [r.name for r in verify.run_suite(alg, "relators") if not r.ok]
+        assert failed == [f"relator_{name}"], (name, word)
+
+
+def test_a_token_is_one_interned_letter(alg5):
+    assert pres.E(3) is pres.E(3) is pickle.loads(pickle.dumps(pres.E(3)))
+    assert repr(pres.E(3)) == "E(3)"
+    assert pres.free_idempotent(alg5, -1).coeffs == {(pres.E(3),): 1}
+    assert pres.free_idempotent(alg5, 1, "p-1").coeffs == {
+        (pres.E(1),): 1, (pres.T_W0,) * 4: 4}
+    for m in (True, 1.0, "1", None):
+        with pytest.raises(ValueError, match=re.escape(f"must be an int, got {m!r}")):
+            pres.E(m)
+
+
+def test_a_token_reads_as_its_expansion_and_as_the_idempotent(alg5):
+    """E(m) in any place of a word: the value, the expansion and repr."""
+    x, y = pres.free_letter(alg5, pres.B_M), pres.free_letter(alg5, pres.T_S1)
+    for m in range(4):
+        e = pres.free_idempotent(alg5, m)
+        for f in (e, x * e, e * x * e, y * e * e * x, x * e * y + e.scale(3)):
+            assert pres.evaluate(f) == pres.evaluate(f.expand()), (m, f)
+            assert repr(f) == repr(f.expand())
+        assert pres.evaluate(x * e) == multiply(pres.evaluate(x), alg5.idempotent(m))
+
+
+@pytest.mark.parametrize("word, letter, position", [
+    ((pres.E(1), 9), 9, 1),
+    ((pres.E(0), pres.T_S0, True), True, 2),
+    ((pres.B_M, (pres.E(2),)), (pres.E(2),), 1),
+])
+def test_a_bad_letter_beside_a_token_is_refused_at_its_position(alg5, word, letter, position):
+    f = pres.FreeElement(alg5, {word: 1})
+    message = re.escape(f"word {word!r}: letter {letter!r} at position {position} "
+                        "is not one of the ints 0..6 or a token E(m)")
+    for read in (pres.evaluate, repr, pres.FreeElement.expand):
+        with pytest.raises(ValueError, match=message):
+            read(f)

@@ -14,7 +14,7 @@ from heckext import presentation as pres
 from heckext.coeff import PrimeField, add_into
 from heckext.graded import BasisSymbol
 from heckext.product import duality_pairing
-from heckext.weyl import S0, S1, WeylElement, _weyl
+from heckext.weyl import S0, S1, WeylElement, _alternating_word, _weyl
 
 from walk_oracle import shift_right
 
@@ -873,8 +873,8 @@ def _act_right_walks_right_to_left(alg):
 
 def _one_degree1_word_doubled(real):
     """word_for_basis with the word of b+(w(2; s1)) scaled by 2."""
-    def word_for_basis(alg, sym):
-        word = real(alg, sym)
+    def word_for_basis(alg, sym, slots=None):
+        word = real(alg, sym, slots)
         return word.scale(2) if sym == BasisSymbol(1, 1, alg.weyl.element(2, (S1,))) else word
 
     return word_for_basis
@@ -882,10 +882,11 @@ def _one_degree1_word_doubled(real):
 
 def _one_torus_word_dropped(real):
     """word_for_basis without the last word, in sorted order, of each
-    degree-2 symbol at a torus support."""
-    def word_for_basis(alg, sym):
-        word = real(alg, sym)
+    degree-2 symbol at a torus support, its tokens E(m) expanded."""
+    def word_for_basis(alg, sym, slots=None):
+        word = real(alg, sym, slots)
         if sym.degree == 2 and not sym.support.word:
+            word = word.expand()
             del word.coeffs[max(word.coeffs)]
         return word
 
@@ -919,7 +920,7 @@ SKIPPED_CODE_MUTANTS = [
      {"sections_identity_fixed_forms": "summand 2 misses phi(1)"}),
     (_char_expansion_negated, "_char_expansion", ["rightaction_idempotent_slide"],
      {"rightaction_deg3_reflections": "(w(0; s0), 0)",
-      "presentation_round_trip_{n}_symbols": "am(w(0;))"}),
+      "sections_identity_fixed_forms": "summand 0 misses phi(1)"}),
     (_public_idempotent_times_shifted, "idempotent_times", ["rightaction_idempotent_slide"],
      {"rightaction_deg1_shortening": "(0, w(0; s0))"}),
     (_act_right_walks_right_to_left, "_act_right", ["rightaction_deg1_lengths_add_{n}_pairs"],
@@ -975,3 +976,21 @@ def test_a_wrong_s0_table_entry_fails_the_relators(monkeypatch, key, group, entr
     monkeypatch.setattr(graded, "_LETTER_ROWS", graded._letter_rows(s0_rows))
     results = verify.run_suite(ExtAlgebra(5), "relators", max_length=2)
     assert any(not r.ok for r in results)
+
+
+def random_weyl_by_randint(rng, alg, max_length):
+    """verify._random_weyl as it was written before: randint, then choice."""
+    ln = rng.randint(0, max_length)
+    word = _alternating_word(rng.choice((S0, S1)), ln) if ln else ()
+    return _weyl((rng.randrange(alg.weyl.n), word))
+
+
+@pytest.mark.parametrize("p", [5, 13])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_random_weyl_elements_are_the_ones_randint_and_choice_drew(p, seed):
+    alg = ExtAlgebra(p)
+    for max_length in (1, 2, 8):
+        rng, old = random.Random(f"e0:{p}:{seed}"), random.Random(f"e0:{p}:{seed}")
+        assert ([verify._random_weyl(rng, alg, max_length) for _ in range(2000)]
+                == [random_weyl_by_randint(old, alg, max_length) for _ in range(2000)])
+        assert rng.getstate() == old.getstate()
