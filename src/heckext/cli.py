@@ -184,12 +184,22 @@ def cmd_table(cfg: Config, degree: int) -> int:
     return 0
 
 
+# the most letters the relators export expands: about 3.8e7 at p = 211,
+# 1.2e8 at p = 307 and 4.1e9 at p = 1009 (FreeElement.letter_bound)
+MAX_EXPORT_LETTERS = 10**8
+
+
 def cmd_relators(cfg: Config) -> int:
     from . import presentation as pres  # imported here, so that mul and table do not load it
 
     alg = _algebra(cfg)
+    relators = pres.all_relators(alg, cfg.epsilon_bound)
+    letters = sum(rel.letter_bound() for _, rel in relators)
+    if letters > MAX_EXPORT_LETTERS:
+        raise ValueError(f"the relators at p={cfg.p} expand to up to {letters} letters, "
+                         f"over the export limit of {MAX_EXPORT_LETTERS}")
     payload = []
-    for name, rel in pres.all_relators(alg, cfg.epsilon_bound):
+    for name, rel in relators:
         payload.append(
             {
                 "name": name,

@@ -21,24 +21,27 @@ power of the torus generator, which double-counts the identity class and
 makes the quadratic relators fail to vanish.  The verification suites
 distinguish the two.
 
-Relators pair up under the uniformizer conjugation iota: each pair is
-printed for s0 on the blocks (T_s0, T_s1, B_m, B_p, B_z0, B_z1, e_id,
-e_id^-1, +1) and built again on (T_s1, T_s0, B_p, B_m, B_z1, B_z0, e_id^-1,
-e_id, -1), the side table _SIDES.  That is iota with runs of T_w0 reduced
-mod p - 1; the sign stands for the -1 iota puts on B_z, on the terms whose
-count of B_z letters differs in parity from the first term's.  The six
-torus-commutation relators (deg0_02/03, bimodule_13-16) stay printed: their
-iota-images are not +-1 times a listed relator.
+The kernel relators are the kernel generators of sections.py spelled in
+the free letters.  The others pair up under the uniformizer conjugation
+iota: each pair is printed for s0 on the blocks (T_s0, T_s1, B_m, B_p,
+B_z0, B_z1, e_id, e_id^-1, +1) and built again on (T_s1, T_s0, B_p, B_m,
+B_z1, B_z0, e_id^-1, e_id, -1), the side table _SIDES.  That is iota with
+runs of T_w0 reduced mod p - 1; the sign stands for the -1 iota puts on
+B_z, on the terms whose count of B_z letters differs in parity from the
+first term's.  The six torus-commutation relators (deg0_02/03,
+bimodule_13-16) stay printed: their iota-images are not +-1 times a
+listed relator.
 """
 
 from __future__ import annotations
 
-from operator import countOf
+from functools import reduce
+from operator import countOf, mul
 
 from .coeff import Combination, _orbit, add_into, check_index, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .product import _multiply
-from .sections import _section2_symbol, _section3_symbol
+from .sections import _section2_symbol, _section3_symbol, kernel_generators
 from .weyl import S0, S1, WeylElement, _weyl
 
 __all__ = [
@@ -124,6 +127,17 @@ class FreeElement(Combination):
                     start = i + 1
             _concat(acc, {word[start:]: 1}, out)
         return FreeElement.make(self.algebra, out)
+
+    def letter_bound(self) -> int:
+        """An upper bound on the letters of expand(), read from the token
+        words: each token spells p - 1 words of at most p - 2 letters.  Equal
+        words merge in expand(), so the bound need not be met."""
+        n = self.algebra.field.order
+        total = 0
+        for word in self.coeffs:
+            tokens = countOf(map(type, word), E)
+            total += n ** tokens * (len(word) + tokens * (n - 2))
+        return total
 
     def __repr__(self):
         """The expanded words, shortest first."""
@@ -253,6 +267,8 @@ def evaluate(f: FreeElement) -> GradedElement:
     """Substitute the concrete generators and multiply each word right to
     left, each suffix once (_Suffixes): the element of the symbolic row of
     the sum."""
+    if not isinstance(f, FreeElement):
+        raise ValueError(f"expected a FreeElement, got {type(f).__name__}")
     alg = f.algebra
     return GradedElement(alg, _Suffixes(alg).row(f))
 
@@ -320,21 +336,17 @@ def bimodule_relators(alg: ExtAlgebra, bound: str = "p-2") -> list[FreeElement]:
 
 def kernel_relators(alg: ExtAlgebra, bound: str = "p-2") -> list[FreeElement]:
     """Fifteen relators lifting the kernel generators of the tensor algebra:
-    ten monomials, two pairs, and the sum of the two halves of the last."""
-    eps1 = free_idempotent(alg, 0, bound)
+    each generator (sections.kernel_generators) spelled in the free letters,
+    each slot by _slot_word, a character key e_m s0 as the words of
+    free_idempotent(alg, m, bound) followed by the word of s0."""
 
-    def pairs(ts0, ts1, bm, bp, bz0, bz1, eps_id, eps_idinv, sign):
-        return [
-            bz0 * bz0 + (eps_idinv * bm * bz0 + eps_id * bz0 * bm).scale(sign)
-            + eps1 * bm * ts0 * bm,
-            bz0 * bm * ts0 - ts0 * bm * bz0,
-            (ts0 + eps1) * bm * bz0 * bm,
-        ]
+    def spelled(s) -> FreeElement:
+        word, c = _slot_word(alg, s if len(s) == 3 else alg._base(s))
+        tail = FreeElement(alg, {word: c})
+        return tail if len(s) == 3 else free_idempotent(alg, s[0], bound) * tail
 
-    monomials = [(B_M, B_M), (B_P, B_M), (B_Z1, B_M), (B_M, B_P), (B_P, B_P),
-                 (B_Z0, B_P), (B_P, B_Z0), (B_Z1, B_Z0), (B_M, B_Z1), (B_Z0, B_Z1)]
-    *paired, half0, half1 = _paired(alg, bound, pairs)
-    return [FreeElement(alg, {word: 1}) for word in monomials] + paired + [half1 + half0]
+    return [sum((reduce(mul, map(spelled, syms)).scale(c) for c, syms in gen.terms),
+                FreeElement(alg, {})) for gen in kernel_generators(alg)]
 
 
 def all_relators(alg: ExtAlgebra, bound: str = "p-2") -> list[tuple[str, FreeElement]]:
@@ -394,4 +406,5 @@ def word_for_basis(alg: ExtAlgebra, sym: BasisSymbol, slots: dict | None = None)
     slots, a dict the caller keeps across calls, holds the word of each
     slot spelled so far, so that each distinct slot is spelled once.
     """
+    alg._check_symbol(sym)
     return FreeElement.make(alg, _words(alg, sym, {} if slots is None else slots))

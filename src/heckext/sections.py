@@ -20,10 +20,9 @@ uniformizer conjugation of the section of the conjugate symbol.  The
 symmetric degree-3 section at a torus support pushes its average by the
 right torus shift of the last slot.
 
-The paired kernel generators are written for s0, with the same character
-keys, and built again on the s1 blocks of the side table _SIDES, as the
-relators are (presentation.py): iota with runs of T_w0 reduced mod p - 1,
-a sign standing for its -1 on B_z.
+The kernel generators are written once, for s0, with the same character
+keys; each s1 member is plus or minus iota of its s0 member, and the kernel
+relators are the generators spelled in the free letters (presentation.py).
 
 The section of one symbol is a pure function of (algebra, symbol), so it
 is memoized in the algebra's section memo, keyed (degree, symbol); its
@@ -40,7 +39,7 @@ from functools import cache, wraps
 from .coeff import add_into, check_coefficient, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .hecke import HeckeElement
-from .product import _multiply
+from .product import _graded_algebra, _multiply
 from .weyl import S0, S1
 
 __all__ = [
@@ -230,10 +229,10 @@ def _sum_of_sections(name: str, arity: int, x: GradedElement, section) -> Tensor
     """The sum over the terms c sym of x, of degree arity, of c section(alg,
     sym), with the terms in order.  It is built as one expression, so each
     slot is validated once; a single symbol of coefficient 1 returns its
-    section itself."""
+    section itself.  Anything but a GradedElement is refused by name."""
+    alg = _graded_algebra(x)
     if not x.is_homogeneous(arity):
         raise ValueError(f"{name} expects a degree-{arity} element")
-    alg = x.algebra
     if len(x.coeffs) == 1:
         [(sym, c)] = x.coeffs.items()
         if c == 1:
@@ -309,32 +308,6 @@ def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
 # --- kernel generators ---
 
 
-# The blocks of the paired generators on each side: (s, sign of B_m, m of e_id,
-# m of e_id^-1, sign); B_p is the symbol of the other sign, B_z the sign-0
-# symbol at s.
-_SIDES = ((S0, -1, 1, -1, 1), (S1, 1, -1, 1, -1))
-
-
-def _on_side(alg: ExtAlgebra, s: int, minus: int, e_id: int, e_idinv: int, sign: int) -> list:
-    """The s0 members of the paired generators, on one side's blocks: the
-    quadratic combination, the mixed relation and a half of the degree-3
-    generator.  Each e_m x, x at torus exponent 0, is the character key (m, 1,
-    sign, word) of x, and (tau_s + e_0) B_m is -B_p at s plus e_0 B_m."""
-    W = alg.weyl
-    s0 = W.simple(s)
-    b = lambda sign_, w: BasisSymbol(1, sign_, w)
-    bm, bz0, bp = b(minus, W.identity), b(0, s0), b(-minus, s0)
-    e = lambda m, x: (m % W.n, 1, x.sign, x.support.word)
-    t = lambda arity, *terms: TensorExpression.from_terms(alg, arity, terms)
-    tail = (b(0, W.inv(s0)), bm)
-    return [
-        t(2, (1, (bz0, bz0)), (sign, (e(e_idinv, bm), bz0)), (sign, (e(e_id, bz0), bm)),
-          (-1, (e(0, bm), bp))),
-        t(2, (1, (bp, bz0)), (1, (bz0, b(minus, s0)))),
-        t(3, (-1, (bp, *tail)), (1, (e(0, bm), *tail))),
-    ]
-
-
 def candidate_kernel_deg2(alg: ExtAlgebra) -> list[TensorExpression]:
     """The fourteen degree-2 kernel generators (ten monomial pairs, two
     quadratic combinations, two mixed relations)."""
@@ -342,14 +315,22 @@ def candidate_kernel_deg2(alg: ExtAlgebra) -> list[TensorExpression]:
 
 
 def kernel_generators(alg: ExtAlgebra) -> list[TensorExpression]:
-    """The full generator list: fourteen in degree 2, each pair's s0 member
-    followed by its s1 member, plus one in degree 3, the sum of both halves."""
+    """The ten monomials; the s0 member of each pair followed by its s1
+    member, +iota of the quadratic combination and -iota of the mixed
+    relation; and the degree-3 generator, -iota of its s0 half plus the s0
+    half.  Each e_m x, x at torus exponent 0, is the character key (m, 1,
+    sign, word) of x, and (tau_s0 + e_0) B_m is -B_p at s0 plus e_0 B_m."""
     W = alg.weyl
-    bm, bp = BasisSymbol(1, -1, W.identity), BasisSymbol(1, 1, W.identity)
-    bz0, bz1 = BasisSymbol(1, 0, W.s0), BasisSymbol(1, 0, W.s1)
-    monomials = [(bm, bm), (bp, bm), (bz1, bm), (bp, bz0), (bz1, bz0),
-                 (bm, bp), (bp, bp), (bz0, bp), (bm, bz1), (bz0, bz1)]
-    s0, s1 = (_on_side(alg, *side) for side in _SIDES)
-    *paired, half0, half1 = (g for pair in zip(s0, s1) for g in pair)
-    return [TensorExpression.from_terms(alg, 2, [(1, slots)]) for slots in monomials] + paired + [
-        half1 + half0]
+    b = lambda sign, w: BasisSymbol(1, sign, w)
+    bm, bp, bz0, bz1 = b(-1, W.identity), b(1, W.identity), b(0, W.s0), b(0, W.s1)
+    bp_s0, bm_s0 = b(1, W.s0), b(-1, W.s0)
+    e = lambda m, x: (m % W.n, 1, x.sign, x.support.word)
+    t = lambda arity, *terms: TensorExpression.from_terms(alg, arity, terms)
+    monomials = [t(2, (1, slots)) for slots in ((bm, bm), (bp, bm), (bz1, bm), (bm, bp), (bp, bp),
+                                                (bz0, bp), (bp, bz0), (bz1, bz0), (bm, bz1), (bz0, bz1))]
+    quadratic = t(2, (1, (bz0, bz0)), (1, (e(-1, bm), bz0)), (1, (e(1, bz0), bm)),
+                  (-1, (e(0, bm), bp_s0)))
+    mixed = t(2, (1, (bp_s0, bz0)), (1, (bz0, bm_s0)))
+    half = t(3, (-1, (bp_s0, bz0, bm)), (1, (e(0, bm), bz0, bm)))
+    iota = tensor_uniformizer_conj
+    return monomials + [quadratic, iota(quadratic), mixed, -iota(mixed), -iota(half) + half]

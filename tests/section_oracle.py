@@ -3,14 +3,16 @@ they were built before they were written as rows, kept as a test oracle:
 at a torus support the degree-2 section recursed through the public
 act_left into the length-1 rows of a shift combination, checked to land
 there, and the degree-3 section applied tau_{s0} + e_1 to the row one step
-down; the generators applied each idempotent through tensor_act.  Each
-goes through the product engine, so it must give, term for term and in
-order, the rows heckext.sections writes.
+down; the generators were built on each side's blocks, both the s0 and
+the s1 members, applying each idempotent through tensor_act.  Each goes
+through the product engine, so it must give, term for term and in order,
+the rows heckext.sections writes and the s1 members it derives by iota.
 """
 
 from heckext.coeff import add_into
 from heckext.graded import BasisSymbol, ExtAlgebra
 from heckext.sections import TensorExpression, _section2_symbol, _section3_symbol, tensor_act
+from heckext.weyl import S0, S1
 
 
 def _idempotent_times(alg: ExtAlgebra, m: int, t: TensorExpression, scale: int = 1) -> list:
@@ -61,10 +63,16 @@ def section3_torus(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
         alg, 3, _idempotent_times(alg, 0, shifted))
 
 
+# The blocks of the paired generators on each side: (s, sign of B_m, m of e_id,
+# m of e_id^-1, sign); B_p is the symbol of the other sign, B_z the sign-0
+# symbol at s.
+SIDES = ((S0, -1, 1, -1, 1), (S1, 1, -1, 1, -1))
+
+
 def on_side(alg: ExtAlgebra, s: int, minus: int, e_id: int, e_idinv: int, sign: int) -> list:
     """The s0 members of the paired generators, on one side's blocks: the
     quadratic combination, the mixed relation and a half of the degree-3
-    generator."""
+    generator, whose middle slot is B_z."""
     W = alg.weyl
     s0 = W.simple(s)
     b = lambda sign_, w: BasisSymbol(1, sign_, w)
@@ -76,5 +84,5 @@ def on_side(alg: ExtAlgebra, s: int, minus: int, e_id: int, e_idinv: int, sign: 
         + e_left(0, -1, bm, b(-minus, s0)),
         t2([(1, (b(-minus, s0), bz0)), (1, (bz0, b(minus, s0)))]),
         tensor_act(alg.hecke.tau(s0) + alg.hecke.idempotent(0), TensorExpression.from_terms(
-            alg, 3, [(1, (bm, b(0, W.inv(s0)), bm))]), "left"),
+            alg, 3, [(1, (bm, bz0, bm))]), "left"),
     ]

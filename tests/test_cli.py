@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckext import ExtAlgebra
-from heckext.cli import Config, main
+from heckext import presentation as pres
+from heckext.cli import MAX_EXPORT_LETTERS, Config, main
 from heckext.graded import BasisSymbol, GradedElement
 from heckext.grammar import ParseError, parse_element, render_element
 from heckext.verify import run
@@ -437,6 +438,30 @@ class TestCli:
         assert len(payload["relators"]) == 36
         names = {r["name"] for r in payload["relators"]}
         assert "deg0_01" in names and "kernel_15" in names
+
+    @pytest.mark.parametrize("p, letters", [(307, 116678508), (1009, 4119149760)])
+    def test_relators_export_refuses_more_letters_than_its_limit(self, capsys, p, letters):
+        # counted from the token words before any is expanded: at p=1009 the
+        # export used to build some 2 million words and exhaust memory
+        assert main(["relators", "--p", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: the relators at p={p} expand to up to {letters} letters, "
+                                "over the export limit of 100000000\n")
+
+    @pytest.mark.parametrize("p", [5, 13, 31])
+    @pytest.mark.parametrize("bound", ["p-2", "p-1"])
+    def test_the_letter_bound_bounds_the_expanded_letters(self, p, bound):
+        for _, rel in pres.all_relators(ExtAlgebra(p), bound):
+            letters = sum(map(len, rel.expand().coeffs))
+            assert letters <= rel.letter_bound()
+            if all(type(x) is int for word in rel.coeffs for x in word):
+                assert letters == rel.letter_bound()
+
+    def test_the_export_limit_lies_between_p211_and_p307(self):
+        # p <= 211 is exported as before; p = 307 is refused
+        count = lambda p: sum(rel.letter_bound() for _, rel in pres.all_relators(ExtAlgebra(p)))
+        assert count(211) <= MAX_EXPORT_LETTERS < count(307)
 
     @pytest.mark.parametrize("suite, samples", [("e0", "-3"), ("involutions", "0")])
     def test_verify_rejects_samples_below_one(self, capsys, suite, samples):

@@ -9,7 +9,7 @@ from heckext.graded import BasisSymbol, ExtAlgebra, GradedElement
 from heckext.hecke import HeckeElement
 from heckext.presentation import B_P, LETTERS, FreeElement, free_letter
 from heckext.product import duality_pairing, multiply
-from heckext.sections import TensorExpression
+from heckext.sections import TensorExpression, section_deg2, section_deg3, section_deg3_symmetric
 
 
 def egcd(a, b):
@@ -213,8 +213,8 @@ class TestCombination:
 
     def test_the_graded_operand_refuses_anything_but_a_graded_element(self):
         # a HeckeElement used to fail on its missing row, or multiply(h, x)
-        # on its algebra's missing _operand, and duality_pairing(h, phi) on
-        # an index into its Weyl keys
+        # on its algebra's missing _operand, duality_pairing(h, phi) on an
+        # index into its Weyl keys, and the sections on its is_homogeneous
         E = ALGEBRAS[5]
         x, phi = E.beta(-1, E.weyl.s0), E.phi(E.weyl.identity)
         for h, kind in ((E.hecke.tau(E.weyl.s0), "HeckeElement"), (E.weyl.s0, "WeylElement"), (1, "int")):
@@ -228,6 +228,9 @@ class TestCombination:
                 lambda: multiply(h, x),
                 lambda: duality_pairing(h, phi),
                 lambda: duality_pairing(phi, h),
+                lambda: section_deg2(h),
+                lambda: section_deg3(h),
+                lambda: section_deg3_symmetric(h),
             ):
                 with pytest.raises(ValueError, match=f"^expected a GradedElement, got {kind}$"):
                     call()

@@ -101,6 +101,13 @@ class TestEvaluate:
                 assert sum(1 for l in word if l >= pres.B_M) == 1
 
 
+def test_evaluate_refuses_anything_but_a_free_element(alg5):
+    # a graded element used to fail on its keys, read as words
+    for x, kind in ((alg5.one(), "GradedElement"), ((pres.B_M,), "tuple"), (1, "int")):
+        with pytest.raises(ValueError, match=f"^expected a FreeElement, got {kind}$"):
+            pres.evaluate(x)
+
+
 class TestWordForBasis:
     def test_degree0_spanning_word(self, alg5):
         W = alg5.weyl
@@ -121,6 +128,14 @@ class TestWordForBasis:
         for sym in alg5.basis_symbols(3):
             word = pres.word_for_basis(alg5, sym)
             assert pres.evaluate(word) == alg5.symbol_element(sym), sym
+
+    def test_a_symbol_outside_the_weyl_group_is_refused(self, alg5, alg7):
+        # a support of p=7 used to be spelled as a word at p=5
+        sym = BasisSymbol(1, 1, alg7.weyl.omega(5))
+        with pytest.raises(ValueError, match=r"torus exponent 5 .* outside \[0, 4\)"):
+            pres.word_for_basis(alg5, sym)
+        with pytest.raises(ValueError, match="expected a BasisSymbol, got 3"):
+            pres.word_for_basis(alg5, 3)
 
     def test_round_trip_other_prime(self, alg7):
         for sym in alg7.basis_symbols(2):

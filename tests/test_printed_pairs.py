@@ -1,16 +1,22 @@
 """The relators and kernel generators as they were printed before their s1
 members were derived.
 
-Each pair exchanged by the uniformizer conjugation is now printed once, for
-s0, and built again at the s1 blocks (the side tables of presentation.py
-and sections.py).  The lists as they were printed in full are kept here,
-and the derived lists must equal them: the relators coefficient for
-coefficient under both summation bounds, the kernel generators term for
-term and in order.  A wrong entry in the s1 row of a side table must fail
-the relators or the kernel suite on the derived members.
+Each pair of Hecke and bimodule relators exchanged by the uniformizer
+conjugation is now printed once, for s0, and built again at the s1 blocks
+(the side table of presentation.py).  The kernel generators are written
+once, each s1 member plus or minus iota of its s0 member, and the kernel
+relators are those generators spelled in the free letters.  The lists as
+they were printed in full are kept here.  The derived relators must equal
+them coefficient for coefficient under both summation bounds, and the
+kernel generators term for term, through the map that printed_order
+states.  A wrong entry in the s1 row of the side table, or in the one
+statement of the kernel, must fail the relators or the kernel suite on
+the members derived from it.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 
@@ -20,7 +26,6 @@ from heckext.presentation import (
     B_M, B_P, B_Z0, B_Z1, T_S0, T_S1, T_W0, free_idempotent, free_letter, free_one,
 )
 from heckext.sections import TensorExpression, tensor_act
-from heckext.weyl import S1
 
 PRIMES = (5, 7, 13, 31)
 
@@ -188,10 +193,6 @@ RELATOR_LISTS = [
     (presentation.bimodule_relators, printed_bimodule_relators),
     (presentation.kernel_relators, printed_kernel_relators),
 ]
-KERNEL_LISTS = [
-    (sections.candidate_kernel_deg2, printed_candidate_kernel_deg2),
-    (sections.kernel_generators, printed_kernel_generators),
-]
 
 
 @pytest.mark.parametrize("bound", ["p-2", "p-1"])
@@ -202,32 +203,49 @@ def test_the_derived_relators_are_the_printed_ones(p, bound):
         assert got == [r.coeffs for r in printed(ExtAlgebra(p), bound)], derived.__name__
 
 
+def printed_order(alg, generators):
+    """The derived generators mapped onto the printed list: the monomials
+    back from the relators' order to the printed one, and the middle slot
+    beta^0_s of each term of the degree-3 generator times tau_c, c =
+    omega^half, the printed beta^0_(s^-1).  tau_c is central and tau_c^2 = 1,
+    so both degree-3 generators generate one ideal."""
+    monomials = generators[:10]
+    W = alg.weyl
+    tau_c = alg.hecke.tau(W.omega(W.half))
+    assert tau_c * tau_c == alg.hecke.one()
+    terms = []
+    for c, (head, middle, tail) in generators[14].terms:
+        [(image, k)] = alg._operand(alg.act_left(tau_c, alg.symbol_element(middle))).items()
+        terms.append((c * k, (head, image, tail)))
+    degree3 = TensorExpression.from_terms(alg, 3, terms)
+    return [monomials[i] for i in (0, 1, 2, 6, 7, 3, 4, 5, 8, 9)] + generators[10:14] + [degree3]
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_the_derived_kernel_generators_are_the_printed_ones(p):
-    for derived, printed in KERNEL_LISTS:
-        got = [(g.arity, g.terms) for g in derived(ExtAlgebra(p))]
-        assert got == [(g.arity, g.terms) for g in printed(ExtAlgebra(p))], derived.__name__
+    alg = ExtAlgebra(p)
+    derived = sections.kernel_generators(alg)
+    assert [g.terms for g in sections.candidate_kernel_deg2(alg)] == [g.terms for g in derived[:14]]
+    got = [(g.arity, g.terms) for g in printed_order(alg, derived)]
+    assert got == [(g.arity, g.terms) for g in printed_kernel_generators(alg)]
+    assert [(g.arity, g.terms) for g in derived[:10]] != got[:10]  # the monomials were reordered
 
 
 def failing(suite: str) -> set[str]:
     return {r.name for r in verify.run_suite(ExtAlgebra(5), suite, max_length=2) if not r.ok}
 
 
-# The s1 row of each side table with one wrong entry, and the checks that
+# The s1 row of the side table with one wrong entry, and the checks that
 # must then fail: the derived s1 members that read the entry.
 RELATOR_SIDE_MUTANTS = {
     "the -1 on the B_z blocks dropped": (
         (T_S1, T_S0, B_P, B_M, B_Z1, B_Z0, -1, 1, 1),
-        {"bimodule_06", "bimodule_10", "bimodule_12", "kernel_12"},
+        {"bimodule_06", "bimodule_10", "bimodule_12"},
     ),
     "e_id left unswapped": (
         (T_S1, T_S0, B_P, B_M, B_Z1, B_Z0, 1, -1, -1),
-        {"bimodule_06", "bimodule_10", "bimodule_12", "kernel_12"},
+        {"bimodule_06", "bimodule_10", "bimodule_12"},
     ),
-}
-KERNEL_SIDE_MUTANTS = {
-    "the -1 on the B_z blocks dropped": ((S1, 1, -1, 1, 1), {"k2_12"}),
-    "e_id left unswapped": ((S1, 1, 1, -1, -1), {"k2_12"}),
 }
 
 
@@ -239,10 +257,28 @@ def test_a_wrong_s1_block_fails_the_relators(monkeypatch, mutant):
     assert failing("relators") == {f"relator_{name}" for name in derived}
 
 
-@pytest.mark.parametrize("mutant", KERNEL_SIDE_MUTANTS)
-def test_a_wrong_s1_block_fails_the_kernel_generators(monkeypatch, mutant):
-    side, derived = KERNEL_SIDE_MUTANTS[mutant]
-    assert failing("kernel") == set()
-    monkeypatch.setattr(sections, "_SIDES", (sections._SIDES[0], side))
-    # kernel_gen_12 is the same generator as kernel_k2_12
-    assert failing("kernel") == {f"kernel_{name}" for name in derived} | {"kernel_gen_12"}
+# One wrong entry in the statement of the kernel generators, and the checks
+# that must then fail: the generator in the kernel suite, read as gen and,
+# among the first fourteen, as k2, and its relator in the relators suite.
+# (A sign dropped from +-iota of a pair member is not one: the member stays
+# in the kernel; the term-for-term comparison above sees it.)
+KERNEL_MUTANTS = {
+    "e_id written e_0": (("e(1, bz0)", "e(0, bz0)"), {
+        "kernel_gen_11", "kernel_k2_11", "relator_kernel_11",
+        "kernel_gen_12", "kernel_k2_12", "relator_kernel_12"}),
+    "the s1 half added with the sign of iota": (
+        ("-iota(half)", "iota(half)"), {"kernel_gen_15", "relator_kernel_15"}),
+}
+
+
+@pytest.mark.parametrize("mutant", KERNEL_MUTANTS)
+def test_a_wrong_entry_fails_the_generator_and_its_relator(monkeypatch, mutant):
+    (right, wrong), derived = KERNEL_MUTANTS[mutant]
+    assert failing("kernel") == failing("relators") == set()
+    source = inspect.getsource(sections.kernel_generators)
+    assert source.count(right) == 1
+    namespace = dict(vars(sections))
+    exec(source.replace(right, wrong), namespace)
+    for module in (sections, presentation, verify):
+        monkeypatch.setattr(module, "kernel_generators", namespace["kernel_generators"])
+    assert failing("kernel") | failing("relators") == derived
