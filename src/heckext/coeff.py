@@ -30,7 +30,9 @@ __all__ = ["PrimeField", "Combination", "add_into", "check_coefficient", "check_
            "check_parameters"]
 
 
+@cache
 def _is_prime(n: int) -> bool:
+    """Trial division, memoized per n: each fresh algebra would repeat it."""
     if n < 2:
         return False
     if n % 2 == 0:

@@ -74,19 +74,21 @@ read it), the J table (J on one symbol, as a (coeff, symbol) pair) and the
 expansion memo (a character key to its p - 1 plain terms, also read by
 the compression to check a candidate key).  The values of the pair and
 letter memos are symbolic rows.  Beside the pair memo, an orbit memo
-keeps one entry per torus orbit, from which the other entries of the
-orbit are derived by product.py's pair law.  Memo values are read-only
-(MappingProxyType or tuples) and handed out without a copy.
+keeps one entry per torus orbit of pairs whose words meet, the misses
+that recurse, from which the other misses of the orbit are derived by
+product.py's pair law; a closed-form miss is computed and leaves the
+orbit memo alone.  Memo values are read-only (MappingProxyType or tuples)
+and handed out without a copy.
 
 Shift kernels.  _shift_left (the left torus action, with a scalar) moves
 a row along its torus orbit; the kernel _act_left, the closed form
 _adds_left and the pair-orbit derivation go through it.  The right torus
 shift of a plain symbol carries no scalar and is the closed form
 _adds_right at a torus element; a character key shifts by the pair
-product (product.py).  Both intern their images in one table per
-algebra, so the symbols of derived entries are shared, and _shift_left
-reads u0^e from the power table of the field (PrimeField.root_powers:
-memoized per (p, u0), built on first use).
+product (product.py).  Both, and _adds_left, intern their images in one
+table per algebra, so the symbols of closed-form and derived entries are
+shared, and _shift_left reads u0^e from the power table of the field
+(PrimeField.root_powers: memoized per (p, u0), built on first use).
 """
 
 from __future__ import annotations
@@ -373,7 +375,7 @@ class ExtAlgebra:
         self._orbit_cache: dict[tuple, tuple[int, int, MappingProxyType]] = {}
         self._symbols: dict[BasisSymbol, BasisSymbol] = {}
         self._char_cache: dict[tuple, MappingProxyType] = {}
-        self._section_cache: dict[tuple[int, BasisSymbol], "TensorExpression"] = {}
+        self._section_cache: dict[tuple[int, BasisSymbol], tuple] = {}
 
     # --- element constructors ---
 
@@ -423,16 +425,11 @@ class ExtAlgebra:
         return GradedElement(self, {(m % self.weyl.n, 0, None, ()): 1})
 
     def basis_symbols(self, max_length: int, degrees=(0, 1, 2, 3)):
-        """All basis symbols with support length <= max_length."""
-        for w in self.weyl.elements(max_length):
-            for d in degrees:
-                if d in (0, 3):
-                    yield BasisSymbol(d, None, w)
-                else:
-                    for sign in (-1, 0, 1):
-                        if sign == 0 and not w.word:
-                            continue
-                        yield BasisSymbol(d, sign, w)
+        """All basis symbols with support length <= max_length, as an iterator;
+        a max_length that WeylGroup.elements refuses is refused at the call."""
+        supports = self.weyl.elements(max_length)
+        return (BasisSymbol(d, sign, w) for w in supports for d in degrees
+                for sign in ((None,) if d in (0, 3) else (-1, 0, 1) if w[1] else (-1, 1)))
 
     # --- torus and idempotent building blocks ---
 
@@ -667,7 +664,7 @@ class ExtAlgebra:
         of sym: one symbol at u w or zero, the rules of _ADDS_RULES applied
         from the right, then the torus prefix of u.  The rules of a nonempty
         word are one closed form (_ADDS_LEFT), keyed by the last letter of u
-        and l(u) mod 2."""
+        and l(u) mod 2.  The image is interned."""
         d, sign, (f, w) = sym
         exp, word = u
         if word:
@@ -677,9 +674,10 @@ class ExtAlgebra:
             sign, unit = rule
             c *= unit
         # the words join without a cancellation; omega^f crosses the word
-        support = _weyl(((-f if len(word) % 2 else f) % self.weyl.n, word + w))
-        row = {_shifted((d, sign, support)): c % self.field.p}
-        return self._shift_left(row, exp) if exp else row
+        image = _shifted((d, sign, _weyl(((-f if len(word) % 2 else f) % self.weyl.n, word + w))))
+        if exp:
+            return self._shift_left({image: c}, exp)
+        return {self._symbols.setdefault(image, image): c % self.field.p}
 
     def act_right(self, x: GradedElement, h: HeckeElement) -> GradedElement:
         return GradedElement(self, _multiply(self, self._operand(x), self._operand(self.embed(h))))

@@ -41,7 +41,7 @@ from operator import countOf, mul
 from .coeff import Combination, _orbit, add_into, check_index, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .product import _multiply
-from .sections import _section2_symbol, _section3_symbol, kernel_generators
+from .sections import _section2_terms, _section3_terms, kernel_generators
 from .weyl import S0, S1, WeylElement, _weyl
 
 __all__ = [
@@ -383,8 +383,8 @@ def _words(alg: ExtAlgebra, sym: BasisSymbol, slots: dict) -> dict:
         word, c = _slot_word(alg, sym)
         return {word: c}
     out: dict = {}
-    section = _section2_symbol if sym.degree == 2 else _section3_symbol
-    for c, syms in section(alg, sym).terms:
+    section = _section2_terms if sym.degree == 2 else _section3_terms
+    for c, syms in section(alg, sym):
         word = ()
         for s in syms:
             if s not in slots:

@@ -40,9 +40,12 @@ works on rows.  The public multiply reads each operand's row, compressed
 when it is plain (a whole torus orbit that is one character becomes its
 character key, so e_m * x is one pair, not p - 1), and returns the element
 of the product row, expanded on the first read of its coeffs (graded.py).
-A miss is derived from the first computed pair of its torus orbit when
-there is one.  With k the torus weight and a0, b0 the symbols at torus
-exponent 0,
+A miss that is a closed form, total degree >= 4 or words that do not
+meet (zero, one lookup per factor, or a good pair's cup), is computed and
+stored.  A miss whose words meet is derived from the first computed pair
+of its torus orbit when there is one (the orbit memo), and otherwise
+computed and registered as that orbit's representative.  With k the torus
+weight and a0, b0 the symbols at torus exponent 0,
 
   a.b = u0^-t T_e(a0.b0),  e = ea + (-1)^|wa| eb,  t = k(a) e + k(b) eb,
 
@@ -57,7 +60,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .coeff import add_into, check_parameters
-from .graded import BasisSymbol, ExtAlgebra, GradedElement, _shifted
+from .graded import BasisSymbol, ExtAlgebra, GradedElement, _shifted, _weight
 from .weyl import S0, S1
 
 __all__ = ["multiply", "cup_summand", "duality_pairing"]
@@ -65,6 +68,8 @@ __all__ = ["multiply", "cup_summand", "duality_pairing"]
 
 def cup_summand(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> GradedElement:
     """Cup product of two basis symbols supported in the same summand."""
+    alg._check_symbol(a)
+    alg._check_symbol(b)
     if a.support != b.support:
         raise ValueError(f"cup requires equal supports, got {a!r} and {b!r}")
     return GradedElement(alg, _cup_symbols(alg, a, b))
@@ -82,9 +87,8 @@ _EXTERIOR = {
 
 
 def _cup_symbols(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
-    w = a.support
-    da, db = a.degree, b.degree
-    p = alg.field.p
+    # the image of two symbols of one summand is valid there: built unchecked
+    (da, sa, w), (db, sb, _) = a, b
     if da + db > 3:
         return {}
     if da == 0:
@@ -92,18 +96,16 @@ def _cup_symbols(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
     if db == 0:
         return {a: 1}
     if da == 1 and db == 1:
-        if w.length == 0:
+        if not w[1]:
             return {}
-        entry = _EXTERIOR.get((a.sign, b.sign))
+        entry = _EXTERIOR.get((sa, sb))
         if entry is None:  # equal signs square to zero
             return {}
         sgn, out_sign = entry
-        return {BasisSymbol(2, out_sign, w): sgn % p}
+        return {_shifted((2, out_sign, w)): sgn % alg.field.p}
     # complementary degrees 1 and 2: dual-basis rule delta_{sign,sign} phi_w
-    sa = a.sign if da == 1 else b.sign
-    sb = b.sign if da == 1 else a.sign
     if sa == sb:
-        return {BasisSymbol(3, None, w): 1}
+        return {_shifted((3, None, w)): 1}
     return {}
 
 
@@ -154,10 +156,14 @@ def _pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> MappingProxyType:
     cached = alg._pair_cache.get(key)
     if cached is not None:
         return cached
-    # a.b = u0^-t T_e(a0.b0), a0 and b0 the symbols at torus exponent 0
     (da, sa, (ea, wa)), (db, sb, (eb, wb)) = a, b
+    if da + db >= 4 or not (wa and wb and wa[-1] == wb[0]):
+        # a closed form: zero, one lookup per factor, or a good pair's cup
+        out = alg._pair_cache[key] = MappingProxyType(_pair_uncached(alg, a, b))
+        return out
+    # a.b = u0^-t T_e(a0.b0), a0 and b0 the symbols at torus exponent 0
     e = (ea - eb if len(wa) % 2 else ea + eb) % alg.weyl.n
-    t = alg._torus_weight(a) * e + alg._torus_weight(b) * eb
+    t = _weight(da, sa) * e + _weight(db, sb) * eb
     orbit = (da, sa, wa, db, sb, wb)
     rep = alg._orbit_cache.get(orbit)
     if rep is None:
@@ -172,14 +178,16 @@ def _pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> MappingProxyType:
 
 
 def _pair_uncached(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
-    da, db = a.degree, b.degree
+    (da, _, v), (db, _, w) = a, b
     if da + db >= 4:
         return {}
     if da == 0:
-        return alg._act_left(a.support, b)
+        return alg._act_left(v, b)
     if db == 0:
-        return alg._act_right(a, b.support)
-    if alg.weyl.lengths_add(a.support, b.support):
+        return alg._act_right(a, w)
+    # the lengths add unless the word of v ends with the letter w's starts with
+    wa, wb = v[1], w[1]
+    if not (wa and wb and wa[-1] == wb[0]):
         return _good_pair(alg, a, b)
     if da == 1 and db == 1:
         return _bad_pair(alg, a, b, _deg1_times_generator)
@@ -192,10 +200,10 @@ def _pair_uncached(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
 
 def _good_pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> dict:
     # lengths add, so each action is one term or zero: no shortening row occurs
-    r = alg._adds_right(a, b.support)
+    r = alg._adds_right(a, b[2])
     if not r:
         return {}
-    l = alg._adds_left(a.support, b)
+    l = alg._adds_left(a[2], b)
     if not l:
         return {}
     ((sa, ca),), ((sb, cb),) = r.items(), l.items()

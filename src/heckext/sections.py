@@ -26,10 +26,12 @@ relators are the generators spelled in the free letters (presentation.py).
 
 The section of one symbol is a pure function of (algebra, symbol), so it
 is memoized in the algebra's section memo, keyed (degree, symbol); its
-values are the expressions themselves, read-only, whose terms are tuples
-of immutable slots.  Evaluation multiplies the slots of each term left to
-right on symbolic rows, as the product engine does, and returns the
-element of the summed row.
+values are the terms of the expressions, tuples of immutable slots, read
+as they are (_section2_terms, _section3_terms) or in a new read-only
+expression (_section2_symbol, _section3_symbol): an expression holds its
+algebra, and the memo holds none.  Evaluation multiplies the slots
+of each term left to right on symbolic rows, as the product engine does,
+and returns the element of the summed row.
 """
 
 from __future__ import annotations
@@ -74,6 +76,15 @@ class TensorExpression:
                 raise ValueError("tensor slots must be degree-1 symbols or character keys")
         for name, value in zip(self.__slots__, (algebra, arity, terms)):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _unchecked(cls, algebra: ExtAlgebra, arity: int, terms: tuple) -> "TensorExpression":
+        """The expression of terms validated when they were first built (a
+        section memo read), without validating them again."""
+        t = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (algebra, arity, terms)):
+            object.__setattr__(t, name, value)
+        return t
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"TensorExpression is read-only: cannot set or delete {name!r}")
@@ -175,19 +186,22 @@ def tensor_uniformizer_conj(t: TensorExpression) -> TensorExpression:
 
 
 def _memoized(degree: int):
-    """Read the section of one symbol from the algebra's section memo, and
-    build it with the decorated function on a miss."""
+    """Read the terms of the section of one symbol from the algebra's section
+    memo, and build its expression with the decorated function on a miss.
+    The memo keeps the terms only: an expression holds its algebra, so an
+    algebra whose memo held one would stay alive until the collector's next
+    full pass."""
 
     def decorate(build):
         @wraps(build)
-        def section(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
+        def terms(alg: ExtAlgebra, sym: BasisSymbol) -> tuple:
             key = (degree, sym)
             cached = alg._section_cache.get(key)
             if cached is None:
-                cached = alg._section_cache[key] = build(alg, sym)
+                cached = alg._section_cache[key] = build(alg, sym).terms
             return cached
 
-        return section
+        return terms
 
     return decorate
 
@@ -195,8 +209,14 @@ def _memoized(degree: int):
 # --- the degree-2 section ---
 
 
-@_memoized(2)
 def _section2_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
+    """The degree-2 section of one symbol: its memoized terms, in a new
+    expression."""
+    return TensorExpression._unchecked(alg, 2, _section2_terms(alg, sym))
+
+
+@_memoized(2)
+def _section2_terms(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     W = alg.weyl
     w = sym.support
     if w.word[:1] == (S1,) or (not w.word and sym.sign == 1):
@@ -225,33 +245,40 @@ def _section2_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     ])
 
 
-def _sum_of_sections(name: str, arity: int, x: GradedElement, section) -> TensorExpression:
-    """The sum over the terms c sym of x, of degree arity, of c section(alg,
-    sym), with the terms in order.  It is built as one expression, so each
-    slot is validated once; a single symbol of coefficient 1 returns its
-    section itself.  Anything but a GradedElement is refused by name."""
+def _sum_of_sections(name: str, arity: int, x: GradedElement, terms) -> TensorExpression:
+    """The sum over the terms c sym of x, of degree arity, of c times the
+    section of sym, whose validated terms are terms(alg, sym), with the terms
+    in order.  It is built as one expression, so each slot is validated once;
+    for a single symbol of coefficient 1 it holds the section's terms
+    themselves.  Anything but a GradedElement is refused by name."""
     alg = _graded_algebra(x)
     if not x.is_homogeneous(arity):
         raise ValueError(f"{name} expects a degree-{arity} element")
     if len(x.coeffs) == 1:
         [(sym, c)] = x.coeffs.items()
         if c == 1:
-            return section(alg, sym)
+            return TensorExpression._unchecked(alg, arity, terms(alg, sym))
     return TensorExpression.from_terms(alg, arity, [
-        (c * k, syms) for sym, c in x.coeffs.items() for k, syms in section(alg, sym).terms
+        (c * k, syms) for sym, c in x.coeffs.items() for k, syms in terms(alg, sym)
     ])
 
 
 def section_deg2(x: GradedElement) -> TensorExpression:
     """A linear section of the degree-2 multiplication map."""
-    return _sum_of_sections("section_deg2", 2, x, _section2_symbol)
+    return _sum_of_sections("section_deg2", 2, x, _section2_terms)
 
 
 # --- the degree-3 section ---
 
 
-@_memoized(3)
 def _section3_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
+    """The degree-3 section of one symbol: its memoized terms, in a new
+    expression."""
+    return TensorExpression._unchecked(alg, 3, _section3_terms(alg, sym))
+
+
+@_memoized(3)
+def _section3_terms(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     W = alg.weyl
     w = sym.support
     if w.word[:1] == (S1,):
@@ -271,7 +298,7 @@ def _section3_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
 
 def section_deg3(x: GradedElement) -> TensorExpression:
     """A linear section of the degree-3 multiplication map."""
-    return _sum_of_sections("section_deg3", 3, x, _section3_symbol)
+    return _sum_of_sections("section_deg3", 3, x, _section3_terms)
 
 
 def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
@@ -291,18 +318,18 @@ def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
         total = base + tensor_uniformizer_conj(base) + jbase + tensor_uniformizer_conj(jbase)
         return total.scale(alg.field.inv(4))
 
-    def section(alg, sym):
+    def terms(alg, sym):
         w = sym.support
         if w.length >= 1:
-            return _section3_symbol(alg, sym)
+            return _section3_terms(alg, sym)
         # the right action of tau_w, w = omega^e, on the last slot: lengths
         # add, so one key goes to one key (the closed form _adds_right)
         tau_w = {BasisSymbol(0, None, w): 1}
         return TensorExpression.from_terms(alg, 3, [
             (c * cz, syms[:-1] + (z,)) for c, syms in average(alg).terms
-            for z, cz in _multiply(alg, {syms[-1]: 1}, tau_w).items()])
+            for z, cz in _multiply(alg, {syms[-1]: 1}, tau_w).items()]).terms
 
-    return _sum_of_sections("section_deg3_symmetric", 3, x, section)
+    return _sum_of_sections("section_deg3_symmetric", 3, x, terms)
 
 
 # --- kernel generators ---

@@ -322,10 +322,11 @@ def _torus_shift(alg, max_length):
     with the pair memo off, the same counterexample.  Each expected symbol
     (d, sign, w t) is built unchecked (_shifted): w t has the word of w, so
     it is valid where (d, sign, w) is.
-    The memo derives each pair of a torus orbit from the first one computed,
-    so under a wrong right shift the public value depends on the products
-    made before; the test reads the shift on every case.  The shortening
-    and reflection checks of this suite call the public act_right.
+    The memo derives each pair whose words meet from the first one of its
+    torus orbit computed, so under a wrong right shift the public value of
+    such a pair depends on the products made before; the test reads the
+    shift on every case.  The shortening and reflection checks of this
+    suite call the public act_right.
     """
     W = alg.weyl
     cases = itertools.product(W.elements(max_length), range(W.n))

@@ -103,7 +103,10 @@ class WeylGroup:
         return _weyl((exp % self.n, ()))
 
     def elements(self, max_length: int) -> list[WeylElement]:
-        """All elements of length <= max_length, by length, first letter, exponent."""
+        """All elements of length <= max_length, by length, first letter, exponent.
+        A max_length that is not an int >= 0 (a bool is not one) is refused."""
+        if type(max_length) is not int or max_length < 0:
+            raise ValueError(f"max_length must be an int >= 0, got {max_length!r}")
         words = [()] + [_alternating_word(first, ln)
                         for ln in range(1, max_length + 1) for first in (S0, S1)]
         return [_weyl((e, word)) for word in words for e in range(self.n)]

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from heckext import ExtAlgebra
+from heckext import ExtAlgebra, product
 from heckext.graded import BasisSymbol
 from heckext.product import _pair, cup_summand, duality_pairing, multiply
 from heckext.sections import TensorExpression, section_deg2
@@ -118,6 +118,20 @@ class TestCupSummand:
         W = alg5.weyl
         with pytest.raises(ValueError):
             cup_summand(alg5, BasisSymbol(1, -1, W.s0), BasisSymbol(1, 0, W.s1))
+
+    def test_an_operand_that_is_not_a_symbol_of_the_algebra_is_refused(self, alg5, alg7):
+        """A GradedElement gave an AttributeError on .support, and at w(5; s0),
+        whose exponent is outside [0, 4), the cup was phi(w(5; s0))."""
+        w = alg5.weyl.s0
+        with pytest.raises(ValueError, match="expected a BasisSymbol"):
+            cup_summand(alg5, alg5.beta(1, w), BasisSymbol(2, 1, w))
+        with pytest.raises(ValueError, match="expected a BasisSymbol"):
+            cup_summand(alg5, BasisSymbol(1, 1, w), alg5.alpha(1, w))
+        far = alg7.weyl.element(5, (S0,))
+        for a, b in ((BasisSymbol(1, 1, far), BasisSymbol(2, 1, w)),
+                     (BasisSymbol(1, 1, w), BasisSymbol(2, 1, far))):
+            with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+                cup_summand(alg5, a, b)
 
     def test_graded_commutative(self, alg7):
         rng = random.Random(67)
@@ -337,6 +351,42 @@ class TestTorusCupIndependentRoute:
                     assert multiply(x, y) == route2, (e, sx, sy)
 
 
+class TestOrbitMemoSelection:
+    """A pair miss that is a closed form (total degree >= 4, or words that do
+    not meet) is computed and leaves the orbit memo alone; a meeting pair is
+    derived from its orbit's representative, or registered as one."""
+
+    @pytest.mark.parametrize("a, b", [
+        ((1, 1, (0, (S0,))), (1, -1, (0, (S1,)))),      # a good pair
+        ((2, 0, (0, (S0,))), (2, -1, (0, (S0,)))),      # a zero pair, total degree 4
+        ((0, None, (2, (S1,))), (1, -1, (0, (S0,)))),   # degree 0, words that do not meet
+    ])
+    def test_a_closed_form_miss_leaves_the_orbit_memo_unchanged(self, a, b):
+        alg = ExtAlgebra(5)
+        a, b = (BasisSymbol(d, sign, alg.weyl.element(*w)) for d, sign, w in (a, b))
+        out = _pair(alg, a, b)
+        assert alg._pair_cache == {(a, b): out} and not alg._orbit_cache
+        assert out == product._pair_uncached(alg, a, b)
+
+    def test_a_meeting_pair_registers_its_orbit_and_a_twist_is_derived(self, monkeypatch):
+        alg = ExtAlgebra(5)
+        W = alg.weyl
+        tau_s0, bm = BasisSymbol(0, None, W.s0), BasisSymbol(1, -1, W.s0)
+        _pair(alg, tau_s0, bm)
+        assert len(alg._orbit_cache) == 1
+        # the torus twist tau_{omega s0} bm_{s0} of that pair computes nothing
+        twist = BasisSymbol(0, None, W.element(1, (S0,)))
+        expected = product._pair_uncached(ExtAlgebra(5), twist, bm)
+
+        def refuse(*args):
+            raise AssertionError("a pair of a known orbit was computed")
+
+        monkeypatch.setattr(product, "_pair_uncached", refuse)
+        derived = _pair(alg, twist, bm)
+        assert len(alg._orbit_cache) == 1 and len(alg._pair_cache) == 2
+        assert derived == expected
+
+
 class TestMemoValuesAreReadOnly:
     def test_in_place_edits_of_memo_values_raise(self):
         alg = ExtAlgebra(5)
@@ -393,12 +443,22 @@ class TestMemoValuesAreReadOnly:
         alg = ExtAlgebra(5)
         W = alg.weyl
         one, bp = BasisSymbol(0, None, W.identity), BasisSymbol(1, 1, W.s0)
-        # the orbit's representative, then two pairs of it with the same product support
-        _pair(alg, one, bp)
+        # two closed forms with the same product support: _adds_left interns
+        # its image, directly or through the torus shift
         left = _pair(alg, BasisSymbol(0, None, W.omega(1)), bp)
         right = _pair(alg, one, BasisSymbol(1, 1, W.element(1, (S0,))))
         assert left.keys() == right.keys()
         assert next(iter(left)) is next(iter(right))
+        # a meeting pair is the orbit's representative, and two pairs derived
+        # from it with the same product support hold one object per symbol
+        tau_s0, bm = BasisSymbol(0, None, W.s0), BasisSymbol(1, -1, W.s0)
+        _pair(alg, tau_s0, bm)
+        left = _pair(alg, BasisSymbol(0, None, W.element(1, (S0,))), bm)
+        right = _pair(alg, tau_s0, BasisSymbol(1, -1, W.element(3, (S0,))))
+        assert list(left) == list(right) and len(alg._orbit_cache) == 1
+        plain = [key for key in left if len(key) == 3]
+        assert plain == [BasisSymbol(1, 1, W.omega(3))]
+        assert plain[0] is next(key for key in right if len(key) == 3)
 
     def test_a_hit_returns_the_stored_value_without_a_copy(self):
         alg = ExtAlgebra(5)

@@ -1,5 +1,7 @@
 import copy
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -393,33 +395,36 @@ class TestWrittenRows:
 
 class TestSectionMemo:
     def test_torus_section_is_one_object(self, alg7):
+        # the memo keeps the terms, one tuple, and each read wraps it anew
         sym = BasisSymbol(2, -1, alg7.weyl.omega(3))
         first = _section2_symbol(alg7, sym)
         assert len(first.terms) > 1
-        assert _section2_symbol(alg7, sym) is first
-        assert alg7._section_cache[2, sym] is first
+        assert _section2_symbol(alg7, sym).terms is first.terms
+        assert alg7._section_cache[2, sym] is first.terms
 
     def test_section_of_one_symbol_is_its_memo_entry(self, alg7):
-        # a single symbol of coefficient 1 returns the memoized expression, uncopied
+        # a single symbol of coefficient 1 returns the memoized terms, uncopied
         W = alg7.weyl
         for sym in (BasisSymbol(2, -1, W.omega(3)), BasisSymbol(2, 0, W.element(2, (S1, S0)))):
-            assert section_deg2(alg7.symbol_element(sym)) is _section2_symbol(alg7, sym)
+            assert section_deg2(alg7.symbol_element(sym)).terms is _section2_symbol(alg7, sym).terms
         for sym in (BasisSymbol(3, None, W.omega(3)), BasisSymbol(3, None, W.element(1, (S0,)))):
-            assert section_deg3(alg7.symbol_element(sym)) is _section3_symbol(alg7, sym)
-        # any other coefficient builds a new expression
+            assert section_deg3(alg7.symbol_element(sym)).terms is _section3_symbol(alg7, sym).terms
+        # any other coefficient builds new terms
         sym = BasisSymbol(2, -1, W.omega(3))
-        assert section_deg2(alg7.symbol_element(sym).scale(2)) is not _section2_symbol(alg7, sym)
+        assert (section_deg2(alg7.symbol_element(sym).scale(2)).terms
+                is not _section2_symbol(alg7, sym).terms)
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_symmetric_section_is_the_memo_entry_on_positive_length(self, p):
-        # both degree-3 sections of a symbol at length >= 1 are its memo entry,
+        # both degree-3 sections of a symbol at length >= 1 read its memo entry,
         # so comparing their terms checks nothing
         alg = ExtAlgebra(p)
         symbols = [s for s in alg.basis_symbols(4, degrees=(3,)) if s.support.length]
         assert len(symbols) == 8 * (p - 1)
         for sym in symbols:
             el = alg.symbol_element(sym)
-            assert section_deg3_symmetric(el) is section_deg3(el) is _section3_symbol(alg, sym)
+            assert (section_deg3_symmetric(el).terms is section_deg3(el).terms
+                    is _section3_symbol(alg, sym).terms)
 
     def test_each_algebra_has_its_own_memo(self, alg5, alg7):
         # the same key at p=5 and p=7: each algebra builds and keeps its own
@@ -427,8 +432,24 @@ class TestSectionMemo:
         t5, t7 = _section2_symbol(alg5, sym), _section2_symbol(alg7, sym)
         assert t5 is not t7
         assert t5.algebra is alg5 and t7.algebra is alg7
-        assert alg5._section_cache[2, sym] is t5
-        assert alg7._section_cache[2, sym] is t7
+        assert alg5._section_cache[2, sym] is t5.terms
+        assert alg7._section_cache[2, sym] is t7.terms
+
+    def test_a_dropped_algebra_is_freed_without_the_collector(self):
+        # the section memo holds terms, not expressions, which hold their
+        # algebra: no reference cycle runs through an algebra
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            alg = ExtAlgebra(5)
+            verify.run(alg, "sections", max_length=2)
+            assert alg._section_cache
+            ref = weakref.ref(alg)
+            del alg
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_engine_adds_no_attribute_after_init(self):
         alg = ExtAlgebra(5)

@@ -700,7 +700,7 @@ def _generators_swapped(module):
         "rightaction_torus_all_degrees": "(1, -1, w(0;), 1)",
         "rightaction_deg1_lengths_add_{n}_pairs": "(-1, w(0;), w(1; s0))",
         "rightaction_idempotent_slide": "(bm(w(0;)), 1)",
-        "presentation_round_trip_{n}_symbols": "bm(w(0;))",
+        "presentation_round_trip_{n}_symbols": "bm(w(1;))",
     }),
     (_letter_row_off_by_one, "alg", "_letter_on_symbol", {}),
     (_cup_constant_wrong, "product", "_cup_symbols",

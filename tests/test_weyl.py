@@ -108,6 +108,20 @@ class TestNormalForm:
             with pytest.raises(ValueError, match=re.escape(f"must be an int, got {exp!r}")):
                 W5.element(exp, ())
 
+    def test_a_max_length_that_is_not_an_int_at_least_0_is_refused(self):
+        """elements(-1) listed the torus, as elements(0) does; basis_symbols(True)
+        ran as if given 1; elements(2.5) failed with a TypeError in range."""
+        from heckext import ExtAlgebra
+
+        assert W5.elements(0) == list(W5.torus())
+        E = ExtAlgebra(5)
+        for bad in (-1, True, False, 2.5, "2", None):
+            message = re.escape(f"max_length must be an int >= 0, got {bad!r}")
+            with pytest.raises(ValueError, match=message):
+                W5.elements(bad)
+            with pytest.raises(ValueError, match=message):
+                E.basis_symbols(bad)
+
     def test_a_public_element_acts_as_its_normal_form(self):
         from heckext import ExtAlgebra
         from heckext.product import multiply
