@@ -11,11 +11,12 @@ character ``id`` sending the fixed torus generator to u0; they are
 represented by their exponent m mod p - 1, and id^m takes the e-th power
 of the generator to root_pow(m * e).
 
-The core.  Hecke, graded and free elements are finite maps key ->
-residue in [1, p) over a parent algebra that owns the field.
-:class:`Combination` gives them the vector-space structure once (make, +,
--, scale, int * x and x * int, is_zero, ==); the subclasses add their
-products (``_product``, reached through ``*``) and renderings.
+The core.  Hecke, graded and free elements and tensor expressions are
+finite maps key -> residue in [1, p) over a parent algebra that owns the
+field.  :class:`Combination` gives them the vector-space structure once
+(make, +, -, scale, int * x and x * int, is_zero, ==); the subclasses add
+their products (``_product``, reached through ``*``; tensor expressions
+have none) and renderings.
 :func:`add_into` is the one accumulate-mod-p loop; hot loops instead sum
 raw ints and reduce once with ``make``.  Elements over
 different fields are never combined (:func:`check_parameters`).
@@ -244,6 +245,9 @@ class Combination:
     def __rmul__(self, c):
         if isinstance(c, int):
             return self.scale(c)
+        return NotImplemented
+
+    def _product(self, other):  # no product: x * y raises TypeError
         return NotImplemented
 
     @property

@@ -78,7 +78,8 @@ keeps one entry per torus orbit of pairs whose words meet, the misses
 that recurse, from which the other misses of the orbit are derived by
 product.py's pair law; a closed-form miss is computed and leaves the
 orbit memo alone.  Memo values are read-only (MappingProxyType or tuples)
-and handed out without a copy.
+and handed out without a copy; every zero product is one empty map.  A
+pickled or copied algebra starts with empty memos.
 
 Shift kernels.  _shift_left (the left torus action, with a scalar) moves
 a row along its torus orbit; the kernel _act_left, the closed form
@@ -375,7 +376,10 @@ class ExtAlgebra:
         self._orbit_cache: dict[tuple, tuple[int, int, MappingProxyType]] = {}
         self._symbols: dict[BasisSymbol, BasisSymbol] = {}
         self._char_cache: dict[tuple, MappingProxyType] = {}
-        self._section_cache: dict[tuple[int, BasisSymbol], tuple] = {}
+        self._section_cache: dict[tuple[int, BasisSymbol], MappingProxyType] = {}
+
+    def __reduce__(self):  # the memos' read-only maps do not pickle: a copy starts empty
+        return ExtAlgebra, (self.field.p, self.field.u0)
 
     # --- element constructors ---
 

@@ -41,7 +41,7 @@ from operator import countOf, mul
 from .coeff import Combination, _orbit, add_into, check_index, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .product import _multiply
-from .sections import _section2_terms, _section3_terms, kernel_generators
+from .sections import _section2_symbol, _section3_symbol, kernel_generators
 from .weyl import S0, S1, WeylElement, _weyl
 
 __all__ = [
@@ -163,6 +163,7 @@ def _concat(a: dict, b: dict, out: dict | None = None) -> dict:
 
 
 def free_letter(alg: ExtAlgebra, letter: int) -> FreeElement:
+    _letters((letter,))  # refuses a letter that is not one of 0..6 or a token
     return FreeElement(alg, {(letter,): 1})
 
 
@@ -345,7 +346,7 @@ def kernel_relators(alg: ExtAlgebra, bound: str = "p-2") -> list[FreeElement]:
         tail = FreeElement(alg, {word: c})
         return tail if len(s) == 3 else free_idempotent(alg, s[0], bound) * tail
 
-    return [sum((reduce(mul, map(spelled, syms)).scale(c) for c, syms in gen.terms),
+    return [sum((reduce(mul, map(spelled, syms)).scale(c) for syms, c in gen.coeffs.items()),
                 FreeElement(alg, {})) for gen in kernel_generators(alg)]
 
 
@@ -383,8 +384,8 @@ def _words(alg: ExtAlgebra, sym: BasisSymbol, slots: dict) -> dict:
         word, c = _slot_word(alg, sym)
         return {word: c}
     out: dict = {}
-    section = _section2_terms if sym.degree == 2 else _section3_terms
-    for c, syms in section(alg, sym):
+    section = _section2_symbol if sym.degree == 2 else _section3_symbol
+    for syms, c in section(alg, sym).coeffs.items():
         word = ()
         for s in syms:
             if s not in slots:

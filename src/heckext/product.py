@@ -151,6 +151,10 @@ def _character_pair(alg: ExtAlgebra, total: dict, a, b, scale: int) -> None:
     alg._project(total, m, _pair(alg, a, b), scale)
 
 
+# the one memo value of every zero product, closed-form, derived or a representative
+_EMPTY = MappingProxyType({})
+
+
 def _pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> MappingProxyType:
     key = (a, b)
     cached = alg._pair_cache.get(key)
@@ -159,7 +163,8 @@ def _pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> MappingProxyType:
     (da, sa, (ea, wa)), (db, sb, (eb, wb)) = a, b
     if da + db >= 4 or not (wa and wb and wa[-1] == wb[0]):
         # a closed form: zero, one lookup per factor, or a good pair's cup
-        out = alg._pair_cache[key] = MappingProxyType(_pair_uncached(alg, a, b))
+        row = _pair_uncached(alg, a, b)
+        out = alg._pair_cache[key] = MappingProxyType(row) if row else _EMPTY
         return out
     # a.b = u0^-t T_e(a0.b0), a0 and b0 the symbols at torus exponent 0
     e = (ea - eb if len(wa) % 2 else ea + eb) % alg.weyl.n
@@ -167,12 +172,14 @@ def _pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> MappingProxyType:
     orbit = (da, sa, wa, db, sb, wb)
     rep = alg._orbit_cache.get(orbit)
     if rep is None:
-        out = MappingProxyType(_pair_uncached(alg, a, b))
+        row = _pair_uncached(alg, a, b)
+        out = MappingProxyType(row) if row else _EMPTY
         alg._orbit_cache[orbit] = (e, t, out)
     else:
         e0, t0, rep_out = rep
         scale = alg.field.root_powers()[(t0 - t) % alg.weyl.n]
-        out = MappingProxyType(alg._shift_left(rep_out, e - e0, scale))
+        row = alg._shift_left(rep_out, e - e0, scale)
+        out = MappingProxyType(row) if row else _EMPTY
     alg._pair_cache[key] = out
     return out
 
@@ -260,7 +267,7 @@ def _deg2_times_generator(alg: ExtAlgebra, q: BasisSymbol, g: BasisSymbol):
         # with beta^0, which is zero by the dual-basis rule
         return {}
     # the section row q = c x y, x = beta^-+_1: q g = c x (y g), a good outer pair
-    ((c, (x, y)),) = _section2_symbol(alg, q).terms
+    (((x, y), c),) = _section2_symbol(alg, q).coeffs.items()
     return _multiply(alg, {x: c}, _pair(alg, y, g))
 
 

@@ -1,13 +1,13 @@
 """Section maps of the multiplication map and the kernel-generator lists.
 
-Tensor expressions are formal sums of scalar-weighted tuples of degree-1
-slots; they are kept syntactic on purpose.  A slot is a degree-1 basis
-symbol or a degree-1 character key (m, 1, sign, word), which stands for
-e_m s0 (graded.py).  The tensor product is over the degree-0 subalgebra,
-so e_m s0 is one element of one slot, not p - 1 terms.  The tensor module
-has no canonical basis here, so no equality or normal form is offered:
-expressions are only compared through their evaluation under the
-multiplication map.
+Tensor expressions are combinations of the core in coeff.py keyed on
+tuples of degree-1 slots; they are kept syntactic on purpose.  A slot is a
+degree-1 basis symbol or a degree-1 character key (m, 1, sign, word),
+which stands for e_m s0 (graded.py).  The tensor product is over the
+degree-0 subalgebra, so e_m s0 is one element of one slot, not p - 1
+terms.  == compares the maps of slot tuples; as the tensor module has no
+canonical basis here, that is no normal form, and expressions are
+compared in E* through their evaluation under the multiplication map.
 
 The degree-2 and degree-3 sections are written rows: one row per sign
 for supports of length >= 1, and at a torus support omega^e four terms
@@ -26,10 +26,10 @@ relators are the generators spelled in the free letters (presentation.py).
 
 The section of one symbol is a pure function of (algebra, symbol), so it
 is memoized in the algebra's section memo, keyed (degree, symbol); its
-values are the terms of the expressions, tuples of immutable slots, read
-as they are (_section2_terms, _section3_terms) or in a new read-only
-expression (_section2_symbol, _section3_symbol): an expression holds its
-algebra, and the memo holds none.  Evaluation multiplies the slots
+values are the maps of the expressions, read-only (MappingProxyType), and
+each read wraps one uncopied in a new expression (_section2_symbol,
+_section3_symbol): an expression holds its algebra, and the memo holds
+none.  Evaluation multiplies the slots
 of each term left to right on symbolic rows, as the product engine does,
 and returns the element of the summed row.
 """
@@ -37,8 +37,9 @@ and returns the element of the summed row.
 from __future__ import annotations
 
 from functools import cache, wraps
+from types import MappingProxyType
 
-from .coeff import add_into, check_coefficient, check_parameters
+from .coeff import Combination, add_into, check_coefficient
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .hecke import HeckeElement
 from .product import _graded_algebra, _multiply
@@ -54,75 +55,56 @@ __all__ = [
 ]
 
 
-class TensorExpression:
-    """Formal sum of scalar-weighted tuples of degree-1 slots.
+class TensorExpression(Combination):
+    """Formal sum of scalar-weighted tuples of degree-1 slots: coeffs maps
+    each tuple of slots to a residue in [1, p), and the vector-space
+    structure and == (of the maps) are the core's.
 
     A slot is a degree-1 BasisSymbol or a degree-1 character key (m, 1,
     sign, word), which stands for e_m s0, s0 the symbol at torus exponent
     0: a section at a torus support keeps its idempotent as one slot.
-    Deliberately syntactic, read-only, and equal only to itself: no normal
-    form.  Two expressions are compared through their evaluation under the
-    multiplication map (the tensor module has no canonical basis here).
+    Deliberately syntactic: the map is no normal form (the tensor module
+    has no canonical basis here), so expressions are compared in E*
+    through their evaluation.  There is no product of two expressions.
     """
 
-    __slots__ = ("algebra", "arity", "terms")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, algebra: ExtAlgebra, arity: int, terms: tuple):
-        for _, syms in terms:
+    @classmethod
+    def from_terms(cls, alg: ExtAlgebra, arity: int, terms) -> "TensorExpression":
+        """The sum of the terms (c, slots), refusing a coefficient that is not
+        an int, a slot tuple of another arity and a slot not of degree 1."""
+        coeffs: dict = {}
+        for c, syms in terms:
+            check_coefficient(c)
+            syms = tuple(syms)
             if len(syms) != arity:
                 raise ValueError("mixed arities in tensor expression")
             # a symbol is (degree, sign, support), a character key (m, degree, sign, word)
             if any((s[0] if len(s) == 3 else s[1]) != 1 for s in syms):
                 raise ValueError("tensor slots must be degree-1 symbols or character keys")
-        for name, value in zip(self.__slots__, (algebra, arity, terms)):
-            object.__setattr__(self, name, value)
+            coeffs[syms] = coeffs.get(syms, 0) + c
+        return cls.make(alg, coeffs)
 
-    @classmethod
-    def _unchecked(cls, algebra: ExtAlgebra, arity: int, terms: tuple) -> "TensorExpression":
-        """The expression of terms validated when they were first built (a
-        section memo read), without validating them again."""
-        t = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (algebra, arity, terms)):
-            object.__setattr__(t, name, value)
-        return t
+    @property
+    def arity(self) -> int:
+        """The number of slots of each term, 0 for the zero expression."""
+        return len(next(iter(self.coeffs), ()))
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"TensorExpression is read-only: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # copy and pickle through __init__
-        return TensorExpression, (self.algebra, self.arity, self.terms)
-
-    @classmethod
-    def from_terms(cls, alg: ExtAlgebra, arity: int, terms) -> "TensorExpression":
-        p = alg.field.p
-        terms = list(terms)
-        for c, _ in terms:
-            check_coefficient(c)
-        return cls(alg, arity, tuple((c % p, tuple(syms)) for c, syms in terms if c % p))
-
-    def __add__(self, other: "TensorExpression") -> "TensorExpression":
-        check_parameters(self.algebra, other.algebra)
-        if self.arity != other.arity:
+    def __add__(self, other, scale: int = 1):
+        if type(other) is type(self) and self.coeffs and other.coeffs and self.arity != other.arity:
             raise ValueError("cannot add tensor expressions of different arity")
-        return TensorExpression(self.algebra, self.arity, self.terms + other.terms)
+        return super().__add__(other, scale)
 
-    def scale(self, c: int) -> "TensorExpression":
-        check_coefficient(c)
-        return TensorExpression.from_terms(
-            self.algebra, self.arity, ((c * x, syms) for x, syms in self.terms)
-        )
-
-    def __neg__(self) -> "TensorExpression":
-        return self.scale(-1)
+    def __reduce__(self):  # copy and pickle a memo read's read-only map as a dict
+        return TensorExpression, (self.algebra, dict(self.coeffs))
 
     def evaluate(self) -> GradedElement:
         """Image under the multiplication map: left-to-right products."""
         alg = self.algebra
         p = alg.field.p
         total: dict = {}
-        for c, syms in self.terms:
+        for syms, c in self.coeffs.items():
             acc = {syms[0]: 1}
             for s in syms[1:]:
                 if not acc:
@@ -132,12 +114,12 @@ class TensorExpression:
         return GradedElement(alg, total)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "0 (tensor)"
         # a character key e_m s0 is spelled e(m)*s0
         base = self.algebra._base
         slot = lambda s: repr(s) if len(s) == 3 else f"e({s[0]})*{base(s)!r}"
-        return " + ".join(f"{c}*({' @ '.join(map(slot, syms))})" for c, syms in self.terms)
+        return " + ".join(f"{c}*({' @ '.join(map(slot, syms))})" for syms, c in self.coeffs.items())
 
 
 def tensor_act(h: HeckeElement, t: TensorExpression, side: str) -> TensorExpression:
@@ -148,7 +130,7 @@ def tensor_act(h: HeckeElement, t: TensorExpression, side: str) -> TensorExpress
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     alg = t.algebra
     terms = []
-    for c, syms in t.terms:
+    for syms, c in t.coeffs.items():
         if side == "left":
             row = alg._operand(alg.act_left(h, GradedElement(alg, {syms[0]: 1})))
             terms.extend((c * cz, (z,) + syms[1:]) for z, cz in row.items())
@@ -164,7 +146,7 @@ def _map_slots(t: TensorExpression, fn, sign: int = 1, reverse: bool = False) ->
     the units.  Both take one key to one key with a unit, a character key
     to a character key."""
     terms = []
-    for c, syms in t.terms:
+    for syms, c in t.coeffs.items():
         coeff = c * sign
         out = []
         for s in reversed(syms) if reverse else syms:
@@ -186,22 +168,22 @@ def tensor_uniformizer_conj(t: TensorExpression) -> TensorExpression:
 
 
 def _memoized(degree: int):
-    """Read the terms of the section of one symbol from the algebra's section
-    memo, and build its expression with the decorated function on a miss.
-    The memo keeps the terms only: an expression holds its algebra, so an
-    algebra whose memo held one would stay alive until the collector's next
-    full pass."""
+    """Read the section of one symbol from the algebra's section memo, and
+    build it with the decorated function on a miss.  The memo keeps the
+    section's map, read-only, and each read wraps it uncopied in a new
+    expression: an expression holds its algebra, so an algebra whose memo
+    held one would stay alive until the collector's next full pass."""
 
     def decorate(build):
         @wraps(build)
-        def terms(alg: ExtAlgebra, sym: BasisSymbol) -> tuple:
+        def section(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
             key = (degree, sym)
-            cached = alg._section_cache.get(key)
-            if cached is None:
-                cached = alg._section_cache[key] = build(alg, sym).terms
-            return cached
+            coeffs = alg._section_cache.get(key)
+            if coeffs is None:
+                coeffs = alg._section_cache[key] = MappingProxyType(build(alg, sym).coeffs)
+            return TensorExpression(alg, coeffs)
 
-        return terms
+        return section
 
     return decorate
 
@@ -209,14 +191,8 @@ def _memoized(degree: int):
 # --- the degree-2 section ---
 
 
-def _section2_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
-    """The degree-2 section of one symbol: its memoized terms, in a new
-    expression."""
-    return TensorExpression._unchecked(alg, 2, _section2_terms(alg, sym))
-
-
 @_memoized(2)
-def _section2_terms(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
+def _section2_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     W = alg.weyl
     w = sym.support
     if w.word[:1] == (S1,) or (not w.word and sym.sign == 1):
@@ -245,40 +221,34 @@ def _section2_terms(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     ])
 
 
-def _sum_of_sections(name: str, arity: int, x: GradedElement, terms) -> TensorExpression:
-    """The sum over the terms c sym of x, of degree arity, of c times the
-    section of sym, whose validated terms are terms(alg, sym), with the terms
-    in order.  It is built as one expression, so each slot is validated once;
-    for a single symbol of coefficient 1 it holds the section's terms
-    themselves.  Anything but a GradedElement is refused by name."""
+def _sum_of_sections(name: str, arity: int, x: GradedElement, section) -> TensorExpression:
+    """The sum over the terms c sym of x, of degree arity, of c times
+    section(alg, sym); for a single symbol of coefficient 1 it is that
+    section, its memo map uncopied.  Anything but a GradedElement is
+    refused by name."""
     alg = _graded_algebra(x)
     if not x.is_homogeneous(arity):
         raise ValueError(f"{name} expects a degree-{arity} element")
     if len(x.coeffs) == 1:
         [(sym, c)] = x.coeffs.items()
         if c == 1:
-            return TensorExpression._unchecked(alg, arity, terms(alg, sym))
-    return TensorExpression.from_terms(alg, arity, [
-        (c * k, syms) for sym, c in x.coeffs.items() for k, syms in terms(alg, sym)
-    ])
+            return section(alg, sym)
+    total: dict = {}
+    for sym, c in x.coeffs.items():
+        add_into(total, section(alg, sym).coeffs.items(), c, alg.field.p)
+    return TensorExpression(alg, total)
 
 
 def section_deg2(x: GradedElement) -> TensorExpression:
     """A linear section of the degree-2 multiplication map."""
-    return _sum_of_sections("section_deg2", 2, x, _section2_terms)
+    return _sum_of_sections("section_deg2", 2, x, _section2_symbol)
 
 
 # --- the degree-3 section ---
 
 
-def _section3_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
-    """The degree-3 section of one symbol: its memoized terms, in a new
-    expression."""
-    return TensorExpression._unchecked(alg, 3, _section3_terms(alg, sym))
-
-
 @_memoized(3)
-def _section3_terms(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
+def _section3_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     W = alg.weyl
     w = sym.support
     if w.word[:1] == (S1,):
@@ -298,7 +268,7 @@ def _section3_terms(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
 
 def section_deg3(x: GradedElement) -> TensorExpression:
     """A linear section of the degree-3 multiplication map."""
-    return _sum_of_sections("section_deg3", 3, x, _section3_terms)
+    return _sum_of_sections("section_deg3", 3, x, _section3_symbol)
 
 
 def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
@@ -318,18 +288,18 @@ def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
         total = base + tensor_uniformizer_conj(base) + jbase + tensor_uniformizer_conj(jbase)
         return total.scale(alg.field.inv(4))
 
-    def terms(alg, sym):
+    def section(alg, sym):
         w = sym.support
         if w.length >= 1:
-            return _section3_terms(alg, sym)
+            return _section3_symbol(alg, sym)
         # the right action of tau_w, w = omega^e, on the last slot: lengths
         # add, so one key goes to one key (the closed form _adds_right)
         tau_w = {BasisSymbol(0, None, w): 1}
         return TensorExpression.from_terms(alg, 3, [
-            (c * cz, syms[:-1] + (z,)) for c, syms in average(alg).terms
-            for z, cz in _multiply(alg, {syms[-1]: 1}, tau_w).items()]).terms
+            (c * cz, syms[:-1] + (z,)) for syms, c in average(alg).coeffs.items()
+            for z, cz in _multiply(alg, {syms[-1]: 1}, tau_w).items()])
 
-    return _sum_of_sections("section_deg3_symmetric", 3, x, terms)
+    return _sum_of_sections("section_deg3_symmetric", 3, x, section)
 
 
 # --- kernel generators ---

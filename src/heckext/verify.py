@@ -164,9 +164,7 @@ def _identity_section_fixed_forms(alg) -> CheckResult:
     one = W.identity
     e1 = H.idempotent(0)
 
-    def t3(c, syms):
-        return TensorExpression.from_terms(alg, 3, [(c, syms)])
-
+    t3 = lambda c, syms: TensorExpression.from_terms(alg, 3, [(c, syms)])
     bm, bp = BasisSymbol(1, -1, one), BasisSymbol(1, 1, one)
     forms = [
         tensor_act(H.tau(W.s0) + e1, t3(-1, (bm, BasisSymbol(1, 0, W.inv(W.s0)), bm)), "left"),

@@ -65,7 +65,7 @@ def word_for_basis_by_products(alg, sym):
         return pres.FreeElement.make(alg, {word + pres._word_for_weyl(right): c})
     section = _section2_symbol if sym.degree == 2 else _section3_symbol
     out: dict = {}
-    for c, syms in section(alg, sym).terms:
+    for syms, c in section(alg, sym).coeffs.items():
         acc = pres.free_one(alg)
         for s in syms:
             if len(s) == 4:

@@ -5,7 +5,7 @@ act_left into the length-1 rows of a shift combination, checked to land
 there, and the degree-3 section applied tau_{s0} + e_1 to the row one step
 down; the generators were built on each side's blocks, both the s0 and
 the s1 members, applying each idempotent through tensor_act.  Each goes
-through the product engine, so it must give, term for term and in order,
+through the product engine, so it must give, coefficient for coefficient,
 the rows heckext.sections writes and the s1 members it derives by iota.
 """
 
@@ -19,7 +19,7 @@ def _idempotent_times(alg: ExtAlgebra, m: int, t: TensorExpression, scale: int =
     """The terms of scale e_m t: e_m moves onto the head slot of each term
     (_project), as e_m (x @ y) = (e_m x) @ y, so it costs no term."""
     terms = []
-    for k, syms in t.terms:
+    for syms, k in t.coeffs.items():
         head: dict = {}
         alg._project(head, m, {syms[0]: 1}, scale * k)
         terms.extend((c, (z,) + syms[1:]) for z, c in head.items())
@@ -43,7 +43,7 @@ def section2_torus(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     terms = []
     for key, c in combo.items():
         if len(key) == 3:
-            terms.extend((c * k, syms) for k, syms in _section2_symbol(alg, key).terms)
+            terms.extend((c * k, syms) for syms, k in _section2_symbol(alg, key).coeffs.items())
         else:
             terms.extend(_idempotent_times(alg, key[0], _section2_symbol(alg, alg._base(key)), c))
     return TensorExpression.from_terms(alg, 2, terms) + tensor_act(

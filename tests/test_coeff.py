@@ -199,7 +199,7 @@ class TestCombination:
         ):
             with pytest.raises(ValueError, match=re.escape(f"must be an int, got {c!r}")):
                 call()
-        assert t.scale(-1).terms == ((3, slot),)
+        assert t.scale(-1).coeffs == {slot: 3}
 
     def test_embed_and_the_actions_refuse_an_operand_that_is_not_a_hecke_element(self):
         # embed of a graded element used to return a degree-0 symbol whose

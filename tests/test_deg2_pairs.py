@@ -107,7 +107,7 @@ def _route(zero=lambda q, sign: q.sign == sign,
             return _pair(alg, q, g)
         if zero(q, -1 if q.support.word[0] == S0 else 1):
             return {}
-        ((c, (x, y)),) = _section2_symbol(alg, q).terms
+        (((x, y), c),) = _section2_symbol(alg, q).coeffs.items()
         return outer(alg, c, x, _pair(alg, y, g))
 
     return route

@@ -265,6 +265,16 @@ def test_a_letter_that_is_not_one_of_the_seven_is_refused(alg5, word, letter, po
         repr(f)
 
 
+@pytest.mark.parametrize("letter", [9, -1, True, "B_m"], ids=repr)
+def test_free_letter_refuses_a_letter_that_is_not_one_of_the_seven(alg5, letter):
+    message = re.escape(f"word {(letter,)!r}: letter {letter!r} at position 0 "
+                        "is not one of the ints 0..6 or a token E(m)")
+    with pytest.raises(ValueError, match=message):
+        pres.free_letter(alg5, letter)
+    assert pres.free_letter(alg5, pres.B_M).coeffs == {(pres.B_M,): 1}
+    assert pres.free_letter(alg5, pres.E(2)) == pres.free_idempotent(alg5, 2)
+
+
 def test_a_product_sums_the_coefficients_of_a_word_made_twice(alg5):
     x, bm, bp = (pres.free_letter(alg5, letter) for letter in (pres.T_S0, pres.B_M, pres.B_P))
     product = (x + x * bm) * (bm * bp + bp)

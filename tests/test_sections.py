@@ -46,7 +46,7 @@ def evaluate_through_multiply(t):
     public multiply, summed into an eager element."""
     alg = t.algebra
     total: dict = {}
-    for c, syms in t.terms:
+    for syms, c in t.coeffs.items():
         acc = slot_through_multiply(alg, syms[0])
         for s in syms[1:]:
             if acc.is_zero:
@@ -69,7 +69,7 @@ def evaluate_through_multiply(t):
 def expanded_tensor_act(h, t, side):
     alg = t.algebra
     terms = []
-    for c, syms in t.terms:
+    for syms, c in t.coeffs.items():
         if side == "left":
             moved = alg.act_left(h, alg.symbol_element(syms[0]))
             terms.extend((c * cz, (z,) + syms[1:]) for z, cz in moved.coeffs.items())
@@ -83,7 +83,7 @@ def expanded_tensor_act(h, t, side):
 
 def expanded_map_slots(t, fn, sign=1, reverse=False):
     terms = []
-    for c, syms in t.terms:
+    for syms, c in t.coeffs.items():
         coeff = c * sign
         out = []
         for s in reversed(syms) if reverse else syms:
@@ -132,34 +132,56 @@ def torus_symbols(alg):
 class TestTensorExpression:
     def test_validation(self, alg5):
         W = alg5.weyl
-        with pytest.raises(ValueError):
-            TensorExpression(alg5, 2, ((1, (BasisSymbol(1, -1, W.identity),)),))
-        with pytest.raises(ValueError):
-            TensorExpression(
-                alg5, 2, ((1, (BasisSymbol(0, None, W.s0), BasisSymbol(1, -1, W.s0))),)
-            )
-        # a character key (m, degree, sign, word) is a slot in degree 1 only
-        bz0 = BasisSymbol(1, 0, W.s0)
-        TensorExpression(alg5, 2, ((1, ((3, 1, -1, ()), bz0)),))
+        bm, bz0 = BasisSymbol(1, -1, W.identity), BasisSymbol(1, 0, W.s0)
+        with pytest.raises(ValueError, match="mixed arities"):
+            t2(alg5, [(1, (bm,))])
+        with pytest.raises(ValueError, match="mixed arities"):
+            t2(alg5, [(1, (bm, bz0)), (1, (bm, bz0, bm))])
         with pytest.raises(ValueError, match="degree-1"):
-            TensorExpression(alg5, 2, ((1, ((3, 2, -1, ()), bz0)),))
+            t2(alg5, [(1, (BasisSymbol(0, None, W.s0), bm))])
+        # a character key (m, degree, sign, word) is a slot in degree 1 only
+        t2(alg5, [(1, ((3, 1, -1, ()), bz0))])
+        with pytest.raises(ValueError, match="degree-1"):
+            t2(alg5, [(1, ((3, 2, -1, ()), bz0))])
+        for c in (0.5, True, "1", None):
+            with pytest.raises(ValueError, match="must be an int"):
+                t2(alg5, [(1, (bm, bz0)), (c, (bz0, bm))])
+        # a sum of nonzero expressions of two arities is refused; the zero
+        # expression, of no slots, adds to either
+        x = t2(alg5, [(1, (bm, bz0))])
+        y = TensorExpression.from_terms(alg5, 3, [(1, (bm, bz0, bm))])
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="different arity"):
+                a + b
+            with pytest.raises(ValueError, match="different arity"):
+                a - b
+        zero = x - x
+        assert (zero.arity, x.arity, y.arity) == (0, 2, 3)
+        assert zero + y == y + zero == y and zero + x == x
 
-    def test_an_expression_is_read_only_and_compared_by_identity(self, alg5):
-        slot = BasisSymbol(1, 1, alg5.weyl.s0)
+    def test_an_expression_is_compared_as_a_map_and_a_memo_read_is_read_only(self, alg5):
+        W = alg5.weyl
+        slot = BasisSymbol(1, 1, W.s0)
         t = t2(alg5, [(1, (slot, slot))])
-        for name in ("algebra", "arity", "terms", "other"):
-            with pytest.raises(AttributeError, match="read-only"):
-                setattr(t, name, None)
-            with pytest.raises(AttributeError, match="read-only"):
-                delattr(t, name)
-        assert (t.arity, t.terms) == (2, ((1, (slot, slot)),))
-        twin = t2(alg5, [(1, (slot, slot))])
-        assert t == t and t != twin and len({t, twin}) == 2
-        copied = copy.copy(t)
-        assert copied is not t and (copied.algebra, copied.arity, copied.terms) == (alg5, 2, t.terms)
-        fresh = ExtAlgebra(5)
-        back = pickle.loads(pickle.dumps(t2(fresh, [(1, (slot, slot))])))
-        assert (back.arity, back.terms, back.algebra.field) == (2, t.terms, fresh.field)
+        assert (t.arity, t.coeffs) == (2, {(slot, slot): 1})
+        twin = t2(alg5, [(3, (slot, slot)), (3, (slot, slot))])
+        assert t == twin and t != t.scale(2) and t != t2(ExtAlgebra(7), [(1, (slot, slot))])
+        # a section read from the memo holds the memo's map, which refuses
+        # writes; copy and pickle give an equal expression over a plain map
+        sym = BasisSymbol(2, -1, W.omega(1))
+        read = _section2_symbol(alg5, sym)
+        stored = dict(read.coeffs)
+        assert len(stored) == 4 and read.coeffs is alg5._section_cache[2, sym]
+        with pytest.raises(TypeError):
+            read.coeffs[slot, slot] = 1
+        for copied in (copy.copy(read), copy.deepcopy(read), pickle.loads(pickle.dumps(read))):
+            assert copied == read and copied.coeffs is not read.coeffs
+            assert copied.evaluate() == alg5.symbol_element(sym)
+            copied.coeffs[slot, slot] = 1
+        read + t
+        read.scale(2)
+        -read
+        assert alg5._section_cache[2, sym] == stored and _section2_symbol(alg5, sym).coeffs == stored
 
     def test_repr_spells_a_character_key_slot(self, alg5):
         W = alg5.weyl
@@ -209,35 +231,93 @@ class TestTensorExpression:
             tensor_act(alg5.hecke.one(), empty, "middle")
 
 
+def expressions(alg):
+    """Sections of support <= 2 in degrees 2 and 3, torus ones included,
+    and the kernel generators."""
+    for sym in alg.basis_symbols(2, degrees=(2, 3)):
+        el = alg.symbol_element(sym)
+        yield (section_deg2 if sym.degree == 2 else section_deg3)(el)
+    yield from kernel_generators(alg)
+
+
+class TestCoreOperations:
+    """What the core gives a tensor expression: evaluation is linear over
+    +, -, scale and int *, the two tensor involutions square to the
+    identity, and an operand of another kind is refused."""
+
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_evaluate_is_linear(self, p):
+        alg = algebra(p)
+        by_arity: dict = {}
+        for t in expressions(alg):
+            by_arity.setdefault(t.arity, []).append(t)
+        for ts in by_arity.values():
+            for k, (x, y) in enumerate(zip(ts, ts[1:] + ts[:1])):
+                c = 2 + k % (p - 2)
+                ex, ey = x.evaluate(), y.evaluate()
+                assert (x + y).evaluate() == ex + ey
+                assert (x - y).evaluate() == ex - ey
+                assert x.scale(c).evaluate() == ex.scale(c)
+                assert (c * x).evaluate() == (x * c).evaluate() == ex.scale(c)
+                assert (-x).evaluate() == -ex
+                assert x - x == TensorExpression(alg, {}) and (x - x).evaluate().is_zero
+        # a sum whose equal slot tuples merge: x + c (one of x's terms)
+        x = section_deg2(alg.symbol_element(BasisSymbol(2, -1, alg.weyl.omega(1))))
+        (slots, k), *_ = x.coeffs.items()
+        merged = x + t2(alg, [(3, slots)])
+        assert merged.coeffs.keys() == x.coeffs.keys() and merged.coeffs[slots] == (k + 3) % p
+        assert merged.evaluate() == x.evaluate() + t2(alg, [(3, slots)]).evaluate()
+        cancelled = x + t2(alg, [(p - k, slots)])
+        assert slots not in cancelled.coeffs and len(cancelled.coeffs) == len(x.coeffs) - 1
+        assert cancelled.evaluate() == x.evaluate() - t2(alg, [(k, slots)]).evaluate()
+
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_the_tensor_involutions_square_to_the_identity(self, p):
+        alg = algebra(p)
+        for t in expressions(alg):
+            for transform in (tensor_involution, tensor_uniformizer_conj):
+                assert transform(transform(t)) == t, (transform, t)
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_both_involutions_fix_the_symmetric_section_at_the_identity(self, p):
+        alg = algebra(p)
+        t = section_deg3_symmetric(alg.phi(alg.weyl.identity))
+        assert len(t.coeffs) > 1
+        assert tensor_involution(t) == t == tensor_uniformizer_conj(t)
+
+    def test_an_int_summand_and_a_product_of_expressions_are_refused(self, alg5):
+        slot = BasisSymbol(1, 1, alg5.weyl.s0)
+        t = t2(alg5, [(1, (slot, slot))])
+        for call in (lambda: t + 3, lambda: 3 + t, lambda: t - 3, lambda: t * t,
+                     lambda: t + alg5.symbol_element(slot)):
+            with pytest.raises(TypeError):
+                call()
+
+
 class TestSectionRows:
     def test_deg2_rows_from_the_tables(self, alg5):
         W = alg5.weyl
         v = W.element(0, (S0,))
         s1v = W.mul(W.s1, v)
         t = section_deg2(alg5.alpha(1, s1v))
-        assert t.terms == ((1, (BasisSymbol(1, 0, W.s1), BasisSymbol(1, 1, v))),)
+        assert t.coeffs == {(BasisSymbol(1, 0, W.s1), BasisSymbol(1, 1, v)): 1}
 
         s0w = W.element(0, (S0, S1))
         t = section_deg2(alg5.alpha(0, s0w))
         p = alg5.field.p
-        assert t.terms == (
-            (p - 1, (BasisSymbol(1, -1, W.identity), BasisSymbol(1, 1, s0w))),
-        )
+        assert t.coeffs == {(BasisSymbol(1, -1, W.identity), BasisSymbol(1, 1, s0w)): p - 1}
 
     def test_deg3_row_at_the_base(self, alg5):
         W = alg5.weyl
         t = section_deg3(alg5.phi(W.s0))
         p = alg5.field.p
-        assert t.terms == (
+        assert t.coeffs == {
             (
-                p - 1,
-                (
-                    BasisSymbol(1, -1, W.identity),
-                    BasisSymbol(1, 0, W.s0),
-                    BasisSymbol(1, -1, W.identity),
-                ),
-            ),
-        )
+                BasisSymbol(1, -1, W.identity),
+                BasisSymbol(1, 0, W.s0),
+                BasisSymbol(1, -1, W.identity),
+            ): p - 1,
+        }
 
     def test_section_identities_small(self, alg5):
         for sym in alg5.basis_symbols(4, degrees=(2,)):
@@ -253,9 +333,7 @@ class TestSectionRows:
             if sym.support.length == 0:
                 continue
             el = alg5.symbol_element(sym)
-            assert sorted(section_deg3(el).terms) == sorted(
-                section_deg3_symmetric(el).terms
-            )
+            assert section_deg3(el).coeffs == section_deg3_symmetric(el).coeffs
 
     def test_symmetric_section_commutes_with_involutions(self, alg5):
         # identity-support case, where the averaging matters
@@ -342,7 +420,7 @@ class TestTorusSections:
                 new, old = section_deg2(el), expanded_torus_section2(alg, sym)
             else:
                 new, old = section_deg3(el), expanded_torus_section3(alg, sym)
-            assert all(len(slot) == 3 for _, slots in old.terms for slot in slots), sym
+            assert all(len(slot) == 3 for slots in old.coeffs for slot in slots), sym
             assert new.evaluate() == old.evaluate() == el, sym
 
     @pytest.mark.parametrize("p", [13, 31, 101])
@@ -350,7 +428,7 @@ class TestTorusSections:
         alg = ExtAlgebra(p)
         for sym in torus_symbols(alg):
             section = section_deg2 if sym.degree == 2 else section_deg3
-            assert len(section(alg.symbol_element(sym)).terms) <= 4, sym
+            assert len(section(alg.symbol_element(sym)).coeffs) <= 4, sym
 
 
 class TestWrittenRows:
@@ -362,13 +440,13 @@ class TestWrittenRows:
         alg = ExtAlgebra(p, root)
         for t in alg.weyl.torus():
             am, phi = BasisSymbol(2, -1, t), BasisSymbol(3, None, t)
-            assert _section2_symbol(alg, am).terms == section_oracle.section2_torus(alg, am).terms
-            assert _section3_symbol(alg, phi).terms == section_oracle.section3_torus(alg, phi).terms
+            assert _section2_symbol(alg, am).coeffs == section_oracle.section2_torus(alg, am).coeffs
+            assert _section3_symbol(alg, phi).coeffs == section_oracle.section3_torus(alg, phi).coeffs
         # the written s0 members and the s1 members derived by iota, against
         # both sides built through the engine
         (q0, m0, h0), (q1, m1, h1) = (section_oracle.on_side(alg, *side) for side in section_oracle.SIDES)
         built = [q0, q1, m0, m1, h1 + h0]
-        assert [g.terms for g in kernel_generators(alg)[10:]] == [g.terms for g in built]
+        assert [g.coeffs for g in kernel_generators(alg)[10:]] == [g.coeffs for g in built]
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_sections_and_generators_are_built_without_the_engine(self, monkeypatch, p):
@@ -395,36 +473,36 @@ class TestWrittenRows:
 
 class TestSectionMemo:
     def test_torus_section_is_one_object(self, alg7):
-        # the memo keeps the terms, one tuple, and each read wraps it anew
+        # the memo keeps the map, one read-only map, and each read wraps it anew
         sym = BasisSymbol(2, -1, alg7.weyl.omega(3))
         first = _section2_symbol(alg7, sym)
-        assert len(first.terms) > 1
-        assert _section2_symbol(alg7, sym).terms is first.terms
-        assert alg7._section_cache[2, sym] is first.terms
+        assert len(first.coeffs) > 1
+        assert _section2_symbol(alg7, sym).coeffs is first.coeffs
+        assert alg7._section_cache[2, sym] is first.coeffs
 
     def test_section_of_one_symbol_is_its_memo_entry(self, alg7):
-        # a single symbol of coefficient 1 returns the memoized terms, uncopied
+        # a single symbol of coefficient 1 returns the memoized map, uncopied
         W = alg7.weyl
         for sym in (BasisSymbol(2, -1, W.omega(3)), BasisSymbol(2, 0, W.element(2, (S1, S0)))):
-            assert section_deg2(alg7.symbol_element(sym)).terms is _section2_symbol(alg7, sym).terms
+            assert section_deg2(alg7.symbol_element(sym)).coeffs is _section2_symbol(alg7, sym).coeffs
         for sym in (BasisSymbol(3, None, W.omega(3)), BasisSymbol(3, None, W.element(1, (S0,)))):
-            assert section_deg3(alg7.symbol_element(sym)).terms is _section3_symbol(alg7, sym).terms
-        # any other coefficient builds new terms
+            assert section_deg3(alg7.symbol_element(sym)).coeffs is _section3_symbol(alg7, sym).coeffs
+        # any other coefficient builds a new map
         sym = BasisSymbol(2, -1, W.omega(3))
-        assert (section_deg2(alg7.symbol_element(sym).scale(2)).terms
-                is not _section2_symbol(alg7, sym).terms)
+        assert (section_deg2(alg7.symbol_element(sym).scale(2)).coeffs
+                is not _section2_symbol(alg7, sym).coeffs)
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_symmetric_section_is_the_memo_entry_on_positive_length(self, p):
         # both degree-3 sections of a symbol at length >= 1 read its memo entry,
-        # so comparing their terms checks nothing
+        # so comparing their maps checks nothing
         alg = ExtAlgebra(p)
         symbols = [s for s in alg.basis_symbols(4, degrees=(3,)) if s.support.length]
         assert len(symbols) == 8 * (p - 1)
         for sym in symbols:
             el = alg.symbol_element(sym)
-            assert (section_deg3_symmetric(el).terms is section_deg3(el).terms
-                    is _section3_symbol(alg, sym).terms)
+            assert (section_deg3_symmetric(el).coeffs is section_deg3(el).coeffs
+                    is _section3_symbol(alg, sym).coeffs)
 
     def test_each_algebra_has_its_own_memo(self, alg5, alg7):
         # the same key at p=5 and p=7: each algebra builds and keeps its own
@@ -432,11 +510,11 @@ class TestSectionMemo:
         t5, t7 = _section2_symbol(alg5, sym), _section2_symbol(alg7, sym)
         assert t5 is not t7
         assert t5.algebra is alg5 and t7.algebra is alg7
-        assert alg5._section_cache[2, sym] is t5.terms
-        assert alg7._section_cache[2, sym] is t7.terms
+        assert alg5._section_cache[2, sym] is t5.coeffs
+        assert alg7._section_cache[2, sym] is t7.coeffs
 
     def test_a_dropped_algebra_is_freed_without_the_collector(self):
-        # the section memo holds terms, not expressions, which hold their
+        # the section memo holds maps, not expressions, which hold their
         # algebra: no reference cycle runs through an algebra
         enabled = gc.isenabled()
         gc.disable()
@@ -473,14 +551,14 @@ class TestKernelGenerators:
     def test_monomial_generator_example(self, alg5):
         gen = kernel_generators(alg5)[0]
         one = alg5.weyl.identity
-        assert gen.terms == ((1, (BasisSymbol(1, -1, one), BasisSymbol(1, -1, one))),)
+        assert gen.coeffs == {(BasisSymbol(1, -1, one), BasisSymbol(1, -1, one)): 1}
 
     def test_quadratic_generator_shape(self, alg5):
         # the sign-0 square generator has the three idempotent-dressed tails
         gen = candidate_kernel_deg2(alg5)[10]
         assert gen.arity == 2
         assert not gen.evaluate().coeffs
-        leads = {syms for _, syms in gen.terms}
+        leads = set(gen.coeffs)
         W = alg5.weyl
         bz0 = BasisSymbol(1, 0, W.s0)
         assert (bz0, bz0) in leads
