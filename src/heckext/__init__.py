@@ -8,7 +8,6 @@ from .hecke import HeckeAlgebra, HeckeElement
 from .product import cup_summand, duality_pairing, multiply
 from .sections import (
     TensorExpression,
-    candidate_kernel_deg2,
     kernel_generators,
     section_deg2,
     section_deg3,
@@ -37,7 +36,6 @@ __all__ = [
     "section_deg3",
     "section_deg3_symmetric",
     "kernel_generators",
-    "candidate_kernel_deg2",
 ]
 
 __version__ = "0.1.0"

@@ -376,7 +376,7 @@ class ExtAlgebra:
         self._orbit_cache: dict[tuple, tuple[int, int, MappingProxyType]] = {}
         self._symbols: dict[BasisSymbol, BasisSymbol] = {}
         self._char_cache: dict[tuple, MappingProxyType] = {}
-        self._section_cache: dict[tuple[int, BasisSymbol], MappingProxyType] = {}
+        self._section_cache: dict[tuple[int | str, BasisSymbol], MappingProxyType] = {}
 
     def __reduce__(self):  # the memos' read-only maps do not pickle: a copy starts empty
         return ExtAlgebra, (self.field.p, self.field.u0)

@@ -16,27 +16,28 @@ e_m x there is written as the character key of x in the head slot, and
 no row is built by the product engine, so the suites that evaluate the
 sections check them against an engine that did not build them.  Rows
 are stated for s0 and sign -1; the rest is the image under the
-uniformizer conjugation of the section of the conjugate symbol.  The
-symmetric degree-3 section at a torus support pushes its average by the
-right torus shift of the last slot.
+uniformizer conjugation of the section of the conjugate symbol.
 
 The kernel generators are written once, for s0, with the same character
 keys; each s1 member is plus or minus iota of its s0 member, and the kernel
 relators are the generators spelled in the free letters (presentation.py).
 
 The section of one symbol is a pure function of (algebra, symbol), so it
-is memoized in the algebra's section memo, keyed (degree, symbol); its
-values are the maps of the expressions, read-only (MappingProxyType), and
-each read wraps one uncopied in a new expression (_section2_symbol,
-_section3_symbol): an expression holds its algebra, and the memo holds
-none.  Evaluation multiplies the slots
-of each term left to right on symbolic rows, as the product engine does,
-and returns the element of the summed row.
+is derived once, in the algebra's section memo, keyed (degree, symbol),
+which applies iota itself.  The symmetric degree-3 section at a torus
+support, which differs from the degree-3 one there, is keyed ("symmetric",
+symbol): its average is made once, at the identity, and pushed by the right
+torus shift of the last slot.  The memo's values are the maps of the
+expressions, read-only (MappingProxyType), and each read wraps one
+uncopied in a new expression: an expression holds its algebra, and the
+memo holds none.  Evaluation multiplies the slots of each term left to
+right on symbolic rows, as the product engine does, and returns the
+element of the summed row.
 """
 
 from __future__ import annotations
 
-from functools import cache, wraps
+from functools import wraps
 from types import MappingProxyType
 
 from .coeff import Combination, add_into, check_coefficient
@@ -50,8 +51,8 @@ __all__ = [
     "section_deg2",
     "section_deg3",
     "section_deg3_symmetric",
+    "tensor_act",
     "kernel_generators",
-    "candidate_kernel_deg2",
 ]
 
 
@@ -167,20 +168,28 @@ def tensor_uniformizer_conj(t: TensorExpression) -> TensorExpression:
     return _map_slots(t, t.algebra._uniformizer_conj)
 
 
-def _memoized(degree: int):
-    """Read the section of one symbol from the algebra's section memo, and
-    build it with the decorated function on a miss.  The memo keeps the
-    section's map, read-only, and each read wraps it uncopied in a new
-    expression: an expression holds its algebra, so an algebra whose memo
-    held one would stay alive until the collector's next full pass."""
+def _memoized(tag):
+    """Read the section of one symbol from the algebra's section memo, keyed
+    (tag, symbol), and on a miss derive it: iota (which swaps s0 and s1, and
+    the signs at a torus support) of the section of iota(sym) when the word
+    starts with s1 or the support is a torus element of sign +, else the
+    decorated function's row.  Each read wraps the memo's read-only map
+    uncopied in a new expression: a memo of expressions, which hold their
+    algebra, would keep it alive until the collector's next full pass."""
 
     def decorate(build):
         @wraps(build)
         def section(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
-            key = (degree, sym)
+            key = (tag, sym)
             coeffs = alg._section_cache.get(key)
             if coeffs is None:
-                coeffs = alg._section_cache[key] = MappingProxyType(build(alg, sym).coeffs)
+                word = sym.support.word
+                if word[:1] == (S1,) or (not word and sym.sign == 1):
+                    unit, image = alg._symbol_uniformizer_conj(sym)
+                    built = _map_slots(section(alg, image), alg._uniformizer_conj, unit)
+                else:
+                    built = build(alg, sym)
+                coeffs = alg._section_cache[key] = MappingProxyType(built.coeffs)
             return TensorExpression(alg, coeffs)
 
         return section
@@ -195,11 +204,6 @@ def _memoized(degree: int):
 def _section2_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     W = alg.weyl
     w = sym.support
-    if w.word[:1] == (S1,) or (not w.word and sym.sign == 1):
-        # the uniformizer conjugation iota swaps s0 and s1 (and the signs at a
-        # torus support): the section of sym is iota of the section of iota(sym)
-        unit, image = alg._symbol_uniformizer_conj(sym)
-        return _map_slots(_section2_symbol(alg, image), alg._uniformizer_conj, unit)
     b = lambda sign, supp: BasisSymbol(1, sign, supp)
     if w.length >= 1:
         if sym.sign == -1:
@@ -251,10 +255,6 @@ def section_deg2(x: GradedElement) -> TensorExpression:
 def _section3_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
     W = alg.weyl
     w = sym.support
-    if w.word[:1] == (S1,):
-        # iota of the section of iota(sym), as in degree 2
-        unit, image = alg._symbol_uniformizer_conj(sym)
-        return _map_slots(_section3_symbol(alg, image), alg._uniformizer_conj, unit)
     b = lambda sign, supp: BasisSymbol(1, sign, supp)
     if w.length >= 1:
         row = (b(-1, W.identity), b(0, W.s0), b(-1, W.mul(W.inv(W.s0), w)))
@@ -271,6 +271,22 @@ def section_deg3(x: GradedElement) -> TensorExpression:
     return _sum_of_sections("section_deg3", 3, x, _section3_symbol)
 
 
+@_memoized("symmetric")
+def _symmetric_torus_symbol(alg: ExtAlgebra, sym: BasisSymbol) -> TensorExpression:
+    w = sym.support
+    if not w.exp:  # the 1/4-average of the four conjugates of the section
+        base = _section3_symbol(alg, sym)
+        jbase = tensor_involution(base)
+        total = base + tensor_uniformizer_conj(base) + jbase + tensor_uniformizer_conj(jbase)
+        return total.scale(alg.field.inv(4))
+    # tau_w on the last slot: lengths add, so one key goes to one key (_adds_right)
+    average = _symmetric_torus_symbol(alg, BasisSymbol(3, None, alg.weyl.identity))
+    tau_w = {BasisSymbol(0, None, w): 1}
+    return TensorExpression.from_terms(alg, 3, [
+        (c * cz, syms[:-1] + (z,)) for syms, c in average.coeffs.items()
+        for z, cz in _multiply(alg, {syms[-1]: 1}, tau_w).items()])
+
+
 def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
     """The section averaged with its conjugates under both involutions.
 
@@ -279,36 +295,11 @@ def section_deg3_symmetric(x: GradedElement) -> TensorExpression:
     section at the identity, pushed over by the right torus action.  It
     commutes with both involutions.
     """
-
-    @cache
-    def average(alg):
-        """The 1/4-average, made once a call when a torus term first needs it."""
-        base = _section3_symbol(alg, BasisSymbol(3, None, alg.weyl.identity))
-        jbase = tensor_involution(base)
-        total = base + tensor_uniformizer_conj(base) + jbase + tensor_uniformizer_conj(jbase)
-        return total.scale(alg.field.inv(4))
-
-    def section(alg, sym):
-        w = sym.support
-        if w.length >= 1:
-            return _section3_symbol(alg, sym)
-        # the right action of tau_w, w = omega^e, on the last slot: lengths
-        # add, so one key goes to one key (the closed form _adds_right)
-        tau_w = {BasisSymbol(0, None, w): 1}
-        return TensorExpression.from_terms(alg, 3, [
-            (c * cz, syms[:-1] + (z,)) for syms, c in average(alg).coeffs.items()
-            for z, cz in _multiply(alg, {syms[-1]: 1}, tau_w).items()])
-
-    return _sum_of_sections("section_deg3_symmetric", 3, x, section)
+    return _sum_of_sections("section_deg3_symmetric", 3, x, lambda alg, sym: (
+        _section3_symbol if sym.support.length else _symmetric_torus_symbol)(alg, sym))
 
 
 # --- kernel generators ---
-
-
-def candidate_kernel_deg2(alg: ExtAlgebra) -> list[TensorExpression]:
-    """The fourteen degree-2 kernel generators (ten monomial pairs, two
-    quadratic combinations, two mixed relations)."""
-    return kernel_generators(alg)[:14]
 
 
 def kernel_generators(alg: ExtAlgebra) -> list[TensorExpression]:

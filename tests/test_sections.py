@@ -15,7 +15,6 @@ from heckext.sections import (
     TensorExpression,
     _section2_symbol,
     _section3_symbol,
-    candidate_kernel_deg2,
     kernel_generators,
     section_deg2,
     section_deg3,
@@ -504,6 +503,26 @@ class TestSectionMemo:
             assert (section_deg3_symmetric(el).coeffs is section_deg3(el).coeffs
                     is _section3_symbol(alg, sym).coeffs)
 
+    @pytest.mark.parametrize("p", [5, 31])
+    def test_symmetric_torus_section_is_built_once_and_is_its_own_entry(self, monkeypatch, p):
+        # the 1/4-average is made once an algebra, whichever torus support
+        # asks first; each torus entry is keyed apart from the degree-3 one
+        calls = []
+        involution = sections.tensor_involution
+        monkeypatch.setattr(sections, "tensor_involution", lambda t: calls.append(t) or involution(t))
+        alg = ExtAlgebra(p)
+        W = alg.weyl
+        for e in (*range(1, W.n), 0):
+            section_deg3_symmetric(alg.phi(W.omega(e)))
+        assert len(calls) == 1
+        for e in range(W.n):
+            sym = BasisSymbol(3, None, W.omega(e))
+            el = alg.symbol_element(sym)
+            read = section_deg3_symmetric(el).coeffs
+            assert read is section_deg3_symmetric(el).coeffs is alg._section_cache["symmetric", sym]
+            assert read is not section_deg3(el).coeffs and read != section_deg3(el).coeffs
+        assert len(calls) == 1
+
     def test_each_algebra_has_its_own_memo(self, alg5, alg7):
         # the same key at p=5 and p=7: each algebra builds and keeps its own
         sym = BasisSymbol(2, 1, alg5.weyl.omega(1))
@@ -539,13 +558,10 @@ class TestSectionMemo:
 class TestKernelGenerators:
     def test_counts(self, alg5):
         assert len(kernel_generators(alg5)) == 15
-        assert len(candidate_kernel_deg2(alg5)) == 14
 
     def test_all_evaluate_to_zero(self, alg5, alg7):
         for alg in (alg5, alg7):
             for gen in kernel_generators(alg):
-                assert gen.evaluate().is_zero
-            for gen in candidate_kernel_deg2(alg):
                 assert gen.evaluate().is_zero
 
     def test_monomial_generator_example(self, alg5):
@@ -555,7 +571,7 @@ class TestKernelGenerators:
 
     def test_quadratic_generator_shape(self, alg5):
         # the sign-0 square generator has the three idempotent-dressed tails
-        gen = candidate_kernel_deg2(alg5)[10]
+        gen = kernel_generators(alg5)[10]
         assert gen.arity == 2
         assert not gen.evaluate().coeffs
         leads = set(gen.coeffs)

@@ -208,6 +208,18 @@ def test_the_e0_suite_passes_under_every_primitive_root(p, root):
     assert results and all(r.ok for r in results), [r for r in results if not r.ok]
 
 
+@pytest.mark.parametrize("p, root", [
+    (p, g) for p in (5, 7, 11, 13) for g in range(2, p)
+    if len({pow(g, k, p) for k in range(p - 1)}) == p - 1])
+def test_every_suite_passes_under_every_primitive_root(p, root):
+    """verify all at L=3: the character keys, the torus formulas and the
+    idempotents read u0, and a formula that read the smallest root in its
+    place would pass at the smallest root."""
+    report = verify.run(ExtAlgebra(p, root), "all", max_length=3)
+    failed = [r for results in report.values() for r in results if not r.ok]
+    assert len(report) == len(verify.SUITE_NAMES) and not failed, failed
+
+
 
 # --- the restated checks against their direct forms ---
 #
