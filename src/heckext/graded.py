@@ -65,31 +65,30 @@ its embedding, _operand(embed(h)), an orbit c e_m tau_u as a character
 key, so both actions are products: one pair memo lookup per pair of terms.
 
 Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
-BasisSymbol the tuple (degree, sign, support), so the keys of every
-coefficient dict and memo hash and compare in C.  Each ExtAlgebra keeps
-memos of pure functions of their keys: the pair memo (products of two
-basis symbols, in product.py), the letter memo (the table row of one
+BasisSymbol the tuple (degree, sign, support), plain values whose keys
+hash and compare in C.  Each ExtAlgebra keeps six memos of pure functions
+of their keys: the pair memo (products of two basis symbols, in
+product.py), the orbit memo (below), the letter memo (the table row of one
 simple reflection on one symbol, keyed (letter, symbol); only the chains
-read it), the J table (J on one symbol, as a (coeff, symbol) pair) and the
-expansion memo (a character key to its p - 1 plain terms, also read by
-the compression to check a candidate key).  The values of the pair and
-letter memos are symbolic rows.  Beside the pair memo, an orbit memo
-keeps one entry per torus orbit of pairs whose words meet, the misses
-that recurse, from which the other misses of the orbit are derived by
-product.py's pair law; a closed-form miss is computed and leaves the
-orbit memo alone.  Memo values are read-only (MappingProxyType or tuples)
-and handed out without a copy; every zero product is one empty map.  A
-pickled or copied algebra starts with empty memos.
+read it), the J table (J on one symbol, a (coeff, symbol) pair), the
+expansion memo (a character key to its p - 1 plain terms, also read by the
+compression to check a candidate key) and the section memo (sections.py).
+The pair and letter memos hold symbolic rows.  The orbit memo keeps one
+entry per torus orbit of pairs whose words meet, the misses that recurse,
+from which the other misses of the orbit are derived by product.py's pair
+law; a closed-form miss is computed and leaves the orbit memo alone.  Memo
+values are read-only (MappingProxyType or tuples) and handed out without a
+copy; every zero product is one empty map.  A pickled or copied algebra
+starts with empty memos.
 
 Shift kernels.  _shift_left (the left torus action, with a scalar) moves
 a row along its torus orbit; the kernel _act_left, the closed form
 _adds_left and the pair-orbit derivation go through it.  The right torus
 shift of a plain symbol carries no scalar and is the closed form
 _adds_right at a torus element; a character key shifts by the pair
-product (product.py).  Both, and _adds_left, intern their images in one
-table per algebra, so the symbols of closed-form and derived entries are
-shared, and _shift_left reads u0^e from the power table of the field
-(PrimeField.root_powers: memoized per (p, u0), built on first use).
+product (product.py).  Each returns the image it builds, and _shift_left
+reads u0^e from the power table of the field (PrimeField.root_powers:
+memoized per (p, u0), built on first use).
 """
 
 from __future__ import annotations
@@ -374,7 +373,6 @@ class ExtAlgebra:
         self._pair_cache: dict[tuple[BasisSymbol, BasisSymbol], MappingProxyType] = {}
         self._j_cache: dict[BasisSymbol, tuple[int, BasisSymbol]] = {}
         self._orbit_cache: dict[tuple, tuple[int, int, MappingProxyType]] = {}
-        self._symbols: dict[BasisSymbol, BasisSymbol] = {}
         self._char_cache: dict[tuple, MappingProxyType] = {}
         self._section_cache: dict[tuple[int | str, BasisSymbol], MappingProxyType] = {}
 
@@ -475,13 +473,12 @@ class ExtAlgebra:
     def _shift_left(self, coeffs, a: int, scale: int = 1) -> dict:
         """scale * T_a(coeffs), T_a the left torus action of omega^a: a support
         w becomes omega^a w, and a symbol of torus weight k gains u0^(k a); a
-        character key e_m s0 stays, with the scalar u0^(m a).  Images are
-        interned; no two terms collide or cancel."""
+        character key e_m s0 stays, with the scalar u0^(m a).  No two terms
+        collide or cancel."""
         p, n = self.field.p, self.weyl.n
         powers = self.field.root_powers()
         # the weight is 2 on bp and am, -2 on bm and ap, 0 elsewhere
         up, down = scale * powers[2 * a % n] % p, scale * powers[-2 * a % n] % p
-        intern = self._symbols.setdefault
         out: dict = {}
         for key, c in coeffs.items():
             if len(key) == 4:
@@ -490,7 +487,7 @@ class ExtAlgebra:
             d, sign, (exp, word) = key
             image = _shifted((d, sign, _weyl(((exp + a) % n, word))))
             unit = (up if (sign > 0) == (d == 1) else down) if sign else scale
-            out[intern(image, image)] = c * unit % p
+            out[image] = c * unit % p
         return out
 
     def _char_expansion(self, key: tuple) -> MappingProxyType:
@@ -668,7 +665,7 @@ class ExtAlgebra:
         of sym: one symbol at u w or zero, the rules of _ADDS_RULES applied
         from the right, then the torus prefix of u.  The rules of a nonempty
         word are one closed form (_ADDS_LEFT), keyed by the last letter of u
-        and l(u) mod 2.  The image is interned."""
+        and l(u) mod 2."""
         d, sign, (f, w) = sym
         exp, word = u
         if word:
@@ -681,7 +678,7 @@ class ExtAlgebra:
         image = _shifted((d, sign, _weyl(((-f if len(word) % 2 else f) % self.weyl.n, word + w))))
         if exp:
             return self._shift_left({image: c}, exp)
-        return {self._symbols.setdefault(image, image): c % self.field.p}
+        return {image: c % self.field.p}
 
     def act_right(self, x: GradedElement, h: HeckeElement) -> GradedElement:
         return GradedElement(self, _multiply(self, self._operand(x), self._operand(self.embed(h))))
@@ -706,8 +703,7 @@ class ExtAlgebra:
         of sym: one symbol at w v or zero, the rules of _RIGHT_RULES applied
         from the left.  The rules of a nonempty u, v = omega^e u, are one
         closed form (_ADDS_RIGHT), keyed by the first letter of u, l(u) mod 2
-        and l(w) mod 2.  The torus part carries no scalar; the image is
-        interned."""
+        and l(w) mod 2.  The torus part carries no scalar."""
         d, sign, (f, w) = sym
         exp, word = v
         odd, c = len(w) % 2, 1
@@ -719,7 +715,7 @@ class ExtAlgebra:
         # the words join without a cancellation; omega^e crosses the word of w
         f = (f - exp if odd else f + exp) % self.weyl.n
         image = _shifted((d, sign, _weyl((f, w + word))))
-        return {self._symbols.setdefault(image, image): c % self.field.p}
+        return {image: c % self.field.p}
 
     # --- involutions ---
 

@@ -44,7 +44,7 @@ from .coeff import Combination, add_into, check_coefficient
 from .graded import BasisSymbol, ExtAlgebra, GradedElement
 from .hecke import HeckeElement
 from .product import _graded_algebra, _multiply
-from .weyl import S0, S1
+from .weyl import S0, S1, _weyl
 
 __all__ = [
     "TensorExpression",
@@ -74,16 +74,16 @@ class TensorExpression(Combination):
     @classmethod
     def from_terms(cls, alg: ExtAlgebra, arity: int, terms) -> "TensorExpression":
         """The sum of the terms (c, slots), refusing a coefficient that is not
-        an int, a slot tuple of another arity and a slot not of degree 1."""
+        an int, a slot tuple of another arity and a slot that is not one of
+        alg (_check_slot)."""
         coeffs: dict = {}
         for c, syms in terms:
             check_coefficient(c)
             syms = tuple(syms)
             if len(syms) != arity:
                 raise ValueError("mixed arities in tensor expression")
-            # a symbol is (degree, sign, support), a character key (m, degree, sign, word)
-            if any((s[0] if len(s) == 3 else s[1]) != 1 for s in syms):
-                raise ValueError("tensor slots must be degree-1 symbols or character keys")
+            for s in syms:
+                _check_slot(alg, s)
             coeffs[syms] = coeffs.get(syms, 0) + c
         return cls.make(alg, coeffs)
 
@@ -121,6 +121,20 @@ class TensorExpression(Combination):
         base = self.algebra._base
         slot = lambda s: repr(s) if len(s) == 3 else f"e({s[0]})*{base(s)!r}"
         return " + ".join(f"{c}*({' @ '.join(map(slot, syms))})" for syms, c in self.coeffs.items())
+
+
+def _check_slot(alg: ExtAlgebra, s) -> None:
+    """Refuse s unless it is a degree-1 symbol of alg (ExtAlgebra._check_symbol)
+    or a degree-1 character key (m, 1, sign, word) whose index is an int in
+    [0, p - 1) and whose symbol at torus exponent 0 is one of alg."""
+    if type(s) is tuple and len(s) == 4:
+        m, d, sign, word = s
+        if type(m) is not int or not 0 <= m < alg.weyl.n:
+            raise ValueError(f"the index of the slot {s!r} is not an int in [0, {alg.weyl.n})")
+        s = BasisSymbol(d, sign, _weyl((0, word)))
+    alg._check_symbol(s)
+    if s[0] != 1:
+        raise ValueError(f"tensor slots must be degree-1 symbols or character keys, got {s!r}")
 
 
 def tensor_act(h: HeckeElement, t: TensorExpression, side: str) -> TensorExpression:

@@ -4,10 +4,10 @@ Elements are written uniquely as (a power of the fixed torus generator)
 times an alternating word in the two simple reflections s0, s1.  The
 reflections satisfy s0^2 = s1^2 = c, where c is the central torus element
 of exponent (p-1)/2, and conjugating the torus generator by a reflection
-inverts it.  Multiplication reduces words with a worklist of adjacent
-equal-letter cancellations, each emitting one central c; every
-cancellation strictly shortens the word, so reduction terminates and the
-normal form is unique.
+inverts it.  Multiplication counts, in one loop, the k cancellations
+where the two words meet (the last letter of the left word equal to the
+first of the right, and so on inward), drops those 2k letters and emits
+one central c per cancellation; the rest joins into one alternating word.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from heckext.sections import (
     tensor_involution,
     tensor_uniformizer_conj,
 )
-from heckext.weyl import S0, S1
+from heckext.weyl import S0, S1, WeylElement
 
 
 def t2(alg, terms):
@@ -157,6 +157,23 @@ class TestTensorExpression:
         zero = x - x
         assert (zero.arity, x.arity, y.arity) == (0, 2, 3)
         assert zero + y == y + zero == y and zero + x == x
+
+    @pytest.mark.parametrize("slot, message", [
+        # a support of p=13, which symbol_element refuses at p=5
+        (BasisSymbol(1, -1, WeylElement(None, 7)), "outside"),
+        # b0 at a torus element, which BasisSymbol refuses
+        ((0, 1, 0, ()), "sign-0"),
+        ((0, 1, -1, (S0, S0)), "not alternating"),
+        # e(9) is e(1) at p=5, so e(9) bm + 4 e(1) bm would be a nonzero
+        # expression that evaluates to 0
+        ((9, 1, -1, ()), "not an int in"),
+    ], ids=["support-of-p13", "b0-at-a-torus-element", "word-not-alternating", "index-out-of-range"])
+    def test_a_slot_that_is_not_one_of_the_algebra_is_refused(self, alg5, slot, message):
+        bz0 = BasisSymbol(1, 0, alg5.weyl.s0)
+        with pytest.raises(ValueError, match=message):
+            t2(alg5, [(1, (slot, bz0))])
+        with pytest.raises(ValueError, match=message):
+            t2(alg5, [(1, (bz0, slot))])
 
     def test_an_expression_is_compared_as_a_map_and_a_memo_read_is_read_only(self, alg5):
         W = alg5.weyl
@@ -466,7 +483,7 @@ class TestWrittenRows:
         assert len(kernel_generators(alg)) == 15
         memos = {name: table for name, table in vars(alg).items()
                  if isinstance(table, dict) and name != "_section_cache"}
-        assert len(memos) == 6 and alg._section_cache
+        assert len(memos) == 5 and alg._section_cache
         assert {name: len(table) for name, table in memos.items()} == dict.fromkeys(memos, 0)
 
 
