@@ -66,24 +66,22 @@ key, so both actions are products: one pair memo lookup per pair of terms.
 
 Keys and memos.  A WeylElement is the flat tuple (exp, word) and a
 BasisSymbol the tuple (degree, sign, support), plain values whose keys
-hash and compare in C.  Each ExtAlgebra keeps six memos of pure functions
+hash and compare in C.  Each ExtAlgebra keeps five memos of pure functions
 of their keys: the pair memo (products of two basis symbols, in
-product.py), the orbit memo (below), the letter memo (the table row of one
-simple reflection on one symbol, keyed (letter, symbol); only the chains
-read it), the J table (J on one symbol, a (coeff, symbol) pair), the
-expansion memo (a character key to its p - 1 plain terms, also read by the
+product.py, a twisted pair whose words meet derived from its pair at
+torus exponent 0), the letter memo (the table row of one simple
+reflection on one symbol, keyed (letter, symbol); only the chains read
+it), the J table (J on one symbol, a (coeff, symbol) pair), the expansion
+memo (a character key to its p - 1 plain terms, also read by the
 compression to check a candidate key) and the section memo (sections.py).
-The pair and letter memos hold symbolic rows.  The orbit memo keeps one
-entry per torus orbit of pairs whose words meet, the misses that recurse,
-from which the other misses of the orbit are derived by product.py's pair
-law; a closed-form miss is computed and leaves the orbit memo alone.  Memo
-values are read-only (MappingProxyType or tuples) and handed out without a
-copy; every zero product is one empty map.  A pickled or copied algebra
-starts with empty memos.
+The pair and letter memos hold symbolic rows.  Memo values are read-only
+(MappingProxyType or tuples) and handed out without a copy; every zero
+product is one empty map.  A pickled or copied algebra starts with empty
+memos.
 
 Shift kernels.  _shift_left (the left torus action, with a scalar) moves
 a row along its torus orbit; the kernel _act_left, the closed form
-_adds_left and the pair-orbit derivation go through it.  The right torus
+_adds_left and the pair law of product.py go through it.  The right torus
 shift of a plain symbol carries no scalar and is the closed form
 _adds_right at a torus element; a character key shifts by the pair
 product (product.py).  Each returns the image it builds, and _shift_left
@@ -126,16 +124,17 @@ class BasisSymbol(tuple):
     __slots__ = ()
 
     def __new__(cls, degree: int, sign: int | None, support: WeylElement):
-        if degree not in (0, 1, 2, 3):
-            raise ValueError(f"degree must be 0..3, got {degree}")
+        # a bool or a float is not an int
+        if type(degree) is not int or degree not in (0, 1, 2, 3):
+            raise ValueError(f"degree must be 0..3, got {degree!r}")
         if not isinstance(support, WeylElement):
             raise ValueError(f"the support must be a WeylElement, got {support!r}")
         if degree in (0, 3):
             if sign is not None:
                 raise ValueError("degree 0/3 symbols carry no sign")
         else:
-            if sign not in (-1, 0, 1):
-                raise ValueError(f"sign must be -, 0 or +, got {sign}")
+            if type(sign) is not int or sign not in (-1, 0, 1):
+                raise ValueError(f"sign must be -, 0 or +, got {sign!r}")
             if sign == 0 and not support.word:
                 raise ValueError("sign-0 symbols require support of length >= 1")
         return tuple.__new__(cls, (degree, sign, support))
@@ -372,7 +371,6 @@ class ExtAlgebra:
         self._letter_cache: dict[tuple[int, BasisSymbol], MappingProxyType] = {}
         self._pair_cache: dict[tuple[BasisSymbol, BasisSymbol], MappingProxyType] = {}
         self._j_cache: dict[BasisSymbol, tuple[int, BasisSymbol]] = {}
-        self._orbit_cache: dict[tuple, tuple[int, int, MappingProxyType]] = {}
         self._char_cache: dict[tuple, MappingProxyType] = {}
         self._section_cache: dict[tuple[int | str, BasisSymbol], MappingProxyType] = {}
 

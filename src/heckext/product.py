@@ -40,12 +40,11 @@ works on rows.  The public multiply reads each operand's row, compressed
 when it is plain (a whole torus orbit that is one character becomes its
 character key, so e_m * x is one pair, not p - 1), and returns the element
 of the product row, expanded on the first read of its coeffs (graded.py).
-A miss that is a closed form, total degree >= 4 or words that do not
-meet (zero, one lookup per factor, or a good pair's cup), is computed and
-stored.  A miss whose words meet is derived from the first computed pair
-of its torus orbit when there is one (the orbit memo), and otherwise
-computed and registered as that orbit's representative.  With k the torus
-weight and a0, b0 the symbols at torus exponent 0,
+A miss whose words meet, of total degree <= 3 and with a torus exponent
+on either factor, is derived from the pair a0.b0 of its symbols at torus
+exponent 0, read through the pair memo, so a value never depends on the
+requests before it.  Every other miss, a closed form or a meeting pair at
+exponent 0, is computed and stored.  With k the torus weight,
 
   a.b = u0^-t T_e(a0.b0),  e = ea + (-1)^|wa| eb,  t = k(a) e + k(b) eb,
 
@@ -61,7 +60,7 @@ from types import MappingProxyType
 
 from .coeff import add_into, check_parameters
 from .graded import BasisSymbol, ExtAlgebra, GradedElement, _shifted, _weight
-from .weyl import S0, S1
+from .weyl import S0, S1, _weyl
 
 __all__ = ["multiply", "cup_summand", "duality_pairing"]
 
@@ -151,7 +150,7 @@ def _character_pair(alg: ExtAlgebra, total: dict, a, b, scale: int) -> None:
     alg._project(total, m, _pair(alg, a, b), scale)
 
 
-# the one memo value of every zero product, closed-form, derived or a representative
+# the one memo value of every zero product, computed or derived
 _EMPTY = MappingProxyType({})
 
 
@@ -161,26 +160,15 @@ def _pair(alg: ExtAlgebra, a: BasisSymbol, b: BasisSymbol) -> MappingProxyType:
     if cached is not None:
         return cached
     (da, sa, (ea, wa)), (db, sb, (eb, wb)) = a, b
-    if da + db >= 4 or not (wa and wb and wa[-1] == wb[0]):
-        # a closed form: zero, one lookup per factor, or a good pair's cup
-        row = _pair_uncached(alg, a, b)
-        out = alg._pair_cache[key] = MappingProxyType(row) if row else _EMPTY
-        return out
-    # a.b = u0^-t T_e(a0.b0), a0 and b0 the symbols at torus exponent 0
-    e = (ea - eb if len(wa) % 2 else ea + eb) % alg.weyl.n
-    t = _weight(da, sa) * e + _weight(db, sb) * eb
-    orbit = (da, sa, wa, db, sb, wb)
-    rep = alg._orbit_cache.get(orbit)
-    if rep is None:
-        row = _pair_uncached(alg, a, b)
-        out = MappingProxyType(row) if row else _EMPTY
-        alg._orbit_cache[orbit] = (e, t, out)
+    if (ea or eb) and da + db < 4 and wa and wb and wa[-1] == wb[0]:
+        # a.b = u0^-t T_e(a0.b0), a0 and b0 the symbols at torus exponent 0
+        e = (ea - eb if len(wa) % 2 else ea + eb) % alg.weyl.n
+        t = _weight(da, sa) * e + _weight(db, sb) * eb
+        zero = _pair(alg, _shifted((da, sa, _weyl((0, wa)))), _shifted((db, sb, _weyl((0, wb)))))
+        row = alg._shift_left(zero, e, alg.field.root_powers()[-t % alg.weyl.n])
     else:
-        e0, t0, rep_out = rep
-        scale = alg.field.root_powers()[(t0 - t) % alg.weyl.n]
-        row = alg._shift_left(rep_out, e - e0, scale)
-        out = MappingProxyType(row) if row else _EMPTY
-    alg._pair_cache[key] = out
+        row = _pair_uncached(alg, a, b)
+    out = alg._pair_cache[key] = MappingProxyType(row) if row else _EMPTY
     return out
 
 

@@ -132,7 +132,9 @@ class WeylGroup:
             raise ValueError(f"the torus exponent {w[0]} of {w!r} is outside [0, {self.n})")
 
     def simple(self, i: int) -> WeylElement:
-        return self.s0 if i == S0 else self.s1
+        if type(i) is not int or i not in (S0, S1):
+            raise ValueError(f"a simple reflection is S0 or S1, got {i!r}")
+        return self.s1 if i else self.s0
 
     # --- group operations ---
 

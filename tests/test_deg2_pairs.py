@@ -113,36 +113,41 @@ def _route(zero=lambda q, sign: q.sign == sign,
     return route
 
 
-# the checks of verify all at p=5, L=2, 200 samples that fail under each
-# mutant of route (4), each with its first counterexample
+# the checks of verify all at p=5, 200 samples and the row's support length
+# bound L that fail under each mutant of route (4), each with its first
+# counterexample.  "x on the right" passes at L=2: it changes 192 of the
+# 15,088 products there, and its 180 wrong twisted products are the pair-law
+# images of its 12 wrong products at exponent 0, so no sampled identity at
+# L=2 tells them apart; at L=3 a triple does (and at p=7, or 1,000 samples)
 ROUTE4_MUTANTS = [
-    ("coefficient dropped", _route(outer=lambda alg, c, x, yg: _multiply(alg, {x: 1}, yg)), {
+    ("coefficient dropped", _route(outer=lambda alg, c, x, yg: _multiply(alg, {x: 1}, yg)), 2, {
         "assoc_total_le3_195_triples": "triple [a0(w(1; s0)), tau(w(3; s0 s1)), bp(w(1; s1 s0))]",
         "uniformizer_conj_multiplicative_125": "(b0(w(3; s1)), a0(w(1; s1 s0)))",
     }),
-    ("x on the right", _route(outer=lambda alg, c, x, yg: _multiply(alg, yg, {x: c})), {
-        "assoc_total_le3_165_triples": "triple [bm(w(2; s1)), b0(w(2; s1 s0)), b0(w(1; s0))]",
+    ("x on the right", _route(outer=lambda alg, c, x, yg: _multiply(alg, yg, {x: c})), 3, {
+        "assoc_total_le3_191_triples": "triple [ap(w(1; s0 s1)), tau(w(1; s0)), b0(w(3; s0))]",
     }),
-    ("sign 0 in the zero class", _route(zero=lambda q, sign: q.sign in (0, sign)), {
+    ("sign 0 in the zero class", _route(zero=lambda q, sign: q.sign in (0, sign)), 2, {
         "assoc_total_le3_195_triples": "triple [a0(w(1; s0)), tau(w(3; s0 s1)), bp(w(1; s1 s0))]",
     }),
 ]
 
 
-def _failed(alg: ExtAlgebra) -> dict:
-    results = verify.run(alg, max_length=2, samples=200)
+def _failed(alg: ExtAlgebra, max_length: int = 2) -> dict:
+    results = verify.run(alg, max_length=max_length, samples=200)
     return {r.name: r.counterexample for suite in results.values() for r in suite if not r.ok}
 
 
 def test_the_unmutated_route_passes_verify_all(monkeypatch):
     monkeypatch.setattr(product, "_deg2_times_generator", _route())
-    assert _failed(ExtAlgebra(5)) == {}
+    for max_length in (2, 3):
+        assert _failed(ExtAlgebra(5), max_length) == {}, max_length
 
 
-@pytest.mark.parametrize("name, route, fails", ROUTE4_MUTANTS, ids=[m[0] for m in ROUTE4_MUTANTS])
-def test_a_route4_mutant_fails_verify_all(monkeypatch, name, route, fails):
+@pytest.mark.parametrize("name, route, max_length, fails", ROUTE4_MUTANTS, ids=[m[0] for m in ROUTE4_MUTANTS])
+def test_a_route4_mutant_fails_verify_all(monkeypatch, name, route, max_length, fails):
     monkeypatch.setattr(product, "_deg2_times_generator", route)
-    assert _failed(ExtAlgebra(5)) == fails
+    assert _failed(ExtAlgebra(5), max_length) == fails
 
 
 def test_without_the_zero_class_the_section_rows_recurse(monkeypatch):

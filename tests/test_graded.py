@@ -47,6 +47,17 @@ class TestSymbols:
         with pytest.raises(ValueError):
             BasisSymbol(1, None, alg5.weyl.s0)
 
+    @pytest.mark.parametrize("degree, sign, refused", [
+        (True, 1, "degree"), (2.0, 1, "degree"), (0.0, None, "degree"),
+        (1, True, "sign"), (1, 1.0, "sign"), (2, False, "sign"),
+    ])
+    def test_a_degree_or_sign_that_is_not_an_int_is_refused(self, alg5, degree, sign, refused):
+        """BasisSymbol(True, 1, w) and BasisSymbol(1, True, w) both built
+        bp(w), and 2.0 passed as a degree: a bool or float equals an int."""
+        value = degree if refused == "degree" else sign
+        with pytest.raises(ValueError, match=re.escape(f"{refused} must be") + ".*" + re.escape(f"got {value!r}")):
+            BasisSymbol(degree, sign, alg5.weyl.s0)
+
     def test_support_must_be_a_weyl_element(self, alg5):
         # (0, (0, 0)) is no normal form: it once built tau(w(0; s0 s0))
         with pytest.raises(ValueError, match="WeylElement"):

@@ -10,7 +10,7 @@ from heckext import ExtAlgebra, product, verify
 from heckext.graded import BasisSymbol
 from heckext.product import _pair, cup_summand, duality_pairing, multiply
 from heckext.sections import section_deg2
-from heckext.weyl import S0, S1
+from heckext.weyl import S0, S1, WeylElement
 
 from conftest import algebra
 from test_graded import rand_hecke, rand_symbol, rand_weyl
@@ -351,40 +351,71 @@ class TestTorusCupIndependentRoute:
                     assert multiply(x, y) == route2, (e, sx, sy)
 
 
-class TestOrbitMemoSelection:
+def _twisted_meeting(a, b) -> bool:
+    """Whether a.b is a meeting pair of total degree <= 3 with a torus
+    exponent on either factor: the pairs _pair derives from their pair at
+    exponent 0."""
+    (da, _, (ea, wa)), (db, _, (eb, wb)) = a, b
+    return bool((ea or eb) and da + db < 4 and wa and wb and wa[-1] == wb[0])
+
+
+def _at_exponent_0(a, b) -> tuple:
+    return tuple(BasisSymbol(d, sign, WeylElement(None, 0, w.word)) for d, sign, w in (a, b))
+
+
+class TestPairMemoSelection:
     """A pair miss that is a closed form (total degree >= 4, or words that do
-    not meet) is computed and leaves the orbit memo alone; a meeting pair is
-    derived from its orbit's representative, or registered as one."""
+    not meet) is computed and stored alone; a meeting pair with a torus
+    exponent is derived from its pair at exponent 0, read through the pair
+    memo."""
 
     @pytest.mark.parametrize("a, b", [
         ((1, 1, (0, (S0,))), (1, -1, (0, (S1,)))),      # a good pair
         ((2, 0, (0, (S0,))), (2, -1, (0, (S0,)))),      # a zero pair, total degree 4
         ((0, None, (2, (S1,))), (1, -1, (0, (S0,)))),   # degree 0, words that do not meet
     ])
-    def test_a_closed_form_miss_leaves_the_orbit_memo_unchanged(self, a, b):
+    def test_a_closed_form_miss_stores_one_entry(self, a, b):
         alg = ExtAlgebra(5)
         a, b = (BasisSymbol(d, sign, alg.weyl.element(*w)) for d, sign, w in (a, b))
         out = _pair(alg, a, b)
-        assert alg._pair_cache == {(a, b): out} and not alg._orbit_cache
+        assert alg._pair_cache == {(a, b): out}
         assert out == product._pair_uncached(alg, a, b)
 
-    def test_a_meeting_pair_registers_its_orbit_and_a_twist_is_derived(self, monkeypatch):
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        """The pairs the dispatch _pair_uncached is called on, from now on."""
+        dispatch, calls = product._pair_uncached, []
+
+        def counted(alg, a, b):
+            calls.append((a, b))
+            return dispatch(alg, a, b)
+
+        monkeypatch.setattr(product, "_pair_uncached", counted)
+        return calls
+
+    def test_a_twisted_meeting_pair_stores_itself_and_its_pair_at_exponent_0(self, monkeypatch):
         alg = ExtAlgebra(5)
         W = alg.weyl
         tau_s0, bm = BasisSymbol(0, None, W.s0), BasisSymbol(1, -1, W.s0)
-        _pair(alg, tau_s0, bm)
-        assert len(alg._orbit_cache) == 1
-        # the torus twist tau_{omega s0} bm_{s0} of that pair computes nothing
         twist = BasisSymbol(0, None, W.element(1, (S0,)))
         expected = product._pair_uncached(ExtAlgebra(5), twist, bm)
+        calls = self._counted(monkeypatch)
+        # the torus twist tau_{omega s0} bm_{s0} computes tau_{s0} bm_{s0} only
+        assert _pair(alg, twist, bm) == expected
+        assert calls == [(tau_s0, bm)]
+        assert alg._pair_cache.keys() == {(twist, bm), (tau_s0, bm)}
 
-        def refuse(*args):
-            raise AssertionError("a pair of a known orbit was computed")
-
-        monkeypatch.setattr(product, "_pair_uncached", refuse)
-        derived = _pair(alg, twist, bm)
-        assert len(alg._orbit_cache) == 1 and len(alg._pair_cache) == 2
-        assert derived == expected
+    def test_a_second_twist_of_the_pair_calls_the_dispatch_zero_times(self, monkeypatch):
+        alg = ExtAlgebra(5)
+        W = alg.weyl
+        tau_s0, bm = BasisSymbol(0, None, W.s0), BasisSymbol(1, -1, W.s0)
+        twists = [(BasisSymbol(0, None, W.element(1, (S0,))), bm),
+                  (tau_s0, BasisSymbol(1, -1, W.element(3, (S0,))))]
+        expected = [product._pair_uncached(ExtAlgebra(5), a, b) for a, b in twists]
+        _pair(alg, *twists[0])
+        calls = self._counted(monkeypatch)
+        assert _pair(alg, *twists[1]) == expected[1] and calls == []
+        assert len(alg._pair_cache) == 3 and _pair(alg, *twists[0]) == expected[0]
 
 
 class TestMemoValuesAreReadOnly:
@@ -393,7 +424,7 @@ class TestMemoValuesAreReadOnly:
         W = alg.weyl
         # a bad sign-0 pair reaches the base square, the J table and the pair memo;
         # a Hecke letter acting on the left fills the letter memo; a twisted
-        # pair in a known torus orbit is derived from the orbit memo
+        # meeting pair is derived from its pair at exponent 0
         square = multiply(alg.beta(0, W.s0), alg.beta(0, W.s0))
         multiply(alg.tau(W.s1), alg.beta(-1, W.s1))
         multiply(alg.tau(W.element(1, (S1,))), alg.beta(-1, W.element(2, (S1,))))
@@ -414,7 +445,6 @@ class TestMemoValuesAreReadOnly:
             "_pair_cache": alg._pair_cache,
             "_letter_cache": alg._letter_cache,
             "_j_cache": alg._j_cache,
-            "_orbit_cache": {orbit: rep[2] for orbit, rep in alg._orbit_cache.items()},
             "_char_cache": alg._char_cache,
             "_section_cache": alg._section_cache,
         }
@@ -428,11 +458,10 @@ class TestMemoValuesAreReadOnly:
                     value[next(iter(value), 0)] = 1
                 # a result hands out neither its row nor its coeffs from a memo
                 assert value is not square.row and value is not square.coeffs, name
-        # the orbit memo is smaller than the pair memo, and each
-        # representative is that memo's own value, not a copy
-        stored = {id(value) for value in alg._pair_cache.values()}
-        assert all(id(rep[2]) in stored for rep in alg._orbit_cache.values())
-        assert len(alg._pair_cache) > len(alg._orbit_cache)
+        # each twisted meeting pair the pair memo holds was derived from its
+        # pair at exponent 0, which the memo holds too
+        twisted = [key for key in alg._pair_cache if _twisted_meeting(*key)]
+        assert twisted and all(_at_exponent_0(*key) in alg._pair_cache for key in twisted)
 
     def test_derived_products_of_one_support_have_equal_keys(self):
         alg = ExtAlgebra(5)
@@ -443,13 +472,13 @@ class TestMemoValuesAreReadOnly:
         left = _pair(alg, BasisSymbol(0, None, W.omega(1)), bp)
         right = _pair(alg, one, BasisSymbol(1, 1, W.element(1, (S0,))))
         assert left.keys() == right.keys()
-        # a meeting pair is the orbit's representative, and two pairs derived
-        # from it with the same product support have the same keys
+        # two twists of one meeting pair with the same product support are
+        # derived from that pair at exponent 0, and have the same keys
         tau_s0, bm = BasisSymbol(0, None, W.s0), BasisSymbol(1, -1, W.s0)
-        _pair(alg, tau_s0, bm)
         left = _pair(alg, BasisSymbol(0, None, W.element(1, (S0,))), bm)
         right = _pair(alg, tau_s0, BasisSymbol(1, -1, W.element(3, (S0,))))
-        assert list(left) == list(right) and len(alg._orbit_cache) == 1
+        assert list(left) == list(right) and len(alg._pair_cache) == 5
+        assert (tau_s0, bm) in alg._pair_cache
         plain = [key for key in left if len(key) == 3]
         assert plain == [BasisSymbol(1, 1, W.omega(3))]
 
@@ -459,10 +488,12 @@ class TestMemoValuesAreReadOnly:
         assert _pair(alg, a, b) is _pair(alg, a, b)
 
     def test_every_zero_product_is_one_empty_map(self):
-        # zero closed forms, zero orbit representatives and zero derived pairs
-        # all store the one shared empty map
+        # zero closed forms, zero meeting pairs at exponent 0 and zero derived
+        # pairs all store the one shared empty map
         alg = ExtAlgebra(13)
         verify.run(alg, "all")
         empty = [value for value in alg._pair_cache.values() if not value]
         assert len(empty) > 1000 and len({id(value) for value in empty}) == 1
-        assert any(not rep[2] for rep in alg._orbit_cache.values())
+        meeting = [key for key in alg._pair_cache if _twisted_meeting(*key)]
+        assert any(not alg._pair_cache[key] for key in meeting)
+        assert any(not alg._pair_cache[_at_exponent_0(*key)] for key in meeting)

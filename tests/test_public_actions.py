@@ -23,6 +23,7 @@ from heckext.coeff import add_into
 from heckext.graded import GradedElement
 from heckext.weyl import S0, S1
 
+from test_product import _twisted_meeting
 from test_verify import _public_act_right_compress_slipped
 from walk_oracle import WalkAlgebra
 
@@ -73,7 +74,7 @@ def test_public_actions_equal_the_letter_walk_of_a_fresh_algebra(p):
     assert any(len(k) == 4 for h, _ in cases for k in cold._operand(cold.embed(h)))
     assert any(len(k) == 4 for _, x in cases[1::3] for k in cold._operand(x))
     # the warm-up fills the pair memo in the reverse order, by torus twists
-    # of each h, so representatives sit at other exponents than on cold
+    # of each h, so warm computes its pairs in another order than cold
     warm_cases = operands(warm)
     H, W = warm.hecke, warm.weyl
     for h, x in reversed(warm_cases):
@@ -84,8 +85,11 @@ def test_public_actions_equal_the_letter_walk_of_a_fresh_algebra(p):
         for (h, x), (left, right) in zip(pairs, expected):
             assert alg.act_left(h, x).coeffs == left, (h, x)
             assert alg.act_right(x, h).coeffs == right, (x, h)
-    shared = cold._orbit_cache.keys() & warm._orbit_cache.keys()
-    assert any(cold._orbit_cache[k][0] != warm._orbit_cache[k][0] for k in shared)
+    # warm holds twisted meeting pairs that cold never read, and every pair
+    # both memos hold has one value
+    assert any(_twisted_meeting(*key) for key in warm._pair_cache.keys() - cold._pair_cache.keys())
+    shared = cold._pair_cache.keys() & warm._pair_cache.keys()
+    assert shared and all(cold._pair_cache[k] == warm._pair_cache[k] for k in shared)
 
 
 def orbit_law_failures(alg: ExtAlgebra) -> list[tuple]:

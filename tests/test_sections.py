@@ -167,7 +167,11 @@ class TestTensorExpression:
         # e(9) is e(1) at p=5, so e(9) bm + 4 e(1) bm would be a nonzero
         # expression that evaluates to 0
         ((9, 1, -1, ()), "not an int in"),
-    ], ids=["support-of-p13", "b0-at-a-torus-element", "word-not-alternating", "index-out-of-range"])
+        # True equals 1 and passed as a sign and as a degree
+        ((0, 1, True, ()), "sign must be"),
+        ((0, True, 1, ()), "degree must be"),
+    ], ids=["support-of-p13", "b0-at-a-torus-element", "word-not-alternating", "index-out-of-range",
+            "bool-sign", "bool-degree"])
     def test_a_slot_that_is_not_one_of_the_algebra_is_refused(self, alg5, slot, message):
         bz0 = BasisSymbol(1, 0, alg5.weyl.s0)
         with pytest.raises(ValueError, match=message):
@@ -483,7 +487,7 @@ class TestWrittenRows:
         assert len(kernel_generators(alg)) == 15
         memos = {name: table for name, table in vars(alg).items()
                  if isinstance(table, dict) and name != "_section_cache"}
-        assert len(memos) == 5 and alg._section_cache
+        assert len(memos) == 4 and alg._section_cache
         assert {name: len(table) for name, table in memos.items()} == dict.fromkeys(memos, 0)
 
 

@@ -108,6 +108,13 @@ class TestNormalForm:
             with pytest.raises(ValueError, match=re.escape(f"must be an int, got {exp!r}")):
                 W5.element(exp, ())
 
+    def test_simple_refuses_anything_but_s0_and_s1(self):
+        """simple(2), simple(-1) and simple(True) all returned s1."""
+        assert (W5.simple(S0), W5.simple(S1)) == (W5.s0, W5.s1)
+        for i in (2, -1, True, False, 1.0, None, "0"):
+            with pytest.raises(ValueError, match=re.escape(f"S0 or S1, got {i!r}")):
+                W5.simple(i)
+
     def test_a_max_length_that_is_not_an_int_at_least_0_is_refused(self):
         """elements(-1) listed the torus, as elements(0) does; basis_symbols(True)
         ran as if given 1; elements(2.5) failed with a TypeError in range."""

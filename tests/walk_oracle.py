@@ -82,7 +82,7 @@ def two_step_right(alg: ExtAlgebra, sym: BasisSymbol, v) -> dict:
 class WalkAlgebra(ExtAlgebra):
     def __init__(self, p: int, primitive_root: int | None = None):
         super().__init__(p, primitive_root)
-        self._letter_orbit_cache: dict[tuple, tuple[int, MappingProxyType]] = {}
+        self._letter_orbits: dict[tuple, tuple[int, MappingProxyType]] = {}
 
     def _letter_on_symbol(self, i: int, sym: BasisSymbol, right: bool = False) -> MappingProxyType:
         """tau_{s_i} sym, or sym tau_{s_i} when right, as a symbolic row,
@@ -98,10 +98,10 @@ class WalkAlgebra(ExtAlgebra):
             return cached
         d, sign, (f, word) = sym
         orbit = (i, d, sign, word, right)
-        rep = self._letter_orbit_cache.get(orbit)
+        rep = self._letter_orbits.get(orbit)
         if rep is None:
             out = MappingProxyType(self._right_row(i, sym) if right else self._letter_row(i, sym))
-            self._letter_orbit_cache[orbit] = (f, out)
+            self._letter_orbits[orbit] = (f, out)
         else:
             f0, first = rep
             scale = self.field.root_powers()[-_weight(d, sign) * (f - f0) % self.weyl.n]
