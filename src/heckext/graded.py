@@ -433,10 +433,6 @@ class ExtAlgebra:
 
     # --- torus and idempotent building blocks ---
 
-    def _torus_weight(self, sym: BasisSymbol) -> int:
-        """k such that the torus generator acts on sym with scalar u0^k."""
-        return _weight(sym[0], sym[1])
-
     def _base(self, key: tuple) -> BasisSymbol:
         """The symbol s0 of a character key (m, d, sign, word)."""
         _, d, sign, word = key
@@ -730,7 +726,7 @@ class ExtAlgebra:
         if d in (0, 3):
             return 1, BasisSymbol(d, None, wi)
         # u_w^2 on beta^- and alpha^+, its inverse on beta^+ and alpha^-, 1 on sign 0
-        c = self.field.root_pow(-self._torus_weight(sym) * w.exp)
+        c = self.field.root_pow(-_weight(d, sign) * w.exp)
         if w.length % 2 == 0:
             return c, BasisSymbol(d, sign, wi)
         return self.field.neg(c), BasisSymbol(d, -sign, wi)

@@ -110,7 +110,7 @@ def _word(letters: tuple) -> tuple:
     """The word that a run of letter tokens spells: a KeyError at a token
     that is no letter, a ValueError where a letter repeats.  Only two words
     of each length pass, so the cache holds every word in use."""
-    return _alternating([_LETTERS[letter] for letter in letters])
+    return _alternating(tuple([_LETTERS[letter] for letter in letters]))
 
 
 def _integer(text: str, tokens: list, i: int):

@@ -16,8 +16,9 @@ extended bilinearly:
       x * y = (x * tau_{supp y}) cup (tau_{supp x} * y);
   (3) a bad (lengths do not add) degree-1 x degree-1 pair is resolved by
       factoring the right factor through the four bimodule generators;
-      the only hard core is a sign-0 symbol against a sign-0 generator,
-      which is peeled down to a fixed base quadratic;
+      against the generator, a sign-0 symbol at a support of length 1
+      reads a fixed base quadratic, and every other left factor is
+      factored the same way and reassociated through the Hecke action;
   (4) a bad degree-2 x degree-1 pair is factored the same way; against
       the generator, alpha^- at a word starting with s0 and alpha^+ at one
       starting with s1 give zero, and every other alpha reads its one-term
@@ -226,21 +227,15 @@ def _deg1_times_generator(alg: ExtAlgebra, z: BasisSymbol, g: BasisSymbol):
     if W.lengths_add(z.support, g.support):
         return _pair(alg, z, g)
     # bad core: g is a sign-0 generator and the word of z ends with its letter
-    i = g.support.word[0]
-    if z.sign == 0:
-        if z.support.length == 1:
-            # the base quadratic beta^0_{s0} beta^0_{s0} = -e_0 alpha^0_{s0}
-            # - e_-1 alpha^+_{s0} + e_1 alpha^-_{s0} (three character keys),
-            # conjugated at s1, then the torus prefix
-            base = alg._row(2, W.s0, [(0, 0, -1), (-1, 1, -1), (1, -1, 1)])
-            if i == S1:
-                base = alg._uniformizer_conj(base)
-            return alg._shift_left(base, z.support.exp)
-        # peel: beta^0_v = beta^0_{v s_i^{-1}} * tau_{s_i}, then the length-1 row
-        v2 = W.mul(z.support, W.inv(W.simple(i)))
-        inner = _pair(alg, BasisSymbol(0, None, W.simple(i)), g)
-        return _multiply(alg, {BasisSymbol(1, 0, v2): 1}, inner)
-    # signed symbol: factor it and reassociate through the Hecke action
+    if z.sign == 0 and z.support.length == 1:
+        # the base quadratic beta^0_{s0} beta^0_{s0} = -e_0 alpha^0_{s0}
+        # - e_-1 alpha^+_{s0} + e_1 alpha^-_{s0} (three character keys),
+        # conjugated at s1, then the torus prefix
+        base = alg._row(2, W.s0, [(0, 0, -1), (-1, 1, -1), (1, -1, 1)])
+        if g.support.word[0] == S1:
+            base = alg._uniformizer_conj(base)
+        return alg._shift_left(base, z.support.exp)
+    # every other z: factor it and reassociate through the Hecke action
     cz, t_left, g2, t_right = alg.factor_through_generators(z)
     mid = _multiply(alg, {g2: 1}, _pair(alg, BasisSymbol(0, None, t_right), g))
     return _multiply(alg, {BasisSymbol(0, None, t_left): cz}, mid)

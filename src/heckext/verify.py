@@ -34,7 +34,7 @@ from collections import namedtuple
 
 from . import presentation as pres
 from .coeff import add_into
-from .graded import BasisSymbol, ExtAlgebra, GradedElement, _shifted
+from .graded import BasisSymbol, ExtAlgebra, GradedElement, _shifted, _weight
 from .grammar import render_element
 from .product import cup_summand, duality_pairing, multiply
 from .sections import (
@@ -434,7 +434,7 @@ def _idempotent_slide(alg, max_length):
     )
 
     def slid(sym, m):
-        return (m if sym.support.length % 2 == 0 else -m) + alg._torus_weight(sym)
+        return (m if sym.support.length % 2 == 0 else -m) + _weight(sym.degree, sym.sign)
 
     def restated(sym):
         if not columns_hold:
@@ -445,7 +445,7 @@ def _idempotent_slide(alg, max_length):
             shifted = _shifted((d, sign, _weyl(((f + step * e) % n, word))))
             if alg._act_right(sym, t) != {shifted: 1}:
                 return sym
-        k = alg._torus_weight(sym)
+        k = _weight(d, sign)
         for m in range(n):
             mprime = (step * m + k) % n
             row: dict = {}
@@ -624,8 +624,9 @@ def suite_e0(alg, *, max_length=8, samples=1000, seed=0, **_):
 
     def braid_and_graded(pair):
         """tau_v tau_w by H.mul against the graded engine's degree-0 product,
-        the kernel _act_left(v, tau_w) that a pair miss tau_v . tau_w runs:
-        two independent implementations of one product."""
+        the kernel _act_left(v, tau_w): two independent implementations of
+        one product.  A pair miss tau_v . tau_w runs that kernel, at torus
+        exponent 0 and then the pair law when the words meet."""
         v, w = pair
         prod = H.mul(H.tau(v), H.tau(w))
         if W.lengths_add(v, w) and prod != H.tau(W.mul(v, w)):

@@ -37,7 +37,7 @@ class WeylElement(tuple):
         if group is not None:
             if type(exp) is not int:
                 raise ValueError(f"the torus exponent must be an int, got {exp!r}")
-            exp, word = exp % group.n, _alternating(word)
+            exp, word = exp % group.n, _alternating(tuple(word))
         return tuple.__new__(cls, (exp, word))
 
     exp = property(itemgetter(0))
@@ -60,13 +60,10 @@ _weyl = partial(tuple.__new__, WeylElement)
 
 
 def _alternating(word) -> tuple[int, ...]:
-    """word as a tuple, checked to be an alternating word in s0, s1."""
-    word = tuple(word)
-    for a, b in zip(word, word[1:]):
-        if a == b:
-            raise ValueError(f"word {word} is not alternating")
-    if any(l not in (S0, S1) for l in word):
-        raise ValueError(f"letters must be s0/s1, got {word}")
+    """word, checked to be a tuple alternating in s0, s1: the alternating
+    word of its length that starts with s1 if word does, else s0."""
+    if type(word) is not tuple or word != _alternating_word(word[:1] == (S1,), len(word)):
+        raise ValueError(f"the word {word!r} is not alternating in s0, s1")
     return word
 
 
@@ -122,10 +119,7 @@ class WeylGroup:
         normal form of this group has it (unpickling keeps any tuple)."""
         if not isinstance(w, WeylElement):
             raise ValueError(f"expected a WeylElement, got {w!r}")
-        word = w[1]
-        # the alternating word of its length that starts with s1 if word does, else s0
-        if type(word) is not tuple or word != _alternating_word(word[:1] == (S1,), len(word)):
-            raise ValueError(f"the word {word!r} is not alternating in s0, s1")
+        _alternating(w[1])
         if type(w[0]) is not int:
             raise ValueError(f"the torus exponent {w[0]!r} of {w!r} is not an int")
         if not 0 <= w[0] < self.n:

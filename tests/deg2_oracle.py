@@ -7,7 +7,7 @@ letters.  Patched in for heckext.product._deg2_times_generator on a fresh
 algebra, it must give every product the engine gives.
 """
 
-from heckext.graded import BasisSymbol, ExtAlgebra
+from heckext.graded import BasisSymbol, ExtAlgebra, _weight
 from heckext.product import _multiply, _pair
 from heckext.weyl import S1, WeylElement
 
@@ -20,7 +20,7 @@ def _deg2_times_generator(alg: ExtAlgebra, q: BasisSymbol, g: BasisSymbol):
     if u.exp != 0:
         # pull the torus prefix out first
         bare = WeylElement(W, 0, u.word)
-        scale = F.root_pow(-alg._torus_weight(q) * u.exp)
+        scale = F.root_pow(-_weight(q.degree, q.sign) * u.exp)
         inner = _deg2_times_generator(alg, BasisSymbol(2, q.sign, bare), g)
         return alg._shift_left(inner, u.exp, scale)
     if u.word[0] == S1:

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from heckext.graded import BasisSymbol
+from heckext.graded import BasisSymbol, _weight
 from heckext.product import multiply
 from heckext.weyl import S0, S1, WeylElement
 
@@ -259,7 +259,7 @@ class TestIdempotentSlide:
     def test_slide_laws_up_to_length_6(self, alg5):
         H, W = alg5.hecke, alg5.weyl
         for sym in alg5.basis_symbols(6, degrees=(1, 2)):
-            weight = alg5._torus_weight(sym)
+            weight = _weight(sym.degree, sym.sign)
             parity = -1 if sym.support.length % 2 else 1
             x = alg5.symbol_element(sym)
             for m in range(W.n):

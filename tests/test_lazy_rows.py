@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckext import ExtAlgebra
-from heckext.graded import KIND_NAMES, BasisSymbol, GradedElement, _orbit
+from heckext.graded import KIND_NAMES, BasisSymbol, GradedElement, _orbit, _weight
 from heckext.grammar import _exponents, _heads, element_to_json, parse_element, render_element
 from heckext.product import multiply
 from heckext.weyl import S0, S1
@@ -79,7 +79,7 @@ def definition(alg: ExtAlgebra, row: dict) -> dict:
         else:
             m, d, sign, word = key
             s0 = BasisSymbol(d, sign, W.element(0, word))
-            k = alg._torus_weight(s0)
+            k = _weight(d, sign)
             terms = {BasisSymbol(d, sign, W.element(b, word)): -alg.field.root_pow((k - m) * b)
                      for b in range(n)}
         for sym, v in terms.items():

@@ -24,7 +24,7 @@ import pytest
 
 from heckext import ExtAlgebra
 from heckext.coeff import add_into
-from heckext.graded import BasisSymbol, GradedElement
+from heckext.graded import BasisSymbol, GradedElement, _weight
 from heckext.hecke import HeckeElement
 from heckext.weyl import S0, S1
 
@@ -108,7 +108,7 @@ def concrete_right_row(oracle: ExtAlgebra, i: int, sym) -> GradedElement:
     # T_half: the support w becomes omega^half w, and weight k scales by u0^(k half)
     shifted = {
         BasisSymbol(s.degree, s.sign, W.element(s.support.exp + W.half, s.support.word)):
-            c * F.root_pow(oracle._torus_weight(s) * W.half) % F.p
+            c * F.root_pow(_weight(s.degree, s.sign) * W.half) % F.p
         for s, c in row.items()
     }
     return oracle.involution(GradedElement(oracle, shifted))

@@ -10,9 +10,10 @@ from heckext import ExtAlgebra, product, verify
 from heckext.graded import BasisSymbol
 from heckext.product import _pair, cup_summand, duality_pairing, multiply
 from heckext.sections import section_deg2
-from heckext.weyl import S0, S1, WeylElement
+from heckext.weyl import S0, S1, WeylElement, _alternating_word
 
 from conftest import algebra
+from peel_oracle import deg1_times_generator_by_peel
 from test_graded import rand_hecke, rand_symbol, rand_weyl
 
 # wedge monomials on three letters m < z < p, with Koszul signs
@@ -497,3 +498,36 @@ class TestMemoValuesAreReadOnly:
         meeting = [key for key in alg._pair_cache if _twisted_meeting(*key)]
         assert any(not alg._pair_cache[key] for key in meeting)
         assert any(not alg._pair_cache[_at_exponent_0(*key)] for key in meeting)
+
+
+def _sign0_cores(alg, lengths):
+    """Each sign-0 symbol z at every exponent and these support lengths,
+    with the sign-0 generator g of its last letter: the bad cores of
+    route (3) beyond the base quadratic."""
+    W = alg.weyl
+    for length in lengths:
+        for first in (S0, S1):
+            word = _alternating_word(first, length)
+            g = BasisSymbol(1, 0, W.simple(word[-1]))
+            for e in range(W.n):
+                yield BasisSymbol(1, 0, W.element(e, word)), g
+
+
+class TestRoute3AgainstThePeel:
+    """Route (3) factors a bad sign-0 left factor through
+    factor_through_generators; tests/peel_oracle.py peels it one letter."""
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_every_sign0_core_of_length_2_to_6(self, p):
+        alg, oracle = ExtAlgebra(p), ExtAlgebra(p)
+        cases = list(_sign0_cores(alg, range(2, 7)))
+        assert len(cases) == 10 * (p - 1)
+        for z, g in cases:
+            got = alg._expand(product._deg1_times_generator(alg, z, g))
+            assert got == oracle._expand(deg1_times_generator_by_peel(oracle, z, g)), (z, g)
+
+    def test_512_letter_supports(self):
+        alg, oracle = ExtAlgebra(7), ExtAlgebra(7)
+        for z, g in _sign0_cores(alg, [512]):
+            got = alg._expand(product._deg1_times_generator(alg, z, g))
+            assert got and got == oracle._expand(deg1_times_generator_by_peel(oracle, z, g)), z

@@ -12,7 +12,7 @@ from heckext import ExtAlgebra
 from heckext import graded, product, verify
 from heckext import presentation as pres
 from heckext.coeff import PrimeField, add_into
-from heckext.graded import BasisSymbol
+from heckext.graded import BasisSymbol, _weight
 from heckext.product import duality_pairing
 from heckext.weyl import S0, S1, WeylElement, _alternating_word, _weyl
 
@@ -239,10 +239,8 @@ def test_every_suite_passes_under_every_primitive_root(p, root):
 #
 # The torus and lengths-add tests in verify.py call the kernel
 # _act_right(sym, v), which is how a pair-memo miss computes sym tau_v.
-# Their oracles call the public act_right, which reads the pair memo.  The
-# memo derives every pair of a torus orbit from the first one computed, so
-# under a wrong right shift a public value depends on the products made
-# before it.
+# Their oracles call the public act_right, which reads the pair memo: a hit
+# returns the value an earlier check stored and runs no kernel.
 # reports() therefore runs these two oracles with the pair memo off
 # (PAIR_MISS_ORACLES), where each public act_right is one pair miss.
 
@@ -324,7 +322,7 @@ def direct_slide(alg, max_length):
     idempotents = alg.hecke.idempotents()
 
     def slide(sym):
-        weight = alg._torus_weight(sym)
+        weight = _weight(sym.degree, sym.sign)
         for m, idem in enumerate(idempotents):
             # e_m term by term, each term one kernel call
             lhs: dict = {}
@@ -564,7 +562,7 @@ def _torus_rows_as_character_keys(alg):
             return row
         ((image, c),) = row.items()
         d, sign, (b, word) = image
-        k = alg._torus_weight(image)
+        k = _weight(d, sign)
         return {(m, d, sign, word): c * powers[(m - k) * b % n] % p for m in range(n)}
 
     return act
@@ -635,7 +633,7 @@ def _wrong_inverse(H):
 
 def _slide_slip(alg):
     """_slide with m' = m + k at odd length too."""
-    return lambda sym, m: (m + alg._torus_weight(sym)) % alg.weyl.n
+    return lambda sym, m: (m + _weight(sym.degree, sym.sign)) % alg.weyl.n
 
 
 def _right_scalar_dropped(H):

@@ -97,6 +97,17 @@ class TestNormalForm:
             with pytest.raises(ValueError):
                 WeylElement(W5, 0, word)
 
+    @pytest.mark.parametrize("word", [(S0, S0), (S1, S0, S0), (2,), (S0, 2), ("s0", "s1")])
+    def test_the_constructor_and_check_refuse_a_word_with_one_message(self, word):
+        message = re.escape(f"the word {word!r} is not alternating in s0, s1")
+        with pytest.raises(ValueError, match=message):
+            WeylElement(W5, 0, word)
+        with pytest.raises(ValueError, match=message):
+            W5.check(WeylElement(None, 0, word))
+        # check refuses a list word, which the constructor reads as a tuple
+        with pytest.raises(ValueError, match=re.escape(f"the word {list(word)!r} is not")):
+            W5.check(WeylElement(None, 0, list(word)))
+
     def test_the_public_constructor_refuses_an_exponent_that_is_not_an_int(self):
         for exp in (1.5, "1", None):
             with pytest.raises(ValueError, match="exponent"):
