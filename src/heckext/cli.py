@@ -17,41 +17,23 @@ from .grammar import element_to_json, parse_element, render_element
 from .product import multiply
 from .suites import SUITE_NAMES
 
-__all__ = ["Config", "main"]
+__all__ = ["main"]
 
 
-class Config:
-    p: int = 5
-    primitive_root: int | None = None
-    max_length: int = 8
-    samples: int = 1000
-    seed: int = 0
-    fmt: str = "text"
-    epsilon_bound: str = "p-2"
-
-    def __init__(self, **options):
-        for name, value in options.items():
-            if name not in Config.__annotations__:
-                raise TypeError(f"Config got an unexpected keyword argument {name!r}")
-            setattr(self, name, value)
-        if self.max_length < 1:
-            raise ValueError("--max-length must be >= 1")
-        if self.samples < 1:
-            raise ValueError("--samples must be >= 1")
-
-
-# each option by its Config field, which holds its default; every command
-# takes --p and --root
+# each option by its name in the parsed namespace, with its default; every
+# command takes --p and --root
 _OPTIONS = {
-    "p": ("--p", dict(type=int, help="the prime p >= 5 (default 5)")),
+    "p": ("--p", dict(type=int, default=5, help="the prime p >= 5 (default 5)")),
     "primitive_root": ("--root", dict(
-        type=int, metavar="ROOT", help="override the primitive root mod p")),
-    "max_length": ("--max-length", dict(type=int, help="support length bound L (default 8)")),
-    "samples": ("--samples", dict(type=int, help="sample count for randomized checks")),
-    "seed": ("--seed", dict(type=int, help="RNG seed (default 0)")),
-    "fmt": ("--format", dict(choices=("text", "json"))),
+        type=int, default=None, metavar="ROOT", help="override the primitive root mod p")),
+    "max_length": ("--max-length", dict(
+        type=int, default=8, help="support length bound L (default 8)")),
+    "samples": ("--samples", dict(
+        type=int, default=1000, help="sample count for randomized checks")),
+    "seed": ("--seed", dict(type=int, default=0, help="RNG seed (default 0)")),
+    "fmt": ("--format", dict(choices=("text", "json"), default="text")),
     "epsilon_bound": ("--epsilon-bound", dict(
-        choices=("p-2", "p-1"),
+        choices=("p-2", "p-1"), default="p-2",
         help="summation bound of the free torus idempotents; 'p-1' double-counts "
         "the identity class and makes the quadratic relators fail",
     )),
@@ -59,11 +41,10 @@ _OPTIONS = {
 
 
 def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
-    """The options of one command; an option left out of the command line is
-    left out of its namespace too, so Config supplies its default."""
+    """The options of one command."""
     for name in ("p", "primitive_root") + names:
         flag, kwargs = _OPTIONS[name]
-        parser.add_argument(flag, dest=name, default=argparse.SUPPRESS, **kwargs)
+        parser.add_argument(flag, dest=name, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,37 +77,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _algebra(cfg: Config) -> ExtAlgebra:
-    return ExtAlgebra(cfg.p, cfg.primitive_root)
-
-
-def cmd_mul(cfg: Config, left: str, right: str) -> int:
-    alg = _algebra(cfg)
-    x = parse_element(alg, left)
-    y = parse_element(alg, right)
-    result = multiply(x, y)
-    if cfg.fmt == "json":
+def cmd_mul(args: argparse.Namespace) -> int:
+    alg = ExtAlgebra(args.p, args.primitive_root)
+    result = multiply(parse_element(alg, args.left), parse_element(alg, args.right))
+    if args.fmt == "json":
         print(json.dumps(element_to_json(result), indent=2))
     else:
         print(render_element(result))
     return 0
 
 
-def cmd_verify(cfg: Config, suite: str, quiet: bool = False) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run  # imported here, so that mul and table do not load it
 
-    alg = _algebra(cfg)
+    alg = ExtAlgebra(args.p, args.primitive_root)
     started = time.time()
-    report = run(
-        alg,
-        suite,
-        max_length=cfg.max_length,
-        samples=cfg.samples,
-        seed=cfg.seed,
-        epsilon_bound=cfg.epsilon_bound,
-    )
-    all_ok = all(r.ok for results in report.values() for r in results)
-    if cfg.fmt == "json":
+    report = run(alg, args.suite, max_length=args.max_length, samples=args.samples,
+                 seed=args.seed, epsilon_bound=args.epsilon_bound)
+    checks = [(name, r) for name, results in report.items() for r in results]
+    failed = sum(not r.ok for _, r in checks)
+    if args.fmt == "json":
         payload = [
             {
                 "suite": name,
@@ -138,43 +108,36 @@ def cmd_verify(cfg: Config, suite: str, quiet: bool = False) -> int:
             }
             for name, results in report.items()
         ]
-        print(json.dumps(payload if suite == "all" else payload[0], indent=2))
+        print(json.dumps(payload if args.suite == "all" else payload[0], indent=2))
     else:
-        total = 0
-        failed = 0
-        for name, results in report.items():
-            for r in results:
-                total += 1
-                if not r.ok:
-                    failed += 1
-                if not quiet:
-                    line = f"[{name}] {r.name}: {'PASS' if r.ok else 'FAIL'}"
-                    if not r.ok and r.counterexample:
-                        line += f"  ({r.counterexample})"
-                    print(line)
-        status = "OK" if all_ok else "FAILED"
+        if not args.quiet:
+            for name, r in checks:
+                line = f"[{name}] {r.name}: {'PASS' if r.ok else 'FAIL'}"
+                if not r.ok and r.counterexample:
+                    line += f"  ({r.counterexample})"
+                print(line)
         print(
-            f"{status}: {total - failed}/{total} checks passed "
-            f"(p={cfg.p}, L={cfg.max_length}, seed={cfg.seed}, "
+            f"{'FAILED' if failed else 'OK'}: {len(checks) - failed}/{len(checks)} checks passed "
+            f"(p={args.p}, L={args.max_length}, seed={args.seed}, "
             f"{time.time() - started:.1f}s)"
         )
-    return 0 if all_ok else 1
+    return 1 if failed else 0
 
 
-def cmd_table(cfg: Config, degree: int) -> int:
-    alg = _algebra(cfg)
+def cmd_table(args: argparse.Namespace) -> int:
+    alg = ExtAlgebra(args.p, args.primitive_root)
     W, H = alg.weyl, alg.hecke
     actors = [("t_w0", W.omega(1)), ("t_s0", W.s0), ("t_s1", W.s1)]
     rows = []
-    for sym in alg.basis_symbols(cfg.max_length, degrees=(degree,)):
+    for sym in alg.basis_symbols(args.max_length, degrees=(args.degree,)):
         el = alg.symbol_element(sym)
         entry = {"symbol": repr(sym)}
         for label, w in actors:
             entry[f"left_{label}"] = render_element(alg.act_left(H.tau(w), el))
             entry[f"right_{label}"] = render_element(alg.act_right(el, H.tau(w)))
         rows.append(entry)
-    if cfg.fmt == "json":
-        print(json.dumps({"degree": degree, "rows": rows}, indent=2))
+    if args.fmt == "json":
+        print(json.dumps({"degree": args.degree, "rows": rows}, indent=2))
     else:
         for entry in rows:
             print(entry["symbol"])
@@ -189,14 +152,13 @@ def cmd_table(cfg: Config, degree: int) -> int:
 MAX_EXPORT_LETTERS = 10**8
 
 
-def cmd_relators(cfg: Config) -> int:
+def cmd_relators(args: argparse.Namespace) -> int:
     from . import presentation as pres  # imported here, so that mul and table do not load it
 
-    alg = _algebra(cfg)
-    relators = pres.all_relators(alg, cfg.epsilon_bound)
+    relators = pres.all_relators(ExtAlgebra(args.p, args.primitive_root), args.epsilon_bound)
     letters = sum(rel.letter_bound() for _, rel in relators)
     if letters > MAX_EXPORT_LETTERS:
-        raise ValueError(f"the relators at p={cfg.p} expand to up to {letters} letters, "
+        raise ValueError(f"the relators at p={args.p} expand to up to {letters} letters, "
                          f"over the export limit of {MAX_EXPORT_LETTERS}")
     payload = []
     for name, rel in relators:
@@ -212,22 +174,18 @@ def cmd_relators(cfg: Config) -> int:
                 ],
             }
         )
-    print(json.dumps({"p": cfg.p, "epsilon_bound": cfg.epsilon_bound, "relators": payload}, indent=2))
+    print(json.dumps({"p": args.p, "epsilon_bound": args.epsilon_bound, "relators": payload}, indent=2))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    commands = {"mul": cmd_mul, "verify": cmd_verify, "table": cmd_table, "relators": cmd_relators}
     try:
-        cfg = Config(**{name: value for name, value in vars(args).items() if name in _OPTIONS})
-        if args.command == "mul":
-            return cmd_mul(cfg, args.left, args.right)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite, quiet=args.quiet)
-        if args.command == "table":
-            return cmd_table(cfg, args.degree)
-        return cmd_relators(cfg)  # the subparsers admit no other command
+        for name in ("max_length", "samples"):  # absent from the commands that do not take it
+            if getattr(args, name, 1) < 1:
+                raise ValueError(f"{_OPTIONS[name][0]} must be >= 1")
+        return commands[args.command](args)
     except ValueError as exc:  # a ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -61,8 +61,10 @@ _weyl = partial(tuple.__new__, WeylElement)
 
 def _alternating(word) -> tuple[int, ...]:
     """word, checked to be a tuple alternating in s0, s1: the alternating
-    word of its length that starts with s1 if word does, else s0."""
-    if type(word) is not tuple or word != _alternating_word(word[:1] == (S1,), len(word)):
+    word of its length that starts with s1 if word does, else s0, whose
+    letters are ints (a letter 0.0 or True only compares equal to one)."""
+    if (type(word) is not tuple or word != _alternating_word(word[:1] == (S1,), len(word))
+            or not set(map(type, word)) <= {int}):
         raise ValueError(f"the word {word!r} is not alternating in s0, s1")
     return word
 
@@ -96,8 +98,8 @@ class WeylGroup:
         return WeylElement(self, exp, word)
 
     def omega(self, exp: int) -> WeylElement:
-        """The exp-th power of the torus generator."""
-        return _weyl((exp % self.n, ()))
+        """The exp-th power of the torus generator; exp must be an int."""
+        return WeylElement(self, exp)
 
     def elements(self, max_length: int) -> list[WeylElement]:
         """All elements of length <= max_length, by length, first letter, exponent.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from heckext import ExtAlgebra
 from heckext import presentation as pres
-from heckext.cli import MAX_EXPORT_LETTERS, Config, main
+from heckext.cli import MAX_EXPORT_LETTERS, _build_parser, main
 from heckext.graded import BasisSymbol, GradedElement
 from heckext.grammar import ParseError, parse_element, render_element
 from heckext.verify import run
@@ -472,8 +472,6 @@ class TestCli:
         captured = capsys.readouterr()
         assert "--samples must be >= 1" in captured.err
         assert "PASS" not in captured.out
-        with pytest.raises(ValueError, match="--samples must be >= 1"):
-            Config(samples=int(samples))
 
     def test_bad_prime_rejected(self, capsys):
         assert main(["mul", "tau(w(0;))", "tau(w(0;))", "--p", "9"]) == 2
@@ -498,22 +496,25 @@ class TestCli:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
-    def test_config_defaults_and_refusals(self):
+    @pytest.mark.parametrize("argv, options", [
+        (["mul", "e(0)", "e(0)"], ("fmt",)),
+        (["verify", "e0"], ("max_length", "samples", "seed", "fmt", "epsilon_bound")),
+        (["table", "1"], ("max_length", "fmt")),
+        (["relators"], ("epsilon_bound",)),
+    ])
+    def test_the_parser_gives_each_option_of_a_command_its_default(self, argv, options):
         defaults = dict(p=5, primitive_root=None, max_length=8, samples=1000, seed=0,
                         fmt="text", epsilon_bound="p-2")
-        cfg = Config()
-        assert {name: getattr(cfg, name) for name in defaults} == defaults
-        assert {name: getattr(Config, name) for name in defaults} == defaults
-        cfg = Config(p=13, seed=4)
-        assert (cfg.p, cfg.seed, cfg.max_length, Config.p) == (13, 4, 8, 5)
-        with pytest.raises(ValueError, match="^--max-length must be >= 1$"):
-            Config(max_length=0)
-        with pytest.raises(ValueError, match="^--samples must be >= 1$"):
-            Config(samples=0)
-        with pytest.raises(TypeError, match="'bogus'"):
-            Config(bogus=1)
+        args = vars(_build_parser().parse_args(argv))
+        taken = {name: args[name] for name in defaults if name in args}
+        assert taken == {name: defaults[name] for name in ("p", "primitive_root") + options}
 
-    def test_an_option_left_out_takes_its_config_default(self, capsys):
+    @pytest.mark.parametrize("argv", [["verify", "e0"], ["table", "1"]])
+    def test_a_max_length_below_one_is_refused(self, capsys, argv):
+        assert main(argv + ["--p", "5", "--max-length", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: --max-length must be >= 1\n")
+
+    def test_an_option_left_out_takes_its_default(self, capsys):
         assert main(["relators"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert (payload["p"], payload["epsilon_bound"]) == (Config.p, Config.epsilon_bound)
+        assert (payload["p"], payload["epsilon_bound"]) == (5, "p-2")

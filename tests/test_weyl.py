@@ -97,7 +97,10 @@ class TestNormalForm:
             with pytest.raises(ValueError):
                 WeylElement(W5, 0, word)
 
-    @pytest.mark.parametrize("word", [(S0, S0), (S1, S0, S0), (2,), (S0, 2), ("s0", "s1")])
+    # a letter that only compares equal to 0 or 1 (0.0, True) is not one:
+    # WeylElement(W, 0, (0.0,)) built, and its repr raised a TypeError
+    @pytest.mark.parametrize("word", [(S0, S0), (S1, S0, S0), (2,), (S0, 2), ("s0", "s1"),
+                                      (0.0,), (True,), (1, 0.0), (False, True), (S1, S0, 1.0)])
     def test_the_constructor_and_check_refuse_a_word_with_one_message(self, word):
         message = re.escape(f"the word {word!r} is not alternating in s0, s1")
         with pytest.raises(ValueError, match=message):
@@ -118,6 +121,14 @@ class TestNormalForm:
         for exp in (True, False):
             with pytest.raises(ValueError, match=re.escape(f"must be an int, got {exp!r}")):
                 W5.element(exp, ())
+
+    def test_omega_refuses_an_exponent_that_is_not_an_int(self):
+        """omega(1.5) built w(1.5;), omega(True) built w(1;) and omega("1")
+        raised a TypeError."""
+        assert W5.omega(7) == W5.omega(-1) == WeylElement(W5, 3)
+        for exp in (1.5, True, False, "1", None):
+            with pytest.raises(ValueError, match=re.escape(f"must be an int, got {exp!r}")):
+                W5.omega(exp)
 
     def test_simple_refuses_anything_but_s0_and_s1(self):
         """simple(2), simple(-1) and simple(True) all returned s1."""
